@@ -766,8 +766,7 @@ pub fn live(p: &Parsed) -> Result<String, ArgError> {
 ///
 /// Runs one alignment job with a deliberately small database so each task
 /// is cheap: throughput is then dominated by headend round trips, which is
-/// exactly what the sharded architecture changes. `--single-loop` selects
-/// the pre-sharding baseline headend for comparison.
+/// exactly what the headend's shard/dispatch/batch geometry changes.
 pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
     use oddci_telemetry::Telemetry;
@@ -779,14 +778,10 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     let queries: u64 = p.num("queries", 512)?;
     let target: u64 = p.num("target", nodes)?;
     let seed: u64 = p.num("seed", 42)?;
-    let mode = if p.flag("single-loop") {
-        HeadendMode::SingleLoop
-    } else {
-        HeadendMode::Sharded {
-            shards,
-            dispatch,
-            batch,
-        }
+    let mode = HeadendMode::Sharded {
+        shards,
+        dispatch,
+        batch,
     };
     // Degenerate pool sizes (`--shards 0`, oversized batches, …) must be
     // a clear argument error, never a runtime panic.
@@ -818,21 +813,15 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
         return Err(ArgError("--binary requires --trace-out PATH".into()));
     }
     let sink = match p.get("trace-out") {
-        Some(path) => {
-            let lanes = match mode {
-                HeadendMode::SingleLoop => 2,
-                HeadendMode::Sharded { .. } | HeadendMode::Socket { .. } => 1 + shards + dispatch,
-            };
-            Some(open_stream_sink(
-                path,
-                lanes,
-                lane_capacity,
-                binary,
-                "soak",
-                seed,
-                "live",
-            )?)
-        }
+        Some(path) => Some(open_stream_sink(
+            path,
+            1 + shards + dispatch,
+            lane_capacity,
+            binary,
+            "soak",
+            seed,
+            "live",
+        )?),
         None => None,
     };
     let mut tele = Telemetry::recording();
@@ -865,10 +854,10 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
 
     if p.flag("json") {
         let mut v = serde_json::json!({
-            "mode": if matches!(mode, HeadendMode::SingleLoop) { "single-loop" } else { "sharded" },
-            "shards": if matches!(mode, HeadendMode::SingleLoop) { 0 } else { shards },
-            "dispatch": if matches!(mode, HeadendMode::SingleLoop) { 0 } else { dispatch },
-            "batch": if matches!(mode, HeadendMode::SingleLoop) { 1 } else { batch },
+            "mode": "sharded",
+            "shards": shards,
+            "dispatch": dispatch,
+            "batch": batch,
             "nodes": nodes,
             "queries": queries,
             "target": target,
@@ -904,13 +893,10 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
         out,
         "live soak: {nodes} receiver threads, instance {target}, {queries} tasks"
     );
-    let _ = match mode {
-        HeadendMode::SingleLoop => writeln!(out, "  headend     : single-loop baseline"),
-        HeadendMode::Sharded { .. } | HeadendMode::Socket { .. } => writeln!(
-            out,
-            "  headend     : sharded ({shards} shards, {dispatch} dispatch, batch {batch})"
-        ),
-    };
+    let _ = writeln!(
+        out,
+        "  headend     : sharded ({shards} shards, {dispatch} dispatch, batch {batch})"
+    );
     let _ = writeln!(out, "  makespan    : {:.3}s", makespan);
     let _ = writeln!(out, "  throughput  : {throughput:.1} tasks/s");
     let _ = writeln!(out, "  requeues    : {}", outcome.report.requeues);
@@ -1081,139 +1067,106 @@ fn socket_addr(p: &Parsed, name: &str) -> Result<std::net::SocketAddr, ArgError>
         .map_err(|_| ArgError(format!("`--{name}` expects HOST:PORT, got `{raw}`")))
 }
 
-/// `oddci headend`: the socket-backed live plane's server half. Binds a
-/// TCP listener, waits for `oddci pna --connect` processes to join, runs
-/// one alignment job over the wire (wakeup image streamed in checksummed
-/// chunks, heartbeats on the direct channels) and reports the outcome
-/// plus transport counters.
-pub fn headend(p: &Parsed) -> Result<String, ArgError> {
-    use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
+/// The flag → [`LiveConfig`](oddci_live::LiveConfig) mapping both arms
+/// of `oddci headend` share, so a standby honours exactly the geometry,
+/// snapshot and elastic-sizing flags its primary did. A standby keeps
+/// snapshotting into the directory it adopted from, so a second failover
+/// has fresh state.
+fn headend_config(
+    p: &Parsed,
+    listen: std::net::SocketAddr,
+) -> Result<oddci_live::LiveConfig, ArgError> {
+    use oddci_live::{HeadendMode, LiveConfig};
 
-    let listen = socket_addr(p, "listen")?;
-    if p.get("standby").is_some() {
-        return headend_standby(p, listen);
-    }
     let pnas: u64 = p.num("pnas", 3)?;
-    let queries: u64 = p.num("queries", 8)?;
-    let target: u64 = p.num("target", pnas.min(3))?;
-    let shards: usize = p.num("shards", 2)?;
-    let dispatch: usize = p.num("dispatch", 2)?;
-    let batch: usize = p.num("batch", 8)?;
-    let seed: u64 = p.num("seed", 42)?;
-    let timeout_secs: u64 = p.num("timeout", 120)?;
-    let db_len: usize = p.num("db-len", 20_000)?;
-    if pnas == 0 || queries == 0 || db_len == 0 || timeout_secs == 0 {
+    let snapshot_interval_ms: u64 = p.num("snapshot-interval-ms", 500)?;
+    if pnas == 0 || snapshot_interval_ms == 0 {
         return Err(ArgError(
-            "--pnas, --queries, --db-len and --timeout must be positive".into(),
+            "--pnas and --snapshot-interval-ms must be positive".into(),
         ));
-    }
-    if target == 0 || target > pnas {
-        return Err(ArgError(format!(
-            "--target must be within 1..=--pnas ({pnas}), got {target}"
-        )));
     }
     let mode = HeadendMode::Socket {
         listen,
-        shards,
-        dispatch,
-        batch,
+        shards: p.num("shards", 2)?,
+        dispatch: p.num("dispatch", 2)?,
+        batch: p.num("batch", 8)?,
     };
     mode.validate().map_err(ArgError)?;
+    Ok(LiveConfig {
+        nodes: pnas,
+        seed: p.num("seed", 42)?,
+        mode,
+        snapshot_dir: p
+            .get("standby")
+            .or(p.get("snapshot-dir"))
+            .map(std::path::PathBuf::from),
+        snapshot_interval: std::time::Duration::from_millis(snapshot_interval_ms),
+        autoscale: autoscale_policy(p, pnas as usize)?,
+        ..Default::default()
+    })
+}
 
-    let metrics_out = p.get("metrics-out").map(str::to_string);
-    let metrics_interval_ms: u64 = p.num("metrics-interval-ms", 1000)?;
-    if metrics_interval_ms == 0 {
+/// `--metrics-out PATH`: a scraper-friendly Prometheus text snapshot of
+/// the registry, rewritten every `--metrics-interval-ms` for as long as
+/// the plane runs. Returns the closure that stops the writer, which
+/// leaves one last snapshot so the file reflects the finished run.
+fn start_metrics_out(
+    p: &Parsed,
+    tele: &oddci_telemetry::Telemetry,
+) -> Result<impl FnOnce(), ArgError> {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let interval_ms: u64 = p.num("metrics-interval-ms", 1000)?;
+    if interval_ms == 0 {
         return Err(ArgError("--metrics-interval-ms must be positive".into()));
     }
-    let snapshot_dir = p.get("snapshot-dir").map(std::path::PathBuf::from);
-    let snapshot_interval_ms: u64 = p.num("snapshot-interval-ms", 500)?;
-    if snapshot_interval_ms == 0 {
-        return Err(ArgError("--snapshot-interval-ms must be positive".into()));
-    }
-    let autoscale = autoscale_policy(p, pnas as usize)?;
-
-    let live = LiveOddci::start(LiveConfig {
-        nodes: pnas,
-        seed,
-        mode,
-        snapshot_dir,
-        snapshot_interval: std::time::Duration::from_millis(snapshot_interval_ms),
-        autoscale,
-        ..Default::default()
-    });
-    let addr = live.wire_addr().expect("socket mode exposes its address");
-
-    // `--metrics-out`: a scraper-friendly Prometheus text snapshot of the
-    // registry, rewritten on an interval for as long as the plane runs.
-    let metrics_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let metrics_thread = match &metrics_out {
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    let thread = match p.get("metrics-out") {
         Some(path) => {
-            let path = path.clone();
-            let stop = std::sync::Arc::clone(&metrics_stop);
-            let tele = live.telemetry().clone();
-            let interval = std::time::Duration::from_millis(metrics_interval_ms);
+            let path = path.to_string();
+            let stop = std::sync::Arc::clone(&stop);
+            let tele = tele.clone();
+            let interval = std::time::Duration::from_millis(interval_ms);
+            let write = move || {
+                let text = oddci_telemetry::export::prometheus(&tele.metrics_snapshot());
+                let _ = std::fs::write(&path, text);
+            };
             Some(
                 std::thread::Builder::new()
                     .name("oddci-metrics-out".into())
                     .spawn(move || {
-                        while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                            let text =
-                                oddci_telemetry::export::prometheus(&tele.metrics_snapshot());
-                            let _ = std::fs::write(&path, text);
+                        while !stop.load(Ordering::Acquire) {
+                            write();
                             std::thread::sleep(interval);
                         }
-                        // One last snapshot so the file reflects the
-                        // finished run.
-                        let text = oddci_telemetry::export::prometheus(&tele.metrics_snapshot());
-                        let _ = std::fs::write(&path, text);
+                        write();
                     })
                     .map_err(|e| ArgError(format!("cannot start metrics writer: {e}")))?,
             )
         }
         None => None,
     };
-    let stop_metrics = |thread: Option<std::thread::JoinHandle<()>>| {
-        metrics_stop.store(true, std::sync::atomic::Ordering::Release);
+    Ok(move || {
+        stop.store(true, Ordering::Release);
         if let Some(t) = thread {
             let _ = t.join();
         }
-    };
+    })
+}
 
-    let image = AlignmentImage {
-        db_len,
-        ..AlignmentImage::small_demo()
-    };
-    let outcome = match live.run_alignment_job(
-        image,
-        queries,
-        target,
-        std::time::Duration::from_secs(timeout_secs),
-    ) {
-        Some(outcome) => outcome,
-        None => {
-            live.shutdown();
-            stop_metrics(metrics_thread);
-            return Err(ArgError(format!(
-                "job did not complete within {timeout_secs}s — are {target}+ \
-                 `oddci pna --connect {addr}` processes running?"
-            )));
-        }
-    };
-    let stats = live.wire_stats().expect("socket mode exposes wire stats");
-    let connections = live.wire_conn_stats().unwrap_or_default();
-    let shutdown = live.shutdown();
-    stop_metrics(metrics_thread);
-    let makespan = outcome.report.makespan.as_secs_f64();
-
+/// Finishes the report of either `oddci headend` arm: after the arm's own
+/// leading `fields` (JSON) or rows (`out`), the shutdown accounting and
+/// the wire-transport counters, per plane and per connection.
+fn headend_report(
+    p: &Parsed,
+    fields: serde_json::Value,
+    mut out: String,
+    shutdown: oddci_live::ShutdownReport,
+    stats: &oddci_wire::WireStatsSnapshot,
+    connections: &[oddci_wire::ConnTraffic],
+) -> String {
     if p.flag("json") {
-        let v = serde_json::json!({
-            "listen": addr.to_string(),
-            "pnas": pnas,
-            "target": target,
-            "queries": queries,
-            "tasks_completed": outcome.report.tasks_completed,
-            "makespan_secs": makespan,
-            "requeues": outcome.report.requeues,
+        let tail = serde_json::json!({
             "tasks_unaccounted": shutdown.tasks_unaccounted,
             "threads_failed": shutdown.threads_failed,
             "wire": {
@@ -1238,17 +1191,15 @@ pub fn headend(p: &Parsed) -> Result<String, ArgError> {
                 "resyncs": c.resyncs,
             })).collect::<Vec<_>>(),
         });
-        return Ok(serde_json::to_string_pretty(&v).expect("serialize headend json"));
+        let (serde_json::Value::Object(mut entries), serde_json::Value::Object(tail)) =
+            (fields, tail)
+        else {
+            unreachable!("both arms pass a json! object");
+        };
+        entries.extend(tail);
+        return serde_json::to_string_pretty(&serde_json::Value::Object(entries))
+            .expect("serialize headend json");
     }
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "socket headend on {addr}: instance {target} of {pnas} PNA(s), {queries} tasks"
-    );
-    let _ = writeln!(out, "  completed   : {}", outcome.report.tasks_completed);
-    let _ = writeln!(out, "  makespan    : {makespan:.3}s");
-    let _ = writeln!(out, "  requeues    : {}", outcome.report.requeues);
     let _ = writeln!(out, "  unaccounted : {}", shutdown.tasks_unaccounted);
     // Always printed: a zero here is the operator's positive confirmation
     // that no headend thread panicked, not just the absence of bad news.
@@ -1263,7 +1214,7 @@ pub fn headend(p: &Parsed) -> Result<String, ArgError> {
         "  integrity   : {} checksum reject(s), {} resync(s), {} duplicate(s)",
         stats.checksum_rejects, stats.resyncs, stats.duplicates
     );
-    for c in &connections {
+    for c in connections {
         let _ = writeln!(
             out,
             "    conn #{:<4} {:<6} tx {} fr / {} B, rx {} fr / {} B, {} reject(s), {} resync(s)",
@@ -1277,56 +1228,123 @@ pub fn headend(p: &Parsed) -> Result<String, ArgError> {
             c.resyncs
         );
     }
-    Ok(out)
+    out
+}
+
+/// `oddci headend`: the socket-backed live plane's server half. Binds a
+/// TCP listener, waits for `oddci pna --connect` processes to join, runs
+/// one alignment job over the wire (wakeup image streamed in checksummed
+/// chunks, heartbeats on the direct channels) and reports the outcome
+/// plus transport counters.
+pub fn headend(p: &Parsed) -> Result<String, ArgError> {
+    use oddci_live::{AlignmentImage, LiveOddci};
+
+    let listen = socket_addr(p, "listen")?;
+    if p.get("standby").is_some() {
+        return headend_standby(p, listen);
+    }
+    let config = headend_config(p, listen)?;
+    let pnas = config.nodes;
+    let queries: u64 = p.num("queries", 8)?;
+    let target: u64 = p.num("target", pnas.min(3))?;
+    let timeout_secs: u64 = p.num("timeout", 120)?;
+    let db_len: usize = p.num("db-len", 20_000)?;
+    if queries == 0 || db_len == 0 || timeout_secs == 0 {
+        return Err(ArgError(
+            "--queries, --db-len and --timeout must be positive".into(),
+        ));
+    }
+    if target == 0 || target > pnas {
+        return Err(ArgError(format!(
+            "--target must be within 1..=--pnas ({pnas}), got {target}"
+        )));
+    }
+    let stop_metrics = start_metrics_out(p, &config.telemetry)?;
+
+    let live = LiveOddci::start(config);
+    let addr = live.wire_addr().expect("socket mode exposes its address");
+    let image = AlignmentImage {
+        db_len,
+        ..AlignmentImage::small_demo()
+    };
+    let outcome = match live.run_alignment_job(
+        image,
+        queries,
+        target,
+        std::time::Duration::from_secs(timeout_secs),
+    ) {
+        Some(outcome) => outcome,
+        None => {
+            live.shutdown();
+            stop_metrics();
+            return Err(ArgError(format!(
+                "job did not complete within {timeout_secs}s — are {target}+ \
+                 `oddci pna --connect {addr}` processes running?"
+            )));
+        }
+    };
+    let stats = live.wire_stats().expect("socket mode exposes wire stats");
+    let connections = live.wire_conn_stats().unwrap_or_default();
+    let shutdown = live.shutdown();
+    stop_metrics();
+    let makespan = outcome.report.makespan.as_secs_f64();
+
+    let fields = serde_json::json!({
+        "listen": addr.to_string(),
+        "pnas": pnas,
+        "target": target,
+        "queries": queries,
+        "tasks_completed": outcome.report.tasks_completed,
+        "makespan_secs": makespan,
+        "requeues": outcome.report.requeues,
+    });
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "socket headend on {addr}: instance {target} of {pnas} PNA(s), {queries} tasks"
+    );
+    let _ = writeln!(out, "  completed   : {}", outcome.report.tasks_completed);
+    let _ = writeln!(out, "  makespan    : {makespan:.3}s");
+    let _ = writeln!(out, "  requeues    : {}", outcome.report.requeues);
+    Ok(headend_report(
+        p,
+        fields,
+        out,
+        shutdown,
+        &stats,
+        &connections,
+    ))
 }
 
 /// The `--standby DIR` arm of `oddci headend`: instead of starting
 /// fresh, adopt the snapshot in DIR — rebind the dead primary's address,
-/// import its membership, heartbeat ledgers and job tables at a bumped
-/// fencing epoch, let the surviving PNAs redial in, and wait for every
-/// adopted in-flight job to finish before the usual shutdown broadcast.
+/// import its membership, heartbeat ledgers, job tables and sizing
+/// verdict at a bumped fencing epoch, let the surviving PNAs redial in,
+/// and wait for every adopted in-flight job to finish before the usual
+/// shutdown broadcast.
 fn headend_standby(p: &Parsed, listen: std::net::SocketAddr) -> Result<String, ArgError> {
-    use oddci_live::{HeadendMode, LiveConfig, LiveOddci};
+    use oddci_live::LiveOddci;
     use std::time::{Duration, Instant};
 
-    let dir = std::path::PathBuf::from(p.get("standby").expect("caller checked"));
-    let pnas: u64 = p.num("pnas", 3)?;
-    let shards: usize = p.num("shards", 2)?;
-    let dispatch: usize = p.num("dispatch", 2)?;
-    let batch: usize = p.num("batch", 8)?;
-    let seed: u64 = p.num("seed", 42)?;
+    let config = headend_config(p, listen)?;
+    let pnas = config.nodes;
     let timeout_secs: u64 = p.num("timeout", 120)?;
-    let snapshot_interval_ms: u64 = p.num("snapshot-interval-ms", 500)?;
-    if pnas == 0 || timeout_secs == 0 || snapshot_interval_ms == 0 {
-        return Err(ArgError(
-            "--pnas, --timeout and --snapshot-interval-ms must be positive".into(),
-        ));
+    if timeout_secs == 0 {
+        return Err(ArgError("--timeout must be positive".into()));
     }
-    let snap_path = dir.join(oddci_live::SNAPSHOT_FILE);
+    let snap_path = std::path::Path::new(p.get("standby").expect("caller checked"))
+        .join(oddci_live::SNAPSHOT_FILE);
     let snap = oddci_live::snapshot::read_file(&snap_path)
         .map_err(|e| ArgError(format!("cannot read snapshot {}: {e}", snap_path.display())))?;
-    let mode = HeadendMode::Socket {
-        listen,
-        shards,
-        dispatch,
-        batch,
-    };
-    mode.validate().map_err(ArgError)?;
+    let stop_metrics = start_metrics_out(p, &config.telemetry)?;
 
-    let standby = LiveOddci::start_standby(
-        LiveConfig {
-            nodes: pnas,
-            seed,
-            mode,
-            // The standby keeps snapshotting into the same directory, so
-            // a second failover has fresh state to adopt.
-            snapshot_dir: Some(dir),
-            snapshot_interval: Duration::from_millis(snapshot_interval_ms),
-            ..Default::default()
-        },
-        &snap,
-    )
-    .map_err(|e| ArgError(format!("standby failed to adopt: {e}")))?;
+    let standby = match LiveOddci::start_standby(config, &snap) {
+        Ok(standby) => standby,
+        Err(e) => {
+            stop_metrics();
+            return Err(ArgError(format!("standby failed to adopt: {e}")));
+        }
+    };
     let addr = standby
         .wire_addr()
         .expect("socket mode exposes its address");
@@ -1344,6 +1362,7 @@ fn headend_standby(p: &Parsed, listen: std::net::SocketAddr) -> Result<String, A
             }
             None => {
                 standby.shutdown();
+                stop_metrics();
                 return Err(ArgError(format!(
                     "adopted job {req:?} did not complete within {timeout_secs}s \
                      — are the surviving PNAs redialing {addr}?"
@@ -1363,29 +1382,18 @@ fn headend_standby(p: &Parsed, listen: std::net::SocketAddr) -> Result<String, A
     let stats = standby
         .wire_stats()
         .expect("socket mode exposes wire stats");
+    let connections = standby.wire_conn_stats().unwrap_or_default();
     let shutdown = standby.shutdown();
+    stop_metrics();
 
-    if p.flag("json") {
-        let v = serde_json::json!({
-            "listen": addr.to_string(),
-            "epoch": epoch,
-            "snapshot_epoch": snap.epoch,
-            "adopted_jobs": jobs.len(),
-            "tasks_completed": tasks_completed,
-            "requeues": requeues,
-            "tasks_unaccounted": shutdown.tasks_unaccounted,
-            "threads_failed": shutdown.threads_failed,
-            "wire": {
-                "accepted": stats.accepted,
-                "tx_frames": stats.tx_frames,
-                "rx_frames": stats.rx_frames,
-                "checksum_rejects": stats.checksum_rejects,
-                "resyncs": stats.resyncs,
-            },
-        });
-        return Ok(serde_json::to_string_pretty(&v).expect("serialize standby json"));
-    }
-
+    let fields = serde_json::json!({
+        "listen": addr.to_string(),
+        "epoch": epoch,
+        "snapshot_epoch": snap.epoch,
+        "adopted_jobs": jobs.len(),
+        "tasks_completed": tasks_completed,
+        "requeues": requeues,
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1395,14 +1403,14 @@ fn headend_standby(p: &Parsed, listen: std::net::SocketAddr) -> Result<String, A
     );
     let _ = writeln!(out, "  completed   : {tasks_completed}");
     let _ = writeln!(out, "  requeues    : {requeues}");
-    let _ = writeln!(out, "  unaccounted : {}", shutdown.tasks_unaccounted);
-    let _ = writeln!(out, "  threads lost: {}", shutdown.threads_failed);
-    let _ = writeln!(
+    Ok(headend_report(
+        p,
+        fields,
         out,
-        "  wire        : {} conn(s), {} tx / {} rx frames",
-        stats.accepted, stats.tx_frames, stats.rx_frames
-    );
-    Ok(out)
+        shutdown,
+        &stats,
+        &connections,
+    ))
 }
 
 /// `oddci pna`: one Processing Node Agent process. Connects to a

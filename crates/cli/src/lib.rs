@@ -160,7 +160,6 @@ COMMANDS:
                   --queries N      tasks in the soak job       [512]
                   --target N       instance size               [nodes]
                   --seed S         run seed                    [42]
-                  --single-loop    use the pre-sharding baseline headend
                   --trace-out PATH stream a JSONL + Chrome trace of the run
                                    (per-shard sink lanes; drops are counted,
                                    never blocking the headend)
@@ -190,6 +189,8 @@ COMMANDS:
                                    starting fresh: rebind the dead
                                    primary's address at a bumped fencing
                                    epoch and finish its in-flight jobs
+                                   (same geometry, sizing, snapshot and
+                                   metrics flags as a primary)
                   --min-instances N  enable elastic sizing: floor    [1]
                   --max-instances N  elastic ceiling             [pnas]
                   --slo-queue-depth N  queued tasks per member the
@@ -587,6 +588,85 @@ mod tests {
         assert_eq!(v["tasks_unaccounted"], 0, "{out}");
         assert_eq!(v["standby_epoch"], 1, "{out}");
         assert_eq!(v["pnas_reacked"], 3, "{out}");
+    }
+
+    /// `oddci headend --standby` honours the sizing and `--metrics-out`
+    /// flags like a primary: the reconciler resumes from the snapshot's
+    /// desired-state record, and the standby's own snapshots keep
+    /// carrying it instead of overwriting it with "autoscale off".
+    #[test]
+    fn headend_standby_inherits_the_sizing_verdict() {
+        use oddci_live::{LiveConfig, LiveOddci};
+
+        let dir = std::env::temp_dir().join(format!(
+            "oddci-cli-standby-autoscale-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap_path = dir.join(oddci_live::SNAPSHOT_FILE);
+        let metrics_path = dir.join("standby.prom");
+
+        // An idle primary's snapshot whose reconciler had scaled 1 -> 3
+        // and still owes most of a long cooldown, which fences the
+        // standby's loop for the whole test.
+        let primary = LiveOddci::start(LiveConfig {
+            nodes: 1,
+            ..Default::default()
+        });
+        let mut snap = primary.snapshot_now().expect("idle headend exports");
+        primary.shutdown();
+        let inherited = oddci_core::AutoscaleExport {
+            desired: 3,
+            cooldown_remaining_micros: 60_000_000,
+            pending_replace: false,
+            ticks: 7,
+            scale_ups: 2,
+            scale_downs: 0,
+            replacements: 0,
+        };
+        snap.autoscale = Some(inherited);
+        oddci_live::snapshot::write_file(&snap_path, &snap).unwrap();
+
+        // No PNA ever dials in, so the standby serves out its redial
+        // grace — dozens of snapshot cycles — and shuts down cleanly.
+        let out = run(&argv(&[
+            "headend",
+            "--listen",
+            "127.0.0.1:0",
+            "--standby",
+            dir.to_str().unwrap(),
+            "--pnas",
+            "1",
+            "--min-instances",
+            "1",
+            "--max-instances",
+            "4",
+            "--snapshot-interval-ms",
+            "20",
+            "--metrics-out",
+            metrics_path.to_str().unwrap(),
+            "--metrics-interval-ms",
+            "50",
+            "--json",
+        ]))
+        .unwrap();
+        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        assert_eq!(v["epoch"], 1, "{out}");
+        assert_eq!(v["threads_failed"], 0, "{out}");
+
+        let after = oddci_live::snapshot::read_file(&snap_path).unwrap();
+        assert_eq!(after.epoch, 1, "the standby re-published the snapshot");
+        let kept = after
+            .autoscale
+            .expect("the standby's snapshot still carries the sizing record");
+        assert_eq!(kept.desired, inherited.desired);
+        assert_eq!(kept.scale_ups, inherited.scale_ups);
+        assert!(kept.ticks > inherited.ticks, "the reconciler is running");
+
+        let metrics = std::fs::read_to_string(&metrics_path).expect("--metrics-out honoured");
+        assert!(metrics.contains("provider_desired_size 3"), "{metrics}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The sharded multi-threaded live headend.
 //!
 //! The paper's Controller must "serve millions of tuned devices" over
-//! individual direct channels (§3.2); a single sequential headend loop
-//! serializes carousel publishing, heartbeat consolidation and task
+//! individual direct channels (§3.2); one sequential loop would
+//! serialize carousel publishing, heartbeat consolidation and task
 //! dispatch behind one thread. This module splits the headend into
 //! cooperating threads over bounded channels:
 //!
@@ -19,7 +19,7 @@
 //!   Backend, behind a sharded work queue (node id → queue). Workers
 //!   serve *batches* of tasks per round trip
 //!   ([`Backend::fetch_batch`](oddci_core::Backend::fetch_batch)), which
-//!   is where the throughput over the single loop comes from: one channel
+//!   is where the throughput comes from (EXPERIMENTS.md X8): one channel
 //!   round trip amortizes across `batch` tasks.
 //!
 //! Shared job state (Backend, Provider, per-job queries/scores) lives in
@@ -212,10 +212,10 @@ impl ShardedHeadend {
             std::thread::spawn(move || carousel_main(carousel_rx, bus, hub, start, tele))
         };
 
-        // Per-shard Controller policy: same constants as the single loop,
-        // but the assumed audience is this shard's expected slice and
-        // recomposition waits for a live idle node (a saturated or empty
-        // slice must not spam the carousel every tick).
+        // Per-shard Controller policy: the assumed audience is this
+        // shard's expected slice and recomposition waits for a live idle
+        // node (a saturated or empty slice must not spam the carousel
+        // every tick).
         let policy = ControllerPolicy {
             heartbeat: HeartbeatConfig {
                 interval: SimDuration::from_micros(config.heartbeat_interval.as_micros() as u64),

@@ -2,16 +2,14 @@
 //! OS thread per receiver, all speaking the §3.2 protocol over real
 //! channels.
 //!
-//! The headend comes in two shapes, selected by [`HeadendMode`]:
-//!
-//! * [`HeadendMode::SingleLoop`] — the original sequential loop: one
-//!   thread owns the Controller, the Backend and the carousel, and every
-//!   heartbeat, task fetch and result upload serializes behind it. Kept
-//!   as the measured baseline for the `soak` experiment.
-//! * [`HeadendMode::Sharded`] — the multi-threaded headend of
-//!   [`headend`](crate::headend): a carousel thread, N controller shards
-//!   (disjoint node-membership slices) and a dispatch pool serving task
-//!   *batches* in front of the shared Backend.
+//! There is one headend: the multi-threaded [`headend`](crate::headend)
+//! — a carousel thread, N controller shards (disjoint node-membership
+//! slices) and a dispatch pool serving task *batches* in front of the
+//! shared Backend. [`HeadendMode`] picks its pool geometry and whether a
+//! socket front (`oddci-wire` listener) stands before it, in which case
+//! the nodes are separate PNA processes instead of in-process threads. A
+//! standby is the same bring-up with a snapshot adopted before the
+//! listener binds.
 //!
 //! Wall-clock time is mapped onto [`SimTime`] (microseconds since runtime
 //! start) so the *identical* Controller/Backend/Provider code from
@@ -22,20 +20,16 @@ use crate::headend::{DispatchMsg, ShardMsg, ShardedHeadend, SnapshotHandle};
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
-use oddci_check::sync::{bounded, unbounded, Mutex, Receiver, RecvTimeoutError, Sender};
+use oddci_check::sync::{bounded, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler};
-use oddci_core::backend::{Backend, TaskOutcome};
-use oddci_core::controller::{Controller, ControllerOutput, ControllerPolicy, InstanceRequest};
-use oddci_core::messages::{ControlMessage, Heartbeat, HeartbeatReply};
+use oddci_core::messages::{Heartbeat, HeartbeatReply};
 use oddci_core::pna::{HostInfo, Pna, PnaAction};
-use oddci_core::provider::{JobReport, Provider, ProviderRequest};
+use oddci_core::provider::{JobReport, ProviderRequest};
 use oddci_core::sharded::shard_of;
 use oddci_faults::{Backoff, FaultInjector, FaultPlan};
 use oddci_receiver::compute::UsageMode;
 use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
-use oddci_types::{
-    DataSize, HeartbeatConfig, ImageId, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId,
-};
+use oddci_types::{DataSize, ImageId, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
 use oddci_workload::alignment::{mutate, random_sequence};
 use oddci_workload::{Job, Task};
 use rand::rngs::SmallRng;
@@ -46,14 +40,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which headend serves the node fleet.
+/// The headend's pool geometry, and whether nodes reach it over
+/// in-process channels or a TCP socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeadendMode {
-    /// One sequential headend thread (the pre-sharding architecture).
-    /// Retained as the comparison baseline: it serves exactly one task
-    /// per fetch round trip.
-    SingleLoop,
-    /// Sharded multi-threaded headend.
+    /// In-process plane: one receiver thread per node, linked to the
+    /// headend by channels.
     Sharded {
         /// Controller shards (disjoint node-membership slices), 1..=64.
         shards: usize,
@@ -62,7 +54,7 @@ pub enum HeadendMode {
         /// Tasks served per fetch round trip, 1..=1024.
         batch: usize,
     },
-    /// A sharded headend behind a real TCP socket: nodes are *separate
+    /// The same headend behind a real TCP socket: nodes are *separate
     /// PNA processes* (or threads) dialing in over `oddci-wire` instead
     /// of in-process receiver threads. [`LiveConfig::nodes`] becomes the
     /// expected audience size (controller sizing), not a thread count —
@@ -88,44 +80,48 @@ impl HeadendMode {
     /// Largest task batch a node may fetch in one round trip.
     pub const MAX_BATCH: usize = 1024;
 
-    /// Rejects degenerate configurations (`shards == 0`, oversized
-    /// pools, …) with a human-readable explanation instead of letting
-    /// the runtime panic on a zero-length shard vector.
-    pub fn validate(&self) -> Result<(), String> {
+    /// `(listen, shards, dispatch, batch)`: the address of the socket
+    /// front, when one is asked for, and the pool geometry behind it.
+    fn parts(&self) -> (Option<std::net::SocketAddr>, usize, usize, usize) {
         match *self {
-            HeadendMode::SingleLoop => Ok(()),
             HeadendMode::Sharded {
                 shards,
                 dispatch,
                 batch,
-            }
-            | HeadendMode::Socket {
+            } => (None, shards, dispatch, batch),
+            HeadendMode::Socket {
+                listen,
                 shards,
                 dispatch,
                 batch,
-                ..
-            } => {
-                if shards == 0 || shards > Self::MAX_SHARDS {
-                    return Err(format!(
-                        "shards must be within 1..={} (got {shards})",
-                        Self::MAX_SHARDS
-                    ));
-                }
-                if dispatch == 0 || dispatch > Self::MAX_DISPATCH {
-                    return Err(format!(
-                        "dispatch workers must be within 1..={} (got {dispatch})",
-                        Self::MAX_DISPATCH
-                    ));
-                }
-                if batch == 0 || batch > Self::MAX_BATCH {
-                    return Err(format!(
-                        "batch must be within 1..={} (got {batch})",
-                        Self::MAX_BATCH
-                    ));
-                }
-                Ok(())
-            }
+            } => (Some(listen), shards, dispatch, batch),
         }
+    }
+
+    /// Rejects degenerate configurations (`shards == 0`, oversized
+    /// pools, …) with a human-readable explanation instead of letting
+    /// the runtime panic on a zero-length shard vector.
+    pub fn validate(&self) -> Result<(), String> {
+        let (_, shards, dispatch, batch) = self.parts();
+        if shards == 0 || shards > Self::MAX_SHARDS {
+            return Err(format!(
+                "shards must be within 1..={} (got {shards})",
+                Self::MAX_SHARDS
+            ));
+        }
+        if dispatch == 0 || dispatch > Self::MAX_DISPATCH {
+            return Err(format!(
+                "dispatch workers must be within 1..={} (got {dispatch})",
+                Self::MAX_DISPATCH
+            ));
+        }
+        if batch == 0 || batch > Self::MAX_BATCH {
+            return Err(format!(
+                "batch must be within 1..={} (got {batch})",
+                Self::MAX_BATCH
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -160,13 +156,11 @@ pub struct LiveConfig {
     /// Timestamps are wall-clock microseconds since runtime start, so live
     /// traces open in the same viewers as simulated ones.
     pub telemetry: Telemetry,
-    /// Headend architecture (sharded by default).
+    /// Headend geometry and node transport (in-process by default).
     pub mode: HeadendMode,
     /// Where to publish durability snapshots (`headend.snap`, written
     /// atomically every [`snapshot_interval`](LiveConfig::snapshot_interval)).
-    /// `None` (the default) disables snapshotting. Only the sharded and
-    /// socket headends snapshot; the single-loop baseline predates
-    /// durability and has no export path.
+    /// `None` (the default) disables snapshotting.
     pub snapshot_dir: Option<std::path::PathBuf>,
     /// Snapshot cadence. Shorter intervals shrink the replay window a
     /// standby must cover but cost one state export per tick.
@@ -174,8 +168,7 @@ pub struct LiveConfig {
     /// Elastic sizing: when set, a reconciler thread continuously
     /// re-sizes every running instance against this SLO (see
     /// [`AutoscalePolicy`]). `None` (the default) keeps the paper's
-    /// size-once behavior. Only the sharded and socket headends scale;
-    /// the single-loop baseline ignores this.
+    /// size-once behavior.
     pub autoscale: Option<AutoscalePolicy>,
     /// Reconciliation cadence for the autoscale loop.
     pub autoscale_interval: Duration,
@@ -207,36 +200,7 @@ pub(crate) enum BusMsg {
     Shutdown,
 }
 
-/// Node → single-loop headend messages.
-pub(crate) enum ToHeadend {
-    Heartbeat(Heartbeat, Sender<HeartbeatReply>),
-    TaskRequest {
-        instance: InstanceId,
-        node: NodeId,
-        reply: Sender<TaskBatchReply>,
-    },
-    TaskResult {
-        job: JobId,
-        task: TaskId,
-        node: NodeId,
-        score: i32,
-    },
-    Submit {
-        job: Job,
-        queries: Vec<Arc<Vec<u8>>>,
-        image: Arc<AlignmentImage>,
-        target: u64,
-        reply: Sender<ProviderRequest>,
-    },
-    Report {
-        req: ProviderRequest,
-        reply: Sender<Option<(JobReport, BTreeMap<TaskId, i32>)>>,
-    },
-    Shutdown,
-}
-
-/// Reply to a node's task request: a batch of (task, query) pairs. The
-/// single-loop headend always answers with a batch of one.
+/// Reply to a node's task request: a batch of (task, query) pairs.
 #[derive(Debug, Clone)]
 pub(crate) enum TaskBatchReply {
     Assigned {
@@ -246,12 +210,11 @@ pub(crate) enum TaskBatchReply {
     Drained,
 }
 
-/// How a node reaches the headend: one channel in single-loop mode, the
-/// shard/dispatch fan-in channels (routed by node-id hash) when sharded,
-/// or a framed TCP connection when the node is a separate PNA process.
+/// How a node reaches the headend: the shard/dispatch fan-in channels
+/// (routed by node-id hash) in process, or a framed TCP connection when
+/// the node is a separate PNA process.
 #[derive(Clone)]
 pub(crate) enum NodeLink {
-    Single(Sender<ToHeadend>),
     Sharded {
         shards: Arc<Vec<Sender<ShardMsg>>>,
         dispatch: Arc<Vec<Sender<DispatchMsg>>>,
@@ -263,7 +226,6 @@ pub(crate) enum NodeLink {
 impl NodeLink {
     pub(crate) fn send_heartbeat(&self, hb: Heartbeat, reply: Sender<HeartbeatReply>) -> bool {
         match self {
-            NodeLink::Single(tx) => tx.send(ToHeadend::Heartbeat(hb, reply)).is_ok(),
             NodeLink::Sharded { shards, .. } => {
                 let s = shard_of(hb.node, shards.len());
                 shards[s].send(ShardMsg::Heartbeat { hb, reply }).is_ok()
@@ -279,13 +241,6 @@ impl NodeLink {
         reply: Sender<TaskBatchReply>,
     ) -> bool {
         match self {
-            NodeLink::Single(tx) => tx
-                .send(ToHeadend::TaskRequest {
-                    instance,
-                    node,
-                    reply,
-                })
-                .is_ok(),
             NodeLink::Sharded {
                 dispatch, batch, ..
             } => {
@@ -310,15 +265,6 @@ impl NodeLink {
         results: Vec<(TaskId, i32)>,
     ) -> bool {
         match self {
-            NodeLink::Single(tx) => results.into_iter().all(|(task, score)| {
-                tx.send(ToHeadend::TaskResult {
-                    job,
-                    task,
-                    node,
-                    score,
-                })
-                .is_ok()
-            }),
             NodeLink::Sharded { dispatch, .. } => {
                 let d = shard_of(node, dispatch.len());
                 dispatch[d]
@@ -354,310 +300,37 @@ pub struct ShutdownReport {
     pub threads_failed: u64,
 }
 
-/// The running headend, by mode.
-enum Headend {
-    Single {
-        tx: Sender<ToHeadend>,
-        thread: Option<JoinHandle<u64>>,
-    },
-    Sharded(Option<ShardedHeadend>),
-    Socket {
-        sh: Option<ShardedHeadend>,
-        server: Option<oddci_wire::WireServer>,
-        conn_stats: Arc<oddci_wire::ConnStatsHub>,
-        membership: Arc<Mutex<WireMembership>>,
-    },
+/// The optional socket front of a headend: the `oddci-wire` listener,
+/// its per-connection counters and the wire node-id namespace.
+struct SocketFront {
+    server: oddci_wire::WireServer,
+    conn_stats: Arc<oddci_wire::ConnStatsHub>,
+    membership: Arc<Mutex<WireMembership>>,
 }
 
-/// The live OddCI system.
-pub struct LiveOddci {
-    headend: Headend,
-    bus: Arc<BroadcastBus<BusMsg>>,
-    nodes: Vec<JoinHandle<()>>,
-    next_job: AtomicU64,
-    config: LiveConfig,
-    /// Fencing epoch this headend acks hellos with (0 for a primary;
-    /// snapshot epoch + 1 for a standby).
-    epoch: u64,
-    snapshot_handle: Option<SnapshotHandle>,
-    /// Dropping the sender stops the snapshot writer thread.
-    snapshot_stop: Option<Sender<()>>,
-    snapshot_thread: Option<JoinHandle<()>>,
-    /// The shared elastic-sizing loop state, when autoscale is on.
-    autoscale: Option<Arc<Mutex<Reconciler>>>,
-    /// Dropping the sender stops the reconciler thread.
-    autoscale_stop: Option<Sender<()>>,
-    autoscale_thread: Option<JoinHandle<()>>,
-}
-
-impl LiveOddci {
-    /// Spawns the headend (per [`LiveConfig::mode`]) and all receiver
-    /// threads.
-    ///
-    /// # Panics
-    /// On `nodes == 0`, a [`HeadendMode`] that fails
-    /// [`HeadendMode::validate`] (callers wanting an error instead of a
-    /// panic — e.g. CLIs — validate first), or a
-    /// [`HeadendMode::Socket`] listen address that cannot be bound.
-    pub fn start(config: LiveConfig) -> Self {
-        assert!(config.nodes > 0, "a live system needs at least one node");
-        if let Err(e) = config.mode.validate() {
-            panic!("invalid headend mode: {e}");
-        }
-        let bus = Arc::new(BroadcastBus::new());
-        let start = Instant::now();
-        let injector = Arc::new(FaultInjector::new(
-            config.faults.clone(),
-            config.seed ^ 0xFA17_FA17,
-        ));
-
-        let (headend, link) = match config.mode {
-            HeadendMode::SingleLoop => {
-                let (tx, rx) = unbounded();
-                let thread = {
-                    let bus = Arc::clone(&bus);
-                    let cfg = config.clone();
-                    let inj = Arc::clone(&injector);
-                    std::thread::spawn(move || headend_main(cfg, bus, rx, start, inj))
-                };
-                (
-                    Headend::Single {
-                        tx: tx.clone(),
-                        thread: Some(thread),
-                    },
-                    NodeLink::Single(tx),
-                )
-            }
-            HeadendMode::Sharded {
-                shards,
-                dispatch,
-                batch,
-            } => {
-                let sh = ShardedHeadend::start(
-                    &config,
-                    shards,
-                    dispatch,
-                    Arc::clone(&bus),
-                    start,
-                    Arc::clone(&injector),
-                );
-                let (shard_txs, dispatch_txs) = sh.node_links();
-                (
-                    Headend::Sharded(Some(sh)),
-                    NodeLink::Sharded {
-                        shards: Arc::new(shard_txs),
-                        dispatch: Arc::new(dispatch_txs),
-                        batch,
-                    },
-                )
-            }
-            HeadendMode::Socket {
-                listen,
-                shards,
-                dispatch,
-                batch,
-            } => {
-                let sh = ShardedHeadend::start(
-                    &config,
-                    shards,
-                    dispatch,
-                    Arc::clone(&bus),
-                    start,
-                    Arc::clone(&injector),
-                );
-                let (shard_txs, dispatch_txs) = sh.node_links();
-                let shard_txs = Arc::new(shard_txs);
-                let dispatch_txs = Arc::new(dispatch_txs);
-                let conn_stats = Arc::new(oddci_wire::ConnStatsHub::new());
-                let membership =
-                    Arc::new(Mutex::named(WireMembership::new(), "live.wire.membership"));
-                let service = crate::wire::LiveWireService::new(
-                    Arc::clone(&shard_txs),
-                    Arc::clone(&dispatch_txs),
-                    batch,
-                    bus.subscribe(),
-                    config.telemetry.clone(),
-                    Arc::clone(&conn_stats),
-                    0, // a fresh primary starts at epoch 0
-                    Arc::clone(&membership),
-                );
-                let mut scfg =
-                    oddci_wire::ServerConfig::new(oddci_wire::Integrity::hmac(&config.key));
-                scfg.injector =
-                    FaultInjector::new(config.faults.clone(), config.seed ^ 0xFA17_FA17);
-                scfg.telemetry = config.telemetry.clone();
-                scfg.conn_stats = Some(Arc::clone(&conn_stats));
-                let server = match oddci_wire::WireServer::bind(listen, scfg, service) {
-                    Ok(s) => s,
-                    Err(e) => panic!("socket headend cannot bind {listen}: {e}"),
-                };
-                (
-                    Headend::Socket {
-                        sh: Some(sh),
-                        server: Some(server),
-                        conn_stats,
-                        membership,
-                    },
-                    NodeLink::Sharded {
-                        shards: shard_txs,
-                        dispatch: dispatch_txs,
-                        batch,
-                    },
-                )
-            }
+impl SocketFront {
+    /// Binds the listener in front of a running headend. A primary
+    /// (`adopt` is `None`) fails on the first bind error; a standby
+    /// retries `AddrInUse` for a few seconds, because the dead primary's
+    /// listener can linger briefly after a kill, and seeds the node-id
+    /// namespace from the snapshot.
+    fn bind(
+        listen: std::net::SocketAddr,
+        batch: usize,
+        config: &LiveConfig,
+        headend: &ShardedHeadend,
+        bus: &BroadcastBus<BusMsg>,
+        epoch: u64,
+        adopt: Option<&SnapshotState>,
+    ) -> Result<SocketFront, String> {
+        let membership = match adopt {
+            Some(snap) => WireMembership::adopted(snap.wire_next_node, &snap.wire_nodes),
+            None => WireMembership::new(),
         };
-
-        // In socket mode the fleet lives in other processes: `nodes` is
-        // the expected audience, not a local thread count.
-        let local_nodes = match config.mode {
-            HeadendMode::Socket { .. } => 0,
-            _ => config.nodes,
-        };
-        let mut nodes = Vec::with_capacity(local_nodes as usize);
-        for i in 0..local_nodes {
-            let bus_rx = bus.subscribe();
-            let link = link.clone();
-            let key = config.key.clone();
-            let hb = config.heartbeat_interval;
-            let seed = config.seed ^ (i.wrapping_mul(0x9e3779b97f4a7c15));
-            let inj = Arc::clone(&injector);
-            let tele = config.telemetry.clone();
-            nodes.push(std::thread::spawn(move || {
-                node_main(
-                    NodeId::new(i),
-                    key,
-                    bus_rx,
-                    link,
-                    hb,
-                    seed,
-                    start,
-                    inj,
-                    tele,
-                )
-            }));
-        }
-
-        // Elastic sizing: the reconciler thread steers every running
-        // instance toward the policy's SLO. Created before the snapshot
-        // writer so snapshots can embed the desired-state record.
-        let (autoscale, autoscale_stop, autoscale_thread) = match (&headend, &config.autoscale) {
-            (Headend::Sharded(Some(sh)) | Headend::Socket { sh: Some(sh), .. }, Some(policy)) => {
-                let shared = Arc::new(Mutex::named(
-                    Reconciler::new(*policy, policy.min_size),
-                    "live.autoscale",
-                ));
-                let (stop, thread) = crate::headend::spawn_reconciler(
-                    sh.reconciler_links(),
-                    Arc::clone(&shared),
-                    config.autoscale_interval,
-                    Arc::clone(&injector),
-                    config.telemetry.clone(),
-                );
-                (Some(shared), Some(stop), Some(thread))
-            }
-            _ => (None, None, None),
-        };
-
-        let (snapshot_handle, snapshot_stop, snapshot_thread) = match &headend {
-            Headend::Sharded(Some(sh)) | Headend::Socket { sh: Some(sh), .. } => {
-                let handle = sh.snapshot_handle();
-                match &config.snapshot_dir {
-                    Some(dir) => {
-                        let membership = match &headend {
-                            Headend::Socket { membership, .. } => Some(Arc::clone(membership)),
-                            _ => None,
-                        };
-                        let (stop, thread) = spawn_snapshot_writer(
-                            sh.snapshot_handle(),
-                            membership,
-                            autoscale.as_ref().map(Arc::clone),
-                            0,
-                            dir.clone(),
-                            config.snapshot_interval,
-                            start,
-                            config.telemetry.clone(),
-                        );
-                        (Some(handle), Some(stop), Some(thread))
-                    }
-                    None => (Some(handle), None, None),
-                }
-            }
-            _ => (None, None, None),
-        };
-
-        LiveOddci {
-            headend,
-            bus,
-            nodes,
-            next_job: AtomicU64::new(0),
-            config,
-            epoch: 0,
-            snapshot_handle,
-            snapshot_stop,
-            snapshot_thread,
-            autoscale,
-            autoscale_stop,
-            autoscale_thread,
-        }
-    }
-
-    /// Boots a **standby** headend from a durability snapshot: the same
-    /// socket architecture as [`LiveOddci::start`], but every shard's
-    /// Controller, the carousel's image table, the hub's job state and
-    /// the wire node-id namespace are adopted from `snap` *before* the
-    /// listener binds — so the first PNA to redial finds its membership,
-    /// its instance and its task ledger already in place. The standby
-    /// acks hellos with `snap.epoch + 1`, which is what lets PNAs fence
-    /// off the dead primary.
-    ///
-    /// Only [`HeadendMode::Socket`] makes sense here (a standby adopts
-    /// *remote* PNAs; in-process node threads die with their runtime), and
-    /// the shard count must match the snapshot's — message-id namespaces
-    /// are per-shard.
-    pub fn start_standby(config: LiveConfig, snap: &SnapshotState) -> Result<LiveOddci, String> {
-        let HeadendMode::Socket {
-            listen,
-            shards,
-            dispatch,
-            batch,
-        } = config.mode
-        else {
-            return Err("a standby headend adopts remote PNAs: use HeadendMode::Socket".into());
-        };
-        config.mode.validate()?;
-        if config.nodes == 0 {
-            return Err("a live system needs at least one node".into());
-        }
-        let bus = Arc::new(BroadcastBus::new());
-        let start = Instant::now();
-        let adopt_begin = wall_now(&start).as_micros();
-        let injector = Arc::new(FaultInjector::new(
-            config.faults.clone(),
-            config.seed ^ 0xFA17_FA17,
-        ));
-        let sh = ShardedHeadend::start(
-            &config,
-            shards,
-            dispatch,
-            Arc::clone(&bus),
-            start,
-            Arc::clone(&injector),
-        );
-        if let Err(e) = sh.import_state(snap) {
-            let _ = sh.shutdown();
-            return Err(e);
-        }
-        let epoch = snap.epoch + 1;
-        let membership = Arc::new(Mutex::named(
-            WireMembership::adopted(snap.wire_next_node, &snap.wire_nodes),
-            "live.wire.membership",
-        ));
-        let (shard_txs, dispatch_txs) = sh.node_links();
-        let shard_txs = Arc::new(shard_txs);
-        let dispatch_txs = Arc::new(dispatch_txs);
+        let membership = Arc::new(Mutex::named(membership, "live.wire.membership"));
+        let (shard_txs, dispatch_txs) = headend.node_links();
+        let (shard_txs, dispatch_txs) = (Arc::new(shard_txs), Arc::new(dispatch_txs));
         let conn_stats = Arc::new(oddci_wire::ConnStatsHub::new());
-        // The dead primary's listener can linger briefly after a kill;
-        // retry AddrInUse for a few seconds instead of failing adoption.
         let bind_deadline = Instant::now() + Duration::from_secs(5);
         let server = loop {
             let service = crate::wire::LiveWireService::new(
@@ -675,92 +348,242 @@ impl LiveOddci {
             scfg.telemetry = config.telemetry.clone();
             scfg.conn_stats = Some(Arc::clone(&conn_stats));
             match oddci_wire::WireServer::bind(listen, scfg, service) {
-                Ok(s) => break s,
+                Ok(server) => break server,
                 Err(oddci_wire::WireError::Io(e))
-                    if e.kind() == std::io::ErrorKind::AddrInUse
+                    if adopt.is_some()
+                        && e.kind() == std::io::ErrorKind::AddrInUse
                         && Instant::now() < bind_deadline =>
                 {
                     std::thread::sleep(Duration::from_millis(50));
                 }
                 Err(e) => {
-                    let _ = sh.shutdown();
-                    return Err(format!("standby cannot bind {listen}: {e}"));
+                    let role = if adopt.is_some() {
+                        "standby"
+                    } else {
+                        "socket headend"
+                    };
+                    return Err(format!("{role} cannot bind {listen}: {e}"));
                 }
             }
         };
-        config.telemetry.span(
-            adopt_begin,
-            wall_now(&start).as_micros(),
-            Phase::HeadendAdopt,
-            CONTROL_TRACK,
-            epoch,
+        Ok(SocketFront {
+            server,
+            conn_stats,
+            membership,
+        })
+    }
+}
+
+/// A background loop (reconciler, snapshot writer) and the sender whose
+/// drop stops it.
+type Worker = (Sender<()>, JoinHandle<()>);
+
+/// Stops a background loop and joins it; 1 if it had panicked.
+fn stop_worker(worker: Option<Worker>) -> u64 {
+    worker.map_or(0, |(stop, thread)| {
+        drop(stop);
+        u64::from(thread.join().is_err())
+    })
+}
+
+/// The live OddCI system.
+pub struct LiveOddci {
+    headend: ShardedHeadend,
+    /// `Some` in [`HeadendMode::Socket`].
+    socket: Option<SocketFront>,
+    bus: Arc<BroadcastBus<BusMsg>>,
+    nodes: Vec<JoinHandle<()>>,
+    next_job: AtomicU64,
+    config: LiveConfig,
+    /// Fencing epoch this headend acks hellos with (0 for a primary;
+    /// snapshot epoch + 1 for a standby).
+    epoch: u64,
+    snapshot_writer: Option<Worker>,
+    /// The shared elastic-sizing loop state, when autoscale is on.
+    autoscale: Option<Arc<Mutex<Reconciler>>>,
+    reconciler: Option<Worker>,
+}
+
+impl LiveOddci {
+    /// Spawns the headend (per [`LiveConfig::mode`]) and, in process,
+    /// all receiver threads.
+    ///
+    /// # Panics
+    /// On `nodes == 0`, a [`HeadendMode`] that fails
+    /// [`HeadendMode::validate`] (callers wanting an error instead of a
+    /// panic — e.g. CLIs — validate first), or a
+    /// [`HeadendMode::Socket`] listen address that cannot be bound.
+    pub fn start(config: LiveConfig) -> Self {
+        Self::bring_up(config, None).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Boots a **standby** headend from a durability snapshot: the same
+    /// socket architecture as [`LiveOddci::start`], but every shard's
+    /// Controller, the carousel's image table, the hub's job state and
+    /// the wire node-id namespace are adopted from `snap` *before* the
+    /// listener binds — so the first PNA to redial finds its membership,
+    /// its instance and its task ledger already in place. The standby
+    /// acks hellos with `snap.epoch + 1`, which is what lets PNAs fence
+    /// off the dead primary, and resumes elastic sizing from the
+    /// snapshot's desired-state record when [`LiveConfig::autoscale`] is
+    /// set.
+    ///
+    /// Only [`HeadendMode::Socket`] makes sense here (a standby adopts
+    /// *remote* PNAs; in-process node threads die with their runtime), and
+    /// the shard count must match the snapshot's — message-id namespaces
+    /// are per-shard.
+    pub fn start_standby(config: LiveConfig, snap: &SnapshotState) -> Result<LiveOddci, String> {
+        if !matches!(config.mode, HeadendMode::Socket { .. }) {
+            return Err("a standby headend adopts remote PNAs: use HeadendMode::Socket".into());
+        }
+        Self::bring_up(config, Some(snap))
+    }
+
+    /// The one bring-up path: headend threads, adoption of `adopt` (a
+    /// standby), the socket front, local receivers (in process), the
+    /// reconciler and the snapshot writer — in that order, so the
+    /// listener never accepts a PNA before the state it resumes is in
+    /// place and snapshots can embed the desired-state record.
+    fn bring_up(config: LiveConfig, adopt: Option<&SnapshotState>) -> Result<LiveOddci, String> {
+        if config.nodes == 0 {
+            return Err("a live system needs at least one node".into());
+        }
+        config
+            .mode
+            .validate()
+            .map_err(|e| format!("invalid headend mode: {e}"))?;
+        let (listen, shards, dispatch, batch) = config.mode.parts();
+        let bus = Arc::new(BroadcastBus::new());
+        let start = Instant::now();
+        let injector = Arc::new(FaultInjector::new(
+            config.faults.clone(),
+            config.seed ^ 0xFA17_FA17,
+        ));
+        let headend = ShardedHeadend::start(
+            &config,
+            shards,
+            dispatch,
+            Arc::clone(&bus),
+            start,
+            Arc::clone(&injector),
         );
-        // Job ids must keep climbing past everything the primary issued.
-        let next_job = snap
-            .job_queries
-            .iter()
-            .map(|(job, _)| job.raw() + 1)
-            .chain(snap.job_scores.iter().map(|(job, _)| job.raw() + 1))
-            .max()
-            .unwrap_or(0);
-        let handle = sh.snapshot_handle();
-        // Resume scaling from the snapshot's desired-state record: the
-        // adopted loop keeps the primary's desired size and unserved
-        // cooldown, so the standby never re-provisions capacity the
+        if let Some(snap) = adopt {
+            if let Err(e) = headend.import_state(snap) {
+                let _ = headend.shutdown();
+                return Err(e);
+            }
+        }
+        let epoch = adopt.map_or(0, |snap| snap.epoch + 1);
+        let socket = listen
+            .map(|listen| SocketFront::bind(listen, batch, &config, &headend, &bus, epoch, adopt))
+            .transpose();
+        let socket = match socket {
+            Ok(socket) => socket,
+            Err(e) => {
+                let _ = headend.shutdown();
+                return Err(e);
+            }
+        };
+        if adopt.is_some() {
+            config.telemetry.span(
+                0,
+                wall_now(&start).as_micros(),
+                Phase::HeadendAdopt,
+                CONTROL_TRACK,
+                epoch,
+            );
+        }
+
+        // Behind a socket the fleet lives in other processes: `nodes` is
+        // the expected audience, not a local thread count.
+        let local_nodes = if socket.is_some() { 0 } else { config.nodes };
+        let (shard_txs, dispatch_txs) = headend.node_links();
+        let link = NodeLink::Sharded {
+            shards: Arc::new(shard_txs),
+            dispatch: Arc::new(dispatch_txs),
+            batch,
+        };
+        let nodes = (0..local_nodes)
+            .map(|i| {
+                let bus_rx = bus.subscribe();
+                let link = link.clone();
+                let key = config.key.clone();
+                let hb = config.heartbeat_interval;
+                let seed = config.seed ^ (i.wrapping_mul(0x9e3779b97f4a7c15));
+                let inj = Arc::clone(&injector);
+                let tele = config.telemetry.clone();
+                std::thread::spawn(move || {
+                    node_main(
+                        NodeId::new(i),
+                        key,
+                        bus_rx,
+                        link,
+                        hb,
+                        seed,
+                        start,
+                        inj,
+                        tele,
+                    )
+                })
+            })
+            .collect();
+
+        // Elastic sizing: the reconciler thread steers every running
+        // instance toward the policy's SLO. A standby resumes from the
+        // snapshot's desired-state record — the primary's desired size
+        // and unserved cooldown — so it never re-provisions capacity the
         // primary already requested.
-        let (autoscale, autoscale_stop, autoscale_thread) = match &config.autoscale {
-            Some(policy) => {
-                let now = wall_now(&start);
-                let reconciler = match &snap.autoscale {
-                    Some(export) => Reconciler::from_export(*policy, export, now),
-                    None => Reconciler::new(*policy, policy.min_size),
-                };
-                let shared = Arc::new(Mutex::named(reconciler, "live.autoscale"));
-                let (stop, thread) = crate::headend::spawn_reconciler(
-                    sh.reconciler_links(),
-                    Arc::clone(&shared),
-                    config.autoscale_interval,
-                    Arc::clone(&injector),
-                    config.telemetry.clone(),
-                );
-                (Some(shared), Some(stop), Some(thread))
-            }
-            None => (None, None, None),
-        };
-        let (snapshot_stop, snapshot_thread) = match &config.snapshot_dir {
-            Some(dir) => {
-                let (stop, thread) = spawn_snapshot_writer(
-                    sh.snapshot_handle(),
-                    Some(Arc::clone(&membership)),
-                    autoscale.as_ref().map(Arc::clone),
-                    epoch,
-                    dir.clone(),
-                    config.snapshot_interval,
-                    start,
-                    config.telemetry.clone(),
-                );
-                (Some(stop), Some(thread))
-            }
-            None => (None, None),
-        };
+        let autoscale = config.autoscale.map(|policy| {
+            let reconciler = match adopt.and_then(|snap| snap.autoscale.as_ref()) {
+                Some(export) => Reconciler::from_export(policy, export, wall_now(&start)),
+                None => Reconciler::new(policy, policy.min_size),
+            };
+            Arc::new(Mutex::named(reconciler, "live.autoscale"))
+        });
+        let reconciler = autoscale.as_ref().map(|shared| {
+            crate::headend::spawn_reconciler(
+                headend.reconciler_links(),
+                Arc::clone(shared),
+                config.autoscale_interval,
+                Arc::clone(&injector),
+                config.telemetry.clone(),
+            )
+        });
+
+        let snapshot_writer = config.snapshot_dir.clone().map(|dir| {
+            spawn_snapshot_writer(
+                headend.snapshot_handle(),
+                socket.as_ref().map(|s| Arc::clone(&s.membership)),
+                autoscale.clone(),
+                epoch,
+                dir,
+                config.snapshot_interval,
+                start,
+                config.telemetry.clone(),
+            )
+        });
+
+        // Job ids must keep climbing past everything an adopted primary
+        // issued.
+        let next_job = adopt.map_or(0, |snap| {
+            snap.job_queries
+                .iter()
+                .map(|(job, _)| job.raw() + 1)
+                .chain(snap.job_scores.iter().map(|(job, _)| job.raw() + 1))
+                .max()
+                .unwrap_or(0)
+        });
         Ok(LiveOddci {
-            headend: Headend::Socket {
-                sh: Some(sh),
-                server: Some(server),
-                conn_stats,
-                membership,
-            },
+            headend,
+            socket,
             bus,
-            nodes: Vec::new(),
+            nodes,
             next_job: AtomicU64::new(next_job),
             config,
             epoch,
-            snapshot_handle: Some(handle),
-            snapshot_stop,
-            snapshot_thread,
+            snapshot_writer,
             autoscale,
-            autoscale_stop,
-            autoscale_thread,
+            reconciler,
         })
     }
 
@@ -777,33 +600,18 @@ impl LiveOddci {
     /// The socket the headend listens on, in [`HeadendMode::Socket`] only
     /// (reports the ephemeral port when the config asked for port 0).
     pub fn wire_addr(&self) -> Option<std::net::SocketAddr> {
-        match &self.headend {
-            Headend::Socket {
-                server: Some(server),
-                ..
-            } => Some(server.local_addr()),
-            _ => None,
-        }
+        self.socket.as_ref().map(|s| s.server.local_addr())
     }
 
     /// Wire transport counters, in [`HeadendMode::Socket`] only.
     pub fn wire_stats(&self) -> Option<oddci_wire::WireStatsSnapshot> {
-        match &self.headend {
-            Headend::Socket {
-                server: Some(server),
-                ..
-            } => Some(server.stats().snapshot()),
-            _ => None,
-        }
+        self.socket.as_ref().map(|s| s.server.stats().snapshot())
     }
 
     /// Per-connection wire counters, in [`HeadendMode::Socket`] only.
     /// Disconnected peers stay listed with their final counters.
     pub fn wire_conn_stats(&self) -> Option<Vec<oddci_wire::ConnTraffic>> {
-        match &self.headend {
-            Headend::Socket { conn_stats, .. } => Some(conn_stats.snapshot()),
-            _ => None,
-        }
+        self.socket.as_ref().map(|s| s.conn_stats.snapshot())
     }
 
     /// Submits an alignment job with `n_queries` queries against `image`'s
@@ -859,7 +667,9 @@ impl LiveOddci {
     /// split half of [`run_query_job`](LiveOddci::run_query_job), for
     /// callers who outlive the headend serving the job — the failover
     /// path submits on the primary, crashes it, and [`wait_job`]s the
-    /// *standby's* matching request.
+    /// *standby's* matching request. The headend accepts every
+    /// submission, so the result is always `Some`; the `Option` is the
+    /// signature existing callers are written against.
     ///
     /// [`wait_job`]: LiveOddci::wait_job
     pub fn submit_query_job(
@@ -887,39 +697,14 @@ impl LiveOddci {
             DataSize::from_megabytes(1),
             tasks,
         );
-
-        match &self.headend {
-            Headend::Single { tx, .. } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                tx.send(ToHeadend::Submit {
-                    job,
-                    queries,
-                    image: Arc::new(image),
-                    target,
-                    reply: reply_tx,
-                })
-                .ok()?;
-                reply_rx.recv_timeout(Duration::from_secs(5)).ok()
-            }
-            Headend::Sharded(sh) | Headend::Socket { sh, .. } => {
-                Some(sh.as_ref()?.submit(job, queries, Arc::new(image), target))
-            }
-        }
+        Some(self.headend.submit(job, queries, Arc::new(image), target))
     }
 
     /// Polls a submitted request until it completes or `timeout` passes.
     pub fn wait_job(&self, req: ProviderRequest, timeout: Duration) -> Option<JobOutcome> {
         let deadline = Instant::now() + timeout;
         loop {
-            let out = match &self.headend {
-                Headend::Single { tx, .. } => {
-                    let (rtx, rrx) = bounded(1);
-                    tx.send(ToHeadend::Report { req, reply: rtx }).ok()?;
-                    rrx.recv_timeout(Duration::from_secs(5)).ok().flatten()
-                }
-                Headend::Sharded(sh) | Headend::Socket { sh, .. } => sh.as_ref()?.report(req),
-            };
-            if let Some((report, scores)) = out {
+            if let Some((report, scores)) = self.headend.report(req) {
                 return Some(JobOutcome { report, scores });
             }
             if Instant::now() >= deadline {
@@ -930,16 +715,9 @@ impl LiveOddci {
     }
 
     /// Provider requests still running — what a standby must keep
-    /// waiting on after adoption. Empty in single-loop mode (the
-    /// baseline predates durability).
+    /// waiting on after adoption.
     pub fn running_jobs(&self) -> Vec<ProviderRequest> {
-        match &self.headend {
-            Headend::Sharded(sh) | Headend::Socket { sh, .. } => sh
-                .as_ref()
-                .map(ShardedHeadend::running_jobs)
-                .unwrap_or_default(),
-            Headend::Single { .. } => Vec::new(),
-        }
+        self.headend.running_jobs()
     }
 
     /// The fencing epoch this headend acks hellos with: 0 for a primary,
@@ -949,29 +727,22 @@ impl LiveOddci {
     }
 
     /// Cuts a snapshot right now, bypassing the periodic writer. `None`
-    /// in single-loop mode or while the headend is winding down.
+    /// when a headend thread fails to answer the export.
     pub fn snapshot_now(&self) -> Option<SnapshotState> {
-        let handle = self.snapshot_handle.as_ref()?;
-        let wire = match &self.headend {
-            Headend::Socket { membership, .. } => membership.lock().export(),
-            _ => (0, Vec::new()),
-        };
-        let mut snap = handle.export(self.epoch, wire)?;
+        let wire = self
+            .socket
+            .as_ref()
+            .map_or((0, Vec::new()), |s| s.membership.lock().export());
+        let mut snap = self.headend.snapshot_handle().export(self.epoch, wire)?;
         snap.autoscale = self.autoscale_state();
         Some(snap)
     }
 
     /// The elastic-sizing loop's current state — desired size, unserved
-    /// cooldown, action counters. `None` when autoscale is off or the
-    /// headend mode cannot scale.
+    /// cooldown, action counters. `None` when autoscale is off.
     pub fn autoscale_state(&self) -> Option<AutoscaleExport> {
         let shared = self.autoscale.as_ref()?;
-        let now = match &self.headend {
-            Headend::Sharded(Some(sh)) | Headend::Socket { sh: Some(sh), .. } => {
-                SimTime::from_micros(sh.now_us())
-            }
-            _ => SimTime::ZERO,
-        };
+        let now = SimTime::from_micros(self.headend.now_us());
         Some(shared.lock().export(now))
     }
 
@@ -982,10 +753,7 @@ impl LiveOddci {
     /// re-queue immediately instead of waiting out its own miss-threshold
     /// window. Returns how many losses changed the ledger.
     pub fn replay_trace(&self, events: &[oddci_telemetry::Event], since_us: u64) -> u64 {
-        let sh = match &self.headend {
-            Headend::Sharded(Some(sh)) | Headend::Socket { sh: Some(sh), .. } => sh,
-            _ => return 0,
-        };
+        let sh = &self.headend;
         let begin = sh.now_us();
         let mut nodes: Vec<NodeId> = events
             .iter()
@@ -1017,107 +785,52 @@ impl LiveOddci {
     /// written to the fd would survive a real kill anyway.
     ///
     /// # Panics
-    /// Outside [`HeadendMode::Socket`]: in-process modes share channels
-    /// with live node threads, which would loop forever against a dropped
-    /// headend.
-    pub fn crash(mut self) {
-        drop(self.autoscale_stop.take());
-        if let Some(t) = self.autoscale_thread.take() {
-            let _ = t.join();
-        }
-        drop(self.snapshot_stop.take());
-        if let Some(t) = self.snapshot_thread.take() {
-            let _ = t.join();
-        }
-        match &mut self.headend {
-            Headend::Socket { sh, server, .. } => {
-                if let Some(mut server) = server.take() {
-                    let _ = server.stop();
-                }
-                drop(sh.take());
-            }
-            _ => panic!("crash() models a dead socket headend; use HeadendMode::Socket"),
-        }
+    /// Outside [`HeadendMode::Socket`]: in-process node threads share
+    /// channels with the headend and would loop forever against a
+    /// dropped one.
+    pub fn crash(self) {
+        let Some(mut socket) = self.socket else {
+            panic!("crash() models a dead socket headend; use HeadendMode::Socket");
+        };
+        stop_worker(self.reconciler);
+        stop_worker(self.snapshot_writer);
+        let _ = socket.server.stop();
+        drop(self.headend);
         self.config.telemetry.flush_sink();
     }
 
     /// Stops the headend and all nodes, joining every thread.
     ///
-    /// The shutdown barrier: `Shutdown` goes out on the bus first and
-    /// every node thread is joined, so no node can still be sending;
-    /// then the headend winds down (sharded: dispatch pool, controller
-    /// shards, carousel — receivers strictly outlive senders). The
-    /// returned report carries the Backend's final task accounting.
+    /// The shutdown barrier: `Shutdown` goes out on the bus first, the
+    /// socket front (if any) and every node thread are joined, so no node
+    /// can still be sending; then the headend winds down (dispatch pool,
+    /// controller shards, carousel — receivers strictly outlive
+    /// senders). The returned report carries the Backend's final task
+    /// accounting.
     ///
     /// When a streaming trace sink is attached, every thread has exited
     /// — and therefore emitted its last event — before the sink is
     /// flushed, and the flush completes before `tasks_unaccounted` is
     /// computed: the streamed artifact always covers the full run the
     /// report describes.
-    pub fn shutdown(mut self) -> ShutdownReport {
-        let mut threads_failed = 0u64;
+    pub fn shutdown(self) -> ShutdownReport {
         // The reconciler and snapshot writer both talk to the shard
         // channels, so they must stop before those receivers wind down.
-        drop(self.autoscale_stop.take());
-        if let Some(t) = self.autoscale_thread.take() {
-            threads_failed += u64::from(t.join().is_err());
-        }
-        drop(self.snapshot_stop.take());
-        if let Some(t) = self.snapshot_thread.take() {
-            threads_failed += u64::from(t.join().is_err());
-        }
+        let mut threads_failed = stop_worker(self.reconciler) + stop_worker(self.snapshot_writer);
         self.bus.publish(&BusMsg::Shutdown);
-        let tasks_unaccounted = match &mut self.headend {
-            Headend::Single { tx, thread } => {
-                let _ = tx.send(ToHeadend::Shutdown);
-                let n = match thread.take().map(JoinHandle::join) {
-                    Some(Ok(n)) => n,
-                    Some(Err(_)) => {
-                        threads_failed += 1;
-                        0
-                    }
-                    None => 0,
-                };
-                for node in self.nodes.drain(..) {
-                    threads_failed += u64::from(node.join().is_err());
-                }
-                n
-            }
-            Headend::Sharded(sh) => {
-                for node in self.nodes.drain(..) {
-                    threads_failed += u64::from(node.join().is_err());
-                }
-                match sh.take() {
-                    Some(sh) => {
-                        let (unaccounted, failed) = sh.shutdown();
-                        threads_failed += failed;
-                        unaccounted
-                    }
-                    None => 0,
-                }
-            }
-            Headend::Socket { sh, server, .. } => {
-                // The Shutdown bus message reaches the wire service, which
-                // broadcasts it to every PNA and asks the serving loop to
-                // drain and stop; joining the server here guarantees the
-                // service (a shard/dispatch sender) is gone before the
-                // sharded headend tears its receivers down.
-                if let Some(mut server) = server.take() {
-                    threads_failed += u64::from(!server.stop());
-                }
-                for node in self.nodes.drain(..) {
-                    threads_failed += u64::from(node.join().is_err());
-                }
-                match sh.take() {
-                    Some(sh) => {
-                        let (unaccounted, failed) = sh.shutdown();
-                        threads_failed += failed;
-                        unaccounted
-                    }
-                    None => 0,
-                }
-            }
-        };
+        // The Shutdown bus message reaches the wire service, which
+        // broadcasts it to every PNA and asks the serving loop to drain
+        // and stop; joining the server here guarantees the service (a
+        // shard/dispatch sender) is gone before the headend tears its
+        // receivers down.
+        if let Some(mut socket) = self.socket {
+            threads_failed += u64::from(!socket.server.stop());
+        }
+        for node in self.nodes {
+            threads_failed += u64::from(node.join().is_err());
+        }
+        let (tasks_unaccounted, failed) = self.headend.shutdown();
+        threads_failed += failed;
         self.config.telemetry.flush_sink();
         ShutdownReport {
             tasks_unaccounted,
@@ -1177,258 +890,6 @@ fn spawn_snapshot_writer(
         }
     });
     (tx, thread)
-}
-
-// ---------------------------------------------------------------------
-// Single-loop headend (the baseline architecture)
-// ---------------------------------------------------------------------
-
-struct HeadendState {
-    controller: Controller,
-    backend: Backend,
-    provider: Provider,
-    bus: Arc<BroadcastBus<BusMsg>>,
-    start: Instant,
-    instance_job: BTreeMap<InstanceId, JobId>,
-    job_queries: BTreeMap<JobId, Vec<Arc<Vec<u8>>>>,
-    job_scores: BTreeMap<JobId, BTreeMap<TaskId, i32>>,
-    instance_image: BTreeMap<InstanceId, Arc<AlignmentImage>>,
-    tele: Telemetry,
-    queue_depth: oddci_telemetry::Gauge,
-}
-
-impl HeadendState {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
-    fn process_outputs(&mut self, outputs: Vec<ControllerOutput>) -> Vec<HeartbeatReply> {
-        let mut replies = Vec::new();
-        for out in outputs {
-            match out {
-                ControllerOutput::Broadcast(signed) => {
-                    let (image, inst) = match signed.message {
-                        ControlMessage::Wakeup(w) => {
-                            (self.instance_image.get(&w.instance).cloned(), w.instance)
-                        }
-                        ControlMessage::Reset(r) => {
-                            self.instance_image.remove(&r.instance);
-                            (None, r.instance)
-                        }
-                    };
-                    self.tele.instant(
-                        self.now().as_micros(),
-                        Phase::CarouselPublish,
-                        CONTROL_TRACK,
-                        inst.raw(),
-                    );
-                    self.bus
-                        .publish(&BusMsg::Control(LiveBroadcast { signed, image }));
-                }
-                ControllerOutput::DirectReset { node, instance } => {
-                    // In the live plane direct resets ride heartbeat replies.
-                    self.tele.instant(
-                        self.now().as_micros(),
-                        Phase::DirectReset,
-                        node.raw(),
-                        instance.raw(),
-                    );
-                    replies.push(HeartbeatReply::Reset(instance));
-                }
-                ControllerOutput::NodeLost { node, .. } => {
-                    self.tele
-                        .instant(self.now().as_micros(), Phase::NodeLost, node.raw(), 0);
-                    let _ = self.backend.node_lost(node);
-                }
-            }
-        }
-        replies
-    }
-
-    fn finish_if_done(&mut self, job: JobId) {
-        if !self.backend.is_complete(job) {
-            return;
-        }
-        let Some(req) = self.provider.request_for_job(job) else {
-            return;
-        };
-        let Some((&inst, _)) = self.instance_job.iter().find(|(_, &j)| j == job) else {
-            return;
-        };
-        let wakeups = self.controller.instance(inst).map_or(0, |r| r.wakeups_sent);
-        let completed = self.backend.completed_count(job);
-        let requeues = self.backend.requeue_count(job);
-        let now = self.now();
-        if self
-            .provider
-            .complete(req, now, completed, requeues, wakeups)
-            .is_some()
-        {
-            if let Some(report) = self.provider.report(req) {
-                let end = now.as_micros();
-                self.tele.span(
-                    end.saturating_sub(report.makespan.as_micros()),
-                    end,
-                    Phase::JobRun,
-                    CONTROL_TRACK,
-                    job.raw(),
-                );
-            }
-            if let Ok(outputs) = self.controller.dismantle(inst) {
-                let _ = self.process_outputs(outputs);
-            }
-        }
-    }
-
-    /// Final accounting: tasks in no ledger, across every job ever seen.
-    fn unaccounted(&self) -> u64 {
-        self.job_scores
-            .keys()
-            .map(|&job| self.backend.unaccounted_tasks(job))
-            .sum()
-    }
-}
-
-fn headend_main(
-    config: LiveConfig,
-    bus: Arc<BroadcastBus<BusMsg>>,
-    rx: Receiver<ToHeadend>,
-    start: Instant,
-    injector: Arc<FaultInjector>,
-) -> u64 {
-    let policy = ControllerPolicy {
-        heartbeat: HeartbeatConfig {
-            interval: SimDuration::from_micros(config.heartbeat_interval.as_micros() as u64),
-            // Generous: live nodes block while computing and may skip beats.
-            miss_threshold: 50,
-            message_bytes: 128,
-        },
-        sizing_slack: 1.0,
-        recompose_threshold: 0.99,
-        assumed_audience: config.nodes,
-        recompose_requires_idle: false,
-    };
-    let tele = config.telemetry.clone();
-    let queue_depth = tele.registry().gauge("backend.queue_depth");
-    let mut st = HeadendState {
-        controller: Controller::new(&config.key, policy),
-        backend: Backend::new(),
-        provider: Provider::new(),
-        bus,
-        start,
-        instance_job: BTreeMap::new(),
-        job_queries: BTreeMap::new(),
-        job_scores: BTreeMap::new(),
-        instance_image: BTreeMap::new(),
-        tele,
-        queue_depth,
-    };
-    let mut last_tick = Instant::now();
-
-    loop {
-        match rx.recv_timeout(config.controller_tick) {
-            Ok(ToHeadend::Shutdown) => return st.unaccounted(),
-            Ok(ToHeadend::Heartbeat(hb, reply)) => {
-                let now = st.now();
-                let outputs = st.controller.on_heartbeat(hb, now);
-                let mut replies = st.process_outputs(outputs);
-                let _ = reply.send(replies.pop().unwrap_or(HeartbeatReply::Ack));
-            }
-            Ok(ToHeadend::TaskRequest {
-                instance,
-                node,
-                reply,
-            }) => {
-                // Fault hook: a stalled Backend answers nothing at all; the
-                // node's reply timeout fires and it retries with backoff.
-                if injector.backend_stalled(st.now()).is_some() {
-                    drop(reply);
-                    continue;
-                }
-                let Some(&job) = st.instance_job.get(&instance) else {
-                    let _ = reply.send(TaskBatchReply::Drained);
-                    continue;
-                };
-                match st.backend.fetch_task(job, node) {
-                    Ok(TaskOutcome::Assigned(task)) => {
-                        let query = st.job_queries[&job][task.id.index()].clone();
-                        let _ = reply.send(TaskBatchReply::Assigned {
-                            job,
-                            tasks: vec![(task, query)],
-                        });
-                    }
-                    _ => {
-                        let _ = reply.send(TaskBatchReply::Drained);
-                    }
-                }
-            }
-            Ok(ToHeadend::TaskResult {
-                job,
-                task,
-                node,
-                score,
-            }) => {
-                let now = st.now();
-                if st
-                    .backend
-                    .complete_task(job, task, node, now)
-                    .unwrap_or(false)
-                {
-                    st.job_scores.entry(job).or_default().insert(task, score);
-                    st.finish_if_done(job);
-                } else {
-                    st.job_scores.entry(job).or_default().insert(task, score);
-                }
-            }
-            Ok(ToHeadend::Submit {
-                job,
-                queries,
-                image,
-                target,
-                reply,
-            }) => {
-                let now = st.now();
-                let job_id = job.id;
-                let req = InstanceRequest {
-                    image: job.image,
-                    image_size: job.image_size,
-                    target,
-                    requirements: Default::default(),
-                };
-                st.backend.register_job(job, now);
-                st.job_queries.insert(job_id, queries);
-                st.job_scores.insert(job_id, BTreeMap::new());
-                let (inst, outputs) = st.controller.create_instance(req, now);
-                st.instance_job.insert(inst, job_id);
-                st.instance_image.insert(inst, image);
-                let request = st.provider.open_request(job_id, inst, target, now);
-                let _ = st.process_outputs(outputs);
-                let _ = reply.send(request);
-            }
-            Ok(ToHeadend::Report { req, reply }) => {
-                let out = st.provider.report(req).map(|r| {
-                    let scores = st.job_scores.get(&r.job).cloned().unwrap_or_default();
-                    (r, scores)
-                });
-                let _ = reply.send(out);
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return st.unaccounted(),
-        }
-        if last_tick.elapsed() >= config.controller_tick {
-            last_tick = Instant::now();
-            let now = st.now();
-            let outputs = st.controller.tick(now);
-            let _ = st.process_outputs(outputs);
-            let depth: u64 = st
-                .backend
-                .open_jobs()
-                .iter()
-                .map(|&j| st.backend.pending_count(j))
-                .sum();
-            st.queue_depth.set(depth as f64);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -34,7 +34,7 @@ run() {
 }
 
 run cargo build --release ${CARGO_FLAGS}
-run cargo test -q ${CARGO_FLAGS}
+run cargo test -q --workspace ${CARGO_FLAGS}
 run cargo fmt --check
 run cargo clippy --workspace --all-targets ${CARGO_FLAGS} -- -D warnings
 
@@ -119,13 +119,16 @@ EOF
 # SIGKILL the primary mid-job (no goodbye — the listener just dies),
 # boot a standby from the latest snapshot on the same port, and require
 # the job to finish with zero tasks lost and every PNA re-acked at the
-# bumped fencing epoch.
+# bumped fencing epoch. The job is sized (4000 tasks) so that a 2-core
+# box is still mid-job ~0.5 s in: at 96 tasks the primary finished in
+# ~0.2 s, before the kill, on about half the runs — it then shut its
+# PNAs down itself and the standby adopted a job nobody was left to run.
 FAILOVER_PORT=${FAILOVER_PORT:-7842}
 FAILOVER_SNAP=results/ci-failover-snap
 rm -rf "${FAILOVER_SNAP}"
 echo "==> failover smoke: SIGKILL primary, standby adoption on 127.0.0.1:${FAILOVER_PORT}"
 "${ODDCI_BIN}" headend --listen "127.0.0.1:${FAILOVER_PORT}" \
-    --pnas 3 --target 3 --queries 96 --db-len 500000 --timeout 60 \
+    --pnas 3 --target 3 --queries 4000 --db-len 500000 --timeout 60 \
     --snapshot-dir "${FAILOVER_SNAP}" --snapshot-interval-ms 50 --json \
     > results/ci-failover-primary.json &
 HEADEND_PIDS="$!"
@@ -157,14 +160,14 @@ with open("results/ci-failover-standby.json") as f:
     standby = json.load(f)
 assert standby["epoch"] == 1, standby
 assert standby["adopted_jobs"] >= 1, standby
-assert standby["tasks_completed"] == 96, standby
+assert standby["tasks_completed"] == 4000, standby
 assert standby["tasks_unaccounted"] == 0, standby
 assert standby["threads_failed"] == 0, standby
 for seed in (201, 202, 203):
     with open(f"results/ci-failover-pna-{seed}.json") as f:
         pna = json.load(f)
     assert pna["epoch"] == 1, (seed, pna)
-print("    failover smoke: standby adopted at epoch 1, 96 tasks, none lost")
+print("    failover smoke: standby adopted at epoch 1, 4000 tasks, none lost")
 EOF
 rm -rf "${FAILOVER_SNAP}"
 

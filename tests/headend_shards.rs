@@ -12,18 +12,26 @@ use oddci::types::{DataSize, ImageId, NodeId, SimTime};
 use std::time::Duration;
 
 fn sharded_config(nodes: u64, shards: usize) -> LiveConfig {
+    geometry_config(nodes, (shards, 2, 8))
+}
+
+fn geometry_config(nodes: u64, (shards, dispatch, batch): (usize, usize, usize)) -> LiveConfig {
     LiveConfig {
         nodes,
         heartbeat_interval: Duration::from_millis(60),
         controller_tick: Duration::from_millis(80),
         mode: HeadendMode::Sharded {
             shards,
-            dispatch: 2,
-            batch: 8,
+            dispatch,
+            batch,
         },
         ..Default::default()
     }
 }
+
+/// The one-task-per-fetch point X8 uses as its baseline: every heartbeat,
+/// fetch and result serializes behind one shard and one dispatch worker.
+const BASELINE_GEOMETRY: (usize, usize, usize) = (1, 1, 1);
 
 fn tiny_image() -> AlignmentImage {
     AlignmentImage {
@@ -87,17 +95,18 @@ fn instance_transition_heartbeat_fires_node_lost_under_sharding() {
     );
 }
 
-/// A sharded run completes jobs correctly at several shard counts: planted
-/// homolog queries outscore random noise, proving the distributed
-/// computation really ran through the sharded dispatch path.
+/// A sharded run completes jobs correctly at several shard counts and at
+/// the 1/1/1 baseline point: planted homolog queries outscore random
+/// noise, proving the distributed computation really ran through the
+/// sharded dispatch path.
 #[test]
 fn sharded_headend_completes_jobs_at_every_shard_count() {
-    for shards in [1usize, 2, 8] {
-        let live = LiveOddci::start(sharded_config(4, shards));
+    for geometry in [BASELINE_GEOMETRY, (1, 2, 8), (2, 2, 8), (8, 2, 8)] {
+        let live = LiveOddci::start(geometry_config(4, geometry));
         let outcome = live
             .run_alignment_job(tiny_image(), 10, 3, Duration::from_secs(60))
-            .unwrap_or_else(|| panic!("job completes with {shards} shards"));
-        assert_eq!(outcome.scores.len(), 10, "{shards} shards");
+            .unwrap_or_else(|| panic!("job completes at {geometry:?}"));
+        assert_eq!(outcome.scores.len(), 10, "{geometry:?}");
         let planted_min = outcome
             .scores
             .iter()
@@ -114,10 +123,11 @@ fn sharded_headend_completes_jobs_at_every_shard_count() {
             .unwrap();
         assert!(
             planted_min > noise_max,
-            "{shards} shards: planted {planted_min} vs noise {noise_max}"
+            "{geometry:?}: planted {planted_min} vs noise {noise_max}"
         );
         let report = live.shutdown();
-        assert_eq!(report.tasks_unaccounted, 0, "{shards} shards");
+        assert_eq!(report.tasks_unaccounted, 0, "{geometry:?}");
+        assert_eq!(report.threads_failed, 0, "{geometry:?}");
     }
 }
 
@@ -126,13 +136,16 @@ fn sharded_headend_completes_jobs_at_every_shard_count() {
 /// final ledger accounts for every task of every job ever submitted.
 #[test]
 fn shutdown_joins_all_threads_with_no_task_unaccounted() {
-    let live = LiveOddci::start(sharded_config(3, 4));
-    for _ in 0..2 {
-        live.run_alignment_job(tiny_image(), 6, 2, Duration::from_secs(60))
-            .expect("job completes");
+    for geometry in [(4, 2, 8), BASELINE_GEOMETRY] {
+        let live = LiveOddci::start(geometry_config(3, geometry));
+        for _ in 0..2 {
+            live.run_alignment_job(tiny_image(), 6, 2, Duration::from_secs(60))
+                .expect("job completes");
+        }
+        let report = live.shutdown();
+        assert_eq!(report.tasks_unaccounted, 0, "{geometry:?}");
+        assert_eq!(report.threads_failed, 0, "{geometry:?}");
     }
-    let report = live.shutdown();
-    assert_eq!(report.tasks_unaccounted, 0);
 }
 
 /// Even a shutdown with no job ever submitted — and one racing an idle
