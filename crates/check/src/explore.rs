@@ -799,6 +799,16 @@ impl ModelAtomic {
         *self.state() = value;
     }
 
+    /// Atomic swap, returning the previous value (a yield point).
+    pub fn swap(&self, ctx: &Ctx, value: u64) -> u64 {
+        ctx.yield_point();
+        ctx.with_detector(|d| {
+            d.acquire(ctx.id, &self.name);
+            d.release(ctx.id, &self.name);
+        });
+        std::mem::replace(&mut *self.state(), value)
+    }
+
     /// Atomic fetch-add, returning the previous value (a yield point).
     pub fn fetch_add(&self, ctx: &Ctx, delta: u64) -> u64 {
         ctx.yield_point();

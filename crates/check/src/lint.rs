@@ -1,6 +1,6 @@
 //! Dependency-free workspace linter (line/token scan, no parser).
 //!
-//! Four rules over `crates/**/*.rs` (the `check` crate itself is exempt —
+//! Five rules over `crates/**/*.rs` (the `check` crate itself is exempt —
 //! it implements the shim and the scheduler, so it legitimately touches
 //! raw primitives):
 //!
@@ -23,6 +23,12 @@
 //!   `crates/telemetry/src/sink.rs` (non-test code). Panicking across the headend poisons nothing (the
 //!   shim is non-poisoning) but silently kills a thread the shutdown
 //!   accounting then has to explain.
+//! * **unsafe** — the `unsafe` keyword appears in exactly one file,
+//!   `crates/wire/src/poller.rs` (the serving loop's four epoll/eventfd
+//!   foreign calls), and there every use sits under a `// SAFETY:`
+//!   comment. This rule also covers the root package's `src/`, `tests/`
+//!   and `examples/`; every other crate root carries
+//!   `#![forbid(unsafe_code)]` as well.
 //!
 //! Suppress a finding with a trailing or preceding comment:
 //! `// oddci-check: allow(<rule>)` (applies to that line and the next).
@@ -38,7 +44,8 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct LintViolation {
-    /// Rule id: `raw-lock`, `phase`, `message-enum` or `no-unwrap`.
+    /// Rule id: `raw-lock`, `phase`, `message-enum`, `no-unwrap` or
+    /// `unsafe`.
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub file: String,
@@ -77,24 +84,11 @@ pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
     let phase_vocab = parse_phase_vocabulary(root)?;
     let mut sources = Vec::new();
     for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let src = Source::load(root, path)?;
         // The check crate implements the shim/scheduler/linter itself.
-        if rel.starts_with("crates/check/") {
-            continue;
+        if !src.rel.starts_with("crates/check/") {
+            sources.push(src);
         }
-        let raw = fs::read_to_string(path)?;
-        let allowed = suppressions(&raw);
-        let scrubbed = scrub(&raw);
-        sources.push(Source {
-            rel,
-            raw,
-            scrubbed,
-            allowed,
-        });
     }
 
     let mut out = Vec::new();
@@ -102,8 +96,16 @@ pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
         check_raw_lock(src, &mut out);
         check_phase(src, &phase_vocab, &mut out);
         check_no_unwrap(src, &mut out);
+        check_unsafe(src, &mut out);
     }
     check_message_enums(&sources, &mut out);
+    // The root package sits outside `crates/`; only the unsafe rule
+    // follows it there.
+    for dir in ["src", "tests", "examples"] {
+        for path in rs_files(&root.join(dir))? {
+            check_unsafe(&Source::load(root, &path)?, &mut out);
+        }
+    }
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(out)
 }
@@ -117,6 +119,20 @@ struct Source {
 }
 
 impl Source {
+    fn load(root: &Path, path: &Path) -> io::Result<Source> {
+        let raw = fs::read_to_string(path)?;
+        Ok(Source {
+            rel: path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/"),
+            allowed: suppressions(&raw),
+            scrubbed: scrub(&raw),
+            raw,
+        })
+    }
+
     fn is_allowed(&self, rule: &str, line: usize) -> bool {
         self.allowed
             .get(&line)
@@ -544,9 +560,90 @@ fn check_no_unwrap(src: &Source, out: &mut Vec<LintViolation>) {
     }
 }
 
+// --------------------------------------------------------------- unsafe
+
+/// The one file allowed to say `unsafe`.
+const UNSAFE_HOME: &str = "crates/wire/src/poller.rs";
+/// How many lines above an `unsafe` its `// SAFETY:` comment may start.
+const SAFETY_WINDOW: usize = 4;
+
+fn check_unsafe(src: &Source, out: &mut Vec<LintViolation>) {
+    let needle = "unsafe";
+    for pos in find_tokens(&src.scrubbed, needle) {
+        // `unsafe_code` (as in `forbid(unsafe_code)`) is another word.
+        let next = src.scrubbed.as_bytes().get(pos + needle.len());
+        if next.is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_') {
+            continue;
+        }
+        let line = line_of(&src.scrubbed, pos);
+        if src.is_allowed("unsafe", line) {
+            continue;
+        }
+        let message = if src.rel != UNSAFE_HOME {
+            format!("`unsafe` outside {UNSAFE_HOME} — the workspace keeps its foreign calls in that one file")
+        } else if !src
+            .raw
+            .lines()
+            .skip(line.saturating_sub(SAFETY_WINDOW + 1))
+            .take(SAFETY_WINDOW)
+            .any(|l| l.trim_start().starts_with("// SAFETY:"))
+        {
+            format!("`unsafe` without a `// SAFETY:` comment in the {SAFETY_WINDOW} lines above it")
+        } else {
+            continue;
+        };
+        out.push(LintViolation {
+            rule: "unsafe",
+            file: src.rel.clone(),
+            line,
+            message,
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn source(rel: &str, raw: &str) -> Source {
+        Source {
+            rel: rel.to_string(),
+            raw: raw.to_string(),
+            scrubbed: scrub(raw),
+            allowed: suppressions(raw),
+        }
+    }
+
+    #[test]
+    fn unsafe_is_confined_to_the_poller_and_explained_there() {
+        let mut out = Vec::new();
+        // Attributes and prose do not count; the keyword does.
+        check_unsafe(
+            &source(
+                "crates/live/src/lib.rs",
+                "#![forbid(unsafe_code)]\n// unsafe in prose\nfn f() {}\n",
+            ),
+            &mut out,
+        );
+        assert!(out.is_empty(), "{out:?}");
+        check_unsafe(
+            &source("crates/live/src/x.rs", "fn f() { unsafe { g() } }\n"),
+            &mut out,
+        );
+        assert_eq!(out.len(), 1);
+        assert!(out[0].message.contains("outside"), "{}", out[0]);
+
+        out.clear();
+        let explained = "fn f() {\n    // SAFETY: g has no preconditions.\n    unsafe { g() }\n}\n";
+        check_unsafe(&source(UNSAFE_HOME, explained), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        check_unsafe(
+            &source(UNSAFE_HOME, "fn f() {\n    unsafe { g() }\n}\n"),
+            &mut out,
+        );
+        assert_eq!(out.len(), 1);
+        assert!(out[0].message.contains("SAFETY"), "{}", out[0]);
+    }
 
     #[test]
     fn scrub_blanks_comments_preserving_lines() {

@@ -201,9 +201,11 @@ pub(crate) fn on_release(id: u64) {
     });
 }
 
-/// Called by [`crate::sync::Sender::send`]: flags a send performed while
-/// any send-sensitive lock is held. No-op when checking is off.
-pub(crate) fn check_channel_send() {
+/// Called by [`crate::sync::Sender::send`] — and by anything else that
+/// hands work to another thread the way a send does, such as the wire
+/// serving loop's `Waker::wake` — to flag it when any send-sensitive
+/// lock is held. No-op when checking is off.
+pub fn check_channel_send() {
     if !crate::enabled() {
         return;
     }

@@ -592,6 +592,113 @@ pub fn scale_down_vs_heartbeat_stranded(sp: &mut Spawner) {
     scale_down_heartbeat_model(sp, false);
 }
 
+// ------------------------------------------------------------ wake vs wait
+
+/// How many replies the wake-vs-wait model pushes.
+const REPLIES: u64 = 2;
+
+struct WakeModel {
+    /// Finished replies, pushed by worker threads for the serving loop.
+    replies: Arc<ModelChannel<u64>>,
+    /// The waker's coalescing flag: 1 from a wake until the loop re-arms.
+    pending: Arc<ModelAtomic>,
+    /// The wake fd. Level-triggered: the loop's wait returns while it
+    /// holds a token. Closing it stands for the housekeeping timeout.
+    wake_fd: Arc<ModelChannel<()>>,
+    delivered: Arc<ModelAtomic>,
+    worker_done: Arc<ModelChannel<()>>,
+}
+
+impl WakeModel {
+    fn new() -> Self {
+        WakeModel {
+            replies: Arc::new(ModelChannel::new("wake.replies", 0)),
+            pending: Arc::new(ModelAtomic::new("wake.pending", 0)),
+            wake_fd: Arc::new(ModelChannel::new("wake.fd", 0)),
+            delivered: Arc::new(ModelAtomic::new("wake.delivered", 0)),
+            worker_done: Arc::new(ModelChannel::new("wake.worker_done", 0)),
+        }
+    }
+}
+
+/// The wire serving loop's wakeup protocol (`crates/wire/src/poller.rs`,
+/// `ServeLoop::run`): a worker publishes a reply and then wakes — the
+/// wake writes the fd only if the coalescing flag was clear — while the
+/// loop, woken, empties the fd, clears the flag and drains the replies.
+/// The order of those last two steps is the whole protocol. Flag first,
+/// then drain: a reply that lands after the drain finds the flag clear
+/// and writes the fd, so the next wait returns at once. Drain first,
+/// then flag: a reply that lands in between finds the flag still set,
+/// skips the write, and then has its flag cleared under it — nothing
+/// will wake the loop for it until the housekeeping timeout.
+///
+/// The model has no clock. Instead a `timeout` thread closes the fd once
+/// the worker is done; the loop drains every token written before the
+/// close, so a reply still undelivered when its wait fails was waiting
+/// for the timeout: stranded.
+fn wake_wait_model(sp: &mut Spawner, arm_before_drain: bool) {
+    let m = Arc::new(WakeModel::new());
+
+    let w = Arc::clone(&m);
+    sp.spawn("worker", move |ctx| {
+        for reply in 0..REPLIES {
+            w.replies
+                .send(&ctx, reply)
+                .expect("unbounded, never closed");
+            if w.pending.swap(&ctx, 1) == 0 {
+                // Failing means the timeout fired first, which wakes too.
+                let _ = w.wake_fd.send(&ctx, ());
+            }
+        }
+        w.worker_done.send(&ctx, ()).expect("timeout is waiting");
+    });
+
+    let l = Arc::clone(&m);
+    sp.spawn("serve-loop", move |ctx| {
+        let drain = |ctx: &_| {
+            while let Ok(Some(_)) = l.replies.try_recv(ctx) {
+                l.delivered.fetch_add(ctx, 1);
+            }
+        };
+        // `epoll_wait`: returns while the fd holds a token.
+        while l.wake_fd.recv(&ctx).is_ok() {
+            // Reading an eventfd empties it.
+            while let Ok(Some(())) = l.wake_fd.try_recv(&ctx) {}
+            if arm_before_drain {
+                l.pending.store(&ctx, 0);
+                drain(&ctx);
+            } else {
+                drain(&ctx);
+                l.pending.store(&ctx, 0);
+            }
+        }
+        let delivered = l.delivered.load(&ctx);
+        assert_eq!(
+            delivered, REPLIES,
+            "reply stranded until the housekeeping timeout: \
+             {delivered} of {REPLIES} delivered on wakes"
+        );
+    });
+
+    let t = Arc::clone(&m);
+    sp.spawn("timeout", move |ctx| {
+        t.worker_done.recv(&ctx).expect("worker finishes");
+        t.wake_fd.close(&ctx);
+    });
+}
+
+/// Correct protocol: the loop clears the coalescing flag *before* it
+/// drains, so every reply is delivered on a wake in every interleaving.
+pub fn wake_vs_wait(sp: &mut Spawner) {
+    wake_wait_model(sp, true);
+}
+
+/// Buggy variant: the flag is cleared *after* the drain, so a reply that
+/// lands between the two skips its wake and is stranded.
+pub fn wake_vs_wait_late_rearm(sp: &mut Spawner) {
+    wake_wait_model(sp, false);
+}
+
 // ----------------------------------------------------------------- registry
 
 /// A named scenario plus its expected verdict under exploration.
@@ -667,6 +774,16 @@ pub static ALL: &[Scenario] = &[
         setup: scale_down_vs_heartbeat_stranded,
         expect_clean: false,
     },
+    Scenario {
+        name: "wake-vs-wait",
+        setup: wake_vs_wait,
+        expect_clean: true,
+    },
+    Scenario {
+        name: "wake-vs-wait-late-rearm",
+        setup: wake_vs_wait_late_rearm,
+        expect_clean: false,
+    },
 ];
 
 /// Look a scenario up by its CLI name.
@@ -733,6 +850,24 @@ mod tests {
         let f = r.failure.expect("explorer must find the stranded task");
         assert!(f.message.contains("stranded"), "{}", f.message);
         let replay = Explorer::new(11).replay(&f.schedule, scale_down_vs_heartbeat_stranded);
+        let msg = replay.failure.expect("pinned schedule reproduces");
+        assert!(msg.contains("stranded"), "{msg}");
+    }
+
+    #[test]
+    fn armed_before_drain_strands_no_reply() {
+        let r = Explorer::new(11).max_schedules(200).explore(wake_vs_wait);
+        assert!(r.failure.is_none(), "{:?}", r.failure);
+    }
+
+    #[test]
+    fn late_rearm_strands_a_reply_and_replays() {
+        let r = Explorer::new(11)
+            .max_schedules(400)
+            .explore(wake_vs_wait_late_rearm);
+        let f = r.failure.expect("explorer must find the stranded reply");
+        assert!(f.message.contains("stranded"), "{}", f.message);
+        let replay = Explorer::new(11).replay(&f.schedule, wake_vs_wait_late_rearm);
         let msg = replay.failure.expect("pinned schedule reproduces");
         assert!(msg.contains("stranded"), "{msg}");
     }

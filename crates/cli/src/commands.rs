@@ -1179,6 +1179,7 @@ fn headend_report(
                 "checksum_rejects": stats.checksum_rejects,
                 "resyncs": stats.resyncs,
                 "duplicates": stats.duplicates,
+                "loop_turns": stats.loop_turns,
             },
             "connections": connections.iter().map(|c| serde_json::json!({
                 "conn": c.conn,

@@ -4,9 +4,12 @@
 
 use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
 
+/// Called after a message was queued for its subscriber.
+type Notify = Box<dyn Fn() + Send>;
+
 /// A clone-fan-out broadcast channel.
 pub struct BroadcastBus<T: Clone> {
-    subscribers: Mutex<Vec<Sender<T>>>,
+    subscribers: Mutex<Vec<(Sender<T>, Option<Notify>)>>,
 }
 
 impl<T: Clone> Default for BroadcastBus<T> {
@@ -28,8 +31,20 @@ impl<T: Clone> BroadcastBus<T> {
     /// came before — just like a real carousel-less transmission; the
     /// runtime re-publishes periodically to model carousel repetition).
     pub fn subscribe(&self) -> Receiver<T> {
+        self.push_subscriber(None)
+    }
+
+    /// Like [`subscribe`](BroadcastBus::subscribe), for a subscriber that
+    /// does not block on its receiver: `notify` runs on the publisher's
+    /// thread right after each message is queued (the socket front wakes
+    /// its serving loop this way).
+    pub fn subscribe_with(&self, notify: impl Fn() + Send + 'static) -> Receiver<T> {
+        self.push_subscriber(Some(Box::new(notify)))
+    }
+
+    fn push_subscriber(&self, notify: Option<Notify>) -> Receiver<T> {
         let (tx, rx) = unbounded();
-        self.subscribers.lock().push(tx);
+        self.subscribers.lock().push((tx, notify));
         rx
     }
 
@@ -37,7 +52,13 @@ impl<T: Clone> BroadcastBus<T> {
     /// Returns the number of subscribers reached.
     pub fn publish(&self, msg: &T) -> usize {
         let mut subs = self.subscribers.lock();
-        subs.retain(|tx| tx.send(msg.clone()).is_ok());
+        subs.retain(|(tx, notify)| {
+            let reached = tx.send(msg.clone()).is_ok();
+            if let (true, Some(notify)) = (reached, notify) {
+                notify();
+            }
+            reached
+        });
         subs.len()
     }
 
@@ -83,6 +104,26 @@ mod tests {
         assert_eq!(bus.publish(&7), 1);
         assert_eq!(bus.subscriber_count(), 1);
         assert_eq!(a.try_recv(), Ok(7));
+    }
+
+    #[test]
+    fn notified_subscribers_are_told_once_per_message() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let bus = BroadcastBus::new();
+        let notified = Arc::new(AtomicUsize::new(0));
+        let rx = bus.subscribe_with({
+            let notified = Arc::clone(&notified);
+            move || {
+                notified.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let plain = bus.subscribe();
+        assert_eq!(bus.publish(&1), 2);
+        assert_eq!(bus.publish(&2), 2);
+        assert_eq!(notified.load(Ordering::SeqCst), 2);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(plain.try_iter().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

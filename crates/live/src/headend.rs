@@ -36,6 +36,7 @@ use crate::bus::BroadcastBus;
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::runtime::{wall_now, BusMsg, LiveConfig, TaskBatchReply};
 use crate::snapshot::{ImageExport, SnapshotState};
+use crate::wire::{IntoWireReply, WireSink};
 use oddci_check::sync::{bounded, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
 use oddci_core::backend::Backend;
@@ -64,6 +65,28 @@ const CAROUSEL_CAP: usize = 256;
 /// to answer before declaring the headend unhealthy.
 const EXPORT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 
+/// Where a shard or dispatch worker puts the answer to a node's request.
+pub(crate) enum ReplyTo<T> {
+    /// An in-process node thread, blocked on its one-shot channel.
+    Local(Sender<T>),
+    /// A PNA behind the socket front: the reply goes onto the serving
+    /// loop's reply channel, and the loop is woken to relay it.
+    Wire(WireSink),
+}
+
+impl<T: IntoWireReply> ReplyTo<T> {
+    /// Delivers `reply`. Like every send here it must happen with the hub
+    /// lock released — for a wire sink the wake is a send too.
+    pub(crate) fn send(self, reply: T) {
+        match self {
+            ReplyTo::Local(tx) => {
+                let _ = tx.send(reply);
+            }
+            ReplyTo::Wire(sink) => sink.push(reply),
+        }
+    }
+}
+
 /// Traffic into the carousel thread.
 pub(crate) enum CarouselMsg {
     /// Remember the image to attach to this instance's wakeups.
@@ -85,7 +108,7 @@ pub(crate) enum ShardMsg {
     /// A heartbeat from a node this shard owns.
     Heartbeat {
         hb: Heartbeat,
-        reply: Sender<HeartbeatReply>,
+        reply: ReplyTo<HeartbeatReply>,
     },
     /// Admit an instance (coordinator-allocated id, per-shard target).
     Admit {
@@ -131,7 +154,7 @@ pub(crate) enum DispatchMsg {
         instance: InstanceId,
         node: NodeId,
         max: usize,
-        reply: Sender<TaskBatchReply>,
+        reply: ReplyTo<TaskBatchReply>,
     },
     /// A node uploads a batch of results.
     Results {
@@ -795,7 +818,7 @@ fn shard_main(
                 lag_gauge.set(now.since(hb.sent_at).as_secs_f64());
                 let outputs = controller.on_heartbeat(hb, now);
                 let mut replies = apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-                let _ = reply.send(replies.pop().unwrap_or(HeartbeatReply::Ack));
+                reply.send(replies.pop().unwrap_or(HeartbeatReply::Ack));
             }
             Ok(ShardMsg::Admit { instance, request }) => {
                 let outputs = controller.admit_instance(instance, request, wall_now(&start));
@@ -915,7 +938,9 @@ fn dispatch_main(
                     let mut hub = hub.lock();
                     fetch_batch_reply(&mut hub, instance, node, max)
                 };
-                let _ = reply.send(response);
+                // Locking rule: the hub guard is dropped before this send
+                // (and, for a wire-origin request, the wake it carries).
+                reply.send(response);
             }
             DispatchMsg::Results { job, node, results } => {
                 let dismantle = {

@@ -16,7 +16,7 @@
 //! `oddci-core` runs unmodified on this plane.
 
 use crate::bus::BroadcastBus;
-use crate::headend::{DispatchMsg, ShardMsg, ShardedHeadend, SnapshotHandle};
+use crate::headend::{DispatchMsg, ReplyTo, ShardMsg, ShardedHeadend, SnapshotHandle};
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
@@ -228,7 +228,12 @@ impl NodeLink {
         match self {
             NodeLink::Sharded { shards, .. } => {
                 let s = shard_of(hb.node, shards.len());
-                shards[s].send(ShardMsg::Heartbeat { hb, reply }).is_ok()
+                shards[s]
+                    .send(ShardMsg::Heartbeat {
+                        hb,
+                        reply: ReplyTo::Local(reply),
+                    })
+                    .is_ok()
             }
             NodeLink::Remote(link) => link.send_heartbeat(hb, reply),
         }
@@ -250,7 +255,7 @@ impl NodeLink {
                         instance,
                         node,
                         max: *batch,
-                        reply,
+                        reply: ReplyTo::Local(reply),
                     })
                     .is_ok()
             }
@@ -337,7 +342,7 @@ impl SocketFront {
                 Arc::clone(&shard_txs),
                 Arc::clone(&dispatch_txs),
                 batch,
-                bus.subscribe(),
+                bus,
                 config.telemetry.clone(),
                 Arc::clone(&conn_stats),
                 epoch,
@@ -991,8 +996,10 @@ fn maybe_crash(pna: &mut Pna, injector: &FaultInjector, start: &Instant) -> bool
 /// Sends one heartbeat and applies the reply. A beat swallowed by an
 /// injected drop or partition is simply skipped (the miss-threshold
 /// machinery is the Controller's problem); a reply timeout is retried a
-/// few times and then given up on *without* killing the node. Returns
-/// false only when the headend is gone.
+/// few times and then given up on *without* killing the node, and a
+/// reply channel dropped by the link (shutdown, lost connection) ends the
+/// beat at once so the caller gets back to its bus. Returns false only
+/// when the headend is gone.
 fn heartbeat(
     pna: &mut Pna,
     link: &NodeLink,
@@ -1024,7 +1031,9 @@ fn heartbeat(
                 tele.instant(wall_now(start).as_micros(), Phase::Heartbeat, id.raw(), 0);
                 return true;
             }
-            Err(_) => match backoff.delay_std(attempt, seed ^ 0xbea7) {
+            // Nobody will answer this beat: the bus says why.
+            Err(RecvTimeoutError::Disconnected) => return true,
+            Err(RecvTimeoutError::Timeout) => match backoff.delay_std(attempt, seed ^ 0xbea7) {
                 Some(d) => {
                     tele.instant(
                         wall_now(start).as_micros(),
@@ -1113,7 +1122,11 @@ fn run_instance(
             }
             rrx.recv_timeout(TASK_REPLY_TIMEOUT).ok()
         };
-        match reply {
+        // Every pause is spent listening to the bus, not asleep: when a
+        // reply is missing because the plane is shutting down (the link
+        // drops the parked channel at once), the bus is where the node
+        // hears it.
+        let pause = match reply {
             Some(TaskBatchReply::Assigned { job, tasks }) => {
                 fetch_attempt = 0;
                 let track = pna.node().raw();
@@ -1172,6 +1185,7 @@ fn run_instance(
                     let _ = heartbeat(pna, link, seed, start, injector, tele);
                     return true;
                 }
+                None
             }
             Some(TaskBatchReply::Drained) => {
                 fetch_attempt = 0;
@@ -1182,19 +1196,7 @@ fn run_instance(
                 if !heartbeat(pna, link, seed, start, injector, tele) {
                     return true;
                 }
-                match bus_rx.recv_timeout(hb_interval) {
-                    Ok(BusMsg::Shutdown) => return false,
-                    Ok(BusMsg::Control(b)) => {
-                        if let PnaAction::DveDestroyed { .. } =
-                            pna.on_control_message(&b.signed, host, rng)
-                        {
-                            let _ = heartbeat(pna, link, seed, start, injector, tele);
-                            return true;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return true,
-                }
+                Some(hb_interval)
             }
             None => match backoff.delay_std(fetch_attempt, seed ^ 0xfe7c) {
                 Some(d) => {
@@ -1205,7 +1207,7 @@ fn run_instance(
                         u64::from(fetch_attempt),
                     );
                     fetch_attempt += 1;
-                    std::thread::sleep(d);
+                    Some(d)
                 }
                 None => {
                     // Exhausted: give up on this chain but not on the node —
@@ -1216,8 +1218,24 @@ fn run_instance(
                     if !heartbeat(pna, link, seed, start, injector, tele) {
                         return true;
                     }
+                    None
                 }
             },
+        };
+        if let Some(pause) = pause {
+            match bus_rx.recv_timeout(pause) {
+                Ok(BusMsg::Shutdown) => return false,
+                Ok(BusMsg::Control(b)) => {
+                    if let PnaAction::DveDestroyed { .. } =
+                        pna.on_control_message(&b.signed, host, rng)
+                    {
+                        let _ = heartbeat(pna, link, seed, start, injector, tele);
+                        return true;
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return true,
+            }
         }
     }
     true

@@ -14,17 +14,22 @@
 //!   only difference is that its `NodeLink` is a `RemoteLink`
 //!   writing framed messages to a socket instead of a channel.
 //!
-//! Request/reply pairs (heartbeats, task fetches) ride a correlation id:
-//! the caller parks a one-shot channel under the id, the peer echoes the
-//! id, and a demultiplexer completes the matching channel. Replies that
-//! never come are dropped by the same timeouts that already govern the
-//! channel-backed planes (`node_main`'s reply timeouts on the PNA side,
-//! a pending-reply ceiling on the headend side).
+//! Request/reply pairs (heartbeats, task fetches) ride a correlation id.
+//! On the PNA side the caller parks a one-shot channel under the id, the
+//! headend echoes the id, and a demultiplexer completes the matching
+//! channel; a reply that never comes is dropped by `node_main`'s reply
+//! timeouts, and a shutdown or a lost connection drops every parked
+//! channel at once so nobody waits out a timeout for a reply that cannot
+//! come. On the headend side nothing is parked: the request travels to
+//! its shard or dispatch worker with a `WireSink` naming the connection
+//! and the id, and the worker *pushes* the finished reply onto the
+//! service's reply channel and wakes the serving loop.
 
-use crate::headend::{DispatchMsg, ShardMsg};
+use crate::bus::BroadcastBus;
+use crate::headend::{DispatchMsg, ReplyTo, ShardMsg};
 use crate::image::{AlignmentImage, LiveBroadcast};
 use crate::runtime::{node_main, BusMsg, NodeLink, TaskBatchReply};
-use oddci_check::sync::{bounded, unbounded, Mutex, Receiver, Sender, TryRecvError};
+use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
 use oddci_core::sharded::shard_of;
 use oddci_faults::{FaultInjector, FaultPlan};
@@ -32,19 +37,16 @@ use oddci_telemetry::{Phase, Telemetry};
 use oddci_types::NodeId;
 use oddci_wire::codec::{Reader, Writer};
 use oddci_wire::{
-    ClientConfig, ConnId, ConnStatsHub, Integrity, Outbox, WireBatch, WireClient, WireError,
+    ClientConfig, ConnId, ConnStatsHub, Integrity, Outbox, Waker, WireBatch, WireClient, WireError,
     WireMsg, WireService, WireStatsSnapshot, PROTO_VERSION,
 };
 use oddci_workload::alignment::{random_sequence, Scoring};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How long the headend keeps a pending shard/dispatch reply before
-/// assuming the shard dropped it (mirrors the node-side reply timeouts).
-const PENDING_TIMEOUT: Duration = Duration::from_secs(5);
 /// How long a PNA waits for its `HelloAck` after connecting.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Correlation entries a `RemoteLink` keeps before evicting the oldest
@@ -144,20 +146,58 @@ impl WireMembership {
     }
 }
 
-/// A reply the headend still owes a connection: the shard/dispatch
-/// worker answers on `rx`, and the serving loop's `poll` relays it out.
-struct PendingReply<T> {
+/// The return address of a wire-origin request: the connection and
+/// correlation id to answer, the serving loop's reply channel, and the
+/// loop's waker. The shard or dispatch worker that computes the answer
+/// [`push`](WireSink::push)es it — the serving loop never polls for it.
+pub(crate) struct WireSink {
     conn: ConnId,
     corr: u64,
-    rx: Receiver<T>,
-    since: Instant,
+    replies: Sender<(ConnId, WireMsg)>,
+    waker: Waker,
+}
+
+impl WireSink {
+    /// Publishes `reply` for the connection, then wakes the serving loop
+    /// — in that order, which is the loop's contract with its wakers.
+    /// Both steps count as sends: never call this with the hub lock held.
+    pub(crate) fn push(self, reply: impl IntoWireReply) {
+        let msg = reply.into_wire_reply(self.corr);
+        if self.replies.send((self.conn, msg)).is_ok() {
+            self.waker.wake();
+        }
+    }
+}
+
+/// A headend reply that has a wire form, so a worker thread can encode it
+/// for the socket itself instead of leaving that to the serving thread.
+pub(crate) trait IntoWireReply {
+    fn into_wire_reply(self, corr: u64) -> WireMsg;
+}
+
+impl IntoWireReply for HeartbeatReply {
+    fn into_wire_reply(self, corr: u64) -> WireMsg {
+        WireMsg::HeartbeatReply { corr, reply: self }
+    }
+}
+
+impl IntoWireReply for TaskBatchReply {
+    fn into_wire_reply(self, corr: u64) -> WireMsg {
+        WireMsg::TaskBatch {
+            corr,
+            batch: to_wire_batch(self),
+        }
+    }
 }
 
 /// The headend's [`WireService`]: translates wire traffic into the
 /// sharded headend's channels and carousel broadcasts into wire frames.
 ///
 /// It runs single-threaded inside the serving loop, so it holds plain
-/// collections — the only synchronization is the channels themselves.
+/// collections — the only synchronization is the channels themselves,
+/// and the serving loop's [`Waker`], which everything that feeds those
+/// channels from another thread (the carousel's bus, the reply sinks)
+/// fires after publishing.
 pub(crate) struct LiveWireService {
     shards: Arc<Vec<Sender<ShardMsg>>>,
     dispatch: Arc<Vec<Sender<DispatchMsg>>>,
@@ -172,24 +212,42 @@ pub(crate) struct LiveWireService {
     /// primary can never reclaim a fleet a standby has adopted.
     epoch: u64,
     membership: Arc<Mutex<WireMembership>>,
-    pending_hb: Vec<PendingReply<HeartbeatReply>>,
-    pending_tasks: Vec<PendingReply<TaskBatchReply>>,
+    /// Filled by [`attach`](WireService::attach); shared with the bus
+    /// subscription, which exists before the serving loop does.
+    waker: Arc<OnceLock<Waker>>,
+    /// Finished replies, pushed by shard and dispatch threads through
+    /// the [`WireSink`]s handed out in `on_message`.
+    replies_tx: Sender<(ConnId, WireMsg)>,
+    replies_rx: Receiver<(ConnId, WireMsg)>,
     db_cache: BTreeMap<(u64, u64), Arc<Vec<u8>>>,
 }
 
 impl LiveWireService {
-    /// Builds the service in front of an already-running sharded headend.
+    /// Builds the service in front of an already-running sharded headend
+    /// and subscribes it to `bus`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shards: Arc<Vec<Sender<ShardMsg>>>,
         dispatch: Arc<Vec<Sender<DispatchMsg>>>,
         batch: usize,
-        bus_rx: Receiver<BusMsg>,
+        bus: &BroadcastBus<BusMsg>,
         tele: Telemetry,
         conn_stats: Arc<ConnStatsHub>,
         epoch: u64,
         membership: Arc<Mutex<WireMembership>>,
     ) -> LiveWireService {
+        let waker: Arc<OnceLock<Waker>> = Arc::new(OnceLock::new());
+        // A publish before the loop attaches finds no waker; the loop's
+        // first turn, which never waits, drains it.
+        let bus_rx = bus.subscribe_with({
+            let waker = Arc::clone(&waker);
+            move || {
+                if let Some(waker) = waker.get() {
+                    waker.wake();
+                }
+            }
+        });
+        let (replies_tx, replies_rx) = unbounded();
         LiveWireService {
             shards,
             dispatch,
@@ -201,14 +259,26 @@ impl LiveWireService {
             conn_nodes: BTreeMap::new(),
             epoch,
             membership,
-            pending_hb: Vec::new(),
-            pending_tasks: Vec::new(),
+            waker,
+            replies_tx,
+            replies_rx,
             db_cache: BTreeMap::new(),
         }
     }
 
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
+    }
+
+    /// The return address for a request from `conn`. `None` before the
+    /// serving loop attached its waker, i.e. never while serving.
+    fn sink<T>(&self, conn: ConnId, corr: u64) -> Option<ReplyTo<T>> {
+        Some(ReplyTo::Wire(WireSink {
+            conn,
+            corr,
+            replies: self.replies_tx.clone(),
+            waker: self.waker.get()?.clone(),
+        }))
     }
 
     /// The encoded wakeup payload for `image`, with the materialized
@@ -231,64 +301,13 @@ impl LiveWireService {
         };
         encode_image(image, &db)
     }
-
-    /// Relays every pending reply whose shard has answered, and drops
-    /// entries whose shard is gone or slow (the node retries anyway).
-    fn drain_pending(&mut self, out: &mut Outbox) {
-        let mut i = 0;
-        while i < self.pending_hb.len() {
-            match self.pending_hb[i].rx.try_recv() {
-                Ok(reply) => {
-                    let p = self.pending_hb.swap_remove(i);
-                    out.send(
-                        p.conn,
-                        WireMsg::HeartbeatReply {
-                            corr: p.corr,
-                            reply,
-                        },
-                    );
-                }
-                Err(TryRecvError::Empty) => {
-                    if self.pending_hb[i].since.elapsed() > PENDING_TIMEOUT {
-                        self.pending_hb.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.pending_hb.swap_remove(i);
-                }
-            }
-        }
-        let mut i = 0;
-        while i < self.pending_tasks.len() {
-            match self.pending_tasks[i].rx.try_recv() {
-                Ok(reply) => {
-                    let p = self.pending_tasks.swap_remove(i);
-                    out.send(
-                        p.conn,
-                        WireMsg::TaskBatch {
-                            corr: p.corr,
-                            batch: to_wire_batch(reply),
-                        },
-                    );
-                }
-                Err(TryRecvError::Empty) => {
-                    if self.pending_tasks[i].since.elapsed() > PENDING_TIMEOUT {
-                        self.pending_tasks.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.pending_tasks.swap_remove(i);
-                }
-            }
-        }
-    }
 }
 
 impl WireService for LiveWireService {
+    fn attach(&mut self, waker: Waker) {
+        let _ = self.waker.set(waker);
+    }
+
     fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
         match msg {
             WireMsg::Hello { proto, resume, .. } => {
@@ -338,18 +357,9 @@ impl WireService for LiveWireService {
                 );
             }
             WireMsg::Heartbeat { corr, hb } => {
-                let (rtx, rrx) = bounded(1);
-                let s = shard_of(hb.node, self.shards.len());
-                if self.shards[s]
-                    .send(ShardMsg::Heartbeat { hb, reply: rtx })
-                    .is_ok()
-                {
-                    self.pending_hb.push(PendingReply {
-                        conn,
-                        corr,
-                        rx: rrx,
-                        since: Instant::now(),
-                    });
+                if let Some(reply) = self.sink(conn, corr) {
+                    let s = shard_of(hb.node, self.shards.len());
+                    let _ = self.shards[s].send(ShardMsg::Heartbeat { hb, reply });
                 }
             }
             WireMsg::TaskRequest {
@@ -357,20 +367,13 @@ impl WireService for LiveWireService {
                 instance,
                 node,
             } => {
-                let (rtx, rrx) = bounded(1);
-                let d = shard_of(node, self.dispatch.len());
-                let req = DispatchMsg::Request {
-                    instance,
-                    node,
-                    max: self.batch,
-                    reply: rtx,
-                };
-                if self.dispatch[d].send(req).is_ok() {
-                    self.pending_tasks.push(PendingReply {
-                        conn,
-                        corr,
-                        rx: rrx,
-                        since: Instant::now(),
+                if let Some(reply) = self.sink(conn, corr) {
+                    let d = shard_of(node, self.dispatch.len());
+                    let _ = self.dispatch[d].send(DispatchMsg::Request {
+                        instance,
+                        node,
+                        max: self.batch,
+                        reply,
                     });
                 }
             }
@@ -401,9 +404,9 @@ impl WireService for LiveWireService {
     }
 
     fn on_disconnect(&mut self, conn: ConnId, _out: &mut Outbox) {
+        // A reply still on its way to `conn` is dropped by the serving
+        // loop: connection ids are never reused.
         self.conn_nodes.remove(&conn);
-        self.pending_hb.retain(|p| p.conn != conn);
-        self.pending_tasks.retain(|p| p.conn != conn);
     }
 
     fn poll(&mut self, out: &mut Outbox) {
@@ -422,7 +425,9 @@ impl WireService for LiveWireService {
                 }
             }
         }
-        self.drain_pending(out);
+        while let Ok((conn, msg)) = self.replies_rx.try_recv() {
+            out.send(conn, msg);
+        }
     }
 }
 
@@ -505,18 +510,39 @@ impl RemoteLink {
         Arc::clone(&self.client.lock())
     }
 
-    /// Installs a freshly dialed connection and drops every parked
-    /// correlation — replies to requests sent on the dead socket will
-    /// never arrive, and the waiting callers' timeouts already fired (or
-    /// soon will).
-    fn swap_client(&self, client: WireClient) {
-        *self.client.lock() = Arc::new(client);
+    /// Drops every parked reply channel: the replies cannot come any
+    /// more (the connection died, or the plane is shutting down), and a
+    /// dropped channel tells the waiting node so at once instead of
+    /// leaving it to its reply timeout.
+    fn abandon_pending(&self) {
         self.pending_hb.lock().clear();
         self.pending_tasks.lock().clear();
     }
 
-    fn corr(&self) -> u64 {
-        self.next_corr.fetch_add(1, Ordering::Relaxed)
+    /// Installs a freshly dialed connection; replies to requests sent on
+    /// the dead socket will never arrive.
+    fn swap_client(&self, client: WireClient) {
+        *self.client.lock() = Arc::new(client);
+        self.abandon_pending();
+    }
+
+    /// Parks `reply` under a fresh correlation id. `None` once the link
+    /// is closing: `closing` is set before the parked channels are
+    /// dropped, so a request that missed that sweep sees the flag here.
+    fn park<T>(&self, pending: &Mutex<BTreeMap<u64, Sender<T>>>, reply: Sender<T>) -> Option<u64> {
+        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut map = pending.lock();
+            map.insert(corr, reply);
+            while map.len() > MAX_PENDING_CORR {
+                map.pop_first();
+            }
+        }
+        if self.closing.load(Ordering::SeqCst) {
+            pending.lock().remove(&corr);
+            return None;
+        }
+        Some(corr)
     }
 
     /// Sends on the current connection; see `tolerate_disconnect` for
@@ -527,15 +553,10 @@ impl RemoteLink {
     }
 
     pub(crate) fn send_heartbeat(&self, hb: Heartbeat, reply: Sender<HeartbeatReply>) -> bool {
-        let corr = self.corr();
-        {
-            let mut map = self.pending_hb.lock();
-            map.insert(corr, reply);
-            while map.len() > MAX_PENDING_CORR {
-                map.pop_first();
-            }
+        match self.park(&self.pending_hb, reply) {
+            Some(corr) => self.send(&WireMsg::Heartbeat { corr, hb }),
+            None => false,
         }
-        self.send(&WireMsg::Heartbeat { corr, hb })
     }
 
     pub(crate) fn request_tasks(
@@ -544,19 +565,14 @@ impl RemoteLink {
         node: NodeId,
         reply: Sender<TaskBatchReply>,
     ) -> bool {
-        let corr = self.corr();
-        {
-            let mut map = self.pending_tasks.lock();
-            map.insert(corr, reply);
-            while map.len() > MAX_PENDING_CORR {
-                map.pop_first();
-            }
+        match self.park(&self.pending_tasks, reply) {
+            Some(corr) => self.send(&WireMsg::TaskRequest {
+                corr,
+                instance,
+                node,
+            }),
+            None => false,
         }
-        self.send(&WireMsg::TaskRequest {
-            corr,
-            instance,
-            node,
-        })
     }
 
     pub(crate) fn send_results(
@@ -595,6 +611,8 @@ fn demux(link: &RemoteLink, bus_tx: &Sender<BusMsg>, msg: WireMsg) {
             let _ = bus_tx.send(BusMsg::Control(LiveBroadcast { signed, image }));
         }
         WireMsg::Shutdown => {
+            // Nothing the node still waits for will be answered.
+            link.abandon_pending();
             let _ = bus_tx.send(BusMsg::Shutdown);
         }
         // Client-to-server vocabulary arriving at a client: noise. Stats
@@ -822,6 +840,8 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
                         let window = match reconnect {
                             Some(w) if !link.closing.load(Ordering::SeqCst) => w,
                             _ => {
+                                link.closing.store(true, Ordering::SeqCst);
+                                link.abandon_pending();
                                 let _ = bus_tx.send(BusMsg::Shutdown);
                                 break;
                             }
@@ -846,6 +866,7 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
                                 // Same deal: the outage outlived the
                                 // window, so stop masking send failures.
                                 link.closing.store(true, Ordering::SeqCst);
+                                link.abandon_pending();
                                 let _ = bus_tx.send(BusMsg::Shutdown);
                                 break;
                             }

@@ -10,7 +10,7 @@
 //! bounds its memory by evicting the oldest partial message when a peer
 //! starts too many at once.
 
-use crate::frame::{encode_frame, Frame, Integrity};
+use crate::frame::{encode_frame, encode_frame_into, Frame, Integrity};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Most partially-reassembled messages kept per connection before the
@@ -21,6 +21,24 @@ pub const MAX_PARTIAL: usize = 64;
 pub const MAX_MESSAGE: usize = 64 * 1024 * 1024;
 /// Completed-seq window remembered for duplicate suppression.
 const DONE_WINDOW: usize = 1024;
+
+/// The payload ranges `(index, count, lo..hi)` a message of `len` bytes
+/// splits into; an empty message is one empty chunk.
+///
+/// # Panics
+/// If `max_chunk` is zero or `len` exceeds [`MAX_MESSAGE`].
+fn chunk_ranges(
+    len: usize,
+    max_chunk: usize,
+) -> impl Iterator<Item = (u32, u32, std::ops::Range<usize>)> {
+    assert!(max_chunk > 0, "chunk size must be positive");
+    assert!(len <= MAX_MESSAGE, "message too large for the wire");
+    let count = len.div_ceil(max_chunk).max(1);
+    (0..count).map(move |i| {
+        let lo = i * max_chunk;
+        (i as u32, count as u32, lo..(lo + max_chunk).min(len))
+    })
+}
 
 /// Splits `(kind, seq, payload)` into encoded frames of at most
 /// `max_chunk` payload bytes each.
@@ -34,24 +52,28 @@ pub fn encode_chunks(
     payload: &[u8],
     max_chunk: usize,
 ) -> Vec<Vec<u8>> {
-    assert!(max_chunk > 0, "chunk size must be positive");
-    assert!(
-        payload.len() <= MAX_MESSAGE,
-        "message too large for the wire"
-    );
-    let count = payload.len().div_ceil(max_chunk).max(1);
-    let mut frames = Vec::with_capacity(count);
-    for i in 0..count {
-        let lo = i * max_chunk;
-        let hi = ((i + 1) * max_chunk).min(payload.len());
-        frames.push(encode_frame(
-            integrity,
-            kind,
-            seq,
-            i as u32,
-            count as u32,
-            &payload[lo..hi],
-        ));
+    chunk_ranges(payload.len(), max_chunk)
+        .map(|(i, count, range)| encode_frame(integrity, kind, seq, i, count, &payload[range]))
+        .collect()
+}
+
+/// Like [`encode_chunks`], but appends the frames back to back to `out`
+/// and returns how many there are — no allocation per frame.
+///
+/// # Panics
+/// If `max_chunk` is zero or the payload exceeds [`MAX_MESSAGE`].
+pub fn encode_chunks_into(
+    out: &mut Vec<u8>,
+    integrity: &Integrity,
+    kind: u8,
+    seq: u64,
+    payload: &[u8],
+    max_chunk: usize,
+) -> usize {
+    let mut frames = 0;
+    for (i, count, range) in chunk_ranges(payload.len(), max_chunk) {
+        encode_frame_into(out, integrity, kind, seq, i, count, &payload[range]);
+        frames += 1;
     }
     frames
 }

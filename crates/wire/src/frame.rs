@@ -141,9 +141,34 @@ pub fn encode_frame(
     chunk_count: u32,
     payload: &[u8],
 ) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    encode_frame_into(
+        &mut out,
+        integrity,
+        kind,
+        seq,
+        chunk_index,
+        chunk_count,
+        payload,
+    );
+    out
+}
+
+/// Appends one frame's wire bytes to `out` — what a transport calls to
+/// build a burst of frames in one output buffer.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    integrity: &Integrity,
+    kind: u8,
+    seq: u64,
+    chunk_index: u32,
+    chunk_count: u32,
+    payload: &[u8],
+) {
     debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
     debug_assert!(chunk_count >= 1 && chunk_index < chunk_count);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    let start = out.len();
+    out.reserve(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
@@ -152,10 +177,9 @@ pub fn encode_frame(
     out.extend_from_slice(&chunk_index.to_le_bytes());
     out.extend_from_slice(&chunk_count.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let check = integrity.check(&out[4..28], payload);
+    let check = integrity.check(&out[start + 4..start + 28], payload);
     out.extend_from_slice(&check.to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Counters the decoder keeps about one byte stream.

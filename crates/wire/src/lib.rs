@@ -17,8 +17,9 @@
 //! * [`codec`] / [`message`] — a deterministic little-endian binary
 //!   codec and the [`WireMsg`] vocabulary (hello, heartbeat, task fetch,
 //!   result upload, signed broadcast, shutdown).
-//! * [`tcp`] — a `std::net` transport: a single-threaded poll/accept
-//!   serving loop on the headend side ([`WireServer`]) and a blocking
+//! * [`tcp`] — a `std::net` transport: a single-threaded, readiness-driven
+//!   (epoll + wake fd) serving loop on the headend side ([`WireServer`],
+//!   woken from other threads through a [`Waker`]) and a blocking
 //!   direct-channel client per PNA ([`WireClient`]).
 //! * [`fault`] — deterministic frame mangling driven by the shared
 //!   fault injector, for rehearsing corruption on loopback.
@@ -50,14 +51,19 @@ pub mod envelope;
 pub mod fault;
 pub mod frame;
 pub mod message;
+mod poller;
 pub mod tcp;
 
-pub use envelope::{encode_chunks, Assembled, Reassembler, ReassemblyStats, MAX_MESSAGE};
+pub use envelope::{
+    encode_chunks, encode_chunks_into, Assembled, Reassembler, ReassemblyStats, MAX_MESSAGE,
+};
 pub use fault::{mangle_frames, MangleReport};
 pub use frame::{
-    encode_frame, Frame, FrameDecoder, Integrity, DEFAULT_CHUNK, HEADER_LEN, MAX_FRAME_PAYLOAD,
+    encode_frame, encode_frame_into, Frame, FrameDecoder, Integrity, DEFAULT_CHUNK, HEADER_LEN,
+    MAX_FRAME_PAYLOAD,
 };
 pub use message::{WireBatch, WireMsg, PROTO_VERSION};
+pub use poller::Waker;
 pub use tcp::{
     ClientConfig, ConnId, ConnStatsHub, ConnTraffic, Outbox, ServerConfig, WireClient, WireServer,
     WireService, WireStats, WireStatsSnapshot,

@@ -35,6 +35,11 @@ run() {
 
 run cargo build --release ${CARGO_FLAGS}
 run cargo test -q --workspace ${CARGO_FLAGS}
+# The benchmark crate sits outside the workspace and links it the way an
+# outside caller would (benchmark/src/sut.rs pins every public item it
+# uses), so a wire or live API change that breaks it has to fail here
+# and not at the next benchmark run. Builds into benchmark/target/.
+run cargo test -q ${CARGO_FLAGS} --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
 run cargo clippy --workspace --all-targets ${CARGO_FLAGS} -- -D warnings
 
@@ -43,11 +48,13 @@ run cargo clippy --workspace --all-targets ${CARGO_FLAGS} -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS}
 
 # Concurrency gates: the workspace lint (raw-lock ban, telemetry phase
-# vocabulary, no unwrap in live hot paths) must be clean, and a bounded
-# model-check over the scaled-down headend scenarios must find every
-# seeded bug and none in the fixed protocols — including the autoscale
-# trim race (scale-down-vs-heartbeat and its seeded-bug twin). Fixed
-# seed, bounded schedules: deterministic and well under 30 s.
+# vocabulary, no unwrap in live hot paths, `unsafe` only in the wire
+# poller) must be clean, and a bounded model-check over the scaled-down
+# headend scenarios must find every seeded bug and none in the fixed
+# protocols — including the autoscale trim race (scale-down-vs-heartbeat)
+# and the serving loop's wakeup race (wake-vs-wait), each with its
+# seeded-bug twin. Fixed seed, bounded schedules: deterministic and well
+# under 30 s.
 run cargo run -q --release ${CARGO_FLAGS} -p oddci-check --bin oddci-check -- lint
 run cargo run -q --release ${CARGO_FLAGS} -p oddci-check --bin oddci-check -- \
     model --seed 11 --schedules 400

@@ -109,10 +109,21 @@ fn split_trim_stranding_is_pinned() {
 }
 
 #[test]
+fn late_waker_rearm_stranding_is_pinned() {
+    // The wire serving loop's wakeup race: clearing the waker's
+    // coalescing flag *after* draining the reply channel lets a reply
+    // that lands in between skip its wake — stranded until the
+    // housekeeping timeout. The loop re-arms before it drains
+    // (`Poller::rearm`, then `WireService::poll`).
+    pin_failure("wake-vs-wait-late-rearm", 11, 400, "stranded");
+}
+
+#[test]
 fn fixed_protocols_survive_exploration() {
     pin_clean("shutdown-under-active-sink", 11, 200);
     pin_clean("heartbeat-vs-recompose", 11, 200);
     pin_clean("dispatcher-drain", 11, 200);
     pin_clean("sink-stats-snapshot", 11, 200);
     pin_clean("scale-down-vs-heartbeat", 11, 200);
+    pin_clean("wake-vs-wait", 11, 200);
 }

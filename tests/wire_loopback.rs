@@ -6,8 +6,11 @@
 use oddci::faults::{FaultClass, FaultPlan, FaultSpec};
 use oddci::live::wire::{run_wire_pna, WirePnaConfig};
 use oddci::live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
+use oddci::types::NodeId;
+use oddci::wire::{ConnId, Integrity, Outbox, ServerConfig, WireMsg, WireServer, WireService};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn loopback() -> SocketAddr {
     SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0)
@@ -175,5 +178,99 @@ fn late_pnas_join_via_rebroadcast() {
     assert_eq!(report.threads_failed, 0);
     for pna in pnas {
         pna.join().expect("pna exits");
+    }
+}
+
+#[test]
+fn idle_socket_headend_turns_only_for_heartbeats() {
+    // Two connected, idle PNAs heartbeat every 60 ms; between beats the
+    // serving loop must be asleep in its readiness wait, not scanning:
+    // a beat costs a turn to read it and a turn to relay the pushed
+    // reply, plus ~10 housekeeping turns a second.
+    let live = LiveOddci::start(socket_config(2));
+    let addr = live.wire_addr().expect("address");
+    let pnas = spawn_pnas(addr, 2, FaultPlan::none());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while live.wire_stats().expect("stats").rx_messages < 4 {
+        assert!(Instant::now() < deadline, "the PNAs never heartbeat");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let before = live.wire_stats().expect("stats");
+    std::thread::sleep(Duration::from_secs(1));
+    let after = live.wire_stats().expect("stats");
+    let beats = after.rx_messages - before.rx_messages;
+    let turns = after.loop_turns - before.loop_turns;
+    assert!(beats >= 10, "the fleet kept heartbeating ({beats} in 1 s)");
+    assert!(
+        turns <= 3 * beats + 30,
+        "{turns} loop turns for {beats} heartbeats: the loop is not idle between them"
+    );
+
+    let report = live.shutdown();
+    assert_eq!(report.threads_failed, 0);
+    for pna in pnas {
+        pna.join().expect("pna exits");
+    }
+}
+
+/// A headend that acks hellos, answers nothing else, and goes away the
+/// moment the first heartbeat arrives — with a `Shutdown` broadcast, or
+/// like a crash, without — telling the test when that was.
+struct VanishOnHeartbeat {
+    goodbye: bool,
+    heard: mpsc::Sender<Instant>,
+}
+
+impl WireService for VanishOnHeartbeat {
+    fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
+        match msg {
+            WireMsg::Hello { .. } => out.send(
+                conn,
+                WireMsg::HelloAck {
+                    node: NodeId::new(0),
+                    epoch: 0,
+                },
+            ),
+            WireMsg::Heartbeat { .. } => {
+                let _ = self.heard.send(Instant::now());
+                if self.goodbye {
+                    out.broadcast(WireMsg::Shutdown);
+                }
+                out.request_stop();
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn shutdown_while_a_pna_awaits_a_heartbeat_reply_costs_no_timeout() {
+    // The interleaving is forced, not slept for: the headend leaves *in
+    // response to* the heartbeat, so the PNA is by construction inside
+    // its wait for the reply. It must hear the end of the plane on its
+    // bus at once instead of sitting out the 2 s reply timeout.
+    for goodbye in [true, false] {
+        let (heard, heard_at) = mpsc::channel();
+        let mut server = WireServer::bind(
+            loopback(),
+            ServerConfig::new(Integrity::hmac(b"live-oddci-key")),
+            VanishOnHeartbeat { goodbye, heard },
+        )
+        .expect("bind");
+        let mut cfg = WirePnaConfig::new(server.local_addr());
+        cfg.heartbeat_interval = Duration::from_millis(30);
+        let pna = std::thread::spawn(move || run_wire_pna(cfg));
+        let heard_at = heard_at
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the idle PNA heartbeats");
+        pna.join()
+            .expect("pna thread exits")
+            .expect("pna ran to shutdown");
+        let took = heard_at.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "goodbye={goodbye}: the PNA outlived its headend by {took:?}"
+        );
+        assert!(server.stop());
     }
 }
