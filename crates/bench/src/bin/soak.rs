@@ -20,36 +20,35 @@
 //! After the shard sweep, two streamed-trace runs exercise the
 //! telemetry sink layer end to end:
 //!
-//! * the X8 scenario once more with a streaming JSONL sink attached
+//! * the X8 scenario once more with the streaming sink attached
 //!   (per-headend-thread lanes) — with default settings it must drop
 //!   **zero** events, and the wakeup summary in the metrics artifact is
 //!   recomputed from the *streamed* trace rather than the in-memory
 //!   ring (which only ever holds a bounded window);
-//! * experiment X9 — a million-node discrete-event sweep streaming
-//!   JSONL + Chrome traces whose event count far exceeds any ring, with
-//!   the `W = 1.5·I/β` agreement check evaluated from the on-disk
-//!   artifact. `ODDCI_SWEEP_NODES` scales the audience down for quick
-//!   local iteration; `ODDCI_KEEP_TRACES=1` keeps the (large) trace
-//!   files instead of deleting them after validation;
-//! * experiment X11 — the same sweep once more through the *binary*
-//!   sink, which must drop **zero** events where X9's two-format text
-//!   writer sheds half the torrent. The binary artifact is converted
-//!   back to JSONL offline and the wakeup agreement check is evaluated
-//!   from the *converted* trace, proving the round trip lossless at
-//!   full scale.
+//! * experiment X11 — a million-node discrete-event sweep whose event
+//!   count far exceeds any ring, streamed through the sink's binary
+//!   format, which must drop **zero** events. The binary artifact is
+//!   converted to JSONL offline and the `W = 1.5·I/β` agreement check is
+//!   evaluated from the *converted* trace, proving the round trip
+//!   lossless at full scale. `ODDCI_SWEEP_NODES` scales the audience
+//!   down for quick local iteration; `ODDCI_KEEP_TRACES=1` keeps the
+//!   (large) trace files instead of deleting them after validation.
+//!   (X9, the same sweep through the since-removed JSONL + Chrome text
+//!   lane, shed 52.8–55.8 % of the events; its table stays in
+//!   EXPERIMENTS.md as the measurement behind the removal.)
 //!
 //! Artifacts: `results/soak.json` (all rows), `results/soak_stream.json`
 //! (streamed-run summaries) and `results/soak.metrics.json`
-//! (schema-checked envelope; soak rows ride in `metrics.soak`, the X9
-//! summary in `metrics.stream_sweep`, X11 in
-//! `metrics.stream_sweep_binary`).
+//! (schema-checked envelope; soak rows ride in `metrics.soak`, the X11
+//! summary in `metrics.stream_sweep`).
 
 use oddci_analytics::wakeup_envelope;
 use oddci_bench::{header, results_dir, write_artifact, write_metrics, RunInfo};
 use oddci_core::{World, WorldConfig};
 use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
 use oddci_telemetry::binary;
-use oddci_telemetry::sink::{read_jsonl_events, span_durations_us};
+use oddci_telemetry::export::read_jsonl_events;
+use oddci_telemetry::sink::span_durations_us;
 use oddci_telemetry::{Event, EventKind, Phase, StreamingSink, Telemetry, CONTROL_TRACK};
 use oddci_types::{DataSize, SimDuration, SimTime};
 use oddci_workload::alignment::random_sequence;
@@ -66,7 +65,7 @@ const SEED: u64 = 2024;
 /// Runs per configuration; the best is kept (see module docs).
 const REPS: usize = 3;
 
-/// X9 defaults: a million-receiver audience, enough short tasks that the
+/// Sweep defaults: a million-receiver audience, enough short tasks that the
 /// event stream (~13.5 M events) dwarfs the default 262 144-event ring.
 const SWEEP_NODES: u64 = 1_000_000;
 const SWEEP_TARGET: u64 = 4_000;
@@ -215,9 +214,8 @@ fn mean_secs(durs: &[u64]) -> f64 {
 /// the ring, which holds at most its capacity — and the wakeup summary
 /// in the metrics artifact is computed from it.
 fn streamed_soak() -> (Row, serde_json::Value, Vec<Event>) {
-    let path = results_dir().join("soak.trace.jsonl");
-    let sink = StreamingSink::builder()
-        .jsonl(&path)
+    let path = results_dir().join("soak.trace.bin");
+    let sink = StreamingSink::builder(&path)
         .lanes(1 + 8 + DISPATCH)
         .meta("scenario", "soak")
         .meta("seed", SEED.to_string())
@@ -246,9 +244,9 @@ fn streamed_soak() -> (Row, serde_json::Value, Vec<Event>) {
     assert_eq!(tele.events_dropped(), 0, "telemetry drop counter disagrees");
     assert_eq!(row.tasks_unaccounted, 0, "streamed rep leaked tasks");
 
-    let text = std::fs::read_to_string(&path).expect("read soak trace back");
-    let (header, events) = read_jsonl_events(&text).expect("soak trace parses");
-    assert_eq!(header.clock, "us", "unexpected stream clock");
+    let events = binary::read_file(&path)
+        .expect("read soak trace back")
+        .events;
     assert_eq!(
         events.len() as u64,
         stats.persisted,
@@ -260,7 +258,7 @@ fn streamed_soak() -> (Row, serde_json::Value, Vec<Event>) {
         stats.emitted,
         stats.persisted,
         stats.flushes,
-        summary.outputs.iter().map(|o| o.bytes).sum::<u64>(),
+        summary.output.bytes,
     );
     if !keep_traces() {
         let _ = std::fs::remove_file(&path);
@@ -276,62 +274,41 @@ fn streamed_soak() -> (Row, serde_json::Value, Vec<Event>) {
     (row, info, events)
 }
 
-/// X9 / X11 — million-node streamed sweep on the discrete-event plane.
-/// The event stream (~13.5 M events at the default task count) overflows
-/// the default ring ~50× over. X9 (`binary = false`) streams JSONL +
-/// Chrome text, shedding part of the later task torrent with exact loss
-/// accounting; X11 (`binary = true`) streams the compact binary format,
-/// which must keep up with the full torrent — **zero** drops — and the
-/// `W = 1.5·I/β` agreement check is then evaluated from the trace
-/// *converted back to JSONL*, proving the offline round trip lossless.
-fn streamed_sweep(binary_sink: bool) -> serde_json::Value {
+/// X11 — million-node streamed sweep on the discrete-event plane. The
+/// event stream (~13.5 M events at the default task count) overflows the
+/// default ring ~50× over; the sink's binary format must keep up with
+/// the full torrent — **zero** drops — and the `W = 1.5·I/β` agreement
+/// check is then evaluated from the trace *converted to JSONL*, proving
+/// the offline round trip lossless.
+fn streamed_sweep() -> serde_json::Value {
     let nodes = env_u64("ODDCI_SWEEP_NODES", SWEEP_NODES);
     let tasks = env_u64("ODDCI_SWEEP_TASKS", SWEEP_TASKS);
     let target = SWEEP_TARGET.min(nodes);
-    let (stem, scenario) = if binary_sink {
-        ("x11", "x11-binary-sweep")
-    } else {
-        ("x9", "x9-streamed-sweep")
-    };
-    header(if binary_sink {
-        "X11 — million-node sweep through the zero-drop binary sink"
-    } else {
-        "X9 — million-node streamed-trace sweep"
-    });
+    let scenario = "x11-binary-sweep";
+    header("X11 — million-node sweep through the zero-drop binary sink");
     println!(
         "{nodes} receivers, instance {target}, {tasks} tasks x {SWEEP_COST_SECS}s, {SWEEP_IMAGE_MB} MB image\n"
     );
 
-    let jsonl_path = results_dir().join(format!("{stem}.trace.jsonl"));
-    let chrome_path = results_dir().join(format!("{stem}.trace.stream.json"));
-    let bin_path = results_dir().join(format!("{stem}.trace.bin"));
-    let builder = if binary_sink {
-        // X11: one compact output. Varint records cost a fraction of the
-        // two JSON serializations, so the writers keep pace with the sim
-        // and nothing is shed.
-        StreamingSink::builder().binary(&bin_path)
-    } else {
-        StreamingSink::builder()
-            .jsonl(&jsonl_path)
-            .chrome(&chrome_path)
-    };
-    let sink = builder
+    let jsonl_path = results_dir().join("x11.trace.jsonl");
+    let chrome_path = results_dir().join("x11.trace.stream.json");
+    let bin_path = results_dir().join("x11.trace.bin");
+    let sink = StreamingSink::builder(&bin_path)
         .lanes(4)
         // The single-threaded sim emits ~13.5 M events in under a minute
-        // of wall clock — a sustained rate beyond what one writer can serialize
-        // into two text formats, so X9's later task torrent is shed
-        // (counted, never blocking). Deep lanes (4 × 2^18 events ≈ 32 MB
-        // bounded) matter for a different reason: they absorb the initial
-        // 4 000-node join wave, so the wakeup record — the part the ring
-        // loses first — reaches disk complete.
+        // of wall clock. Varint records cost a fraction of a JSON
+        // serialization, so the lane writers keep pace and nothing is
+        // shed; deep lanes (4 × 2^18 events ≈ 32 MB bounded) absorb the
+        // initial 4 000-node join wave, so the wakeup record — the part
+        // the ring loses first — reaches disk complete.
         .lane_capacity(1 << 18)
         .meta("scenario", scenario)
         .meta("seed", SEED.to_string())
         .meta("plane", "sim")
         .start()
         .expect("open sweep stream");
-    // Default ring capacity on purpose: X9 demonstrates that the ring
-    // wraps at this scale while the streamed artifact stays complete.
+    // Default ring capacity on purpose: the sweep demonstrates that the
+    // ring wraps at this scale while the streamed artifact stays complete.
     let tele = Telemetry::recording().with_sink(sink.clone());
     let cfg = WorldConfig {
         nodes,
@@ -358,7 +335,7 @@ fn streamed_sweep(binary_sink: bool) -> serde_json::Value {
     let wall = wall.elapsed();
     let summary = sink.finish().expect("sweep stream closes");
     let stats = summary.stats;
-    let bytes: u64 = summary.outputs.iter().map(|o| o.bytes).sum();
+    let bytes = summary.output.bytes;
 
     assert_eq!(report.tasks_completed, tasks, "sweep lost tasks");
     assert_eq!(
@@ -368,42 +345,35 @@ fn streamed_sweep(binary_sink: bool) -> serde_json::Value {
     );
     let ring_len = tele.events().len();
 
-    // Read the artifact back and recompute the §5.1 wakeup agreement
-    // from it: mean wait-for-carousel plus mean DVE boot must land
-    // inside the [I/β, 2I/β] envelope around W = 1.5·I/β. For X11 the
-    // artifact read is itself the offline `trace convert` path: binary
-    // file → decoded events → re-emitted JSONL, checked end to end.
-    if binary_sink {
-        assert_eq!(
-            stats.dropped, 0,
-            "X11's binary sink must persist every emitted event"
-        );
-        let trace = binary::read_file(&bin_path).expect("read binary sweep trace back");
-        assert!(
-            trace.truncated.is_none(),
-            "binary trace reports truncation: {:?}",
-            trace.truncated
-        );
-        assert_eq!(
-            trace.events.len() as u64,
-            stats.persisted,
-            "binary file holds exactly the persisted events"
-        );
-        binary::convert(&trace, Some(&jsonl_path), Some(&chrome_path))
-            .expect("convert binary sweep trace");
-    }
+    // Read the artifact back through the offline `trace convert` path
+    // — binary file → decoded events → re-emitted JSONL — and recompute
+    // the §5.1 wakeup agreement from the converted trace, end to end.
+    assert_eq!(
+        stats.dropped, 0,
+        "the binary sink must persist every emitted event"
+    );
+    let trace = binary::read_file(&bin_path).expect("read binary sweep trace back");
+    assert!(
+        trace.truncated.is_none(),
+        "binary trace reports truncation: {:?}",
+        trace.truncated
+    );
+    binary::convert(&trace, Some(&jsonl_path), Some(&chrome_path))
+        .expect("convert binary sweep trace");
     let text = std::fs::read_to_string(&jsonl_path).expect("read sweep trace back");
     let (stream_header, events) = read_jsonl_events(&text).expect("sweep trace parses");
     assert_eq!(stream_header.format, "jsonl");
-    if binary_sink {
-        assert!(
-            stream_header
-                .meta
-                .iter()
-                .any(|(k, v)| k == "converted_from" && v == "binary"),
-            "converted trace must carry its provenance stamp"
-        );
-    }
+    assert!(
+        stream_header
+            .meta
+            .iter()
+            .any(|(k, v)| k == "converted_from" && v == "binary"),
+        "converted trace must carry its provenance stamp"
+    );
+    assert!(
+        events == trace.events,
+        "converted JSONL holds exactly the decoded events, in order"
+    );
     assert_eq!(
         events.len() as u64,
         stats.persisted,
@@ -417,12 +387,11 @@ fn streamed_sweep(binary_sink: bool) -> serde_json::Value {
         );
     }
 
-    // The point of X9: the streamed artifact must hold the *complete*
-    // wakeup record — the early events the wrapping ring loses first —
-    // even if the later task torrent was shed. From those spans the §5.1
-    // agreement check runs against the on-disk file: mean wait-for-config
-    // plus mean DVE boot lands inside the [I/β, 2I/β] envelope around
-    // W = 1.5·I/β.
+    // The point of streaming: the artifact holds the *complete* wakeup
+    // record — the early events the wrapping ring loses first. From
+    // those spans the §5.1 agreement check runs against the on-disk
+    // file: mean wait-for-config plus mean DVE boot lands inside the
+    // [I/β, 2I/β] envelope around W = 1.5·I/β.
     let wait_durs = span_durations_us(&events, Phase::WakeupWait);
     let boot_durs = span_durations_us(&events, Phase::DveBoot);
     assert!(
@@ -459,16 +428,15 @@ fn streamed_sweep(binary_sink: bool) -> serde_json::Value {
         boot_durs.len(),
         w_mean.as_secs_f64()
     );
-    if binary_sink {
-        println!(
-            "  convert         : {} B binary -> {} events re-emitted as JSONL + Chrome",
-            bytes,
-            events.len()
-        );
-    }
+    println!(
+        "  convert         : {} B binary -> {} events re-emitted as JSONL + Chrome",
+        bytes,
+        events.len()
+    );
     if keep_traces() {
         println!(
-            "  traces kept     : {} + {}",
+            "  traces kept     : {} + {} + {}",
+            bin_path.display(),
             jsonl_path.display(),
             chrome_path.display()
         );
@@ -574,18 +542,12 @@ fn main() {
     let (stream_row, stream_info, streamed_events) = streamed_soak();
     assert_eq!(stream_row.tasks, TASKS);
 
-    let sweep = streamed_sweep(false);
-    let sweep_binary = streamed_sweep(true);
-    assert_eq!(
-        sweep_binary["dropped"].as_u64(),
-        Some(0),
-        "X11 summary must record zero drops"
-    );
+    let sweep = streamed_sweep();
 
     write_artifact("soak", &rows);
     write_artifact(
         "soak_stream",
-        &serde_json::json!({ "x8": stream_info, "x9": sweep, "x11": sweep_binary }),
+        &serde_json::json!({ "x8": stream_info, "x11": sweep }),
     );
     let run = RunInfo::new("soak", SEED);
     let metrics = serde_json::json!({
@@ -603,7 +565,6 @@ fn main() {
         "soak": rows,
         "stream": stream_info,
         "stream_sweep": sweep,
-        "stream_sweep_binary": sweep_binary,
     });
     write_metrics("soak", &run, &metrics, &phases);
 }

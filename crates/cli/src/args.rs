@@ -61,6 +61,11 @@ impl Parsed {
         })
     }
 
+    /// Every `--name` given, options and bare flags alike.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// True when `--flag` was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

@@ -181,22 +181,20 @@ pub fn chaos(p: &Parsed) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// Companion Chrome artifact path for a streamed JSONL path:
+/// Companion Chrome artifact path for a converted JSONL path:
 /// `x.trace.jsonl` → `x.trace.stream.json`.
 fn chrome_stream_path(jsonl_path: &str) -> String {
     let stem = jsonl_path.strip_suffix(".jsonl").unwrap_or(jsonl_path);
     format!("{stem}.stream.json")
 }
 
-/// Build a streaming sink at `stream_path`, stamped with scenario/seed
-/// metadata: JSONL plus the derived Chrome artifact, or — with `binary`
-/// — the compact binary format (one exclusive output, per-lane writers;
-/// `oddci trace convert` re-emits the text forms offline).
+/// Build a streaming sink writing the binary trace `stream_path`,
+/// stamped with scenario/seed metadata (`oddci trace convert` derives
+/// the JSONL and Chrome text forms offline).
 fn open_stream_sink(
     stream_path: &str,
     lanes: usize,
     lane_capacity: Option<usize>,
-    binary: bool,
     scenario: &str,
     seed: u64,
     plane: &str,
@@ -208,14 +206,7 @@ fn open_stream_sink(
                 .map_err(|e| ArgError(format!("cannot create `{}`: {e}", parent.display())))?;
         }
     }
-    let mut builder = oddci_telemetry::StreamingSink::builder();
-    builder = if binary {
-        builder.binary(stream_path)
-    } else {
-        builder
-            .jsonl(stream_path)
-            .chrome(chrome_stream_path(stream_path))
-    };
+    let mut builder = oddci_telemetry::StreamingSink::builder(stream_path);
     if let Some(capacity) = lane_capacity {
         builder = builder.lane_capacity(capacity);
     }
@@ -249,31 +240,27 @@ fn lane_capacity_arg(p: &Parsed) -> Result<Option<usize>, ArgError> {
 /// share of the emitted total: an absolute count reads as noise at
 /// million-event scale when the real story is "53 % lost".
 fn stream_summary_line(summary: &oddci_telemetry::SinkSummary) -> String {
-    let files = summary
-        .outputs
-        .iter()
-        .map(|o| format!("{} ({} B)", o.path.display(), o.bytes))
-        .collect::<Vec<_>>()
-        .join(", ");
     let pct = if summary.stats.emitted == 0 {
         0.0
     } else {
         100.0 * summary.stats.dropped as f64 / summary.stats.emitted as f64
     };
     format!(
-        "{} emitted, {} persisted, {} dropped ({pct:.1}%), {} flushes -> {files}",
+        "{} emitted, {} persisted, {} dropped ({pct:.1}%), {} flushes -> {} ({} B)",
         summary.stats.emitted,
         summary.stats.persisted,
         summary.stats.dropped,
-        summary.stats.flushes
+        summary.stats.flushes,
+        summary.output.path.display(),
+        summary.output.bytes
     )
 }
 
 /// `oddci trace`: run one scenario with event recording enabled, export a
 /// Chrome `trace_event` file and print the per-phase latency breakdown.
-/// With `--stream <path>` the run *also* streams every event to disk as
-/// it happens (JSONL + Chrome), and the `W = 1.5·I/β` agreement check is
-/// recomputed from the streamed artifact instead of the in-memory ring.
+/// With `--stream <path>` the run *also* streams every event to a binary
+/// trace file as it happens, and the `W = 1.5·I/β` agreement check is
+/// recomputed from that file instead of the in-memory ring.
 pub fn trace(p: &Parsed) -> Result<String, ArgError> {
     use oddci_faults::FaultPlan;
     use oddci_telemetry::{export, Phase, Telemetry};
@@ -283,10 +270,6 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
     let stream_path = p.get("stream");
     let seed: u64 = p.num("seed", 42)?;
     let lane_capacity = lane_capacity_arg(p)?;
-    let binary = p.flag("binary");
-    if binary && stream_path.is_none() {
-        return Err(ArgError("--binary requires --stream PATH".into()));
-    }
 
     // Scenario presets sized so even `chaos` finishes in seconds.
     let (nodes, target, tasks, cost_secs, image_mb, faults) = match scenario {
@@ -305,7 +288,6 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
             path,
             4,
             lane_capacity,
-            binary,
             scenario,
             seed,
             "sim",
@@ -363,21 +345,12 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
                 .finish()
                 .map_err(|e| ArgError(format!("stream writer failed: {e}")))?;
             let _ = writeln!(out, "  streamed   : {}", stream_summary_line(&summary));
-            let evs = if binary {
-                let trace = oddci_telemetry::binary::read_file(std::path::Path::new(path))
-                    .map_err(|e| ArgError(format!("cannot read back `{path}`: {e}")))?;
-                if let Some(report) = &trace.truncated {
-                    let _ = writeln!(out, "  truncated  : {report}");
-                }
-                trace.events
-            } else {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| ArgError(format!("cannot read back `{path}`: {e}")))?;
-                let (_, evs) = oddci_telemetry::sink::read_jsonl_events(&text)
-                    .map_err(|e| ArgError(format!("invalid stream `{path}`: {e}")))?;
-                evs
-            };
-            Some(evs)
+            let trace = oddci_telemetry::binary::read_file(std::path::Path::new(path))
+                .map_err(|e| ArgError(format!("cannot read back `{path}`: {e}")))?;
+            if let Some(report) = &trace.truncated {
+                let _ = writeln!(out, "  truncated  : {report}");
+            }
+            Some(trace.events)
         }
         _ => None,
     };
@@ -436,10 +409,8 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
 }
 
 /// `oddci trace convert`: losslessly re-emit the JSONL and Chrome text
-/// artifacts from a binary trace recorded with `--stream PATH --binary`.
-/// The converted files are byte-compatible with directly streamed ones
-/// (same header, same writers), so every downstream consumer — the
-/// wakeup check, `schema_check`, Perfetto — works unchanged.
+/// artifacts from a binary trace recorded with `trace --stream PATH` or
+/// `soak --trace-out PATH` — the only way either text form is produced.
 pub fn trace_convert(p: &Parsed) -> Result<String, ArgError> {
     let input = p.get("in").ok_or_else(|| {
         ArgError(
@@ -808,16 +779,11 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     // One sink lane per headend thread (carousel + shards + dispatch)
     // so their trace offers never contend; see ShardedHeadend::start.
     let lane_capacity = lane_capacity_arg(p)?;
-    let binary = p.flag("binary");
-    if binary && p.get("trace-out").is_none() {
-        return Err(ArgError("--binary requires --trace-out PATH".into()));
-    }
     let sink = match p.get("trace-out") {
         Some(path) => Some(open_stream_sink(
             path,
             1 + shards + dispatch,
             lane_capacity,
-            binary,
             "soak",
             seed,
             "live",

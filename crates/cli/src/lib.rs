@@ -76,25 +76,96 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         argv
     };
     let parsed = args::Parsed::parse(argv).map_err(|e| format!("{e}\n\n{}", usage()))?;
-    match parsed.command.as_str() {
-        "simulate" => commands::simulate(&parsed).map_err(|e| e.to_string()),
-        "chaos" => commands::chaos(&parsed).map_err(|e| e.to_string()),
-        "trace" => commands::trace(&parsed).map_err(|e| e.to_string()),
-        "trace-convert" => commands::trace_convert(&parsed).map_err(|e| e.to_string()),
-        "top" => commands::top(&parsed).map_err(|e| e.to_string()),
-        "wakeup" => commands::wakeup(&parsed).map_err(|e| e.to_string()),
-        "efficiency" => commands::efficiency(&parsed).map_err(|e| e.to_string()),
-        "live" => commands::live(&parsed).map_err(|e| e.to_string()),
-        "soak" => commands::soak(&parsed).map_err(|e| e.to_string()),
-        "headend" => commands::headend(&parsed).map_err(|e| e.to_string()),
-        "pna" => commands::pna(&parsed).map_err(|e| e.to_string()),
-        "failover" => commands::failover(&parsed).map_err(|e| e.to_string()),
-        "autoscale" => commands::autoscale(&parsed).map_err(|e| e.to_string()),
-        "check" => commands::check(&parsed).map_err(|e| e.to_string()),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown subcommand `{other}`\n\n{}", usage())),
+    let command = parsed.command.as_str();
+    if matches!(command, "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    let Some((_, handler, allowed)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown subcommand `{command}`\n\n{}", usage()));
+    };
+    // Before the command does any work: a name it never reads must not
+    // parse, be ignored, and look like it worked.
+    if let Some(name) = parsed
+        .names()
+        .find(|name| !allowed.split(' ').any(|a| a == *name))
+    {
+        let shown = command.replace('-', " ");
+        let hint = if name == "binary" {
+            ": streams are always binary (`.trace.bin`); derive JSONL/Chrome \
+             with `oddci trace convert <file>`"
+        } else {
+            ""
+        };
+        return Err(ArgError(format!("`oddci {shown}` takes no `--{name}`{hint}")).to_string());
+    }
+    handler(&parsed).map_err(|e| e.to_string())
 }
+
+type Handler = fn(&Parsed) -> Result<String, ArgError>;
+
+/// Every subcommand: its handler and the one list of `--name`s (options
+/// and bare flags, space-separated) it reads. `run` rejects any other
+/// name, and a test holds this table equal to what [`usage`] prints.
+const COMMANDS: &[(&str, Handler, &str)] = &[
+    (
+        "simulate",
+        commands::simulate,
+        "nodes target tasks cost-secs image-mb seed churn json",
+    ),
+    (
+        "chaos",
+        commands::chaos,
+        "nodes target tasks cost-secs seed faults intensity json",
+    ),
+    (
+        "trace",
+        commands::trace,
+        "scenario out seed stream lane-capacity",
+    ),
+    ("trace-convert", commands::trace_convert, "in jsonl chrome"),
+    ("wakeup", commands::wakeup, "image-mb beta-mbps"),
+    ("efficiency", commands::efficiency, "phi ratio nodes"),
+    ("live", commands::live, "nodes queries target"),
+    (
+        "soak",
+        commands::soak,
+        "shards dispatch batch nodes queries target seed trace-out lane-capacity json",
+    ),
+    (
+        "headend",
+        commands::headend,
+        "listen pnas queries target shards dispatch batch db-len seed timeout metrics-out \
+         metrics-interval-ms snapshot-dir snapshot-interval-ms standby min-instances \
+         max-instances slo-queue-depth cooldown-ms json",
+    ),
+    (
+        "pna",
+        commands::pna,
+        "connect seed heartbeat-ms connect-timeout reconnect-ms json",
+    ),
+    (
+        "failover",
+        commands::failover,
+        "listen pnas queries target seed db-len faults snapshot-dir snapshot-interval-ms \
+         timeout json",
+    ),
+    (
+        "autoscale",
+        commands::autoscale,
+        "listen pnas queries seed db-len min-instances max-instances slo-queue-depth \
+         cooldown-ms reconcile-ms faults timeout json",
+    ),
+    (
+        "top",
+        commands::top,
+        "connect interval-ms count connect-timeout json",
+    ),
+    (
+        "check",
+        commands::check,
+        "seed schedules scenario replay skip-lint list",
+    ),
+];
 
 /// The help text.
 pub fn usage() -> String {
@@ -129,15 +200,13 @@ COMMANDS:
                   [scenario]       small | standard | chaos [small]
                   --out PATH       trace file              [results/trace.json]
                   --seed S         simulation seed         [42]
-                  --stream PATH    also stream events to PATH (JSONL) and a
-                                   derived .stream.json Chrome trace during
-                                   the run; the wakeup check then uses the
-                                   streamed artifact instead of the ring
-                  --binary         stream the compact binary format instead
-                                   (one .trace.bin file, per-lane writers;
-                                   convert offline with `trace convert`)
+                  --stream PATH    also stream every event to PATH, a binary
+                                   .trace.bin, during the run; the wakeup
+                                   check then uses that file instead of the
+                                   ring (text forms: `trace convert`)
                   --lane-capacity N  events buffered per sink lane [65536]
-    trace convert  re-emit JSONL + Chrome text from a binary trace
+    trace convert  re-emit JSONL + Chrome text from a binary trace (the only
+                producer of either text form)
                   [file]           input .trace.bin          [required]
                   --jsonl PATH     JSONL output      [input with .jsonl]
                   --chrome PATH    Chrome output  [jsonl with .stream.json]
@@ -160,10 +229,9 @@ COMMANDS:
                   --queries N      tasks in the soak job       [512]
                   --target N       instance size               [nodes]
                   --seed S         run seed                    [42]
-                  --trace-out PATH stream a JSONL + Chrome trace of the run
+                  --trace-out PATH stream a binary .trace.bin of the run
                                    (per-shard sink lanes; drops are counted,
                                    never blocking the headend)
-                  --binary         stream --trace-out in the binary format
                   --lane-capacity N  events buffered per sink lane [65536]
                   --json           machine-readable output
     headend     serve the live plane over TCP for `oddci pna` processes
@@ -412,39 +480,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_stream_writes_artifacts_and_recomputes_wakeup() {
+    fn trace_stream_recomputes_wakeup_and_converts_losslessly() {
         let dir = std::env::temp_dir().join("oddci-cli-stream-test");
-        let out_path = dir.join("trace.json");
-        let stream_path = dir.join("run.trace.jsonl");
-        let out = run(&argv(&[
-            "trace",
-            "small",
-            "--out",
-            out_path.to_str().unwrap(),
-            "--stream",
-            stream_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("wakeup (streamed trace): measured"), "{out}");
-        assert!(out.contains("streamed   :"), "{out}");
-        assert!(out.contains("0 dropped"), "{out}");
-        // JSONL artifact: valid header + parseable events.
-        let text = std::fs::read_to_string(&stream_path).unwrap();
-        let (header, events) =
-            oddci_telemetry::sink::read_jsonl_events(&text).expect("valid stream");
-        assert_eq!(header.clock, "us");
-        assert!(!events.is_empty());
-        // Companion Chrome artifact parses as a trace document.
-        let chrome = std::fs::read_to_string(dir.join("run.trace.stream.json")).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&chrome).expect("valid stream doc");
-        assert!(!v["traceEvents"].as_array().unwrap().is_empty());
-        assert!(v["otherData"]["oddci_stream"].as_str().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trace_binary_stream_converts_losslessly() {
-        let dir = std::env::temp_dir().join("oddci-cli-binary-stream-test");
         let out_path = dir.join("trace.json");
         let bin_path = dir.join("run.trace.bin");
         let out = run(&argv(&[
@@ -454,23 +491,26 @@ mod tests {
             out_path.to_str().unwrap(),
             "--stream",
             bin_path.to_str().unwrap(),
-            "--binary",
             "--lane-capacity",
             "131072",
         ]))
         .unwrap();
-        // The wakeup check recomputes from the binary artifact directly.
+        // The wakeup check recomputes from the binary artifact.
         assert!(out.contains("wakeup (streamed trace): measured"), "{out}");
+        assert!(out.contains("streamed   :"), "{out}");
         assert!(out.contains("0 dropped (0.0%)"), "{out}");
+        let trace = oddci_telemetry::binary::read_file(&bin_path).expect("valid binary trace");
+        assert!(trace.truncated.is_none());
         // Offline conversion re-emits both text artifacts with default
-        // derived paths.
+        // derived paths, and the JSONL holds exactly the decoded events.
         let converted = run(&argv(&["trace", "convert", bin_path.to_str().unwrap()])).unwrap();
         assert!(converted.contains("converted"), "{converted}");
         let text = std::fs::read_to_string(dir.join("run.trace.jsonl")).unwrap();
         let (header, events) =
-            oddci_telemetry::sink::read_jsonl_events(&text).expect("valid converted stream");
+            oddci_telemetry::export::read_jsonl_events(&text).expect("valid converted stream");
         assert_eq!(header.clock, "us");
         assert!(!events.is_empty());
+        assert_eq!(events, trace.events);
         assert!(
             header
                 .meta
@@ -481,6 +521,7 @@ mod tests {
         let chrome = std::fs::read_to_string(dir.join("run.trace.stream.json")).unwrap();
         let v: serde_json::Value = serde_json::from_str(&chrome).expect("valid chrome doc");
         assert!(!v["traceEvents"].as_array().unwrap().is_empty());
+        assert!(v["otherData"]["oddci_stream"].as_str().is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -490,18 +531,72 @@ mod tests {
         assert!(err.contains("trace convert"), "{err}");
     }
 
+    /// A name a command never reads is an error naming the command,
+    /// raised before the command does any work (`headend` would otherwise
+    /// bind a socket and wait for PNAs).
     #[test]
-    fn binary_stream_requires_a_path() {
-        let err = run(&argv(&["trace", "small", "--binary"])).unwrap_err();
-        assert!(err.contains("--stream"), "{err}");
-        let err = run(&argv(&["soak", "--binary"])).unwrap_err();
-        assert!(err.contains("--trace-out"), "{err}");
+    fn every_command_rejects_names_it_does_not_read() {
+        for (name, ..) in COMMANDS {
+            let shown = name.replace('-', " ");
+            for unknown in [&["--bogus", "1"][..], &["--bogus"][..]] {
+                let mut args = vec![*name];
+                args.extend(unknown);
+                let err = run(&argv(&args)).unwrap_err();
+                assert!(
+                    err.contains(&format!("`oddci {shown}` takes no `--bogus`")),
+                    "{name}: {err}"
+                );
+            }
+        }
+        for args in [
+            &["trace", "small", "--binary"][..],
+            &["soak", "--binary"][..],
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(err.contains("takes no `--binary`"), "{err}");
+            assert!(err.contains("oddci trace convert"), "{err}");
+        }
+    }
+
+    /// Help text and parser cannot drift: the `--name`s `usage()` lists
+    /// under each command are exactly that command's allow-list (plus the
+    /// option `run` rewrites the command's positional into).
+    #[test]
+    fn usage_lists_exactly_each_commands_allow_list() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let mut listed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut current = None;
+        let text = usage();
+        let commands = text.split_once("COMMANDS:\n").expect("COMMANDS section").1;
+        for line in commands.lines() {
+            let body = line.trim_start();
+            if line.len() - body.len() == 4 {
+                let name = body.split("  ").next().unwrap().replace(' ', "-");
+                listed.entry(name.clone()).or_default();
+                current = Some(name);
+            } else if let Some(rest) = body.strip_prefix("--") {
+                let option = rest.split(' ').next().unwrap().to_string();
+                let command = current.clone().expect("option under a command");
+                listed.get_mut(&command).unwrap().insert(option);
+            }
+        }
+        listed.remove("help");
+        listed.get_mut("trace").unwrap().insert("scenario".into());
+        listed.get_mut("trace-convert").unwrap().insert("in".into());
+        let allowed: BTreeMap<String, BTreeSet<String>> = COMMANDS
+            .iter()
+            .map(|(name, _, names)| {
+                let names = names.split(' ').map(str::to_string).collect();
+                (name.to_string(), names)
+            })
+            .collect();
+        assert_eq!(listed, allowed);
     }
 
     #[test]
     fn soak_trace_out_streams_run() {
         let dir = std::env::temp_dir().join("oddci-cli-soak-stream-test");
-        let stream_path = dir.join("soak.trace.jsonl");
+        let stream_path = dir.join("soak.trace.bin");
         let out = run(&argv(&[
             "soak",
             "--nodes",
@@ -525,9 +620,11 @@ mod tests {
             stream["emitted"].as_u64().unwrap(),
             stream["persisted"].as_u64().unwrap() + stream["dropped"].as_u64().unwrap()
         );
-        let text = std::fs::read_to_string(&stream_path).unwrap();
-        let (_, events) = oddci_telemetry::sink::read_jsonl_events(&text).expect("valid stream");
-        assert_eq!(events.len() as u64, stream["persisted"].as_u64().unwrap());
+        let trace = oddci_telemetry::binary::read_file(&stream_path).expect("valid stream");
+        assert_eq!(
+            trace.events.len() as u64,
+            stream["persisted"].as_u64().unwrap()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,12 @@
-//! Compact self-describing binary trace format — the zero-drop answer to
-//! the JSONL/Chrome text streams.
+//! Compact self-describing binary trace format — what the streaming
+//! sink writes, and the only thing it writes.
 //!
-//! The text formats cost ~100 bytes of serde serialization per event on
-//! one writer thread; at the million-receiver sweep scale that single
-//! serializer *is* the bottleneck and the sink drops half the run (X9).
-//! The binary format attacks both costs at once:
+//! Streaming JSONL/Chrome text costs ~100 bytes of serde serialization
+//! per event on one writer thread; at the million-receiver sweep scale
+//! that single serializer *was* the bottleneck and the sink dropped half
+//! the run (EXPERIMENTS.md X9), which is why the text lane was removed
+//! and text artifacts are now derived offline by [`convert`]. The binary
+//! format attacks both costs at once:
 //!
 //! * **Compact records.** A span/instant record is a 1-byte tag (event
 //!   kind + interned phase index), a zigzag-varint timestamp delta
@@ -18,7 +20,7 @@
 //!   blocks, each self-contained (own timestamp base, declared payload
 //!   length). Writers append whole blocks, so one writer thread per lane
 //!   can encode privately and serialize only on the file append — see
-//!   [`crate::sink::StreamBuilder::binary`].
+//!   [`crate::sink::StreamingSink`].
 //!
 //! A truncated file (crash mid-run, full disk) decodes to every complete
 //! block plus a [`BinaryTrace::truncated`] report describing the partial
@@ -34,7 +36,8 @@
 //! ```
 
 use crate::event::{Event, EventKind, Phase};
-use crate::sink::{Output, OutputSummary, StreamFormat};
+use crate::export::{Output, TextFormat};
+use crate::sink::OutputSummary;
 use std::io;
 use std::path::Path;
 
@@ -402,11 +405,10 @@ pub fn read_file(path: &Path) -> io::Result<BinaryTrace> {
     decode(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Losslessly re-emit a decoded binary trace as the text stream formats,
-/// through the *same* writer machinery the live sink uses — converted
-/// artifacts are byte-compatible with directly streamed ones (header
-/// stamp, row layout), so every existing reader and the `schema_check`
-/// gate accept them unchanged.
+/// Losslessly re-emit a decoded binary trace as the text stream formats
+/// (`oddci trace convert`): every event, in file order, stamped
+/// `converted_from: binary`. This is the only producer of JSONL and
+/// Chrome stream artifacts.
 pub fn convert(
     trace: &BinaryTrace,
     jsonl: Option<&Path>,
@@ -415,7 +417,7 @@ pub fn convert(
     let mut meta = trace.header.meta.clone();
     meta.push(("converted_from".to_string(), "binary".to_string()));
     let mut summaries = Vec::new();
-    for (path, format) in [(jsonl, StreamFormat::Jsonl), (chrome, StreamFormat::Chrome)] {
+    for (path, format) in [(jsonl, TextFormat::Jsonl), (chrome, TextFormat::Chrome)] {
         let Some(path) = path else { continue };
         let mut out = Output::create(path, format, &meta)?;
         for ev in &trace.events {
@@ -519,6 +521,44 @@ mod tests {
             decode(&bytes).unwrap_err(),
             BinaryError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn converts_to_both_text_formats_in_file_order() {
+        use crate::export::{read_jsonl_events, STREAM_VERSION};
+        let dir = std::env::temp_dir();
+        let stem = format!("oddci-binary-convert-{}", std::process::id());
+        let jsonl_path = dir.join(format!("{stem}.trace.jsonl"));
+        let chrome_path = dir.join(format!("{stem}.trace.stream.json"));
+        let events = sample();
+        let trace = decode(&file_bytes(&events)).unwrap();
+        let outputs = convert(&trace, Some(&jsonl_path), Some(&chrome_path)).unwrap();
+        assert_eq!(outputs.len(), 2);
+
+        let text = std::fs::read_to_string(&jsonl_path).unwrap();
+        assert_eq!(outputs[0].bytes, text.len() as u64);
+        let (header, read_back) = read_jsonl_events(&text).unwrap();
+        assert_eq!(header.version, STREAM_VERSION);
+        assert_eq!(
+            header.meta,
+            vec![
+                ("scenario".to_string(), "unit".to_string()),
+                ("converted_from".to_string(), "binary".to_string()),
+            ]
+        );
+        assert_eq!(read_back, events);
+
+        let chrome_text = std::fs::read_to_string(&chrome_path).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(&chrome_text).unwrap();
+        let rows = doc["traceEvents"].as_array().unwrap();
+        assert_eq!(rows.len(), 8, "3 thread_name meta rows + 5 events");
+        assert_eq!(rows[0]["ph"].as_str(), Some("M"));
+        assert_eq!(rows[1]["name"].as_str(), Some("carousel.publish"));
+        assert!(doc["otherData"]["oddci_stream"].as_str().is_some());
+        assert_eq!(doc["otherData"]["converted_from"].as_str(), Some("binary"));
+        for p in [&jsonl_path, &chrome_path] {
+            std::fs::remove_file(p).unwrap();
+        }
     }
 
     #[test]

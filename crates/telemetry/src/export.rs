@@ -1,13 +1,24 @@
-//! Exporters: Chrome `trace_event` JSON, JSONL event log, and a
-//! Prometheus-style text dump.
+//! Every text format lives here: the batch Chrome `trace_event`
+//! exporter for the ring ([`chrome_trace`]), the JSONL and Chrome *stream*
+//! artifacts `oddci trace convert` derives from a binary trace (the row
+//! writer behind [`crate::binary::convert`], and [`read_jsonl_events`] to
+//! read the JSONL one back), and a Prometheus-style text dump.
 //!
-//! All three are pure functions from recorded data to text, so they can
-//! run after the simulation without holding any telemetry locks during
-//! the run itself.
+//! All of them run after the run, on recorded data, so none holds a
+//! telemetry lock while the system under observation is working.
 
 use crate::event::{Event, EventKind, CONTROL_TRACK};
 use crate::registry::RegistrySnapshot;
-use serde_json::Value;
+use crate::sink::OutputSummary;
+use serde_json::{json, Value};
+use std::collections::HashSet;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
+
+/// Text stream format version stamped into every JSONL / Chrome stream
+/// artifact header.
+pub const STREAM_VERSION: u64 = 1;
 
 /// Chrome trace viewer thread id for a track: the control plane maps to
 /// tid 0, node `n` to `n + 1`.
@@ -37,9 +48,9 @@ fn s(text: &str) -> Value {
 }
 
 /// The `M` metadata row naming a track's lane in the trace viewer.
-/// Shared by the batch exporter and the streaming sink so both artifact
+/// Shared by the batch exporter and the stream writer so both artifact
 /// flavors render byte-identical rows.
-pub(crate) fn thread_meta_row(track: u64) -> Value {
+fn thread_meta_row(track: u64) -> Value {
     let name = if track == CONTROL_TRACK {
         "control-plane".to_string()
     } else {
@@ -55,7 +66,7 @@ pub(crate) fn thread_meta_row(track: u64) -> Value {
 }
 
 /// One Chrome `trace_event` row for an event (`B`/`E`/`i`).
-pub(crate) fn event_row(ev: &Event) -> Value {
+fn event_row(ev: &Event) -> Value {
     let ph = match ev.kind {
         EventKind::Begin => "B",
         EventKind::End => "E",
@@ -104,15 +115,187 @@ pub fn chrome_trace(events: &[Event]) -> String {
     serde_json::to_string(&doc).expect("chrome trace serializes")
 }
 
-/// Render events as JSONL: one compact JSON object per line, in recorded
-/// order (no sorting — this is the raw log).
-pub fn jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&serde_json::to_string(ev).expect("event serializes"));
-        out.push('\n');
+// ------------------------------------------------------- stream artifacts
+
+/// The two text artifacts a binary trace converts to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TextFormat {
+    /// Header line + one compact JSON event object per line.
+    Jsonl,
+    /// Chrome `trace_event` "JSON Object Format" document: rows appended
+    /// in file order, closed into `{"traceEvents":[...]}` by `seal`.
+    Chrome,
+}
+
+/// One open text stream artifact, written row by row so a
+/// multi-gigabyte sweep never sits in memory as one JSON document.
+#[derive(Debug)]
+pub(crate) struct Output {
+    path: PathBuf,
+    format: TextFormat,
+    file: BufWriter<File>,
+    bytes: u64,
+    /// Chrome only: rows written so far (controls comma placement).
+    rows: u64,
+    /// Chrome only: tracks that already got their `M` thread_name row.
+    seen_tracks: HashSet<u64>,
+}
+
+impl Output {
+    pub(crate) fn create(
+        path: &Path,
+        format: TextFormat,
+        meta: &[(String, String)],
+    ) -> io::Result<Output> {
+        let mut out = Output {
+            path: path.to_path_buf(),
+            format,
+            file: BufWriter::new(File::create(path)?),
+            bytes: 0,
+            rows: 0,
+            seen_tracks: HashSet::new(),
+        };
+        out.write_header(meta)?;
+        Ok(out)
     }
-    out
+
+    fn write_str(&mut self, text: &str) -> io::Result<()> {
+        self.file.write_all(text.as_bytes())?;
+        self.bytes += text.len() as u64;
+        Ok(())
+    }
+
+    fn write_header(&mut self, meta: &[(String, String)]) -> io::Result<()> {
+        let meta = meta
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::String(v.clone())));
+        match self.format {
+            TextFormat::Jsonl => {
+                let header = json!({
+                    "oddci_stream": STREAM_VERSION,
+                    "format": "jsonl",
+                    "clock": "us",
+                    "meta": Value::Object(meta.collect()),
+                });
+                let line = serde_json::to_string(&header).map_err(io::Error::other)?;
+                self.write_str(&line)?;
+                self.write_str("\n")
+            }
+            TextFormat::Chrome => {
+                let mut other: Vec<(String, Value)> = vec![
+                    ("oddci_stream".to_string(), s(&STREAM_VERSION.to_string())),
+                    ("clock".to_string(), s("us")),
+                ];
+                other.extend(meta);
+                let other =
+                    serde_json::to_string(&Value::Object(other)).map_err(io::Error::other)?;
+                self.write_str(&format!(
+                    "{{\"displayTimeUnit\":\"ms\",\"otherData\":{other},\"traceEvents\":["
+                ))
+            }
+        }
+    }
+
+    fn write_row(&mut self, row: &Value) -> io::Result<()> {
+        self.write_str(if self.rows > 0 { ",\n" } else { "\n" })?;
+        self.rows += 1;
+        let text = serde_json::to_string(row).map_err(io::Error::other)?;
+        self.write_str(&text)
+    }
+
+    pub(crate) fn write_event(&mut self, ev: &Event) -> io::Result<()> {
+        match self.format {
+            TextFormat::Jsonl => {
+                let line = serde_json::to_string(ev).map_err(io::Error::other)?;
+                self.write_str(&line)?;
+                self.write_str("\n")
+            }
+            TextFormat::Chrome => {
+                if self.seen_tracks.insert(ev.track) {
+                    self.write_row(&thread_meta_row(ev.track))?;
+                }
+                self.write_row(&event_row(ev))
+            }
+        }
+    }
+
+    /// Write the footer, flush, and report the finished artifact.
+    pub(crate) fn seal(mut self) -> io::Result<OutputSummary> {
+        if self.format == TextFormat::Chrome {
+            self.write_str("\n]}\n")?;
+        }
+        self.file.flush()?;
+        Ok(OutputSummary {
+            path: self.path,
+            bytes: self.bytes,
+        })
+    }
+}
+
+/// Parsed first line of a JSONL stream artifact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamHeader {
+    /// [`STREAM_VERSION`] at write time.
+    pub version: u64,
+    /// `"jsonl"` for line-oriented streams.
+    pub format: String,
+    /// Timestamp unit (`"us"`).
+    pub clock: String,
+    /// Run metadata stamped by the producer (scenario, seed, ...).
+    pub meta: Vec<(String, String)>,
+}
+
+/// Parse the header line of a JSONL stream artifact.
+pub fn parse_jsonl_header(line: &str) -> Result<StreamHeader, String> {
+    let v: Value = serde_json::from_str(line).map_err(|e| format!("header is not JSON: {e}"))?;
+    let version = v
+        .get("oddci_stream")
+        .and_then(Value::as_u64)
+        .ok_or("header missing integer `oddci_stream`")?;
+    let format = v
+        .get("format")
+        .and_then(Value::as_str)
+        .ok_or("header missing string `format`")?
+        .to_string();
+    let clock = v
+        .get("clock")
+        .and_then(Value::as_str)
+        .ok_or("header missing string `clock`")?
+        .to_string();
+    let mut meta = Vec::new();
+    if let Some(Value::Object(entries)) = v.get("meta") {
+        for (k, val) in entries {
+            if let Some(s) = val.as_str() {
+                meta.push((k.clone(), s.to_string()));
+            }
+        }
+    }
+    Ok(StreamHeader {
+        version,
+        format,
+        clock,
+        meta,
+    })
+}
+
+/// Read a whole JSONL stream artifact back: header plus every event,
+/// in file order. The inverse of the converter's JSONL output.
+pub fn read_jsonl_events(text: &str) -> Result<(StreamHeader, Vec<Event>), String> {
+    let mut lines = text.lines();
+    let header_line = lines.next().ok_or("empty stream")?;
+    let header = parse_jsonl_header(header_line)?;
+    if header.format != "jsonl" {
+        return Err(format!("expected jsonl stream, got `{}`", header.format));
+    }
+    let mut events = Vec::new();
+    for (i, line) in lines.enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let ev: Event = serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 2))?;
+        events.push(ev);
+    }
+    Ok((header, events))
 }
 
 /// Replace characters Prometheus metric names reject.
@@ -219,18 +402,6 @@ mod tests {
         assert_eq!(track_tid(CONTROL_TRACK), 0);
         assert_eq!(track_tid(0), 1);
         assert_eq!(track_tid(41), 42);
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let text = jsonl(&sample_events());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
-        for line in lines {
-            let v: Value = serde_json::from_str(line).unwrap();
-            assert!(v.get("ts_us").is_some());
-            assert!(v.get("phase").is_some());
-        }
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!   number.
 //! * **Tracing** ([`Recorder`]) is *opt-in*: a ring buffer of
 //!   [`Event`]s, overwritten oldest-first, cheap enough to leave enabled
-//!   in benches. Exporters ([`export::chrome_trace`], [`export::jsonl`],
+//!   in benches. Exporters ([`export::chrome_trace`],
 //!   [`export::prometheus`]) turn recordings into viewer-ready text.
 //!   For runs whose event count dwarfs any ring (million-node sweeps), a
 //!   streaming [`TraceSink`] ([`Telemetry::with_sink`]) tees every event
 //!   to disk *during* the run with non-blocking, drop-with-counter
-//!   semantics — see the [`sink`] module.
+//!   semantics — see the [`sink`] module. It writes the [`binary`]
+//!   format; `oddci trace convert` derives JSONL/Chrome text offline.
 //!
 //! The [`Telemetry`] bundle ties both together and pre-caches a
 //! per-[`Phase`] histogram and counter, so the hot path is one branch +
@@ -142,7 +143,7 @@ impl Telemetry {
     ///
     /// ```no_run
     /// use oddci_telemetry::{sink::StreamingSink, Telemetry};
-    /// let sink = StreamingSink::builder().jsonl("run.trace.jsonl").start().unwrap();
+    /// let sink = StreamingSink::builder("run.trace.bin").start().unwrap();
     /// let tele = Telemetry::recording().with_sink(sink);
     /// ```
     pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
@@ -385,12 +386,8 @@ mod tests {
     #[test]
     fn sink_tee_sees_every_event_even_without_ring() {
         let path =
-            std::env::temp_dir().join(format!("oddci-tele-tee-{}.trace.jsonl", std::process::id()));
-        let sink = StreamingSink::builder()
-            .jsonl(&path)
-            .lanes(1)
-            .start()
-            .unwrap();
+            std::env::temp_dir().join(format!("oddci-tele-tee-{}.trace.bin", std::process::id()));
+        let sink = StreamingSink::builder(&path).lanes(1).start().unwrap();
         let tele = Telemetry::recording_with_capacity(0).with_sink(sink.clone());
         tele.span(10, 25, Phase::Compute, 4, 2);
         tele.instant(30, Phase::Heartbeat, 4, 2);
@@ -400,8 +397,7 @@ mod tests {
         assert_eq!(stats.persisted, 3);
         assert_eq!(tele.events_dropped(), 0);
         sink.finish().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (_, events) = sink::read_jsonl_events(&text).unwrap();
+        let events = binary::read_file(&path).unwrap().events;
         assert_eq!(events.len(), 3);
         assert!(tele.events().is_empty(), "ring stays off at capacity 0");
         std::fs::remove_file(&path).unwrap();
@@ -409,15 +405,9 @@ mod tests {
 
     #[test]
     fn lane_pinned_clones_share_sink_and_counters() {
-        let path = std::env::temp_dir().join(format!(
-            "oddci-tele-lane-{}.trace.jsonl",
-            std::process::id()
-        ));
-        let sink = StreamingSink::builder()
-            .jsonl(&path)
-            .lanes(3)
-            .start()
-            .unwrap();
+        let path =
+            std::env::temp_dir().join(format!("oddci-tele-lane-{}.trace.bin", std::process::id()));
+        let sink = StreamingSink::builder(&path).lanes(3).start().unwrap();
         let tele = Telemetry::recording().with_sink(sink.clone());
         let shard0 = tele.with_sink_lane(0);
         let shard1 = tele.with_sink_lane(1);

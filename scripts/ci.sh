@@ -16,11 +16,10 @@ cleanup() {
     for pid in ${PNA_PIDS} ${HEADEND_PIDS}; do
         kill "${pid}" 2>/dev/null || true
     done
-    rm -f results/ci-smoke.json results/ci-smoke.trace.jsonl \
-        results/ci-smoke.trace.stream.json results/ci-wire-smoke.json \
-        results/ci-smoke-bin.json results/ci-smoke-bin.trace.bin \
-        results/ci-smoke-bin.trace.jsonl results/ci-smoke-bin.trace.stream.json \
-        results/ci-top.json results/ci-help.txt results/ci-autoscale.json \
+    rm -f results/ci-smoke.json results/ci-smoke.trace.bin \
+        results/ci-smoke.trace.jsonl results/ci-smoke.trace.stream.json \
+        results/ci-wire-smoke.json results/ci-top.json \
+        results/ci-help.txt results/ci-autoscale.json \
         results/ci-failover-primary.json results/ci-failover-standby.json \
         results/ci-failover-pna-201.json results/ci-failover-pna-202.json \
         results/ci-failover-pna-203.json
@@ -60,22 +59,19 @@ run cargo run -q --release ${CARGO_FLAGS} -p oddci-check --bin oddci-check -- \
     model --seed 11 --schedules 400
 
 # Streamed-trace smoke: run one small scenario with the streaming sink
-# attached, then let schema_check validate the streamed JSONL + Chrome
-# artifacts alongside the metrics envelopes.
+# attached (it writes the one online format, a binary .trace.bin, and
+# must drop nothing), derive the JSONL + Chrome text artifacts offline
+# with `trace convert`, then let schema_check validate the binary header
+# and the converted text artifacts alongside the metrics envelopes.
 run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- trace \
     --scenario small --seed 7 \
-    --out results/ci-smoke.json --stream results/ci-smoke.trace.jsonl
-
-# Binary-trace round trip: stream the same scenario through the binary
-# sink (must drop nothing), convert the artifact back to JSONL + Chrome
-# offline, then let schema_check validate the binary header alongside
-# the converted text artifacts.
+    --out results/ci-smoke.json --stream results/ci-smoke.trace.bin
 run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- trace \
-    --scenario small --seed 7 --binary \
-    --out results/ci-smoke-bin.json --stream results/ci-smoke-bin.trace.bin
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- trace \
-    convert results/ci-smoke-bin.trace.bin
+    convert results/ci-smoke.trace.bin
 run cargo run -q --release ${CARGO_FLAGS} -p oddci-bench --bin schema_check
+# A flag no command reads is an argument error (exit 2), not a no-op:
+# `--binary` selected the stream format before binary became the only one.
+run bash -c 'target/release/oddci trace small --binary >/dev/null 2>&1; [ $? -eq 2 ]'
 
 # Wire smoke: one real multi-process run of the socket-backed live plane —
 # a headend process plus three PNA processes complete an alignment job

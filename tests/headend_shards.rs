@@ -7,7 +7,7 @@ use oddci::core::{
     shard_of, ControllerPolicy, Heartbeat, InstanceRequest, PnaStateKind, ShardedController,
 };
 use oddci::live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
-use oddci::telemetry::{sink::read_jsonl_events, EventKind, StreamingSink, Telemetry, TraceSink};
+use oddci::telemetry::{binary, EventKind, StreamingSink, Telemetry, TraceSink};
 use oddci::types::{DataSize, ImageId, NodeId, SimTime};
 use std::time::Duration;
 
@@ -165,13 +165,12 @@ fn idle_sharded_shutdown_is_clean() {
 #[test]
 fn shutdown_flushes_active_sink_before_reporting() {
     let path = std::env::temp_dir().join(format!(
-        "oddci-shards-shutdown-{}.trace.jsonl",
+        "oddci-shards-shutdown-{}.trace.bin",
         std::process::id()
     ));
     let shards = 4usize;
     let dispatch = 2usize;
-    let sink = StreamingSink::builder()
-        .jsonl(&path)
+    let sink = StreamingSink::builder(&path)
         .lanes(1 + shards + dispatch)
         .start()
         .expect("open shutdown stream");
@@ -197,8 +196,9 @@ fn shutdown_flushes_active_sink_before_reporting() {
 
     // The file already holds every persisted event *before* finish(): the
     // final flush writes nothing new.
-    let text = std::fs::read_to_string(&path).expect("trace readable after shutdown");
-    let (_, events) = read_jsonl_events(&text).expect("trace parses after shutdown");
+    let events = binary::read_file(&path)
+        .expect("trace decodes after shutdown")
+        .events;
     assert_eq!(events.len() as u64, stats.persisted);
 
     let summary = sink.finish().expect("stream closes");
@@ -206,8 +206,9 @@ fn shutdown_flushes_active_sink_before_reporting() {
         summary.stats.persisted, stats.persisted,
         "no events may be written after the shutdown flush"
     );
-    let text_after = std::fs::read_to_string(&path).expect("trace readable after finish");
-    let (_, events_after) = read_jsonl_events(&text_after).expect("trace parses after finish");
+    let events_after = binary::read_file(&path)
+        .expect("trace decodes after finish")
+        .events;
     let _ = std::fs::remove_file(&path);
     assert_eq!(events_after.len(), events.len());
 

@@ -3,8 +3,10 @@
 //! reported metric.
 
 use oddci::core::{World, WorldConfig};
-use oddci::telemetry::sink::read_jsonl_events;
-use oddci::telemetry::{export, Event, EventKind, Phase, StreamingSink, Telemetry, TraceSink};
+use oddci::telemetry::export::read_jsonl_events;
+use oddci::telemetry::{
+    binary, export, Event, EventKind, Phase, StreamingSink, Telemetry, TraceSink,
+};
 use oddci::types::{DataSize, SimDuration, SimTime};
 use oddci::workload::JobGenerator;
 use proptest::prelude::*;
@@ -189,27 +191,32 @@ fn normalize_stream_doc(doc: Value) -> Value {
     }
 }
 
-/// Compares `actual` (already normalized) against the checked-in golden
-/// file; `ODDCI_BLESS=1` rewrites the golden instead.
-fn assert_matches_golden(name: &str, actual: &Value) {
+/// Compares `rendered` against the checked-in golden file, byte for
+/// byte; `ODDCI_BLESS=1` rewrites the golden instead.
+fn assert_text_matches_golden(name: &str, rendered: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
-    let rendered = serde_json::to_string(actual).expect("golden doc serializes");
     if std::env::var("ODDCI_BLESS").is_ok_and(|v| v != "0" && !v.is_empty()) {
         std::fs::create_dir_all(path.parent().unwrap()).expect("golden dir");
-        std::fs::write(&path, format!("{rendered}\n")).expect("write golden");
+        std::fs::write(&path, rendered).expect("write golden");
         return;
     }
-    let golden_text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing golden {name} ({e}); run with ODDCI_BLESS=1 to generate")
     });
-    let golden: Value = serde_json::from_str(&golden_text).expect("golden parses");
     assert_eq!(
-        actual, &golden,
+        rendered, golden,
         "{name} drifted from the checked-in golden; \
          if the change is intentional re-bless with ODDCI_BLESS=1"
     );
+}
+
+/// [`assert_text_matches_golden`] for a JSON document (already
+/// normalized), one line.
+fn assert_matches_golden(name: &str, actual: &Value) {
+    let rendered = serde_json::to_string(actual).expect("golden doc serializes");
+    assert_text_matches_golden(name, &format!("{rendered}\n"));
 }
 
 /// The batch Chrome exporter's output is locked to a golden file: any
@@ -222,14 +229,17 @@ fn chrome_batch_exporter_matches_golden() {
     assert_matches_golden("chrome_batch.json", &doc);
 }
 
-/// Same for the streamed Chrome writer: one lane keeps the drain order
-/// deterministic, and run-stamp meta is stripped before comparing.
+/// Same for the two text artifacts `oddci trace convert` derives, taken
+/// through the path that ships: sink → `.trace.bin` → `convert`. One
+/// lane keeps the drain order deterministic, run-stamp meta is stripped
+/// from the Chrome doc before comparing, and the JSONL must read back as
+/// exactly the events that went in.
 #[test]
 fn chrome_stream_writer_matches_golden() {
-    let path = temp_trace_path();
-    let chrome_path = path.with_extension("stream.json");
-    let sink = StreamingSink::builder()
-        .chrome(&chrome_path)
+    let bin_path = temp_trace_path();
+    let jsonl_path = bin_path.with_extension("jsonl");
+    let chrome_path = bin_path.with_extension("stream.json");
+    let sink = StreamingSink::builder(&bin_path)
         .lanes(1)
         .meta("scenario", "golden")
         .meta("seed", "42")
@@ -239,15 +249,23 @@ fn chrome_stream_writer_matches_golden() {
         assert!(sink.offer(ev, Some(0)), "golden events never dropped");
     }
     sink.finish().expect("golden stream closes");
-    let text = std::fs::read_to_string(&chrome_path).expect("read golden stream");
-    let _ = std::fs::remove_file(&chrome_path);
-    let doc: Value = serde_json::from_str(&text).expect("streamed trace parses");
+    let trace = binary::read_file(&bin_path).expect("golden trace decodes");
+    assert_eq!(trace.events, golden_events());
+    binary::convert(&trace, Some(&jsonl_path), Some(&chrome_path)).expect("convert");
+    let chrome = std::fs::read_to_string(&chrome_path).expect("read converted chrome");
+    let jsonl = std::fs::read_to_string(&jsonl_path).expect("read converted jsonl");
+    for p in [&bin_path, &jsonl_path, &chrome_path] {
+        let _ = std::fs::remove_file(p);
+    }
+
+    let doc: Value = serde_json::from_str(&chrome).expect("converted trace parses");
     // The stamp must be present before normalization strips its peers.
-    assert!(
-        doc["otherData"]["oddci_stream"].as_u64().is_some()
-            || doc["otherData"]["oddci_stream"].as_str().is_some()
-    );
+    assert!(doc["otherData"]["oddci_stream"].as_str().is_some());
     assert_matches_golden("chrome_stream.json", &normalize_stream_doc(doc));
+
+    let (_, events) = read_jsonl_events(&jsonl).expect("converted jsonl parses");
+    assert_eq!(events, golden_events());
+    assert_text_matches_golden("stream.trace.jsonl", &jsonl);
 }
 
 /// Fresh temp-file path per proptest case (cases run concurrently).
@@ -255,7 +273,7 @@ fn temp_trace_path() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static N: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "oddci-prop-{}-{}.trace.jsonl",
+        "oddci-prop-{}-{}.trace.bin",
         std::process::id(),
         N.fetch_add(1, Ordering::Relaxed)
     ))
@@ -312,8 +330,7 @@ proptest! {
         // count, so the ring routinely wraps while the stream must not.
         let capacity = 1usize << cap_pow;
         let path = temp_trace_path();
-        let sink = StreamingSink::builder()
-            .jsonl(&path)
+        let sink = StreamingSink::builder(&path)
             .lanes(3)
             .start()
             .expect("open stream");
@@ -321,7 +338,7 @@ proptest! {
         let emitted = emit_ops(&tele, &ops);
         let ring = tele.events();
         let summary = sink.finish().expect("stream closes");
-        let text = std::fs::read_to_string(&path).expect("read stream back");
+        let trace = binary::read_file(&path).expect("read stream back");
         let _ = std::fs::remove_file(&path);
 
         let stats = summary.stats;
@@ -330,9 +347,8 @@ proptest! {
         prop_assert_eq!(stats.dropped, 0, "default lane capacity never drops here");
         prop_assert_eq!(tele.events_dropped(), stats.dropped);
 
-        let (header, streamed) = read_jsonl_events(&text)
-            .map_err(|e| format!("bad stream: {e}"))?;
-        prop_assert_eq!(header.clock, "us");
+        prop_assert!(trace.truncated.is_none());
+        let streamed = trace.events;
         prop_assert_eq!(streamed.len() as u64, stats.persisted);
 
         // Multiset superset: every event the ring retained is on disk at
@@ -371,8 +387,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 50..250),
     ) {
         let path = temp_trace_path();
-        let sink = StreamingSink::builder()
-            .jsonl(&path)
+        let sink = StreamingSink::builder(&path)
             .lanes(1)
             .lane_capacity(2)
             .start()
@@ -380,15 +395,13 @@ proptest! {
         let tele = Telemetry::recording_with_capacity(16).with_sink(sink.clone());
         let emitted = emit_ops(&tele, &ops);
         let summary = sink.finish().expect("stream closes");
-        let text = std::fs::read_to_string(&path).expect("read stream back");
+        let streamed = binary::read_file(&path).expect("read stream back").events;
         let _ = std::fs::remove_file(&path);
 
         let stats = summary.stats;
         prop_assert_eq!(stats.emitted, emitted);
         prop_assert_eq!(stats.persisted + stats.dropped, emitted);
         prop_assert_eq!(tele.events_dropped(), stats.dropped);
-        let (_, streamed) = read_jsonl_events(&text)
-            .map_err(|e| format!("bad stream: {e}"))?;
         prop_assert_eq!(streamed.len() as u64, stats.persisted);
         // The per-phase drop breakdown sums to the total.
         let by_phase: u64 = sink.dropped_by_phase().iter().map(|&(_, n)| n).sum();
