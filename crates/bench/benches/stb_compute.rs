@@ -6,6 +6,7 @@ use oddci_receiver::compute::{ComputeModel, DeviceClass, UsageMode};
 use oddci_types::SimDuration;
 use oddci_workload::alignment::{random_sequence, smith_waterman, BlastSearch, Scoring};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn smith_waterman_cells(c: &mut Criterion) {
     let mut g = c.benchmark_group("alignment/smith_waterman");
@@ -28,7 +29,8 @@ fn blast_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("alignment/seed_and_extend");
     for &db_len in &[50_000usize, 200_000] {
         let db = random_sequence(db_len, 3);
-        let idx = BlastSearch::index(db, 11, Scoring::default());
+        let idx =
+            BlastSearch::index(db, 11, Scoring::default()).expect("11 is a valid word length");
         let query = random_sequence(200, 4);
         g.throughput(Throughput::Bytes(db_len as u64));
         g.bench_with_input(BenchmarkId::from_parameter(db_len), &idx, |b, idx| {
@@ -41,10 +43,10 @@ fn blast_search(c: &mut Criterion) {
 fn index_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("alignment/index_build");
     for &db_len in &[50_000usize, 200_000] {
-        let db = random_sequence(db_len, 5);
+        let db = Arc::new(random_sequence(db_len, 5));
         g.throughput(Throughput::Bytes(db_len as u64));
         g.bench_with_input(BenchmarkId::from_parameter(db_len), &db, |b, db| {
-            b.iter(|| black_box(BlastSearch::index(db.clone(), 11, Scoring::default())));
+            b.iter(|| black_box(BlastSearch::index(Arc::clone(db), 11, Scoring::default())));
         });
     }
     g.finish();

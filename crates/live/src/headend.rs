@@ -33,11 +33,11 @@
 //! channel outlives every thread that might still *send* on it.
 
 use crate::bus::BroadcastBus;
-use crate::image::{AlignmentImage, LiveBroadcast};
+use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::runtime::{wall_now, BusMsg, LiveConfig, TaskBatchReply};
 use crate::snapshot::{ImageExport, SnapshotState};
 use crate::wire::{IntoWireReply, WireSink};
-use oddci_check::sync::{bounded, Mutex, Receiver, RecvTimeoutError, Sender};
+use oddci_check::sync::{bounded, Monitor, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
 use oddci_core::backend::Backend;
 use oddci_core::controller::{
@@ -181,6 +181,11 @@ struct Hub {
 /// Handles to the sharded headend's threads and channels.
 pub(crate) struct ShardedHeadend {
     hub: Arc<Mutex<Hub>>,
+    /// Jobs finished so far. The dispatch worker that completes a job
+    /// bumps it and notifies — after dropping the hub guard — so
+    /// [`wait_report`](ShardedHeadend::wait_report) sleeps until a
+    /// completion instead of polling the hub.
+    jobs_finished: Arc<Monitor<u64>>,
     carousel_tx: Sender<CarouselMsg>,
     shard_txs: Vec<Sender<ShardMsg>>,
     dispatch_txs: Vec<Sender<DispatchMsg>>,
@@ -220,6 +225,8 @@ impl ShardedHeadend {
             },
             "live.hub",
         ));
+
+        let jobs_finished = Arc::new(Monitor::named(0, "live.jobs_finished"));
 
         let (carousel_tx, carousel_rx) = bounded(CAROUSEL_CAP);
         // Streaming-sink lane layout: carousel on lane 0, controller
@@ -285,16 +292,18 @@ impl ShardedHeadend {
             let (tx, rx) = bounded(QUEUE_CAP);
             dispatch_txs.push(tx);
             let hub = Arc::clone(&hub);
+            let jobs_finished = Arc::clone(&jobs_finished);
             let shard_txs = shard_txs.clone();
             let inj = Arc::clone(&injector);
             let tele = tele.with_sink_lane(1 + shards + index);
             dispatch_threads.push(std::thread::spawn(move || {
-                dispatch_main(index, rx, hub, shard_txs, inj, start, tele)
+                dispatch_main(index, rx, hub, jobs_finished, shard_txs, inj, start, tele)
             }));
         }
 
         ShardedHeadend {
             hub,
+            jobs_finished,
             carousel_tx,
             shard_txs,
             dispatch_txs,
@@ -346,10 +355,14 @@ impl ShardedHeadend {
                 .map_err(|_| "controller shard did not acknowledge import".to_string())?;
         }
         for (instance, recipe) in &snap.images {
+            let image = recipe.to_image();
+            image
+                .validate()
+                .map_err(|e| format!("snapshot image of instance {}: {e}", instance.raw()))?;
             self.carousel_tx
                 .send(CarouselMsg::Register {
                     instance: *instance,
-                    image: Arc::new(recipe.to_image()),
+                    image: Arc::new(image),
                 })
                 .map_err(|_| "carousel gone during import".to_string())?;
         }
@@ -460,15 +473,37 @@ impl ShardedHeadend {
     }
 
     /// The Provider's report (with per-task scores), once complete.
-    pub(crate) fn report(
-        &self,
-        req: ProviderRequest,
-    ) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
+    fn report(&self, req: ProviderRequest) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
         let hub = self.hub.lock();
         hub.provider.report(req).map(|r| {
             let scores = hub.job_scores.get(&r.job).cloned().unwrap_or_default();
             (r, scores)
         })
+    }
+
+    /// Blocks until `req` has a report or `deadline` passes. Woken by the
+    /// dispatch worker that finishes a job, not by a timer.
+    pub(crate) fn wait_report(
+        &self,
+        req: ProviderRequest,
+        deadline: Instant,
+    ) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
+        loop {
+            // Read the count before looking: a job that finishes after
+            // the look has then moved it, and the wait below falls through.
+            let seen = *self.jobs_finished.lock();
+            if let Some(done) = self.report(req) {
+                return Some(done);
+            }
+            let mut finished = self.jobs_finished.lock();
+            while *finished == seen {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return None;
+                }
+                finished = self.jobs_finished.wait_timeout(finished, left).0;
+            }
+        }
     }
 
     /// Stops dispatch workers, shards and the carousel — in that order,
@@ -756,7 +791,10 @@ fn carousel_main(
                 let (image, instance) = match signed.message {
                     ControlMessage::Wakeup(w) => {
                         *hub.lock().wakeups.entry(w.instance).or_insert(0) += 1;
-                        (images.get(&w.instance).cloned(), w.instance)
+                        (
+                            images.get(&w.instance).cloned().map(WakeupImage::Recipe),
+                            w.instance,
+                        )
                     }
                     ControlMessage::Reset(r) => {
                         images.remove(&r.instance);
@@ -906,10 +944,12 @@ fn apply_outputs(
 // Dispatch workers
 // ---------------------------------------------------------------------
 
+#[allow(clippy::too_many_arguments)]
 fn dispatch_main(
     index: usize,
     rx: Receiver<DispatchMsg>,
     hub: Arc<Mutex<Hub>>,
+    jobs_finished: Arc<Monitor<u64>>,
     shard_txs: Vec<Sender<ShardMsg>>,
     injector: Arc<FaultInjector>,
     start: Instant,
@@ -963,7 +1003,10 @@ fn dispatch_main(
                         None
                     }
                 };
-                // Locking rule: the hub guard is dropped before these sends.
+                // Locking rule: the hub guard is dropped before these sends
+                // and the wake. The wake comes last, so a caller who submits
+                // its next job at once queues that admission behind this
+                // dismantle in every shard's inbox.
                 if let Some(instance) = dismantle {
                     for (i, tx) in shard_txs.iter().enumerate() {
                         let _ = tx.send(ShardMsg::Dismantle {
@@ -971,6 +1014,8 @@ fn dispatch_main(
                             publish: i == 0,
                         });
                     }
+                    *jobs_finished.lock() += 1;
+                    jobs_finished.notify_all();
                 }
             }
             DispatchMsg::Shutdown => return,

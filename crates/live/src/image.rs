@@ -5,6 +5,13 @@
 //! node deterministically materializes the same reference database and
 //! then serves alignment queries against it — genuine CPU work with the
 //! same scan-and-score shape as BLAST.
+//!
+//! A recipe is outside input twice over — a job submitter hands one to
+//! the headend, and a socket PNA reads one off a broadcast whose image
+//! bytes the signed control message does not cover — so both entrances
+//! ([`LiveOddci::submit_query_job`](crate::LiveOddci::submit_query_job),
+//! the wire decoder) run [`AlignmentImage::validate`] and nothing a node
+//! thread materializes can fail to index.
 
 use oddci_core::messages::SignedMessage;
 use oddci_workload::alignment::{random_sequence, BlastSearch, Scoring};
@@ -47,16 +54,37 @@ impl AlignmentImage {
         }
     }
 
+    /// Checks that the recipe can be materialized: a word length the
+    /// index accepts, a database it can address, and — when the database
+    /// was shipped — exactly `db_len` shipped bytes.
+    pub fn validate(&self) -> Result<(), String> {
+        BlastSearch::check(self.db_len, self.k).map_err(|e| e.to_string())?;
+        match &self.prefetched {
+            Some(bytes) if bytes.len() != self.db_len => Err(format!(
+                "recipe says {} database bytes but {} were shipped",
+                self.db_len,
+                bytes.len()
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Materializes the executable form: generates the database (or
-    /// adopts the prefetched copy that streamed in with the wakeup) and
+    /// shares the prefetched copy that streamed in with the wakeup) and
     /// builds the k-mer index (the live equivalent of "loading the image
-    /// into the DVE" — it costs real CPU time).
+    /// into the DVE" — two linear passes over the database).
+    ///
+    /// # Panics
+    /// On a recipe [`validate`](AlignmentImage::validate) rejects. The
+    /// runtime validates every recipe where it enters, so its node
+    /// threads never get here with one.
     pub fn materialize(&self) -> BlastSearch {
         let db = match &self.prefetched {
-            Some(bytes) => bytes.as_ref().clone(),
-            None => random_sequence(self.db_len, self.db_seed),
+            Some(bytes) => Arc::clone(bytes),
+            None => Arc::new(random_sequence(self.db_len, self.db_seed)),
         };
         BlastSearch::index(db, self.k, self.scoring)
+            .unwrap_or_else(|e| panic!("image recipe was not validated: {e}"))
     }
 
     /// Best alignment score of `query` against the materialized database.
@@ -67,14 +95,38 @@ impl AlignmentImage {
     }
 }
 
+/// The image attached to a wakeup broadcast.
+#[derive(Debug, Clone)]
+pub enum WakeupImage {
+    /// In process: the recipe itself, shared, not copied, across
+    /// subscribers.
+    Recipe(Arc<AlignmentImage>),
+    /// On a socket PNA: the image bytes as they came off the wire. The
+    /// carousel repeats every wakeup and a busy node drops the repeats,
+    /// so the bytes are decoded only for a wakeup the node accepts.
+    Encoded(Vec<u8>),
+}
+
+impl WakeupImage {
+    /// The recipe to boot from. `None` when wire bytes do not decode to
+    /// a valid one — the node then declines the wakeup as it would one
+    /// that came without an image.
+    pub(crate) fn into_recipe(self) -> Option<Arc<AlignmentImage>> {
+        match self {
+            WakeupImage::Recipe(image) => Some(image),
+            WakeupImage::Encoded(bytes) => crate::wire::decode_image(bytes).ok().map(Arc::new),
+        }
+    }
+}
+
 /// What rides the live broadcast bus: the signed control message plus, for
-/// wakeups, the image recipe (shared, not copied, across subscribers).
+/// wakeups, the image.
 #[derive(Debug, Clone)]
 pub struct LiveBroadcast {
     /// The authenticated control message.
     pub signed: SignedMessage,
     /// The image for wakeup messages (`None` for resets).
-    pub image: Option<Arc<AlignmentImage>>,
+    pub image: Option<WakeupImage>,
 }
 
 #[cfg(test)]
@@ -116,6 +168,39 @@ mod tests {
             shipped,
             "a shipped database wins over regeneration"
         );
+    }
+
+    #[test]
+    fn prefetched_database_is_shared_with_the_index() {
+        let mut img = AlignmentImage::small_demo();
+        let shipped = Arc::new(random_sequence(img.db_len, 78));
+        img.prefetched = Some(Arc::clone(&shipped));
+        assert!(std::ptr::eq(
+            img.materialize().db().as_ptr(),
+            shipped.as_ptr()
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_what_the_index_cannot_build() {
+        let demo = AlignmentImage::small_demo();
+        assert_eq!(demo.validate(), Ok(()));
+        for k in [0, 3, 32] {
+            assert!(AlignmentImage { k, ..demo.clone() }.validate().is_err());
+        }
+        for k in [4, 31] {
+            assert_eq!(AlignmentImage { k, ..demo.clone() }.validate(), Ok(()));
+        }
+        let too_long = AlignmentImage {
+            db_len: oddci_workload::alignment::MAX_DB_LEN + 1,
+            ..demo.clone()
+        };
+        assert!(too_long.validate().is_err());
+        let short_shipment = AlignmentImage {
+            prefetched: Some(Arc::new(random_sequence(demo.db_len - 1, 1))),
+            ..demo
+        };
+        assert!(short_shipment.validate().is_err());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::bus::BroadcastBus;
 use crate::headend::{DispatchMsg, ReplyTo, ShardMsg, ShardedHeadend, SnapshotHandle};
-use crate::image::{AlignmentImage, LiveBroadcast};
+use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
 use oddci_check::sync::{bounded, Mutex, Receiver, RecvTimeoutError, Sender};
@@ -672,9 +672,9 @@ impl LiveOddci {
     /// split half of [`run_query_job`](LiveOddci::run_query_job), for
     /// callers who outlive the headend serving the job — the failover
     /// path submits on the primary, crashes it, and [`wait_job`]s the
-    /// *standby's* matching request. The headend accepts every
-    /// submission, so the result is always `Some`; the `Option` is the
-    /// signature existing callers are written against.
+    /// *standby's* matching request. `None` when `image` fails
+    /// [`AlignmentImage::validate`]: the headend refuses a recipe no node
+    /// could materialize instead of broadcasting it.
     ///
     /// [`wait_job`]: LiveOddci::wait_job
     pub fn submit_query_job(
@@ -684,6 +684,7 @@ impl LiveOddci {
         target: u64,
     ) -> Option<ProviderRequest> {
         assert!(!queries.is_empty(), "a job needs at least one query");
+        image.validate().ok()?;
         let n_queries = queries.len() as u64;
         let job_id = JobId::new(self.next_job.fetch_add(1, Ordering::Relaxed));
         let tasks = (0..n_queries)
@@ -705,18 +706,11 @@ impl LiveOddci {
         Some(self.headend.submit(job, queries, Arc::new(image), target))
     }
 
-    /// Polls a submitted request until it completes or `timeout` passes.
+    /// Blocks until a submitted request completes or `timeout` passes;
+    /// the thread that lands the job's last result wakes the caller.
     pub fn wait_job(&self, req: ProviderRequest, timeout: Duration) -> Option<JobOutcome> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some((report, scores)) = self.headend.report(req) {
-                return Some(JobOutcome { report, scores });
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let (report, scores) = self.headend.wait_report(req, Instant::now() + timeout)?;
+        Some(JobOutcome { report, scores })
     }
 
     /// Provider requests still running — what a standby must keep
@@ -933,7 +927,7 @@ pub(crate) fn node_main(
                         id.raw(),
                         instance.raw(),
                     );
-                    if let Some(image) = b.image {
+                    if let Some(image) = b.image.and_then(WakeupImage::into_recipe) {
                         if !run_instance(
                             &mut pna,
                             &mut rng,
@@ -951,7 +945,9 @@ pub(crate) fn node_main(
                             return; // shutdown observed while busy
                         }
                     } else {
-                        // Wakeup without image (race with reset): bail out.
+                        // Wakeup without an image (race with reset), or
+                        // with one that does not decode to a valid recipe:
+                        // decline; the next carousel pass retries.
                         pna.on_direct_reset(instance);
                     }
                 }
@@ -1154,6 +1150,9 @@ fn run_instance(
                                     pna.on_control_message(&b.signed, host, rng)
                                 {
                                     destroyed = true;
+                                    // Idle now: what is still queued on
+                                    // the bus is `node_main`'s to read.
+                                    break;
                                 }
                             }
                         }
@@ -1222,6 +1221,13 @@ fn run_instance(
                 }
             },
         };
+        // A heartbeat reply above may have reset this node directly. Idle,
+        // it must be back in `node_main` before it reads the bus again: a
+        // wakeup read here would be accepted by the state machine and
+        // booted by nobody.
+        if pna.is_idle() {
+            break;
+        }
         if let Some(pause) = pause {
             match bus_rx.recv_timeout(pause) {
                 Ok(BusMsg::Shutdown) => return false,
@@ -1315,6 +1321,146 @@ mod tests {
         assert_eq!(decoded.wire_next_node, snap.wire_next_node);
         let report = live.shutdown();
         assert_eq!(report.tasks_unaccounted, 0);
+    }
+
+    #[test]
+    fn wait_job_returns_when_the_last_result_lands() {
+        // Back to back, so each submission races the previous job's
+        // dismantle; short ticks so a dropped wakeup is re-aired quickly.
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            heartbeat_interval: Duration::from_millis(20),
+            controller_tick: Duration::from_millis(20),
+            ..Default::default()
+        });
+        let image = AlignmentImage {
+            db_len: 2000,
+            ..AlignmentImage::small_demo()
+        };
+        const JOBS: u32 = 20;
+        let mut lag = Duration::ZERO;
+        for job in 0..u64::from(JOBS) {
+            let queries = (0..4)
+                .map(|i| Arc::new(random_sequence(16, job * 4 + i)))
+                .collect();
+            let submitted = Instant::now();
+            let req = live
+                .submit_query_job(image.clone(), queries, 2)
+                .expect("a valid recipe is accepted");
+            let outcome = live
+                .wait_job(req, Duration::from_secs(30))
+                .expect("job completes");
+            // The report's makespan runs submission → last result on the
+            // headend's clock; whatever the caller waited beyond it is lag.
+            let makespan = Duration::from_micros(outcome.report.makespan.as_micros());
+            lag += submitted.elapsed().saturating_sub(makespan);
+        }
+        let mean = lag / JOBS;
+        assert!(
+            mean < Duration::from_millis(1),
+            "wait_job returned {mean:?} after the last result, on average"
+        );
+        assert_eq!(live.shutdown().threads_failed, 0);
+    }
+
+    #[test]
+    fn wait_job_times_out_on_a_job_nobody_runs() {
+        // A socket headend no PNA dials: the job never starts.
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 1,
+            mode: HeadendMode::Socket {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                shards: 1,
+                dispatch: 1,
+                batch: 1,
+            },
+            ..Default::default()
+        });
+        let req = live
+            .submit_query_job(
+                AlignmentImage::small_demo(),
+                vec![Arc::new(random_sequence(16, 1))],
+                1,
+            )
+            .expect("a valid recipe is accepted");
+        let began = Instant::now();
+        assert!(live.wait_job(req, Duration::from_millis(60)).is_none());
+        let waited = began.elapsed();
+        assert!(
+            (Duration::from_millis(60)..Duration::from_secs(2)).contains(&waited),
+            "waited {waited:?}"
+        );
+        live.shutdown();
+    }
+
+    #[test]
+    fn a_recipe_no_node_could_index_is_refused_at_the_headend() {
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            ..Default::default()
+        });
+        let demo = AlignmentImage::small_demo();
+        let bad = [
+            AlignmentImage {
+                k: 0,
+                ..demo.clone()
+            },
+            AlignmentImage {
+                k: 3,
+                ..demo.clone()
+            },
+            AlignmentImage {
+                k: 32,
+                ..demo.clone()
+            },
+            AlignmentImage {
+                prefetched: Some(Arc::new(random_sequence(demo.db_len + 1, 1))),
+                ..demo.clone()
+            },
+        ];
+        for image in bad {
+            let queries = vec![Arc::new(random_sequence(16, 1))];
+            assert!(live.submit_query_job(image, queries, 2).is_none());
+        }
+        // Nothing was broadcast, so both nodes are alive and free to run
+        // a good job.
+        let outcome = live
+            .run_alignment_job(demo, 4, 2, Duration::from_secs(30))
+            .expect("job completes");
+        assert_eq!(outcome.scores.len(), 4);
+        let report = live.shutdown();
+        assert_eq!(report.threads_failed, 0);
+        assert_eq!(report.tasks_unaccounted, 0);
+    }
+
+    #[test]
+    fn standby_refuses_a_snapshot_whose_image_cannot_be_indexed() {
+        let primary = LiveOddci::start(LiveConfig {
+            nodes: 1,
+            ..Default::default()
+        });
+        let mut snap = primary.snapshot_now().expect("headends snapshot");
+        primary.shutdown();
+        let mut recipe = snapshot::ImageExport::from_image(&AlignmentImage::small_demo());
+        recipe.k = 0;
+        snap.images.push((InstanceId::new(0), recipe));
+        let config = LiveConfig {
+            nodes: 1,
+            mode: HeadendMode::Socket {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                shards: 2,
+                dispatch: 1,
+                batch: 1,
+            },
+            ..Default::default()
+        };
+        let refused = LiveOddci::start_standby(config, &snap).err();
+        assert!(
+            refused
+                .as_deref()
+                .is_some_and(|e| e.contains("word length")),
+            "{refused:?}"
+        );
     }
 
     /// The full failover story, in-process: a socket headend snapshots

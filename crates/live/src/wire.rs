@@ -27,7 +27,7 @@
 
 use crate::bus::BroadcastBus;
 use crate::headend::{DispatchMsg, ReplyTo, ShardMsg};
-use crate::image::{AlignmentImage, LiveBroadcast};
+use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::runtime::{node_main, BusMsg, NodeLink, TaskBatchReply};
 use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
@@ -79,30 +79,41 @@ pub(crate) fn encode_image(image: &AlignmentImage, db: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes the wire form back into a recipe whose `prefetched` field
-/// carries the streamed database.
-pub(crate) fn decode_image(bytes: &[u8]) -> Result<AlignmentImage, WireError> {
-    let mut r = Reader::new(bytes);
+/// carries the streamed database, and validates it: the image bytes are
+/// covered by frame integrity only, not by the signed control message, so
+/// nothing in them is trusted to be what a headend would have sent.
+///
+/// Takes the buffer by value and keeps it: the database is the buffer's
+/// tail, moved to the front in place instead of copied out.
+pub(crate) fn decode_image(mut bytes: Vec<u8>) -> Result<AlignmentImage, WireError> {
+    // A value no `usize` holds saturates; as `db_len` or `k` it then
+    // fails validation below.
+    let size = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
+    let mut r = Reader::new(&bytes);
     let db_seed = r.u64()?;
-    let db_len = r.u64()? as usize;
-    let k = r.u64()? as usize;
+    let db_len = size(r.u64()?);
+    let k = size(r.u64()?);
     let scoring = Scoring {
         matched: r.i32()?,
         mismatch: r.i32()?,
         gap: r.i32()?,
     };
-    let window = r.u64()? as usize;
+    let window = size(r.u64()?);
     let min_score = r.i32()?;
-    let db = r.bytes()?.to_vec();
+    let shipped = r.bytes()?.len();
     r.finish()?;
-    Ok(AlignmentImage {
+    bytes.drain(..bytes.len() - shipped);
+    let image = AlignmentImage {
         db_seed,
         db_len,
         k,
         scoring,
         window,
         min_score,
-        prefetched: Some(Arc::new(db)),
-    })
+        prefetched: Some(Arc::new(bytes)),
+    };
+    image.validate().map_err(WireError::Protocol)?;
+    Ok(image)
 }
 
 // ---------------------------------------------------------------------
@@ -413,7 +424,10 @@ impl WireService for LiveWireService {
         while let Ok(msg) = self.bus_rx.try_recv() {
             match msg {
                 BusMsg::Control(b) => {
-                    let image = b.image.as_deref().map(|img| self.encoded_image(img));
+                    let image = b.image.map(|image| match image {
+                        WakeupImage::Recipe(recipe) => self.encoded_image(&recipe),
+                        WakeupImage::Encoded(bytes) => bytes,
+                    });
                     out.broadcast(WireMsg::Broadcast {
                         signed: b.signed,
                         image,
@@ -602,12 +616,7 @@ fn demux(link: &RemoteLink, bus_tx: &Sender<BusMsg>, msg: WireMsg) {
             }
         }
         WireMsg::Broadcast { signed, image } => {
-            // An image that fails to decode is treated like a wakeup
-            // without one: the node declines the instance and the next
-            // carousel pass retries.
-            let image = image
-                .and_then(|bytes| decode_image(&bytes).ok())
-                .map(Arc::new);
+            let image = image.map(WakeupImage::Encoded);
             let _ = bus_tx.send(BusMsg::Control(LiveBroadcast { signed, image }));
         }
         WireMsg::Shutdown => {
@@ -908,8 +917,7 @@ mod tests {
     fn image_round_trips_with_database_attached() {
         let img = AlignmentImage::small_demo();
         let db = random_sequence(img.db_len, img.db_seed);
-        let bytes = encode_image(&img, &db);
-        let back = decode_image(&bytes).expect("decodes");
+        let back = decode_image(encode_image(&img, &db)).expect("decodes");
         assert_eq!(back.db_seed, img.db_seed);
         assert_eq!(back.k, img.k);
         assert_eq!(back.scoring, img.scoring);
@@ -930,7 +938,174 @@ mod tests {
         let db = random_sequence(1000, 7);
         let mut bytes = encode_image(&img, &db);
         bytes.truncate(bytes.len() / 2);
-        assert!(decode_image(&bytes).is_err());
+        assert!(decode_image(bytes).is_err());
+    }
+
+    /// Recipes no node could index, each with a 1 000-base database
+    /// attached: word lengths outside 4..=31, and a `db_len` that is not
+    /// the shipped byte count.
+    fn unindexable_images() -> Vec<Vec<u8>> {
+        let db = random_sequence(1000, 7);
+        let recipe = |k: usize, db_len: usize| AlignmentImage {
+            k,
+            db_len,
+            ..AlignmentImage::small_demo()
+        };
+        [
+            recipe(0, 1000),
+            recipe(3, 1000),
+            recipe(32, 1000),
+            recipe(11, 999),
+        ]
+        .iter()
+        .map(|image| encode_image(image, &db))
+        .collect()
+    }
+
+    #[test]
+    fn decode_refuses_a_recipe_no_node_could_index() {
+        for bytes in unindexable_images() {
+            assert!(matches!(decode_image(bytes), Err(WireError::Protocol(_))));
+        }
+    }
+
+    /// A headend that acks hellos and heartbeats, airs `wakeups` once the
+    /// PNA has heartbeaten, and ends the plane when a task request shows
+    /// the PNA booted an instance.
+    struct AirWakeups {
+        wakeups: Vec<WireMsg>,
+        booted: Sender<oddci_types::InstanceId>,
+    }
+
+    impl WireService for AirWakeups {
+        fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
+            match msg {
+                WireMsg::Hello { .. } => out.send(
+                    conn,
+                    WireMsg::HelloAck {
+                        node: NodeId::new(0),
+                        epoch: 0,
+                    },
+                ),
+                WireMsg::Heartbeat { corr, .. } => {
+                    out.send(
+                        conn,
+                        WireMsg::HeartbeatReply {
+                            corr,
+                            reply: HeartbeatReply::Ack,
+                        },
+                    );
+                    for wakeup in self.wakeups.drain(..) {
+                        out.broadcast(wakeup);
+                    }
+                }
+                WireMsg::TaskRequest { instance, .. } => {
+                    let _ = self.booted.send(instance);
+                    out.broadcast(WireMsg::Shutdown);
+                    out.request_stop();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn wakeup_with_an_unindexable_recipe_leaves_the_pna_alive() {
+        use oddci_core::messages::{ControlMessage, SignedMessage, WakeupMessage};
+        use oddci_types::{DataSize, ImageId, InstanceId, MessageId, Probability};
+
+        let key = b"live-oddci-key";
+        let auth = oddci_crypto::MessageAuthenticator::from_key(key);
+        let wakeup = |n: u64, image: Vec<u8>| WireMsg::Broadcast {
+            signed: SignedMessage::sign(
+                ControlMessage::Wakeup(WakeupMessage {
+                    id: MessageId::new(n),
+                    instance: InstanceId::new(n),
+                    image: ImageId::new(n),
+                    image_size: DataSize::from_bytes(1000),
+                    probability: Probability::ALWAYS,
+                    requirements: Default::default(),
+                }),
+                &auth,
+            ),
+            image: Some(image),
+        };
+        // Every bad recipe first, then a good one: the PNA must still be
+        // there to boot it.
+        let good = AlignmentImage {
+            db_len: 1000,
+            ..AlignmentImage::small_demo()
+        };
+        let mut images = unindexable_images();
+        let bad = images.len() as u64;
+        images.push(encode_image(&good, &random_sequence(1000, 7)));
+        let wakeups = (0u64..).zip(images).map(|(n, i)| wakeup(n, i)).collect();
+
+        let (booted, booted_rx) = unbounded();
+        let mut server = oddci_wire::WireServer::bind(
+            "127.0.0.1:0".parse().expect("addr"),
+            oddci_wire::ServerConfig::new(Integrity::hmac(key)),
+            AirWakeups { wakeups, booted },
+        )
+        .expect("bind");
+        let mut cfg = WirePnaConfig::new(server.local_addr());
+        cfg.heartbeat_interval = Duration::from_millis(20);
+        cfg.telemetry = Telemetry::recording();
+        let tele = cfg.telemetry.clone();
+        let pna = std::thread::spawn(move || run_wire_pna(cfg));
+
+        let instance = booted_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the PNA survived the bad wakeups and booted the good one");
+        assert_eq!(instance, InstanceId::new(bad));
+        pna.join()
+            .expect("the node thread did not panic")
+            .expect("the PNA ran to shutdown");
+        assert!(server.stop());
+        assert_eq!(
+            tele.phase_events(Phase::PnaAccept),
+            bad + 1,
+            "every wakeup passed the signature and probability gates"
+        );
+        assert_eq!(tele.phase_events(Phase::DveBoot), 1, "only one was booted");
+    }
+
+    #[test]
+    fn reader_thread_hands_the_image_on_undecoded() {
+        use oddci_core::messages::{ControlMessage, ResetMessage, SignedMessage};
+        // Not an image at all: were the demultiplexer to decode it, the
+        // image would be gone from what the node receives.
+        let garbage = vec![0xAB; 100];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = WireClient::connect(
+            listener.local_addr().expect("addr"),
+            ClientConfig::new(Integrity::Crc32),
+        )
+        .expect("connects");
+        let link = RemoteLink::new(client, false, 0);
+        let (bus_tx, bus_rx) = unbounded();
+        let signed = SignedMessage::sign(
+            ControlMessage::Reset(ResetMessage {
+                id: oddci_types::MessageId::new(1),
+                instance: oddci_types::InstanceId::new(1),
+            }),
+            &oddci_crypto::MessageAuthenticator::from_key(b"k"),
+        );
+        demux(
+            &link,
+            &bus_tx,
+            WireMsg::Broadcast {
+                signed,
+                image: Some(garbage.clone()),
+            },
+        );
+        match bus_rx.try_recv() {
+            Ok(BusMsg::Control(LiveBroadcast {
+                image: Some(WakeupImage::Encoded(bytes)),
+                ..
+            })) => assert_eq!(bytes, garbage),
+            other => panic!("expected the encoded image on the bus, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! programming work with the same computational shape (database scan +
 //! local alignment), which is what matters for exercising the end-to-end
 //! OddCI path with real CPU load.
+//!
+//! Loading the database ([`BlastSearch::index`]) is the cheap part, as
+//! loading a program should be: two linear passes file every k-mer
+//! position into one flat bucket array, so a node that has received a
+//! 1 MB image spends tens of milliseconds starting it, not hundreds.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Alignment scoring parameters (defaults mirror `blastn`'s +1/−3 with a
 /// linear gap penalty of 5).
@@ -73,34 +79,127 @@ pub struct Hit {
     pub score: i32,
 }
 
+/// Word lengths [`BlastSearch::index`] accepts: a k-mer is packed two
+/// bits per base into a `u64`, and the rolling coder's mask needs the two
+/// top bits free.
+pub const WORD_LENGTHS: std::ops::RangeInclusive<usize> = 4..=31;
+
+/// Longest database [`BlastSearch::index`] accepts: positions are stored
+/// as `u32`.
+pub const MAX_DB_LEN: usize = u32::MAX as usize;
+
+/// Why [`BlastSearch::index`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexError {
+    /// The word length is outside [`WORD_LENGTHS`].
+    WordLength(usize),
+    /// The database is longer than [`MAX_DB_LEN`].
+    DatabaseTooLong(usize),
+}
+
+impl std::fmt::Display for IndexError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            IndexError::WordLength(k) => write!(
+                f,
+                "word length must be within {}..={} (got {k})",
+                WORD_LENGTHS.start(),
+                WORD_LENGTHS.end()
+            ),
+            IndexError::DatabaseTooLong(len) => write!(
+                f,
+                "database of {len} bases exceeds the {MAX_DB_LEN} the index can address"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IndexError {}
+
 /// A k-mer indexed database supporting BLAST-style seed-and-extend search.
+///
+/// The index is one counting-sorted bucket array: every position whose
+/// k-mer is all-ACGT is filed under a multiplicative hash of its packed
+/// code, `offsets[h]..offsets[h + 1]` delimits bucket `h` inside the two
+/// parallel arrays `keys` and `positions`, and within a bucket entries
+/// keep database order — so the positions of one k-mer come out ascending.
+/// No per-key allocation, 12 bytes per indexed position plus 4 per bucket.
 #[derive(Debug, Clone)]
 pub struct BlastSearch {
-    db: Vec<u8>,
+    db: Arc<Vec<u8>>,
     k: usize,
-    /// k-mer (packed 2-bit) → positions in `db`.
-    index: std::collections::HashMap<u64, Vec<u32>>,
+    /// `64 - log2(bucket count)`: the hash keeps the product's top bits.
+    shift: u32,
+    offsets: Vec<u32>,
+    keys: Vec<u64>,
+    positions: Vec<u32>,
     scoring: Scoring,
 }
 
 impl BlastSearch {
-    /// Indexes `db` with word length `k` (≤ 31 to pack into a u64).
-    pub fn index(db: Vec<u8>, k: usize, scoring: Scoring) -> Self {
-        assert!((4..=31).contains(&k), "word length must be in 4..=31");
-        let mut index: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
-        if db.len() >= k {
-            for i in 0..=db.len() - k {
-                if let Some(key) = pack(&db[i..i + k]) {
-                    index.entry(key).or_default().push(i as u32);
-                }
-            }
+    /// What [`index`](BlastSearch::index) checks before it builds, for a
+    /// caller who must refuse a recipe before the database exists.
+    pub fn check(db_len: usize, k: usize) -> Result<(), IndexError> {
+        if !WORD_LENGTHS.contains(&k) {
+            return Err(IndexError::WordLength(k));
         }
-        BlastSearch {
+        if db_len > MAX_DB_LEN {
+            return Err(IndexError::DatabaseTooLong(db_len));
+        }
+        Ok(())
+    }
+
+    /// Indexes `db` with word length `k`. The database is shared, not
+    /// copied, when the caller already holds it in an `Arc`.
+    ///
+    /// Two linear passes whatever the content: count k-mers per bucket,
+    /// prefix-sum the counts into offsets, then scatter `(key, position)`
+    /// pairs — a database that is one base repeated fills one bucket and
+    /// costs the same as a random one.
+    pub fn index(
+        db: impl Into<Arc<Vec<u8>>>,
+        k: usize,
+        scoring: Scoring,
+    ) -> Result<Self, IndexError> {
+        let db = db.into();
+        Self::check(db.len(), k)?;
+        // About one bucket per window, so a bucket holds about one key.
+        let windows = (db.len() + 1).saturating_sub(k);
+        let bits = windows.max(2).next_power_of_two().trailing_zeros();
+        let shift = u64::BITS - bits;
+
+        // Bucket `h` is counted two slots up, at `h + 2`. The prefix sum
+        // then leaves bucket `h`'s start in slot `h + 1`, the scatter
+        // advances that slot to the bucket's end — which is bucket
+        // `h + 1`'s start — and so ends with every start in its own slot.
+        let mut offsets = vec![0u32; (1usize << bits) + 2];
+        for (_, key) in kmers(&db, k) {
+            offsets[bucket_of(key, shift) + 2] += 1;
+        }
+        for h in 1..offsets.len() {
+            offsets[h] += offsets[h - 1];
+        }
+        let indexed = offsets[offsets.len() - 1] as usize;
+        let mut keys = vec![0u64; indexed];
+        let mut positions = vec![0u32; indexed];
+        for (pos, key) in kmers(&db, k) {
+            let slot = &mut offsets[bucket_of(key, shift) + 1];
+            keys[*slot as usize] = key;
+            // `pos < db.len() <= MAX_DB_LEN`, checked above.
+            positions[*slot as usize] = pos as u32;
+            *slot += 1;
+        }
+        offsets.pop();
+
+        Ok(BlastSearch {
             db,
             k,
-            index,
+            shift,
+            offsets,
+            keys,
+            positions,
             scoring,
-        }
+        })
     }
 
     /// The indexed database.
@@ -108,24 +207,25 @@ impl BlastSearch {
         &self.db
     }
 
+    /// Database positions whose k-mer packs to `key`, ascending.
+    fn positions_of(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+        let h = bucket_of(key, self.shift);
+        let bucket = self.offsets[h] as usize..self.offsets[h + 1] as usize;
+        self.keys[bucket.clone()]
+            .iter()
+            .zip(&self.positions[bucket])
+            .filter(move |&(&stored, _)| stored == key)
+            .map(|(_, &pos)| pos as usize)
+    }
+
     /// Finds seeds of `query` in the database, extends each in a window of
     /// `window` bases with Smith–Waterman, and returns hits scoring at
     /// least `min_score`, best first.
     pub fn search(&self, query: &[u8], window: usize, min_score: i32) -> Vec<Hit> {
         let mut hits = Vec::new();
-        if query.len() < self.k {
-            return hits;
-        }
         let mut seen = std::collections::HashSet::new();
-        for qpos in 0..=query.len() - self.k {
-            let Some(key) = pack(&query[qpos..qpos + self.k]) else {
-                continue;
-            };
-            let Some(positions) = self.index.get(&key) else {
-                continue;
-            };
-            for &dpos in positions {
-                let dpos = dpos as usize;
+        for (qpos, key) in kmers(query, self.k) {
+            for dpos in self.positions_of(key) {
                 // Deduplicate overlapping seeds extending to the same region.
                 let region = dpos / window.max(1);
                 if !seen.insert((region, qpos / window.max(1))) {
@@ -151,21 +251,44 @@ impl BlastSearch {
     }
 }
 
-/// Packs a DNA k-mer into 2 bits per base; `None` if it contains a
-/// non-ACGT byte.
-fn pack(kmer: &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    for &b in kmer {
-        let code = match b {
-            b'A' | b'a' => 0,
-            b'C' | b'c' => 1,
-            b'G' | b'g' => 2,
-            b'T' | b't' => 3,
-            _ => return None,
-        };
-        v = (v << 2) | code;
+/// Bucket of a packed k-mer in a table of `2^(64 - shift)` buckets:
+/// multiplicative hashing by 2^64 / φ, whose top bits mix every base.
+fn bucket_of(key: u64, shift: u32) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
+/// 2-bit code of a DNA base, either case; [`NOT_A_BASE`] for anything else
+/// (`N` and the other ambiguity codes included).
+const BASE_CODE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let bases = *b"ACGT";
+    let mut code = 0;
+    while code < 4 {
+        table[bases[code] as usize] = code as u8;
+        table[bases[code].to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
     }
-    Some(v)
+    table
+};
+const NOT_A_BASE: u8 = 4;
+
+/// Every window of `k` ACGT bases in `seq` as `(start, packed code)`, in
+/// order of `start`: a rolling coder shifts one base in per byte, and a
+/// non-ACGT byte restarts the run, so a window containing one is skipped.
+/// `k` must be within [`WORD_LENGTHS`].
+fn kmers(seq: &[u8], k: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+    let mask = (1u64 << (2 * k)) - 1;
+    let (mut code, mut run) = (0u64, 0usize);
+    seq.iter().enumerate().filter_map(move |(end, &byte)| {
+        let base = BASE_CODE[byte as usize];
+        if base == NOT_A_BASE {
+            run = 0;
+            return None;
+        }
+        code = ((code << 2) | u64::from(base)) & mask;
+        run += 1;
+        (run >= k).then(|| (end + 1 - k, code))
+    })
 }
 
 /// Generates a random DNA sequence of `len` bases (uppercase ACGT).
@@ -192,6 +315,163 @@ pub fn mutate(seq: &[u8], rate: f64, seed: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
+
+    /// The index this module shipped before the flat one, kept as the
+    /// oracle: a `HashMap` from packed k-mer to its positions, built by
+    /// re-packing `k` bytes at every offset, and the seed loop over it.
+    struct ReferenceSearch {
+        db: Vec<u8>,
+        k: usize,
+        index: HashMap<u64, Vec<u32>>,
+        scoring: Scoring,
+    }
+
+    impl ReferenceSearch {
+        fn index(db: Vec<u8>, k: usize, scoring: Scoring) -> Self {
+            let mut index: HashMap<u64, Vec<u32>> = HashMap::new();
+            if db.len() >= k {
+                for i in 0..=db.len() - k {
+                    if let Some(key) = pack(&db[i..i + k]) {
+                        index.entry(key).or_default().push(i as u32);
+                    }
+                }
+            }
+            ReferenceSearch {
+                db,
+                k,
+                index,
+                scoring,
+            }
+        }
+
+        fn search(&self, query: &[u8], window: usize, min_score: i32) -> Vec<Hit> {
+            let mut hits = Vec::new();
+            if query.len() < self.k {
+                return hits;
+            }
+            let mut seen = HashSet::new();
+            for qpos in 0..=query.len() - self.k {
+                let Some(key) = pack(&query[qpos..qpos + self.k]) else {
+                    continue;
+                };
+                let Some(positions) = self.index.get(&key) else {
+                    continue;
+                };
+                for &dpos in positions {
+                    let dpos = dpos as usize;
+                    let region = dpos / window.max(1);
+                    if !seen.insert((region, qpos / window.max(1))) {
+                        continue;
+                    }
+                    let dstart = dpos.saturating_sub(window / 2);
+                    let dend = (dpos + self.k + window / 2).min(self.db.len());
+                    let qstart = qpos.saturating_sub(window / 2);
+                    let qend = (qpos + self.k + window / 2).min(query.len());
+                    let score =
+                        smith_waterman(&query[qstart..qend], &self.db[dstart..dend], self.scoring);
+                    if score >= min_score {
+                        hits.push(Hit {
+                            db_pos: dpos,
+                            query_pos: qpos,
+                            score,
+                        });
+                    }
+                }
+            }
+            hits.sort_by(|x, y| y.score.cmp(&x.score).then(x.db_pos.cmp(&y.db_pos)));
+            hits
+        }
+    }
+
+    /// Packs a DNA k-mer into 2 bits per base; `None` if it contains a
+    /// non-ACGT byte.
+    fn pack(kmer: &[u8]) -> Option<u64> {
+        let mut v = 0u64;
+        for &b in kmer {
+            let code = match b {
+                b'A' | b'a' => 0,
+                b'C' | b'c' => 1,
+                b'G' | b'g' => 2,
+                b'T' | b't' => 3,
+                _ => return None,
+            };
+            v = (v << 2) | code;
+        }
+        Some(v)
+    }
+
+    fn index(db: impl Into<Arc<Vec<u8>>>, k: usize) -> BlastSearch {
+        BlastSearch::index(db, k, Scoring::default()).expect("valid word length")
+    }
+
+    /// A sequence built from the shapes the index must get right: random
+    /// ACGT, lowercase stretches, runs of one base, `N`s and stray bytes.
+    fn dna(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = TestRng::new(seed);
+        let mut seq = Vec::with_capacity(len);
+        while seq.len() < len {
+            let stretch = 1 + rng.index(40);
+            match rng.index(8) {
+                0 => seq.extend((0..stretch).map(|_| b"acgt"[rng.index(4)])),
+                1 => seq.extend(std::iter::repeat_n(b"ACGT"[rng.index(4)], stretch)),
+                2 => seq.push(b"NnRY-*\0"[rng.index(7)]),
+                _ => seq.extend((0..stretch).map(|_| b"ACGT"[rng.index(4)])),
+            }
+        }
+        seq.truncate(len);
+        seq
+    }
+
+    /// A query that shares seeds with `db`: a slice of it with a few
+    /// substitutions (some to `N`), or an unrelated sequence.
+    fn query_for(db: &[u8], seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = TestRng::new(seed);
+        if db.is_empty() || rng.index(4) == 0 {
+            return dna(seed, len);
+        }
+        let start = rng.index(db.len());
+        let mut query = db[start..(start + len).min(db.len())].to_vec();
+        for _ in 0..query.len() / 24 {
+            let at = rng.index(query.len());
+            query[at] = b"ACGTN"[rng.index(5)];
+        }
+        query
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The flat index answers every search exactly as the `HashMap`
+        /// index did: same hits, same order.
+        #[test]
+        fn search_equals_reference((db_seed, db_len) in (any::<u64>(), 0usize..1500),
+                                   (query_seed, query_len) in (any::<u64>(), 0usize..200),
+                                   k in WORD_LENGTHS,
+                                   window in prop_oneof![0usize..2, 2usize..20, 20usize..200],
+                                   min_score in -5i32..60) {
+            let db = dna(db_seed, db_len);
+            let query = query_for(&db, query_seed, query_len);
+            let flat = index(db.clone(), k);
+            let reference = ReferenceSearch::index(db, k, Scoring::default());
+            prop_assert_eq!(
+                flat.search(&query, window, min_score),
+                reference.search(&query, window, min_score)
+            );
+        }
+
+        /// The rolling coder yields exactly the windows `pack` accepts,
+        /// with `pack`'s codes.
+        #[test]
+        fn rolling_coder_equals_pack(seed in any::<u64>(), len in 0usize..300, k in WORD_LENGTHS) {
+            let seq = dna(seed, len);
+            let packed: Vec<(usize, u64)> = (0..(seq.len() + 1).saturating_sub(k))
+                .filter_map(|i| pack(&seq[i..i + k]).map(|key| (i, key)))
+                .collect();
+            prop_assert_eq!(kmers(&seq, k).collect::<Vec<_>>(), packed);
+        }
+    }
 
     #[test]
     fn sw_identical_sequences_score_full_length() {
@@ -246,7 +526,7 @@ mod tests {
         let mut db2 = db.clone();
         db2.splice(5000..5000, homolog.iter().copied());
 
-        let idx = BlastSearch::index(db2, 11, Scoring::default());
+        let idx = index(db2, 11);
         let hits = idx.search(&query, 100, 25);
         assert!(!hits.is_empty(), "homolog should be found");
         let best = hits[0];
@@ -261,7 +541,7 @@ mod tests {
     fn search_on_unrelated_query_finds_nothing_strong() {
         let db = random_sequence(10_000, 20);
         let query = random_sequence(100, 21);
-        let idx = BlastSearch::index(db, 12, Scoring::default());
+        let idx = index(db, 12);
         // A 12-mer exact seed between unrelated random sequences of this
         // size is vanishingly unlikely (10^4 * 89 / 4^12 ≈ 0.05).
         let hits = idx.search(&query, 64, 30);
@@ -270,15 +550,99 @@ mod tests {
 
     #[test]
     fn short_query_yields_no_hits() {
-        let idx = BlastSearch::index(random_sequence(1000, 30), 11, Scoring::default());
+        let idx = index(random_sequence(1000, 30), 11);
         assert!(idx.search(b"ACGT", 64, 1).is_empty());
     }
 
     #[test]
-    fn pack_rejects_ambiguity_codes() {
-        assert!(pack(b"ACGN").is_none());
-        assert_eq!(pack(b"AAAA"), Some(0));
-        assert_eq!(pack(b"ACGT"), Some(0b00_01_10_11));
+    fn word_length_outside_range_is_an_error() {
+        for k in [0, 3, 32, usize::MAX] {
+            assert_eq!(
+                BlastSearch::index(random_sequence(100, 1), k, Scoring::default()).err(),
+                Some(IndexError::WordLength(k)),
+            );
+        }
+        for k in [4, 31] {
+            assert!(BlastSearch::index(random_sequence(100, 1), k, Scoring::default()).is_ok());
+        }
+    }
+
+    #[test]
+    fn empty_and_short_databases_index_nothing() {
+        for db in [Vec::new(), b"ACGTACGTAC".to_vec()] {
+            let idx = index(db, 11);
+            assert!(idx.positions.is_empty());
+            assert!(idx.search(&random_sequence(100, 2), 64, 0).is_empty());
+        }
+    }
+
+    #[test]
+    fn longest_word_keeps_every_base_in_the_key() {
+        // At k = 31 the mask covers 62 bits: two 31-mers that differ only
+        // in their first base must stay distinct keys.
+        let tail = random_sequence(30, 40);
+        let mut db = b"A".to_vec();
+        db.extend(&tail);
+        db.push(b'N');
+        db.push(b'C');
+        db.extend(&tail);
+        let idx = index(db, 31);
+        let mut query = b"C".to_vec();
+        query.extend(&tail);
+        let hits = idx.search(&query, 64, 31);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!((hits[0].db_pos, hits[0].score), (32, 31));
+    }
+
+    #[test]
+    fn ambiguity_code_in_the_query_splits_its_seeds() {
+        let db = random_sequence(2000, 50);
+        let mut query = db[500..560].to_vec();
+        query[30] = b'N';
+        let idx = index(db.clone(), 11);
+        let hits = idx.search(&query, 0, 0);
+        // Windows 0..=19 and 31..=49 are clean; the eleven covering the N
+        // seed nothing.
+        assert!(hits.iter().all(|h| !(20..=30).contains(&h.query_pos)));
+        assert!(hits.iter().any(|h| h.query_pos == 19 && h.db_pos == 519));
+        assert!(hits.iter().any(|h| h.query_pos == 31 && h.db_pos == 531));
+        let reference = ReferenceSearch::index(db, 11, Scoring::default());
+        assert_eq!(hits, reference.search(&query, 0, 0));
+    }
+
+    #[test]
+    fn one_key_owning_every_position_builds_in_linear_time() {
+        // Poly-A: one bucket holds the whole database. Quadratic handling
+        // of that bucket would take minutes at this size.
+        let started = std::time::Instant::now();
+        let idx = index(vec![b'A'; 200_000], 11);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "took {:?}",
+            started.elapsed()
+        );
+        let all: Vec<usize> = idx.positions_of(0).collect();
+        assert_eq!(all, (0..=200_000 - 11).collect::<Vec<_>>());
+        assert_eq!(idx.positions_of(1).count(), 0);
+    }
+
+    #[test]
+    fn shared_database_is_not_copied() {
+        let db = Arc::new(random_sequence(1000, 60));
+        let idx = index(Arc::clone(&db), 11);
+        assert!(std::ptr::eq(idx.db().as_ptr(), db.as_ptr()));
+    }
+
+    #[test]
+    fn rolling_coder_rejects_ambiguity_codes() {
+        assert_eq!(kmers(b"ACGN", 4).count(), 0);
+        assert_eq!(kmers(b"AAAA", 4).collect::<Vec<_>>(), [(0, 0)]);
+        assert_eq!(kmers(b"ACGT", 4).collect::<Vec<_>>(), [(0, 0b00_01_10_11)]);
+        // Either case, and the run restarts after the N.
+        assert_eq!(
+            kmers(b"acNACGTa", 4).collect::<Vec<_>>(),
+            [(3, 0b00_01_10_11), (4, 0b01_10_11_00)]
+        );
     }
 
     #[test]

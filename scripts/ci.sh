@@ -2,10 +2,25 @@
 # CI gauntlet: build, test, formatting, lints. Run from anywhere; exits
 # non-zero on the first failure. Pass extra cargo flags (e.g. --offline)
 # via CARGO_FLAGS.
+#
+#   --bench   after every other gate, take a fresh benchmark set (seed 7,
+#             ~14 minutes) and compare it with the newest committed
+#             BENCH_<n>.json; any `worse` row fails the run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:-}
+
+BENCH=0
+for arg in "$@"; do
+    case "${arg}" in
+        --bench) BENCH=1 ;;
+        *)
+            echo "usage: scripts/ci.sh [--bench]" >&2
+            exit 2
+            ;;
+    esac
+done
 
 # Smoke artifacts are gitignored; remove them even when a gate between
 # their creation and the explicit cleanup fails. PNA processes from the
@@ -23,7 +38,8 @@ cleanup() {
         results/ci-failover-primary.json results/ci-failover-standby.json \
         results/ci-failover-pna-201.json results/ci-failover-pna-202.json \
         results/ci-failover-pna-203.json
-    rm -rf results/ci-failover-snap
+    rm -rf results/ci-failover-snap benchmark/out/ci-bench.json \
+        benchmark/out/ci-bench.txt
 }
 trap cleanup EXIT
 
@@ -244,5 +260,31 @@ missing = sorted({f for f in re.findall(r"--[a-z][a-z0-9-]*", ops) if f not in k
 assert not missing, f"OPERATIONS.md documents flags `oddci help` does not know: {missing}"
 print(f"    docs: every OPERATIONS.md flag appears in `oddci help`")
 EOF
+
+# Benchmark gate (opt-in): a fresh set against the committed baseline.
+# `compare` exits 1 on a `worse` row or a larger failed share and 2 on
+# sets that are not comparable. An `unresolved` row is not a failure of
+# the gate, but a PR that claims that row has not shown its claim, so
+# those rows are repeated under their own heading where they cannot be
+# missed in the table.
+if [ "${BENCH}" -eq 1 ]; then
+    baseline=$(ls BENCH_*.json | sort -V | tail -n 1)
+    bench() {
+        cargo run -q --release ${CARGO_FLAGS} --manifest-path benchmark/Cargo.toml -- "$@"
+    }
+    echo "==> benchmark gate: fresh set (seed 7) against ${baseline}"
+    bench run --seed 7 --out benchmark/out/ci-bench.json
+    verdict=0
+    bench compare "${baseline}" benchmark/out/ci-bench.json \
+        | tee benchmark/out/ci-bench.txt || verdict=$?
+    if grep -q ' unresolved$' benchmark/out/ci-bench.txt; then
+        echo "==> unresolved rows (a gain claimed on one of these is not shown):"
+        grep ' unresolved$' benchmark/out/ci-bench.txt
+    fi
+    if [ "${verdict}" -ne 0 ]; then
+        echo "==> benchmark gate failed against ${baseline} (exit ${verdict})" >&2
+        exit "${verdict}"
+    fi
+fi
 
 echo "==> CI green"
