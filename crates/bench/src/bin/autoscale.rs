@@ -110,7 +110,7 @@ fn main() {
         faults: FaultPlan::parse("airtime-revoked=1.0@3.0..3.3").expect("valid plan"),
         mode: HeadendMode::Sharded {
             shards: 2,
-            dispatch: 2,
+            dispatch: 1,
             batch: 4,
         },
         autoscale: Some(policy),

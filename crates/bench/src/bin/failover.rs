@@ -213,7 +213,7 @@ fn live_failover(interval_ms: u64) -> LiveRow {
         mode: HeadendMode::Socket {
             listen,
             shards: 2,
-            dispatch: 2,
+            dispatch: 1,
             batch: 4,
         },
         snapshot_dir: Some(dir.clone()),

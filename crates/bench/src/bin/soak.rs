@@ -2,9 +2,10 @@
 //!
 //! Runs the same soak job (8 receiver threads, 40 000 cheap index-scan
 //! tasks) against the headend's one-task-per-fetch baseline point
-//! (1 shard, 1 dispatch worker, batch 1) and at 1/2/4/8 controller shards
-//! with the full dispatch pool and batch, and records throughput for each
-//! configuration plus the per-phase latency breakdown of the 8-shard run.
+//! (1 shard, batch 1) and at 1/2/4/8 controller shards with batches of
+//! 64, and records throughput for each configuration plus the per-phase
+//! latency breakdown of the 8-shard run. Fetches and results run on the
+//! node threads themselves, so shards and batch are the whole geometry.
 //!
 //! Tasks are deliberately light (16-base random queries against a 400-base
 //! database — a handful of k-mer lookups each) so the measurement is
@@ -59,7 +60,6 @@ use std::time::Duration;
 
 const NODES: u64 = 8;
 const TASKS: u64 = 40_000;
-const DISPATCH: usize = 4;
 const BATCH: usize = 64;
 const SEED: u64 = 2024;
 /// Runs per configuration; the best is kept (see module docs).
@@ -77,7 +77,6 @@ const SWEEP_IMAGE_MB: u64 = 2;
 struct Row {
     mode: String,
     shards: usize,
-    dispatch: usize,
     batch: usize,
     nodes: u64,
     tasks: u64,
@@ -119,18 +118,12 @@ fn soak_once(mode: HeadendMode, sink: Option<Arc<StreamingSink>>) -> (Row, Telem
     let makespan = outcome.report.makespan.as_secs_f64();
     // The X8 soak drives the in-process plane only; the socket-backed
     // plane has its own experiment (X10, `bin/wire.rs`).
-    let HeadendMode::Sharded {
-        shards,
-        dispatch,
-        batch,
-    } = mode
-    else {
+    let HeadendMode::Sharded { shards, batch, .. } = mode else {
         unreachable!("soak never runs the socket headend")
     };
     let row = Row {
         mode: "sharded".to_string(),
         shards,
-        dispatch,
         batch,
         nodes: NODES,
         tasks: TASKS,
@@ -208,28 +201,21 @@ fn mean_secs(durs: &[u64]) -> f64 {
 }
 
 /// X8 once more with a streaming sink attached: one lane per headend
-/// thread (carousel + 8 shards + 4 dispatchers), node traffic spread
-/// across them. With default lane capacity nothing may be dropped, so
-/// the on-disk trace is the *complete* event record of the run — unlike
-/// the ring, which holds at most its capacity — and the wakeup summary
-/// in the metrics artifact is computed from it.
+/// thread (carousel + 8 shards), node traffic spread across them. With
+/// default lane capacity nothing may be dropped, so the on-disk trace is
+/// the *complete* event record of the run — unlike the ring, which holds
+/// at most its capacity — and the wakeup summary in the metrics artifact
+/// is computed from it.
 fn streamed_soak() -> (Row, serde_json::Value, Vec<Event>) {
     let path = results_dir().join("soak.trace.bin");
     let sink = StreamingSink::builder(&path)
-        .lanes(1 + 8 + DISPATCH)
+        .lanes(1 + 8)
         .meta("scenario", "soak")
         .meta("seed", SEED.to_string())
         .meta("plane", "live")
         .start()
         .expect("open soak trace stream");
-    let (row, tele) = soak_once(
-        HeadendMode::Sharded {
-            shards: 8,
-            dispatch: DISPATCH,
-            batch: BATCH,
-        },
-        Some(sink.clone()),
-    );
+    let (row, tele) = soak_once(sharded(8, BATCH), Some(sink.clone()));
     let summary = sink.finish().expect("soak trace stream closes");
     let stats = summary.stats;
     assert_eq!(
@@ -466,38 +452,38 @@ fn streamed_sweep() -> serde_json::Value {
     })
 }
 
+/// The in-process headend at `shards` × `batch` (its `dispatch` field is
+/// ignored).
+fn sharded(shards: usize, batch: usize) -> HeadendMode {
+    HeadendMode::Sharded {
+        shards,
+        dispatch: 1,
+        batch,
+    }
+}
+
 fn main() {
     header("X8 — live headend soak: throughput vs shard count");
-    println!(
-        "{NODES} receiver threads, {TASKS} tasks, dispatch {DISPATCH}, batch {BATCH}, best of {REPS}\n"
-    );
+    println!("{NODES} receiver threads, {TASKS} tasks, batch {BATCH}, best of {REPS}\n");
 
-    // The one-task-per-fetch baseline: every heartbeat, fetch and result
-    // serializes behind one shard and one dispatch worker.
-    let (baseline, _) = soak_best(HeadendMode::Sharded {
-        shards: 1,
-        dispatch: 1,
-        batch: 1,
-    });
+    // The one-task-per-fetch baseline: every heartbeat serializes behind
+    // one shard, and every task costs a fetch and an upload.
+    let (baseline, _) = soak_best(sharded(1, 1));
     let mut rows = vec![baseline.clone()];
     let mut eight_shard: Option<(Row, Telemetry)> = None;
     for shards in [1usize, 2, 4, 8] {
-        let (row, tele) = soak_best(HeadendMode::Sharded {
-            shards,
-            dispatch: DISPATCH,
-            batch: BATCH,
-        });
+        let (row, tele) = soak_best(sharded(shards, BATCH));
         if shards == 8 {
             eight_shard = Some((row.clone(), tele));
         }
         rows.push(row);
     }
 
-    println!("  shards/dispatch/batch  makespan   tasks/s   vs baseline");
+    println!("  shards/batch  makespan   tasks/s   vs baseline");
     for row in &rows {
         println!(
-            "  {:<21} {:>8.3}s {:>9.0}   {:>6.2}x",
-            format!("{}/{}/{}", row.shards, row.dispatch, row.batch),
+            "  {:<12} {:>8.3}s {:>9.0}   {:>6.2}x",
+            format!("{}/{}", row.shards, row.batch),
             row.makespan_secs,
             row.throughput_tasks_per_sec,
             row.throughput_tasks_per_sec / baseline.throughput_tasks_per_sec
@@ -506,7 +492,7 @@ fn main() {
 
     let (best8, tele8) = eight_shard.expect("8-shard config ran");
     let speedup = best8.throughput_tasks_per_sec / baseline.throughput_tasks_per_sec;
-    println!("\n  8-shard speedup over the 1/1/1 baseline: {speedup:.2}x");
+    println!("\n  8-shard speedup over the 1/1 baseline: {speedup:.2}x");
 
     let phases = tele8.phase_breakdown();
     println!("\n  per-phase breakdown (8 shards):");
@@ -521,7 +507,7 @@ fn main() {
     }
 
     // Shape checks: every configuration accounted for every task, and the
-    // headend at 8 shards with batching clears 2x the 1/1/1 baseline.
+    // headend at 8 shards with batching clears 2x the 1/1 baseline.
     for row in &rows {
         assert_eq!(
             row.tasks_unaccounted, 0,
@@ -531,7 +517,7 @@ fn main() {
     }
     assert!(
         speedup >= 2.0,
-        "8-shard throughput {:.0} is below 2x the 1/1/1 baseline {:.0}",
+        "8-shard throughput {:.0} is below 2x the 1/1 baseline {:.0}",
         best8.throughput_tasks_per_sec,
         baseline.throughput_tasks_per_sec
     );

@@ -31,7 +31,6 @@ use std::time::Duration;
 const NODES: u64 = 4;
 const TASKS: u64 = 4_000;
 const SHARDS: usize = 2;
-const DISPATCH: usize = 2;
 const BATCH: usize = 16;
 const SEED: u64 = 2025;
 /// Database bytes in the wakeup image: comfortably above one 16 KiB
@@ -74,7 +73,7 @@ fn in_process_once() -> Row {
         seed: SEED,
         mode: HeadendMode::Sharded {
             shards: SHARDS,
-            dispatch: DISPATCH,
+            dispatch: 1,
             batch: BATCH,
         },
         ..Default::default()
@@ -105,7 +104,7 @@ fn socket_once() -> Row {
         mode: HeadendMode::Socket {
             listen: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
             shards: SHARDS,
-            dispatch: DISPATCH,
+            dispatch: 1,
             batch: BATCH,
         },
         ..Default::default()
@@ -176,7 +175,7 @@ fn best_of(run: impl Fn() -> Row) -> Row {
 fn main() {
     header("X10 — the wire tax: in-process vs socket-backed live plane");
     println!(
-        "{NODES} PNAs, {TASKS} tasks, {SHARDS} shards / {DISPATCH} dispatch / batch {BATCH}, \
+        "{NODES} PNAs, {TASKS} tasks, {SHARDS} shards / batch {BATCH}, \
          {DB_LEN}-byte image, best of {REPS}\n"
     );
 

@@ -3,10 +3,10 @@
 //! # oddci-check — concurrency correctness tooling for the OddCI stack
 //!
 //! The live plane is genuinely concurrent: a carousel thread, N controller
-//! shards with per-shard heartbeat ledgers, a dispatch pool and a
-//! streaming-sink writer thread all share state through channels, atomics
-//! and locks. This crate is the machine-checked discipline behind that
-//! concurrency, in three layers:
+//! shards with per-shard heartbeat ledgers, node and serving threads that
+//! dispatch under the hub lock, and streaming-sink writer threads all
+//! share state through channels, atomics and locks. This crate is the
+//! machine-checked discipline behind that concurrency, in three layers:
 //!
 //! 1. **An instrumented sync shim** ([`sync`]): drop-in `Mutex` /
 //!    `RwLock` / `Monitor` / channel wrappers the whole workspace uses

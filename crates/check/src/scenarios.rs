@@ -8,9 +8,9 @@
 //!   interleaving within its bound;
 //! * a **known-buggy** variant encoding a tempting-but-wrong
 //!   simplification (ignore closed-channel sends, check-then-act outside
-//!   the hub lock, treat a transient-empty queue as drained, tear an
-//!   atomic stats snapshot) — the explorer must *find* the failure, and
-//!   the discovered schedule string replays deterministically.
+//!   the hub lock, tear an atomic stats snapshot) — the explorer must
+//!   *find* the failure, and the discovered schedule string replays
+//!   deterministically.
 //!
 //! The buggy variants are not dead weight: `oddci check model` runs them
 //! as sensitivity checks (a detector that stops catching them has
@@ -218,88 +218,6 @@ pub fn heartbeat_vs_recompose(sp: &mut Spawner) {
 /// removed node in the ledger.
 pub fn heartbeat_vs_recompose_toctou(sp: &mut Spawner) {
     heartbeat_recompose_model(sp, false);
-}
-
-// --------------------------------------------------------- dispatcher drain
-
-struct DrainModel {
-    dispatch: Arc<ModelChannel<u64>>,
-    completed: Arc<ModelAtomic>,
-    submit_done: Arc<ModelChannel<()>>,
-    worker_done: Arc<ModelChannel<()>>,
-}
-
-impl DrainModel {
-    fn new() -> Self {
-        DrainModel {
-            dispatch: Arc::new(ModelChannel::new("dispatch", 0)),
-            completed: Arc::new(ModelAtomic::new("completed", 0)),
-            submit_done: Arc::new(ModelChannel::new("submit_done", 0)),
-            worker_done: Arc::new(ModelChannel::new("worker_done", 0)),
-        }
-    }
-}
-
-fn dispatcher_drain_model(sp: &mut Spawner, block_until_closed: bool) {
-    let m = Arc::new(DrainModel::new());
-
-    let s = Arc::clone(&m);
-    sp.spawn("submitter", move |ctx| {
-        for task in 0..EVENTS {
-            s.dispatch.send(&ctx, task).expect("open while submitting");
-        }
-        s.submit_done.send(&ctx, ()).expect("shutdown is waiting");
-    });
-
-    for wid in 0..2 {
-        let w = Arc::clone(&m);
-        sp.spawn(&format!("worker-{wid}"), move |ctx| {
-            if block_until_closed {
-                // Correct drain: block for work until the channel is both
-                // closed and empty.
-                while w.dispatch.recv(&ctx).is_ok() {
-                    w.completed.fetch_add(&ctx, 1);
-                }
-            } else {
-                // Buggy variant: a transient-empty queue is mistaken for
-                // a drained one and the worker exits early.
-                while let Ok(Some(_)) = w.dispatch.try_recv(&ctx) {
-                    w.completed.fetch_add(&ctx, 1);
-                }
-            }
-            w.worker_done.send(&ctx, ()).expect("verifier is waiting");
-        });
-    }
-
-    let sh = Arc::clone(&m);
-    sp.spawn("shutdown", move |ctx| {
-        sh.submit_done.recv(&ctx).expect("submitter finishes");
-        sh.dispatch.close(&ctx);
-    });
-
-    let v = Arc::clone(&m);
-    sp.spawn("verifier", move |ctx| {
-        v.worker_done.recv(&ctx).expect("worker 0 finishes");
-        v.worker_done.recv(&ctx).expect("worker 1 finishes");
-        let done = v.completed.load(&ctx);
-        assert_eq!(
-            done, EVENTS,
-            "drain lost tasks: completed {done} of {EVENTS}"
-        );
-    });
-}
-
-/// Correct drain: workers block on the dispatch channel until it is
-/// closed *and* empty, so every submitted task is completed.
-pub fn dispatcher_drain(sp: &mut Spawner) {
-    dispatcher_drain_model(sp, true);
-}
-
-/// Buggy variant: workers poll and treat a momentarily-empty queue as
-/// drained, so schedules that run workers before the submitter strand
-/// tasks.
-pub fn dispatcher_drain_hasty(sp: &mut Spawner) {
-    dispatcher_drain_model(sp, false);
 }
 
 // ---------------------------------------------------- sink stats snapshot
@@ -732,16 +650,6 @@ pub static ALL: &[Scenario] = &[
     Scenario {
         name: "heartbeat-vs-recompose-toctou",
         setup: heartbeat_vs_recompose_toctou,
-        expect_clean: false,
-    },
-    Scenario {
-        name: "dispatcher-drain",
-        setup: dispatcher_drain,
-        expect_clean: true,
-    },
-    Scenario {
-        name: "dispatcher-drain-hasty",
-        setup: dispatcher_drain_hasty,
         expect_clean: false,
     },
     Scenario {

@@ -737,13 +737,12 @@ pub fn live(p: &Parsed) -> Result<String, ArgError> {
 ///
 /// Runs one alignment job with a deliberately small database so each task
 /// is cheap: throughput is then dominated by headend round trips, which is
-/// exactly what the headend's shard/dispatch/batch geometry changes.
+/// exactly what the headend's shard/batch geometry changes.
 pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
     use oddci_telemetry::Telemetry;
 
     let shards: usize = p.num("shards", 4)?;
-    let dispatch: usize = p.num("dispatch", shards.clamp(1, 4))?;
     let batch: usize = p.num("batch", 16)?;
     let nodes: u64 = p.num("nodes", 8)?;
     let queries: u64 = p.num("queries", 512)?;
@@ -751,7 +750,7 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     let seed: u64 = p.num("seed", 42)?;
     let mode = HeadendMode::Sharded {
         shards,
-        dispatch,
+        dispatch: 1,
         batch,
     };
     // Degenerate pool sizes (`--shards 0`, oversized batches, …) must be
@@ -776,13 +775,13 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     let work: Vec<std::sync::Arc<Vec<u8>>> = (0..queries)
         .map(|i| std::sync::Arc::new(random_sequence(16, seed ^ i)))
         .collect();
-    // One sink lane per headend thread (carousel + shards + dispatch)
-    // so their trace offers never contend; see ShardedHeadend::start.
+    // One sink lane per headend thread (carousel + shards) so their
+    // trace offers never contend; see ShardedHeadend::start.
     let lane_capacity = lane_capacity_arg(p)?;
     let sink = match p.get("trace-out") {
         Some(path) => Some(open_stream_sink(
             path,
-            1 + shards + dispatch,
+            1 + shards,
             lane_capacity,
             "soak",
             seed,
@@ -822,7 +821,6 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
         let mut v = serde_json::json!({
             "mode": "sharded",
             "shards": shards,
-            "dispatch": dispatch,
             "batch": batch,
             "nodes": nodes,
             "queries": queries,
@@ -861,7 +859,7 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "  headend     : sharded ({shards} shards, {dispatch} dispatch, batch {batch})"
+        "  headend     : sharded ({shards} shards, batch {batch})"
     );
     let _ = writeln!(out, "  makespan    : {:.3}s", makespan);
     let _ = writeln!(out, "  throughput  : {throughput:.1} tasks/s");
@@ -1054,7 +1052,7 @@ fn headend_config(
     let mode = HeadendMode::Socket {
         listen,
         shards: p.num("shards", 2)?,
-        dispatch: p.num("dispatch", 2)?,
+        dispatch: 1,
         batch: p.num("batch", 8)?,
     };
     mode.validate().map_err(ArgError)?;
@@ -1516,7 +1514,7 @@ pub fn failover(p: &Parsed) -> Result<String, ArgError> {
         mode: HeadendMode::Socket {
             listen,
             shards: 2,
-            dispatch: 2,
+            dispatch: 1,
             batch: 4,
         },
         snapshot_dir: Some(dir.clone()),
@@ -1772,7 +1770,7 @@ pub fn autoscale(p: &Parsed) -> Result<String, ArgError> {
         mode: HeadendMode::Socket {
             listen,
             shards: 2,
-            dispatch: 2,
+            dispatch: 1,
             batch: 4,
         },
         autoscale: Some(policy),

@@ -129,12 +129,12 @@ const COMMANDS: &[(&str, Handler, &str)] = &[
     (
         "soak",
         commands::soak,
-        "shards dispatch batch nodes queries target seed trace-out lane-capacity json",
+        "shards batch nodes queries target seed trace-out lane-capacity json",
     ),
     (
         "headend",
         commands::headend,
-        "listen pnas queries target shards dispatch batch db-len seed timeout metrics-out \
+        "listen pnas queries target shards batch db-len seed timeout metrics-out \
          metrics-interval-ms snapshot-dir snapshot-interval-ms standby min-instances \
          max-instances slo-queue-depth cooldown-ms json",
     ),
@@ -223,7 +223,6 @@ COMMANDS:
                   --target N       instance size           [3]
     soak        stress the live headend and report task throughput
                   --shards N       controller shards, 1..=64   [4]
-                  --dispatch N     dispatch workers, 1..=64    [min(shards,4)]
                   --batch N        tasks per fetch, 1..=1024   [16]
                   --nodes N        receiver threads            [8]
                   --queries N      tasks in the soak job       [512]
@@ -242,7 +241,6 @@ COMMANDS:
                   --queries N      alignment queries           [8]
                   --target N       instance size               [min(pnas,3)]
                   --shards N       controller shards           [2]
-                  --dispatch N     dispatch workers            [2]
                   --batch N        tasks per fetch             [8]
                   --db-len N       database bytes in the image [20000]
                   --seed S         run seed                    [42]

@@ -21,13 +21,67 @@ pub enum TaskOutcome {
     Drained,
 }
 
+/// The completed-task ledger of one job: a flag per task, indexed by
+/// [`TaskId::index`] (a job's task ids are `0..tasks.len()`), and how
+/// many flags are set. It grows with the job, so it is a vector and not
+/// a tree: a completion is one store, not a B-tree insert.
+#[derive(Debug)]
+struct Completed {
+    done: Vec<bool>,
+    count: usize,
+}
+
+impl Completed {
+    fn new(tasks: usize) -> Completed {
+        Completed {
+            done: vec![false; tasks],
+            count: 0,
+        }
+    }
+
+    /// `ids` marked done in a ledger of `tasks` flags. An id outside the
+    /// job names no task, so it is dropped.
+    fn from_ids(tasks: usize, ids: impl IntoIterator<Item = TaskId>) -> Completed {
+        let mut completed = Completed::new(tasks);
+        for task in ids {
+            completed.insert(task);
+        }
+        completed
+    }
+
+    fn contains(&self, task: TaskId) -> bool {
+        self.done.get(task.index()).copied().unwrap_or(false)
+    }
+
+    /// Marks `task` done; a repeat or an id outside the job changes
+    /// nothing.
+    fn insert(&mut self, task: TaskId) {
+        if let Some(flag) = self.done.get_mut(task.index()) {
+            self.count += usize::from(!*flag);
+            *flag = true;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Completed ids in ascending order (the snapshot's order).
+    fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+        (0u64..)
+            .zip(&self.done)
+            .filter(|(_, &done)| done)
+            .map(|(i, _)| TaskId::new(i))
+    }
+}
+
 #[derive(Debug)]
 struct JobState {
     job: Job,
     pending: VecDeque<TaskId>,
     assigned: BTreeMap<TaskId, NodeId>,
     node_task: BTreeMap<NodeId, BTreeSet<TaskId>>,
-    completed: BTreeSet<TaskId>,
+    completed: Completed,
     submitted_at: SimTime,
     completed_at: Option<SimTime>,
     /// Tasks re-queued after node loss (accounting).
@@ -44,7 +98,7 @@ impl JobState {
         let mut recycled = 0;
         for task in tasks {
             self.assigned.remove(&task);
-            if !self.completed.contains(&task) {
+            if !self.completed.contains(task) {
                 self.pending.push_front(task);
                 self.requeues += 1;
                 recycled += 1;
@@ -104,11 +158,11 @@ impl Backend {
         self.jobs.insert(
             job.id,
             JobState {
+                completed: Completed::new(job.tasks.len()),
                 job,
                 pending,
                 assigned: BTreeMap::new(),
                 node_task: BTreeMap::new(),
-                completed: BTreeSet::new(),
                 submitted_at: now,
                 completed_at: None,
                 requeues: 0,
@@ -134,10 +188,10 @@ impl Backend {
     /// A node asks for up to `max` tasks of `job` in one round trip.
     ///
     /// The batched form of [`fetch_task`](Self::fetch_task), used by the
-    /// sharded live headend's dispatch pool to amortize per-task channel
-    /// round trips. The same stale-assignment rule applies: any task the
-    /// Backend still believes this node holds is re-queued before the new
-    /// batch is cut. An empty vec means the job is drained.
+    /// live headend to amortize per-task round trips. The same
+    /// stale-assignment rule applies: any task the Backend still believes
+    /// this node holds is re-queued before the new batch is cut. An empty
+    /// vec means the job is drained.
     pub fn fetch_batch(&mut self, job: JobId, node: NodeId, max: usize) -> Result<Vec<Task>> {
         let state = self.jobs.get_mut(&job).ok_or(OddciError::UnknownJob(job))?;
         state.recycle_node(node);
@@ -169,7 +223,7 @@ impl Backend {
             // loss declaration (it came back): accept the work anyway if
             // the task is still open, else drop the duplicate.
             _ => {
-                if state.completed.contains(&task) {
+                if state.completed.contains(task) {
                     return Ok(state.completed_at.is_some());
                 }
                 if task.index() >= state.job.tasks.len() {
@@ -234,6 +288,16 @@ impl Backend {
         self.jobs.get(&job).map_or(0, |s| s.assigned.len() as u64)
     }
 
+    /// Pending (unassigned) tasks summed over every open job: the
+    /// Backend queue depth, without collecting [`open_jobs`](Self::open_jobs).
+    pub fn pending_total(&self) -> u64 {
+        self.jobs
+            .values()
+            .filter(|s| s.completed_at.is_none())
+            .map(|s| s.pending.len() as u64)
+            .sum()
+    }
+
     /// Accounting check for shutdown barriers: how many of `job`'s tasks
     /// are in **no** ledger — neither pending, assigned to a node, nor
     /// completed. Any bookkeeping bug (a task orphaned by a lost node
@@ -243,10 +307,13 @@ impl Backend {
         let Some(s) = self.jobs.get(&job) else {
             return 0;
         };
-        let mut accounted: BTreeSet<TaskId> = s.completed.clone();
-        accounted.extend(s.pending.iter().copied());
-        accounted.extend(s.assigned.keys().copied());
-        s.job.tasks.len() as u64 - accounted.len() as u64
+        let mut accounted = s.completed.done.clone();
+        for task in s.pending.iter().chain(s.assigned.keys()) {
+            if let Some(flag) = accounted.get_mut(task.index()) {
+                *flag = true;
+            }
+        }
+        accounted.iter().filter(|&&flag| !flag).count() as u64
     }
 
     /// Tasks re-queued after node losses.
@@ -283,7 +350,7 @@ impl Backend {
                     job: s.job.clone(),
                     pending: s.pending.iter().copied().collect(),
                     assigned: s.assigned.iter().map(|(&t, &n)| (t, n)).collect(),
-                    completed: s.completed.iter().copied().collect(),
+                    completed: s.completed.iter().collect(),
                     submitted_age: now.since(s.submitted_at),
                     completed_age: s.completed_at.map(|t| now.since(t)),
                     requeues: s.requeues,
@@ -315,7 +382,7 @@ impl Backend {
                         pending: e.pending.into_iter().collect(),
                         assigned: e.assigned.into_iter().collect(),
                         node_task,
-                        completed: e.completed.into_iter().collect(),
+                        completed: Completed::from_ids(e.job.tasks.len(), e.completed),
                         submitted_at: now.saturating_sub(e.submitted_age),
                         completed_at: e.completed_age.map(|age| now.saturating_sub(age)),
                         requeues: e.requeues,
@@ -627,5 +694,274 @@ mod tests {
             .complete_task(j, t.id, NodeId::new(1), SimTime::from_secs(70))
             .unwrap();
         assert_eq!(adopted.makespan(j), Some(SimDuration::from_secs(60)));
+    }
+
+    #[test]
+    fn pending_total_is_the_queue_depth() {
+        let mut b = Backend::new();
+        b.register_job(job(3), SimTime::ZERO);
+        let j = JobId::new(1);
+        assert_eq!(b.pending_total(), 3);
+        assert_eq!(b.fetch_batch(j, NodeId::new(1), 2).unwrap().len(), 2);
+        assert_eq!(b.pending_total(), 1);
+        b.node_lost(NodeId::new(1));
+        assert_eq!(b.pending_total(), 3);
+        for t in b.fetch_batch(j, NodeId::new(2), 3).unwrap() {
+            b.complete_task(j, t.id, NodeId::new(2), SimTime::ZERO)
+                .unwrap();
+        }
+        assert!(b.is_complete(j));
+        assert_eq!(b.pending_total(), 0);
+    }
+
+    /// The completed ledger as it was before it became a dense vector: a
+    /// `BTreeSet`, with the Backend operations that read or write it.
+    /// The oracle the dense ledger is checked against.
+    mod reference {
+        use super::*;
+
+        struct RefJob {
+            job: Job,
+            pending: VecDeque<TaskId>,
+            assigned: BTreeMap<TaskId, NodeId>,
+            node_task: BTreeMap<NodeId, BTreeSet<TaskId>>,
+            completed: BTreeSet<TaskId>,
+            submitted_at: SimTime,
+            completed_at: Option<SimTime>,
+            requeues: u64,
+        }
+
+        impl RefJob {
+            fn recycle_node(&mut self, node: NodeId) -> u64 {
+                let Some(tasks) = self.node_task.remove(&node) else {
+                    return 0;
+                };
+                let mut recycled = 0;
+                for task in tasks {
+                    self.assigned.remove(&task);
+                    if !self.completed.contains(&task) {
+                        self.pending.push_front(task);
+                        self.requeues += 1;
+                        recycled += 1;
+                    }
+                }
+                recycled
+            }
+        }
+
+        #[derive(Default)]
+        pub(super) struct RefBackend {
+            jobs: BTreeMap<JobId, RefJob>,
+        }
+
+        impl RefBackend {
+            pub(super) fn register_job(&mut self, job: Job, now: SimTime) {
+                let pending = job.tasks.iter().map(|t| t.id).collect();
+                self.jobs.insert(
+                    job.id,
+                    RefJob {
+                        job,
+                        pending,
+                        assigned: BTreeMap::new(),
+                        node_task: BTreeMap::new(),
+                        completed: BTreeSet::new(),
+                        submitted_at: now,
+                        completed_at: None,
+                        requeues: 0,
+                    },
+                );
+            }
+
+            pub(super) fn fetch_batch(
+                &mut self,
+                job: JobId,
+                node: NodeId,
+                max: usize,
+            ) -> Result<Vec<Task>> {
+                let state = self.jobs.get_mut(&job).ok_or(OddciError::UnknownJob(job))?;
+                state.recycle_node(node);
+                let mut batch = Vec::new();
+                while batch.len() < max {
+                    let Some(task_id) = state.pending.pop_front() else {
+                        break;
+                    };
+                    state.assigned.insert(task_id, node);
+                    state.node_task.entry(node).or_default().insert(task_id);
+                    batch.push(state.job.tasks[task_id.index()].clone());
+                }
+                Ok(batch)
+            }
+
+            pub(super) fn complete_task(
+                &mut self,
+                job: JobId,
+                task: TaskId,
+                node: NodeId,
+                now: SimTime,
+            ) -> Result<bool> {
+                let state = self.jobs.get_mut(&job).ok_or(OddciError::UnknownJob(job))?;
+                match state.assigned.get(&task) {
+                    Some(&assignee) if assignee == node => {}
+                    _ => {
+                        if state.completed.contains(&task) {
+                            return Ok(state.completed_at.is_some());
+                        }
+                        if task.index() >= state.job.tasks.len() {
+                            return Err(OddciError::UnknownTask { job, task });
+                        }
+                        state.pending.retain(|&t| t != task);
+                    }
+                }
+                state.assigned.remove(&task);
+                if let Some(held) = state.node_task.get_mut(&node) {
+                    held.remove(&task);
+                    if held.is_empty() {
+                        state.node_task.remove(&node);
+                    }
+                }
+                state.completed.insert(task);
+                if state.completed.len() == state.job.tasks.len() {
+                    state.completed_at = Some(now);
+                    return Ok(true);
+                }
+                Ok(false)
+            }
+
+            pub(super) fn node_lost(&mut self, node: NodeId) -> Vec<JobId> {
+                let mut affected = Vec::new();
+                for (&job_id, state) in &mut self.jobs {
+                    if state.recycle_node(node) > 0 {
+                        affected.push(job_id);
+                    }
+                }
+                affected
+            }
+
+            pub(super) fn is_complete(&self, job: JobId) -> bool {
+                self.jobs
+                    .get(&job)
+                    .is_some_and(|s| s.completed_at.is_some())
+            }
+
+            pub(super) fn completed_count(&self, job: JobId) -> u64 {
+                self.jobs.get(&job).map_or(0, |s| s.completed.len() as u64)
+            }
+
+            pub(super) fn unaccounted_tasks(&self, job: JobId) -> u64 {
+                let Some(s) = self.jobs.get(&job) else {
+                    return 0;
+                };
+                let mut accounted: BTreeSet<TaskId> = s.completed.clone();
+                accounted.extend(s.pending.iter().copied());
+                accounted.extend(s.assigned.keys().copied());
+                s.job.tasks.len() as u64 - accounted.len() as u64
+            }
+
+            pub(super) fn requeue_count(&self, job: JobId) -> u64 {
+                self.jobs.get(&job).map_or(0, |s| s.requeues)
+            }
+
+            pub(super) fn export_state(&self, now: SimTime) -> BackendState {
+                BackendState {
+                    jobs: self
+                        .jobs
+                        .values()
+                        .map(|s| JobExport {
+                            job: s.job.clone(),
+                            pending: s.pending.iter().copied().collect(),
+                            assigned: s.assigned.iter().map(|(&t, &n)| (t, n)).collect(),
+                            completed: s.completed.iter().copied().collect(),
+                            submitted_age: now.since(s.submitted_at),
+                            completed_age: s.completed_at.map(|t| now.since(t)),
+                            requeues: s.requeues,
+                        })
+                        .collect(),
+                }
+            }
+
+            pub(super) fn import_state(&mut self, state: BackendState, now: SimTime) {
+                self.jobs = state
+                    .jobs
+                    .into_iter()
+                    .map(|e| {
+                        let mut node_task: BTreeMap<NodeId, BTreeSet<TaskId>> = BTreeMap::new();
+                        for &(task, node) in &e.assigned {
+                            node_task.entry(node).or_default().insert(task);
+                        }
+                        (
+                            e.job.id,
+                            RefJob {
+                                pending: e.pending.into_iter().collect(),
+                                assigned: e.assigned.into_iter().collect(),
+                                node_task,
+                                completed: e.completed.into_iter().collect(),
+                                submitted_at: now.saturating_sub(e.submitted_age),
+                                completed_at: e.completed_age.map(|age| now.saturating_sub(age)),
+                                requeues: e.requeues,
+                                job: e.job,
+                            },
+                        )
+                    })
+                    .collect();
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random fetches, results (fresh, duplicate, zombie after a
+        /// requeue, bogus ids), node losses and snapshot round trips,
+        /// applied to the dense ledger and to the `BTreeSet` oracle: every
+        /// reply and every accounting read agrees at every step.
+        #[test]
+        fn dense_ledger_matches_the_btree_oracle(
+            n in 1u64..24,
+            ops in collection::vec((0u8..6, any::<u64>(), any::<u64>()), 1..120),
+        ) {
+            const NODES: u64 = 4;
+            let j = JobId::new(1);
+            let mut dense = Backend::new();
+            let mut oracle = reference::RefBackend::default();
+            dense.register_job(job(n), SimTime::ZERO);
+            oracle.register_job(job(n), SimTime::ZERO);
+            for (step, &(op, a, b)) in ops.iter().enumerate() {
+                let now = SimTime::from_secs(step as u64 + 1);
+                let node = NodeId::new(a % NODES);
+                match op {
+                    0 | 1 => {
+                        let max = 1 + (b % 4) as usize;
+                        prop_assert_eq!(
+                            format!("{:?}", dense.fetch_batch(j, node, max)),
+                            format!("{:?}", oracle.fetch_batch(j, node, max)),
+                            "fetch_batch at step {}", step
+                        );
+                    }
+                    2 | 3 => {
+                        // Two past the end: some results name no task.
+                        let task = TaskId::new(b % (n + 2));
+                        prop_assert_eq!(
+                            format!("{:?}", dense.complete_task(j, task, node, now)),
+                            format!("{:?}", oracle.complete_task(j, task, node, now)),
+                            "complete_task at step {}", step
+                        );
+                    }
+                    4 => prop_assert_eq!(dense.node_lost(node), oracle.node_lost(node)),
+                    _ => {
+                        let cut = dense.export_state(now);
+                        prop_assert_eq!(&cut, &oracle.export_state(now));
+                        dense.import_state(cut.clone(), now);
+                        oracle.import_state(cut, now);
+                    }
+                }
+                prop_assert_eq!(dense.completed_count(j), oracle.completed_count(j));
+                prop_assert_eq!(dense.is_complete(j), oracle.is_complete(j));
+                prop_assert_eq!(dense.unaccounted_tasks(j), oracle.unaccounted_tasks(j));
+                prop_assert_eq!(dense.requeue_count(j), oracle.requeue_count(j));
+                prop_assert_eq!(dense.export_state(now), oracle.export_state(now));
+            }
+        }
     }
 }

@@ -1339,13 +1339,7 @@ impl Model for World {
                             .sample_instance_size(inst_raw, now.as_secs_f64(), size);
                     }
                     // Backend queue depth (pending tasks over open jobs).
-                    let depth: u64 = self
-                        .backend
-                        .open_jobs()
-                        .iter()
-                        .map(|&j| self.backend.pending_count(j))
-                        .sum();
-                    self.queue_depth.set(depth as f64);
+                    self.queue_depth.set(self.backend.pending_total() as f64);
                     let outputs = self.controller.tick(now);
                     self.process_outputs(outputs, now, &mut sched);
                     // Liveness safety net: members parked as drained (by a

@@ -4,7 +4,8 @@
 //! individual direct channels (§3.2); one sequential loop would
 //! serialize carousel publishing, heartbeat consolidation and task
 //! dispatch behind one thread. This module splits the headend into
-//! cooperating threads over bounded channels:
+//! cooperating threads over bounded channels, and runs task dispatch on
+//! no thread of its own:
 //!
 //! * **carousel thread** — owns the broadcast bus and the instance→image
 //!   map; everything that reaches the §3.1 broadcast channel goes through
@@ -15,12 +16,16 @@
 //!   node id), with its own heartbeat ledger, loss detection and
 //!   recomposition. Shards sign from disjoint message-id namespaces so
 //!   PNA carousel-repeat dedup never drops a sibling shard's message;
-//! * **D dispatch workers** — a task-dispatch pool in front of the shared
-//!   Backend, behind a sharded work queue (node id → queue). Workers
-//!   serve *batches* of tasks per round trip
-//!   ([`Backend::fetch_batch`](oddci_core::Backend::fetch_batch)), which
-//!   is where the throughput comes from (EXPERIMENTS.md X8): one channel
-//!   round trip amortizes across `batch` tasks.
+//! * **dispatch on the caller** — a node's task fetch and its result
+//!   upload run on the thread that asked, through a cloneable `Dispatch`
+//!   handle: the node's own thread in process, the socket front's
+//!   serving thread for a PNA. Fetches cut *batches*
+//!   ([`Backend::fetch_batch`](oddci_core::Backend::fetch_batch)), so one
+//!   hub-lock round trip amortizes across `batch` tasks. There is no
+//!   queue between a node and the Backend, which also keeps a node's
+//!   results ahead of its next fetch: the Backend recycles whatever a
+//!   fetching node still holds, so a result queued behind that fetch
+//!   would be thrown back into the queue.
 //!
 //! Shared job state (Backend, Provider, per-job queries/scores) lives in
 //! a `Hub` behind one mutex. The locking rule that keeps this
@@ -28,15 +33,16 @@
 //! — every handler computes under the lock, drops it, then sends.
 //!
 //! Shutdown order (the barrier): the runtime publishes `Shutdown` on the
-//! bus and joins every node first, then dispatch workers, then shards,
-//! then the carousel — so every thread that might still *receive* from a
-//! channel outlives every thread that might still *send* on it.
+//! bus and joins every node and the socket front first — the only
+//! callers of `Dispatch` — then shards, then the carousel, so every
+//! thread that might still *receive* from a channel outlives every
+//! thread that might still *send* on it.
 
 use crate::bus::BroadcastBus;
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::runtime::{wall_now, BusMsg, LiveConfig, TaskBatchReply};
 use crate::snapshot::{ImageExport, SnapshotState};
-use crate::wire::{IntoWireReply, WireSink};
+use crate::wire::WireSink;
 use oddci_check::sync::{bounded, Monitor, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
 use oddci_core::backend::Backend;
@@ -47,7 +53,7 @@ use oddci_core::messages::{ControlMessage, Heartbeat, HeartbeatReply};
 use oddci_core::provider::{JobReport, Provider, ProviderRequest};
 use oddci_core::sharded::split_target;
 use oddci_faults::FaultInjector;
-use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
+use oddci_telemetry::{Gauge, Phase, Telemetry, CONTROL_TRACK};
 use oddci_types::{HeartbeatConfig, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
 use oddci_workload::Job;
 use std::collections::BTreeMap;
@@ -56,8 +62,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Capacity of each shard's and dispatch worker's inbox. Senders block
-/// when a queue is full — backpressure, not unbounded memory.
+/// Capacity of each shard's inbox. Senders block when a queue is full —
+/// backpressure, not unbounded memory.
 const QUEUE_CAP: usize = 1024;
 /// Capacity of the carousel thread's inbox (control traffic is sparse).
 const CAROUSEL_CAP: usize = 256;
@@ -65,19 +71,19 @@ const CAROUSEL_CAP: usize = 256;
 /// to answer before declaring the headend unhealthy.
 const EXPORT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 
-/// Where a shard or dispatch worker puts the answer to a node's request.
-pub(crate) enum ReplyTo<T> {
+/// Where a shard puts the answer to a node's heartbeat.
+pub(crate) enum ReplyTo {
     /// An in-process node thread, blocked on its one-shot channel.
-    Local(Sender<T>),
+    Local(Sender<HeartbeatReply>),
     /// A PNA behind the socket front: the reply goes onto the serving
     /// loop's reply channel, and the loop is woken to relay it.
     Wire(WireSink),
 }
 
-impl<T: IntoWireReply> ReplyTo<T> {
+impl ReplyTo {
     /// Delivers `reply`. Like every send here it must happen with the hub
     /// lock released — for a wire sink the wake is a send too.
-    pub(crate) fn send(self, reply: T) {
+    pub(crate) fn send(self, reply: HeartbeatReply) {
         match self {
             ReplyTo::Local(tx) => {
                 let _ = tx.send(reply);
@@ -108,7 +114,7 @@ pub(crate) enum ShardMsg {
     /// A heartbeat from a node this shard owns.
     Heartbeat {
         hb: Heartbeat,
-        reply: ReplyTo<HeartbeatReply>,
+        reply: ReplyTo,
     },
     /// Admit an instance (coordinator-allocated id, per-shard target).
     Admit {
@@ -147,32 +153,28 @@ pub(crate) enum ShardMsg {
     Shutdown,
 }
 
-/// Traffic into one dispatch worker.
-pub(crate) enum DispatchMsg {
-    /// A node asks for up to `max` tasks of its instance's job.
-    Request {
-        instance: InstanceId,
-        node: NodeId,
-        max: usize,
-        reply: ReplyTo<TaskBatchReply>,
-    },
-    /// A node uploads a batch of results.
-    Results {
-        job: JobId,
-        node: NodeId,
-        results: Vec<(TaskId, i32)>,
-    },
-    Shutdown,
+/// One job's scores, a slot per task indexed by [`TaskId::index`]. It
+/// grows with the job, so it is a vector and not a tree; the Backend's
+/// completed ledger counts the filled slots.
+type Scores = Vec<Option<i32>>;
+
+/// The filled slots of `scores` in ascending task order: the form the
+/// report and the snapshot carry.
+fn scored(scores: &Scores) -> impl Iterator<Item = (TaskId, i32)> + '_ {
+    (0u64..)
+        .zip(scores)
+        .filter_map(|(i, slot)| slot.map(|score| (TaskId::new(i), score)))
 }
 
-/// Job state shared by dispatch workers, shards and the coordinator.
+/// Job state shared by the dispatching threads, shards and the
+/// coordinator.
 struct Hub {
     backend: Backend,
     provider: Provider,
     instance_job: BTreeMap<InstanceId, JobId>,
     job_instance: BTreeMap<JobId, InstanceId>,
     job_queries: BTreeMap<JobId, Vec<Arc<Vec<u8>>>>,
-    job_scores: BTreeMap<JobId, BTreeMap<TaskId, i32>>,
+    job_scores: BTreeMap<JobId, Scores>,
     /// Wakeup broadcasts published per instance (sum over shards), for
     /// the Provider's report.
     wakeups: BTreeMap<InstanceId, u32>,
@@ -181,33 +183,26 @@ struct Hub {
 /// Handles to the sharded headend's threads and channels.
 pub(crate) struct ShardedHeadend {
     hub: Arc<Mutex<Hub>>,
-    /// Jobs finished so far. The dispatch worker that completes a job
-    /// bumps it and notifies — after dropping the hub guard — so
-    /// [`wait_report`](ShardedHeadend::wait_report) sleeps until a
-    /// completion instead of polling the hub.
-    jobs_finished: Arc<Monitor<u64>>,
     carousel_tx: Sender<CarouselMsg>,
     shard_txs: Vec<Sender<ShardMsg>>,
-    dispatch_txs: Vec<Sender<DispatchMsg>>,
+    /// The handle node links and the socket front clone.
+    dispatch: Dispatch,
     carousel: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
-    dispatch_threads: Vec<JoinHandle<()>>,
     next_instance: AtomicU64,
     start: Instant,
 }
 
 impl ShardedHeadend {
-    /// Spawns the carousel thread, `shards` controller shards and
-    /// `dispatch` dispatch workers.
+    /// Spawns the carousel thread and `shards` controller shards.
     pub(crate) fn start(
         config: &LiveConfig,
         shards: usize,
-        dispatch: usize,
         bus: Arc<BroadcastBus<BusMsg>>,
         start: Instant,
         injector: Arc<FaultInjector>,
     ) -> ShardedHeadend {
-        assert!(shards > 0 && dispatch > 0, "validated by LiveConfig");
+        assert!(shards > 0, "validated by LiveConfig");
         let tele = config.telemetry.clone();
         // Send-sensitive: the module-level locking rule ("never send on a
         // channel while holding the hub lock") is enforced at runtime —
@@ -226,15 +221,13 @@ impl ShardedHeadend {
             "live.hub",
         ));
 
-        let jobs_finished = Arc::new(Monitor::named(0, "live.jobs_finished"));
-
         let (carousel_tx, carousel_rx) = bounded(CAROUSEL_CAP);
         // Streaming-sink lane layout: carousel on lane 0, controller
-        // shard `i` on lane `1 + i`, dispatch worker `j` on lane
-        // `1 + shards + j`. Every headend thread gets a lane-pinned
-        // telemetry handle, so their trace offers enqueue into disjoint
-        // queues and never contend on a sink mutex (no-op without a
-        // sink). Node threads keep the unpinned handle and spread by
+        // shard `i` on lane `1 + i`. Every headend thread gets a
+        // lane-pinned telemetry handle, so their trace offers enqueue into
+        // disjoint queues and never contend on a sink mutex (no-op without
+        // a sink). Node threads — and with them dispatch, which runs on
+        // the asker's thread — keep the unpinned handle and spread by
         // track id.
         let carousel = {
             let hub = Arc::clone(&hub);
@@ -286,39 +279,33 @@ impl ShardedHeadend {
             }));
         }
 
-        let mut dispatch_txs = Vec::with_capacity(dispatch);
-        let mut dispatch_threads = Vec::with_capacity(dispatch);
-        for index in 0..dispatch {
-            let (tx, rx) = bounded(QUEUE_CAP);
-            dispatch_txs.push(tx);
-            let hub = Arc::clone(&hub);
-            let jobs_finished = Arc::clone(&jobs_finished);
-            let shard_txs = shard_txs.clone();
-            let inj = Arc::clone(&injector);
-            let tele = tele.with_sink_lane(1 + shards + index);
-            dispatch_threads.push(std::thread::spawn(move || {
-                dispatch_main(index, rx, hub, jobs_finished, shard_txs, inj, start, tele)
-            }));
-        }
+        let dispatch = Dispatch {
+            hub: Arc::clone(&hub),
+            jobs_finished: Arc::new(Monitor::named(0, "live.jobs_finished")),
+            shard_txs: shard_txs.clone(),
+            injector,
+            start,
+            backend_depth: tele.registry().gauge("backend.queue_depth"),
+            tele,
+        };
 
         ShardedHeadend {
             hub,
-            jobs_finished,
             carousel_tx,
             shard_txs,
-            dispatch_txs,
+            dispatch,
             carousel: Some(carousel),
             shard_threads,
-            dispatch_threads,
             next_instance: AtomicU64::new(0),
             start,
         }
     }
 
-    /// Senders for routing node traffic (heartbeats by shard, task
-    /// requests/results by dispatch queue).
-    pub(crate) fn node_links(&self) -> (Vec<Sender<ShardMsg>>, Vec<Sender<DispatchMsg>>) {
-        (self.shard_txs.clone(), self.dispatch_txs.clone())
+    /// What node traffic is routed through: the shard senders (heartbeats,
+    /// by [`shard_of`](oddci_core::sharded::shard_of) the node) and the
+    /// dispatch handle (task fetches and results).
+    pub(crate) fn node_links(&self) -> (Vec<Sender<ShardMsg>>, Dispatch) {
+        (self.shard_txs.clone(), self.dispatch.clone())
     }
 
     /// A detached handle the snapshot writer thread exports through.
@@ -385,7 +372,16 @@ impl ShardedHeadend {
             hub.job_scores = snap
                 .job_scores
                 .iter()
-                .map(|(job, scores)| (*job, scores.iter().copied().collect()))
+                .map(|(job, pairs)| {
+                    let tasks = hub.backend.job(*job).map_or(0, |j| j.tasks.len());
+                    let mut scores: Scores = vec![None; tasks];
+                    for &(task, score) in pairs {
+                        if let Some(slot) = scores.get_mut(task.index()) {
+                            *slot = Some(score);
+                        }
+                    }
+                    (*job, scores)
+                })
                 .collect();
             hub.wakeups = snap.wakeups.iter().copied().collect();
         }
@@ -447,9 +443,9 @@ impl ShardedHeadend {
         };
         let request = {
             let mut hub = self.hub.lock();
+            hub.job_scores.insert(job_id, vec![None; job.tasks.len()]);
             hub.backend.register_job(job, now);
             hub.job_queries.insert(job_id, queries);
-            hub.job_scores.insert(job_id, BTreeMap::new());
             hub.instance_job.insert(instance, job_id);
             hub.job_instance.insert(job_id, instance);
             hub.provider.open_request(job_id, instance, target, now)
@@ -476,52 +472,52 @@ impl ShardedHeadend {
     fn report(&self, req: ProviderRequest) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
         let hub = self.hub.lock();
         hub.provider.report(req).map(|r| {
-            let scores = hub.job_scores.get(&r.job).cloned().unwrap_or_default();
+            let scores = hub
+                .job_scores
+                .get(&r.job)
+                .map(|s| scored(s).collect())
+                .unwrap_or_default();
             (r, scores)
         })
     }
 
     /// Blocks until `req` has a report or `deadline` passes. Woken by the
-    /// dispatch worker that finishes a job, not by a timer.
+    /// thread that lands the job's last result, not by a timer.
     pub(crate) fn wait_report(
         &self,
         req: ProviderRequest,
         deadline: Instant,
     ) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
+        let jobs_finished = &self.dispatch.jobs_finished;
         loop {
             // Read the count before looking: a job that finishes after
             // the look has then moved it, and the wait below falls through.
-            let seen = *self.jobs_finished.lock();
+            let seen = *jobs_finished.lock();
             if let Some(done) = self.report(req) {
                 return Some(done);
             }
-            let mut finished = self.jobs_finished.lock();
+            let mut finished = jobs_finished.lock();
             while *finished == seen {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     return None;
                 }
-                finished = self.jobs_finished.wait_timeout(finished, left).0;
+                finished = jobs_finished.wait_timeout(finished, left).0;
             }
         }
     }
 
-    /// Stops dispatch workers, shards and the carousel — in that order,
-    /// so receivers outlive senders — joining every thread. Returns the
-    /// number of tasks in no ledger (always 0 unless bookkeeping broke)
-    /// and how many headend threads exited by panic instead of a clean
-    /// return (a panicked thread's ledger contribution is unknown, so
-    /// the first number may undercount when the second is nonzero).
+    /// Stops the shards, then the carousel — so receivers outlive
+    /// senders — joining every thread. Returns the number of tasks in no
+    /// ledger (always 0 unless bookkeeping broke) and how many headend
+    /// threads exited by panic instead of a clean return (a panicked
+    /// thread's ledger contribution is unknown, so the first number may
+    /// undercount when the second is nonzero).
     ///
-    /// The runtime must have joined every node thread first.
+    /// The runtime must have joined every node thread and stopped the
+    /// socket front first: they are the threads that dispatch.
     pub(crate) fn shutdown(mut self) -> (u64, u64) {
         let mut failed = 0u64;
-        for tx in &self.dispatch_txs {
-            let _ = tx.send(DispatchMsg::Shutdown);
-        }
-        for h in self.dispatch_threads.drain(..) {
-            failed += u64::from(h.join().is_err());
-        }
         for tx in &self.shard_txs {
             let _ = tx.send(ShardMsg::Shutdown);
         }
@@ -598,7 +594,7 @@ impl SnapshotHandle {
             job_scores: hub
                 .job_scores
                 .iter()
-                .map(|(&job, scores)| (job, scores.iter().map(|(&t, &s)| (t, s)).collect()))
+                .map(|(&job, scores)| (job, scored(scores).collect()))
                 .collect(),
             wakeups: hub.wakeups.iter().map(|(&i, &w)| (i, w)).collect(),
             images,
@@ -685,14 +681,18 @@ pub(crate) fn spawn_reconciler(
             let begin = wall_now(&links.start);
             let (instances, queue_depth, completed) = {
                 let hub = links.hub.lock();
-                let open = hub.backend.open_jobs();
-                let queue: u64 = open.iter().map(|&j| hub.backend.pending_count(j)).sum();
-                let done: u64 = hub.job_scores.values().map(|s| s.len() as u64).sum();
-                let instances: Vec<InstanceId> = open
+                let done: u64 = hub
+                    .job_scores
+                    .keys()
+                    .map(|&job| hub.backend.completed_count(job))
+                    .sum();
+                let instances: Vec<InstanceId> = hub
+                    .backend
+                    .open_jobs()
                     .iter()
                     .filter_map(|j| hub.job_instance.get(j).copied())
                     .collect();
-                (instances, queue, done)
+                (instances, hub.backend.pending_total(), done)
             };
 
             // Spot-like reclamation: evict the whole membership, then let
@@ -941,84 +941,84 @@ fn apply_outputs(
 }
 
 // ---------------------------------------------------------------------
-// Dispatch workers
+// Dispatch
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn dispatch_main(
-    index: usize,
-    rx: Receiver<DispatchMsg>,
+/// A node's way to the Backend: task fetches and result uploads, run on
+/// the thread that asks — the node's own thread in process, the serving
+/// thread for a PNA — under the hub lock. Cloned into every node link
+/// and the socket front; there is no dispatch thread and no queue.
+#[derive(Clone)]
+pub(crate) struct Dispatch {
     hub: Arc<Mutex<Hub>>,
+    /// Jobs finished so far. The thread that completes a job bumps it and
+    /// notifies — after dropping the hub guard — so
+    /// [`wait_report`](ShardedHeadend::wait_report) sleeps until a
+    /// completion instead of polling the hub.
     jobs_finished: Arc<Monitor<u64>>,
     shard_txs: Vec<Sender<ShardMsg>>,
     injector: Arc<FaultInjector>,
     start: Instant,
     tele: Telemetry,
-) {
-    let depth_gauge = tele
-        .registry()
-        .gauge(&format!("dispatch.queue_depth.shard{index}"));
-    let backend_depth = tele.registry().gauge("backend.queue_depth");
-    while let Ok(msg) = rx.recv() {
-        depth_gauge.set(rx.len() as f64);
-        match msg {
-            DispatchMsg::Request {
-                instance,
-                node,
-                max,
-                reply,
-            } => {
-                // Fault hook: a stalled Backend answers nothing; the
-                // node's reply timeout fires and it retries with backoff.
-                if injector.backend_stalled(wall_now(&start)).is_some() {
-                    drop(reply);
-                    continue;
-                }
-                let response = {
-                    let mut hub = hub.lock();
-                    fetch_batch_reply(&mut hub, instance, node, max)
-                };
-                // Locking rule: the hub guard is dropped before this send
-                // (and, for a wire-origin request, the wake it carries).
-                reply.send(response);
-            }
-            DispatchMsg::Results { job, node, results } => {
-                let dismantle = {
-                    let mut hub = hub.lock();
-                    let now = wall_now(&start);
-                    for &(task, score) in &results {
-                        let _ = hub.backend.complete_task(job, task, node, now);
-                        hub.job_scores.entry(job).or_default().insert(task, score);
-                    }
-                    let depth: u64 = hub
-                        .backend
-                        .open_jobs()
-                        .iter()
-                        .map(|&j| hub.backend.pending_count(j))
-                        .sum();
-                    backend_depth.set(depth as f64);
-                    if hub.backend.is_complete(job) {
-                        finish_job(&mut hub, job, now, &tele)
-                    } else {
-                        None
-                    }
-                };
-                // Locking rule: the hub guard is dropped before these sends
-                // and the wake. The wake comes last, so a caller who submits
-                // its next job at once queues that admission behind this
-                // dismantle in every shard's inbox.
-                if let Some(instance) = dismantle {
-                    for (i, tx) in shard_txs.iter().enumerate() {
-                        let _ = tx.send(ShardMsg::Dismantle {
-                            instance,
-                            publish: i == 0,
-                        });
-                    }
-                    *jobs_finished.lock() += 1;
-                    jobs_finished.notify_all();
+    backend_depth: Gauge,
+}
+
+impl Dispatch {
+    /// Up to `max` tasks of `instance`'s job for `node`. `None` when an
+    /// injected Backend stall swallows the request: the asker's reply
+    /// timeout fires and it retries with backoff.
+    pub(crate) fn fetch(
+        &self,
+        instance: InstanceId,
+        node: NodeId,
+        max: usize,
+    ) -> Option<TaskBatchReply> {
+        if self
+            .injector
+            .backend_stalled(wall_now(&self.start))
+            .is_some()
+        {
+            return None;
+        }
+        Some(fetch_batch_reply(&mut self.hub.lock(), instance, node, max))
+    }
+
+    /// Lands a batch of `node`'s results. The call that completes the job
+    /// closes its Provider request, tells every shard to dismantle the
+    /// instance and wakes [`wait_report`](ShardedHeadend::wait_report).
+    pub(crate) fn results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
+        let dismantle = {
+            let mut guard = self.hub.lock();
+            let hub = &mut *guard;
+            let now = wall_now(&self.start);
+            let mut scores = hub.job_scores.get_mut(&job);
+            for (task, score) in results {
+                let landed = hub.backend.complete_task(job, task, node, now).is_ok();
+                let slot = scores.as_mut().and_then(|s| s.get_mut(task.index()));
+                if let (true, Some(slot)) = (landed, slot) {
+                    *slot = Some(score);
                 }
             }
-            DispatchMsg::Shutdown => return,
+            self.backend_depth.set(hub.backend.pending_total() as f64);
+            if hub.backend.is_complete(job) {
+                finish_job(hub, job, now, &self.tele)
+            } else {
+                None
+            }
+        };
+        // Locking rule: the hub guard is dropped before these sends and
+        // the wake. The wake comes last, so a caller who submits its next
+        // job at once queues that admission behind this dismantle in
+        // every shard's inbox.
+        if let Some(instance) = dismantle {
+            for (i, tx) in self.shard_txs.iter().enumerate() {
+                let _ = tx.send(ShardMsg::Dismantle {
+                    instance,
+                    publish: i == 0,
+                });
+            }
+            *self.jobs_finished.lock() += 1;
+            self.jobs_finished.notify_all();
         }
     }
 }
@@ -1070,4 +1070,91 @@ fn finish_job(hub: &mut Hub, job: JobId, now: SimTime, tele: &Telemetry) -> Opti
         );
     }
     Some(instance)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oddci_types::{DataSize, ImageId};
+    use oddci_workload::Task;
+
+    /// A one-shard headend with one submitted job of `tasks` tasks on
+    /// instance 0, and the dispatch handle a node would use.
+    fn headend_with_job(tasks: u64) -> (ShardedHeadend, Dispatch, JobId) {
+        let headend = ShardedHeadend::start(
+            &LiveConfig::default(),
+            1,
+            Arc::new(BroadcastBus::new()),
+            Instant::now(),
+            Arc::new(FaultInjector::new(oddci_faults::FaultPlan::none(), 0)),
+        );
+        let job = JobId::new(0);
+        let work = (0..tasks)
+            .map(|i| {
+                Task::new(
+                    TaskId::new(i),
+                    DataSize::from_bytes(16),
+                    SimDuration::from_millis(1),
+                    DataSize::from_bytes(8),
+                )
+            })
+            .collect();
+        headend.submit(
+            Job::new(job, ImageId::new(0), DataSize::from_bytes(1), work),
+            (0..tasks).map(|_| Arc::new(vec![b'A'; 16])).collect(),
+            Arc::new(AlignmentImage::small_demo()),
+            1,
+        );
+        let (_, dispatch) = headend.node_links();
+        (headend, dispatch, job)
+    }
+
+    fn task_ids(reply: Option<TaskBatchReply>) -> Vec<TaskId> {
+        match reply {
+            Some(TaskBatchReply::Assigned { tasks, .. }) => {
+                tasks.iter().map(|(task, _)| task.id).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// The order the node loop keeps — a batch's results, then the next
+    /// fetch, on one thread — recycles nothing, and the call that lands
+    /// the last result completes the job. Fetching first is what a result
+    /// left on a queue would amount to: the Backend's stale-assignment
+    /// rule throws the unreported batch back.
+    #[test]
+    fn results_then_fetch_from_one_node_never_recycle_a_task() {
+        let (headend, dispatch, job) = headend_with_job(10);
+        let (instance, node) = (InstanceId::new(0), NodeId::new(3));
+        let mut served = 0;
+        loop {
+            let batch = task_ids(dispatch.fetch(instance, node, 4));
+            if batch.is_empty() {
+                break;
+            }
+            served += batch.len();
+            dispatch.results(job, node, batch.iter().map(|&t| (t, 7)).collect());
+        }
+        assert_eq!(served, 10);
+        {
+            let hub = headend.hub.lock();
+            assert_eq!(hub.backend.requeue_count(job), 0);
+            assert!(hub.backend.is_complete(job));
+        }
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        let req = ProviderRequest(0);
+        let (report, scores) = headend.wait_report(req, deadline).expect("job finished");
+        assert_eq!(report.requeues, 0);
+        assert_eq!(scores.len(), 10);
+        assert_eq!(headend.shutdown(), (0, 0));
+
+        let (headend, dispatch, _) = headend_with_job(10);
+        let first = task_ids(dispatch.fetch(instance, node, 4));
+        let mut again = task_ids(dispatch.fetch(instance, node, 4));
+        again.sort_unstable();
+        assert_eq!(first, again, "the unreported batch came straight back");
+        assert_eq!(headend.hub.lock().backend.requeue_count(job), 4);
+        assert_eq!(headend.shutdown(), (0, 0));
+    }
 }

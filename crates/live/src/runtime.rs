@@ -3,20 +3,21 @@
 //! channels.
 //!
 //! There is one headend: the multi-threaded [`headend`](crate::headend)
-//! — a carousel thread, N controller shards (disjoint node-membership
-//! slices) and a dispatch pool serving task *batches* in front of the
-//! shared Backend. [`HeadendMode`] picks its pool geometry and whether a
-//! socket front (`oddci-wire` listener) stands before it, in which case
-//! the nodes are separate PNA processes instead of in-process threads. A
-//! standby is the same bring-up with a snapshot adopted before the
-//! listener binds.
+//! — a carousel thread and N controller shards (disjoint node-membership
+//! slices) beside the shared Backend, which every node reaches without a
+//! thread hop: its task fetches (batches) and results run on the thread
+//! that asks. [`HeadendMode`] picks the shard count and batch size and
+//! whether a socket front (`oddci-wire` listener) stands before the
+//! headend, in which case the nodes are separate PNA processes instead of
+//! in-process threads. A standby is the same bring-up with a snapshot
+//! adopted before the listener binds.
 //!
 //! Wall-clock time is mapped onto [`SimTime`] (microseconds since runtime
 //! start) so the *identical* Controller/Backend/Provider code from
 //! `oddci-core` runs unmodified on this plane.
 
 use crate::bus::BroadcastBus;
-use crate::headend::{DispatchMsg, ReplyTo, ShardMsg, ShardedHeadend, SnapshotHandle};
+use crate::headend::{Dispatch, ReplyTo, ShardMsg, ShardedHeadend, SnapshotHandle};
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
@@ -40,8 +41,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The headend's pool geometry, and whether nodes reach it over
-/// in-process channels or a TCP socket.
+/// The headend's geometry, and whether nodes reach it over in-process
+/// channels or a TCP socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeadendMode {
     /// In-process plane: one receiver thread per node, linked to the
@@ -49,7 +50,9 @@ pub enum HeadendMode {
     Sharded {
         /// Controller shards (disjoint node-membership slices), 1..=64.
         shards: usize,
-        /// Dispatch workers in front of the Backend, 1..=64.
+        /// Ignored: fetches and results run on the asking node's thread,
+        /// so there is no dispatch pool to size. Still validated
+        /// (1..=64); kept only until the benchmark stops setting it.
         dispatch: usize,
         /// Tasks served per fetch round trip, 1..=1024.
         batch: usize,
@@ -65,7 +68,9 @@ pub enum HeadendMode {
         listen: std::net::SocketAddr,
         /// Controller shards, 1..=64.
         shards: usize,
-        /// Dispatch workers, 1..=64.
+        /// Ignored: fetches and results run on the serving thread, so
+        /// there is no dispatch pool to size. Still validated (1..=64);
+        /// kept only until the benchmark stops setting it.
         dispatch: usize,
         /// Tasks served per fetch round trip, 1..=1024.
         batch: usize,
@@ -75,7 +80,7 @@ pub enum HeadendMode {
 impl HeadendMode {
     /// Most controller shards a live system will run.
     pub const MAX_SHARDS: usize = 64;
-    /// Most dispatch workers a live system will run.
+    /// Largest value [`HeadendMode`]'s ignored `dispatch` field accepts.
     pub const MAX_DISPATCH: usize = 64;
     /// Largest task batch a node may fetch in one round trip.
     pub const MAX_BATCH: usize = 1024;
@@ -111,7 +116,7 @@ impl HeadendMode {
         }
         if dispatch == 0 || dispatch > Self::MAX_DISPATCH {
             return Err(format!(
-                "dispatch workers must be within 1..={} (got {dispatch})",
+                "dispatch must be within 1..={} (got {dispatch})",
                 Self::MAX_DISPATCH
             ));
         }
@@ -210,18 +215,22 @@ pub(crate) enum TaskBatchReply {
     Drained,
 }
 
-/// How a node reaches the headend: the shard/dispatch fan-in channels
-/// (routed by node-id hash) in process, or a framed TCP connection when
-/// the node is a separate PNA process.
+/// How a node reaches the headend: in process, the shard channels
+/// (heartbeats, routed by node-id hash) and the dispatch handle (fetches
+/// and results, run on the node's own thread); a framed TCP connection
+/// when the node is a separate PNA process.
 #[derive(Clone)]
 pub(crate) enum NodeLink {
     Sharded {
         shards: Arc<Vec<Sender<ShardMsg>>>,
-        dispatch: Arc<Vec<Sender<DispatchMsg>>>,
+        dispatch: Dispatch,
         batch: usize,
     },
     Remote(Arc<crate::wire::RemoteLink>),
 }
+
+/// The link to the headend is closed for good: the node should stop.
+pub(crate) struct LinkClosed;
 
 impl NodeLink {
     pub(crate) fn send_heartbeat(&self, hb: Heartbeat, reply: Sender<HeartbeatReply>) -> bool {
@@ -239,43 +248,31 @@ impl NodeLink {
         }
     }
 
-    pub(crate) fn request_tasks(
+    /// Asks for a batch of `instance`'s tasks. `Ok(None)` is a request
+    /// nobody answered (a stalled Backend, a reply that timed out or
+    /// whose connection died): the caller backs off and retries.
+    pub(crate) fn fetch_tasks(
         &self,
         instance: InstanceId,
         node: NodeId,
-        reply: Sender<TaskBatchReply>,
-    ) -> bool {
+    ) -> Result<Option<TaskBatchReply>, LinkClosed> {
         match self {
             NodeLink::Sharded {
                 dispatch, batch, ..
-            } => {
-                let d = shard_of(node, dispatch.len());
-                dispatch[d]
-                    .send(DispatchMsg::Request {
-                        instance,
-                        node,
-                        max: *batch,
-                        reply: ReplyTo::Local(reply),
-                    })
-                    .is_ok()
+            } => Ok(dispatch.fetch(instance, node, *batch)),
+            NodeLink::Remote(link) => {
+                let (rtx, rrx) = bounded(1);
+                if !link.request_tasks(instance, node, rtx) {
+                    return Err(LinkClosed);
+                }
+                Ok(rrx.recv_timeout(TASK_REPLY_TIMEOUT).ok())
             }
-            NodeLink::Remote(link) => link.request_tasks(instance, node, reply),
         }
     }
 
-    pub(crate) fn send_results(
-        &self,
-        job: JobId,
-        node: NodeId,
-        results: Vec<(TaskId, i32)>,
-    ) -> bool {
+    pub(crate) fn send_results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
         match self {
-            NodeLink::Sharded { dispatch, .. } => {
-                let d = shard_of(node, dispatch.len());
-                dispatch[d]
-                    .send(DispatchMsg::Results { job, node, results })
-                    .is_ok()
-            }
+            NodeLink::Sharded { dispatch, .. } => dispatch.results(job, node, results),
             NodeLink::Remote(link) => link.send_results(job, node, results),
         }
     }
@@ -333,14 +330,14 @@ impl SocketFront {
             None => WireMembership::new(),
         };
         let membership = Arc::new(Mutex::named(membership, "live.wire.membership"));
-        let (shard_txs, dispatch_txs) = headend.node_links();
-        let (shard_txs, dispatch_txs) = (Arc::new(shard_txs), Arc::new(dispatch_txs));
+        let (shard_txs, dispatch) = headend.node_links();
+        let shard_txs = Arc::new(shard_txs);
         let conn_stats = Arc::new(oddci_wire::ConnStatsHub::new());
         let bind_deadline = Instant::now() + Duration::from_secs(5);
         let server = loop {
             let service = crate::wire::LiveWireService::new(
                 Arc::clone(&shard_txs),
-                Arc::clone(&dispatch_txs),
+                dispatch.clone(),
                 batch,
                 bus,
                 config.telemetry.clone(),
@@ -457,7 +454,7 @@ impl LiveOddci {
             .mode
             .validate()
             .map_err(|e| format!("invalid headend mode: {e}"))?;
-        let (listen, shards, dispatch, batch) = config.mode.parts();
+        let (listen, shards, _, batch) = config.mode.parts();
         let bus = Arc::new(BroadcastBus::new());
         let start = Instant::now();
         let injector = Arc::new(FaultInjector::new(
@@ -467,7 +464,6 @@ impl LiveOddci {
         let headend = ShardedHeadend::start(
             &config,
             shards,
-            dispatch,
             Arc::clone(&bus),
             start,
             Arc::clone(&injector),
@@ -502,10 +498,10 @@ impl LiveOddci {
         // Behind a socket the fleet lives in other processes: `nodes` is
         // the expected audience, not a local thread count.
         let local_nodes = if socket.is_some() { 0 } else { config.nodes };
-        let (shard_txs, dispatch_txs) = headend.node_links();
+        let (shard_txs, dispatch) = headend.node_links();
         let link = NodeLink::Sharded {
             shards: Arc::new(shard_txs),
-            dispatch: Arc::new(dispatch_txs),
+            dispatch,
             batch,
         };
         let nodes = (0..local_nodes)
@@ -802,8 +798,8 @@ impl LiveOddci {
     ///
     /// The shutdown barrier: `Shutdown` goes out on the bus first, the
     /// socket front (if any) and every node thread are joined, so no node
-    /// can still be sending; then the headend winds down (dispatch pool,
-    /// controller shards, carousel — receivers strictly outlive
+    /// can still be sending or dispatching; then the headend winds down
+    /// (controller shards, carousel — receivers strictly outlive
     /// senders). The returned report carries the Backend's final task
     /// accounting.
     ///
@@ -820,8 +816,8 @@ impl LiveOddci {
         // The Shutdown bus message reaches the wire service, which
         // broadcasts it to every PNA and asks the serving loop to drain
         // and stop; joining the server here guarantees the service (a
-        // shard/dispatch sender) is gone before the headend tears its
-        // receivers down.
+        // shard sender that dispatches) is gone before the headend tears
+        // its receivers down.
         if let Some(mut socket) = self.socket {
             threads_failed += u64::from(!socket.server.stop());
         }
@@ -1112,11 +1108,10 @@ fn run_instance(
         let reply = if lost {
             None
         } else {
-            let (rtx, rrx) = bounded(1);
-            if !link.request_tasks(instance, pna.node(), rtx) {
-                return true;
+            match link.fetch_tasks(instance, pna.node()) {
+                Ok(reply) => reply,
+                Err(LinkClosed) => return true,
             }
-            rrx.recv_timeout(TASK_REPLY_TIMEOUT).ok()
         };
         // Every pause is spent listening to the bus, not asleep: when a
         // reply is missing because the plane is shutting down (the link
@@ -1269,7 +1264,7 @@ fn send_results(
     loop {
         let now = wall_now(start);
         if !(injector.partitioned(pna.node(), now) || injector.direct_dropped(pna.node(), now)) {
-            let _ = link.send_results(job, pna.node(), results);
+            link.send_results(job, pna.node(), results);
             tele.span(
                 began,
                 wall_now(start).as_micros(),
@@ -1321,6 +1316,67 @@ mod tests {
         assert_eq!(decoded.wire_next_node, snap.wire_next_node);
         let report = live.shutdown();
         assert_eq!(report.tasks_unaccounted, 0);
+    }
+
+    /// A clean job recycles nothing, in process or over the socket: each
+    /// node's results land before its next fetch, which would otherwise
+    /// throw the unreported batch back into the queue.
+    #[test]
+    fn clean_jobs_recycle_nothing() {
+        let listen = "127.0.0.1:0".parse().expect("addr");
+        for mode in [
+            HeadendMode::Sharded {
+                shards: 2,
+                dispatch: 1,
+                batch: 8,
+            },
+            HeadendMode::Socket {
+                listen,
+                shards: 2,
+                dispatch: 1,
+                batch: 8,
+            },
+        ] {
+            let live = LiveOddci::start(LiveConfig {
+                nodes: 2,
+                mode,
+                ..Default::default()
+            });
+            let pnas: Vec<_> = live
+                .wire_addr()
+                .into_iter()
+                .flat_map(|addr| {
+                    (0..2u64).map(move |i| {
+                        std::thread::spawn(move || {
+                            let mut cfg = WirePnaConfig::new(addr);
+                            cfg.seed = 300 + i;
+                            run_wire_pna(cfg)
+                        })
+                    })
+                })
+                .collect();
+            let image = AlignmentImage {
+                db_len: 2000,
+                ..AlignmentImage::small_demo()
+            };
+            let queries = (0..400).map(|i| Arc::new(random_sequence(16, i))).collect();
+            let outcome = live
+                .run_query_job(image, queries, 2, Duration::from_secs(60))
+                .expect("job completes");
+            assert_eq!(outcome.scores.len(), 400, "{mode:?}");
+            assert_eq!(outcome.report.requeues, 0, "{mode:?}");
+            let snap = live.snapshot_now().expect("headends snapshot");
+            let backend_requeues: u64 = snap.backend.jobs.iter().map(|j| j.requeues).sum();
+            assert_eq!(backend_requeues, 0, "{mode:?}");
+            let report = live.shutdown();
+            assert_eq!(report.tasks_unaccounted, 0, "{mode:?}");
+            assert_eq!(report.threads_failed, 0, "{mode:?}");
+            for pna in pnas {
+                pna.join()
+                    .expect("pna thread joins")
+                    .expect("pna runs to shutdown");
+            }
+        }
     }
 
     #[test]
@@ -1482,7 +1538,7 @@ mod tests {
             mode: HeadendMode::Socket {
                 listen,
                 shards: 2,
-                dispatch: 2,
+                dispatch: 1,
                 batch: 4,
             },
             snapshot_dir: Some(dir.clone()),
@@ -1600,7 +1656,7 @@ mod tests {
             mode: HeadendMode::Socket {
                 listen,
                 shards: 2,
-                dispatch: 2,
+                dispatch: 1,
                 batch: 4,
             },
             snapshot_dir: Some(dir.clone()),

@@ -3,11 +3,12 @@
 //! Two halves live here, one per side of the wire:
 //!
 //! * `LiveWireService` — the headend side. It plugs into
-//!   [`oddci_wire::WireServer`]'s serving loop and translates wire
-//!   messages into the sharded headend's channel vocabulary
-//!   (`ShardMsg` / `DispatchMsg`), forwards carousel broadcasts to
-//!   every connection (streaming the materialized database inside the
-//!   wakeup), and relays replies back once the shards answer.
+//!   [`oddci_wire::WireServer`]'s serving loop, serves task fetches and
+//!   results itself through the headend's `Dispatch` handle (the batch
+//!   goes into the outbox in the same turn), hands heartbeats to their
+//!   shard as a `ShardMsg`, forwards carousel broadcasts to every
+//!   connection (streaming the materialized database inside the wakeup),
+//!   and relays heartbeat replies back once the shards answer.
 //! * [`run_wire_pna`] — the PNA side. It dials the headend, performs the
 //!   hello handshake to learn its node identity, and then runs the
 //!   *identical* `node_main` loop every in-process node runs — the
@@ -20,13 +21,14 @@
 //! channel; a reply that never comes is dropped by `node_main`'s reply
 //! timeouts, and a shutdown or a lost connection drops every parked
 //! channel at once so nobody waits out a timeout for a reply that cannot
-//! come. On the headend side nothing is parked: the request travels to
-//! its shard or dispatch worker with a `WireSink` naming the connection
-//! and the id, and the worker *pushes* the finished reply onto the
+//! come. On the headend side nothing is parked: a task fetch is answered
+//! on the serving thread before it reads its next message, and a
+//! heartbeat travels to its shard with a `WireSink` naming the connection
+//! and the id, and the shard *pushes* the finished reply onto the
 //! service's reply channel and wakes the serving loop.
 
 use crate::bus::BroadcastBus;
-use crate::headend::{DispatchMsg, ReplyTo, ShardMsg};
+use crate::headend::{Dispatch, ReplyTo, ShardMsg};
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::runtime::{node_main, BusMsg, NodeLink, TaskBatchReply};
 use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
@@ -157,9 +159,9 @@ impl WireMembership {
     }
 }
 
-/// The return address of a wire-origin request: the connection and
+/// The return address of a wire-origin heartbeat: the connection and
 /// correlation id to answer, the serving loop's reply channel, and the
-/// loop's waker. The shard or dispatch worker that computes the answer
+/// loop's waker. The shard that computes the answer
 /// [`push`](WireSink::push)es it — the serving loop never polls for it.
 pub(crate) struct WireSink {
     conn: ConnId,
@@ -172,46 +174,30 @@ impl WireSink {
     /// Publishes `reply` for the connection, then wakes the serving loop
     /// — in that order, which is the loop's contract with its wakers.
     /// Both steps count as sends: never call this with the hub lock held.
-    pub(crate) fn push(self, reply: impl IntoWireReply) {
-        let msg = reply.into_wire_reply(self.corr);
+    pub(crate) fn push(self, reply: HeartbeatReply) {
+        let msg = WireMsg::HeartbeatReply {
+            corr: self.corr,
+            reply,
+        };
         if self.replies.send((self.conn, msg)).is_ok() {
             self.waker.wake();
         }
     }
 }
 
-/// A headend reply that has a wire form, so a worker thread can encode it
-/// for the socket itself instead of leaving that to the serving thread.
-pub(crate) trait IntoWireReply {
-    fn into_wire_reply(self, corr: u64) -> WireMsg;
-}
-
-impl IntoWireReply for HeartbeatReply {
-    fn into_wire_reply(self, corr: u64) -> WireMsg {
-        WireMsg::HeartbeatReply { corr, reply: self }
-    }
-}
-
-impl IntoWireReply for TaskBatchReply {
-    fn into_wire_reply(self, corr: u64) -> WireMsg {
-        WireMsg::TaskBatch {
-            corr,
-            batch: to_wire_batch(self),
-        }
-    }
-}
-
-/// The headend's [`WireService`]: translates wire traffic into the
-/// sharded headend's channels and carousel broadcasts into wire frames.
+/// The headend's [`WireService`]: serves task traffic through the
+/// headend's [`Dispatch`] on the serving thread, translates heartbeats
+/// into the shards' channels and carousel broadcasts into wire frames.
 ///
 /// It runs single-threaded inside the serving loop, so it holds plain
-/// collections — the only synchronization is the channels themselves,
-/// and the serving loop's [`Waker`], which everything that feeds those
-/// channels from another thread (the carousel's bus, the reply sinks)
-/// fires after publishing.
+/// collections — the only synchronization is the hub lock inside
+/// `Dispatch`, the channels themselves, and the serving loop's
+/// [`Waker`], which everything that feeds those channels from another
+/// thread (the carousel's bus, the heartbeat reply sinks) fires after
+/// publishing.
 pub(crate) struct LiveWireService {
     shards: Arc<Vec<Sender<ShardMsg>>>,
-    dispatch: Arc<Vec<Sender<DispatchMsg>>>,
+    dispatch: Dispatch,
     batch: usize,
     bus_rx: Receiver<BusMsg>,
     tele: Telemetry,
@@ -226,8 +212,8 @@ pub(crate) struct LiveWireService {
     /// Filled by [`attach`](WireService::attach); shared with the bus
     /// subscription, which exists before the serving loop does.
     waker: Arc<OnceLock<Waker>>,
-    /// Finished replies, pushed by shard and dispatch threads through
-    /// the [`WireSink`]s handed out in `on_message`.
+    /// Heartbeat replies, pushed by shard threads through the
+    /// [`WireSink`]s handed out in `on_message`.
     replies_tx: Sender<(ConnId, WireMsg)>,
     replies_rx: Receiver<(ConnId, WireMsg)>,
     db_cache: BTreeMap<(u64, u64), Arc<Vec<u8>>>,
@@ -239,7 +225,7 @@ impl LiveWireService {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shards: Arc<Vec<Sender<ShardMsg>>>,
-        dispatch: Arc<Vec<Sender<DispatchMsg>>>,
+        dispatch: Dispatch,
         batch: usize,
         bus: &BroadcastBus<BusMsg>,
         tele: Telemetry,
@@ -281,9 +267,9 @@ impl LiveWireService {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// The return address for a request from `conn`. `None` before the
+    /// The return address for a heartbeat from `conn`. `None` before the
     /// serving loop attached its waker, i.e. never while serving.
-    fn sink<T>(&self, conn: ConnId, corr: u64) -> Option<ReplyTo<T>> {
+    fn sink(&self, conn: ConnId, corr: u64) -> Option<ReplyTo> {
         Some(ReplyTo::Wire(WireSink {
             conn,
             corr,
@@ -373,25 +359,19 @@ impl WireService for LiveWireService {
                     let _ = self.shards[s].send(ShardMsg::Heartbeat { hb, reply });
                 }
             }
+            // Answered in this turn; a stalled Backend answers nothing and
+            // the PNA's reply timeout takes over.
             WireMsg::TaskRequest {
                 corr,
                 instance,
                 node,
             } => {
-                if let Some(reply) = self.sink(conn, corr) {
-                    let d = shard_of(node, self.dispatch.len());
-                    let _ = self.dispatch[d].send(DispatchMsg::Request {
-                        instance,
-                        node,
-                        max: self.batch,
-                        reply,
-                    });
+                if let Some(reply) = self.dispatch.fetch(instance, node, self.batch) {
+                    let batch = to_wire_batch(reply);
+                    out.send(conn, WireMsg::TaskBatch { corr, batch });
                 }
             }
-            WireMsg::Results { job, node, results } => {
-                let d = shard_of(node, self.dispatch.len());
-                let _ = self.dispatch[d].send(DispatchMsg::Results { job, node, results });
-            }
+            WireMsg::Results { job, node, results } => self.dispatch.results(job, node, results),
             // Answered without a handshake: a monitoring client (`oddci
             // top`) must not consume a node identity just to look.
             WireMsg::StatsQuery { corr } => {
@@ -589,13 +569,15 @@ impl RemoteLink {
         }
     }
 
+    /// Uploads results, fire and forget: a lost upload leaves the tasks
+    /// assigned, and the Backend recycles them at this node's next fetch.
     pub(crate) fn send_results(
         &self,
         job: oddci_types::JobId,
         node: NodeId,
         results: Vec<(oddci_types::TaskId, i32)>,
-    ) -> bool {
-        self.send(&WireMsg::Results { job, node, results })
+    ) {
+        let _ = self.send(&WireMsg::Results { job, node, results });
     }
 }
 

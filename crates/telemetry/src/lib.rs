@@ -152,7 +152,7 @@ impl Telemetry {
     }
 
     /// A clone of this handle whose offers are pinned to sink lane
-    /// `lane`. Hand one to each headend shard / dispatch worker so their
+    /// `lane`. Hand one to each headend thread (carousel, shards) so their
     /// hot paths enqueue into disjoint lanes and never contend on a
     /// queue mutex. No-op when no sink is attached.
     pub fn with_sink_lane(&self, lane: usize) -> Telemetry {

@@ -177,7 +177,7 @@ fn elastic_sharded_headend_survives_revocation_and_churn() {
             .expect("valid plan"),
         mode: HeadendMode::Sharded {
             shards: 2,
-            dispatch: 2,
+            dispatch: 1,
             batch: 4,
         },
         autoscale: Some(policy),

@@ -92,13 +92,6 @@ fn heartbeat_recompose_toctou_is_pinned() {
 }
 
 #[test]
-fn hasty_dispatcher_drain_is_pinned() {
-    // Workers that exit on an empty queue (try_recv → None) instead of
-    // waiting for close lose queued tasks at shutdown.
-    pin_failure("dispatcher-drain-hasty", 11, 400, "");
-}
-
-#[test]
 fn split_trim_stranding_is_pinned() {
     // The autoscale trim race: requeueing a trimmed member's tasks and
     // dropping it from the membership in separate critical sections lets
@@ -122,7 +115,6 @@ fn late_waker_rearm_stranding_is_pinned() {
 fn fixed_protocols_survive_exploration() {
     pin_clean("shutdown-under-active-sink", 11, 200);
     pin_clean("heartbeat-vs-recompose", 11, 200);
-    pin_clean("dispatcher-drain", 11, 200);
     pin_clean("sink-stats-snapshot", 11, 200);
     pin_clean("scale-down-vs-heartbeat", 11, 200);
     pin_clean("wake-vs-wait", 11, 200);

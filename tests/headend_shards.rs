@@ -12,26 +12,27 @@ use oddci::types::{DataSize, ImageId, NodeId, SimTime};
 use std::time::Duration;
 
 fn sharded_config(nodes: u64, shards: usize) -> LiveConfig {
-    geometry_config(nodes, (shards, 2, 8))
+    geometry_config(nodes, (shards, 8))
 }
 
-fn geometry_config(nodes: u64, (shards, dispatch, batch): (usize, usize, usize)) -> LiveConfig {
+fn geometry_config(nodes: u64, (shards, batch): (usize, usize)) -> LiveConfig {
     LiveConfig {
         nodes,
         heartbeat_interval: Duration::from_millis(60),
         controller_tick: Duration::from_millis(80),
         mode: HeadendMode::Sharded {
             shards,
-            dispatch,
+            dispatch: 1,
             batch,
         },
         ..Default::default()
     }
 }
 
-/// The one-task-per-fetch point X8 uses as its baseline: every heartbeat,
-/// fetch and result serializes behind one shard and one dispatch worker.
-const BASELINE_GEOMETRY: (usize, usize, usize) = (1, 1, 1);
+/// The one-task-per-fetch point X8 uses as its baseline: every heartbeat
+/// serializes behind one shard, and every task costs a fetch and an
+/// upload.
+const BASELINE_GEOMETRY: (usize, usize) = (1, 1);
 
 fn tiny_image() -> AlignmentImage {
     AlignmentImage {
@@ -96,12 +97,12 @@ fn instance_transition_heartbeat_fires_node_lost_under_sharding() {
 }
 
 /// A sharded run completes jobs correctly at several shard counts and at
-/// the 1/1/1 baseline point: planted homolog queries outscore random
+/// the 1/1 baseline point: planted homolog queries outscore random
 /// noise, proving the distributed computation really ran through the
-/// sharded dispatch path.
+/// sharded headend.
 #[test]
 fn sharded_headend_completes_jobs_at_every_shard_count() {
-    for geometry in [BASELINE_GEOMETRY, (1, 2, 8), (2, 2, 8), (8, 2, 8)] {
+    for geometry in [BASELINE_GEOMETRY, (1, 8), (2, 8), (8, 8)] {
         let live = LiveOddci::start(geometry_config(4, geometry));
         let outcome = live
             .run_alignment_job(tiny_image(), 10, 3, Duration::from_secs(60))
@@ -132,11 +133,11 @@ fn sharded_headend_completes_jobs_at_every_shard_count() {
 }
 
 /// Shutdown joins every thread (the call only returns once carousel,
-/// shards, dispatch workers and nodes are all joined) and the Backend's
-/// final ledger accounts for every task of every job ever submitted.
+/// shards and nodes are all joined) and the Backend's final ledger
+/// accounts for every task of every job ever submitted.
 #[test]
 fn shutdown_joins_all_threads_with_no_task_unaccounted() {
-    for geometry in [(4, 2, 8), BASELINE_GEOMETRY] {
+    for geometry in [(4, 8), BASELINE_GEOMETRY] {
         let live = LiveOddci::start(geometry_config(3, geometry));
         for _ in 0..2 {
             live.run_alignment_job(tiny_image(), 6, 2, Duration::from_secs(60))
@@ -169,9 +170,8 @@ fn shutdown_flushes_active_sink_before_reporting() {
         std::process::id()
     ));
     let shards = 4usize;
-    let dispatch = 2usize;
     let sink = StreamingSink::builder(&path)
-        .lanes(1 + shards + dispatch)
+        .lanes(1 + shards)
         .start()
         .expect("open shutdown stream");
     let mut cfg = sharded_config(3, shards);

@@ -24,7 +24,7 @@ fn socket_config(nodes: u64) -> LiveConfig {
         mode: HeadendMode::Socket {
             listen: loopback(),
             shards: 2,
-            dispatch: 2,
+            dispatch: 1,
             batch: 4,
         },
         ..Default::default()
