@@ -14,7 +14,6 @@ use oddci_faults::FaultPlan;
 use oddci_telemetry::{HistogramSummary, Telemetry};
 use oddci_types::{DataSize, SimDuration, SimTime};
 use oddci_workload::JobGenerator;
-use rayon::prelude::*;
 use serde::Serialize;
 
 const TASKS: u64 = 300;
@@ -80,7 +79,7 @@ fn main() {
     println!();
 
     let intensities = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0];
-    let results: Vec<RunOutput> = intensities.par_iter().map(|&f| run_at(f)).collect();
+    let results: Vec<RunOutput> = intensities.iter().map(|&f| run_at(f)).collect();
 
     let baseline = results[0].0.makespan_s.expect("calm run completes");
     let heaviest = results.last().expect("non-empty sweep");

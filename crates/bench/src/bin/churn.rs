@@ -11,7 +11,6 @@ use oddci_core::{World, WorldConfig};
 use oddci_telemetry::{HistogramSummary, Telemetry};
 use oddci_types::{DataSize, SimDuration, SimTime};
 use oddci_workload::JobGenerator;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -38,15 +37,14 @@ fn main() {
         ("on 15m / off 10m".into(), Some((15, 10))),
     ];
 
-    // Independent replications in parallel (rayon) — each is a full
-    // deterministic world.
+    // Independent replications — each is a full deterministic world.
     type RunOutput = (
         Row,
         oddci_core::world::MetricsSnapshot,
         Vec<(&'static str, HistogramSummary)>,
     );
     let results: Vec<RunOutput> = scenarios
-        .par_iter()
+        .iter()
         .map(|(label, churn)| {
             let tele = Telemetry::disabled();
             let mut cfg = WorldConfig {

@@ -9,7 +9,6 @@ use oddci_bench::{fmt_secs, header, write_artifact};
 use oddci_core::{Federation, WorldConfig};
 use oddci_types::{DataSize, SimDuration, SimTime};
 use oddci_workload::JobGenerator;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,7 +27,7 @@ fn main() {
 
     let channel_counts = [1usize, 2, 4, 8];
     let results: Vec<(usize, u64, u64, f64)> = channel_counts
-        .par_iter()
+        .iter()
         .map(|&n| {
             let configs: Vec<WorldConfig> = (0..n)
                 .map(|_| WorldConfig {

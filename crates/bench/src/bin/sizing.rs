@@ -10,7 +10,6 @@ use oddci_bench::{header, write_artifact};
 use oddci_core::{World, WorldConfig};
 use oddci_types::{DataSize, SimDuration, SimTime};
 use oddci_workload::JobGenerator;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -43,7 +42,7 @@ fn main() {
     ];
 
     let rows: Vec<Row> = cases
-        .par_iter()
+        .iter()
         .map(|&(audience, target)| {
             let mut cfg = WorldConfig {
                 nodes: audience,

@@ -11,7 +11,6 @@ use oddci_bench::{fmt_secs, header, write_artifact};
 use oddci_core::{BroadcastTechnology, World};
 use oddci_types::{DataSize, SimDuration, SimTime};
 use oddci_workload::JobGenerator;
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,7 +32,7 @@ fn main() {
 
     let image = DataSize::from_megabytes(4);
     let rows: Vec<Row> = BroadcastTechnology::ALL
-        .par_iter()
+        .iter()
         .map(|&tech| {
             let mut cfg = tech.world_config(1_000);
             cfg.policy.heartbeat.interval = SimDuration::from_secs(30);

@@ -5,8 +5,8 @@
 //! same configuration). Replications are embarrassingly parallel, so this
 //! runner is the workspace's main consumer of data parallelism.
 //!
-//! (Kept dependency-light: parallelism is injected by the caller mapping
-//! over [`replication_seeds`] with rayon; this module owns the statistics.)
+//! (Kept dependency-light: the caller maps over [`replication_seeds`]
+//! however it likes; this module owns the statistics.)
 
 use crate::stats::Welford;
 use serde::{Deserialize, Serialize};

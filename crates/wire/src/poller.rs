@@ -2,7 +2,7 @@
 //! an `eventfd` that lets other threads interrupt the wait.
 //!
 //! This is the only file in the workspace that contains `unsafe` (the
-//! `oddci-check` lint enforces that): five foreign calls into the C
+//! `oddci-check` lint enforces that): four foreign calls into the C
 //! library the standard library already links, declared here instead of
 //! pulling in a dependency. Everything past file-descriptor creation is
 //! safe code — the descriptors live in [`OwnedFd`]s, so they close on
@@ -33,27 +33,11 @@ compile_error!(
     "the epoll_event layout and the flag values below are those of x86-64 and aarch64 Linux"
 );
 
-/// `struct pollfd` of Linux.
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-/// `struct timespec` of 64-bit Linux.
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
 }
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -64,7 +48,6 @@ const EPOLLIN: u32 = 0x001;
 const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
-const POLLIN: i16 = 0x001;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 
@@ -230,38 +213,6 @@ impl Poller {
         Ok(())
     }
 
-    /// [`wait`](Poller::wait) with every descriptor but the wake fd left
-    /// out: blocks until a [`Waker`] fires or `timeout` passes, whatever
-    /// the sockets do. The timeout is honoured to the microsecond
-    /// (`epoll_wait` counts in milliseconds), which is what holding
-    /// intake back for a fraction of one needs.
-    pub(crate) fn wait_wake(&self, timeout: Duration, ready: &mut Vec<Ready>) -> io::Result<()> {
-        ready.clear();
-        let mut fd = PollFd {
-            fd: self.wake.fd.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        };
-        let timeout = Timespec {
-            tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
-            tv_nsec: i64::from(timeout.subsec_nanos()),
-        };
-        // SAFETY: `fd` is one live, writable `pollfd` and `nfds` is 1;
-        // `timeout` is a live `timespec` the kernel only reads; a null
-        // signal mask leaves the thread's mask alone. Neither pointer is
-        // kept past the call.
-        match cvt(unsafe { ppoll(&mut fd, 1, &timeout, std::ptr::null()) }) {
-            Ok(0) => {}
-            Ok(_) => ready.push(Ready {
-                token: WAKE_TOKEN,
-                readable: true,
-            }),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        Ok(())
-    }
-
     /// Re-arms the waker after [`WAKE_TOKEN`] was reported. Call it
     /// *before* draining whatever the wakers publish: a wake that lands
     /// after this writes the fd again, and one that landed before it is
@@ -325,41 +276,6 @@ mod tests {
         assert_eq!(wait(&mut poller, Duration::from_secs(10)).len(), 1);
         assert!(begin.elapsed() < Duration::from_secs(5));
         t.join().expect("waker thread");
-    }
-
-    #[test]
-    fn wait_wake_keeps_sub_millisecond_time_and_ignores_sockets() {
-        use std::net::{TcpListener, TcpStream};
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut poller = Poller::new().expect("epoll");
-        poller.add(listener.as_raw_fd(), 7, false).expect("add");
-        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        assert_eq!(wait(&mut poller, Duration::from_secs(5)).len(), 1);
-        let wait_wake = |poller: &Poller, timeout: Duration| {
-            let mut ready = Vec::new();
-            poller.wait_wake(timeout, &mut ready).expect("wait_wake");
-            ready.iter().map(|r| r.token).collect::<Vec<u64>>()
-        };
-
-        // The pending connection does not end the wait; the timeout does,
-        // and it is not rounded up to a millisecond.
-        let mut best = Duration::MAX;
-        for _ in 0..50 {
-            let begin = Instant::now();
-            assert!(wait_wake(&poller, Duration::from_micros(200)).is_empty());
-            let took = begin.elapsed();
-            assert!(
-                took >= Duration::from_micros(200),
-                "returned early: {took:?}"
-            );
-            best = best.min(took);
-        }
-        assert!(best < Duration::from_micros(900), "rounded up: {best:?}");
-
-        poller.waker().wake();
-        assert_eq!(wait_wake(&poller, Duration::from_secs(5)), vec![WAKE_TOKEN]);
-        poller.rearm();
-        assert!(wait_wake(&poller, Duration::ZERO).is_empty());
     }
 
     #[test]
