@@ -25,14 +25,10 @@ use std::path::{Path, PathBuf};
 const JSONL_SAMPLE_LINES: usize = 4096;
 
 /// Artifacts the results directory must *contain*, not merely validate
-/// when present: the durability (X12) and elasticity (X13) runs are
-/// load-bearing evidence, so a sweep that silently skipped them must
-/// fail the gate instead of passing on whatever files remain.
-const REQUIRED_ARTIFACTS: &[&str] = &[
-    "failover.metrics.json",
-    "autoscale.json",
-    "autoscale.metrics.json",
-];
+/// when present: the elasticity run (X13) is load-bearing evidence, so a
+/// sweep that silently skipped it must fail the gate instead of passing
+/// on whatever files remain.
+const REQUIRED_ARTIFACTS: &[&str] = &["autoscale.json", "autoscale.metrics.json"];
 
 /// Required artifact names absent from `present` (bare file names).
 fn missing_required(present: &[String]) -> Vec<&'static str> {
@@ -261,8 +257,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Streamed-trace artifacts are optional (the soak bench deletes the
-    // large ones after validating them); check whichever are present.
+    // Streamed-trace artifacts are optional (CI's trace smoke writes and
+    // then removes them); check whichever are present.
     let mut streams: Vec<PathBuf> = std::fs::read_dir(&results_dir)
         .unwrap_or_else(|e| panic!("cannot list {}: {e}", results_dir.display()))
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -339,14 +335,15 @@ mod tests {
             .collect();
         assert!(missing_required(&full).is_empty());
 
-        // Dropping the durability run must be flagged even though every
-        // *present* file would validate — required, not pass-if-present.
+        // Dropping the elasticity run's envelope must be flagged even
+        // though every *present* file would validate — required, not
+        // pass-if-present.
         let partial: Vec<String> = full
             .iter()
-            .filter(|name| *name != "failover.metrics.json")
+            .filter(|name| *name != "autoscale.metrics.json")
             .cloned()
             .collect();
-        assert_eq!(missing_required(&partial), vec!["failover.metrics.json"]);
+        assert_eq!(missing_required(&partial), vec!["autoscale.metrics.json"]);
 
         // An empty results dir misses the whole list, in declared order.
         assert_eq!(missing_required(&[]), REQUIRED_ARTIFACTS.to_vec());

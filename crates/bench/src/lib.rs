@@ -191,4 +191,72 @@ mod tests {
         assert!(back["run"]["git"].as_str().is_some());
         assert!(back["phases"]["task.fetch"]["count"].as_u64().is_some());
     }
+
+    /// The names `--bin` takes on one doc line. A `--bin $var` inside a
+    /// shell loop expands to the names of the `for var in …; do` on the
+    /// line before it.
+    fn bin_names(line: &str, prev: Option<&str>) -> Vec<String> {
+        line.split("--bin ")
+            .skip(1)
+            .flat_map(|rest| {
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || "_-$".contains(*c))
+                    .collect();
+                match name.strip_prefix('$') {
+                    None => vec![name],
+                    Some(var) => {
+                        let head = format!("for {var} in ");
+                        let names = prev
+                            .and_then(|p| p.trim().strip_prefix(head.as_str()))
+                            .and_then(|p| p.split(';').next())
+                            .unwrap_or_else(|| panic!("`--bin ${var}` outside a for loop"));
+                        names.split_whitespace().map(str::to_string).collect()
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn docs_name_only_existing_bins_and_list_every_artifact() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |rel: &str| {
+            std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+        };
+
+        // `ci-*` files are CI smoke outputs that scripts/ci.sh removes.
+        let listing = read("results/README.md");
+        let mut unlisted: Vec<String> = std::fs::read_dir(root.join("results"))
+            .expect("list results/")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.ends_with(".json") && !n.starts_with("ci-"))
+            .filter(|n| !listing.contains(&format!("`{n}`")))
+            .collect();
+        unlisted.sort();
+        assert!(unlisted.is_empty(), "results/README.md omits {unlisted:?}");
+
+        let mut dangling = Vec::new();
+        for doc in [
+            "README.md",
+            "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = read(doc);
+            let lines: Vec<&str> = text.lines().collect();
+            for (i, line) in lines.iter().enumerate() {
+                if !line.contains("-p oddci-bench") {
+                    continue;
+                }
+                let prev = i.checked_sub(1).map(|j| lines[j]);
+                for bin in bin_names(line, prev) {
+                    let src = format!("crates/bench/src/bin/{bin}.rs");
+                    if !root.join(&src).is_file() {
+                        dangling.push(format!("{doc}:{}: --bin {bin}", i + 1));
+                    }
+                }
+            }
+        }
+        assert!(dangling.is_empty(), "no such bench bin: {dangling:?}");
+    }
 }

@@ -203,8 +203,8 @@ impl Controller {
     /// offset + stride, offset + 2·stride, …`.
     ///
     /// PNAs deduplicate carousel repetitions by [`MessageId`], so when
-    /// several Controllers share one broadcast channel (the shards of a
-    /// [`ShardedController`](crate::sharded::ShardedController)) each must
+    /// several Controllers share one broadcast channel (the shards of the
+    /// live headend, see [`sharded`](crate::sharded)) each must
     /// sign from a disjoint id namespace — otherwise a node that consumed
     /// shard 0's message `#7` would silently drop shard 1's.
     pub fn with_id_namespace(
@@ -266,8 +266,7 @@ impl Controller {
     }
 
     /// Creates an instance under an **externally allocated** id, returning
-    /// the wakeup broadcast to publish. Used when a coordinator (e.g. a
-    /// [`ShardedController`](crate::sharded::ShardedController) or the
+    /// the wakeup broadcast to publish. Used when a coordinator (the
     /// sharded live headend) hands the same instance to several shard
     /// Controllers and needs them all to agree on its identity.
     pub fn admit_instance(
@@ -722,6 +721,27 @@ mod tests {
         assert!(c
             .on_heartbeat(busy_hb(1, id, 2), SimTime::from_secs(2))
             .is_empty());
+    }
+
+    #[test]
+    fn instance_transition_heartbeat_fires_node_lost() {
+        let mut c = Controller::new(KEY, ControllerPolicy::default());
+        let (a, _) = c.create_instance(request(8), SimTime::ZERO);
+        let (b, _) = c.create_instance(request(8), SimTime::ZERO);
+        c.on_heartbeat(busy_hb(5, a, 1), SimTime::from_secs(1));
+        // The node reappears claiming a different instance (PNA crash and
+        // reboot inside the miss budget): its task in `a` must be
+        // requeued now, not when the loss deadline expires.
+        let out = c.on_heartbeat(busy_hb(5, b, 2), SimTime::from_secs(2));
+        assert_eq!(
+            out,
+            vec![ControllerOutput::NodeLost {
+                node: NodeId::new(5),
+                instance: a
+            }]
+        );
+        assert_eq!(c.instance_size(a), 0);
+        assert_eq!(c.instance_size(b), 1);
     }
 
     #[test]

@@ -71,5 +71,5 @@ pub use messages::{
 pub use pna::{Pna, PnaAction, PnaState};
 pub use profiles::BroadcastTechnology;
 pub use provider::{JobReport, Provider, ProviderRequest};
-pub use sharded::{shard_of, split_target, ShardedController};
+pub use sharded::{shard_of, split_target};
 pub use world::{ChurnConfig, OddciSim, World, WorldConfig, WorldEvent, WorldMetrics};

@@ -1,14 +1,14 @@
-//! Sharded Controller state: N [`Controller`]s, each owning a disjoint
-//! slice of node membership.
+//! Sharded Controller state: N [`Controller`](crate::controller::Controller)s,
+//! each owning a disjoint slice of node membership.
 //!
 //! The paper's Controller must "serve millions of tuned devices" over
 //! individual direct channels (§3.2). A single sequential Controller
-//! serializes every heartbeat behind one ledger; the
-//! [`ShardedController`] splits that ledger by a stable hash of the node
-//! id, so heartbeat consolidation, loss detection and membership trimming
-//! parallelize across shards while every per-shard transition (including
-//! the `NodeLost` emitted on instance-transition heartbeats) behaves
-//! exactly like the unsharded Controller's.
+//! serializes every heartbeat behind one ledger; the live headend splits
+//! that ledger by a stable hash of the node id across shard threads, so
+//! heartbeat consolidation, loss detection and membership trimming
+//! parallelize while every per-shard transition (including the `NodeLost`
+//! emitted on instance-transition heartbeats) behaves exactly like the
+//! unsharded Controller's.
 //!
 //! Sharding contract:
 //!
@@ -17,25 +17,21 @@
 //!   handled by that shard alone.
 //! * **Shared carousel** — shards broadcast over one channel. Each shard
 //!   signs from a disjoint [`MessageId`](oddci_types::MessageId) namespace
-//!   (`shard_index + k·shard_count`) so PNA carousel-repeat deduplication
-//!   never drops another shard's message.
+//!   (`shard_index + k·shard_count`, see
+//!   [`Controller::with_id_namespace`](crate::controller::Controller::with_id_namespace))
+//!   so PNA carousel-repeat deduplication never drops another shard's
+//!   message.
 //! * **Split targets** — an instance of target `T` over `S` shards is
 //!   admitted to every shard with per-shard target `ceil(T/S)`
 //!   ([`split_target`]). The sum slightly over-admits (at most `S − 1`
 //!   extra members, trimmed by the usual §3.2 heartbeat-reply resets) and
 //!   never under-admits.
-//!
-//! This type drives the monolithic (single-threaded) use of sharded state
-//! and the unit tests for the invariants above; the live runtime
-//! distributes the same per-shard `Controller`s across real OS threads.
 
-use crate::controller::{Controller, ControllerOutput, ControllerPolicy, InstanceRequest};
-use crate::messages::Heartbeat;
-use oddci_types::{InstanceId, NodeId, Result, SimTime};
+use oddci_types::NodeId;
 
 /// The shard owning `node` out of `shards` total: a Fibonacci-hash of the
 /// node id, stable across the process and identical in every plane (the
-/// monolithic wrapper, the live thread-per-shard headend, tests).
+/// in-process and socket headends, tests).
 pub fn shard_of(node: NodeId, shards: usize) -> usize {
     assert!(shards > 0, "a sharded controller needs at least one shard");
     // Fibonacci hashing: multiply by 2^64/φ and take the top bits. Node
@@ -46,189 +42,61 @@ pub fn shard_of(node: NodeId, shards: usize) -> usize {
 }
 
 /// Splits an instance target across shards: every shard gets
-/// `ceil(target/shards)` (capped so the total over-admission stays below
-/// one member per shard). Never under-admits: the per-shard sum ≥ target.
+/// `ceil(target/shards)`, so the total over-admits by at most
+/// `shards − 1` members. Never under-admits: the per-shard sum ≥ target.
 pub fn split_target(target: u64, shards: usize) -> Vec<u64> {
     assert!(shards > 0, "a sharded controller needs at least one shard");
     let per = target.div_ceil(shards as u64);
     vec![per; shards]
 }
 
-/// N Controllers behind one facade, with node membership partitioned by
-/// [`shard_of`]. See the module docs for the sharding contract.
-pub struct ShardedController {
-    shards: Vec<Controller>,
-    next_instance: u64,
-}
-
-impl ShardedController {
-    /// Creates `shards` Controllers signing with `key`. Each shard gets
-    /// `policy` with its `assumed_audience` divided by the shard count
-    /// (each shard only ever hears from its slice of the audience) and a
-    /// disjoint message-id namespace.
-    pub fn new(key: &[u8], policy: ControllerPolicy, shards: usize) -> Self {
-        assert!(shards > 0, "a sharded controller needs at least one shard");
-        let controllers = (0..shards)
-            .map(|i| {
-                let mut p = policy.clone();
-                p.assumed_audience = (policy.assumed_audience / shards as u64).max(1);
-                Controller::with_id_namespace(key, p, i as u64, shards as u64)
-            })
-            .collect();
-        ShardedController {
-            shards: controllers,
-            next_instance: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: NodeId) -> usize {
-        shard_of(node, self.shards.len())
-    }
-
-    /// Immutable access to one shard's Controller.
-    pub fn shard(&self, index: usize) -> &Controller {
-        &self.shards[index]
-    }
-
-    /// Mutable access to one shard's Controller (the live runtime moves
-    /// these onto dedicated threads instead).
-    pub fn shard_mut(&mut self, index: usize) -> &mut Controller {
-        &mut self.shards[index]
-    }
-
-    /// Consumes the facade, yielding the per-shard Controllers (in shard
-    /// order) for distribution across threads.
-    pub fn into_shards(self) -> Vec<Controller> {
-        self.shards
-    }
-
-    /// Creates an instance on every shard (per-shard targets via
-    /// [`split_target`]) and returns its id plus every shard's wakeup
-    /// broadcast.
-    pub fn create_instance(
-        &mut self,
-        req: InstanceRequest,
-        now: SimTime,
-    ) -> (InstanceId, Vec<ControllerOutput>) {
-        let id = InstanceId::new(self.next_instance);
-        self.next_instance += 1;
-        let mut out = Vec::new();
-        let targets = split_target(req.target, self.shards.len());
-        for (shard, target) in self.shards.iter_mut().zip(targets) {
-            let shard_req = InstanceRequest { target, ..req };
-            out.extend(shard.admit_instance(id, shard_req, now));
-        }
-        (id, out)
-    }
-
-    /// Dismantles `id` on every shard. Exactly **one** reset broadcast is
-    /// returned (the carousel reaches every node regardless of shard);
-    /// every shard still flips its record to `Dismantled` so straggler
-    /// heartbeats are trimmed by whichever shard owns the node.
-    pub fn dismantle(&mut self, id: InstanceId) -> Result<Vec<ControllerOutput>> {
-        let mut broadcast = None;
-        for shard in &mut self.shards {
-            let outputs = shard.dismantle(id)?;
-            if broadcast.is_none() {
-                broadcast = Some(outputs);
-            }
-        }
-        Ok(broadcast.unwrap_or_default())
-    }
-
-    /// Routes one heartbeat to the shard owning its node and returns that
-    /// shard's outputs — the same `DirectReset`/`NodeLost` semantics as
-    /// the unsharded Controller, including `NodeLost` on
-    /// instance-transition heartbeats.
-    pub fn on_heartbeat(&mut self, hb: Heartbeat, now: SimTime) -> Vec<ControllerOutput> {
-        let shard = self.shard_of(hb.node);
-        self.shards[shard].on_heartbeat(hb, now)
-    }
-
-    /// Ticks a single shard (loss detection + recomposition for its
-    /// slice).
-    pub fn tick_shard(&mut self, index: usize, now: SimTime) -> Vec<ControllerOutput> {
-        self.shards[index].tick(now)
-    }
-
-    /// Ticks every shard, concatenating the outputs in shard order.
-    pub fn tick(&mut self, now: SimTime) -> Vec<ControllerOutput> {
-        (0..self.shards.len())
-            .flat_map(|i| self.tick_shard(i, now))
-            .collect()
-    }
-
-    /// Total member count of `id` across shards.
-    pub fn instance_size(&self, id: InstanceId) -> u64 {
-        self.shards.iter().map(|s| s.instance_size(id)).sum()
-    }
-
-    /// Total wakeup broadcasts issued for `id` across shards.
-    pub fn wakeups_sent(&self, id: InstanceId) -> u32 {
-        self.shards
-            .iter()
-            .filter_map(|s| s.instance(id).map(|r| r.wakeups_sent))
-            .sum()
-    }
-
-    /// Total nodes tracked across shards. Because membership is a
-    /// partition, this equals the number of distinct nodes heard from.
-    pub fn known_nodes(&self) -> usize {
-        self.shards.iter().map(|s| s.known_nodes()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{ControlMessage, NodeRequirements, PnaStateKind, SignedMessage};
-    use oddci_types::{DataSize, ImageId};
+    use crate::controller::{Controller, ControllerOutput, ControllerPolicy, InstanceRequest};
+    use crate::messages::{ControlMessage, NodeRequirements, SignedMessage};
+    use oddci_types::{DataSize, ImageId, InstanceId, SimTime};
     use std::collections::BTreeSet;
 
     const KEY: &[u8] = b"shard-key";
+    const SHARDS: u64 = 4;
 
-    fn request(target: u64) -> InstanceRequest {
-        InstanceRequest {
-            image: ImageId::new(1),
-            image_size: DataSize::from_megabytes(10),
-            target,
-            requirements: NodeRequirements::default(),
-        }
+    /// `SHARDS` Controllers in the headend's namespaces, each admitted to
+    /// one instance at its split target. Returns them with every shard's
+    /// wakeup broadcast.
+    fn admitted_shards(id: InstanceId) -> (Vec<Controller>, Vec<ControllerOutput>) {
+        let targets = split_target(100, SHARDS as usize);
+        let mut outputs = Vec::new();
+        let shards = (0..SHARDS)
+            .zip(targets)
+            .map(|(i, target)| {
+                let mut c =
+                    Controller::with_id_namespace(KEY, ControllerPolicy::default(), i, SHARDS);
+                let req = InstanceRequest {
+                    image: ImageId::new(1),
+                    image_size: DataSize::from_megabytes(10),
+                    target,
+                    requirements: NodeRequirements::default(),
+                };
+                outputs.extend(c.admit_instance(id, req, SimTime::ZERO));
+                c
+            })
+            .collect();
+        (shards, outputs)
     }
 
-    fn busy_hb(node: u64, inst: InstanceId, t: u64) -> Heartbeat {
-        Heartbeat {
-            node: NodeId::new(node),
-            state: PnaStateKind::Busy,
-            instance: Some(inst),
-            sent_at: SimTime::from_secs(t),
-        }
-    }
-
-    #[test]
-    fn shard_of_is_a_partition() {
-        for shards in [1usize, 2, 3, 4, 8, 16] {
-            let mut seen_per_shard = vec![0u64; shards];
-            for n in 0..10_000u64 {
-                let s = shard_of(NodeId::new(n), shards);
-                assert!(s < shards);
-                // Determinism: the same node always lands on the same shard.
-                assert_eq!(s, shard_of(NodeId::new(n), shards));
-                seen_per_shard[s] += 1;
-            }
-            // Balance: no shard is empty or grossly overloaded (3x mean).
-            let mean = 10_000 / shards as u64;
-            for (i, &count) in seen_per_shard.iter().enumerate() {
-                assert!(count > 0, "shard {i}/{shards} owns no nodes");
-                assert!(count < 3 * mean + 1, "shard {i}/{shards} owns {count}");
-            }
-        }
+    /// `(message id, is a reset)` of every broadcast in `outputs`.
+    fn broadcasts(outputs: &[ControllerOutput]) -> Vec<(u64, bool)> {
+        outputs
+            .iter()
+            .filter_map(|o| match o {
+                ControllerOutput::Broadcast(SignedMessage { message, .. }) => Some((
+                    message.id().raw(),
+                    matches!(message, ControlMessage::Reset(_)),
+                )),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -239,134 +107,36 @@ mod tests {
                 assert_eq!(split.len(), shards);
                 let sum: u64 = split.iter().sum();
                 assert!(sum >= target, "target {target} over {shards}: {split:?}");
-                assert!(sum <= target + shards as u64);
+                assert!(
+                    sum < target + shards as u64,
+                    "over-admits by {} at target {target} over {shards}",
+                    sum - target
+                );
             }
         }
     }
 
     #[test]
     fn message_ids_are_disjoint_across_shards() {
-        let mut c = ShardedController::new(KEY, ControllerPolicy::default(), 4);
-        let (_, outputs) = c.create_instance(request(100), SimTime::ZERO);
-        let ids: BTreeSet<u64> = outputs
-            .iter()
-            .filter_map(|o| match o {
-                ControllerOutput::Broadcast(SignedMessage { message, .. }) => {
-                    Some(message.id().raw())
-                }
-                _ => None,
-            })
-            .collect();
+        let (_, outputs) = admitted_shards(InstanceId::new(0));
+        let ids: BTreeSet<u64> = broadcasts(&outputs).iter().map(|&(id, _)| id).collect();
         assert_eq!(ids.len(), 4, "one wakeup per shard, all distinct ids");
-        let strides: BTreeSet<u64> = ids.iter().map(|id| id % 4).collect();
-        assert_eq!(strides.len(), 4, "each shard owns its own id residue");
+        let residues: BTreeSet<u64> = ids.iter().map(|id| id % SHARDS).collect();
+        assert_eq!(residues.len(), 4, "each shard owns its own id residue");
     }
 
     #[test]
-    fn membership_partitions_across_shards() {
-        let mut c = ShardedController::new(KEY, ControllerPolicy::default(), 4);
-        // Target with slack: the hash does not balance 64 nodes exactly
-        // 16/16/16/16, so per-shard capacity must cover the skew.
-        let (id, _) = c.create_instance(request(256), SimTime::ZERO);
-        for n in 0..64u64 {
-            c.on_heartbeat(busy_hb(n, id, 1), SimTime::from_secs(1));
+    fn dismantle_emits_one_reset_per_shard_in_its_namespace() {
+        let id = InstanceId::new(0);
+        let (mut shards, _) = admitted_shards(id);
+        for (i, shard) in shards.iter_mut().enumerate() {
+            // The headend airs one shard's output, so each dismantle must
+            // be exactly one reset and nothing else.
+            let out = shard.dismantle(id).unwrap();
+            assert_eq!(out.len(), 1, "shard {i}: {out:?}");
+            let (msg_id, is_reset) = broadcasts(&out)[0];
+            assert!(is_reset, "shard {i} dismantle is not a reset");
+            assert_eq!(msg_id % SHARDS, i as u64, "shard {i} left its namespace");
         }
-        // Every node landed in exactly one shard's ledger: the per-shard
-        // counts sum to the node count (no duplicates, no drops) …
-        assert_eq!(c.known_nodes(), 64);
-        // … and per-shard membership sums to the aggregate instance size.
-        let per_shard: u64 = (0..4).map(|s| c.shard(s).instance_size(id)).sum();
-        assert_eq!(per_shard, 64);
-        assert_eq!(c.instance_size(id), 64);
-    }
-
-    #[test]
-    fn node_lost_fires_on_instance_transition_under_sharding() {
-        let mut c = ShardedController::new(KEY, ControllerPolicy::default(), 4);
-        let (a, _) = c.create_instance(request(8), SimTime::ZERO);
-        let (b, _) = c.create_instance(request(8), SimTime::ZERO);
-        c.on_heartbeat(busy_hb(5, a, 1), SimTime::from_secs(1));
-        // The node reappears claiming a different instance (PNA crashed and
-        // rebooted inside the miss budget): its shard must surface NodeLost
-        // for the old membership — the PR-1 orphaned-task fix, sharded.
-        let out = c.on_heartbeat(busy_hb(5, b, 2), SimTime::from_secs(2));
-        assert!(
-            out.contains(&ControllerOutput::NodeLost {
-                node: NodeId::new(5),
-                instance: a,
-            }),
-            "{out:?}"
-        );
-    }
-
-    #[test]
-    fn loss_detection_stays_per_shard() {
-        let mut c = ShardedController::new(KEY, ControllerPolicy::default(), 2);
-        let (id, _) = c.create_instance(request(8), SimTime::ZERO);
-        for n in 0..4u64 {
-            c.on_heartbeat(busy_hb(n, id, 0), SimTime::ZERO);
-        }
-        assert_eq!(c.instance_size(id), 4);
-        // Default policy deadline is 180 s; everyone goes silent.
-        let out = c.tick(SimTime::from_secs(181));
-        let lost: BTreeSet<u64> = out
-            .iter()
-            .filter_map(|o| match o {
-                ControllerOutput::NodeLost { node, .. } => Some(node.raw()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(lost, (0..4u64).collect());
-        assert_eq!(c.instance_size(id), 0);
-        assert_eq!(c.known_nodes(), 0);
-    }
-
-    #[test]
-    fn dismantle_emits_one_reset_and_trims_stragglers_on_every_shard() {
-        let mut c = ShardedController::new(KEY, ControllerPolicy::default(), 4);
-        let (id, _) = c.create_instance(request(64), SimTime::ZERO);
-        for n in 0..16u64 {
-            c.on_heartbeat(busy_hb(n, id, 1), SimTime::from_secs(1));
-        }
-        let out = c.dismantle(id).unwrap();
-        let resets = out
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    ControllerOutput::Broadcast(SignedMessage {
-                        message: ControlMessage::Reset(_),
-                        ..
-                    })
-                )
-            })
-            .count();
-        assert_eq!(resets, 1, "one carousel reset reaches every shard's nodes");
-        // A straggler on ANY shard is direct-reset by its owner.
-        for n in 0..16u64 {
-            let out = c.on_heartbeat(busy_hb(n, id, 10), SimTime::from_secs(10));
-            assert_eq!(
-                out,
-                vec![ControllerOutput::DirectReset {
-                    node: NodeId::new(n),
-                    instance: id,
-                }]
-            );
-        }
-    }
-
-    #[test]
-    fn single_shard_behaves_like_plain_controller() {
-        let mut sharded = ShardedController::new(KEY, ControllerPolicy::default(), 1);
-        let mut plain = Controller::new(KEY, ControllerPolicy::default());
-        let (a, _) = sharded.create_instance(request(3), SimTime::ZERO);
-        let (b, _) = plain.create_instance(request(3), SimTime::ZERO);
-        assert_eq!(a, b);
-        for n in 0..3u64 {
-            let sa = sharded.on_heartbeat(busy_hb(n, a, 1), SimTime::from_secs(1));
-            let pa = plain.on_heartbeat(busy_hb(n, b, 1), SimTime::from_secs(1));
-            assert_eq!(sa, pa);
-        }
-        assert_eq!(sharded.instance_size(a), plain.instance_size(b));
     }
 }

@@ -650,7 +650,7 @@ impl LiveOddci {
     /// (one task per query) and waits for it like
     /// [`run_alignment_job`](LiveOddci::run_alignment_job) — which is a
     /// wrapper around this that plants verifiable homologs. Callers that
-    /// want throughput-shaped work (e.g. the `soak` benchmark) pass short
+    /// want throughput-shaped work (e.g. `oddci soak`) pass short
     /// random queries so each task is a cheap index scan and the headend
     /// round trip dominates.
     pub fn run_query_job(
