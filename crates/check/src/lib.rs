@@ -2,11 +2,12 @@
 
 //! # oddci-check — concurrency correctness tooling for the OddCI stack
 //!
-//! The live plane is genuinely concurrent: a carousel thread, N controller
-//! shards with per-shard heartbeat ledgers, node and serving threads that
-//! dispatch under the hub lock, and streaming-sink writer threads all
-//! share state through channels, atomics and locks. This crate is the
-//! machine-checked discipline behind that concurrency, in three layers:
+//! The live plane is genuinely concurrent: node and serving threads that
+//! drive N locked controller stripes and dispatch under the hub lock, a
+//! control thread that ticks the stripes, and streaming-sink writer
+//! threads all share state through channels, atomics and locks. This
+//! crate is the machine-checked discipline behind that concurrency, in
+//! three layers:
 //!
 //! 1. **An instrumented sync shim** ([`sync`]): drop-in `Mutex` /
 //!    `RwLock` / `Monitor` / channel wrappers the whole workspace uses

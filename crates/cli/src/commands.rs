@@ -775,13 +775,13 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     let work: Vec<std::sync::Arc<Vec<u8>>> = (0..queries)
         .map(|i| std::sync::Arc::new(random_sequence(16, seed ^ i)))
         .collect();
-    // One sink lane per headend thread (carousel + shards) so their
-    // trace offers never contend; see ShardedHeadend::start.
+    // The control thread offers on lane 0; node threads, which also run
+    // the headend's heartbeats and dispatch, spread by track.
     let lane_capacity = lane_capacity_arg(p)?;
     let sink = match p.get("trace-out") {
         Some(path) => Some(open_stream_sink(
             path,
-            1 + shards,
+            4,
             lane_capacity,
             "soak",
             seed,

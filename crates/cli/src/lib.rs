@@ -709,7 +709,7 @@ mod tests {
             nodes: 1,
             ..Default::default()
         });
-        let mut snap = primary.snapshot_now().expect("idle headend exports");
+        let mut snap = primary.snapshot_now();
         primary.shutdown();
         let inherited = oddci_core::AutoscaleExport {
             desired: 3,

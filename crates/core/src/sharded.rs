@@ -4,11 +4,12 @@
 //! The paper's Controller must "serve millions of tuned devices" over
 //! individual direct channels (§3.2). A single sequential Controller
 //! serializes every heartbeat behind one ledger; the live headend splits
-//! that ledger by a stable hash of the node id across shard threads, so
-//! heartbeat consolidation, loss detection and membership trimming
-//! parallelize while every per-shard transition (including the `NodeLost`
-//! emitted on instance-transition heartbeats) behaves exactly like the
-//! unsharded Controller's.
+//! that ledger by a stable hash of the node id into controller stripes,
+//! each behind its own lock and driven by whichever thread carries the
+//! heartbeat, so heartbeat consolidation, loss detection and membership
+//! trimming parallelize while every per-shard transition (including the
+//! `NodeLost` emitted on instance-transition heartbeats) behaves exactly
+//! like the unsharded Controller's.
 //!
 //! Sharding contract:
 //!

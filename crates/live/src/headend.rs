@@ -1,57 +1,52 @@
-//! The sharded multi-threaded live headend.
+//! The live headend: the Provider, Controller and Backend as state behind
+//! locks, driven by whichever thread calls.
 //!
 //! The paper's Controller must "serve millions of tuned devices" over
-//! individual direct channels (§3.2); one sequential loop would
-//! serialize carousel publishing, heartbeat consolidation and task
-//! dispatch behind one thread. This module splits the headend into
-//! cooperating threads over bounded channels, and runs task dispatch on
-//! no thread of its own:
+//! individual direct channels (§3.2). The headend keeps no thread per
+//! role and no queue between roles; each piece of state sits behind its
+//! own lock and a request runs on the thread that made it:
 //!
-//! * **carousel thread** — owns the broadcast bus and the instance→image
-//!   map; everything that reaches the §3.1 broadcast channel goes through
-//!   it (one publisher, exactly like a real carousel injector);
-//! * **N controller shards** — each owns a private
-//!   [`oddci_core::Controller`] covering a disjoint slice of
-//!   node membership ([`shard_of`](oddci_core::sharded::shard_of) of the
-//!   node id), with its own heartbeat ledger, loss detection and
-//!   recomposition. Shards sign from disjoint message-id namespaces so
-//!   PNA carousel-repeat dedup never drops a sibling shard's message;
+//! * **controller stripes** — N [`oddci_core::Controller`]s, each behind
+//!   its own mutex and covering a disjoint slice of node membership
+//!   ([`shard_of`] of the node id), with its own heartbeat ledger, loss
+//!   detection and recomposition. Stripes sign from disjoint message-id
+//!   namespaces so PNA carousel-repeat dedup never drops a sibling
+//!   stripe's message. A heartbeat is consolidated and answered on the
+//!   thread that carries it: the node's own thread in process, the
+//!   socket front's serving thread for a PNA;
+//! * **the carousel** — the instance→image map and the broadcast bus,
+//!   behind one lock that is held while publishing, so everything that
+//!   reaches the §3.1 broadcast channel leaves in one order;
 //! * **dispatch on the caller** — a node's task fetch and its result
-//!   upload run on the thread that asked, through a cloneable `Dispatch`
-//!   handle: the node's own thread in process, the socket front's
-//!   serving thread for a PNA. Fetches cut *batches*
+//!   upload run on the thread that asked. Fetches cut *batches*
 //!   ([`Backend::fetch_batch`](oddci_core::Backend::fetch_batch)), so one
-//!   hub-lock round trip amortizes across `batch` tasks. There is no
-//!   queue between a node and the Backend, which also keeps a node's
-//!   results ahead of its next fetch: the Backend recycles whatever a
-//!   fetching node still holds, so a result queued behind that fetch
-//!   would be thrown back into the queue.
+//!   hub-lock round trip amortizes across `batch` tasks. With no queue
+//!   between a node and the Backend, a node's results land ahead of its
+//!   next fetch: the Backend recycles whatever a fetching node still
+//!   holds, so a result queued behind that fetch would be thrown back;
+//! * **one control thread** runs every stripe's periodic `tick` (loss
+//!   detection, recomposition wakeups).
 //!
 //! Shared job state (Backend, Provider, per-job queries/scores) lives in
-//! a `Hub` behind one mutex. The locking rule that keeps this
-//! deadlock-free: **never send on a channel while holding the hub lock**
-//! — every handler computes under the lock, drops it, then sends.
-//!
-//! Shutdown order (the barrier): the runtime publishes `Shutdown` on the
-//! bus and joins every node and the socket front first — the only
-//! callers of `Dispatch` — then shards, then the carousel, so every
-//! thread that might still *receive* from a channel outlives every
-//! thread that might still *send* on it.
+//! a `Hub` behind one mutex. Lock order: a stripe may be held while
+//! taking the hub or the carousel, the carousel while taking the bus;
+//! never the reverse, and never two stripes at once. A stripe applies
+//! its Controller's outputs before it unlocks, so its wakeups and resets
+//! reach the bus, and its losses the Backend, in the order it emitted
+//! them. The hub lock is a leaf, and **nothing is sent while it is
+//! held** — every handler computes under it, drops it, then publishes.
 
 use crate::bus::BroadcastBus;
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
-use crate::runtime::{wall_now, BusMsg, LiveConfig, TaskBatchReply};
+use crate::runtime::{every, wall_now, BusMsg, LiveConfig, TaskBatchReply, Worker};
 use crate::snapshot::{ImageExport, SnapshotState};
-use crate::wire::WireSink;
-use oddci_check::sync::{bounded, Monitor, Mutex, Receiver, RecvTimeoutError, Sender};
+use oddci_check::sync::{Monitor, Mutex};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
 use oddci_core::backend::Backend;
-use oddci_core::controller::{
-    Controller, ControllerOutput, ControllerPolicy, ControllerState, InstanceRequest,
-};
-use oddci_core::messages::{ControlMessage, Heartbeat, HeartbeatReply};
+use oddci_core::controller::{Controller, ControllerOutput, ControllerPolicy, InstanceRequest};
+use oddci_core::messages::{ControlMessage, Heartbeat, HeartbeatReply, SignedMessage};
 use oddci_core::provider::{JobReport, Provider, ProviderRequest};
-use oddci_core::sharded::split_target;
+use oddci_core::sharded::{shard_of, split_target};
 use oddci_faults::FaultInjector;
 use oddci_telemetry::{Gauge, Phase, Telemetry, CONTROL_TRACK};
 use oddci_types::{HeartbeatConfig, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
@@ -59,99 +54,7 @@ use oddci_workload::Job;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// Capacity of each shard's inbox. Senders block when a queue is full —
-/// backpressure, not unbounded memory.
-const QUEUE_CAP: usize = 1024;
-/// Capacity of the carousel thread's inbox (control traffic is sparse).
-const CAROUSEL_CAP: usize = 256;
-/// How long a snapshot export/import waits for a shard or the carousel
-/// to answer before declaring the headend unhealthy.
-const EXPORT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
-
-/// Where a shard puts the answer to a node's heartbeat.
-pub(crate) enum ReplyTo {
-    /// An in-process node thread, blocked on its one-shot channel.
-    Local(Sender<HeartbeatReply>),
-    /// A PNA behind the socket front: the reply goes onto the serving
-    /// loop's reply channel, and the loop is woken to relay it.
-    Wire(WireSink),
-}
-
-impl ReplyTo {
-    /// Delivers `reply`. Like every send here it must happen with the hub
-    /// lock released — for a wire sink the wake is a send too.
-    pub(crate) fn send(self, reply: HeartbeatReply) {
-        match self {
-            ReplyTo::Local(tx) => {
-                let _ = tx.send(reply);
-            }
-            ReplyTo::Wire(sink) => sink.push(reply),
-        }
-    }
-}
-
-/// Traffic into the carousel thread.
-pub(crate) enum CarouselMsg {
-    /// Remember the image to attach to this instance's wakeups.
-    Register {
-        instance: InstanceId,
-        image: Arc<AlignmentImage>,
-    },
-    /// Publish a signed control message (from any shard).
-    Publish(oddci_core::messages::SignedMessage),
-    /// Export the registered image recipes for a durability snapshot.
-    Export {
-        reply: Sender<Vec<(InstanceId, ImageExport)>>,
-    },
-    Shutdown,
-}
-
-/// Traffic into one controller shard.
-pub(crate) enum ShardMsg {
-    /// A heartbeat from a node this shard owns.
-    Heartbeat {
-        hb: Heartbeat,
-        reply: ReplyTo,
-    },
-    /// Admit an instance (coordinator-allocated id, per-shard target).
-    Admit {
-        instance: InstanceId,
-        request: InstanceRequest,
-    },
-    /// Dismantle an instance; only the home shard publishes the reset.
-    Dismantle {
-        instance: InstanceId,
-        publish: bool,
-    },
-    /// Steer this shard's slice of an instance to a new per-shard target
-    /// (autoscale reconciliation). Growth rides the next tick's
-    /// recomposition wakeup; shrinking trims lazily via heartbeat
-    /// replies.
-    Resize {
-        instance: InstanceId,
-        target: u64,
-    },
-    /// Spot-style airtime revocation: the broadcaster reclaimed the
-    /// channel, so every member of the instance is evicted at once and
-    /// their in-flight tasks re-queued.
-    Revoke {
-        instance: InstanceId,
-    },
-    /// Export this shard's Controller state for a durability snapshot.
-    Export {
-        reply: Sender<ControllerState>,
-    },
-    /// Replace this shard's Controller state from a snapshot (standby
-    /// adoption); the reply is the completion barrier.
-    Import {
-        state: ControllerState,
-        reply: Sender<()>,
-    },
-    Shutdown,
-}
+use std::time::{Duration, Instant};
 
 /// One job's scores, a slot per task indexed by [`TaskId::index`]. It
 /// grows with the job, so it is a vector and not a tree; the Backend's
@@ -166,8 +69,8 @@ fn scored(scores: &Scores) -> impl Iterator<Item = (TaskId, i32)> + '_ {
         .filter_map(|(i, slot)| slot.map(|score| (TaskId::new(i), score)))
 }
 
-/// Job state shared by the dispatching threads, shards and the
-/// coordinator.
+/// Job state shared by the dispatching threads, the stripes and the
+/// submitter.
 struct Hub {
     backend: Backend,
     provider: Provider,
@@ -175,68 +78,84 @@ struct Hub {
     job_instance: BTreeMap<JobId, InstanceId>,
     job_queries: BTreeMap<JobId, Vec<Arc<Vec<u8>>>>,
     job_scores: BTreeMap<JobId, Scores>,
-    /// Wakeup broadcasts published per instance (sum over shards), for
+    /// Wakeup broadcasts published per instance (sum over stripes), for
     /// the Provider's report.
     wakeups: BTreeMap<InstanceId, u32>,
 }
 
-/// Handles to the sharded headend's threads and channels.
-pub(crate) struct ShardedHeadend {
-    hub: Arc<Mutex<Hub>>,
-    carousel_tx: Sender<CarouselMsg>,
-    shard_txs: Vec<Sender<ShardMsg>>,
-    /// The handle node links and the socket front clone.
-    dispatch: Dispatch,
-    carousel: Option<JoinHandle<()>>,
-    shard_threads: Vec<JoinHandle<()>>,
-    next_instance: AtomicU64,
-    start: Instant,
+/// One controller stripe: a Controller over its slice of the membership
+/// and the two gauges it keeps current.
+struct Shard {
+    controller: Controller,
+    /// `controller.heartbeat_lag.shard<i>`.
+    lag: Gauge,
+    /// `controller.members.shard<i>`.
+    members: Gauge,
 }
 
-impl ShardedHeadend {
-    /// Spawns the carousel thread and `shards` controller shards.
-    pub(crate) fn start(
+/// The live carousel: the image each instance's wakeups carry, and the
+/// bus they air on.
+struct Carousel {
+    bus: Arc<BroadcastBus<BusMsg>>,
+    images: BTreeMap<InstanceId, Arc<AlignmentImage>>,
+}
+
+impl Carousel {
+    /// Airs `signed`: a wakeup with its instance's image attached, a reset
+    /// after forgetting that image, so no wakeup aired later carries it.
+    fn publish(&mut self, signed: SignedMessage, now_us: u64, tele: &Telemetry) {
+        let (instance, image) = match signed.message {
+            ControlMessage::Wakeup(w) => (w.instance, self.images.get(&w.instance).cloned()),
+            ControlMessage::Reset(r) => {
+                self.images.remove(&r.instance);
+                (r.instance, None)
+            }
+        };
+        tele.instant(
+            now_us,
+            Phase::CarouselPublish,
+            CONTROL_TRACK,
+            instance.raw(),
+        );
+        let image = image.map(WakeupImage::Recipe);
+        self.bus
+            .publish(&BusMsg::Control(LiveBroadcast { signed, image }));
+    }
+}
+
+/// The headend's state, shared by every thread that drives it: node
+/// threads and the serving thread (heartbeats, fetches, results), the
+/// submitter, the control thread, the reconciler and the snapshot writer.
+pub(crate) struct Headend {
+    hub: Mutex<Hub>,
+    shards: Vec<Mutex<Shard>>,
+    carousel: Mutex<Carousel>,
+    /// Jobs finished so far. The thread that completes a job bumps it and
+    /// notifies — after dropping the hub guard — so
+    /// [`wait_report`](Headend::wait_report) sleeps until a completion
+    /// instead of polling the hub.
+    jobs_finished: Monitor<u64>,
+    next_instance: AtomicU64,
+    injector: Arc<FaultInjector>,
+    start: Instant,
+    tele: Telemetry,
+    backend_depth: Gauge,
+}
+
+impl Headend {
+    /// A headend of `shards` controller stripes airing on `bus`. It runs
+    /// nothing until [`spawn_control`] starts its control thread.
+    pub(crate) fn new(
         config: &LiveConfig,
         shards: usize,
         bus: Arc<BroadcastBus<BusMsg>>,
         start: Instant,
         injector: Arc<FaultInjector>,
-    ) -> ShardedHeadend {
+    ) -> Headend {
         assert!(shards > 0, "validated by LiveConfig");
         let tele = config.telemetry.clone();
-        // Send-sensitive: the module-level locking rule ("never send on a
-        // channel while holding the hub lock") is enforced at runtime —
-        // under ODDCI_CHECK=1 any `Sender::send` on a thread holding this
-        // lock is reported as a violation.
-        let hub = Arc::new(Mutex::named_send_sensitive(
-            Hub {
-                backend: Backend::new(),
-                provider: Provider::new(),
-                instance_job: BTreeMap::new(),
-                job_instance: BTreeMap::new(),
-                job_queries: BTreeMap::new(),
-                job_scores: BTreeMap::new(),
-                wakeups: BTreeMap::new(),
-            },
-            "live.hub",
-        ));
-
-        let (carousel_tx, carousel_rx) = bounded(CAROUSEL_CAP);
-        // Streaming-sink lane layout: carousel on lane 0, controller
-        // shard `i` on lane `1 + i`. Every headend thread gets a
-        // lane-pinned telemetry handle, so their trace offers enqueue into
-        // disjoint queues and never contend on a sink mutex (no-op without
-        // a sink). Node threads — and with them dispatch, which runs on
-        // the asker's thread — keep the unpinned handle and spread by
-        // track id.
-        let carousel = {
-            let hub = Arc::clone(&hub);
-            let tele = tele.with_sink_lane(0);
-            std::thread::spawn(move || carousel_main(carousel_rx, bus, hub, start, tele))
-        };
-
-        // Per-shard Controller policy: the assumed audience is this
-        // shard's expected slice and recomposition waits for a live idle
+        // Per-stripe Controller policy: the assumed audience is this
+        // stripe's expected slice and recomposition waits for a live idle
         // node (a saturated or empty slice must not spam the carousel
         // every tick).
         let policy = ControllerPolicy {
@@ -251,108 +170,344 @@ impl ShardedHeadend {
             assumed_audience: (config.nodes / shards as u64).max(1),
             recompose_requires_idle: true,
         };
-
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_threads = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let (tx, rx) = bounded(QUEUE_CAP);
-            shard_txs.push(tx);
-            let key = config.key.clone();
-            let policy = policy.clone();
-            let tick = config.controller_tick;
-            let carousel_tx = carousel_tx.clone();
-            let hub = Arc::clone(&hub);
-            let tele = tele.with_sink_lane(1 + index);
-            shard_threads.push(std::thread::spawn(move || {
-                shard_main(
-                    index,
-                    shards,
-                    key,
-                    policy,
-                    tick,
-                    rx,
-                    carousel_tx,
-                    hub,
-                    start,
-                    tele,
-                )
-            }));
-        }
-
-        let dispatch = Dispatch {
-            hub: Arc::clone(&hub),
-            jobs_finished: Arc::new(Monitor::named(0, "live.jobs_finished")),
-            shard_txs: shard_txs.clone(),
+        let registry = tele.registry();
+        let shards = (0..shards)
+            .map(|i| {
+                // Disjoint message-id namespace: ids ≡ i (mod shards).
+                let controller = Controller::with_id_namespace(
+                    &config.key,
+                    policy.clone(),
+                    i as u64,
+                    shards as u64,
+                );
+                let shard = Shard {
+                    controller,
+                    lag: registry.gauge(&format!("controller.heartbeat_lag.shard{i}")),
+                    members: registry.gauge(&format!("controller.members.shard{i}")),
+                };
+                Mutex::named(shard, "live.controller")
+            })
+            .collect();
+        Headend {
+            // Send-sensitive: the module-level rule ("nothing is sent while
+            // the hub lock is held") is enforced at runtime — under
+            // ODDCI_CHECK=1 any `Sender::send` or wake on a thread holding
+            // this lock is reported as a violation.
+            hub: Mutex::named_send_sensitive(
+                Hub {
+                    backend: Backend::new(),
+                    provider: Provider::new(),
+                    instance_job: BTreeMap::new(),
+                    job_instance: BTreeMap::new(),
+                    job_queries: BTreeMap::new(),
+                    job_scores: BTreeMap::new(),
+                    wakeups: BTreeMap::new(),
+                },
+                "live.hub",
+            ),
+            shards,
+            carousel: Mutex::named(
+                Carousel {
+                    bus,
+                    images: BTreeMap::new(),
+                },
+                "live.carousel",
+            ),
+            jobs_finished: Monitor::named(0, "live.jobs_finished"),
+            next_instance: AtomicU64::new(0),
             injector,
             start,
-            backend_depth: tele.registry().gauge("backend.queue_depth"),
+            backend_depth: registry.gauge("backend.queue_depth"),
             tele,
+        }
+    }
+
+    /// Runs `call` on stripe `index` under its lock and applies the
+    /// Controller outputs it returns before unlocking. Returns the reply
+    /// for a heartbeat the call consolidated, if the stripe reset the node.
+    fn drive(
+        &self,
+        index: usize,
+        tele: &Telemetry,
+        call: impl FnOnce(&mut Shard, SimTime) -> Vec<ControllerOutput>,
+    ) -> Option<HeartbeatReply> {
+        let mut shard = self.shards[index].lock();
+        let outputs = call(&mut shard, wall_now(&self.start));
+        let mut reply = None;
+        for out in outputs {
+            let now_us = wall_now(&self.start).as_micros();
+            match out {
+                ControllerOutput::Broadcast(signed) => {
+                    if let ControlMessage::Wakeup(w) = signed.message {
+                        *self.hub.lock().wakeups.entry(w.instance).or_insert(0) += 1;
+                    }
+                    self.carousel.lock().publish(signed, now_us, tele);
+                }
+                ControllerOutput::DirectReset { node, instance } => {
+                    tele.instant(now_us, Phase::DirectReset, node.raw(), instance.raw());
+                    reply = Some(HeartbeatReply::Reset(instance));
+                }
+                ControllerOutput::NodeLost { node, .. } => {
+                    tele.instant(now_us, Phase::NodeLost, node.raw(), 0);
+                    let _ = self.hub.lock().backend.node_lost(node);
+                }
+            }
+        }
+        shard.members.set(shard.controller.total_members() as f64);
+        reply
+    }
+
+    /// [`drive`](Headend::drive)s every stripe in turn; `call` gets the
+    /// stripe's index too.
+    fn drive_all(
+        &self,
+        tele: &Telemetry,
+        call: impl Fn(usize, &mut Shard, SimTime) -> Vec<ControllerOutput>,
+    ) {
+        for index in 0..self.shards.len() {
+            self.drive(index, tele, |shard, now| call(index, shard, now));
+        }
+    }
+
+    /// Consolidates `hb` on its node's stripe and answers it — a direct
+    /// reset when the stripe trims the node, else an ack — on the
+    /// calling thread.
+    pub(crate) fn heartbeat(&self, hb: Heartbeat) -> HeartbeatReply {
+        let index = shard_of(hb.node, self.shards.len());
+        self.drive(index, &self.tele, |shard, now| {
+            // Lag: emission → the stripe's lock, so it counts the wait
+            // behind a tick or another caller on this stripe.
+            shard.lag.set(now.since(hb.sent_at).as_secs_f64());
+            shard.controller.on_heartbeat(hb, now)
+        })
+        .unwrap_or(HeartbeatReply::Ack)
+    }
+
+    /// Up to `max` tasks of `instance`'s job for `node`. `None` when an
+    /// injected Backend stall swallows the request: the asker's reply
+    /// timeout fires and it retries with backoff.
+    pub(crate) fn fetch(
+        &self,
+        instance: InstanceId,
+        node: NodeId,
+        max: usize,
+    ) -> Option<TaskBatchReply> {
+        if self
+            .injector
+            .backend_stalled(wall_now(&self.start))
+            .is_some()
+        {
+            return None;
+        }
+        Some(fetch_batch_reply(&mut self.hub.lock(), instance, node, max))
+    }
+
+    /// Lands a batch of `node`'s results. The call that completes the job
+    /// closes its Provider request, dismantles the instance on every
+    /// stripe and wakes [`wait_report`](Headend::wait_report).
+    pub(crate) fn results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
+        let dismantle = {
+            let mut guard = self.hub.lock();
+            let hub = &mut *guard;
+            let now = wall_now(&self.start);
+            let mut scores = hub.job_scores.get_mut(&job);
+            for (task, score) in results {
+                let landed = hub.backend.complete_task(job, task, node, now).is_ok();
+                let slot = scores.as_mut().and_then(|s| s.get_mut(task.index()));
+                if let (true, Some(slot)) = (landed, slot) {
+                    *slot = Some(score);
+                }
+            }
+            self.backend_depth.set(hub.backend.pending_total() as f64);
+            if hub.backend.is_complete(job) {
+                finish_job(hub, job, now, &self.tele)
+            } else {
+                None
+            }
         };
-
-        ShardedHeadend {
-            hub,
-            carousel_tx,
-            shard_txs,
-            dispatch,
-            carousel: Some(carousel),
-            shard_threads,
-            next_instance: AtomicU64::new(0),
-            start,
+        // The hub guard is dropped. The wake comes last, so a caller who
+        // submits its next job at once admits it after this dismantle.
+        if let Some(instance) = dismantle {
+            self.drive_all(&self.tele, |index, shard, _| {
+                let reset = shard.controller.dismantle(instance).unwrap_or_default();
+                // One carousel reset reaches every stripe's nodes; the
+                // others just flip to Dismantled and trim their own
+                // stragglers via heartbeat replies.
+                if index == 0 {
+                    reset
+                } else {
+                    Vec::new()
+                }
+            });
+            *self.jobs_finished.lock() += 1;
+            self.jobs_finished.notify_all();
         }
     }
 
-    /// What node traffic is routed through: the shard senders (heartbeats,
-    /// by [`shard_of`](oddci_core::sharded::shard_of) the node) and the
-    /// dispatch handle (task fetches and results).
-    pub(crate) fn node_links(&self) -> (Vec<Sender<ShardMsg>>, Dispatch) {
-        (self.shard_txs.clone(), self.dispatch.clone())
+    /// Registers a job, admits its instance on every stripe (split
+    /// targets) and opens the Provider request. Runs on the caller's
+    /// thread — the coordinator is whoever submits.
+    pub(crate) fn submit(
+        &self,
+        job: Job,
+        queries: Vec<Arc<Vec<u8>>>,
+        image: Arc<AlignmentImage>,
+        target: u64,
+    ) -> ProviderRequest {
+        let now = wall_now(&self.start);
+        let job_id = job.id;
+        let instance = InstanceId::new(self.next_instance.fetch_add(1, Ordering::Relaxed));
+        let req = InstanceRequest {
+            image: job.image,
+            image_size: job.image_size,
+            target,
+            requirements: Default::default(),
+        };
+        let request = {
+            let mut hub = self.hub.lock();
+            hub.job_scores.insert(job_id, vec![None; job.tasks.len()]);
+            hub.backend.register_job(job, now);
+            hub.job_queries.insert(job_id, queries);
+            hub.instance_job.insert(instance, job_id);
+            hub.job_instance.insert(job_id, instance);
+            hub.provider.open_request(job_id, instance, target, now)
+        };
+        // Image first, then admissions: every stripe's wakeup finds it.
+        self.carousel.lock().images.insert(instance, image);
+        let targets = split_target(target, self.shards.len());
+        self.drive_all(&self.tele, |index, shard, now| {
+            let request = InstanceRequest {
+                target: targets[index],
+                ..req
+            };
+            shard.controller.admit_instance(instance, request, now)
+        });
+        request
     }
 
-    /// A detached handle the snapshot writer thread exports through.
-    pub(crate) fn snapshot_handle(&self) -> SnapshotHandle {
-        SnapshotHandle {
-            hub: Arc::clone(&self.hub),
-            carousel_tx: self.carousel_tx.clone(),
-            shard_txs: self.shard_txs.clone(),
-            start: self.start,
+    /// The Provider's report (with per-task scores), once complete.
+    fn report(&self, req: ProviderRequest) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
+        let hub = self.hub.lock();
+        hub.provider.report(req).map(|r| {
+            let scores = hub
+                .job_scores
+                .get(&r.job)
+                .map(|s| scored(s).collect())
+                .unwrap_or_default();
+            (r, scores)
+        })
+    }
+
+    /// Blocks until `req` has a report or `deadline` passes. Woken by the
+    /// thread that lands the job's last result, not by a timer.
+    pub(crate) fn wait_report(
+        &self,
+        req: ProviderRequest,
+        deadline: Instant,
+    ) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
+        loop {
+            // Read the count before looking: a job that finishes after
+            // the look has then moved it, and the wait below falls through.
+            let seen = *self.jobs_finished.lock();
+            if let Some(done) = self.report(req) {
+                return Some(done);
+            }
+            let mut finished = self.jobs_finished.lock();
+            while *finished == seen {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return None;
+                }
+                finished = self.jobs_finished.wait_timeout(finished, left).0;
+            }
         }
     }
 
-    /// Replaces this headend's state from a snapshot: every shard's
+    /// Tasks in no Backend ledger: always 0 unless bookkeeping broke.
+    pub(crate) fn unaccounted(&self) -> u64 {
+        let hub = self.hub.lock();
+        hub.job_instance
+            .keys()
+            .map(|&job| hub.backend.unaccounted_tasks(job))
+            .sum()
+    }
+
+    /// Cuts one snapshot at the current instant, on the calling thread.
+    ///
+    /// Consistency: the Backend/Provider/job tables are read atomically
+    /// under the hub lock — that is the task-accounting ground truth. The
+    /// per-stripe Controller states are read just before, one stripe lock
+    /// at a time, so they can trail the hub by the export's own latency;
+    /// membership and heartbeat ledgers re-converge from live traffic
+    /// after adoption, so that skew is harmless (and the task ledger never
+    /// is skewed).
+    pub(crate) fn export(&self, epoch: u64, wire: (u64, Vec<u64>)) -> SnapshotState {
+        let shards = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().controller.export_state(wall_now(&self.start)))
+            .collect();
+        let images = self
+            .carousel
+            .lock()
+            .images
+            .iter()
+            .map(|(&instance, image)| (instance, ImageExport::from_image(image)))
+            .collect();
+        let now = wall_now(&self.start);
+        let hub = self.hub.lock();
+        SnapshotState {
+            epoch,
+            taken_at_us: now.as_micros(),
+            shards,
+            backend: hub.backend.export_state(now),
+            provider: hub.provider.export_state(now),
+            instance_job: hub.instance_job.iter().map(|(&i, &j)| (i, j)).collect(),
+            job_queries: hub
+                .job_queries
+                .iter()
+                .map(|(&job, queries)| (job, queries.iter().map(|q| q.as_ref().clone()).collect()))
+                .collect(),
+            job_scores: hub
+                .job_scores
+                .iter()
+                .map(|(&job, scores)| (job, scored(scores).collect()))
+                .collect(),
+            wakeups: hub.wakeups.iter().map(|(&i, &w)| (i, w)).collect(),
+            images,
+            wire_next_node: wire.0,
+            wire_nodes: wire.1,
+            // Filled in by the runtime, which owns the shared reconciler.
+            autoscale: None,
+        }
+    }
+
+    /// Replaces this headend's state from a snapshot: every stripe's
     /// Controller, the carousel's image table and the hub's job state.
     /// Must run before node traffic arrives (standby adoption happens
     /// before the wire server binds).
     pub(crate) fn import_state(&self, snap: &SnapshotState) -> Result<(), String> {
-        if snap.shards.len() != self.shard_txs.len() {
+        if snap.shards.len() != self.shards.len() {
             return Err(format!(
                 "snapshot has {} controller shards but this headend runs {} — \
                  message-id namespaces are per-shard, so the counts must match",
                 snap.shards.len(),
-                self.shard_txs.len()
+                self.shards.len()
             ));
         }
-        for (tx, state) in self.shard_txs.iter().zip(&snap.shards) {
-            let (rtx, rrx) = bounded(1);
-            tx.send(ShardMsg::Import {
-                state: state.clone(),
-                reply: rtx,
-            })
-            .map_err(|_| "controller shard gone during import".to_string())?;
-            rrx.recv_timeout(EXPORT_TIMEOUT)
-                .map_err(|_| "controller shard did not acknowledge import".to_string())?;
-        }
+        let mut images = BTreeMap::new();
         for (instance, recipe) in &snap.images {
             let image = recipe.to_image();
             image
                 .validate()
                 .map_err(|e| format!("snapshot image of instance {}: {e}", instance.raw()))?;
-            self.carousel_tx
-                .send(CarouselMsg::Register {
-                    instance: *instance,
-                    image: Arc::new(image),
-                })
-                .map_err(|_| "carousel gone during import".to_string())?;
+            images.insert(*instance, Arc::new(image));
         }
+        for (shard, state) in self.shards.iter().zip(&snap.shards) {
+            let now = wall_now(&self.start);
+            shard.lock().controller.import_state(state.clone(), now);
+        }
+        self.carousel.lock().images = images;
         let now = wall_now(&self.start);
         {
             let mut hub = self.hub.lock();
@@ -421,607 +576,163 @@ impl ShardedHeadend {
     pub(crate) fn running_jobs(&self) -> Vec<ProviderRequest> {
         self.hub.lock().provider.running().collect()
     }
-
-    /// Registers a job, admits its instance on every shard (split
-    /// targets) and opens the Provider request. Runs on the caller's
-    /// thread — the coordinator is whoever submits.
-    pub(crate) fn submit(
-        &self,
-        job: Job,
-        queries: Vec<Arc<Vec<u8>>>,
-        image: Arc<AlignmentImage>,
-        target: u64,
-    ) -> ProviderRequest {
-        let now = wall_now(&self.start);
-        let job_id = job.id;
-        let instance = InstanceId::new(self.next_instance.fetch_add(1, Ordering::Relaxed));
-        let req = InstanceRequest {
-            image: job.image,
-            image_size: job.image_size,
-            target,
-            requirements: Default::default(),
-        };
-        let request = {
-            let mut hub = self.hub.lock();
-            hub.job_scores.insert(job_id, vec![None; job.tasks.len()]);
-            hub.backend.register_job(job, now);
-            hub.job_queries.insert(job_id, queries);
-            hub.instance_job.insert(instance, job_id);
-            hub.job_instance.insert(job_id, instance);
-            hub.provider.open_request(job_id, instance, target, now)
-        };
-        // Image first, then admissions: the carousel channel preserves
-        // causal order, so every shard's wakeup finds the image mapped.
-        let _ = self
-            .carousel_tx
-            .send(CarouselMsg::Register { instance, image });
-        let targets = split_target(target, self.shard_txs.len());
-        for (tx, shard_target) in self.shard_txs.iter().zip(targets) {
-            let _ = tx.send(ShardMsg::Admit {
-                instance,
-                request: InstanceRequest {
-                    target: shard_target,
-                    ..req
-                },
-            });
-        }
-        request
-    }
-
-    /// The Provider's report (with per-task scores), once complete.
-    fn report(&self, req: ProviderRequest) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
-        let hub = self.hub.lock();
-        hub.provider.report(req).map(|r| {
-            let scores = hub
-                .job_scores
-                .get(&r.job)
-                .map(|s| scored(s).collect())
-                .unwrap_or_default();
-            (r, scores)
-        })
-    }
-
-    /// Blocks until `req` has a report or `deadline` passes. Woken by the
-    /// thread that lands the job's last result, not by a timer.
-    pub(crate) fn wait_report(
-        &self,
-        req: ProviderRequest,
-        deadline: Instant,
-    ) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
-        let jobs_finished = &self.dispatch.jobs_finished;
-        loop {
-            // Read the count before looking: a job that finishes after
-            // the look has then moved it, and the wait below falls through.
-            let seen = *jobs_finished.lock();
-            if let Some(done) = self.report(req) {
-                return Some(done);
-            }
-            let mut finished = jobs_finished.lock();
-            while *finished == seen {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return None;
-                }
-                finished = jobs_finished.wait_timeout(finished, left).0;
-            }
-        }
-    }
-
-    /// Stops the shards, then the carousel — so receivers outlive
-    /// senders — joining every thread. Returns the number of tasks in no
-    /// ledger (always 0 unless bookkeeping broke) and how many headend
-    /// threads exited by panic instead of a clean return (a panicked
-    /// thread's ledger contribution is unknown, so the first number may
-    /// undercount when the second is nonzero).
-    ///
-    /// The runtime must have joined every node thread and stopped the
-    /// socket front first: they are the threads that dispatch.
-    pub(crate) fn shutdown(mut self) -> (u64, u64) {
-        let mut failed = 0u64;
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardMsg::Shutdown);
-        }
-        for h in self.shard_threads.drain(..) {
-            failed += u64::from(h.join().is_err());
-        }
-        let _ = self.carousel_tx.send(CarouselMsg::Shutdown);
-        if let Some(h) = self.carousel.take() {
-            failed += u64::from(h.join().is_err());
-        }
-        let hub = self.hub.lock();
-        let unaccounted = hub
-            .job_instance
-            .keys()
-            .map(|&job| hub.backend.unaccounted_tasks(job))
-            .sum();
-        (unaccounted, failed)
-    }
 }
 
-// ---------------------------------------------------------------------
-// Snapshot export
-// ---------------------------------------------------------------------
-
-/// Channels and shared state a snapshot writer needs to cut a consistent
-/// export without owning the headend. Cloned senders keep the export path
-/// off the headend's own threads: the writer asks each shard and the
-/// carousel over their inboxes and reads the hub under its lock.
-pub(crate) struct SnapshotHandle {
-    hub: Arc<Mutex<Hub>>,
-    carousel_tx: Sender<CarouselMsg>,
-    shard_txs: Vec<Sender<ShardMsg>>,
-    start: Instant,
-}
-
-impl SnapshotHandle {
-    /// Cuts one snapshot at the current instant. Returns `None` when the
-    /// headend is winding down (a channel closed mid-export) — callers
-    /// just skip that cycle.
-    ///
-    /// Consistency: the Backend/Provider/job tables are read atomically
-    /// under the hub lock — that is the task-accounting ground truth. The
-    /// per-shard Controller states are collected just before, so they can
-    /// trail the hub by the export's own latency; membership and
-    /// heartbeat ledgers re-converge from live traffic after adoption, so
-    /// that skew is harmless (and the task ledger never is skewed).
-    pub(crate) fn export(&self, epoch: u64, wire: (u64, Vec<u64>)) -> Option<SnapshotState> {
-        let mut shards = Vec::with_capacity(self.shard_txs.len());
-        for tx in &self.shard_txs {
-            let (rtx, rrx) = bounded(1);
-            tx.send(ShardMsg::Export { reply: rtx }).ok()?;
-            shards.push(rrx.recv_timeout(EXPORT_TIMEOUT).ok()?);
-        }
-        let (rtx, rrx) = bounded(1);
-        self.carousel_tx
-            .send(CarouselMsg::Export { reply: rtx })
-            .ok()?;
-        let images = rrx.recv_timeout(EXPORT_TIMEOUT).ok()?;
-
-        let now = wall_now(&self.start);
-        let hub = self.hub.lock();
-        let snap = SnapshotState {
-            epoch,
-            taken_at_us: now.as_micros(),
-            shards,
-            backend: hub.backend.export_state(now),
-            provider: hub.provider.export_state(now),
-            instance_job: hub.instance_job.iter().map(|(&i, &j)| (i, j)).collect(),
-            job_queries: hub
-                .job_queries
-                .iter()
-                .map(|(&job, queries)| (job, queries.iter().map(|q| q.as_ref().clone()).collect()))
-                .collect(),
-            job_scores: hub
-                .job_scores
-                .iter()
-                .map(|(&job, scores)| (job, scored(scores).collect()))
-                .collect(),
-            wakeups: hub.wakeups.iter().map(|(&i, &w)| (i, w)).collect(),
-            images,
-            wire_next_node: wire.0,
-            wire_nodes: wire.1,
-            // Filled in by the runtime, which owns the shared reconciler.
-            autoscale: None,
-        };
-        Some(snap)
-    }
+/// Starts the headend's one control thread: every `tick`, each stripe's
+/// loss detection and recomposition. Its trace offers are pinned to sink
+/// lane 0; every other emitter spreads by track.
+pub(crate) fn spawn_control(headend: &Arc<Headend>, tick: Duration) -> Worker {
+    let headend = Arc::clone(headend);
+    let tele = headend.tele.with_sink_lane(0);
+    every(tick, move || {
+        headend.drive_all(&tele, |_, shard, now| shard.controller.tick(now));
+    })
 }
 
 // ---------------------------------------------------------------------
 // Autoscale reconciler thread
 // ---------------------------------------------------------------------
 
-/// What the reconciler thread needs to observe and steer the headend:
-/// the hub (queue depth, throughput, running instances) and the shard
-/// inboxes (resize / revoke commands).
-pub(crate) struct ReconcilerLinks {
-    hub: Arc<Mutex<Hub>>,
-    shard_txs: Vec<Sender<ShardMsg>>,
-    start: Instant,
-}
-
-impl ShardedHeadend {
-    /// Handles for [`spawn_reconciler`].
-    pub(crate) fn reconciler_links(&self) -> ReconcilerLinks {
-        ReconcilerLinks {
-            hub: Arc::clone(&self.hub),
-            shard_txs: self.shard_txs.clone(),
-            start: self.start,
-        }
-    }
-}
-
 /// Spawns the elastic-sizing control loop. Every `interval` it samples
-/// the Backend queue depth, the per-shard heartbeat-lag and membership
+/// the Backend queue depth, the per-stripe heartbeat-lag and membership
 /// gauges and the task-fetch p99, feeds them to the shared
 /// [`Reconciler`], and applies the decision by resizing every running
-/// instance (per-shard split targets). An `airtime-revoked` fault roll
-/// first evicts every member ([`ShardMsg::Revoke`]); the reconciler then
-/// restores the lost capacity as a [`ScaleDecision::Replace`], bypassing
-/// its cooldown. Dropping the returned sender stops the thread.
+/// instance (per-stripe split targets). An `airtime-revoked` fault roll
+/// first evicts every member; the reconciler then restores the lost
+/// capacity as a [`ScaleDecision::Replace`], bypassing its cooldown.
+/// Dropping the returned sender stops the thread.
 ///
 /// Locking rule: the hub lock and the reconciler lock are each dropped
-/// before any channel send.
+/// before a stripe is driven.
 pub(crate) fn spawn_reconciler(
-    links: ReconcilerLinks,
+    headend: Arc<Headend>,
     shared: Arc<Mutex<Reconciler>>,
-    interval: std::time::Duration,
-    injector: Arc<FaultInjector>,
-    tele: Telemetry,
-) -> (Sender<()>, JoinHandle<()>) {
-    let (tx, rx) = bounded::<()>(1);
-    let thread = std::thread::spawn(move || {
-        let shards = links.shard_txs.len();
-        let lag_gauges: Vec<_> = (0..shards)
-            .map(|i| {
-                tele.registry()
-                    .gauge(&format!("controller.heartbeat_lag.shard{i}"))
-            })
-            .collect();
-        let member_gauges: Vec<_> = (0..shards)
-            .map(|i| {
-                tele.registry()
-                    .gauge(&format!("controller.members.shard{i}"))
-            })
-            .collect();
-        let desired_gauge = tele.registry().gauge("provider.desired_size");
-        let queue_gauge = tele.registry().gauge("backend.queue_depth");
-        let revocations = tele.registry().counter("faults.airtime_revoked");
-        let cooldown = shared.lock().policy().cooldown;
-        let mut last_sample = (wall_now(&links.start), 0u64);
-        // At most one revocation per cooldown window: the fault plan rolls
-        // per reconcile tick, and a 100%-rate window would otherwise evict
-        // the replacement capacity as fast as it forms.
-        let mut revoke_gate = SimTime::ZERO;
-        loop {
-            match rx.recv_timeout(interval) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            let begin = wall_now(&links.start);
-            let (instances, queue_depth, completed) = {
-                let hub = links.hub.lock();
-                let done: u64 = hub
-                    .job_scores
-                    .keys()
-                    .map(|&job| hub.backend.completed_count(job))
-                    .sum();
-                let instances: Vec<InstanceId> = hub
-                    .backend
-                    .open_jobs()
-                    .iter()
-                    .filter_map(|j| hub.job_instance.get(j).copied())
-                    .collect();
-                (instances, hub.backend.pending_total(), done)
-            };
+    interval: Duration,
+) -> Worker {
+    let tele = headend.tele.clone();
+    let shards = headend.shards.len();
+    let registry = tele.registry();
+    let lag_gauges: Vec<_> = (0..shards)
+        .map(|i| registry.gauge(&format!("controller.heartbeat_lag.shard{i}")))
+        .collect();
+    let member_gauges: Vec<_> = (0..shards)
+        .map(|i| registry.gauge(&format!("controller.members.shard{i}")))
+        .collect();
+    let desired_gauge = registry.gauge("provider.desired_size");
+    let queue_gauge = registry.gauge("backend.queue_depth");
+    let revocations = registry.counter("faults.airtime_revoked");
+    let cooldown = shared.lock().policy().cooldown;
+    let mut last_sample = (wall_now(&headend.start), 0u64);
+    // At most one revocation per cooldown window: the fault plan rolls
+    // per reconcile tick, and a 100%-rate window would otherwise evict
+    // the replacement capacity as fast as it forms.
+    let mut revoke_gate = SimTime::ZERO;
+    every(interval, move || {
+        let begin = wall_now(&headend.start);
+        let (instances, queue_depth, completed) = {
+            let hub = headend.hub.lock();
+            let done: u64 = hub
+                .job_scores
+                .keys()
+                .map(|&job| hub.backend.completed_count(job))
+                .sum();
+            let instances: Vec<InstanceId> = hub
+                .backend
+                .open_jobs()
+                .iter()
+                .filter_map(|j| hub.job_instance.get(j).copied())
+                .collect();
+            (instances, hub.backend.pending_total(), done)
+        };
 
-            // Spot-like reclamation: evict the whole membership, then let
-            // the reconciler's Replace decision restore it.
-            if !instances.is_empty() && begin >= revoke_gate && injector.airtime_revoked(begin) {
-                for &instance in &instances {
-                    for stx in &links.shard_txs {
-                        let _ = stx.send(ShardMsg::Revoke { instance });
-                    }
-                }
-                revocations.inc();
-                shared.lock().observe_revocation();
-                revoke_gate = begin + cooldown;
+        // Spot-like reclamation: the broadcaster reclaimed the channel, so
+        // every member is evicted at once and its in-flight tasks are
+        // re-queued (NodeLost); the Replace decision below restores them.
+        // The evicted members' direct resets have no heartbeat reply to
+        // ride, so they are only telemetered.
+        if !instances.is_empty() && begin >= revoke_gate && headend.injector.airtime_revoked(begin)
+        {
+            for &instance in &instances {
+                headend.drive_all(&tele, |_, shard, _| {
+                    shard
+                        .controller
+                        .revoke_members(instance)
+                        .unwrap_or_default()
+                });
             }
-
-            let elapsed = begin.since(last_sample.0).as_secs_f64();
-            let tasks_per_sec = if elapsed > 0.0 {
-                completed.saturating_sub(last_sample.1) as f64 / elapsed
-            } else {
-                0.0
-            };
-            last_sample = (begin, completed);
-            let inputs = ScaleInputs {
-                queue_depth: queue_depth as usize,
-                heartbeat_lag: lag_gauges.iter().map(|g| g.get()).fold(0.0, f64::max),
-                tasks_per_sec,
-                fetch_p99: tele.phase_summary(Phase::TaskFetch).p99,
-                current_size: member_gauges.iter().map(|g| g.get()).sum::<f64>() as usize,
-            };
-            let (decision, desired) = {
-                let mut r = shared.lock();
-                let d = r.tick(begin, &inputs);
-                (d, r.desired())
-            };
-            desired_gauge.set(desired as f64);
-            queue_gauge.set(queue_depth as f64);
-
-            if decision.acted() {
-                let targets = split_target(desired as u64, shards);
-                for &instance in &instances {
-                    for (stx, &target) in links.shard_txs.iter().zip(&targets) {
-                        let _ = stx.send(ShardMsg::Resize { instance, target });
-                    }
-                }
-            }
-            let end = wall_now(&links.start);
-            match decision {
-                ScaleDecision::ScaleUp { to, .. } => {
-                    tele.instant(
-                        end.as_micros(),
-                        Phase::ProviderScaleUp,
-                        CONTROL_TRACK,
-                        to as u64,
-                    );
-                }
-                ScaleDecision::ScaleDown { to, .. } => {
-                    tele.instant(
-                        end.as_micros(),
-                        Phase::ProviderScaleDown,
-                        CONTROL_TRACK,
-                        to as u64,
-                    );
-                }
-                ScaleDecision::Replace { .. } | ScaleDecision::Hold => {}
-            }
-            tele.span(
-                begin.as_micros(),
-                end.as_micros(),
-                Phase::ProviderReconcile,
-                CONTROL_TRACK,
-                desired as u64,
-            );
+            revocations.inc();
+            shared.lock().observe_revocation();
+            revoke_gate = begin + cooldown;
         }
-    });
-    (tx, thread)
-}
 
-// ---------------------------------------------------------------------
-// Carousel thread
-// ---------------------------------------------------------------------
+        let elapsed = begin.since(last_sample.0).as_secs_f64();
+        let tasks_per_sec = if elapsed > 0.0 {
+            completed.saturating_sub(last_sample.1) as f64 / elapsed
+        } else {
+            0.0
+        };
+        last_sample = (begin, completed);
+        let inputs = ScaleInputs {
+            queue_depth: queue_depth as usize,
+            heartbeat_lag: lag_gauges.iter().map(|g| g.get()).fold(0.0, f64::max),
+            tasks_per_sec,
+            fetch_p99: tele.phase_summary(Phase::TaskFetch).p99,
+            current_size: member_gauges.iter().map(|g| g.get()).sum::<f64>() as usize,
+        };
+        let (decision, desired) = {
+            let mut r = shared.lock();
+            let d = r.tick(begin, &inputs);
+            (d, r.desired())
+        };
+        desired_gauge.set(desired as f64);
+        queue_gauge.set(queue_depth as f64);
 
-fn carousel_main(
-    rx: Receiver<CarouselMsg>,
-    bus: Arc<BroadcastBus<BusMsg>>,
-    hub: Arc<Mutex<Hub>>,
-    start: Instant,
-    tele: Telemetry,
-) {
-    let mut images: BTreeMap<InstanceId, Arc<AlignmentImage>> = BTreeMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            CarouselMsg::Register { instance, image } => {
-                images.insert(instance, image);
+        if decision.acted() {
+            // Growth rides the next tick's recomposition wakeup; shrinking
+            // trims lazily via heartbeat replies. Unknown or dismantled
+            // instances are fine to skip: the reconciler races job
+            // completion by design.
+            let targets = split_target(desired as u64, shards);
+            for &instance in &instances {
+                headend.drive_all(&tele, |index, shard, _| {
+                    let _ = shard.controller.resize(instance, targets[index]);
+                    Vec::new()
+                });
             }
-            CarouselMsg::Publish(signed) => {
-                let (image, instance) = match signed.message {
-                    ControlMessage::Wakeup(w) => {
-                        *hub.lock().wakeups.entry(w.instance).or_insert(0) += 1;
-                        (
-                            images.get(&w.instance).cloned().map(WakeupImage::Recipe),
-                            w.instance,
-                        )
-                    }
-                    ControlMessage::Reset(r) => {
-                        images.remove(&r.instance);
-                        (None, r.instance)
-                    }
-                };
+        }
+        let end = wall_now(&headend.start);
+        match decision {
+            ScaleDecision::ScaleUp { to, .. } => {
                 tele.instant(
-                    wall_now(&start).as_micros(),
-                    Phase::CarouselPublish,
+                    end.as_micros(),
+                    Phase::ProviderScaleUp,
                     CONTROL_TRACK,
-                    instance.raw(),
+                    to as u64,
                 );
-                bus.publish(&BusMsg::Control(LiveBroadcast { signed, image }));
             }
-            CarouselMsg::Export { reply } => {
-                let recipes = images
-                    .iter()
-                    .map(|(&instance, image)| (instance, ImageExport::from_image(image)))
-                    .collect();
-                let _ = reply.send(recipes);
-            }
-            CarouselMsg::Shutdown => return,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Controller shards
-// ---------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn shard_main(
-    index: usize,
-    shards: usize,
-    key: Vec<u8>,
-    policy: ControllerPolicy,
-    tick: std::time::Duration,
-    rx: Receiver<ShardMsg>,
-    carousel_tx: Sender<CarouselMsg>,
-    hub: Arc<Mutex<Hub>>,
-    start: Instant,
-    tele: Telemetry,
-) {
-    // Disjoint message-id namespace: ids ≡ index (mod shards).
-    let mut controller = Controller::with_id_namespace(&key, policy, index as u64, shards as u64);
-    let lag_gauge = tele
-        .registry()
-        .gauge(&format!("controller.heartbeat_lag.shard{index}"));
-    let members_gauge = tele
-        .registry()
-        .gauge(&format!("controller.members.shard{index}"));
-    let mut last_tick = Instant::now();
-    loop {
-        match rx.recv_timeout(tick) {
-            Ok(ShardMsg::Heartbeat { hb, reply }) => {
-                let now = wall_now(&start);
-                // Heartbeat lag: emission → consolidation, i.e. this
-                // shard's backlog as seen by its nodes.
-                lag_gauge.set(now.since(hb.sent_at).as_secs_f64());
-                let outputs = controller.on_heartbeat(hb, now);
-                let mut replies = apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-                reply.send(replies.pop().unwrap_or(HeartbeatReply::Ack));
-            }
-            Ok(ShardMsg::Admit { instance, request }) => {
-                let outputs = controller.admit_instance(instance, request, wall_now(&start));
-                apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-            }
-            Ok(ShardMsg::Dismantle { instance, publish }) => {
-                if let Ok(outputs) = controller.dismantle(instance) {
-                    if publish {
-                        // One carousel reset reaches every shard's nodes;
-                        // the other shards just flip to Dismantled and trim
-                        // their own stragglers via heartbeat replies.
-                        apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-                    }
-                }
-            }
-            Ok(ShardMsg::Resize { instance, target }) => {
-                // Unknown or dismantled instances are fine to skip: the
-                // reconciler races job completion by design.
-                let _ = controller.resize(instance, target);
-            }
-            Ok(ShardMsg::Revoke { instance }) => {
-                if let Ok(outputs) = controller.revoke_members(instance) {
-                    // The evicted members' DirectResets have no in-flight
-                    // heartbeat reply to ride, so they are telemetered and
-                    // dropped here; NodeLost still re-queues every
-                    // assignment, and the next tick's recomposition wakeup
-                    // re-forms the membership.
-                    apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-                }
-            }
-            Ok(ShardMsg::Export { reply }) => {
-                let _ = reply.send(controller.export_state(wall_now(&start)));
-            }
-            Ok(ShardMsg::Import { state, reply }) => {
-                controller.import_state(state, wall_now(&start));
-                let _ = reply.send(());
-            }
-            Ok(ShardMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        members_gauge.set(controller.total_members() as f64);
-        if last_tick.elapsed() >= tick {
-            last_tick = Instant::now();
-            let outputs = controller.tick(wall_now(&start));
-            apply_outputs(outputs, &carousel_tx, &hub, &start, &tele);
-        }
-    }
-}
-
-/// Executes a shard Controller's side effects: broadcasts go to the
-/// carousel thread, `NodeLost` re-queues via the shared Backend, direct
-/// resets become heartbeat replies (returned to the caller).
-fn apply_outputs(
-    outputs: Vec<ControllerOutput>,
-    carousel_tx: &Sender<CarouselMsg>,
-    hub: &Arc<Mutex<Hub>>,
-    start: &Instant,
-    tele: &Telemetry,
-) -> Vec<HeartbeatReply> {
-    let mut replies = Vec::new();
-    for out in outputs {
-        match out {
-            ControllerOutput::Broadcast(signed) => {
-                let _ = carousel_tx.send(CarouselMsg::Publish(signed));
-            }
-            ControllerOutput::DirectReset { node, instance } => {
+            ScaleDecision::ScaleDown { to, .. } => {
                 tele.instant(
-                    wall_now(start).as_micros(),
-                    Phase::DirectReset,
-                    node.raw(),
-                    instance.raw(),
+                    end.as_micros(),
+                    Phase::ProviderScaleDown,
+                    CONTROL_TRACK,
+                    to as u64,
                 );
-                replies.push(HeartbeatReply::Reset(instance));
             }
-            ControllerOutput::NodeLost { node, .. } => {
-                tele.instant(wall_now(start).as_micros(), Phase::NodeLost, node.raw(), 0);
-                let _ = hub.lock().backend.node_lost(node);
-            }
+            ScaleDecision::Replace { .. } | ScaleDecision::Hold => {}
         }
-    }
-    replies
+        tele.span(
+            begin.as_micros(),
+            end.as_micros(),
+            Phase::ProviderReconcile,
+            CONTROL_TRACK,
+            desired as u64,
+        );
+    })
 }
 
 // ---------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------
-
-/// A node's way to the Backend: task fetches and result uploads, run on
-/// the thread that asks — the node's own thread in process, the serving
-/// thread for a PNA — under the hub lock. Cloned into every node link
-/// and the socket front; there is no dispatch thread and no queue.
-#[derive(Clone)]
-pub(crate) struct Dispatch {
-    hub: Arc<Mutex<Hub>>,
-    /// Jobs finished so far. The thread that completes a job bumps it and
-    /// notifies — after dropping the hub guard — so
-    /// [`wait_report`](ShardedHeadend::wait_report) sleeps until a
-    /// completion instead of polling the hub.
-    jobs_finished: Arc<Monitor<u64>>,
-    shard_txs: Vec<Sender<ShardMsg>>,
-    injector: Arc<FaultInjector>,
-    start: Instant,
-    tele: Telemetry,
-    backend_depth: Gauge,
-}
-
-impl Dispatch {
-    /// Up to `max` tasks of `instance`'s job for `node`. `None` when an
-    /// injected Backend stall swallows the request: the asker's reply
-    /// timeout fires and it retries with backoff.
-    pub(crate) fn fetch(
-        &self,
-        instance: InstanceId,
-        node: NodeId,
-        max: usize,
-    ) -> Option<TaskBatchReply> {
-        if self
-            .injector
-            .backend_stalled(wall_now(&self.start))
-            .is_some()
-        {
-            return None;
-        }
-        Some(fetch_batch_reply(&mut self.hub.lock(), instance, node, max))
-    }
-
-    /// Lands a batch of `node`'s results. The call that completes the job
-    /// closes its Provider request, tells every shard to dismantle the
-    /// instance and wakes [`wait_report`](ShardedHeadend::wait_report).
-    pub(crate) fn results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
-        let dismantle = {
-            let mut guard = self.hub.lock();
-            let hub = &mut *guard;
-            let now = wall_now(&self.start);
-            let mut scores = hub.job_scores.get_mut(&job);
-            for (task, score) in results {
-                let landed = hub.backend.complete_task(job, task, node, now).is_ok();
-                let slot = scores.as_mut().and_then(|s| s.get_mut(task.index()));
-                if let (true, Some(slot)) = (landed, slot) {
-                    *slot = Some(score);
-                }
-            }
-            self.backend_depth.set(hub.backend.pending_total() as f64);
-            if hub.backend.is_complete(job) {
-                finish_job(hub, job, now, &self.tele)
-            } else {
-                None
-            }
-        };
-        // Locking rule: the hub guard is dropped before these sends and
-        // the wake. The wake comes last, so a caller who submits its next
-        // job at once queues that admission behind this dismantle in
-        // every shard's inbox.
-        if let Some(instance) = dismantle {
-            for (i, tx) in self.shard_txs.iter().enumerate() {
-                let _ = tx.send(ShardMsg::Dismantle {
-                    instance,
-                    publish: i == 0,
-                });
-            }
-            *self.jobs_finished.lock() += 1;
-            self.jobs_finished.notify_all();
-        }
-    }
-}
 
 /// Cuts a batch for `node` under the hub lock.
 fn fetch_batch_reply(
@@ -1049,8 +760,8 @@ fn fetch_batch_reply(
 }
 
 /// Completes the Provider request for a finished job and reports which
-/// instance to dismantle. Runs under the hub lock; the caller sends the
-/// per-shard dismantles after dropping it.
+/// instance to dismantle. Runs under the hub lock; the caller dismantles
+/// on every stripe after dropping it.
 fn finish_job(hub: &mut Hub, job: JobId, now: SimTime, tele: &Telemetry) -> Option<InstanceId> {
     let req = hub.provider.request_for_job(job)?;
     let instance = *hub.job_instance.get(&job)?;
@@ -1075,16 +786,20 @@ fn finish_job(hub: &mut Hub, job: JobId, now: SimTime, tele: &Telemetry) -> Opti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oddci_check::sync::Receiver;
+    use oddci_core::messages::PnaStateKind;
     use oddci_types::{DataSize, ImageId};
     use oddci_workload::Task;
 
-    /// A one-shard headend with one submitted job of `tasks` tasks on
-    /// instance 0, and the dispatch handle a node would use.
-    fn headend_with_job(tasks: u64) -> (ShardedHeadend, Dispatch, JobId) {
-        let headend = ShardedHeadend::start(
+    /// A headend of `shards` stripes with one submitted job of `tasks`
+    /// tasks on instance 0, and a subscription to everything it airs.
+    fn headend_with_job(tasks: u64, shards: usize) -> (Headend, JobId, Receiver<BusMsg>) {
+        let bus = Arc::new(BroadcastBus::new());
+        let aired = bus.subscribe();
+        let headend = Headend::new(
             &LiveConfig::default(),
-            1,
-            Arc::new(BroadcastBus::new()),
+            shards,
+            bus,
             Instant::now(),
             Arc::new(FaultInjector::new(oddci_faults::FaultPlan::none(), 0)),
         );
@@ -1105,8 +820,7 @@ mod tests {
             Arc::new(AlignmentImage::small_demo()),
             1,
         );
-        let (_, dispatch) = headend.node_links();
-        (headend, dispatch, job)
+        (headend, job, aired)
     }
 
     fn task_ids(reply: Option<TaskBatchReply>) -> Vec<TaskId> {
@@ -1125,16 +839,16 @@ mod tests {
     /// rule throws the unreported batch back.
     #[test]
     fn results_then_fetch_from_one_node_never_recycle_a_task() {
-        let (headend, dispatch, job) = headend_with_job(10);
+        let (headend, job, _) = headend_with_job(10, 1);
         let (instance, node) = (InstanceId::new(0), NodeId::new(3));
         let mut served = 0;
         loop {
-            let batch = task_ids(dispatch.fetch(instance, node, 4));
+            let batch = task_ids(headend.fetch(instance, node, 4));
             if batch.is_empty() {
                 break;
             }
             served += batch.len();
-            dispatch.results(job, node, batch.iter().map(|&t| (t, 7)).collect());
+            headend.results(job, node, batch.iter().map(|&t| (t, 7)).collect());
         }
         assert_eq!(served, 10);
         {
@@ -1142,19 +856,61 @@ mod tests {
             assert_eq!(hub.backend.requeue_count(job), 0);
             assert!(hub.backend.is_complete(job));
         }
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         let req = ProviderRequest(0);
         let (report, scores) = headend.wait_report(req, deadline).expect("job finished");
         assert_eq!(report.requeues, 0);
         assert_eq!(scores.len(), 10);
-        assert_eq!(headend.shutdown(), (0, 0));
+        assert_eq!(headend.unaccounted(), 0);
 
-        let (headend, dispatch, _) = headend_with_job(10);
-        let first = task_ids(dispatch.fetch(instance, node, 4));
-        let mut again = task_ids(dispatch.fetch(instance, node, 4));
+        let (headend, _, _) = headend_with_job(10, 1);
+        let first = task_ids(headend.fetch(instance, node, 4));
+        let mut again = task_ids(headend.fetch(instance, node, 4));
         again.sort_unstable();
         assert_eq!(first, again, "the unreported batch came straight back");
         assert_eq!(headend.hub.lock().backend.requeue_count(job), 4);
-        assert_eq!(headend.shutdown(), (0, 0));
+        assert_eq!(headend.unaccounted(), 0);
+    }
+
+    /// The interleaving the carousel's lock orders: the job's last result
+    /// airs stripe 0's reset, and stripe 1 ticks before its own dismantle,
+    /// re-airing the still-short instance's wakeup after that reset. The
+    /// reset took the image off the carousel, so the re-air goes bare.
+    #[test]
+    fn a_wakeup_re_aired_after_its_reset_carries_no_image() {
+        let (headend, _, aired) = headend_with_job(1, 2);
+        // An idle node on stripe 1, so that stripe's tick re-airs.
+        let node = (0..)
+            .map(NodeId::new)
+            .find(|&n| shard_of(n, 2) == 1)
+            .expect("some node lands on stripe 1");
+        headend.heartbeat(Heartbeat {
+            node,
+            state: PnaStateKind::Idle,
+            instance: None,
+            sent_at: SimTime::ZERO,
+        });
+        let tick = |h: &Headend| h.drive(1, &h.tele, |s, now| s.controller.tick(now));
+        tick(&headend);
+        headend.drive(0, &headend.tele, |s, _| {
+            s.controller
+                .dismantle(InstanceId::new(0))
+                .unwrap_or_default()
+        });
+        tick(&headend);
+        // (is a reset, carries the image), in airing order.
+        let aired: Vec<(bool, bool)> = aired
+            .try_iter()
+            .filter_map(|msg| match msg {
+                BusMsg::Control(b) => Some((
+                    matches!(b.signed.message, ControlMessage::Reset(_)),
+                    b.image.is_some(),
+                )),
+                BusMsg::Shutdown => None,
+            })
+            .collect();
+        let wakeup = (false, true);
+        let expected = [wakeup, wakeup, wakeup, (true, false), (false, false)];
+        assert_eq!(aired, expected, "admissions, a re-air, the reset, a re-air");
     }
 }

@@ -2,22 +2,23 @@
 //! OS thread per receiver, all speaking the §3.2 protocol over real
 //! channels.
 //!
-//! There is one headend: the multi-threaded [`headend`](crate::headend)
-//! — a carousel thread and N controller shards (disjoint node-membership
-//! slices) beside the shared Backend, which every node reaches without a
-//! thread hop: its task fetches (batches) and results run on the thread
-//! that asks. [`HeadendMode`] picks the shard count and batch size and
-//! whether a socket front (`oddci-wire` listener) stands before the
-//! headend, in which case the nodes are separate PNA processes instead of
-//! in-process threads. A standby is the same bring-up with a snapshot
-//! adopted before the listener binds.
+//! There is one [`headend`](crate::headend): N controller stripes
+//! (disjoint node-membership slices), the carousel and the shared
+//! Backend, each behind its own lock, which every node reaches without a
+//! thread hop — its heartbeats, task fetches (batches) and results run on
+//! the thread that asks. One control thread ticks the stripes.
+//! [`HeadendMode`] picks the stripe count and batch size and whether a
+//! socket front (`oddci-wire` listener) stands before the headend, in
+//! which case the nodes are separate PNA processes instead of in-process
+//! threads. A standby is the same bring-up with a snapshot adopted
+//! before the listener binds.
 //!
 //! Wall-clock time is mapped onto [`SimTime`] (microseconds since runtime
 //! start) so the *identical* Controller/Backend/Provider code from
 //! `oddci-core` runs unmodified on this plane.
 
 use crate::bus::BroadcastBus;
-use crate::headend::{Dispatch, ReplyTo, ShardMsg, ShardedHeadend, SnapshotHandle};
+use crate::headend::{spawn_control, spawn_reconciler, Headend};
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
@@ -26,7 +27,6 @@ use oddci_core::autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
 use oddci_core::pna::{HostInfo, Pna, PnaAction};
 use oddci_core::provider::{JobReport, ProviderRequest};
-use oddci_core::sharded::shard_of;
 use oddci_faults::{Backoff, FaultInjector, FaultPlan};
 use oddci_receiver::compute::UsageMode;
 use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
@@ -45,10 +45,11 @@ use std::time::{Duration, Instant};
 /// channels or a TCP socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeadendMode {
-    /// In-process plane: one receiver thread per node, linked to the
-    /// headend by channels.
+    /// In-process plane: one receiver thread per node, each calling into
+    /// the headend directly.
     Sharded {
-        /// Controller shards (disjoint node-membership slices), 1..=64.
+        /// Controller stripes, 1..=64: disjoint node-membership slices,
+        /// each a Controller behind its own lock (not a thread).
         shards: usize,
         /// Ignored: fetches and results run on the asking node's thread,
         /// so there is no dispatch pool to size. Still validated
@@ -66,7 +67,7 @@ pub enum HeadendMode {
         /// Address to listen on (port 0 picks an ephemeral port;
         /// [`LiveOddci::wire_addr`] reports the bound address).
         listen: std::net::SocketAddr,
-        /// Controller shards, 1..=64.
+        /// Controller stripes, 1..=64, as in [`HeadendMode::Sharded`].
         shards: usize,
         /// Ignored: fetches and results run on the serving thread, so
         /// there is no dispatch pool to size. Still validated (1..=64);
@@ -215,17 +216,12 @@ pub(crate) enum TaskBatchReply {
     Drained,
 }
 
-/// How a node reaches the headend: in process, the shard channels
-/// (heartbeats, routed by node-id hash) and the dispatch handle (fetches
-/// and results, run on the node's own thread); a framed TCP connection
-/// when the node is a separate PNA process.
+/// How a node reaches the headend: in process, the headend itself
+/// (heartbeats, fetches and results all run on the node's own thread); a
+/// framed TCP connection when the node is a separate PNA process.
 #[derive(Clone)]
 pub(crate) enum NodeLink {
-    Sharded {
-        shards: Arc<Vec<Sender<ShardMsg>>>,
-        dispatch: Dispatch,
-        batch: usize,
-    },
+    Local { headend: Arc<Headend>, batch: usize },
     Remote(Arc<crate::wire::RemoteLink>),
 }
 
@@ -235,14 +231,9 @@ pub(crate) struct LinkClosed;
 impl NodeLink {
     pub(crate) fn send_heartbeat(&self, hb: Heartbeat, reply: Sender<HeartbeatReply>) -> bool {
         match self {
-            NodeLink::Sharded { shards, .. } => {
-                let s = shard_of(hb.node, shards.len());
-                shards[s]
-                    .send(ShardMsg::Heartbeat {
-                        hb,
-                        reply: ReplyTo::Local(reply),
-                    })
-                    .is_ok()
+            NodeLink::Local { headend, .. } => {
+                let _ = reply.send(headend.heartbeat(hb));
+                true
             }
             NodeLink::Remote(link) => link.send_heartbeat(hb, reply),
         }
@@ -257,9 +248,7 @@ impl NodeLink {
         node: NodeId,
     ) -> Result<Option<TaskBatchReply>, LinkClosed> {
         match self {
-            NodeLink::Sharded {
-                dispatch, batch, ..
-            } => Ok(dispatch.fetch(instance, node, *batch)),
+            NodeLink::Local { headend, batch } => Ok(headend.fetch(instance, node, *batch)),
             NodeLink::Remote(link) => {
                 let (rtx, rrx) = bounded(1);
                 if !link.request_tasks(instance, node, rtx) {
@@ -272,7 +261,7 @@ impl NodeLink {
 
     pub(crate) fn send_results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
         match self {
-            NodeLink::Sharded { dispatch, .. } => dispatch.results(job, node, results),
+            NodeLink::Local { headend, .. } => headend.results(job, node, results),
             NodeLink::Remote(link) => link.send_results(job, node, results),
         }
     }
@@ -320,7 +309,7 @@ impl SocketFront {
         listen: std::net::SocketAddr,
         batch: usize,
         config: &LiveConfig,
-        headend: &ShardedHeadend,
+        headend: &Arc<Headend>,
         bus: &BroadcastBus<BusMsg>,
         epoch: u64,
         adopt: Option<&SnapshotState>,
@@ -330,14 +319,11 @@ impl SocketFront {
             None => WireMembership::new(),
         };
         let membership = Arc::new(Mutex::named(membership, "live.wire.membership"));
-        let (shard_txs, dispatch) = headend.node_links();
-        let shard_txs = Arc::new(shard_txs);
         let conn_stats = Arc::new(oddci_wire::ConnStatsHub::new());
         let bind_deadline = Instant::now() + Duration::from_secs(5);
         let server = loop {
             let service = crate::wire::LiveWireService::new(
-                Arc::clone(&shard_txs),
-                dispatch.clone(),
+                Arc::clone(headend),
                 batch,
                 bus,
                 config.telemetry.clone(),
@@ -376,9 +362,21 @@ impl SocketFront {
     }
 }
 
-/// A background loop (reconciler, snapshot writer) and the sender whose
-/// drop stops it.
-type Worker = (Sender<()>, JoinHandle<()>);
+/// A background loop (control thread, reconciler, snapshot writer) and
+/// the sender whose drop stops it.
+pub(crate) type Worker = (Sender<()>, JoinHandle<()>);
+
+/// Runs `turn` every `interval` on a thread of its own until the
+/// returned worker is stopped.
+pub(crate) fn every(interval: Duration, mut turn: impl FnMut() + Send + 'static) -> Worker {
+    let (stop, stopped) = bounded::<()>(1);
+    let thread = std::thread::spawn(move || {
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+            turn();
+        }
+    });
+    (stop, thread)
+}
 
 /// Stops a background loop and joins it; 1 if it had panicked.
 fn stop_worker(worker: Option<Worker>) -> u64 {
@@ -390,7 +388,9 @@ fn stop_worker(worker: Option<Worker>) -> u64 {
 
 /// The live OddCI system.
 pub struct LiveOddci {
-    headend: ShardedHeadend,
+    headend: Arc<Headend>,
+    /// The thread that ticks every controller stripe.
+    control: Worker,
     /// `Some` in [`HeadendMode::Socket`].
     socket: Option<SocketFront>,
     bus: Arc<BroadcastBus<BusMsg>>,
@@ -441,11 +441,12 @@ impl LiveOddci {
         Self::bring_up(config, Some(snap))
     }
 
-    /// The one bring-up path: headend threads, adoption of `adopt` (a
-    /// standby), the socket front, local receivers (in process), the
-    /// reconciler and the snapshot writer — in that order, so the
-    /// listener never accepts a PNA before the state it resumes is in
-    /// place and snapshots can embed the desired-state record.
+    /// The one bring-up path: the headend, adoption of `adopt` (a
+    /// standby), the control thread, the socket front, local receivers
+    /// (in process), the reconciler and the snapshot writer — in that
+    /// order, so the listener never accepts a PNA before the state it
+    /// resumes is in place and snapshots can embed the desired-state
+    /// record.
     fn bring_up(config: LiveConfig, adopt: Option<&SnapshotState>) -> Result<LiveOddci, String> {
         if config.nodes == 0 {
             return Err("a live system needs at least one node".into());
@@ -461,19 +462,21 @@ impl LiveOddci {
             config.faults.clone(),
             config.seed ^ 0xFA17_FA17,
         ));
-        let headend = ShardedHeadend::start(
+        let headend = Arc::new(Headend::new(
             &config,
             shards,
             Arc::clone(&bus),
             start,
             Arc::clone(&injector),
-        );
+        ));
         if let Some(snap) = adopt {
-            if let Err(e) = headend.import_state(snap) {
-                let _ = headend.shutdown();
-                return Err(e);
-            }
+            headend.import_state(snap)?;
         }
+        // Spawned before the serving thread, as the shard threads it
+        // replaces were. Spawned after it, `socket_idle` fetches ran ~8 %
+        // slower on a 2-vCPU box: the shard-thread headend won 8 of 8
+        // alternated runs against that order and 4 of 8 against this one.
+        let control = spawn_control(&headend, config.controller_tick);
         let epoch = adopt.map_or(0, |snap| snap.epoch + 1);
         let socket = listen
             .map(|listen| SocketFront::bind(listen, batch, &config, &headend, &bus, epoch, adopt))
@@ -481,7 +484,7 @@ impl LiveOddci {
         let socket = match socket {
             Ok(socket) => socket,
             Err(e) => {
-                let _ = headend.shutdown();
+                stop_worker(Some(control));
                 return Err(e);
             }
         };
@@ -498,10 +501,8 @@ impl LiveOddci {
         // Behind a socket the fleet lives in other processes: `nodes` is
         // the expected audience, not a local thread count.
         let local_nodes = if socket.is_some() { 0 } else { config.nodes };
-        let (shard_txs, dispatch) = headend.node_links();
-        let link = NodeLink::Sharded {
-            shards: Arc::new(shard_txs),
-            dispatch,
+        let link = NodeLink::Local {
+            headend: Arc::clone(&headend),
             batch,
         };
         let nodes = (0..local_nodes)
@@ -542,27 +543,29 @@ impl LiveOddci {
             Arc::new(Mutex::named(reconciler, "live.autoscale"))
         });
         let reconciler = autoscale.as_ref().map(|shared| {
-            crate::headend::spawn_reconciler(
-                headend.reconciler_links(),
+            spawn_reconciler(
+                Arc::clone(&headend),
                 Arc::clone(shared),
                 config.autoscale_interval,
-                Arc::clone(&injector),
-                config.telemetry.clone(),
             )
         });
 
-        let snapshot_writer = config.snapshot_dir.clone().map(|dir| {
-            spawn_snapshot_writer(
-                headend.snapshot_handle(),
-                socket.as_ref().map(|s| Arc::clone(&s.membership)),
-                autoscale.clone(),
-                epoch,
-                dir,
-                config.snapshot_interval,
-                start,
-                config.telemetry.clone(),
-            )
-        });
+        // Durability is best-effort: with nowhere to write, no writer.
+        let snapshot_writer = config
+            .snapshot_dir
+            .as_ref()
+            .filter(|dir| std::fs::create_dir_all(dir).is_ok())
+            .map(|dir| {
+                spawn_snapshot_writer(
+                    Arc::clone(&headend),
+                    socket.as_ref().map(|s| Arc::clone(&s.membership)),
+                    autoscale.clone(),
+                    epoch,
+                    dir.join(snapshot::SNAPSHOT_FILE),
+                    config.snapshot_interval,
+                    config.telemetry.clone(),
+                )
+            });
 
         // Job ids must keep climbing past everything an adopted primary
         // issued.
@@ -576,6 +579,7 @@ impl LiveOddci {
         });
         Ok(LiveOddci {
             headend,
+            control,
             socket,
             bus,
             nodes,
@@ -721,16 +725,15 @@ impl LiveOddci {
         self.epoch
     }
 
-    /// Cuts a snapshot right now, bypassing the periodic writer. `None`
-    /// when a headend thread fails to answer the export.
-    pub fn snapshot_now(&self) -> Option<SnapshotState> {
-        let wire = self
-            .socket
-            .as_ref()
-            .map_or((0, Vec::new()), |s| s.membership.lock().export());
-        let mut snap = self.headend.snapshot_handle().export(self.epoch, wire)?;
-        snap.autoscale = self.autoscale_state();
-        Some(snap)
+    /// Cuts a snapshot right now, on the calling thread, bypassing the
+    /// periodic writer.
+    pub fn snapshot_now(&self) -> SnapshotState {
+        cut_snapshot(
+            &self.headend,
+            self.socket.as_ref().map(|s| &*s.membership),
+            self.autoscale.as_deref(),
+            self.epoch,
+        )
     }
 
     /// The elastic-sizing loop's current state — desired size, unserved
@@ -774,15 +777,14 @@ impl LiveOddci {
 
     /// Kills a socket headend the way SIGKILL would: the listener and its
     /// service drop (PNAs see a dead connection, not a goodbye), the
-    /// headend threads are abandoned to exit on channel disconnect, and
-    /// nothing is drained or accounted. The telemetry sink is flushed
-    /// only because in-process "processes" share a sink — bytes already
-    /// written to the fd would survive a real kill anyway.
+    /// control thread stops, and nothing is drained or accounted. The
+    /// telemetry sink is flushed only because in-process "processes"
+    /// share a sink — bytes already written to the fd would survive a
+    /// real kill anyway.
     ///
     /// # Panics
     /// Outside [`HeadendMode::Socket`]: in-process node threads share
-    /// channels with the headend and would loop forever against a
-    /// dropped one.
+    /// the headend and would run on against a dead one.
     pub fn crash(self) {
         let Some(mut socket) = self.socket else {
             panic!("crash() models a dead socket headend; use HeadendMode::Socket");
@@ -790,18 +792,17 @@ impl LiveOddci {
         stop_worker(self.reconciler);
         stop_worker(self.snapshot_writer);
         let _ = socket.server.stop();
-        drop(self.headend);
+        stop_worker(Some(self.control));
         self.config.telemetry.flush_sink();
     }
 
     /// Stops the headend and all nodes, joining every thread.
     ///
-    /// The shutdown barrier: `Shutdown` goes out on the bus first, the
-    /// socket front (if any) and every node thread are joined, so no node
-    /// can still be sending or dispatching; then the headend winds down
-    /// (controller shards, carousel — receivers strictly outlive
-    /// senders). The returned report carries the Backend's final task
-    /// accounting.
+    /// The shutdown barrier: the reconciler and the snapshot writer stop,
+    /// `Shutdown` goes out on the bus, the socket front (if any) and every
+    /// node thread are joined, so no node can still be calling into the
+    /// headend; then the control thread stops. The returned report
+    /// carries the Backend's final task accounting.
     ///
     /// When a streaming trace sink is attached, every thread has exited
     /// — and therefore emitted its last event — before the sink is
@@ -809,26 +810,21 @@ impl LiveOddci {
     /// computed: the streamed artifact always covers the full run the
     /// report describes.
     pub fn shutdown(self) -> ShutdownReport {
-        // The reconciler and snapshot writer both talk to the shard
-        // channels, so they must stop before those receivers wind down.
         let mut threads_failed = stop_worker(self.reconciler) + stop_worker(self.snapshot_writer);
-        self.bus.publish(&BusMsg::Shutdown);
         // The Shutdown bus message reaches the wire service, which
         // broadcasts it to every PNA and asks the serving loop to drain
-        // and stop; joining the server here guarantees the service (a
-        // shard sender that dispatches) is gone before the headend tears
-        // its receivers down.
+        // and stop.
+        self.bus.publish(&BusMsg::Shutdown);
         if let Some(mut socket) = self.socket {
             threads_failed += u64::from(!socket.server.stop());
         }
         for node in self.nodes {
             threads_failed += u64::from(node.join().is_err());
         }
-        let (tasks_unaccounted, failed) = self.headend.shutdown();
-        threads_failed += failed;
+        threads_failed += stop_worker(Some(self.control));
         self.config.telemetry.flush_sink();
         ShutdownReport {
-            tasks_unaccounted,
+            tasks_unaccounted: self.headend.unaccounted(),
             threads_failed,
         }
     }
@@ -838,53 +834,43 @@ impl LiveOddci {
 // Snapshot writer
 // ---------------------------------------------------------------------
 
+/// Cuts one snapshot of `headend`, with the wire identity ledger and the
+/// reconciler's desired-state record when the runtime has them.
+fn cut_snapshot(
+    headend: &Headend,
+    membership: Option<&Mutex<WireMembership>>,
+    autoscale: Option<&Mutex<Reconciler>>,
+    epoch: u64,
+) -> SnapshotState {
+    let wire = membership.map_or((0, Vec::new()), |m| m.lock().export());
+    let mut snap = headend.export(epoch, wire);
+    snap.autoscale = autoscale.map(|r| r.lock().export(SimTime::from_micros(headend.now_us())));
+    snap
+}
+
 /// Spawns the periodic snapshot writer: every `interval` it cuts a state
-/// export and atomically replaces `dir/headend.snap`. Dropping the
-/// returned sender (or sending on it) stops the thread.
-#[allow(clippy::too_many_arguments)]
+/// export and atomically replaces the file at `path`.
 fn spawn_snapshot_writer(
-    handle: SnapshotHandle,
+    headend: Arc<Headend>,
     membership: Option<Arc<Mutex<WireMembership>>>,
     autoscale: Option<Arc<Mutex<Reconciler>>>,
     epoch: u64,
-    dir: std::path::PathBuf,
+    path: std::path::PathBuf,
     interval: Duration,
-    start: Instant,
     tele: Telemetry,
-) -> (Sender<()>, JoinHandle<()>) {
-    let (tx, rx) = bounded::<()>(1);
-    let thread = std::thread::spawn(move || {
-        if std::fs::create_dir_all(&dir).is_err() {
-            return; // nowhere to write; durability is best-effort
-        }
-        let path = dir.join(snapshot::SNAPSHOT_FILE);
-        loop {
-            match rx.recv_timeout(interval) {
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            let begin = wall_now(&start).as_micros();
-            let wire = membership
-                .as_ref()
-                .map(|m| m.lock().export())
-                .unwrap_or((0, Vec::new()));
-            let Some(mut snap) = handle.export(epoch, wire) else {
-                return; // headend winding down mid-export
-            };
-            snap.autoscale = autoscale
-                .as_ref()
-                .map(|r| r.lock().export(wall_now(&start)));
-            let _ = snapshot::write_file(&path, &snap);
-            tele.span(
-                begin,
-                wall_now(&start).as_micros(),
-                Phase::HeadendSnapshot,
-                CONTROL_TRACK,
-                epoch,
-            );
-        }
-    });
-    (tx, thread)
+) -> Worker {
+    every(interval, move || {
+        let begin = headend.now_us();
+        let snap = cut_snapshot(&headend, membership.as_deref(), autoscale.as_deref(), epoch);
+        let _ = snapshot::write_file(&path, &snap);
+        tele.span(
+            begin,
+            headend.now_us(),
+            Phase::HeadendSnapshot,
+            CONTROL_TRACK,
+            epoch,
+        );
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1306,7 +1292,7 @@ mod tests {
             .run_alignment_job(image, 4, 2, Duration::from_secs(30))
             .expect("job completes");
         assert_eq!(outcome.scores.len(), 4);
-        let snap = live.snapshot_now().expect("sharded headends can snapshot");
+        let snap = live.snapshot_now();
         let decoded =
             crate::snapshot::decode(&crate::snapshot::encode(&snap)).expect("container decodes");
         assert_eq!(decoded.epoch, snap.epoch);
@@ -1365,7 +1351,7 @@ mod tests {
                 .expect("job completes");
             assert_eq!(outcome.scores.len(), 400, "{mode:?}");
             assert_eq!(outcome.report.requeues, 0, "{mode:?}");
-            let snap = live.snapshot_now().expect("headends snapshot");
+            let snap = live.snapshot_now();
             let backend_requeues: u64 = snap.backend.jobs.iter().map(|j| j.requeues).sum();
             assert_eq!(backend_requeues, 0, "{mode:?}");
             let report = live.shutdown();
@@ -1417,6 +1403,55 @@ mod tests {
             "wait_job returned {mean:?} after the last result, on average"
         );
         assert_eq!(live.shutdown().threads_failed, 0);
+    }
+
+    /// No wakeup carrying an image airs after its instance's reset: the
+    /// stripes publish under the carousel lock and a reset forgets the
+    /// image, so a stripe that re-airs a wakeup after a sibling's reset
+    /// sends it bare. Back-to-back jobs with short ticks put re-aired
+    /// wakeups next to every dismantle.
+    #[test]
+    fn no_wakeup_airs_an_image_after_its_instance_reset() {
+        use oddci_core::messages::ControlMessage;
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            heartbeat_interval: Duration::from_millis(20),
+            controller_tick: Duration::from_millis(20),
+            mode: HeadendMode::Sharded {
+                shards: 2,
+                dispatch: 1,
+                batch: 8,
+            },
+            ..Default::default()
+        });
+        let aired = live.bus.subscribe();
+        let image = AlignmentImage {
+            db_len: 2000,
+            ..AlignmentImage::small_demo()
+        };
+        for job in 0..20u64 {
+            let queries = (0..4)
+                .map(|i| Arc::new(random_sequence(16, job * 4 + i)))
+                .collect();
+            live.run_query_job(image.clone(), queries, 2, Duration::from_secs(30))
+                .expect("job completes");
+        }
+        assert_eq!(live.shutdown().threads_failed, 0);
+        let mut reset = std::collections::BTreeSet::new();
+        for msg in aired.try_iter() {
+            let BusMsg::Control(b) = msg else { continue };
+            match b.signed.message {
+                ControlMessage::Reset(r) => {
+                    reset.insert(r.instance);
+                }
+                ControlMessage::Wakeup(w) => assert!(
+                    b.image.is_none() || !reset.contains(&w.instance),
+                    "instance {} aired its image after its reset",
+                    w.instance.raw()
+                ),
+            }
+        }
+        assert_eq!(reset.len(), 20, "every job's instance was reset");
     }
 
     #[test]
@@ -1495,7 +1530,7 @@ mod tests {
             nodes: 1,
             ..Default::default()
         });
-        let mut snap = primary.snapshot_now().expect("headends snapshot");
+        let mut snap = primary.snapshot_now();
         primary.shutdown();
         let mut recipe = snapshot::ImageExport::from_image(&AlignmentImage::small_demo());
         recipe.k = 0;
@@ -1710,7 +1745,7 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        let snap = primary.snapshot_now().expect("socket headends snapshot");
+        let snap = primary.snapshot_now();
         assert!(
             !snap.job_queries.is_empty(),
             "the job must outlive the snapshot cut"

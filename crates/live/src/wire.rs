@@ -3,12 +3,11 @@
 //! Two halves live here, one per side of the wire:
 //!
 //! * `LiveWireService` — the headend side. It plugs into
-//!   [`oddci_wire::WireServer`]'s serving loop, serves task fetches and
-//!   results itself through the headend's `Dispatch` handle (the batch
-//!   goes into the outbox in the same turn), hands heartbeats to their
-//!   shard as a `ShardMsg`, forwards carousel broadcasts to every
-//!   connection (streaming the materialized database inside the wakeup),
-//!   and relays heartbeat replies back once the shards answer.
+//!   [`oddci_wire::WireServer`]'s serving loop, serves heartbeats, task
+//!   fetches and results itself by calling into the `Headend` (a reply
+//!   goes into the outbox in the same turn), and forwards carousel
+//!   broadcasts to every connection (streaming the materialized database
+//!   inside the wakeup).
 //! * [`run_wire_pna`] — the PNA side. It dials the headend, performs the
 //!   hello handshake to learn its node identity, and then runs the
 //!   *identical* `node_main` loop every in-process node runs — the
@@ -21,19 +20,16 @@
 //! channel; a reply that never comes is dropped by `node_main`'s reply
 //! timeouts, and a shutdown or a lost connection drops every parked
 //! channel at once so nobody waits out a timeout for a reply that cannot
-//! come. On the headend side nothing is parked: a task fetch is answered
-//! on the serving thread before it reads its next message, and a
-//! heartbeat travels to its shard with a `WireSink` naming the connection
-//! and the id, and the shard *pushes* the finished reply onto the
-//! service's reply channel and wakes the serving loop.
+//! come. On the headend side nothing is parked: a heartbeat or a task
+//! fetch is answered on the serving thread before it reads its next
+//! message.
 
 use crate::bus::BroadcastBus;
-use crate::headend::{Dispatch, ReplyTo, ShardMsg};
+use crate::headend::Headend;
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::runtime::{node_main, BusMsg, NodeLink, TaskBatchReply};
 use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
-use oddci_core::sharded::shard_of;
 use oddci_faults::{FaultInjector, FaultPlan};
 use oddci_telemetry::{Phase, Telemetry};
 use oddci_types::NodeId;
@@ -159,45 +155,16 @@ impl WireMembership {
     }
 }
 
-/// The return address of a wire-origin heartbeat: the connection and
-/// correlation id to answer, the serving loop's reply channel, and the
-/// loop's waker. The shard that computes the answer
-/// [`push`](WireSink::push)es it — the serving loop never polls for it.
-pub(crate) struct WireSink {
-    conn: ConnId,
-    corr: u64,
-    replies: Sender<(ConnId, WireMsg)>,
-    waker: Waker,
-}
-
-impl WireSink {
-    /// Publishes `reply` for the connection, then wakes the serving loop
-    /// — in that order, which is the loop's contract with its wakers.
-    /// Both steps count as sends: never call this with the hub lock held.
-    pub(crate) fn push(self, reply: HeartbeatReply) {
-        let msg = WireMsg::HeartbeatReply {
-            corr: self.corr,
-            reply,
-        };
-        if self.replies.send((self.conn, msg)).is_ok() {
-            self.waker.wake();
-        }
-    }
-}
-
-/// The headend's [`WireService`]: serves task traffic through the
-/// headend's [`Dispatch`] on the serving thread, translates heartbeats
-/// into the shards' channels and carousel broadcasts into wire frames.
+/// The headend's [`WireService`]: serves heartbeats and task traffic by
+/// calling into the [`Headend`] on the serving thread, and turns carousel
+/// broadcasts into wire frames.
 ///
 /// It runs single-threaded inside the serving loop, so it holds plain
-/// collections — the only synchronization is the hub lock inside
-/// `Dispatch`, the channels themselves, and the serving loop's
-/// [`Waker`], which everything that feeds those channels from another
-/// thread (the carousel's bus, the heartbeat reply sinks) fires after
-/// publishing.
+/// collections — the only synchronization is the headend's own locks,
+/// the bus channel, and the serving loop's [`Waker`], which the bus
+/// fires after publishing from whatever thread aired the broadcast.
 pub(crate) struct LiveWireService {
-    shards: Arc<Vec<Sender<ShardMsg>>>,
-    dispatch: Dispatch,
+    headend: Arc<Headend>,
     batch: usize,
     bus_rx: Receiver<BusMsg>,
     tele: Telemetry,
@@ -212,20 +179,14 @@ pub(crate) struct LiveWireService {
     /// Filled by [`attach`](WireService::attach); shared with the bus
     /// subscription, which exists before the serving loop does.
     waker: Arc<OnceLock<Waker>>,
-    /// Heartbeat replies, pushed by shard threads through the
-    /// [`WireSink`]s handed out in `on_message`.
-    replies_tx: Sender<(ConnId, WireMsg)>,
-    replies_rx: Receiver<(ConnId, WireMsg)>,
     db_cache: BTreeMap<(u64, u64), Arc<Vec<u8>>>,
 }
 
 impl LiveWireService {
-    /// Builds the service in front of an already-running sharded headend
-    /// and subscribes it to `bus`.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the service in front of `headend` and subscribes it to
+    /// `bus`.
     pub(crate) fn new(
-        shards: Arc<Vec<Sender<ShardMsg>>>,
-        dispatch: Dispatch,
+        headend: Arc<Headend>,
         batch: usize,
         bus: &BroadcastBus<BusMsg>,
         tele: Telemetry,
@@ -244,10 +205,8 @@ impl LiveWireService {
                 }
             }
         });
-        let (replies_tx, replies_rx) = unbounded();
         LiveWireService {
-            shards,
-            dispatch,
+            headend,
             batch,
             bus_rx,
             tele,
@@ -257,25 +216,12 @@ impl LiveWireService {
             epoch,
             membership,
             waker,
-            replies_tx,
-            replies_rx,
             db_cache: BTreeMap::new(),
         }
     }
 
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
-    }
-
-    /// The return address for a heartbeat from `conn`. `None` before the
-    /// serving loop attached its waker, i.e. never while serving.
-    fn sink(&self, conn: ConnId, corr: u64) -> Option<ReplyTo> {
-        Some(ReplyTo::Wire(WireSink {
-            conn,
-            corr,
-            replies: self.replies_tx.clone(),
-            waker: self.waker.get()?.clone(),
-        }))
     }
 
     /// The encoded wakeup payload for `image`, with the materialized
@@ -354,10 +300,8 @@ impl WireService for LiveWireService {
                 );
             }
             WireMsg::Heartbeat { corr, hb } => {
-                if let Some(reply) = self.sink(conn, corr) {
-                    let s = shard_of(hb.node, self.shards.len());
-                    let _ = self.shards[s].send(ShardMsg::Heartbeat { hb, reply });
-                }
+                let reply = self.headend.heartbeat(hb);
+                out.send(conn, WireMsg::HeartbeatReply { corr, reply });
             }
             // Answered in this turn; a stalled Backend answers nothing and
             // the PNA's reply timeout takes over.
@@ -366,12 +310,12 @@ impl WireService for LiveWireService {
                 instance,
                 node,
             } => {
-                if let Some(reply) = self.dispatch.fetch(instance, node, self.batch) {
+                if let Some(reply) = self.headend.fetch(instance, node, self.batch) {
                     let batch = to_wire_batch(reply);
                     out.send(conn, WireMsg::TaskBatch { corr, batch });
                 }
             }
-            WireMsg::Results { job, node, results } => self.dispatch.results(job, node, results),
+            WireMsg::Results { job, node, results } => self.headend.results(job, node, results),
             // Answered without a handshake: a monitoring client (`oddci
             // top`) must not consume a node identity just to look.
             WireMsg::StatsQuery { corr } => {
@@ -395,8 +339,6 @@ impl WireService for LiveWireService {
     }
 
     fn on_disconnect(&mut self, conn: ConnId, _out: &mut Outbox) {
-        // A reply still on its way to `conn` is dropped by the serving
-        // loop: connection ids are never reused.
         self.conn_nodes.remove(&conn);
     }
 
@@ -418,9 +360,6 @@ impl WireService for LiveWireService {
                     out.request_stop();
                 }
             }
-        }
-        while let Ok((conn, msg)) = self.replies_rx.try_recv() {
-            out.send(conn, msg);
         }
     }
 }

@@ -152,9 +152,9 @@ impl Telemetry {
     }
 
     /// A clone of this handle whose offers are pinned to sink lane
-    /// `lane`. Hand one to each headend thread (carousel, shards) so their
-    /// hot paths enqueue into disjoint lanes and never contend on a
-    /// queue mutex. No-op when no sink is attached.
+    /// `lane`. Hand one to a long-lived emitter (the live headend's
+    /// control thread) so all its offers go to that one lane. No-op when
+    /// no sink is attached.
     pub fn with_sink_lane(&self, lane: usize) -> Telemetry {
         let mut clone = self.clone();
         clone.sink_lane = Some(lane);

@@ -14,11 +14,11 @@
 //!    `emitted == persisted + dropped` holds as an identity, and drops
 //!    are broken down per [`Phase`].
 //! 3. **Writers don't contend.** Events are spread over independent
-//!    lanes (per-shard handles pin a lane via
-//!    [`crate::Telemetry::with_sink_lane`]), so two headend shards never
-//!    touch the same queue mutex, and every lane has its own writer
-//!    thread, which encodes its blocks privately and contends only on
-//!    the brief file append.
+//!    lanes (the headend's control thread pins a lane via
+//!    [`crate::Telemetry::with_sink_lane`] and node threads spread by
+//!    track), so emitters rarely share a queue mutex, and every lane
+//!    has its own writer thread, which encodes its blocks privately and
+//!    contends only on the brief file append.
 //!
 //! [`StreamingSink`] is the concrete implementation and writes exactly
 //! one thing: the compact [`crate::binary`] block format, the only one
@@ -75,12 +75,12 @@ impl SinkStats {
 
 /// A destination for live trace events. Implementations must be cheap and
 /// non-blocking on [`offer`](TraceSink::offer) — the caller may be a
-/// simulation inner loop or a headend shard thread.
+/// simulation inner loop or a thread driving the live headend.
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
-    /// Enqueue one event. `lane_hint` pins the event to a lane (shard
-    /// handles use this so writers don't contend); `None` spreads by
-    /// track. Returns `false` — and counts a drop — instead of blocking
-    /// when the lane is full.
+    /// Enqueue one event. `lane_hint` pins the event to a lane (the
+    /// headend's control thread uses this so writers don't contend);
+    /// `None` spreads by track. Returns `false` — and counts a drop —
+    /// instead of blocking when the lane is full.
     fn offer(&self, ev: Event, lane_hint: Option<usize>) -> bool;
 
     /// Block until everything offered *before this call* is durably
@@ -226,7 +226,7 @@ pub struct StreamBuilder {
 
 impl StreamBuilder {
     /// Number of independent lanes, each with its own writer thread
-    /// (default 4). Per-shard handles pin a lane with
+    /// (default 4). A handle can pin a lane with
     /// [`crate::Telemetry::with_sink_lane`]; unpinned emitters spread by
     /// track id.
     pub fn lanes(mut self, lanes: usize) -> Self {

@@ -99,8 +99,8 @@ fn sharded_headend_completes_jobs_at_every_shard_count() {
     }
 }
 
-/// Shutdown joins every thread (the call only returns once carousel,
-/// shards and nodes are all joined) and the Backend's final ledger
+/// Shutdown joins every thread (the call only returns once the control
+/// thread and the nodes are all joined) and the Backend's final ledger
 /// accounts for every task of every job ever submitted.
 #[test]
 fn shutdown_joins_all_threads_with_no_task_unaccounted() {
@@ -136,12 +136,10 @@ fn shutdown_flushes_active_sink_before_reporting() {
         "oddci-shards-shutdown-{}.trace.bin",
         std::process::id()
     ));
-    let shards = 4usize;
     let sink = StreamingSink::builder(&path)
-        .lanes(1 + shards)
         .start()
         .expect("open shutdown stream");
-    let mut cfg = sharded_config(3, shards);
+    let mut cfg = sharded_config(3, 4);
     cfg.telemetry = Telemetry::recording().with_sink(sink.clone());
     let live = LiveOddci::start(cfg);
     live.run_alignment_job(tiny_image(), 8, 2, Duration::from_secs(60))

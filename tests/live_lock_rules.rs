@@ -1,10 +1,12 @@
 //! The workspace locking rules, checked on live jobs. With `oddci_check`
 //! on, every lock acquisition feeds the lock-order graph and every channel
 //! send is checked against the send-sensitive hub lock. Node threads and
-//! the socket front's serving thread take the hub lock to dispatch and
-//! then send (dismantles to the shards, heartbeats), so a running job is
-//! where a broken rule shows. Checking is process-global, which is why
-//! this is a test binary of its own.
+//! the socket front's serving thread drive the controller stripes, which
+//! take the hub and carousel locks and publish on the bus, and they take
+//! the hub lock to dispatch; the control thread ticks the stripes and the
+//! caller cuts a snapshot across all of them. A running job is where a
+//! broken rule shows. Checking is process-global, which is why this is a
+//! test binary of its own.
 
 use oddci::check::order;
 use oddci::live::wire::{run_wire_pna, WirePnaConfig};
@@ -15,8 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Runs one job of `tasks` light queries on a fresh plane in `mode` — two
-/// in-process nodes, or two PNA threads when `mode` is a socket — and
-/// shuts it down with every task accounted for.
+/// in-process nodes, or two PNA threads when `mode` is a socket — cuts a
+/// snapshot, and shuts it down with every task accounted for.
 fn run_job(mode: HeadendMode, tasks: u64) {
     let live = LiveOddci::start(LiveConfig {
         nodes: 2,
@@ -51,6 +53,8 @@ fn run_job(mode: HeadendMode, tasks: u64) {
         .run_query_job(image, queries, 2, Duration::from_secs(60))
         .expect("job completes");
     assert_eq!(outcome.scores.len() as u64, tasks, "{mode:?}");
+    let snap = live.snapshot_now();
+    assert_eq!(snap.shards.len(), 2, "{mode:?}");
     let report = live.shutdown();
     assert_eq!(report.tasks_unaccounted, 0, "{mode:?}");
     assert_eq!(report.threads_failed, 0, "{mode:?}");
