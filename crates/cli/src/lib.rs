@@ -591,6 +591,23 @@ mod tests {
         assert_eq!(listed, allowed);
     }
 
+    /// ARCHITECTURE.md's crate table names every command `usage()` lists.
+    #[test]
+    fn architecture_crate_table_lists_every_command() {
+        let doc = include_str!("../../../ARCHITECTURE.md");
+        let row = doc.lines().find(|l| l.starts_with("| `oddci-cli` |"));
+        let row = row.expect("ARCHITECTURE.md has an oddci-cli row");
+        let text = usage();
+        let commands = text.split_once("COMMANDS:\n").expect("COMMANDS section").1;
+        for line in commands.lines() {
+            let body = line.trim_start();
+            let name = body.split("  ").next().unwrap();
+            if line.len() - body.len() == 4 && name != "help" {
+                assert!(row.contains(&format!("`{name}`")), "misses `{name}`");
+            }
+        }
+    }
+
     #[test]
     fn soak_trace_out_streams_run() {
         let dir = std::env::temp_dir().join("oddci-cli-soak-stream-test");

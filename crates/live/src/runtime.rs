@@ -1,6 +1,5 @@
 //! The live runtime: a headend (Provider + Controller + Backend) and one
-//! OS thread per receiver, all speaking the §3.2 protocol over real
-//! channels.
+//! OS thread per receiver, all speaking the §3.2 protocol.
 //!
 //! There is one [`headend`](crate::headend): N controller stripes
 //! (disjoint node-membership slices), the carousel and the shared
@@ -12,6 +11,11 @@
 //! which case the nodes are separate PNA processes instead of in-process
 //! threads. A standby is the same bring-up with a snapshot adopted
 //! before the listener binds.
+//!
+//! A node's thread owns its `NodeLink`, its whole view of the plane: in
+//! process, the headend plus a bus subscription; for a PNA process, one
+//! socket whose inbound channel it reads itself, for control messages
+//! and for the reply to each request alike.
 //!
 //! Wall-clock time is mapped onto [`SimTime`] (microseconds since runtime
 //! start) so the *identical* Controller/Backend/Provider code from
@@ -216,46 +220,62 @@ pub(crate) enum TaskBatchReply {
     Drained,
 }
 
-/// How a node reaches the headend: in process, the headend itself
-/// (heartbeats, fetches and results all run on the node's own thread); a
-/// framed TCP connection when the node is a separate PNA process.
-#[derive(Clone)]
+/// A node's whole view of the plane, owned by its thread: the control
+/// stream it hears and the requests it makes. In process that is the
+/// headend itself (heartbeats, fetches and results all run on the node's
+/// own thread) plus a bus subscription; for a separate PNA process, one
+/// framed TCP connection carrying both.
 pub(crate) enum NodeLink {
-    Local { headend: Arc<Headend>, batch: usize },
-    Remote(Arc<crate::wire::RemoteLink>),
+    Local {
+        headend: Arc<Headend>,
+        batch: usize,
+        bus: Receiver<BusMsg>,
+    },
+    Remote(Box<crate::wire::RemoteLink>),
 }
 
-/// The link to the headend is closed for good: the node should stop.
-pub(crate) struct LinkClosed;
+/// A request nobody will answer: a `Shutdown` or a lost connection ended
+/// its wait, and the node's next read says which.
+pub(crate) struct Abandoned;
 
 impl NodeLink {
-    pub(crate) fn send_heartbeat(&self, hb: Heartbeat, reply: Sender<HeartbeatReply>) -> bool {
+    /// The next control message, waiting up to `timeout`.
+    pub(crate) fn recv(&mut self, timeout: Duration) -> Result<BusMsg, RecvTimeoutError> {
         match self {
-            NodeLink::Local { headend, .. } => {
-                let _ = reply.send(headend.heartbeat(hb));
-                true
-            }
-            NodeLink::Remote(link) => link.send_heartbeat(hb, reply),
+            NodeLink::Local { bus, .. } => bus.recv_timeout(timeout),
+            NodeLink::Remote(link) => link.recv(timeout),
         }
     }
 
-    /// Asks for a batch of `instance`'s tasks. `Ok(None)` is a request
-    /// nobody answered (a stalled Backend, a reply that timed out or
-    /// whose connection died): the caller backs off and retries.
+    /// The next control message, if one is already here.
+    pub(crate) fn try_recv(&mut self) -> Option<BusMsg> {
+        match self {
+            NodeLink::Local { bus, .. } => bus.try_recv().ok(),
+            NodeLink::Remote(link) => link.recv(Duration::ZERO).ok(),
+        }
+    }
+
+    /// Sends a heartbeat and waits for the reply; `Ok(None)` when it
+    /// timed out.
+    pub(crate) fn heartbeat(&mut self, hb: Heartbeat) -> Result<Option<HeartbeatReply>, Abandoned> {
+        match self {
+            NodeLink::Local { headend, .. } => Ok(Some(headend.heartbeat(hb))),
+            NodeLink::Remote(link) => link.heartbeat(hb, HB_REPLY_TIMEOUT),
+        }
+    }
+
+    /// Asks for a batch of `instance`'s tasks. `None` is a request nobody
+    /// answered (a stalled Backend, a reply that timed out, a wait ended
+    /// by a `Shutdown` or a dead connection): the caller backs off,
+    /// listening, and retries.
     pub(crate) fn fetch_tasks(
-        &self,
+        &mut self,
         instance: InstanceId,
         node: NodeId,
-    ) -> Result<Option<TaskBatchReply>, LinkClosed> {
+    ) -> Option<TaskBatchReply> {
         match self {
-            NodeLink::Local { headend, batch } => Ok(headend.fetch(instance, node, *batch)),
-            NodeLink::Remote(link) => {
-                let (rtx, rrx) = bounded(1);
-                if !link.request_tasks(instance, node, rtx) {
-                    return Err(LinkClosed);
-                }
-                Ok(rrx.recv_timeout(TASK_REPLY_TIMEOUT).ok())
-            }
+            NodeLink::Local { headend, batch, .. } => headend.fetch(instance, node, *batch),
+            NodeLink::Remote(link) => link.fetch_tasks(instance, node, TASK_REPLY_TIMEOUT),
         }
     }
 
@@ -501,31 +521,20 @@ impl LiveOddci {
         // Behind a socket the fleet lives in other processes: `nodes` is
         // the expected audience, not a local thread count.
         let local_nodes = if socket.is_some() { 0 } else { config.nodes };
-        let link = NodeLink::Local {
-            headend: Arc::clone(&headend),
-            batch,
-        };
         let nodes = (0..local_nodes)
             .map(|i| {
-                let bus_rx = bus.subscribe();
-                let link = link.clone();
+                let mut link = NodeLink::Local {
+                    headend: Arc::clone(&headend),
+                    batch,
+                    bus: bus.subscribe(),
+                };
                 let key = config.key.clone();
                 let hb = config.heartbeat_interval;
                 let seed = config.seed ^ (i.wrapping_mul(0x9e3779b97f4a7c15));
                 let inj = Arc::clone(&injector);
                 let tele = config.telemetry.clone();
                 std::thread::spawn(move || {
-                    node_main(
-                        NodeId::new(i),
-                        key,
-                        bus_rx,
-                        link,
-                        hb,
-                        seed,
-                        start,
-                        inj,
-                        tele,
-                    )
+                    node_main(NodeId::new(i), key, &mut link, hb, seed, start, inj, tele)
                 })
             })
             .collect();
@@ -881,8 +890,7 @@ fn spawn_snapshot_writer(
 pub(crate) fn node_main(
     id: NodeId,
     key: Vec<u8>,
-    bus_rx: Receiver<BusMsg>,
-    link: NodeLink,
+    link: &mut NodeLink,
     hb_interval: Duration,
     seed: u64,
     start: Instant,
@@ -896,8 +904,8 @@ pub(crate) fn node_main(
         usage: UsageMode::Standby,
     };
     loop {
-        // Idle: listen to the bus, heartbeat on the side.
-        match bus_rx.recv_timeout(hb_interval) {
+        // Idle: listen to the control stream, heartbeat on the side.
+        match link.recv(hb_interval) {
             Ok(BusMsg::Shutdown) => return,
             Ok(BusMsg::Control(b)) => {
                 if let PnaAction::BeginAcquisition { instance, .. } =
@@ -916,8 +924,7 @@ pub(crate) fn node_main(
                             host,
                             instance,
                             &image,
-                            &bus_rx,
-                            &link,
+                            link,
                             hb_interval,
                             seed,
                             &start,
@@ -938,11 +945,8 @@ pub(crate) fn node_main(
                 // Fault hook: the PNA software crashes at its own timer; a
                 // reboot later it comes back idle and resumes listening
                 // (restart = this same loop — the carousel repeats).
-                if maybe_crash(&mut pna, &injector, &start) {
-                    continue;
-                }
-                if !heartbeat(&mut pna, &link, seed, &start, &injector, &tele) {
-                    return;
+                if !maybe_crash(&mut pna, &injector, &start) {
+                    heartbeat(&mut pna, link, seed, &start, &injector, &tele);
                 }
             }
             Err(RecvTimeoutError::Disconnected) => return,
@@ -974,44 +978,37 @@ fn maybe_crash(pna: &mut Pna, injector: &FaultInjector, start: &Instant) -> bool
 /// Sends one heartbeat and applies the reply. A beat swallowed by an
 /// injected drop or partition is simply skipped (the miss-threshold
 /// machinery is the Controller's problem); a reply timeout is retried a
-/// few times and then given up on *without* killing the node, and a
-/// reply channel dropped by the link (shutdown, lost connection) ends the
-/// beat at once so the caller gets back to its bus. Returns false only
-/// when the headend is gone.
+/// few times and then given up on *without* killing the node, and a wait
+/// the link abandons (shutdown, lost connection) ends the beat at once so
+/// the caller gets back to its control stream, which says why.
 fn heartbeat(
     pna: &mut Pna,
-    link: &NodeLink,
+    link: &mut NodeLink,
     seed: u64,
     start: &Instant,
     injector: &FaultInjector,
     tele: &Telemetry,
-) -> bool {
+) {
     let id = pna.node();
     let backoff = Backoff::live();
     let mut attempt = 0;
     loop {
         let now = wall_now(start);
         if injector.partitioned(id, now) || injector.heartbeat_dropped(id, now) {
-            return true;
+            return;
         }
-        let hb = pna.heartbeat(now);
-        let (rtx, rrx) = bounded(1);
-        if !link.send_heartbeat(hb, rtx) {
-            return false;
-        }
-        match rrx.recv_timeout(HB_REPLY_TIMEOUT) {
-            Ok(HeartbeatReply::Reset(inst)) => {
+        match link.heartbeat(pna.heartbeat(now)) {
+            Ok(Some(HeartbeatReply::Reset(inst))) => {
                 tele.instant(wall_now(start).as_micros(), Phase::Heartbeat, id.raw(), 1);
                 pna.on_direct_reset(inst);
-                return true;
+                return;
             }
-            Ok(HeartbeatReply::Ack) => {
+            Ok(Some(HeartbeatReply::Ack)) => {
                 tele.instant(wall_now(start).as_micros(), Phase::Heartbeat, id.raw(), 0);
-                return true;
+                return;
             }
-            // Nobody will answer this beat: the bus says why.
-            Err(RecvTimeoutError::Disconnected) => return true,
-            Err(RecvTimeoutError::Timeout) => match backoff.delay_std(attempt, seed ^ 0xbea7) {
+            Err(Abandoned) => return,
+            Ok(None) => match backoff.delay_std(attempt, seed ^ 0xbea7) {
                 Some(d) => {
                     tele.instant(
                         wall_now(start).as_micros(),
@@ -1023,7 +1020,7 @@ fn heartbeat(
                     std::thread::sleep(d);
                 }
                 // Give up on this beat, not on the node.
-                None => return true,
+                None => return,
             },
         }
     }
@@ -1039,8 +1036,7 @@ fn run_instance(
     host: HostInfo,
     instance: InstanceId,
     image: &AlignmentImage,
-    bus_rx: &Receiver<BusMsg>,
-    link: &NodeLink,
+    link: &mut NodeLink,
     hb_interval: Duration,
     seed: u64,
     start: &Instant,
@@ -1059,22 +1055,20 @@ fn run_instance(
         pna.node().raw(),
         instance.raw(),
     );
-    if !heartbeat(pna, link, seed, start, injector, tele) {
-        return true;
-    }
+    heartbeat(pna, link, seed, start, injector, tele);
     let backoff = Backoff::live();
     let mut fetch_attempt: u32 = 0;
     let mut fetch_began: Option<u64> = None;
     while !pna.is_idle() {
         // Drain broadcast traffic (resets, other instances' wakeups).
-        while let Ok(msg) = bus_rx.try_recv() {
+        while let Some(msg) = link.try_recv() {
             match msg {
                 BusMsg::Shutdown => return false,
                 BusMsg::Control(b) => {
                     if let PnaAction::DveDestroyed { .. } =
                         pna.on_control_message(&b.signed, host, rng)
                     {
-                        let _ = heartbeat(pna, link, seed, start, injector, tele);
+                        heartbeat(pna, link, seed, start, injector, tele);
                         return true;
                     }
                 }
@@ -1094,14 +1088,11 @@ fn run_instance(
         let reply = if lost {
             None
         } else {
-            match link.fetch_tasks(instance, pna.node()) {
-                Ok(reply) => reply,
-                Err(LinkClosed) => return true,
-            }
+            link.fetch_tasks(instance, pna.node())
         };
-        // Every pause is spent listening to the bus, not asleep: when a
-        // reply is missing because the plane is shutting down (the link
-        // drops the parked channel at once), the bus is where the node
+        // Every pause is spent listening to the control stream, not
+        // asleep: when a reply is missing because the plane is shutting
+        // down (the link ends the wait at once), that is where the node
         // hears it.
         let pause = match reply {
             Some(TaskBatchReply::Assigned { job, tasks }) => {
@@ -1123,7 +1114,7 @@ fn run_instance(
                     // mid-batch abandons the remainder (the Backend
                     // re-queues it via the NodeLost membership
                     // transition at this node's next idle heartbeat).
-                    while let Ok(msg) = bus_rx.try_recv() {
+                    while let Some(msg) = link.try_recv() {
                         match msg {
                             BusMsg::Shutdown => return false,
                             BusMsg::Control(b) => {
@@ -1132,7 +1123,7 @@ fn run_instance(
                                 {
                                     destroyed = true;
                                     // Idle now: what is still queued on
-                                    // the bus is `node_main`'s to read.
+                                    // the link is `node_main`'s to read.
                                     break;
                                 }
                             }
@@ -1162,7 +1153,7 @@ fn run_instance(
                     send_results(pna, link, job, results, seed, start, injector, tele);
                 }
                 if destroyed {
-                    let _ = heartbeat(pna, link, seed, start, injector, tele);
+                    heartbeat(pna, link, seed, start, injector, tele);
                     return true;
                 }
                 None
@@ -1173,9 +1164,7 @@ fn run_instance(
                 if maybe_crash(pna, injector, start) {
                     return true;
                 }
-                if !heartbeat(pna, link, seed, start, injector, tele) {
-                    return true;
-                }
+                heartbeat(pna, link, seed, start, injector, tele);
                 Some(hb_interval)
             }
             None => match backoff.delay_std(fetch_attempt, seed ^ 0xfe7c) {
@@ -1195,28 +1184,26 @@ fn run_instance(
                     // a fresh chain. Pre-hardening this killed the worker.
                     fetch_attempt = 0;
                     fetch_began = None;
-                    if !heartbeat(pna, link, seed, start, injector, tele) {
-                        return true;
-                    }
+                    heartbeat(pna, link, seed, start, injector, tele);
                     None
                 }
             },
         };
         // A heartbeat reply above may have reset this node directly. Idle,
-        // it must be back in `node_main` before it reads the bus again: a
+        // it must be back in `node_main` before it reads the link again: a
         // wakeup read here would be accepted by the state machine and
         // booted by nobody.
         if pna.is_idle() {
             break;
         }
         if let Some(pause) = pause {
-            match bus_rx.recv_timeout(pause) {
+            match link.recv(pause) {
                 Ok(BusMsg::Shutdown) => return false,
                 Ok(BusMsg::Control(b)) => {
                     if let PnaAction::DveDestroyed { .. } =
                         pna.on_control_message(&b.signed, host, rng)
                     {
-                        let _ = heartbeat(pna, link, seed, start, injector, tele);
+                        heartbeat(pna, link, seed, start, injector, tele);
                         return true;
                     }
                 }

@@ -15,41 +15,36 @@
 //!   writing framed messages to a socket instead of a channel.
 //!
 //! Request/reply pairs (heartbeats, task fetches) ride a correlation id.
-//! On the PNA side the caller parks a one-shot channel under the id, the
-//! headend echoes the id, and a demultiplexer completes the matching
-//! channel; a reply that never comes is dropped by `node_main`'s reply
-//! timeouts, and a shutdown or a lost connection drops every parked
-//! channel at once so nobody waits out a timeout for a reply that cannot
-//! come. On the headend side nothing is parked: a heartbeat or a task
-//! fetch is answered on the serving thread before it reads its next
-//! message.
+//! On the PNA side the node thread sends the request and reads the
+//! client's inbound channel itself until the reply with its id comes
+//! back: broadcasts read meanwhile are queued for the node's next read,
+//! a reply to an older request is dropped, and a `Shutdown` or a lost
+//! connection ends the wait at once. On the headend side nothing waits
+//! either: a heartbeat or a task fetch is answered on the serving thread
+//! before it reads its next message.
 
 use crate::bus::BroadcastBus;
 use crate::headend::Headend;
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
-use crate::runtime::{node_main, BusMsg, NodeLink, TaskBatchReply};
-use oddci_check::sync::{unbounded, Mutex, Receiver, Sender};
+use crate::runtime::{node_main, Abandoned, BusMsg, NodeLink, TaskBatchReply};
+use oddci_check::sync::{Mutex, Receiver, RecvTimeoutError};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
 use oddci_faults::{FaultInjector, FaultPlan};
 use oddci_telemetry::{Phase, Telemetry};
-use oddci_types::NodeId;
+use oddci_types::{InstanceId, JobId, NodeId, TaskId};
 use oddci_wire::codec::{Reader, Writer};
 use oddci_wire::{
     ClientConfig, ConnId, ConnStatsHub, Integrity, Outbox, Waker, WireBatch, WireClient, WireError,
     WireMsg, WireService, WireStatsSnapshot, PROTO_VERSION,
 };
 use oddci_workload::alignment::{random_sequence, Scoring};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long a PNA waits for its `HelloAck` after connecting.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
-/// Correlation entries a `RemoteLink` keeps before evicting the oldest
-/// (a reply that outlives this many successors is long since timed out).
-const MAX_PENDING_CORR: usize = 64;
 /// Databases the headend keeps encoded for re-broadcast (the carousel
 /// repeats wakeups, so the common case is one hot entry).
 const MAX_DB_CACHE: usize = 8;
@@ -394,167 +389,170 @@ fn from_wire_batch(batch: WireBatch) -> TaskBatchReply {
 // PNA side: the remote link and the process entry point
 // ---------------------------------------------------------------------
 
-/// A `NodeLink` backed by one TCP connection: requests go out with a
-/// correlation id, the demultiplexer thread completes the parked reply
-/// channel when the echo comes back.
-///
-/// The client sits behind a swappable `Arc` so the demultiplexer can
-/// replace a dead connection with a freshly dialed one (headend
-/// failover) while senders keep working: they clone the current handle
-/// under a short lock and send outside it.
+/// A `NodeLink` backed by one TCP connection, owned and read by the node
+/// thread alone: a request waits for its reply on the channel the
+/// `WireClient` reader feeds, and what the node must hear meanwhile waits
+/// in `queued` for its next read.
 pub(crate) struct RemoteLink {
-    client: Mutex<Arc<WireClient>>,
-    pending_hb: Mutex<BTreeMap<u64, Sender<HeartbeatReply>>>,
-    pending_tasks: Mutex<BTreeMap<u64, Sender<TaskBatchReply>>>,
-    next_corr: AtomicU64,
-    /// With reconnect enabled, a failed socket send is reported as
-    /// *success* to the node loop: the message is treated like one lost
-    /// on the wire (the reply timeout and backoff machinery absorb it)
-    /// while the demultiplexer redials in the background. Without it, a
-    /// failed send means the headend is gone for good.
-    tolerate_disconnect: bool,
-    /// Set once the node loop is done and the link is closing for real —
-    /// tells the demultiplexer not to redial a deliberate teardown.
-    closing: AtomicBool,
-    /// Highest epoch any `HelloAck` has carried. Reconnect handshakes
-    /// refuse acks below this — the fencing rule that keeps a revenant
-    /// primary from reclaiming the node.
-    epoch_seen: AtomicU64,
+    client: WireClient,
+    /// Broadcasts and the end of the plane read while a request waited
+    /// (or during a handshake), oldest first.
+    queued: VecDeque<BusMsg>,
+    next_corr: u64,
+    node: NodeId,
+    /// Highest epoch any `HelloAck` has carried. A redial refuses acks
+    /// below it — the fencing rule that keeps a revenant primary from
+    /// reclaiming the node.
+    epoch: u64,
+    /// Where and how to redial, and for how long.
+    config: WirePnaConfig,
 }
 
 impl RemoteLink {
-    fn new(client: WireClient, tolerate_disconnect: bool, epoch: u64) -> RemoteLink {
-        RemoteLink {
-            client: Mutex::named(Arc::new(client), "live.wire.client"),
-            // `named_send_sensitive`: no channel send may happen while
-            // either map's lock is held — callers park the reply sender,
-            // release, then write to the socket.
-            pending_hb: Mutex::named_send_sensitive(BTreeMap::new(), "live.wire.pending_hb"),
-            pending_tasks: Mutex::named_send_sensitive(BTreeMap::new(), "live.wire.pending_tasks"),
-            next_corr: AtomicU64::new(0),
-            tolerate_disconnect,
-            closing: AtomicBool::new(false),
-            epoch_seen: AtomicU64::new(epoch),
-        }
+    /// Dials the headend and performs the hello handshake.
+    fn connect(config: WirePnaConfig) -> Result<RemoteLink, WireError> {
+        let client = WireClient::connect(config.addr, client_config(&config))?;
+        let (node, epoch, queued) = hello_handshake(&client, 0, None)?;
+        Ok(RemoteLink {
+            client,
+            queued,
+            next_corr: 0,
+            node,
+            epoch,
+            config,
+        })
     }
 
-    /// The current connection handle.
-    fn client(&self) -> Arc<WireClient> {
-        Arc::clone(&self.client.lock())
-    }
-
-    /// Drops every parked reply channel: the replies cannot come any
-    /// more (the connection died, or the plane is shutting down), and a
-    /// dropped channel tells the waiting node so at once instead of
-    /// leaving it to its reply timeout.
-    fn abandon_pending(&self) {
-        self.pending_hb.lock().clear();
-        self.pending_tasks.lock().clear();
-    }
-
-    /// Installs a freshly dialed connection; replies to requests sent on
-    /// the dead socket will never arrive.
-    fn swap_client(&self, client: WireClient) {
-        *self.client.lock() = Arc::new(client);
-        self.abandon_pending();
-    }
-
-    /// Parks `reply` under a fresh correlation id. `None` once the link
-    /// is closing: `closing` is set before the parked channels are
-    /// dropped, so a request that missed that sweep sees the flag here.
-    fn park<T>(&self, pending: &Mutex<BTreeMap<u64, Sender<T>>>, reply: Sender<T>) -> Option<u64> {
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut map = pending.lock();
-            map.insert(corr, reply);
-            while map.len() > MAX_PENDING_CORR {
-                map.pop_first();
+    /// The next control message within `timeout`, queued ones first. A
+    /// dead connection is redialed here, on the node's thread, when
+    /// [`WirePnaConfig::reconnect`] is set; without it, or once an outage
+    /// outlives the window, it reads as `Shutdown`.
+    pub(crate) fn recv(&mut self, timeout: Duration) -> Result<BusMsg, RecvTimeoutError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(msg) = self.queued.pop_front() {
+                return Ok(msg);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.client.receiver().recv_timeout(left) {
+                Ok(msg) => {
+                    queue(&mut self.queued, msg);
+                }
+                Err(RecvTimeoutError::Timeout) => return Err(RecvTimeoutError::Timeout),
+                Err(RecvTimeoutError::Disconnected) => {
+                    match redial(&self.config, self.node, self.epoch) {
+                        Some((client, epoch, stashed)) => {
+                            self.client = client;
+                            self.epoch = epoch;
+                            self.queued.extend(stashed);
+                        }
+                        None => self.queued.push_back(BusMsg::Shutdown),
+                    }
+                }
             }
         }
-        if self.closing.load(Ordering::SeqCst) {
-            pending.lock().remove(&corr);
-            return None;
+    }
+
+    /// Sends the request `ask(corr)` and reads the connection until the
+    /// reply carrying `corr`: `Ok(None)` once `timeout` passes,
+    /// `Err(Abandoned)` once a `Shutdown` or a dead connection ends the
+    /// wait. A failed send is a message lost on the wire; the read then
+    /// finds the dead connection.
+    fn request(
+        &mut self,
+        ask: impl FnOnce(u64) -> WireMsg,
+        timeout: Duration,
+    ) -> Result<Option<WireMsg>, Abandoned> {
+        let corr = self.next_corr;
+        self.next_corr += 1;
+        let _ = self.client.send(&ask(corr));
+        let is_reply = |msg: &WireMsg| {
+            matches!(msg, WireMsg::HeartbeatReply { corr: c, .. }
+                | WireMsg::TaskBatch { corr: c, .. } if *c == corr)
+        };
+        let deadline = Instant::now() + timeout;
+        match await_reply(&self.client, &mut self.queued, deadline, is_reply) {
+            Ok(reply) => Ok(Some(reply)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(Abandoned),
         }
-        Some(corr)
     }
 
-    /// Sends on the current connection; see `tolerate_disconnect` for
-    /// how a dead socket is reported.
-    fn send(&self, msg: &WireMsg) -> bool {
-        self.client().send(msg)
-            || (self.tolerate_disconnect && !self.closing.load(Ordering::SeqCst))
-    }
-
-    pub(crate) fn send_heartbeat(&self, hb: Heartbeat, reply: Sender<HeartbeatReply>) -> bool {
-        match self.park(&self.pending_hb, reply) {
-            Some(corr) => self.send(&WireMsg::Heartbeat { corr, hb }),
-            None => false,
+    pub(crate) fn heartbeat(
+        &mut self,
+        hb: Heartbeat,
+        timeout: Duration,
+    ) -> Result<Option<HeartbeatReply>, Abandoned> {
+        match self.request(|corr| WireMsg::Heartbeat { corr, hb }, timeout)? {
+            Some(WireMsg::HeartbeatReply { reply, .. }) => Ok(Some(reply)),
+            _ => Ok(None),
         }
     }
 
-    pub(crate) fn request_tasks(
-        &self,
-        instance: oddci_types::InstanceId,
+    /// `None` when nothing answered, for whatever reason: the caller's
+    /// next read says whether the plane ended.
+    pub(crate) fn fetch_tasks(
+        &mut self,
+        instance: InstanceId,
         node: NodeId,
-        reply: Sender<TaskBatchReply>,
-    ) -> bool {
-        match self.park(&self.pending_tasks, reply) {
-            Some(corr) => self.send(&WireMsg::TaskRequest {
-                corr,
-                instance,
-                node,
-            }),
-            None => false,
+        timeout: Duration,
+    ) -> Option<TaskBatchReply> {
+        let ask = |corr| WireMsg::TaskRequest {
+            corr,
+            instance,
+            node,
+        };
+        match self.request(ask, timeout) {
+            Ok(Some(WireMsg::TaskBatch { batch, .. })) => Some(from_wire_batch(batch)),
+            _ => None,
         }
     }
 
     /// Uploads results, fire and forget: a lost upload leaves the tasks
     /// assigned, and the Backend recycles them at this node's next fetch.
-    pub(crate) fn send_results(
-        &self,
-        job: oddci_types::JobId,
-        node: NodeId,
-        results: Vec<(oddci_types::TaskId, i32)>,
-    ) {
-        let _ = self.send(&WireMsg::Results { job, node, results });
+    pub(crate) fn send_results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
+        let _ = self.client.send(&WireMsg::Results { job, node, results });
     }
 }
 
-/// Routes one inbound message: replies complete their parked channel,
-/// broadcasts and shutdowns go onto the node's bus.
-fn demux(link: &RemoteLink, bus_tx: &Sender<BusMsg>, msg: WireMsg) {
+/// Queues what a node must hear — a broadcast, its image still encoded,
+/// or the end of the plane — and says whether it was the end. Anything
+/// else is a reply nobody waits for any more, or noise, and is dropped.
+fn queue(queued: &mut VecDeque<BusMsg>, msg: WireMsg) -> bool {
     match msg {
-        WireMsg::HeartbeatReply { corr, reply } => {
-            let parked = link.pending_hb.lock().remove(&corr);
-            if let Some(tx) = parked {
-                let _ = tx.send(reply);
-            }
-        }
-        WireMsg::TaskBatch { corr, batch } => {
-            let parked = link.pending_tasks.lock().remove(&corr);
-            if let Some(tx) = parked {
-                let _ = tx.send(from_wire_batch(batch));
-            }
-        }
         WireMsg::Broadcast { signed, image } => {
             let image = image.map(WakeupImage::Encoded);
-            let _ = bus_tx.send(BusMsg::Control(LiveBroadcast { signed, image }));
+            queued.push_back(BusMsg::Control(LiveBroadcast { signed, image }));
+            false
         }
         WireMsg::Shutdown => {
-            // Nothing the node still waits for will be answered.
-            link.abandon_pending();
-            let _ = bus_tx.send(BusMsg::Shutdown);
+            queued.push_back(BusMsg::Shutdown);
+            true
         }
-        // Client-to-server vocabulary arriving at a client: noise. Stats
-        // replies only matter to a polling monitor, which reads the
-        // receiver directly instead of running a node loop.
-        WireMsg::Hello { .. }
-        | WireMsg::HelloAck { .. }
-        | WireMsg::Heartbeat { .. }
-        | WireMsg::TaskRequest { .. }
-        | WireMsg::Results { .. }
-        | WireMsg::StatsQuery { .. }
-        | WireMsg::StatsReply { .. } => {}
+        _ => false,
+    }
+}
+
+/// Reads `client` until `deadline` for the message `is_reply` picks out:
+/// the read-and-stash loop of the hello handshake and of every request.
+/// What the node must hear meanwhile joins `queued`, in order, and a
+/// `Shutdown` ends the wait like a closed connection
+/// (`Err(Disconnected)`): nothing is answered after it.
+fn await_reply(
+    client: &WireClient,
+    queued: &mut VecDeque<BusMsg>,
+    deadline: Instant,
+    is_reply: impl Fn(&WireMsg) -> bool,
+) -> Result<WireMsg, RecvTimeoutError> {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let msg = client.receiver().recv_timeout(left)?;
+        if is_reply(&msg) {
+            return Ok(msg);
+        }
+        if queue(queued, msg) {
+            return Err(RecvTimeoutError::Disconnected);
+        }
     }
 }
 
@@ -617,36 +615,36 @@ pub struct WirePnaReport {
 /// the node identity to resume, then waits for the ack.
 ///
 /// The carousel broadcasts to every connection, so wakeups can land
-/// before the ack — they come back in the returned stash for replay.
-/// The hello itself is re-sent on a short timer: a single mangled frame
-/// (fault injection, hostile networks) must not strand the handshake,
-/// and a duplicate hello just gets the same ack again. An ack whose
-/// epoch is *below* `min_epoch` is a fencing violation (a revenant
+/// before the ack — they come back in the returned stash for the node's
+/// first reads. The hello itself is re-sent on a short timer: a single
+/// mangled frame (fault injection, hostile networks) must not strand the
+/// handshake, and a duplicate hello just gets the same ack again. An ack
+/// whose epoch is *below* `min_epoch` is a fencing violation (a revenant
 /// primary) and fails the handshake.
 fn hello_handshake(
     client: &WireClient,
     min_epoch: u64,
     resume: Option<NodeId>,
-) -> Result<(NodeId, u64, Vec<WireMsg>), WireError> {
+) -> Result<(NodeId, u64, VecDeque<BusMsg>), WireError> {
     let hello = WireMsg::Hello {
         proto: PROTO_VERSION,
         epoch: min_epoch,
         resume,
     };
+    let closed = || WireError::Protocol("connection closed during hello".into());
     if !client.send(&hello) {
-        return Err(WireError::Protocol("connection closed during hello".into()));
+        return Err(closed());
     }
-    let mut stashed = Vec::new();
+    let mut stashed = VecDeque::new();
     let deadline = Instant::now() + HELLO_TIMEOUT;
     loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
+        let now = Instant::now();
+        if now >= deadline {
             return Err(WireError::Timeout("no HelloAck from headend"));
         }
-        match client
-            .receiver()
-            .recv_timeout(left.min(Duration::from_millis(100)))
-        {
+        let tick = deadline.min(now + Duration::from_millis(100));
+        let is_ack = |msg: &WireMsg| matches!(msg, WireMsg::HelloAck { .. });
+        match await_reply(client, &mut stashed, tick, is_ack) {
             Ok(WireMsg::HelloAck { node, epoch }) => {
                 if epoch < min_epoch {
                     return Err(WireError::Protocol(format!(
@@ -655,42 +653,43 @@ fn hello_handshake(
                 }
                 return Ok((node, epoch, stashed));
             }
-            Ok(other) => stashed.push(other),
-            Err(_) => {
-                if client.is_closed() {
-                    return Err(WireError::Protocol("connection closed during hello".into()));
-                }
+            _ if client.is_closed() => return Err(closed()),
+            _ => {
                 let _ = client.send(&hello);
             }
         }
     }
 }
 
-/// Redials the headend until `window` expires, re-running the handshake
-/// with the node's identity and epoch floor. Returns the new connection
-/// plus the (possibly higher) epoch it acked with. Bails out early when
-/// `closing` flips — the node loop finished mid-outage and nobody wants
-/// the connection anymore.
+/// The connection settings of every dial one PNA makes.
+fn client_config(config: &WirePnaConfig) -> ClientConfig {
+    let mut ccfg = ClientConfig::new(Integrity::hmac(&config.key));
+    ccfg.connect_timeout = config.connect_timeout;
+    ccfg.telemetry = config.telemetry.clone();
+    // Wire-level faults roll under a seed distinct from the protocol
+    // injector's so the fault streams don't correlate.
+    ccfg.injector = FaultInjector::new(config.faults.clone(), config.seed ^ 0x3D1E_C7A1);
+    ccfg
+}
+
+/// Redials the headend until the [`WirePnaConfig::reconnect`] window
+/// expires (at once without one), re-running the handshake with the
+/// node's identity and epoch floor. Returns the new connection, the
+/// (possibly higher) epoch it acked with and the handshake's stash.
 fn redial(
-    addr: SocketAddr,
-    mkcfg: &dyn Fn() -> ClientConfig,
+    config: &WirePnaConfig,
     node: NodeId,
     min_epoch: u64,
-    window: Duration,
-    closing: &AtomicBool,
-) -> Option<(WireClient, u64, Vec<WireMsg>)> {
-    let deadline = Instant::now() + window;
+) -> Option<(WireClient, u64, VecDeque<BusMsg>)> {
+    let deadline = Instant::now() + config.reconnect?;
     loop {
-        if closing.load(Ordering::SeqCst) {
-            return None;
-        }
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return None;
         }
-        let mut cfg = mkcfg();
+        let mut cfg = client_config(config);
         cfg.connect_timeout = left.min(Duration::from_millis(500));
-        match WireClient::connect(addr, cfg) {
+        match WireClient::connect(config.addr, cfg) {
             Ok(client) => match hello_handshake(&client, min_epoch, Some(node)) {
                 Ok((_, epoch, stashed)) => return Some((client, epoch, stashed)),
                 // Stale epoch or a connection that died mid-handshake:
@@ -704,8 +703,9 @@ fn redial(
 
 /// Runs one PNA against a socket headend until the plane shuts down:
 /// dial, handshake, then the standard `node_main` loop over a
-/// `RemoteLink`. Blocks until the headend broadcasts `Shutdown` or the
-/// connection dies — unless [`WirePnaConfig::reconnect`] is set, in
+/// `RemoteLink`, on the calling thread; the `WireClient` reader is the
+/// only other thread. Blocks until the headend broadcasts `Shutdown` or
+/// the connection dies — unless [`WirePnaConfig::reconnect`] is set, in
 /// which case a dead connection triggers redial-and-resume (failover).
 pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
     let start = Instant::now();
@@ -713,121 +713,21 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
         config.faults.clone(),
         config.seed ^ 0xFA17_FA17,
     ));
-    let mkcfg = {
-        let key = config.key.clone();
-        let telemetry = config.telemetry.clone();
-        let faults = config.faults.clone();
-        let seed = config.seed;
-        let connect_timeout = config.connect_timeout;
-        move || {
-            let mut ccfg = ClientConfig::new(Integrity::hmac(&key));
-            ccfg.connect_timeout = connect_timeout;
-            ccfg.telemetry = telemetry.clone();
-            // Wire-level faults roll under a seed distinct from the
-            // protocol injector's so the fault streams don't correlate.
-            ccfg.injector = FaultInjector::new(faults.clone(), seed ^ 0x3D1E_C7A1);
-            ccfg
-        }
+    let link = RemoteLink::connect(config.clone())?;
+    let node = link.node;
+    let mut link = NodeLink::Remote(Box::new(link));
+    let (key, hb, tele) = (config.key, config.heartbeat_interval, config.telemetry);
+    node_main(node, key, &mut link, hb, config.seed, start, injector, tele);
+    let NodeLink::Remote(mut link) = link else {
+        unreachable!("the link was built remote")
     };
-    let client = WireClient::connect(config.addr, mkcfg())?;
-    let (node, epoch, stashed) = hello_handshake(&client, 0, None)?;
-
-    let link = Arc::new(RemoteLink::new(client, config.reconnect.is_some(), epoch));
-    let (bus_tx, bus_rx) = unbounded();
-    for msg in stashed {
-        demux(&link, &bus_tx, msg);
-    }
-    let demux_thread = std::thread::Builder::new()
-        .name("wire-pna-demux".into())
-        .spawn({
-            let link = Arc::clone(&link);
-            let bus_tx = bus_tx.clone();
-            let addr = config.addr;
-            let reconnect = config.reconnect;
-            move || loop {
-                let client = link.client();
-                match client.receiver().recv() {
-                    Ok(msg) => {
-                        // A broadcast Shutdown ends the plane: flip
-                        // `closing` so in-flight sends fail fast instead
-                        // of masking as wire drops (the node loop would
-                        // ride its full retry backoff otherwise), deliver
-                        // it, and exit before the headend closes the
-                        // socket — a disconnect that must not read as an
-                        // outage worth redialing through.
-                        if matches!(msg, WireMsg::Shutdown) {
-                            link.closing.store(true, Ordering::SeqCst);
-                            demux(&link, &bus_tx, msg);
-                            break;
-                        }
-                        demux(&link, &bus_tx, msg);
-                    }
-                    Err(_) => {
-                        drop(client);
-                        // Deliberate teardown (node loop finished) or no
-                        // reconnect window: the node sees Shutdown and
-                        // winds down like any other plane teardown.
-                        let window = match reconnect {
-                            Some(w) if !link.closing.load(Ordering::SeqCst) => w,
-                            _ => {
-                                link.closing.store(true, Ordering::SeqCst);
-                                link.abandon_pending();
-                                let _ = bus_tx.send(BusMsg::Shutdown);
-                                break;
-                            }
-                        };
-                        let floor = link.epoch_seen.load(Ordering::SeqCst);
-                        match redial(addr, &mkcfg, node, floor, window, &link.closing) {
-                            Some((new_client, epoch, stashed)) => {
-                                link.epoch_seen.store(epoch, Ordering::SeqCst);
-                                link.swap_client(new_client);
-                                // The node loop may have finished while we
-                                // were redialing; don't serve a link that
-                                // is tearing down.
-                                if link.closing.load(Ordering::SeqCst) {
-                                    link.client().request_close();
-                                    break;
-                                }
-                                for msg in stashed {
-                                    demux(&link, &bus_tx, msg);
-                                }
-                            }
-                            None => {
-                                // Same deal: the outage outlived the
-                                // window, so stop masking send failures.
-                                link.closing.store(true, Ordering::SeqCst);
-                                link.abandon_pending();
-                                let _ = bus_tx.send(BusMsg::Shutdown);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .map_err(WireError::Io)?;
-
-    node_main(
+    // Joins the reader, so the counters include its exit.
+    link.client.close();
+    Ok(WirePnaReport {
         node,
-        config.key.clone(),
-        bus_rx,
-        NodeLink::Remote(Arc::clone(&link)),
-        config.heartbeat_interval,
-        config.seed,
-        start,
-        injector,
-        config.telemetry.clone(),
-    );
-
-    // Unblock the demultiplexer (its recv fails once the reader stops,
-    // and `closing` keeps it from redialing a deliberate teardown), then
-    // let the link's last owner join the reader thread on drop.
-    link.closing.store(true, Ordering::SeqCst);
-    link.client().request_close();
-    let _ = demux_thread.join();
-    let stats = link.client().stats().snapshot();
-    let epoch = link.epoch_seen.load(Ordering::SeqCst);
-    Ok(WirePnaReport { node, stats, epoch })
+        stats: link.client.stats().snapshot(),
+        epoch: link.epoch,
+    })
 }
 
 #[cfg(test)]
@@ -890,38 +790,37 @@ mod tests {
         }
     }
 
-    /// A headend that acks hellos and heartbeats, airs `wakeups` once the
-    /// PNA has heartbeaten, and ends the plane when a task request shows
-    /// the PNA booted an instance.
+    fn hello_ack(conn: ConnId, out: &mut Outbox) {
+        let node = NodeId::new(0);
+        out.send(conn, WireMsg::HelloAck { node, epoch: 0 });
+    }
+
+    /// A headend that acks hellos and heartbeats, airs `wakeups` at the
+    /// PNA's first heartbeat — after its reply, or before it when
+    /// `before_reply`, so that they arrive while the PNA waits for the
+    /// reply — and ends the plane when a task request shows the PNA
+    /// booted an instance.
     struct AirWakeups {
         wakeups: Vec<WireMsg>,
-        booted: Sender<oddci_types::InstanceId>,
+        before_reply: bool,
+        booted: oddci_check::sync::Sender<(InstanceId, Instant)>,
     }
 
     impl WireService for AirWakeups {
         fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
             match msg {
-                WireMsg::Hello { .. } => out.send(
-                    conn,
-                    WireMsg::HelloAck {
-                        node: NodeId::new(0),
-                        epoch: 0,
-                    },
-                ),
+                WireMsg::Hello { .. } => hello_ack(conn, out),
                 WireMsg::Heartbeat { corr, .. } => {
-                    out.send(
-                        conn,
-                        WireMsg::HeartbeatReply {
-                            corr,
-                            reply: HeartbeatReply::Ack,
-                        },
-                    );
-                    for wakeup in self.wakeups.drain(..) {
-                        out.broadcast(wakeup);
+                    let reply = HeartbeatReply::Ack;
+                    let mut aired: Vec<_> = self.wakeups.drain(..).collect();
+                    let at = if self.before_reply { aired.len() } else { 0 };
+                    aired.insert(at, WireMsg::HeartbeatReply { corr, reply });
+                    for msg in aired {
+                        out.send(conn, msg);
                     }
                 }
                 WireMsg::TaskRequest { instance, .. } => {
-                    let _ = self.booted.send(instance);
+                    let _ = self.booted.send((instance, Instant::now()));
                     out.broadcast(WireMsg::Shutdown);
                     out.request_stop();
                 }
@@ -930,10 +829,15 @@ mod tests {
         }
     }
 
+    /// Every bad recipe first, then a good one: the PNA must still be
+    /// there to boot it, whether the wakeups come after a heartbeat reply
+    /// or are read (and queued, in order) while the PNA waits for it. Its
+    /// task request then meets the plane's end, which must end its wait
+    /// at once.
     #[test]
     fn wakeup_with_an_unindexable_recipe_leaves_the_pna_alive() {
         use oddci_core::messages::{ControlMessage, SignedMessage, WakeupMessage};
-        use oddci_types::{DataSize, ImageId, InstanceId, MessageId, Probability};
+        use oddci_types::{DataSize, ImageId, MessageId, Probability};
 
         let key = b"live-oddci-key";
         let auth = oddci_crypto::MessageAuthenticator::from_key(key);
@@ -951,8 +855,6 @@ mod tests {
             ),
             image: Some(image),
         };
-        // Every bad recipe first, then a good one: the PNA must still be
-        // there to boot it.
         let good = AlignmentImage {
             db_len: 1000,
             ..AlignmentImage::small_demo()
@@ -960,73 +862,118 @@ mod tests {
         let mut images = unindexable_images();
         let bad = images.len() as u64;
         images.push(encode_image(&good, &random_sequence(1000, 7)));
-        let wakeups = (0u64..).zip(images).map(|(n, i)| wakeup(n, i)).collect();
+        for before_reply in [false, true] {
+            let wakeups = (0u64..).zip(images.clone()).map(|(n, i)| wakeup(n, i));
+            let (booted, booted_rx) = oddci_check::sync::unbounded();
+            let service = AirWakeups {
+                wakeups: wakeups.collect(),
+                before_reply,
+                booted,
+            };
+            let scfg = oddci_wire::ServerConfig::new(Integrity::hmac(key));
+            let mut server =
+                oddci_wire::WireServer::bind("127.0.0.1:0".parse().expect("addr"), scfg, service)
+                    .expect("bind");
+            let mut cfg = WirePnaConfig::new(server.local_addr());
+            cfg.heartbeat_interval = Duration::from_millis(20);
+            cfg.telemetry = Telemetry::recording();
+            let tele = cfg.telemetry.clone();
+            let pna = std::thread::spawn(move || run_wire_pna(cfg));
 
-        let (booted, booted_rx) = unbounded();
-        let mut server = oddci_wire::WireServer::bind(
-            "127.0.0.1:0".parse().expect("addr"),
-            oddci_wire::ServerConfig::new(Integrity::hmac(key)),
-            AirWakeups { wakeups, booted },
-        )
-        .expect("bind");
-        let mut cfg = WirePnaConfig::new(server.local_addr());
-        cfg.heartbeat_interval = Duration::from_millis(20);
-        cfg.telemetry = Telemetry::recording();
-        let tele = cfg.telemetry.clone();
-        let pna = std::thread::spawn(move || run_wire_pna(cfg));
+            let (instance, asked) = booted_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the PNA survived the bad wakeups and booted the good one");
+            assert_eq!(
+                instance,
+                InstanceId::new(bad),
+                "before_reply={before_reply}"
+            );
+            pna.join()
+                .expect("the node thread did not panic")
+                .expect("the PNA ran to shutdown");
+            let took = asked.elapsed();
+            assert!(
+                took < Duration::from_millis(500),
+                "exited {took:?} after the Shutdown"
+            );
+            assert!(server.stop());
+            assert_eq!(
+                tele.phase_events(Phase::PnaAccept),
+                bad + 1,
+                "every wakeup passed the signature and probability gates, in order"
+            );
+            assert_eq!(tele.phase_events(Phase::DveBoot), 1, "only one was booted");
+        }
+    }
 
-        let instance = booted_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the PNA survived the bad wakeups and booted the good one");
-        assert_eq!(instance, InstanceId::new(bad));
-        pna.join()
-            .expect("the node thread did not panic")
-            .expect("the PNA ran to shutdown");
-        assert!(server.stop());
-        assert_eq!(
-            tele.phase_events(Phase::PnaAccept),
-            bad + 1,
-            "every wakeup passed the signature and probability gates"
-        );
-        assert_eq!(tele.phase_events(Phase::DveBoot), 1, "only one was booted");
+    /// A headend that answers heartbeat `corr` only at the next one:
+    /// with `Reset` under the old id, then a broadcast carrying bytes that
+    /// are no image at all, then `Ack` under the new id.
+    struct LateReplies;
+
+    impl WireService for LateReplies {
+        fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
+            use oddci_core::messages::{ControlMessage, ResetMessage, SignedMessage};
+            let WireMsg::Heartbeat {
+                corr: corr @ 1.., ..
+            } = msg
+            else {
+                return hello_ack(conn, out);
+            };
+            let instance = InstanceId::new(1);
+            let reply = HeartbeatReply::Reset(instance);
+            out.send(
+                conn,
+                WireMsg::HeartbeatReply {
+                    corr: corr - 1,
+                    reply,
+                },
+            );
+            let id = oddci_types::MessageId::new(1);
+            let auth = oddci_crypto::MessageAuthenticator::from_key(b"k");
+            let signed =
+                SignedMessage::sign(ControlMessage::Reset(ResetMessage { id, instance }), &auth);
+            out.send(
+                conn,
+                WireMsg::Broadcast {
+                    signed,
+                    image: Some(vec![0xAB; 100]),
+                },
+            );
+            let reply = HeartbeatReply::Ack;
+            out.send(conn, WireMsg::HeartbeatReply { corr, reply });
+        }
     }
 
     #[test]
-    fn reader_thread_hands_the_image_on_undecoded() {
-        use oddci_core::messages::{ControlMessage, ResetMessage, SignedMessage};
-        // Not an image at all: were the demultiplexer to decode it, the
-        // image would be gone from what the node receives.
-        let garbage = vec![0xAB; 100];
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let client = WireClient::connect(
-            listener.local_addr().expect("addr"),
-            ClientConfig::new(Integrity::Crc32),
-        )
-        .expect("connects");
-        let link = RemoteLink::new(client, false, 0);
-        let (bus_tx, bus_rx) = unbounded();
-        let signed = SignedMessage::sign(
-            ControlMessage::Reset(ResetMessage {
-                id: oddci_types::MessageId::new(1),
-                instance: oddci_types::InstanceId::new(1),
-            }),
-            &oddci_crypto::MessageAuthenticator::from_key(b"k"),
+    fn a_request_takes_only_its_own_reply() {
+        let key = b"live-oddci-key";
+        let scfg = oddci_wire::ServerConfig::new(Integrity::hmac(key));
+        let mut server =
+            oddci_wire::WireServer::bind("127.0.0.1:0".parse().expect("addr"), scfg, LateReplies)
+                .expect("bind");
+        let mut link =
+            RemoteLink::connect(WirePnaConfig::new(server.local_addr())).expect("connects");
+        let hb =
+            || oddci_core::pna::Pna::new(NodeId::new(0), key).heartbeat(oddci_types::SimTime::ZERO);
+        let first = link.heartbeat(hb(), Duration::from_millis(50));
+        assert!(matches!(first, Ok(None)), "the first beat times out");
+        let second = link.heartbeat(hb(), Duration::from_secs(5));
+        assert!(
+            matches!(second, Ok(Some(HeartbeatReply::Ack))),
+            "the first beat's late Reset is dropped, not taken for the second's reply"
         );
-        demux(
-            &link,
-            &bus_tx,
-            WireMsg::Broadcast {
-                signed,
-                image: Some(garbage.clone()),
-            },
-        );
-        match bus_rx.try_recv() {
+        // Read while the second beat waited, and handed on undecoded: were
+        // the link to decode it, the image would be gone.
+        match link.recv(Duration::ZERO) {
             Ok(BusMsg::Control(LiveBroadcast {
                 image: Some(WakeupImage::Encoded(bytes)),
                 ..
-            })) => assert_eq!(bytes, garbage),
-            other => panic!("expected the encoded image on the bus, got {other:?}"),
+            })) => assert_eq!(bytes, vec![0xAB; 100]),
+            other => panic!("expected the queued broadcast, got {other:?}"),
         }
+        drop(link);
+        assert!(server.stop());
     }
 
     #[test]
