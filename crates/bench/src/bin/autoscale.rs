@@ -1,6 +1,6 @@
 //! X13 — elastic Provider: desired-state tracking of a diurnal load.
 //!
-//! One live sharded headend with the autoscale reconciler on, fed a
+//! One live headend with the autoscale reconciler on, fed a
 //! sine-wave job arrival curve (two "days" of load compressed into a few
 //! seconds): each step submits a wave of alignment queries sized by the
 //! diurnal curve, and the bench samples the reconciler's desired size,
@@ -109,7 +109,7 @@ fn main() {
         // day's morning ramp, when a job is reliably open).
         faults: FaultPlan::parse("airtime-revoked=1.0@3.0..3.3").expect("valid plan"),
         mode: HeadendMode::Sharded {
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 4,
         },

@@ -290,6 +290,32 @@ mod tests {
         );
     }
 
+    /// X4: the 1.5 law holds only while the image dominates the cycle.
+    /// An 8 MB image at 1 Mbps beside 0, 2, 8 and 32 one-MB co-tenants.
+    #[test]
+    fn co_tenants_dilute_the_1_5_factor() {
+        let beta = Bandwidth::from_mbps(1.0);
+        let image = DataSize::from_megabytes(8);
+        let image_cycle = image.transfer_time(beta).as_secs_f64();
+        let wire = TransportMux::new(beta).wire_size(image);
+        for (extra, factor) in [(0, 1.54), (2, 1.67), (8, 2.05), (32, 3.59)] {
+            let mut files = vec![
+                CarouselFile::sized("config", DataSize::from_bytes(512)),
+                CarouselFile::sized("image", image),
+            ];
+            files.extend(
+                (0..extra).map(|i| {
+                    CarouselFile::sized(format!("other-{i}"), DataSize::from_megabytes(1))
+                }),
+            );
+            let c = ObjectCarousel::new(TransportMux::new(beta), files, SimTime::ZERO);
+            let mean = c.expected_acquisition(1).as_secs_f64() / image_cycle;
+            assert!((mean - factor).abs() <= 0.02, "{extra} co-tenants: {mean}");
+            // Attaching as the image starts costs 1× its own wire time.
+            assert_eq!(c.best_acquisition(1), wire.transfer_time(beta));
+        }
+    }
+
     #[test]
     fn acquisition_is_periodic() {
         let c = single_file_carousel(2, 1.0);

@@ -3,8 +3,8 @@
 //! # oddci-check — concurrency correctness tooling for the OddCI stack
 //!
 //! The live plane is genuinely concurrent: node and serving threads that
-//! drive N locked controller stripes and dispatch under the hub lock, a
-//! control thread that ticks the stripes, and streaming-sink writer
+//! drive the locked Controller and dispatch under the hub lock, a
+//! control thread that ticks the Controller, and streaming-sink writer
 //! threads all share state through channels, atomics and locks. This
 //! crate is the machine-checked discipline behind that concurrency, in
 //! three layers:
@@ -25,7 +25,7 @@
 //!    standalone (model the protocol, feed it accesses) and wired into
 //!    the schedule explorer's model primitives.
 //! 3. **A deterministic schedule explorer** ([`explore`]): scaled-down
-//!    models of the sharded-headend protocols ([`scenarios`]) run under a
+//!    models of the live-headend protocols ([`scenarios`]) run under a
 //!    seeded cooperative scheduler that permutes yield points — bounded
 //!    DFS over interleavings with a replayable schedule string printed on
 //!    failure, so any discovered race becomes a deterministic regression

@@ -1,4 +1,4 @@
-//! Scaled-down models of the sharded-headend and streaming-sink
+//! Scaled-down models of the live-headend and streaming-sink
 //! protocols, runnable under the schedule explorer.
 //!
 //! Each scenario exists in two flavours:
@@ -161,7 +161,7 @@ fn heartbeat_recompose_model(sp: &mut Spawner, check_and_insert_atomically: bool
         for node in [1u64, 2, 3] {
             if check_and_insert_atomically {
                 // Membership check and ledger insert under one hub lock —
-                // the rule the real shard handler follows.
+                // the rule the real heartbeat handler follows.
                 h.hub.lock(&ctx).with(|hub| {
                     if hub.active.contains(&node) {
                         hub.ledger.push(node);
@@ -410,7 +410,7 @@ impl TrimModel {
 
 /// The autoscale trim race: the reconciler shrinks the instance while
 /// heartbeat-carried fetches keep assigning queued tasks to members. The
-/// live shard handler evicts a member and requeues its in-flight tasks
+/// live heartbeat handler evicts a member and requeues its in-flight tasks
 /// inside ONE hub critical section; the tempting refactor — requeue the
 /// victim's tasks first, then drop it from the membership — opens a
 /// window where a concurrent fetch hands a fresh task to the

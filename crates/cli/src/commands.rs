@@ -737,24 +737,23 @@ pub fn live(p: &Parsed) -> Result<String, ArgError> {
 ///
 /// Runs one alignment job with a deliberately small database so each task
 /// is cheap: throughput is then dominated by headend round trips, which is
-/// exactly what the headend's shard/batch geometry changes.
+/// exactly what the batch size changes.
 pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
     use oddci_telemetry::Telemetry;
 
-    let shards: usize = p.num("shards", 4)?;
     let batch: usize = p.num("batch", 16)?;
     let nodes: u64 = p.num("nodes", 8)?;
     let queries: u64 = p.num("queries", 512)?;
     let target: u64 = p.num("target", nodes)?;
     let seed: u64 = p.num("seed", 42)?;
     let mode = HeadendMode::Sharded {
-        shards,
+        shards: 1,
         dispatch: 1,
         batch,
     };
-    // Degenerate pool sizes (`--shards 0`, oversized batches, …) must be
-    // a clear argument error, never a runtime panic.
+    // Degenerate batches (`--batch 0`, oversized ones) must be a clear
+    // argument error, never a runtime panic.
     mode.validate().map_err(ArgError)?;
     if nodes == 0 || queries == 0 {
         return Err(ArgError("--nodes and --queries must be positive".into()));
@@ -766,8 +765,8 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     }
 
     // A tiny database plus short random queries keeps each task a cheap
-    // index scan (a few µs), so the soak measures headend round trips —
-    // the thing sharding changes — rather than alignment arithmetic.
+    // index scan (a few µs), so the soak measures headend round trips
+    // rather than alignment arithmetic.
     let image = AlignmentImage {
         db_len: 400,
         ..AlignmentImage::small_demo()
@@ -819,8 +818,6 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
 
     if p.flag("json") {
         let mut v = serde_json::json!({
-            "mode": "sharded",
-            "shards": shards,
             "batch": batch,
             "nodes": nodes,
             "queries": queries,
@@ -857,10 +854,7 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
         out,
         "live soak: {nodes} receiver threads, instance {target}, {queries} tasks"
     );
-    let _ = writeln!(
-        out,
-        "  headend     : sharded ({shards} shards, batch {batch})"
-    );
+    let _ = writeln!(out, "  headend     : in process, batch {batch}");
     let _ = writeln!(out, "  makespan    : {:.3}s", makespan);
     let _ = writeln!(out, "  throughput  : {throughput:.1} tasks/s");
     let _ = writeln!(out, "  requeues    : {}", outcome.report.requeues);
@@ -871,17 +865,8 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     if let Some(summary) = &stream_summary {
         let _ = writeln!(out, "  streamed    : {}", stream_summary_line(summary));
     }
-    let lags: Vec<(&String, &f64)> = snapshot
-        .gauges
-        .iter()
-        .filter(|(k, _)| k.starts_with("controller.heartbeat_lag."))
-        .collect();
-    if !lags.is_empty() {
-        let _ = writeln!(out, "  heartbeat lag (last beat, s):");
-        for (name, lag) in lags {
-            let shard = name.rsplit('.').next().unwrap_or(name);
-            let _ = writeln!(out, "    {shard:<8} {lag:.3}");
-        }
+    if let Some(lag) = snapshot.gauges.get("controller.heartbeat_lag") {
+        let _ = writeln!(out, "  hb lag      : {lag:.3}s (last beat)");
     }
     Ok(out)
 }
@@ -1051,7 +1036,7 @@ fn headend_config(
     }
     let mode = HeadendMode::Socket {
         listen,
-        shards: p.num("shards", 2)?,
+        shards: 1,
         dispatch: 1,
         batch: p.num("batch", 8)?,
     };
@@ -1513,7 +1498,7 @@ pub fn failover(p: &Parsed) -> Result<String, ArgError> {
         heartbeat_interval: Duration::from_millis(60),
         mode: HeadendMode::Socket {
             listen,
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 4,
         },
@@ -1705,7 +1690,7 @@ fn autoscale_policy(
     Ok(Some(policy))
 }
 
-/// `oddci autoscale`: the elastic-sizing drill. Boots a sharded socket
+/// `oddci autoscale`: the elastic-sizing drill. Boots a socket
 /// headend with the desired-state reconciler enabled, submits a job at
 /// the *minimum* instance size, and lets the queue-depth SLO drive the
 /// Provider up toward `--max-instances` and back down as the backlog
@@ -1769,7 +1754,7 @@ pub fn autoscale(p: &Parsed) -> Result<String, ArgError> {
         faults: plan,
         mode: HeadendMode::Socket {
             listen,
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 4,
         },

@@ -129,12 +129,12 @@ const COMMANDS: &[(&str, Handler, &str)] = &[
     (
         "soak",
         commands::soak,
-        "shards batch nodes queries target seed trace-out lane-capacity json",
+        "batch nodes queries target seed trace-out lane-capacity json",
     ),
     (
         "headend",
         commands::headend,
-        "listen pnas queries target shards batch db-len seed timeout metrics-out \
+        "listen pnas queries target batch db-len seed timeout metrics-out \
          metrics-interval-ms snapshot-dir snapshot-interval-ms standby min-instances \
          max-instances slo-queue-depth cooldown-ms json",
     ),
@@ -222,14 +222,13 @@ COMMANDS:
                   --queries N      alignment queries       [8]
                   --target N       instance size           [3]
     soak        stress the live headend and report task throughput
-                  --shards N       controller shards, 1..=64   [4]
                   --batch N        tasks per fetch, 1..=1024   [16]
                   --nodes N        receiver threads            [8]
                   --queries N      tasks in the soak job       [512]
                   --target N       instance size               [nodes]
                   --seed S         run seed                    [42]
                   --trace-out PATH stream a binary .trace.bin of the run
-                                   (per-shard sink lanes; drops are counted,
+                                   (per-track sink lanes; drops are counted,
                                    never blocking the headend)
                   --lane-capacity N  events buffered per sink lane [65536]
                   --json           machine-readable output
@@ -240,7 +239,6 @@ COMMANDS:
                   --pnas N         expected PNA processes      [3]
                   --queries N      alignment queries           [8]
                   --target N       instance size               [min(pnas,3)]
-                  --shards N       controller shards           [2]
                   --batch N        tasks per fetch             [8]
                   --db-len N       database bytes in the image [20000]
                   --seed S         run seed                    [42]
@@ -291,7 +289,7 @@ COMMANDS:
                   --snapshot-interval-ms M  snapshot cadence   [50]
                   --timeout S      overall deadline, seconds   [60]
                   --json           machine-readable output
-    autoscale   elastic-sizing drill: a sharded headend under the
+    autoscale   elastic-sizing drill: a live headend under the
                 desired-state reconciler, submitted at the minimum
                 instance size; the queue-depth SLO scales it up, the
                 draining backlog scales it down, and a spot-like
@@ -618,8 +616,6 @@ mod tests {
             "2",
             "--queries",
             "8",
-            "--shards",
-            "2",
             "--batch",
             "4",
             "--trace-out",
@@ -645,8 +641,8 @@ mod tests {
 
     #[test]
     fn soak_rejects_degenerate_pools() {
-        let err = run(&argv(&["soak", "--shards", "0"])).unwrap_err();
-        assert!(err.contains("1..=64"), "{err}");
+        let err = run(&argv(&["soak", "--batch", "0"])).unwrap_err();
+        assert!(err.contains("1..=1024"), "{err}");
         let err = run(&argv(&["soak", "--batch", "9999"])).unwrap_err();
         assert!(err.contains("1..=1024"), "{err}");
         let err = run(&argv(&["soak", "--nodes", "2", "--target", "5"])).unwrap_err();
@@ -661,8 +657,6 @@ mod tests {
             "2",
             "--queries",
             "8",
-            "--shards",
-            "2",
             "--batch",
             "4",
             "--json",

@@ -111,7 +111,7 @@ impl AutoscalePolicy {
 pub struct ScaleInputs {
     /// Tasks queued at the Backend and not yet assigned.
     pub queue_depth: usize,
-    /// Worst per-shard `controller.heartbeat_lag` gauge, seconds.
+    /// The `controller.heartbeat_lag` gauge, seconds.
     pub heartbeat_lag: f64,
     /// Observed completion throughput, tasks per second.
     pub tasks_per_sec: f64,

@@ -35,8 +35,8 @@ pub struct InstanceRequest {
     pub requirements: NodeRequirements,
 }
 
-/// Where an instance is in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Where an instance is in its lifecycle, ordered from first to last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum InstanceStatus {
     /// Wakeup broadcast, members still joining.
     Forming,
@@ -76,10 +76,9 @@ pub struct ControllerPolicy {
     pub assumed_audience: u64,
     /// Defer recomposition wakeups until at least one **live idle** node is
     /// in the registry. Off by default (the simulated plane must recompose
-    /// to recruit churned-in receivers it has never heard from); the
-    /// sharded live headend turns it on so a shard whose owned slice is
-    /// fully busy — or empty — does not rebroadcast wakeups every tick
-    /// that nobody can accept.
+    /// to recruit churned-in receivers it has never heard from); the live
+    /// headend turns it on so a fleet that is fully busy — or empty — does
+    /// not rebroadcast wakeups every tick that nobody can accept.
     #[serde(default)]
     pub recompose_requires_idle: bool,
 }
@@ -160,10 +159,9 @@ pub struct NodeExport {
 }
 
 /// Complete exported Controller state: membership, heartbeat ledger, and —
-/// critically — the message-id namespace. An adopting Controller must keep
-/// signing from the same `next_message`/`message_stride` stream, because
-/// PNAs deduplicate carousel repetitions by [`MessageId`] and would drop a
-/// restarted id sequence as already-seen.
+/// critically — the next message id. An adopting Controller must keep
+/// signing past it, because PNAs deduplicate carousel repetitions by
+/// [`MessageId`] and would drop a restarted id sequence as already-seen.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerState {
     /// All instances and their membership.
@@ -174,10 +172,64 @@ pub struct ControllerState {
     pub next_instance: u64,
     /// Next control-message id to sign with.
     pub next_message: u64,
-    /// Id-namespace stride (shard count).
+    /// Always 1 when written. Snapshots cut by a headend of several
+    /// Controllers, each signing every `message_stride`-th id, carry more;
+    /// [`fold`](ControllerState::fold) merges those into one state.
     pub message_stride: u64,
     /// Heartbeats processed so far.
     pub heartbeats_received: u64,
+}
+
+impl ControllerState {
+    /// Merges the states of Controllers that split one fleet between them
+    /// into the state of one Controller over all of it. Registries are
+    /// concatenated. Instances merge by id: members united, targets and
+    /// wakeup counts summed, the most advanced status kept. The id
+    /// counters take the maximum, so the next message id is past every
+    /// id any of them signed; heartbeat counts are summed.
+    pub fn fold(states: impl IntoIterator<Item = ControllerState>) -> ControllerState {
+        let mut instances: BTreeMap<InstanceId, InstanceExport> = BTreeMap::new();
+        let mut folded = ControllerState {
+            instances: Vec::new(),
+            registry: Vec::new(),
+            next_instance: 0,
+            next_message: 0,
+            message_stride: 1,
+            heartbeats_received: 0,
+        };
+        for state in states {
+            for inst in state.instances {
+                match instances.entry(inst.id) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(inst);
+                    }
+                    Entry::Occupied(mut slot) => {
+                        let have = slot.get_mut();
+                        have.members.extend(inst.members);
+                        have.request.target =
+                            have.request.target.saturating_add(inst.request.target);
+                        have.wakeups_sent = have.wakeups_sent.saturating_add(inst.wakeups_sent);
+                        have.status = have.status.max(inst.status);
+                    }
+                }
+            }
+            folded.registry.extend(state.registry);
+            folded.next_instance = folded.next_instance.max(state.next_instance);
+            folded.next_message = folded.next_message.max(state.next_message);
+            folded.heartbeats_received = folded
+                .heartbeats_received
+                .saturating_add(state.heartbeats_received);
+        }
+        folded.instances = instances
+            .into_values()
+            .map(|mut inst| {
+                inst.members.sort_unstable();
+                inst.members.dedup();
+                inst
+            })
+            .collect();
+        folded
+    }
 }
 
 /// The Controller.
@@ -188,7 +240,6 @@ pub struct Controller {
     registry: BTreeMap<NodeId, NodeRecord>,
     next_instance: u64,
     next_message: u64,
-    message_stride: u64,
     /// Heartbeats processed (experiment X2 accounting).
     pub heartbeats_received: u64,
 }
@@ -196,32 +247,13 @@ pub struct Controller {
 impl Controller {
     /// Creates a Controller signing with `key` under `policy`.
     pub fn new(key: &[u8], policy: ControllerPolicy) -> Self {
-        Controller::with_id_namespace(key, policy, 0, 1)
-    }
-
-    /// Creates a Controller whose control messages are numbered `offset,
-    /// offset + stride, offset + 2·stride, …`.
-    ///
-    /// PNAs deduplicate carousel repetitions by [`MessageId`], so when
-    /// several Controllers share one broadcast channel (the shards of the
-    /// live headend, see [`sharded`](crate::sharded)) each must
-    /// sign from a disjoint id namespace — otherwise a node that consumed
-    /// shard 0's message `#7` would silently drop shard 1's.
-    pub fn with_id_namespace(
-        key: &[u8],
-        policy: ControllerPolicy,
-        offset: u64,
-        stride: u64,
-    ) -> Self {
-        assert!(stride > 0, "message-id stride must be positive");
         Controller {
             auth: MessageAuthenticator::from_key(key),
             policy,
             instances: BTreeMap::new(),
             registry: BTreeMap::new(),
             next_instance: 0,
-            next_message: offset,
-            message_stride: stride,
+            next_message: 0,
             heartbeats_received: 0,
         }
     }
@@ -233,7 +265,7 @@ impl Controller {
 
     fn next_message_id(&mut self) -> MessageId {
         let id = MessageId::new(self.next_message);
-        self.next_message += self.message_stride;
+        self.next_message += 1;
         id
     }
 
@@ -266,9 +298,8 @@ impl Controller {
     }
 
     /// Creates an instance under an **externally allocated** id, returning
-    /// the wakeup broadcast to publish. Used when a coordinator (the
-    /// sharded live headend) hands the same instance to several shard
-    /// Controllers and needs them all to agree on its identity.
+    /// the wakeup broadcast to publish. Used when a coordinator (the live
+    /// headend) numbers instances itself, beside the jobs they run.
     pub fn admit_instance(
         &mut self,
         id: InstanceId,
@@ -396,8 +427,7 @@ impl Controller {
     }
 
     /// Total live members across every instance this controller tracks —
-    /// what the autoscale reconciler samples as the current capacity of
-    /// one shard.
+    /// what the autoscale reconciler samples as the current capacity.
     pub fn total_members(&self) -> u64 {
         self.instances
             .values()
@@ -526,8 +556,8 @@ impl Controller {
 
         // Recomposition. Optionally gated on the registry actually holding
         // a live idle node: a wakeup nobody can accept is pure carousel
-        // noise, and a sharded headend would otherwise emit one per tick
-        // from every shard whose slice is saturated.
+        // noise, and a saturated live fleet would otherwise get one per
+        // tick.
         if self.policy.recompose_requires_idle {
             let deadline = self.policy.heartbeat.loss_deadline();
             let live_idle = self
@@ -595,7 +625,7 @@ impl Controller {
                 .collect(),
             next_instance: self.next_instance,
             next_message: self.next_message,
-            message_stride: self.message_stride,
+            message_stride: 1,
             heartbeats_received: self.heartbeats_received,
         }
     }
@@ -634,7 +664,6 @@ impl Controller {
             .collect();
         self.next_instance = state.next_instance;
         self.next_message = state.next_message;
-        self.message_stride = state.message_stride;
         self.heartbeats_received = state.heartbeats_received;
     }
 }
@@ -985,7 +1014,7 @@ mod tests {
 
     #[test]
     fn export_import_round_trips_state() {
-        let mut c = Controller::with_id_namespace(KEY, ControllerPolicy::default(), 3, 8);
+        let mut c = Controller::new(KEY, ControllerPolicy::default());
         let (id, _) = c.create_instance(request(2), SimTime::ZERO);
         c.on_heartbeat(busy_hb(1, id, 1), SimTime::from_secs(1));
         c.on_heartbeat(busy_hb(2, id, 1), SimTime::from_secs(1));
@@ -1000,10 +1029,9 @@ mod tests {
         assert_eq!(adopted.instance_size(id), 2);
         assert_eq!(adopted.known_nodes(), 3);
         assert_eq!(adopted.heartbeats_received, 3);
-        // Message-id namespace continues where the primary stopped: the
-        // first post-adoption broadcast must carry a *fresh* id, offset 3
-        // stride 8, after the two messages (#3 wakeup implicit in create,
-        // none since) the primary already signed.
+        // Message ids continue where the primary stopped: the first
+        // post-adoption broadcast carries a *fresh* id, after the wakeup
+        // (#0) the primary signed at create.
         let (_, out) = adopted.create_instance(request(1), now);
         let ControllerOutput::Broadcast(signed) = &out[0] else {
             panic!("expected broadcast")
@@ -1011,7 +1039,58 @@ mod tests {
         let ControlMessage::Wakeup(w) = signed.message else {
             panic!("expected wakeup")
         };
-        assert_eq!(w.id, MessageId::new(3 + 8));
+        assert_eq!(w.id, MessageId::new(1));
+    }
+
+    /// Two Controllers that split a fleet — ids `{0, 2, 4}` and
+    /// `{1, 3, 5, 7}`, half the target each — fold into one Controller
+    /// over all of it that signs past every id either signed.
+    #[test]
+    fn fold_merges_split_controllers_into_one() {
+        let id = InstanceId::new(0);
+        let half = |first: u64, next_message: u64, status| ControllerState {
+            instances: vec![InstanceExport {
+                id,
+                request: request(3),
+                status,
+                members: vec![NodeId::new(first), NodeId::new(first + 2)],
+                wakeups_sent: 2,
+            }],
+            registry: [first, first + 2]
+                .map(|n| NodeExport {
+                    node: NodeId::new(n),
+                    heartbeat_age: SimDuration::from_secs(1),
+                    state: PnaStateKind::Busy,
+                    instance: Some(id),
+                })
+                .to_vec(),
+            next_instance: 1,
+            next_message,
+            message_stride: 2,
+            heartbeats_received: 10,
+        };
+        let folded = ControllerState::fold([
+            half(0, 6, InstanceStatus::Active),
+            half(1, 9, InstanceStatus::Forming),
+        ]);
+        assert_eq!(folded.instances.len(), 1);
+        let inst = &folded.instances[0];
+        assert_eq!(inst.members, (0..4).map(NodeId::new).collect::<Vec<_>>());
+        assert_eq!(inst.request.target, 6);
+        assert_eq!(inst.wakeups_sent, 4);
+        assert_eq!(inst.status, InstanceStatus::Active);
+        assert_eq!(folded.registry.len(), 4);
+        assert_eq!((folded.next_instance, folded.next_message), (1, 9));
+        assert_eq!((folded.message_stride, folded.heartbeats_received), (1, 20));
+
+        let mut c = Controller::new(KEY, ControllerPolicy::default());
+        c.import_state(folded, SimTime::from_secs(2));
+        assert_eq!(c.instance_size(id), 4);
+        let (_, out) = c.create_instance(request(1), SimTime::from_secs(2));
+        let ControllerOutput::Broadcast(signed) = &out[0] else {
+            panic!("expected broadcast")
+        };
+        assert_eq!(signed.message.id(), MessageId::new(9));
     }
 
     #[test]

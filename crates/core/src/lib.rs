@@ -57,7 +57,6 @@ pub mod messages;
 pub mod pna;
 pub mod profiles;
 pub mod provider;
-pub mod sharded;
 pub mod world;
 
 pub use autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler, ScaleDecision, ScaleInputs};
@@ -71,5 +70,4 @@ pub use messages::{
 pub use pna::{Pna, PnaAction, PnaState};
 pub use profiles::BroadcastTechnology;
 pub use provider::{JobReport, Provider, ProviderRequest};
-pub use sharded::{shard_of, split_target};
 pub use world::{ChurnConfig, OddciSim, World, WorldConfig, WorldEvent, WorldMetrics};

@@ -6,17 +6,13 @@
 //! role and no queue between roles; each piece of state sits behind its
 //! own lock and a request runs on the thread that made it:
 //!
-//! * **controller stripes** — N [`oddci_core::Controller`]s, each behind
-//!   its own mutex and covering a disjoint slice of node membership
-//!   ([`shard_of`] of the node id), with its own heartbeat ledger, loss
-//!   detection and recomposition. Stripes sign from disjoint message-id
-//!   namespaces so PNA carousel-repeat dedup never drops a sibling
-//!   stripe's message. A heartbeat is consolidated and answered on the
-//!   thread that carries it: the node's own thread in process, the
-//!   socket front's serving thread for a PNA;
-//! * **the carousel** — the instance→image map and the broadcast bus,
-//!   behind one lock that is held while publishing, so everything that
-//!   reaches the §3.1 broadcast channel leaves in one order;
+//! * **the Controller** — one [`oddci_core::Controller`] with the
+//!   instance→image map and the broadcast bus, behind one lock that is
+//!   held while its outputs are applied, so everything that reaches the
+//!   §3.1 broadcast channel leaves in the order the Controller emitted
+//!   it. A heartbeat is consolidated and answered on the thread that
+//!   carries it: the node's own thread in process, the socket front's
+//!   serving thread for a PNA;
 //! * **dispatch on the caller** — a node's task fetch and its result
 //!   upload run on the thread that asked. Fetches cut *batches*
 //!   ([`Backend::fetch_batch`](oddci_core::Backend::fetch_batch)), so one
@@ -24,17 +20,14 @@
 //!   between a node and the Backend, a node's results land ahead of its
 //!   next fetch: the Backend recycles whatever a fetching node still
 //!   holds, so a result queued behind that fetch would be thrown back;
-//! * **one control thread** runs every stripe's periodic `tick` (loss
+//! * **one control thread** runs the Controller's periodic `tick` (loss
 //!   detection, recomposition wakeups).
 //!
 //! Shared job state (Backend, Provider, per-job queries/scores) lives in
-//! a `Hub` behind one mutex. Lock order: a stripe may be held while
-//! taking the hub or the carousel, the carousel while taking the bus;
-//! never the reverse, and never two stripes at once. A stripe applies
-//! its Controller's outputs before it unlocks, so its wakeups and resets
-//! reach the bus, and its losses the Backend, in the order it emitted
-//! them. The hub lock is a leaf, and **nothing is sent while it is
-//! held** — every handler computes under it, drops it, then publishes.
+//! a `Hub` behind one mutex. Lock order: the Controller may be held
+//! while taking the hub or publishing on the bus, never the reverse. The
+//! hub lock is a leaf, and **nothing is sent while it is held** — every
+//! handler computes under it, drops it, then publishes.
 
 use crate::bus::BroadcastBus;
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
@@ -43,10 +36,11 @@ use crate::snapshot::{ImageExport, SnapshotState};
 use oddci_check::sync::{Monitor, Mutex};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
 use oddci_core::backend::Backend;
-use oddci_core::controller::{Controller, ControllerOutput, ControllerPolicy, InstanceRequest};
+use oddci_core::controller::{
+    Controller, ControllerOutput, ControllerPolicy, ControllerState, InstanceRequest,
+};
 use oddci_core::messages::{ControlMessage, Heartbeat, HeartbeatReply, SignedMessage};
 use oddci_core::provider::{JobReport, Provider, ProviderRequest};
-use oddci_core::sharded::{shard_of, split_target};
 use oddci_faults::FaultInjector;
 use oddci_telemetry::{Gauge, Phase, Telemetry, CONTROL_TRACK};
 use oddci_types::{HeartbeatConfig, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
@@ -69,7 +63,7 @@ fn scored(scores: &Scores) -> impl Iterator<Item = (TaskId, i32)> + '_ {
         .filter_map(|(i, slot)| slot.map(|score| (TaskId::new(i), score)))
 }
 
-/// Job state shared by the dispatching threads, the stripes and the
+/// Job state shared by the dispatching threads, the Controller and the
 /// submitter.
 struct Hub {
     backend: Backend,
@@ -78,29 +72,24 @@ struct Hub {
     job_instance: BTreeMap<JobId, InstanceId>,
     job_queries: BTreeMap<JobId, Vec<Arc<Vec<u8>>>>,
     job_scores: BTreeMap<JobId, Scores>,
-    /// Wakeup broadcasts published per instance (sum over stripes), for
-    /// the Provider's report.
+    /// Wakeup broadcasts published per instance, for the Provider's
+    /// report.
     wakeups: BTreeMap<InstanceId, u32>,
 }
 
-/// One controller stripe: a Controller over its slice of the membership
-/// and the two gauges it keeps current.
-struct Shard {
+/// The Controller, the image each instance's wakeups carry, the bus they
+/// air on, and the two gauges it keeps current.
+struct Control {
     controller: Controller,
-    /// `controller.heartbeat_lag.shard<i>`.
+    images: BTreeMap<InstanceId, Arc<AlignmentImage>>,
+    bus: Arc<BroadcastBus<BusMsg>>,
+    /// `controller.heartbeat_lag`.
     lag: Gauge,
-    /// `controller.members.shard<i>`.
+    /// `controller.members`.
     members: Gauge,
 }
 
-/// The live carousel: the image each instance's wakeups carry, and the
-/// bus they air on.
-struct Carousel {
-    bus: Arc<BroadcastBus<BusMsg>>,
-    images: BTreeMap<InstanceId, Arc<AlignmentImage>>,
-}
-
-impl Carousel {
+impl Control {
     /// Airs `signed`: a wakeup with its instance's image attached, a reset
     /// after forgetting that image, so no wakeup aired later carries it.
     fn publish(&mut self, signed: SignedMessage, now_us: u64, tele: &Telemetry) {
@@ -128,8 +117,7 @@ impl Carousel {
 /// submitter, the control thread, the reconciler and the snapshot writer.
 pub(crate) struct Headend {
     hub: Mutex<Hub>,
-    shards: Vec<Mutex<Shard>>,
-    carousel: Mutex<Carousel>,
+    control: Mutex<Control>,
     /// Jobs finished so far. The thread that completes a job bumps it and
     /// notifies — after dropping the hub guard — so
     /// [`wait_report`](Headend::wait_report) sleeps until a completion
@@ -143,21 +131,18 @@ pub(crate) struct Headend {
 }
 
 impl Headend {
-    /// A headend of `shards` controller stripes airing on `bus`. It runs
-    /// nothing until [`spawn_control`] starts its control thread.
+    /// A headend airing on `bus`. It runs nothing until [`spawn_control`]
+    /// starts its control thread.
     pub(crate) fn new(
         config: &LiveConfig,
-        shards: usize,
         bus: Arc<BroadcastBus<BusMsg>>,
         start: Instant,
         injector: Arc<FaultInjector>,
     ) -> Headend {
-        assert!(shards > 0, "validated by LiveConfig");
         let tele = config.telemetry.clone();
-        // Per-stripe Controller policy: the assumed audience is this
-        // stripe's expected slice and recomposition waits for a live idle
-        // node (a saturated or empty slice must not spam the carousel
-        // every tick).
+        // The assumed audience is the configured fleet, and recomposition
+        // waits for a live idle node (a saturated or empty fleet must not
+        // spam the carousel every tick).
         let policy = ControllerPolicy {
             heartbeat: HeartbeatConfig {
                 interval: SimDuration::from_micros(config.heartbeat_interval.as_micros() as u64),
@@ -167,27 +152,17 @@ impl Headend {
             },
             sizing_slack: 1.0,
             recompose_threshold: 0.99,
-            assumed_audience: (config.nodes / shards as u64).max(1),
+            assumed_audience: config.nodes,
             recompose_requires_idle: true,
         };
         let registry = tele.registry();
-        let shards = (0..shards)
-            .map(|i| {
-                // Disjoint message-id namespace: ids ≡ i (mod shards).
-                let controller = Controller::with_id_namespace(
-                    &config.key,
-                    policy.clone(),
-                    i as u64,
-                    shards as u64,
-                );
-                let shard = Shard {
-                    controller,
-                    lag: registry.gauge(&format!("controller.heartbeat_lag.shard{i}")),
-                    members: registry.gauge(&format!("controller.members.shard{i}")),
-                };
-                Mutex::named(shard, "live.controller")
-            })
-            .collect();
+        let control = Control {
+            controller: Controller::new(&config.key, policy),
+            images: BTreeMap::new(),
+            bus,
+            lag: registry.gauge("controller.heartbeat_lag"),
+            members: registry.gauge("controller.members"),
+        };
         Headend {
             // Send-sensitive: the module-level rule ("nothing is sent while
             // the hub lock is held") is enforced at runtime — under
@@ -205,14 +180,7 @@ impl Headend {
                 },
                 "live.hub",
             ),
-            shards,
-            carousel: Mutex::named(
-                Carousel {
-                    bus,
-                    images: BTreeMap::new(),
-                },
-                "live.carousel",
-            ),
+            control: Mutex::named(control, "live.controller"),
             jobs_finished: Monitor::named(0, "live.jobs_finished"),
             next_instance: AtomicU64::new(0),
             injector,
@@ -222,17 +190,16 @@ impl Headend {
         }
     }
 
-    /// Runs `call` on stripe `index` under its lock and applies the
-    /// Controller outputs it returns before unlocking. Returns the reply
-    /// for a heartbeat the call consolidated, if the stripe reset the node.
+    /// Runs `call` under the Controller lock and applies the Controller
+    /// outputs it returns before unlocking. Returns the reply for a
+    /// heartbeat the call consolidated, if the Controller reset the node.
     fn drive(
         &self,
-        index: usize,
         tele: &Telemetry,
-        call: impl FnOnce(&mut Shard, SimTime) -> Vec<ControllerOutput>,
+        call: impl FnOnce(&mut Control, SimTime) -> Vec<ControllerOutput>,
     ) -> Option<HeartbeatReply> {
-        let mut shard = self.shards[index].lock();
-        let outputs = call(&mut shard, wall_now(&self.start));
+        let mut control = self.control.lock();
+        let outputs = call(&mut control, wall_now(&self.start));
         let mut reply = None;
         for out in outputs {
             let now_us = wall_now(&self.start).as_micros();
@@ -241,7 +208,7 @@ impl Headend {
                     if let ControlMessage::Wakeup(w) = signed.message {
                         *self.hub.lock().wakeups.entry(w.instance).or_insert(0) += 1;
                     }
-                    self.carousel.lock().publish(signed, now_us, tele);
+                    control.publish(signed, now_us, tele);
                 }
                 ControllerOutput::DirectReset { node, instance } => {
                     tele.instant(now_us, Phase::DirectReset, node.raw(), instance.raw());
@@ -253,32 +220,20 @@ impl Headend {
                 }
             }
         }
-        shard.members.set(shard.controller.total_members() as f64);
+        control
+            .members
+            .set(control.controller.total_members() as f64);
         reply
     }
 
-    /// [`drive`](Headend::drive)s every stripe in turn; `call` gets the
-    /// stripe's index too.
-    fn drive_all(
-        &self,
-        tele: &Telemetry,
-        call: impl Fn(usize, &mut Shard, SimTime) -> Vec<ControllerOutput>,
-    ) {
-        for index in 0..self.shards.len() {
-            self.drive(index, tele, |shard, now| call(index, shard, now));
-        }
-    }
-
-    /// Consolidates `hb` on its node's stripe and answers it — a direct
-    /// reset when the stripe trims the node, else an ack — on the
-    /// calling thread.
+    /// Consolidates `hb` and answers it — a direct reset when the
+    /// Controller trims the node, else an ack — on the calling thread.
     pub(crate) fn heartbeat(&self, hb: Heartbeat) -> HeartbeatReply {
-        let index = shard_of(hb.node, self.shards.len());
-        self.drive(index, &self.tele, |shard, now| {
-            // Lag: emission → the stripe's lock, so it counts the wait
-            // behind a tick or another caller on this stripe.
-            shard.lag.set(now.since(hb.sent_at).as_secs_f64());
-            shard.controller.on_heartbeat(hb, now)
+        self.drive(&self.tele, |control, now| {
+            // Lag: emission → the Controller's lock, so it counts the wait
+            // behind a tick or another caller.
+            control.lag.set(now.since(hb.sent_at).as_secs_f64());
+            control.controller.on_heartbeat(hb, now)
         })
         .unwrap_or(HeartbeatReply::Ack)
     }
@@ -303,8 +258,8 @@ impl Headend {
     }
 
     /// Lands a batch of `node`'s results. The call that completes the job
-    /// closes its Provider request, dismantles the instance on every
-    /// stripe and wakes [`wait_report`](Headend::wait_report).
+    /// closes its Provider request, dismantles the instance and wakes
+    /// [`wait_report`](Headend::wait_report).
     pub(crate) fn results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
         let dismantle = {
             let mut guard = self.hub.lock();
@@ -328,25 +283,17 @@ impl Headend {
         // The hub guard is dropped. The wake comes last, so a caller who
         // submits its next job at once admits it after this dismantle.
         if let Some(instance) = dismantle {
-            self.drive_all(&self.tele, |index, shard, _| {
-                let reset = shard.controller.dismantle(instance).unwrap_or_default();
-                // One carousel reset reaches every stripe's nodes; the
-                // others just flip to Dismantled and trim their own
-                // stragglers via heartbeat replies.
-                if index == 0 {
-                    reset
-                } else {
-                    Vec::new()
-                }
+            self.drive(&self.tele, |control, _| {
+                control.controller.dismantle(instance).unwrap_or_default()
             });
             *self.jobs_finished.lock() += 1;
             self.jobs_finished.notify_all();
         }
     }
 
-    /// Registers a job, admits its instance on every stripe (split
-    /// targets) and opens the Provider request. Runs on the caller's
-    /// thread — the coordinator is whoever submits.
+    /// Registers a job, admits its instance and opens the Provider
+    /// request. Runs on the caller's thread — the coordinator is whoever
+    /// submits.
     pub(crate) fn submit(
         &self,
         job: Job,
@@ -372,15 +319,10 @@ impl Headend {
             hub.job_instance.insert(job_id, instance);
             hub.provider.open_request(job_id, instance, target, now)
         };
-        // Image first, then admissions: every stripe's wakeup finds it.
-        self.carousel.lock().images.insert(instance, image);
-        let targets = split_target(target, self.shards.len());
-        self.drive_all(&self.tele, |index, shard, now| {
-            let request = InstanceRequest {
-                target: targets[index],
-                ..req
-            };
-            shard.controller.admit_instance(instance, request, now)
+        // Image first, then the admission: its wakeup finds it.
+        self.drive(&self.tele, |control, now| {
+            control.images.insert(instance, image);
+            control.controller.admit_instance(instance, req, now)
         });
         request
     }
@@ -436,38 +378,40 @@ impl Headend {
     ///
     /// Consistency: the Backend/Provider/job tables are read atomically
     /// under the hub lock — that is the task-accounting ground truth. The
-    /// per-stripe Controller states are read just before, one stripe lock
-    /// at a time, so they can trail the hub by the export's own latency;
-    /// membership and heartbeat ledgers re-converge from live traffic
-    /// after adoption, so that skew is harmless (and the task ledger never
-    /// is skewed).
+    /// Controller state is read just before, so it can trail the hub by
+    /// the export's own latency; membership and heartbeat ledgers
+    /// re-converge from live traffic after adoption, so that skew is
+    /// harmless (and the task ledger never is skewed). Queries never
+    /// change after submit: the hub hold clones their `Arc`s, and their
+    /// bytes are copied after it ends.
     pub(crate) fn export(&self, epoch: u64, wire: (u64, Vec<u64>)) -> SnapshotState {
-        let shards = self
-            .shards
-            .iter()
-            .map(|shard| shard.lock().controller.export_state(wall_now(&self.start)))
-            .collect();
-        let images = self
-            .carousel
-            .lock()
-            .images
-            .iter()
-            .map(|(&instance, image)| (instance, ImageExport::from_image(image)))
-            .collect();
+        let (controller, images) = {
+            let control = self.control.lock();
+            let images = control
+                .images
+                .iter()
+                .map(|(&instance, image)| (instance, ImageExport::from_image(image)))
+                .collect();
+            (
+                control.controller.export_state(wall_now(&self.start)),
+                images,
+            )
+        };
         let now = wall_now(&self.start);
         let hub = self.hub.lock();
-        SnapshotState {
+        let queries: Vec<(JobId, Vec<Arc<Vec<u8>>>)> = hub
+            .job_queries
+            .iter()
+            .map(|(&job, queries)| (job, queries.clone()))
+            .collect();
+        let mut snap = SnapshotState {
             epoch,
             taken_at_us: now.as_micros(),
-            shards,
+            shards: vec![controller],
             backend: hub.backend.export_state(now),
             provider: hub.provider.export_state(now),
             instance_job: hub.instance_job.iter().map(|(&i, &j)| (i, j)).collect(),
-            job_queries: hub
-                .job_queries
-                .iter()
-                .map(|(&job, queries)| (job, queries.iter().map(|q| q.as_ref().clone()).collect()))
-                .collect(),
+            job_queries: Vec::new(),
             job_scores: hub
                 .job_scores
                 .iter()
@@ -479,22 +423,20 @@ impl Headend {
             wire_nodes: wire.1,
             // Filled in by the runtime, which owns the shared reconciler.
             autoscale: None,
-        }
+        };
+        drop(hub);
+        snap.job_queries = queries
+            .into_iter()
+            .map(|(job, queries)| (job, queries.iter().map(|q| q.to_vec()).collect()))
+            .collect();
+        snap
     }
 
-    /// Replaces this headend's state from a snapshot: every stripe's
-    /// Controller, the carousel's image table and the hub's job state.
-    /// Must run before node traffic arrives (standby adoption happens
-    /// before the wire server binds).
+    /// Replaces this headend's state from a snapshot: the Controller
+    /// (every entry of `snap.shards` folded into one), the image table
+    /// and the hub's job state. Must run before node traffic arrives
+    /// (standby adoption happens before the wire server binds).
     pub(crate) fn import_state(&self, snap: &SnapshotState) -> Result<(), String> {
-        if snap.shards.len() != self.shards.len() {
-            return Err(format!(
-                "snapshot has {} controller shards but this headend runs {} — \
-                 message-id namespaces are per-shard, so the counts must match",
-                snap.shards.len(),
-                self.shards.len()
-            ));
-        }
         let mut images = BTreeMap::new();
         for (instance, recipe) in &snap.images {
             let image = recipe.to_image();
@@ -503,11 +445,14 @@ impl Headend {
                 .map_err(|e| format!("snapshot image of instance {}: {e}", instance.raw()))?;
             images.insert(*instance, Arc::new(image));
         }
-        for (shard, state) in self.shards.iter().zip(&snap.shards) {
-            let now = wall_now(&self.start);
-            shard.lock().controller.import_state(state.clone(), now);
+        {
+            let mut control = self.control.lock();
+            let state = ControllerState::fold(snap.shards.iter().cloned());
+            control
+                .controller
+                .import_state(state, wall_now(&self.start));
+            control.images = images;
         }
-        self.carousel.lock().images = images;
         let now = wall_now(&self.start);
         {
             let mut hub = self.hub.lock();
@@ -578,14 +523,14 @@ impl Headend {
     }
 }
 
-/// Starts the headend's one control thread: every `tick`, each stripe's
-/// loss detection and recomposition. Its trace offers are pinned to sink
-/// lane 0; every other emitter spreads by track.
+/// Starts the headend's one control thread: every `tick`, the
+/// Controller's loss detection and recomposition. Its trace offers are
+/// pinned to sink lane 0; every other emitter spreads by track.
 pub(crate) fn spawn_control(headend: &Arc<Headend>, tick: Duration) -> Worker {
     let headend = Arc::clone(headend);
     let tele = headend.tele.with_sink_lane(0);
     every(tick, move || {
-        headend.drive_all(&tele, |_, shard, now| shard.controller.tick(now));
+        headend.drive(&tele, |control, now| control.controller.tick(now));
     })
 }
 
@@ -594,30 +539,25 @@ pub(crate) fn spawn_control(headend: &Arc<Headend>, tick: Duration) -> Worker {
 // ---------------------------------------------------------------------
 
 /// Spawns the elastic-sizing control loop. Every `interval` it samples
-/// the Backend queue depth, the per-stripe heartbeat-lag and membership
-/// gauges and the task-fetch p99, feeds them to the shared
+/// the Backend queue depth, the Controller's heartbeat-lag and
+/// membership gauges and the task-fetch p99, feeds them to the shared
 /// [`Reconciler`], and applies the decision by resizing every running
-/// instance (per-stripe split targets). An `airtime-revoked` fault roll
-/// first evicts every member; the reconciler then restores the lost
-/// capacity as a [`ScaleDecision::Replace`], bypassing its cooldown.
+/// instance. An `airtime-revoked` fault roll first evicts every member;
+/// the reconciler then restores the lost capacity as a
+/// [`ScaleDecision::Replace`], bypassing its cooldown.
 /// Dropping the returned sender stops the thread.
 ///
 /// Locking rule: the hub lock and the reconciler lock are each dropped
-/// before a stripe is driven.
+/// before the Controller is driven.
 pub(crate) fn spawn_reconciler(
     headend: Arc<Headend>,
     shared: Arc<Mutex<Reconciler>>,
     interval: Duration,
 ) -> Worker {
     let tele = headend.tele.clone();
-    let shards = headend.shards.len();
     let registry = tele.registry();
-    let lag_gauges: Vec<_> = (0..shards)
-        .map(|i| registry.gauge(&format!("controller.heartbeat_lag.shard{i}")))
-        .collect();
-    let member_gauges: Vec<_> = (0..shards)
-        .map(|i| registry.gauge(&format!("controller.members.shard{i}")))
-        .collect();
+    let lag_gauge = registry.gauge("controller.heartbeat_lag");
+    let member_gauge = registry.gauge("controller.members");
     let desired_gauge = registry.gauge("provider.desired_size");
     let queue_gauge = registry.gauge("backend.queue_depth");
     let revocations = registry.counter("faults.airtime_revoked");
@@ -652,14 +592,13 @@ pub(crate) fn spawn_reconciler(
         // ride, so they are only telemetered.
         if !instances.is_empty() && begin >= revoke_gate && headend.injector.airtime_revoked(begin)
         {
-            for &instance in &instances {
-                headend.drive_all(&tele, |_, shard, _| {
-                    shard
-                        .controller
-                        .revoke_members(instance)
-                        .unwrap_or_default()
-                });
-            }
+            headend.drive(&tele, |control, _| {
+                let c = &mut control.controller;
+                instances
+                    .iter()
+                    .flat_map(|&instance| c.revoke_members(instance).unwrap_or_default())
+                    .collect()
+            });
             revocations.inc();
             shared.lock().observe_revocation();
             revoke_gate = begin + cooldown;
@@ -674,10 +613,10 @@ pub(crate) fn spawn_reconciler(
         last_sample = (begin, completed);
         let inputs = ScaleInputs {
             queue_depth: queue_depth as usize,
-            heartbeat_lag: lag_gauges.iter().map(|g| g.get()).fold(0.0, f64::max),
+            heartbeat_lag: lag_gauge.get(),
             tasks_per_sec,
             fetch_p99: tele.phase_summary(Phase::TaskFetch).p99,
-            current_size: member_gauges.iter().map(|g| g.get()).sum::<f64>() as usize,
+            current_size: member_gauge.get() as usize,
         };
         let (decision, desired) = {
             let mut r = shared.lock();
@@ -692,13 +631,12 @@ pub(crate) fn spawn_reconciler(
             // trims lazily via heartbeat replies. Unknown or dismantled
             // instances are fine to skip: the reconciler races job
             // completion by design.
-            let targets = split_target(desired as u64, shards);
-            for &instance in &instances {
-                headend.drive_all(&tele, |index, shard, _| {
-                    let _ = shard.controller.resize(instance, targets[index]);
-                    Vec::new()
-                });
-            }
+            headend.drive(&tele, |control, _| {
+                for &instance in &instances {
+                    let _ = control.controller.resize(instance, desired as u64);
+                }
+                Vec::new()
+            });
         }
         let end = wall_now(&headend.start);
         match decision {
@@ -761,7 +699,7 @@ fn fetch_batch_reply(
 
 /// Completes the Provider request for a finished job and reports which
 /// instance to dismantle. Runs under the hub lock; the caller dismantles
-/// on every stripe after dropping it.
+/// it after dropping that lock.
 fn finish_job(hub: &mut Hub, job: JobId, now: SimTime, tele: &Telemetry) -> Option<InstanceId> {
     let req = hub.provider.request_for_job(job)?;
     let instance = *hub.job_instance.get(&job)?;
@@ -791,14 +729,13 @@ mod tests {
     use oddci_types::{DataSize, ImageId};
     use oddci_workload::Task;
 
-    /// A headend of `shards` stripes with one submitted job of `tasks`
-    /// tasks on instance 0, and a subscription to everything it airs.
-    fn headend_with_job(tasks: u64, shards: usize) -> (Headend, JobId, Receiver<BusMsg>) {
+    /// A headend with one submitted job of `tasks` tasks on instance 0,
+    /// and a subscription to everything it airs.
+    fn headend_with_job(tasks: u64) -> (Headend, JobId, Receiver<BusMsg>) {
         let bus = Arc::new(BroadcastBus::new());
         let aired = bus.subscribe();
         let headend = Headend::new(
             &LiveConfig::default(),
-            shards,
             bus,
             Instant::now(),
             Arc::new(FaultInjector::new(oddci_faults::FaultPlan::none(), 0)),
@@ -839,7 +776,7 @@ mod tests {
     /// rule throws the unreported batch back.
     #[test]
     fn results_then_fetch_from_one_node_never_recycle_a_task() {
-        let (headend, job, _) = headend_with_job(10, 1);
+        let (headend, job, _) = headend_with_job(10);
         let (instance, node) = (InstanceId::new(0), NodeId::new(3));
         let mut served = 0;
         loop {
@@ -863,7 +800,7 @@ mod tests {
         assert_eq!(scores.len(), 10);
         assert_eq!(headend.unaccounted(), 0);
 
-        let (headend, _, _) = headend_with_job(10, 1);
+        let (headend, _, _) = headend_with_job(10);
         let first = task_ids(headend.fetch(instance, node, 4));
         let mut again = task_ids(headend.fetch(instance, node, 4));
         again.sort_unstable();
@@ -872,28 +809,23 @@ mod tests {
         assert_eq!(headend.unaccounted(), 0);
     }
 
-    /// The interleaving the carousel's lock orders: the job's last result
-    /// airs stripe 0's reset, and stripe 1 ticks before its own dismantle,
-    /// re-airing the still-short instance's wakeup after that reset. The
-    /// reset took the image off the carousel, so the re-air goes bare.
+    /// A reset is the last thing its instance airs: the wakeup and its
+    /// re-air carry the image, the reset forgets it, and a tick after the
+    /// dismantle re-airs nothing.
     #[test]
-    fn a_wakeup_re_aired_after_its_reset_carries_no_image() {
-        let (headend, _, aired) = headend_with_job(1, 2);
-        // An idle node on stripe 1, so that stripe's tick re-airs.
-        let node = (0..)
-            .map(NodeId::new)
-            .find(|&n| shard_of(n, 2) == 1)
-            .expect("some node lands on stripe 1");
+    fn a_reset_is_the_last_thing_its_instance_airs() {
+        let (headend, _, aired) = headend_with_job(1);
+        // An idle node, so the tick re-airs the still-short instance.
         headend.heartbeat(Heartbeat {
-            node,
+            node: NodeId::new(0),
             state: PnaStateKind::Idle,
             instance: None,
             sent_at: SimTime::ZERO,
         });
-        let tick = |h: &Headend| h.drive(1, &h.tele, |s, now| s.controller.tick(now));
+        let tick = |h: &Headend| h.drive(&h.tele, |c, now| c.controller.tick(now));
         tick(&headend);
-        headend.drive(0, &headend.tele, |s, _| {
-            s.controller
+        headend.drive(&headend.tele, |c, _| {
+            c.controller
                 .dismantle(InstanceId::new(0))
                 .unwrap_or_default()
         });
@@ -910,7 +842,10 @@ mod tests {
             })
             .collect();
         let wakeup = (false, true);
-        let expected = [wakeup, wakeup, wakeup, (true, false), (false, false)];
-        assert_eq!(aired, expected, "admissions, a re-air, the reset, a re-air");
+        assert_eq!(
+            aired,
+            [wakeup, wakeup, (true, false)],
+            "admission, re-air, reset"
+        );
     }
 }

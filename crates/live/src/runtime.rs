@@ -1,12 +1,11 @@
 //! The live runtime: a headend (Provider + Controller + Backend) and one
 //! OS thread per receiver, all speaking the §3.2 protocol.
 //!
-//! There is one [`headend`](crate::headend): N controller stripes
-//! (disjoint node-membership slices), the carousel and the shared
-//! Backend, each behind its own lock, which every node reaches without a
-//! thread hop — its heartbeats, task fetches (batches) and results run on
-//! the thread that asks. One control thread ticks the stripes.
-//! [`HeadendMode`] picks the stripe count and batch size and whether a
+//! There is one [`headend`](crate::headend): one Controller with the
+//! carousel, and the shared Backend, each behind its own lock, which
+//! every node reaches without a thread hop — its heartbeats, task fetches
+//! (batches) and results run on the thread that asks. One control thread
+//! ticks the Controller. [`HeadendMode`] picks the batch size and whether a
 //! socket front (`oddci-wire` listener) stands before the headend, in
 //! which case the nodes are separate PNA processes instead of in-process
 //! threads. A standby is the same bring-up with a snapshot adopted
@@ -52,8 +51,8 @@ pub enum HeadendMode {
     /// In-process plane: one receiver thread per node, each calling into
     /// the headend directly.
     Sharded {
-        /// Controller stripes, 1..=64: disjoint node-membership slices,
-        /// each a Controller behind its own lock (not a thread).
+        /// Ignored: the headend runs one Controller. Still validated
+        /// (1..=64); kept only until the benchmark stops setting it.
         shards: usize,
         /// Ignored: fetches and results run on the asking node's thread,
         /// so there is no dispatch pool to size. Still validated
@@ -71,7 +70,7 @@ pub enum HeadendMode {
         /// Address to listen on (port 0 picks an ephemeral port;
         /// [`LiveOddci::wire_addr`] reports the bound address).
         listen: std::net::SocketAddr,
-        /// Controller stripes, 1..=64, as in [`HeadendMode::Sharded`].
+        /// Ignored, as in [`HeadendMode::Sharded`].
         shards: usize,
         /// Ignored: fetches and results run on the serving thread, so
         /// there is no dispatch pool to size. Still validated (1..=64);
@@ -83,7 +82,7 @@ pub enum HeadendMode {
 }
 
 impl HeadendMode {
-    /// Most controller shards a live system will run.
+    /// Largest value [`HeadendMode`]'s ignored `shards` field accepts.
     pub const MAX_SHARDS: usize = 64;
     /// Largest value [`HeadendMode`]'s ignored `dispatch` field accepts.
     pub const MAX_DISPATCH: usize = 64;
@@ -108,9 +107,9 @@ impl HeadendMode {
         }
     }
 
-    /// Rejects degenerate configurations (`shards == 0`, oversized
-    /// pools, …) with a human-readable explanation instead of letting
-    /// the runtime panic on a zero-length shard vector.
+    /// Rejects degenerate configurations (`batch == 0`, oversized
+    /// batches, …) with a human-readable explanation instead of letting
+    /// the runtime misbehave on them.
     pub fn validate(&self) -> Result<(), String> {
         let (_, shards, dispatch, batch) = self.parts();
         if shards == 0 || shards > Self::MAX_SHARDS {
@@ -138,7 +137,7 @@ impl HeadendMode {
 impl Default for HeadendMode {
     fn default() -> Self {
         HeadendMode::Sharded {
-            shards: 2,
+            shards: 1,
             dispatch: 2,
             batch: 8,
         }
@@ -409,7 +408,7 @@ fn stop_worker(worker: Option<Worker>) -> u64 {
 /// The live OddCI system.
 pub struct LiveOddci {
     headend: Arc<Headend>,
-    /// The thread that ticks every controller stripe.
+    /// The thread that ticks the Controller.
     control: Worker,
     /// `Some` in [`HeadendMode::Socket`].
     socket: Option<SocketFront>,
@@ -440,8 +439,9 @@ impl LiveOddci {
     }
 
     /// Boots a **standby** headend from a durability snapshot: the same
-    /// socket architecture as [`LiveOddci::start`], but every shard's
-    /// Controller, the carousel's image table, the hub's job state and
+    /// socket architecture as [`LiveOddci::start`], but the Controller
+    /// (every state in `snap.shards` folded into one), its image table,
+    /// the hub's job state and
     /// the wire node-id namespace are adopted from `snap` *before* the
     /// listener binds — so the first PNA to redial finds its membership,
     /// its instance and its task ledger already in place. The standby
@@ -451,9 +451,7 @@ impl LiveOddci {
     /// set.
     ///
     /// Only [`HeadendMode::Socket`] makes sense here (a standby adopts
-    /// *remote* PNAs; in-process node threads die with their runtime), and
-    /// the shard count must match the snapshot's — message-id namespaces
-    /// are per-shard.
+    /// *remote* PNAs; in-process node threads die with their runtime).
     pub fn start_standby(config: LiveConfig, snap: &SnapshotState) -> Result<LiveOddci, String> {
         if !matches!(config.mode, HeadendMode::Socket { .. }) {
             return Err("a standby headend adopts remote PNAs: use HeadendMode::Socket".into());
@@ -475,7 +473,7 @@ impl LiveOddci {
             .mode
             .validate()
             .map_err(|e| format!("invalid headend mode: {e}"))?;
-        let (listen, shards, _, batch) = config.mode.parts();
+        let (listen, _, _, batch) = config.mode.parts();
         let bus = Arc::new(BroadcastBus::new());
         let start = Instant::now();
         let injector = Arc::new(FaultInjector::new(
@@ -484,7 +482,6 @@ impl LiveOddci {
         ));
         let headend = Arc::new(Headend::new(
             &config,
-            shards,
             Arc::clone(&bus),
             start,
             Arc::clone(&injector),
@@ -1299,13 +1296,13 @@ mod tests {
         let listen = "127.0.0.1:0".parse().expect("addr");
         for mode in [
             HeadendMode::Sharded {
-                shards: 2,
+                shards: 1,
                 dispatch: 1,
                 batch: 8,
             },
             HeadendMode::Socket {
                 listen,
-                shards: 2,
+                shards: 1,
                 dispatch: 1,
                 batch: 8,
             },
@@ -1390,55 +1387,6 @@ mod tests {
             "wait_job returned {mean:?} after the last result, on average"
         );
         assert_eq!(live.shutdown().threads_failed, 0);
-    }
-
-    /// No wakeup carrying an image airs after its instance's reset: the
-    /// stripes publish under the carousel lock and a reset forgets the
-    /// image, so a stripe that re-airs a wakeup after a sibling's reset
-    /// sends it bare. Back-to-back jobs with short ticks put re-aired
-    /// wakeups next to every dismantle.
-    #[test]
-    fn no_wakeup_airs_an_image_after_its_instance_reset() {
-        use oddci_core::messages::ControlMessage;
-        let live = LiveOddci::start(LiveConfig {
-            nodes: 2,
-            heartbeat_interval: Duration::from_millis(20),
-            controller_tick: Duration::from_millis(20),
-            mode: HeadendMode::Sharded {
-                shards: 2,
-                dispatch: 1,
-                batch: 8,
-            },
-            ..Default::default()
-        });
-        let aired = live.bus.subscribe();
-        let image = AlignmentImage {
-            db_len: 2000,
-            ..AlignmentImage::small_demo()
-        };
-        for job in 0..20u64 {
-            let queries = (0..4)
-                .map(|i| Arc::new(random_sequence(16, job * 4 + i)))
-                .collect();
-            live.run_query_job(image.clone(), queries, 2, Duration::from_secs(30))
-                .expect("job completes");
-        }
-        assert_eq!(live.shutdown().threads_failed, 0);
-        let mut reset = std::collections::BTreeSet::new();
-        for msg in aired.try_iter() {
-            let BusMsg::Control(b) = msg else { continue };
-            match b.signed.message {
-                ControlMessage::Reset(r) => {
-                    reset.insert(r.instance);
-                }
-                ControlMessage::Wakeup(w) => assert!(
-                    b.image.is_none() || !reset.contains(&w.instance),
-                    "instance {} aired its image after its reset",
-                    w.instance.raw()
-                ),
-            }
-        }
-        assert_eq!(reset.len(), 20, "every job's instance was reset");
     }
 
     #[test]
@@ -1526,7 +1474,7 @@ mod tests {
             nodes: 1,
             mode: HeadendMode::Socket {
                 listen: "127.0.0.1:0".parse().expect("addr"),
-                shards: 2,
+                shards: 1,
                 dispatch: 1,
                 batch: 1,
             },
@@ -1559,7 +1507,7 @@ mod tests {
             heartbeat_interval: Duration::from_millis(60),
             mode: HeadendMode::Socket {
                 listen,
-                shards: 2,
+                shards: 1,
                 dispatch: 1,
                 batch: 4,
             },
@@ -1677,7 +1625,7 @@ mod tests {
             heartbeat_interval: Duration::from_millis(60),
             mode: HeadendMode::Socket {
                 listen,
-                shards: 2,
+                shards: 1,
                 dispatch: 1,
                 batch: 4,
             },
@@ -1786,5 +1734,106 @@ mod tests {
             assert_eq!(rep.epoch, 1, "every PNA re-acked at the standby's epoch");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A standby of one Controller adopts a snapshot cut by a headend of
+    /// two, shaped like the benchmark's synthetic one: one instance split
+    /// by node parity, ids `{0, 2, …}` and `{1, 3, …}`. The folded
+    /// Controller keeps every member of both entries, airs past every id
+    /// either signed, and finishes the job with live PNAs.
+    #[test]
+    fn standby_of_one_controller_adopts_a_two_controller_snapshot() {
+        use oddci_core::controller::{ControllerState, InstanceExport, NodeExport};
+        use oddci_core::messages::{ControlMessage, PnaStateKind};
+        let mode = |listen| HeadendMode::Socket {
+            listen,
+            shards: 1,
+            dispatch: 1,
+            batch: 4,
+        };
+        let config = |listen| LiveConfig {
+            nodes: 2,
+            heartbeat_interval: Duration::from_millis(40),
+            controller_tick: Duration::from_millis(40),
+            mode: mode(listen),
+            ..Default::default()
+        };
+        let loopback = "127.0.0.1:0".parse().expect("addr");
+        let primary = LiveOddci::start(config(loopback));
+        let queries: Vec<_> = (0..32).map(|i| Arc::new(random_sequence(16, i))).collect();
+        let image = AlignmentImage {
+            db_len: 2000,
+            ..AlignmentImage::small_demo()
+        };
+        let req = primary.submit_query_job(image, queries, 2).expect("submit");
+        let mut snap = primary.snapshot_now();
+        primary.shutdown();
+        let instance = snap.shards[0].instances[0].clone();
+        // Four members no live PNA will ever be; a per-entry target of 3
+        // leaves the folded instance 2 short, so the standby re-airs.
+        let entry = |s: u64, next_message| {
+            let members: Vec<NodeId> = (1000 + s..1004).step_by(2).map(NodeId::new).collect();
+            let registry = members.iter().map(|&node| NodeExport {
+                node,
+                heartbeat_age: SimDuration::from_millis(10),
+                state: PnaStateKind::Busy,
+                instance: Some(instance.id),
+            });
+            let mut request = instance.request;
+            request.target = 3;
+            ControllerState {
+                instances: vec![InstanceExport {
+                    request,
+                    members: members.clone(),
+                    ..instance.clone()
+                }],
+                registry: registry.collect(),
+                next_instance: 1,
+                next_message,
+                message_stride: 2,
+                heartbeats_received: 40,
+            }
+        };
+        snap.shards = vec![entry(0, 6), entry(1, 9)];
+
+        let standby = LiveOddci::start_standby(config(loopback), &snap).expect("standby adopts");
+        let adopted = standby.snapshot_now().shards;
+        assert_eq!(adopted.len(), 1, "one Controller");
+        let members = &adopted[0].instances[0].members;
+        assert_eq!(members, &(1000..1004).map(NodeId::new).collect::<Vec<_>>());
+        let aired = standby.bus.subscribe();
+        let addr = standby.wire_addr().expect("socket headends listen");
+        let pnas: Vec<_> = (0..2u64)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut cfg = WirePnaConfig::new(addr);
+                    cfg.seed = 700 + i;
+                    cfg.heartbeat_interval = Duration::from_millis(40);
+                    run_wire_pna(cfg)
+                })
+            })
+            .collect();
+        let outcome = standby
+            .wait_job(req, Duration::from_secs(60))
+            .expect("job completes on the standby");
+        assert_eq!(outcome.scores.len(), 32);
+        let report = standby.shutdown();
+        assert_eq!(report.tasks_unaccounted, 0);
+        assert_eq!(report.threads_failed, 0);
+        for pna in pnas {
+            pna.join()
+                .expect("pna joins")
+                .expect("pna runs to shutdown");
+        }
+        let first = aired
+            .try_iter()
+            .find_map(|msg| match msg {
+                BusMsg::Control(b) => Some(b.signed.message),
+                BusMsg::Shutdown => None,
+            })
+            .expect("the standby aired a wakeup");
+        assert!(matches!(first, ControlMessage::Wakeup(_)), "{first:?}");
+        // Entry 1 signed up to #7, entry 0 up to #4: #9 is fresh to both.
+        assert!(first.id().raw() >= 9, "first aired id {}", first.id().raw());
     }
 }

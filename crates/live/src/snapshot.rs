@@ -1,8 +1,8 @@
 //! Durability snapshots of headend state.
 //!
 //! A snapshot is everything a standby headend needs to adopt a crashed
-//! primary's fleet mid-job: per-shard Controller state (membership,
-//! heartbeat ledgers, message-id namespaces), the Backend's task ledgers,
+//! primary's fleet mid-job: the Controller's state (membership,
+//! heartbeat ledger, next message id), the Backend's task ledgers,
 //! the Provider's request table, the hub's job bookkeeping, the carousel's
 //! image recipes and the wire plane's node-id namespace. Timestamps are
 //! stored as *ages* relative to the snapshot instant — the standby runs
@@ -114,8 +114,10 @@ pub struct SnapshotState {
     /// Microseconds on the writing headend's clock when the snapshot was
     /// cut — the replay boundary for trailing trace events.
     pub taken_at_us: u64,
-    /// Per-shard Controller state, in shard order. A standby must run the
-    /// same shard count to adopt (message-id namespaces are `mod shards`).
+    /// Controller state: one entry as written here. A snapshot of a
+    /// headend that split its fleet between several Controllers carries
+    /// one each; adoption folds them into one
+    /// ([`ControllerState::fold`]).
     pub shards: Vec<ControllerState>,
     /// The shared Backend's task ledgers.
     pub backend: BackendState,

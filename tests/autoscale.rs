@@ -2,7 +2,7 @@
 //!
 //! Property tests drive the pure [`Reconciler`] over arbitrary gauge
 //! trajectories and check its three contract clauses — bounds, cooldown
-//! fencing, and convergence — then a live sharded headend runs a real
+//! fencing, and convergence — then a live headend runs a real
 //! job under spot-like airtime revocation plus node churn and must lose
 //! nothing while the loop replaces the evicted capacity.
 
@@ -154,7 +154,7 @@ proptest! {
     }
 }
 
-/// The live gauntlet: a sharded headend starts a job at the policy
+/// The live gauntlet: a headend starts a job at the policy
 /// floor, the queue forces a scale-up, a 100%-rate `airtime-revoked`
 /// window evicts the whole membership mid-job, and low-grade `pna-crash`
 /// churn runs throughout. The job must still complete with every task
@@ -176,7 +176,7 @@ fn elastic_sharded_headend_survives_revocation_and_churn() {
         faults: FaultPlan::parse("airtime-revoked=1.0@0.15..0.45,pna-crash=0.03:0.3@0..30")
             .expect("valid plan"),
         mode: HeadendMode::Sharded {
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 4,
         },

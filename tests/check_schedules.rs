@@ -96,7 +96,7 @@ fn split_trim_stranding_is_pinned() {
     // The autoscale trim race: requeueing a trimmed member's tasks and
     // dropping it from the membership in separate critical sections lets
     // a concurrent heartbeat fetch assign a fresh task to the victim —
-    // stranded forever. The live shard handler does both under one hub
+    // stranded forever. The live heartbeat handler does both under one hub
     // lock.
     pin_failure("scale-down-vs-heartbeat-stranded", 11, 400, "stranded");
 }

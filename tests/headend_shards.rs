@@ -1,34 +1,23 @@
-//! Integration tests of the sharded live headend: membership partitioning,
-//! job accounting at every shard/batch geometry, and clean shutdown with
-//! full task accounting.
+//! Integration tests of the in-process live headend: job accounting at
+//! every batch size, and clean shutdown with full task accounting.
 
-use oddci::core::shard_of;
 use oddci::live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
 use oddci::telemetry::{binary, EventKind, StreamingSink, Telemetry, TraceSink};
-use oddci::types::NodeId;
 use std::time::Duration;
 
-fn sharded_config(nodes: u64, shards: usize) -> LiveConfig {
-    geometry_config(nodes, (shards, 8))
-}
-
-fn geometry_config(nodes: u64, (shards, batch): (usize, usize)) -> LiveConfig {
+fn batch_config(nodes: u64, batch: usize) -> LiveConfig {
     LiveConfig {
         nodes,
         heartbeat_interval: Duration::from_millis(60),
         controller_tick: Duration::from_millis(80),
         mode: HeadendMode::Sharded {
-            shards,
+            shards: 1,
             dispatch: 1,
             batch,
         },
         ..Default::default()
     }
 }
-
-/// The one-task-per-fetch baseline geometry: every heartbeat serializes
-/// behind one shard, and every task costs a fetch and an upload.
-const BASELINE_GEOMETRY: (usize, usize) = (1, 1);
 
 fn tiny_image() -> AlignmentImage {
     AlignmentImage {
@@ -37,44 +26,17 @@ fn tiny_image() -> AlignmentImage {
     }
 }
 
-/// Every node belongs to exactly one shard, deterministically, and no
-/// shard is starved or owns more than 3× its fair share: the membership
-/// function is a balanced partition of the fleet.
-#[test]
-fn shard_membership_is_a_partition() {
-    for shards in [1usize, 2, 3, 4, 8, 16, 64] {
-        let mut owned = vec![0u64; shards];
-        let fair = 4096 / shards as u64;
-        for n in 0..4096u64 {
-            let s = shard_of(NodeId::new(n), shards);
-            assert!(s < shards, "shard index out of range");
-            assert_eq!(
-                s,
-                shard_of(NodeId::new(n), shards),
-                "membership must be deterministic"
-            );
-            owned[s] += 1;
-        }
-        assert_eq!(owned.iter().sum::<u64>(), 4096, "no node dropped");
-        for (i, &count) in owned.iter().enumerate() {
-            assert!(count > 0, "shard {i}/{shards} owns no nodes");
-            assert!(count <= 3 * fair, "shard {i}/{shards} owns {count}");
-        }
-    }
-}
-
-/// A sharded run completes jobs correctly at several shard counts and at
-/// the 1/1 baseline point: planted homolog queries outscore random
-/// noise, proving the distributed computation really ran through the
-/// sharded headend.
+/// A run completes jobs correctly one task per fetch and eight per fetch:
+/// planted homolog queries outscore random noise, proving the
+/// distributed computation really ran through the headend.
 #[test]
 fn sharded_headend_completes_jobs_at_every_shard_count() {
-    for geometry in [BASELINE_GEOMETRY, (1, 8), (2, 8), (8, 8)] {
-        let live = LiveOddci::start(geometry_config(4, geometry));
+    for batch in [1, 8] {
+        let live = LiveOddci::start(batch_config(4, batch));
         let outcome = live
             .run_alignment_job(tiny_image(), 10, 3, Duration::from_secs(60))
-            .unwrap_or_else(|| panic!("job completes at {geometry:?}"));
-        assert_eq!(outcome.scores.len(), 10, "{geometry:?}");
+            .unwrap_or_else(|| panic!("job completes at batch {batch}"));
+        assert_eq!(outcome.scores.len(), 10, "batch {batch}");
         let planted_min = outcome
             .scores
             .iter()
@@ -91,11 +53,11 @@ fn sharded_headend_completes_jobs_at_every_shard_count() {
             .unwrap();
         assert!(
             planted_min > noise_max,
-            "{geometry:?}: planted {planted_min} vs noise {noise_max}"
+            "batch {batch}: planted {planted_min} vs noise {noise_max}"
         );
         let report = live.shutdown();
-        assert_eq!(report.tasks_unaccounted, 0, "{geometry:?}");
-        assert_eq!(report.threads_failed, 0, "{geometry:?}");
+        assert_eq!(report.tasks_unaccounted, 0, "batch {batch}");
+        assert_eq!(report.threads_failed, 0, "batch {batch}");
     }
 }
 
@@ -104,15 +66,15 @@ fn sharded_headend_completes_jobs_at_every_shard_count() {
 /// accounts for every task of every job ever submitted.
 #[test]
 fn shutdown_joins_all_threads_with_no_task_unaccounted() {
-    for geometry in [(4, 8), BASELINE_GEOMETRY] {
-        let live = LiveOddci::start(geometry_config(3, geometry));
+    for batch in [8, 1] {
+        let live = LiveOddci::start(batch_config(3, batch));
         for _ in 0..2 {
             live.run_alignment_job(tiny_image(), 6, 2, Duration::from_secs(60))
                 .expect("job completes");
         }
         let report = live.shutdown();
-        assert_eq!(report.tasks_unaccounted, 0, "{geometry:?}");
-        assert_eq!(report.threads_failed, 0, "{geometry:?}");
+        assert_eq!(report.tasks_unaccounted, 0, "batch {batch}");
+        assert_eq!(report.threads_failed, 0, "batch {batch}");
     }
 }
 
@@ -120,7 +82,7 @@ fn shutdown_joins_all_threads_with_no_task_unaccounted() {
 /// fleet — is clean: no thread hangs, nothing leaks.
 #[test]
 fn idle_sharded_shutdown_is_clean() {
-    let live = LiveOddci::start(sharded_config(2, 2));
+    let live = LiveOddci::start(batch_config(2, 8));
     let report = live.shutdown();
     assert_eq!(report.tasks_unaccounted, 0);
 }
@@ -139,7 +101,7 @@ fn shutdown_flushes_active_sink_before_reporting() {
     let sink = StreamingSink::builder(&path)
         .start()
         .expect("open shutdown stream");
-    let mut cfg = sharded_config(3, 4);
+    let mut cfg = batch_config(3, 8);
     cfg.telemetry = Telemetry::recording().with_sink(sink.clone());
     let live = LiveOddci::start(cfg);
     live.run_alignment_job(tiny_image(), 8, 2, Duration::from_secs(60))

@@ -1,10 +1,10 @@
 //! The workspace locking rules, checked on live jobs. With `oddci_check`
 //! on, every lock acquisition feeds the lock-order graph and every channel
 //! send is checked against the send-sensitive hub lock. Node threads and
-//! the socket front's serving thread drive the controller stripes, which
-//! take the hub and carousel locks and publish on the bus, and they take
-//! the hub lock to dispatch; the control thread ticks the stripes and the
-//! caller cuts a snapshot across all of them. A running job is where a
+//! the socket front's serving thread drive the Controller, which takes
+//! the hub lock and publishes on the bus, and they take the hub lock to
+//! dispatch; the control thread ticks the Controller and the caller cuts
+//! a one-entry snapshot across both locks. A running job is where a
 //! broken rule shows. Checking is process-global, which is why this is a
 //! test binary of its own.
 
@@ -54,7 +54,7 @@ fn run_job(mode: HeadendMode, tasks: u64) {
         .expect("job completes");
     assert_eq!(outcome.scores.len() as u64, tasks, "{mode:?}");
     let snap = live.snapshot_now();
-    assert_eq!(snap.shards.len(), 2, "{mode:?}");
+    assert_eq!(snap.shards.len(), 1, "{mode:?}");
     let report = live.shutdown();
     assert_eq!(report.tasks_unaccounted, 0, "{mode:?}");
     assert_eq!(report.threads_failed, 0, "{mode:?}");
@@ -70,7 +70,7 @@ fn live_jobs_keep_the_lock_rules() {
     oddci::check::enable();
     run_job(
         HeadendMode::Sharded {
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 8,
         },
@@ -79,7 +79,7 @@ fn live_jobs_keep_the_lock_rules() {
     run_job(
         HeadendMode::Socket {
             listen: "127.0.0.1:0".parse().expect("addr"),
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 8,
         },

@@ -23,7 +23,7 @@ fn socket_config(nodes: u64) -> LiveConfig {
         controller_tick: Duration::from_millis(80),
         mode: HeadendMode::Socket {
             listen: loopback(),
-            shards: 2,
+            shards: 1,
             dispatch: 1,
             batch: 4,
         },
