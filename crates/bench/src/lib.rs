@@ -259,4 +259,47 @@ mod tests {
         }
         assert!(dangling.is_empty(), "no such bench bin: {dangling:?}");
     }
+
+    /// The external crates the build may link (DESIGN.md, "Dependency
+    /// policy"). Locks, channels and byte buffers come from std, so a
+    /// `crossbeam`, `parking_lot` or `bytes` back in the lock file fails.
+    const ALLOWED_EXTERNAL: &[&str] = &["rand", "proptest", "serde", "serde_derive", "serde_json"];
+
+    /// The first `name = "…"` of a manifest or a lock-file block.
+    fn first_name(text: &str) -> Option<&str> {
+        text.lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+    }
+
+    #[test]
+    fn lock_file_names_only_workspace_crates_and_the_allowed_floor() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifest_name = |path: std::path::PathBuf| {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            first_name(&text)
+                .unwrap_or_else(|| panic!("{}: no package name", path.display()))
+                .to_string()
+        };
+        let mut workspace = vec![manifest_name(root.join("Cargo.toml"))];
+        for entry in std::fs::read_dir(root.join("crates")).expect("list crates/") {
+            workspace.push(manifest_name(
+                entry.expect("crate dir").path().join("Cargo.toml"),
+            ));
+        }
+        let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("read Cargo.lock");
+        let mut foreign: Vec<&str> = lock
+            .split("[[package]]")
+            .skip(1)
+            .filter_map(first_name)
+            .filter(|name| !workspace.iter().any(|w| w == name))
+            .filter(|name| !ALLOWED_EXTERNAL.contains(name))
+            .collect();
+        foreign.sort_unstable();
+        assert!(
+            foreign.is_empty(),
+            "Cargo.lock names crates outside the dependency floor: {foreign:?}"
+        );
+    }
 }

@@ -12,10 +12,10 @@
 //! function of the attach instant — no discrete events, O(1) per query.
 
 use crate::tsmux::TransportMux;
-use bytes::Bytes;
 use oddci_crypto::Sha256;
 use oddci_types::{Bandwidth, DataSize, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One file (DSM-CC module group) in the carousel.
 #[derive(Debug, Clone)]
@@ -25,12 +25,12 @@ pub struct CarouselFile {
     /// File contents. For simulation-scale images this is typically a
     /// zero-filled buffer of the right size; the live runtime puts real
     /// serialized payloads here.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 impl CarouselFile {
     /// Creates a file from name and contents.
-    pub fn new(name: impl Into<String>, data: impl Into<Bytes>) -> Self {
+    pub fn new(name: impl Into<String>, data: impl Into<Arc<[u8]>>) -> Self {
         CarouselFile {
             name: name.into(),
             data: data.into(),
@@ -42,7 +42,7 @@ impl CarouselFile {
     pub fn sized(name: impl Into<String>, size: DataSize) -> Self {
         CarouselFile {
             name: name.into(),
-            data: Bytes::from(vec![0u8; size.bytes_ceil() as usize]),
+            data: vec![0u8; size.bytes_ceil() as usize].into(),
         }
     }
 
@@ -333,7 +333,7 @@ mod tests {
             vec![
                 CarouselFile::sized("pna.xlet", DataSize::from_kilobytes(100)),
                 CarouselFile::sized("image", DataSize::from_megabytes(5)),
-                CarouselFile::new("config", Bytes::from_static(b"probability=0.5")),
+                CarouselFile::new("config", &b"probability=0.5"[..]),
             ],
             SimTime::ZERO,
         );
@@ -393,8 +393,8 @@ mod tests {
 
     #[test]
     fn digest_detects_corruption() {
-        let f1 = CarouselFile::new("x", Bytes::from_static(b"payload"));
-        let f2 = CarouselFile::new("x", Bytes::from_static(b"payloaD"));
+        let f1 = CarouselFile::new("x", &b"payload"[..]);
+        let f2 = CarouselFile::new("x", &b"payloaD"[..]);
         assert_ne!(f1.digest(), f2.digest());
     }
 

@@ -10,8 +10,9 @@
 //! three layers:
 //!
 //! 1. **An instrumented sync shim** ([`sync`]): drop-in `Mutex` /
-//!    `RwLock` / `Monitor` / channel wrappers the whole workspace uses
-//!    instead of raw `parking_lot` / `std::sync` / `crossbeam` types.
+//!    `Monitor` / channel wrappers over `std::sync` and
+//!    `std::sync::mpsc` that the whole workspace uses instead of the raw
+//!    std types.
 //!    With checking disabled (the default) each operation costs one
 //!    relaxed atomic load on top of the underlying primitive. With
 //!    checking enabled ([`enable`] or `ODDCI_CHECK=1`), every acquisition

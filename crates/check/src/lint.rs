@@ -4,10 +4,11 @@
 //! it implements the shim and the scheduler, so it legitimately touches
 //! raw primitives):
 //!
-//! * **raw-lock** — no `parking_lot`, `crossbeam`, `std::sync::Mutex` /
-//!   `RwLock` / `Condvar` / `mpsc` outside `oddci_check::sync`. The shim
-//!   is the only lock supplier, which is what makes the lock-order graph
-//!   complete.
+//! * **raw-lock** — no `std::sync::Mutex` / `RwLock` / `Condvar` /
+//!   `mpsc` outside `oddci_check::sync`, which wraps exactly those std
+//!   types (nor `parking_lot` / `crossbeam`, should either re-enter the
+//!   build). The shim is the only lock supplier, which is what makes the
+//!   lock-order graph complete.
 //! * **phase** — the telemetry phase vocabulary stays closed: every
 //!   `Phase::X` names a variant declared in
 //!   `crates/telemetry/src/event.rs`, span phases are only emitted

@@ -1,13 +1,20 @@
 //! The instrumented sync shim the workspace uses instead of raw locks.
 //!
-//! Three families of primitives, all registered with the [`crate::order`]
-//! lock-order detector:
+//! Everything here sits directly on the standard library, in three
+//! families, all registered with the [`crate::order`] lock-order
+//! detector:
 //!
-//! * [`Mutex`] / [`RwLock`] — parking_lot-backed, non-poisoning;
-//! * [`Monitor`] — a mutex *with a condvar* (`std::sync`-backed, because
-//!   the workspace's parking_lot has no condvar), poison-transparent;
-//! * [`bounded`] / [`unbounded`] channels — crossbeam-backed; every
-//!   [`Sender::send`] runs the send-while-locked check.
+//! * [`Mutex`] — a `std::sync::Mutex`, poison-transparent;
+//! * [`Monitor`] — a `std::sync` mutex *with a condvar*, poison-transparent;
+//! * [`unbounded`] channels — `std::sync::mpsc`; every [`Sender::send`]
+//!   runs the send-while-locked check. A send never blocks. The
+//!   [`Receiver`] is std's own, so it is `Send` but not `Sync`: one
+//!   thread at a time owns a channel's receiving end.
+//!
+//! Poison-transparent means a thread that panics while holding a lock
+//! does not poison it for everyone else: the next `lock` gets the data
+//! as the panicking thread left it. A panicked node thread must not
+//! wedge the live headend's hub.
 //!
 //! With checking disabled every operation adds one relaxed atomic load to
 //! the underlying primitive — cheap enough that the live hot paths use
@@ -19,22 +26,23 @@
 
 use crate::order;
 use std::ops::{Deref, DerefMut};
+use std::sync::{mpsc, PoisonError};
 use std::time::Duration;
 
 // ---------------------------------------------------------------- Mutex
 
-/// A non-poisoning mutex wired into the lock-order detector.
+/// A poison-transparent mutex wired into the lock-order detector.
 #[derive(Debug)]
 pub struct Mutex<T: ?Sized> {
     id: u64,
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
 }
 
 /// Guard for [`Mutex::lock`]; releases its order-graph entry on drop.
 #[derive(Debug)]
 pub struct MutexGuard<'a, T: ?Sized> {
     id: u64,
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -42,7 +50,7 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex {
             id: order::register(None, false),
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
@@ -50,7 +58,7 @@ impl<T> Mutex<T> {
     pub fn named(value: T, name: &'static str) -> Self {
         Mutex {
             id: order::register(Some(name), false),
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
@@ -59,13 +67,8 @@ impl<T> Mutex<T> {
     pub fn named_send_sensitive(value: T, name: &'static str) -> Self {
         Mutex {
             id: order::register(Some(name), true),
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
-    }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
     }
 }
 
@@ -75,20 +78,8 @@ impl<T: ?Sized> Mutex<T> {
         order::on_acquire(self.id);
         MutexGuard {
             id: self.id,
-            inner: self.inner.lock(),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
-    }
-
-    /// Non-blocking acquisition attempt.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = self.inner.try_lock()?;
-        order::on_acquire(self.id);
-        Some(MutexGuard { id: self.id, inner })
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -117,113 +108,12 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     }
 }
 
-// ---------------------------------------------------------------- RwLock
-
-/// A non-poisoning reader-writer lock wired into the lock-order detector
-/// (read and write acquisitions feed the same graph node).
-#[derive(Debug)]
-pub struct RwLock<T: ?Sized> {
-    id: u64,
-    inner: parking_lot::RwLock<T>,
-}
-
-/// Guard for [`RwLock::read`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    id: u64,
-    inner: parking_lot::RwLockReadGuard<'a, T>,
-}
-
-/// Guard for [`RwLock::write`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    id: u64,
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// An anonymous lock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            id: order::register(None, false),
-            inner: parking_lot::RwLock::new(value),
-        }
-    }
-
-    /// A named lock.
-    pub fn named(value: T, name: &'static str) -> Self {
-        RwLock {
-            id: order::register(Some(name), false),
-            inner: parking_lot::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        order::on_acquire(self.id);
-        RwLockReadGuard {
-            id: self.id,
-            inner: self.inner.read(),
-        }
-    }
-
-    /// Acquires an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        order::on_acquire(self.id);
-        RwLockWriteGuard {
-            id: self.id,
-            inner: self.inner.write(),
-        }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_release(self.id);
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        order::on_release(self.id);
-    }
-}
-
 // ---------------------------------------------------------------- Monitor
 
 /// A mutex paired with a condition variable — the shim for the
 /// `std::sync::{Mutex, Condvar}` rendezvous pattern (the streaming sink's
-/// writer wake-up). Poison-transparent: a panic while holding the lock
-/// does not poison it for everyone else, matching the rest of the shim.
-#[derive(Debug, Default)]
+/// writer wake-up). Poison-transparent, like [`Mutex`].
+#[derive(Debug)]
 pub struct Monitor<T> {
     id: u64,
     cv: std::sync::Condvar,
@@ -240,15 +130,6 @@ pub struct MonitorGuard<'a, T> {
 }
 
 impl<T> Monitor<T> {
-    /// An anonymous monitor.
-    pub fn new(value: T) -> Self {
-        Monitor {
-            id: order::register(None, false),
-            cv: std::sync::Condvar::new(),
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
     /// A named monitor.
     pub fn named(value: T, name: &'static str) -> Self {
         Monitor {
@@ -263,11 +144,7 @@ impl<T> Monitor<T> {
         order::on_acquire(self.id);
         MonitorGuard {
             id: self.id,
-            inner: Some(
-                self.inner
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            ),
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
         }
     }
 
@@ -284,7 +161,7 @@ impl<T> Monitor<T> {
         let (raw, result) = self
             .cv
             .wait_timeout(raw, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         order::on_acquire(self.id);
         (
             MonitorGuard {
@@ -324,36 +201,19 @@ impl<T> Drop for MonitorGuard<'_, T> {
 
 // ---------------------------------------------------------------- channels
 
-pub use crossbeam::channel::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+pub use std::sync::mpsc::{Receiver, RecvTimeoutError};
 
 /// The sending half of a shim channel; [`send`](Sender::send) runs the
 /// send-while-locked check before delegating.
 pub struct Sender<T> {
-    inner: crossbeam::channel::Sender<T>,
-}
-
-/// The receiving half of a shim channel.
-pub struct Receiver<T> {
-    inner: crossbeam::channel::Receiver<T>,
-}
-
-impl<T> std::fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Sender { .. }")
-    }
-}
-
-impl<T> std::fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Receiver { .. }")
-    }
+    inner: mpsc::Sender<T>,
 }
 
 impl<T> Sender<T> {
-    /// Enqueues `value`, failing once every receiver is gone. When
-    /// checking is enabled, first verifies no send-sensitive lock is
-    /// held on this thread.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+    /// Enqueues `value` without blocking, failing once the receiver is
+    /// gone. When checking is enabled, first verifies no send-sensitive
+    /// lock is held on this thread.
+    pub fn send(&self, value: T) -> Result<(), mpsc::SendError<T>> {
         order::check_channel_send();
         self.inner.send(value)
     }
@@ -367,84 +227,51 @@ impl<T> Clone for Sender<T> {
     }
 }
 
-impl<T> Receiver<T> {
-    /// Blocks until a value arrives or every sender is dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.inner.recv()
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.inner.try_recv()
-    }
-
-    /// Blocks up to `timeout` for a value.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        self.inner.recv_timeout(timeout)
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Non-blocking iterator over currently queued messages.
-    pub fn try_iter(&self) -> crossbeam::channel::TryIter<'_, T> {
-        self.inner.try_iter()
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        Receiver {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-/// A bounded MPMC channel (capacity semantics come from the underlying
-/// crossbeam implementation).
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = crossbeam::channel::bounded(capacity);
-    (Sender { inner: tx }, Receiver { inner: rx })
-}
-
-/// An unbounded MPMC channel.
+/// An unbounded multi-producer, single-consumer channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = crossbeam::channel::unbounded();
-    (Sender { inner: tx }, Receiver { inner: rx })
+    let (tx, rx) = mpsc::channel();
+    (Sender { inner: tx }, rx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::TryRecvError;
+    use std::sync::Arc;
 
+    /// A thread that panics while holding a lock leaves it usable, with
+    /// its data as the panicking thread left it.
     #[test]
-    fn mutex_and_rwlock_round_trip() {
-        let m = Mutex::new(1u32);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        let rw = RwLock::new(vec![1, 2]);
-        assert_eq!(rw.read().len(), 2);
-        rw.write().push(3);
-        assert_eq!(rw.read().len(), 3);
-        assert_eq!(m.into_inner(), 2);
+    fn mutex_and_monitor_survive_a_panicking_holder() {
+        let m = Arc::new(Mutex::named(vec![1u32], "test.poison.mutex"));
+        let mon = Arc::new(Monitor::named(10u32, "test.poison.monitor"));
+        let (m2, mon2) = (Arc::clone(&m), Arc::clone(&mon));
+        let panicked = std::thread::spawn(move || {
+            let mut held = m2.lock();
+            let mut watched = mon2.lock();
+            held.push(2);
+            *watched += 1;
+            panic!("holder dies with both locks held");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(*m.lock(), vec![1, 2]);
+        m.lock().push(3);
+        assert_eq!(*m.lock(), vec![1, 2, 3]);
+        assert_eq!(*mon.lock(), 11);
+        let (g, timed_out) = mon.wait_timeout(mon.lock(), Duration::from_millis(1));
+        assert!(timed_out);
+        assert_eq!(*g, 11);
     }
 
     #[test]
     fn monitor_wait_times_out_and_wakes() {
-        let mon = std::sync::Arc::new(Monitor::named(0u32, "test.monitor"));
+        let mon = Arc::new(Monitor::named(0u32, "test.monitor"));
         let g = mon.lock();
         let (g, timed_out) = mon.wait_timeout(g, Duration::from_millis(1));
         assert!(timed_out);
         drop(g);
-        let mon2 = std::sync::Arc::clone(&mon);
+        let mon2 = Arc::clone(&mon);
         let waiter = std::thread::spawn(move || {
             let mut g = mon2.lock();
             while *g == 0 {
@@ -461,16 +288,33 @@ mod tests {
 
     #[test]
     fn channels_round_trip() {
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = unbounded();
         tx.send(1u8).expect("receiver alive");
-        assert_eq!(rx.len(), 1);
         assert_eq!(rx.recv(), Ok(1));
-        assert!(rx.is_empty());
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert!(tx.send(2).is_err());
+    }
+
+    /// `recv_timeout` tells a live, empty channel (`Timeout`) from one
+    /// whose senders are all gone (`Disconnected`), and only reports the
+    /// latter once the queue is drained.
+    #[test]
+    fn recv_timeout_tells_timeout_from_disconnected() {
+        let (tx, rx) = unbounded::<u8>();
+        let wait = Duration::from_millis(1);
+        assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+        let tx2 = tx.clone();
+        tx.send(4).expect("receiver alive");
+        drop(tx);
+        assert_eq!(rx.recv_timeout(wait), Ok(4));
+        assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+        tx2.send(5).expect("receiver alive");
+        drop(tx2);
+        assert_eq!(rx.recv_timeout(wait), Ok(5));
+        assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
     }
 }

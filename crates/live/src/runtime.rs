@@ -25,7 +25,7 @@ use crate::headend::{spawn_control, spawn_reconciler, Headend};
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
 use crate::snapshot::{self, SnapshotState};
 use crate::wire::WireMembership;
-use oddci_check::sync::{bounded, Mutex, Receiver, RecvTimeoutError, Sender};
+use oddci_check::sync::{unbounded, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
 use oddci_core::pna::{HostInfo, Pna, PnaAction};
@@ -388,7 +388,7 @@ pub(crate) type Worker = (Sender<()>, JoinHandle<()>);
 /// Runs `turn` every `interval` on a thread of its own until the
 /// returned worker is stopped.
 pub(crate) fn every(interval: Duration, mut turn: impl FnMut() + Send + 'static) -> Worker {
-    let (stop, stopped) = bounded::<()>(1);
+    let (stop, stopped) = unbounded::<()>();
     let thread = std::thread::spawn(move || {
         while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
             turn();

@@ -687,7 +687,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn failed_finish_is_reported_to_every_caller_and_never_hangs() {
-        let (done_tx, done_rx) = oddci_check::sync::bounded(1);
+        let (done_tx, done_rx) = oddci_check::sync::unbounded();
         let probe = std::thread::spawn(move || {
             let sink = StreamingSink::builder("/dev/full")
                 .lanes(2)

@@ -1130,7 +1130,9 @@ impl WireClient {
     }
 
     /// The inbound message channel (fed by the reader thread; closes
-    /// when the connection dies).
+    /// when the connection dies). The receiver is std's `mpsc` one, which
+    /// is not `Sync`, so neither is a `WireClient`: one thread at a time
+    /// reads a connection's replies.
     pub fn receiver(&self) -> &Receiver<WireMsg> {
         &self.rx
     }

@@ -93,6 +93,8 @@ run bash -c 'target/release/oddci trace small --binary >/dev/null 2>&1; [ $? -eq
 # a headend process plus three PNA processes complete an alignment job
 # over loopback TCP, and the headend's accounting must balance exactly.
 ODDCI_BIN=target/release/oddci
+# Built by the schema_check run above; also holds each smoke's assertions.
+SCHEMA_CHECK=target/release/schema_check
 WIRE_PORT=${WIRE_PORT:-7841}
 echo "==> wire smoke: headend + 3 pna processes on 127.0.0.1:${WIRE_PORT}"
 "${ODDCI_BIN}" headend --listen "127.0.0.1:${WIRE_PORT}" \
@@ -105,13 +107,7 @@ sleep 1
 # monitoring connection never consumes a node identity.
 "${ODDCI_BIN}" top --connect "127.0.0.1:${WIRE_PORT}" --count 1 --json \
     > results/ci-top.json
-python3 - <<'EOF'
-import json
-with open("results/ci-top.json") as f:
-    snap = json.load(f)
-assert snap["registry"]["counters"], snap
-print("    live stats: non-empty metrics registry from the running headend")
-EOF
+"${SCHEMA_CHECK}" smoke top
 for seed in 101 102 103; do
     "${ODDCI_BIN}" pna --connect "127.0.0.1:${WIRE_PORT}" --seed "${seed}" \
         > /dev/null &
@@ -122,17 +118,7 @@ for pid in ${PNA_PIDS}; do
     wait "${pid}"
 done
 PNA_PIDS=""
-python3 - <<'EOF'
-import json
-with open("results/ci-wire-smoke.json") as f:
-    report = json.load(f)
-assert report["tasks_completed"] == 9, report
-assert report["tasks_unaccounted"] == 0, report
-assert report["threads_failed"] == 0, report
-assert report["wire"]["multi_chunk_tx"] >= 1, report
-assert report["wire"]["checksum_rejects"] == 0, report
-print("    wire smoke: 9 tasks over loopback, accounting balanced")
-EOF
+"${SCHEMA_CHECK}" smoke wire
 
 # Failover smoke: a snapshotting primary plus three reconnecting PNAs;
 # SIGKILL the primary mid-job (no goodbye — the listener just dies),
@@ -173,21 +159,7 @@ for pid in ${PNA_PIDS}; do
     wait "${pid}"
 done
 PNA_PIDS=""
-python3 - <<'EOF'
-import json
-with open("results/ci-failover-standby.json") as f:
-    standby = json.load(f)
-assert standby["epoch"] == 1, standby
-assert standby["adopted_jobs"] >= 1, standby
-assert standby["tasks_completed"] == 4000, standby
-assert standby["tasks_unaccounted"] == 0, standby
-assert standby["threads_failed"] == 0, standby
-for seed in (201, 202, 203):
-    with open(f"results/ci-failover-pna-{seed}.json") as f:
-        pna = json.load(f)
-    assert pna["epoch"] == 1, (seed, pna)
-print("    failover smoke: standby adopted at epoch 1, 4000 tasks, none lost")
-EOF
+"${SCHEMA_CHECK}" smoke failover
 rm -rf "${FAILOVER_SNAP}"
 
 # Autoscale smoke: the elastic-sizing drill on a fixed seed. The drill
@@ -198,68 +170,14 @@ rm -rf "${FAILOVER_SNAP}"
 # output records the evidence, not just the exit code.
 echo "==> autoscale smoke: elastic drill, spot-like revocation, fixed seed"
 "${ODDCI_BIN}" autoscale --seed 42 --json > results/ci-autoscale.json
-python3 - <<'EOF'
-import json
-with open("results/ci-autoscale.json") as f:
-    drill = json.load(f)
-assert drill["scale_ups"] >= 1, drill
-assert drill["scale_downs"] >= 1, drill
-assert drill["tasks_lost"] == 0, drill
-assert drill["tasks_unaccounted"] == 0, drill
-assert drill["threads_failed"] == 0, drill
-assert drill["tasks_completed"] == drill["queries"], drill
-print(
-    "    autoscale smoke: {} up / {} down / {} replace, "
-    "{} tasks, none lost".format(
-        drill["scale_ups"], drill["scale_downs"],
-        drill["replacements"], drill["tasks_completed"],
-    )
-)
-EOF
+"${SCHEMA_CHECK}" smoke autoscale
 
 # Docs gates: every relative markdown cross-reference must resolve, and
 # every `--flag` the operator runbook documents must exist in `oddci
 # help` (so the runbook cannot drift from the CLI).
 echo "==> docs: markdown link check + runbook flag check"
 "${ODDCI_BIN}" help > results/ci-help.txt
-python3 - <<'EOF'
-import os, re
-
-bad = []
-for root, dirs, files in os.walk("."):
-    dirs[:] = [d for d in dirs if d not in (".git", "target", "vendor", "results")]
-    for name in files:
-        if not name.endswith(".md"):
-            continue
-        path = os.path.join(root, name)
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-        for m in re.finditer(r"\[[^\]]*\]\(([^)\s]+)\)", text):
-            target = m.group(1)
-            if target.startswith(("http://", "https://", "mailto:", "#")):
-                continue
-            target = target.split("#", 1)[0]
-            if not target:
-                continue
-            resolved = os.path.normpath(os.path.join(os.path.dirname(path), target))
-            if not os.path.exists(resolved):
-                bad.append(f"{path}: broken link -> {m.group(1)}")
-assert not bad, "\n".join(bad)
-print("    docs: every relative markdown link resolves")
-
-with open("results/ci-help.txt", encoding="utf-8") as f:
-    known = set(re.findall(r"--[a-z][a-z0-9-]*", f.read()))
-# Cargo's own flags show up in runbook build/test instructions.
-known |= {"--release", "--offline", "--workspace"}
-with open("OPERATIONS.md", encoding="utf-8") as f:
-    ops = f.read()
-# Link targets (e.g. anchors like `#6-durability--failover`) are not
-# documented flags — drop them before scanning.
-ops = re.sub(r"\]\([^)]*\)", "]", ops)
-missing = sorted({f for f in re.findall(r"--[a-z][a-z0-9-]*", ops) if f not in known})
-assert not missing, f"OPERATIONS.md documents flags `oddci help` does not know: {missing}"
-print(f"    docs: every OPERATIONS.md flag appears in `oddci help`")
-EOF
+"${SCHEMA_CHECK}" smoke docs
 
 # Benchmark gate (opt-in): a fresh set against the committed baseline.
 # `compare` exits 1 on a `worse` row or a larger failed share and 2 on
