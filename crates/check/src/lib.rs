@@ -38,7 +38,7 @@
 //! (span phases via `span`/`duration`, instant phases via `instant`),
 //! every live message-enum variant has a handler, and `unwrap()` /
 //! `expect()` are banned in the live hot paths. Run it (and the explorer)
-//! via the `oddci-check` binary or the `oddci check` CLI subcommand.
+//! via the `oddci check` CLI subcommand.
 
 pub mod explore;
 pub mod hb;

@@ -21,7 +21,7 @@
 //! these types unconditionally. With checking enabled
 //! ([`crate::enable`] / `ODDCI_CHECK=1`) each acquisition feeds the
 //! acquisition-order graph and each send is checked against held
-//! send-sensitive locks. The workspace lint (`oddci-check lint`) enforces
+//! send-sensitive locks. The workspace lint (`oddci check`) enforces
 //! that no code outside this crate reaches for the raw types.
 
 use crate::order;

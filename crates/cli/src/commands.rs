@@ -193,7 +193,6 @@ fn chrome_stream_path(jsonl_path: &str) -> String {
 /// the JSONL and Chrome text forms offline).
 fn open_stream_sink(
     stream_path: &str,
-    lanes: usize,
     lane_capacity: Option<usize>,
     scenario: &str,
     seed: u64,
@@ -211,7 +210,6 @@ fn open_stream_sink(
         builder = builder.lane_capacity(capacity);
     }
     builder
-        .lanes(lanes)
         .meta("scenario", scenario)
         .meta("seed", seed.to_string())
         .meta("plane", plane)
@@ -256,18 +254,25 @@ fn stream_summary_line(summary: &oddci_telemetry::SinkSummary) -> String {
     )
 }
 
-/// `oddci trace`: run one scenario with event recording enabled, export a
-/// Chrome `trace_event` file and print the per-phase latency breakdown.
-/// With `--stream <path>` the run *also* streams every event to a binary
-/// trace file as it happens, and the `W = 1.5·I/β` agreement check is
-/// recomputed from that file instead of the in-memory ring.
+/// `oddci trace`: run one scenario streaming every event to a binary
+/// trace (`--stream`, default `<out stem>.trace.bin`), convert that file
+/// into the Chrome `trace_event` document `--out`, and print the
+/// per-phase latency breakdown plus the `W = 1.5·I/β` agreement check,
+/// computed from the streamed events.
 pub fn trace(p: &Parsed) -> Result<String, ArgError> {
     use oddci_faults::FaultPlan;
-    use oddci_telemetry::{export, Phase, Telemetry};
+    use oddci_telemetry::{binary, sink::span_durations_us, Phase, Telemetry};
+    use std::path::Path;
 
     let scenario = p.get("scenario").unwrap_or("small");
     let out_path = p.get("out").unwrap_or("results/trace.json");
-    let stream_path = p.get("stream");
+    let stream_path = match p.get("stream") {
+        Some(path) => path.to_string(),
+        None => format!(
+            "{}.trace.bin",
+            out_path.strip_suffix(".json").unwrap_or(out_path)
+        ),
+    };
     let seed: u64 = p.num("seed", 42)?;
     let lane_capacity = lane_capacity_arg(p)?;
 
@@ -283,21 +288,8 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
         }
     };
 
-    let sink = match stream_path {
-        Some(path) => Some(open_stream_sink(
-            path,
-            4,
-            lane_capacity,
-            scenario,
-            seed,
-            "sim",
-        )?),
-        None => None,
-    };
-    let mut tele = Telemetry::recording();
-    if let Some(sink) = &sink {
-        tele = tele.with_sink(sink.clone());
-    }
+    let sink = open_stream_sink(&stream_path, lane_capacity, scenario, seed, "sim")?;
+    let tele = Telemetry::streaming(sink.clone());
     let cfg = WorldConfig {
         nodes,
         faults,
@@ -321,16 +313,19 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
         .run_request(request, SimTime::from_secs(365 * 24 * 3600))
         .ok_or_else(|| ArgError("job did not complete within a simulated year".into()))?;
 
-    let events = tele.events();
-    let trace_json = export::chrome_trace(&events);
-    let path = std::path::Path::new(out_path);
+    let summary = sink
+        .finish()
+        .map_err(|e| ArgError(format!("stream writer failed: {e}")))?;
+    let streamed = binary::read_file(Path::new(&stream_path))
+        .map_err(|e| ArgError(format!("cannot read back `{stream_path}`: {e}")))?;
+    let path = Path::new(out_path);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)
                 .map_err(|e| ArgError(format!("cannot create `{}`: {e}", parent.display())))?;
         }
     }
-    std::fs::write(path, &trace_json)
+    binary::convert(&streamed, None, Some(path))
         .map_err(|e| ArgError(format!("cannot write `{out_path}`: {e}")))?;
 
     let mut out = String::new();
@@ -338,22 +333,15 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
     let _ = writeln!(out, "  audience   : {nodes} receivers, instance {target}");
     let _ = writeln!(out, "  job        : {tasks} tasks x {cost_secs}s");
     let _ = writeln!(out, "  makespan   : {}", report.makespan);
-    let _ = writeln!(out, "  trace      : {} events -> {out_path}", events.len());
-    let streamed_events = match (&sink, stream_path) {
-        (Some(sink), Some(path)) => {
-            let summary = sink
-                .finish()
-                .map_err(|e| ArgError(format!("stream writer failed: {e}")))?;
-            let _ = writeln!(out, "  streamed   : {}", stream_summary_line(&summary));
-            let trace = oddci_telemetry::binary::read_file(std::path::Path::new(path))
-                .map_err(|e| ArgError(format!("cannot read back `{path}`: {e}")))?;
-            if let Some(report) = &trace.truncated {
-                let _ = writeln!(out, "  truncated  : {report}");
-            }
-            Some(trace.events)
-        }
-        _ => None,
-    };
+    let _ = writeln!(out, "  streamed   : {}", stream_summary_line(&summary));
+    if let Some(report) = &streamed.truncated {
+        let _ = writeln!(out, "  truncated  : {report}");
+    }
+    let _ = writeln!(
+        out,
+        "  trace      : {} events -> {out_path}",
+        streamed.events.len()
+    );
     let _ = writeln!(out);
     let _ = writeln!(
         out,
@@ -371,37 +359,25 @@ pub fn trace(p: &Parsed) -> Result<String, ArgError> {
     // Wakeup agreement: the measured wakeup is wait-for-config plus image
     // read; the §5.1 mean W = 1.5·I/β covers the image-only carousel, so
     // the measured mean should land inside the [best, worst] envelope
-    // widened by the small PNA/config files sharing the cycle. When
-    // streaming, the components are recomputed from the on-disk artifact
-    // — the check the ring cannot support once it wraps.
-    let mean_us = |durs: &[u64]| -> f64 {
+    // widened by the small PNA/config files sharing the cycle. Both
+    // components come from the streamed file, which holds every event of
+    // the run however long it was.
+    let mean_secs = |phase: Phase| -> f64 {
+        let durs = span_durations_us(&streamed.events, phase);
         if durs.is_empty() {
             0.0
         } else {
             durs.iter().sum::<u64>() as f64 / durs.len() as f64 / 1e6
         }
     };
-    let (source, wait_mean, boot_mean) = match &streamed_events {
-        Some(evs) => {
-            use oddci_telemetry::sink::span_durations_us;
-            (
-                "streamed trace",
-                mean_us(&span_durations_us(evs, Phase::WakeupWait)),
-                mean_us(&span_durations_us(evs, Phase::DveBoot)),
-            )
-        }
-        None => (
-            "ring",
-            tele.phase_summary(Phase::WakeupWait).mean,
-            tele.phase_summary(Phase::DveBoot).mean,
-        ),
-    };
+    let wait_mean = mean_secs(Phase::WakeupWait);
+    let boot_mean = mean_secs(Phase::DveBoot);
     let measured = wait_mean + boot_mean;
     let (_, w_mean, _) = wakeup_envelope(DataSize::from_megabytes(image_mb), beta);
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "  wakeup ({source}): measured {measured:.1}s (wait {wait_mean:.1}s + boot {boot_mean:.1}s) vs W = 1.5·I/β = {:.1}s ({:+.0}%)",
+        "  wakeup (streamed trace): measured {measured:.1}s (wait {wait_mean:.1}s + boot {boot_mean:.1}s) vs W = 1.5·I/β = {:.1}s ({:+.0}%)",
         w_mean.as_secs_f64(),
         100.0 * (measured - w_mean.as_secs_f64()) / w_mean.as_secs_f64()
     );
@@ -774,24 +750,15 @@ pub fn soak(p: &Parsed) -> Result<String, ArgError> {
     let work: Vec<std::sync::Arc<Vec<u8>>> = (0..queries)
         .map(|i| std::sync::Arc::new(random_sequence(16, seed ^ i)))
         .collect();
-    // The control thread offers on lane 0; node threads, which also run
-    // the headend's heartbeats and dispatch, spread by track.
     let lane_capacity = lane_capacity_arg(p)?;
     let sink = match p.get("trace-out") {
-        Some(path) => Some(open_stream_sink(
-            path,
-            4,
-            lane_capacity,
-            "soak",
-            seed,
-            "live",
-        )?),
+        Some(path) => Some(open_stream_sink(path, lane_capacity, "soak", seed, "live")?),
         None => None,
     };
-    let mut tele = Telemetry::recording();
-    if let Some(sink) = &sink {
-        tele = tele.with_sink(sink.clone());
-    }
+    let tele = match &sink {
+        Some(sink) => Telemetry::streaming(sink.clone()),
+        None => Telemetry::disabled(),
+    };
     let live = LiveOddci::start(LiveConfig {
         nodes,
         seed,

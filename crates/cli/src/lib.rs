@@ -195,15 +195,14 @@ COMMANDS:
                                    (window in seconds; default: standard mix)
                   --intensity F    scale every rate by F   [1.0]
                   --json           machine-readable output
-    trace       run one scenario with event recording and export a Chrome
-                trace (chrome://tracing / Perfetto), plus a per-phase table
+    trace       run one scenario streaming every event to a binary trace,
+                convert it to a Chrome trace (chrome://tracing / Perfetto),
+                and print a per-phase table and the wakeup check
                   [scenario]       small | standard | chaos [small]
-                  --out PATH       trace file              [results/trace.json]
+                  --out PATH       Chrome trace file       [results/trace.json]
                   --seed S         simulation seed         [42]
-                  --stream PATH    also stream every event to PATH, a binary
-                                   .trace.bin, during the run; the wakeup
-                                   check then uses that file instead of the
-                                   ring (text forms: `trace convert`)
+                  --stream PATH    the binary .trace.bin the run streams to
+                                   [--out stem + .trace.bin]
                   --lane-capacity N  events buffered per sink lane [65536]
     trace convert  re-emit JSONL + Chrome text from a binary trace (the only
                 producer of either text form)
@@ -467,11 +466,25 @@ mod tests {
         let dir = std::env::temp_dir().join("oddci-cli-trace-test");
         let path = dir.join("trace.json");
         let out = run(&argv(&["trace", "small", "--out", path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("wakeup (ring): measured"), "{out}");
+        assert!(out.contains("wakeup (streamed trace): measured"), "{out}");
+        assert_eq!(out.matches("wakeup (").count(), 1, "{out}");
+        assert!(out.contains("0 dropped (0.0%)"), "{out}");
         assert!(out.contains("dve.boot"), "{out}");
+        // `--out` is converted from the default stream beside it.
+        let trace = oddci_telemetry::binary::read_file(&dir.join("trace.trace.bin"))
+            .expect("default stream path");
         let text = std::fs::read_to_string(&path).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).expect("valid trace JSON");
-        assert!(!v["traceEvents"].as_array().unwrap().is_empty());
+        let rows = v["traceEvents"].as_array().unwrap();
+        let event_rows = rows
+            .iter()
+            .filter(|r| r["ph"].as_str() != Some("M"))
+            .count();
+        assert_eq!(event_rows, trace.events.len());
+        assert!(
+            out.contains(&format!("{} events ->", trace.events.len())),
+            "{out}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -137,7 +137,6 @@ impl BroadcastTechnology {
             in_use_fraction: self.in_use_fraction(),
             controller_tick: SimDuration::from_secs(60),
             key: format!("oddci-{}", self.label()).into_bytes(),
-            trace_capacity: None,
             ..Default::default()
         }
     }

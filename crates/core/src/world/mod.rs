@@ -44,7 +44,7 @@ use oddci_net::link::{DirectLink, Direction};
 use oddci_receiver::compute::{ComputeModel, UsageMode};
 use oddci_receiver::dve::DveState;
 use oddci_receiver::SetTopBox;
-use oddci_sim::{ChurnProcess, Context, Model, SeedForge, Simulator, TraceLog};
+use oddci_sim::{ChurnProcess, Context, Model, SeedForge, Simulator};
 use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
 use oddci_types::{
     ChannelId, DataSize, DirectChannelConfig, DtvSystemConfig, InstanceId, JobId, NodeId,
@@ -84,18 +84,15 @@ pub struct WorldConfig {
     pub controller_tick: SimDuration,
     /// Controller↔PNA shared authentication key.
     pub key: Vec<u8>,
-    /// When `Some(n)`, record up to `n` timeline milestones (publishes,
-    /// joins, losses, job completions) retrievable via [`World::trace`].
-    pub trace_capacity: Option<usize>,
     /// Faults to inject (empty by default — a fault-free world).
     pub faults: FaultPlan,
     /// Retry policy for task fetches and result uploads that hit injected
     /// losses or Backend stalls.
     pub fetch_backoff: Backoff,
     /// Observability: the metrics registry is always on; pass
-    /// [`Telemetry::recording`] to also capture span/instant events for
-    /// trace export. Recording is write-only and never perturbs the
-    /// deterministic simulation.
+    /// [`Telemetry::recording`] (a ring) or [`Telemetry::streaming`] (a
+    /// trace file) to also capture span/instant events. Recording is
+    /// write-only and never perturbs the deterministic simulation.
     pub telemetry: Telemetry,
 }
 
@@ -111,7 +108,6 @@ impl Default for WorldConfig {
             in_use_fraction: 0.5,
             controller_tick: SimDuration::from_secs(60),
             key: b"oddci-dtv-controller".to_vec(),
-            trace_capacity: None,
             faults: FaultPlan::none(),
             fetch_backoff: Backoff::default(),
             telemetry: Telemetry::disabled(),
@@ -148,7 +144,6 @@ pub struct World {
     instance_job: BTreeMap<InstanceId, JobId>,
     job_instance: BTreeMap<JobId, InstanceId>,
     metrics: WorldMetrics,
-    trace: TraceLog,
     /// Compiled fault plan; pure per-query decisions (see `oddci-faults`).
     injector: FaultInjector,
     /// Seed for deterministic backoff jitter (per-node mixing).
@@ -192,7 +187,6 @@ impl World {
         );
         // The Controller's audience estimate is the channel population.
         config.policy.assumed_audience = config.nodes;
-        let trace_capacity = config.trace_capacity;
 
         let forge = SeedForge::new(seed);
         let chan_id = ChannelId::new(1);
@@ -266,10 +260,6 @@ impl World {
             instance_job: BTreeMap::new(),
             job_instance: BTreeMap::new(),
             metrics,
-            trace: match trace_capacity {
-                Some(n) => TraceLog::new(n),
-                None => TraceLog::disabled(),
-            },
             injector,
             jitter_seed,
             tele,
@@ -304,11 +294,6 @@ impl World {
     /// The world's telemetry handle (registry + recorder).
     pub fn telemetry(&self) -> &Telemetry {
         &self.tele
-    }
-
-    /// The milestone timeline (empty unless `trace_capacity` was set).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// One node's runtime state (tests and harnesses).
@@ -582,13 +567,6 @@ impl World {
                 );
             }
         }
-        self.trace.record(now, || match signed.message {
-            ControlMessage::Wakeup(w) => format!(
-                "broadcast wakeup for {inst} (image {}, p={})",
-                w.image_size, w.probability
-            ),
-            ControlMessage::Reset(_) => format!("broadcast reset for {inst}"),
-        });
         self.tele.instant(
             now.as_micros(),
             Phase::CarouselPublish,
@@ -714,8 +692,6 @@ impl World {
                     }
                 }
                 ControllerOutput::NodeLost { node, instance } => {
-                    self.trace
-                        .record(now, || format!("{node} lost from {instance}"));
                     self.tele
                         .instant(now.as_micros(), Phase::NodeLost, node.raw(), instance.raw());
                     let affected = self.backend.node_lost(node);
@@ -748,9 +724,6 @@ impl World {
             .complete(req, now, completed, requeues, wakeups)
             .is_some()
         {
-            self.trace.record(now, || {
-                format!("{job} complete: {completed} tasks, {requeues} requeues")
-            });
             if let Some(report) = self.provider.report(req) {
                 let begin = now.as_micros().saturating_sub(report.makespan.as_micros());
                 self.tele.span(
@@ -902,12 +875,6 @@ impl World {
             id.raw(),
             inst.raw(),
         );
-        self.trace.record(now, || {
-            format!(
-                "{id} joined {inst} ({:.1}s after publish)",
-                (now - first_publish).as_secs_f64()
-            )
-        });
         self.send_heartbeat(id, now, sched);
         if job.is_some() {
             self.request_task(id, now, sched);
@@ -1256,7 +1223,6 @@ impl Model for World {
                                 self.metrics.tasks_orphaned.inc();
                             }
                             let new_epoch = n.epoch;
-                            self.trace.record(now, || format!("{node} PNA crashed"));
                             sched(
                                 now + downtime,
                                 WorldEvent::PnaRestart {
@@ -1478,8 +1444,8 @@ impl OddciSim {
     }
 
     /// Runs until `req` completes or `horizon` passes. Returns the report
-    /// if the job finished. When a streaming [`TraceSink`] is attached to
-    /// the world's telemetry, its buffers are flushed before returning,
+    /// if the job finished. When the world's telemetry streams to a
+    /// [`TraceSink`], its buffers are flushed before returning,
     /// so the on-disk trace covers the whole request either way.
     ///
     /// [`TraceSink`]: oddci_telemetry::TraceSink

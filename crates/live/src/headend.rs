@@ -524,11 +524,10 @@ impl Headend {
 }
 
 /// Starts the headend's one control thread: every `tick`, the
-/// Controller's loss detection and recomposition. Its trace offers are
-/// pinned to sink lane 0; every other emitter spreads by track.
+/// Controller's loss detection and recomposition.
 pub(crate) fn spawn_control(headend: &Arc<Headend>, tick: Duration) -> Worker {
     let headend = Arc::clone(headend);
-    let tele = headend.tele.with_sink_lane(0);
+    let tele = headend.tele.clone();
     every(tick, move || {
         headend.drive(&tele, |control, now| control.controller.tick(now));
     })

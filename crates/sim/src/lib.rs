@@ -55,14 +55,12 @@ pub mod queue;
 pub mod replication;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 pub use churn::{ChurnProcess, OnOffState};
 pub use queue::EventQueue;
 pub use replication::{replication_seeds, ReplicatedEstimate};
 pub use rng::SeedForge;
 pub use stats::{Histogram, Summary, Welford};
-pub use trace::TraceLog;
 
 use oddci_types::{SimDuration, SimTime};
 use rand::rngs::SmallRng;

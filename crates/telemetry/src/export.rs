@@ -1,8 +1,8 @@
-//! Every text format lives here: the batch Chrome `trace_event`
-//! exporter for the ring ([`chrome_trace`]), the JSONL and Chrome *stream*
+//! Every text format lives here: the JSONL and Chrome `trace_event`
 //! artifacts `oddci trace convert` derives from a binary trace (the row
-//! writer behind [`crate::binary::convert`], and [`read_jsonl_events`] to
-//! read the JSONL one back), and a Prometheus-style text dump.
+//! writer behind [`crate::binary::convert`], their one producer, and
+//! [`read_jsonl_events`] to read the JSONL one back), and a
+//! Prometheus-style text dump.
 //!
 //! All of them run after the run, on recorded data, so none holds a
 //! telemetry lock while the system under observation is working.
@@ -48,8 +48,6 @@ fn s(text: &str) -> Value {
 }
 
 /// The `M` metadata row naming a track's lane in the trace viewer.
-/// Shared by the batch exporter and the stream writer so both artifact
-/// flavors render byte-identical rows.
 fn thread_meta_row(track: u64) -> Value {
     let name = if track == CONTROL_TRACK {
         "control-plane".to_string()
@@ -86,36 +84,6 @@ fn event_row(ev: &Event) -> Value {
     entries.push(("args", obj(vec![("scope", num(ev.scope))])));
     obj(entries)
 }
-
-/// Render events as Chrome `trace_event` JSON (the `about://tracing` /
-/// Perfetto "JSON Object Format"): `{"traceEvents": [...]}` with `B`/`E`
-/// duration events, `i` instants, and `M` metadata rows naming each
-/// track. Events are stable-sorted by timestamp so retro-emitted spans
-/// come out in viewer order.
-pub fn chrome_trace(events: &[Event]) -> String {
-    let mut sorted: Vec<Event> = events.to_vec();
-    sorted.sort_by_key(|e| e.ts_us);
-
-    let mut tracks: Vec<u64> = sorted.iter().map(|e| e.track).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-
-    let mut rows: Vec<Value> = Vec::with_capacity(sorted.len() + tracks.len());
-    for track in &tracks {
-        rows.push(thread_meta_row(*track));
-    }
-    for ev in &sorted {
-        rows.push(event_row(ev));
-    }
-
-    let doc = obj(vec![
-        ("traceEvents", Value::Array(rows)),
-        ("displayTimeUnit", s("ms")),
-    ]);
-    serde_json::to_string(&doc).expect("chrome trace serializes")
-}
-
-// ------------------------------------------------------- stream artifacts
 
 /// The two text artifacts a binary trace converts to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -354,48 +322,7 @@ pub fn prometheus(snapshot: &RegistrySnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Phase;
-    use crate::recorder::Recorder;
     use crate::registry::Registry;
-
-    fn sample_events() -> Vec<Event> {
-        let r = Recorder::with_capacity(64);
-        r.instant(0, Phase::CarouselPublish, CONTROL_TRACK, 7);
-        r.span(0, 1500, Phase::WakeupWait, 2, 7);
-        r.span(1500, 9000, Phase::DveBoot, 2, 7);
-        r.instant(9000, Phase::Heartbeat, 2, 7);
-        r.events()
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_sorted_and_paired() {
-        let text = chrome_trace(&sample_events());
-        let doc: Value = serde_json::from_str(&text).unwrap();
-        let rows = doc["traceEvents"].as_array().unwrap();
-        // 2 metadata rows (control + node-2) + 6 events.
-        assert_eq!(rows.len(), 8);
-
-        let mut last_ts = 0u64;
-        let mut begins = 0i64;
-        for row in rows {
-            let ph = row["ph"].as_str().unwrap();
-            if ph == "M" {
-                continue;
-            }
-            let ts = row["ts"].as_u64().unwrap();
-            assert!(ts >= last_ts, "timestamps must be monotone");
-            last_ts = ts;
-            match ph {
-                "B" => begins += 1,
-                "E" => begins -= 1,
-                "i" => assert_eq!(row["s"].as_str(), Some("t")),
-                other => panic!("unexpected ph {other}"),
-            }
-            assert_eq!(row["pid"].as_u64(), Some(1));
-            assert_eq!(row["cat"].as_str(), Some("oddci"));
-        }
-        assert_eq!(begins, 0, "every B has a matching E");
-    }
 
     #[test]
     fn track_tid_maps_control_to_zero() {

@@ -11,15 +11,16 @@
 //!   [`LatencyHistogram`]) are *always on*. They back the public
 //!   `MetricsSnapshot`, so toggling tracing can never change a reported
 //!   number.
-//! * **Tracing** ([`Recorder`]) is *opt-in*: a ring buffer of
-//!   [`Event`]s, overwritten oldest-first, cheap enough to leave enabled
-//!   in benches. Exporters ([`export::chrome_trace`],
-//!   [`export::prometheus`]) turn recordings into viewer-ready text.
-//!   For runs whose event count dwarfs any ring (million-node sweeps), a
-//!   streaming [`TraceSink`] ([`Telemetry::with_sink`]) tees every event
-//!   to disk *during* the run with non-blocking, drop-with-counter
-//!   semantics — see the [`sink`] module. It writes the [`binary`]
-//!   format; `oddci trace convert` derives JSONL/Chrome text offline.
+//! * **Tracing** is *opt-in*, and a handle sends each event exactly one
+//!   way: nowhere ([`Telemetry::disabled`]), into an in-memory ring
+//!   ([`Telemetry::recording`], a [`Recorder`] that overwrites oldest
+//!   first), or to a streaming [`TraceSink`] ([`Telemetry::streaming`])
+//!   that persists every event to disk *during* the run with
+//!   non-blocking, drop-with-counter semantics — see the [`sink`]
+//!   module. The sink writes the [`binary`] format, and
+//!   [`binary::convert`] is the one writer of JSONL and Chrome
+//!   `trace_event` text (`oddci trace convert`).
+//!   [`export::prometheus`] renders the metrics half.
 //!
 //! The [`Telemetry`] bundle ties both together and pre-caches a
 //! per-[`Phase`] histogram and counter, so the hot path is one branch +
@@ -65,27 +66,31 @@ pub use sink::{SinkStats, SinkSummary, StreamingSink, TraceSink};
 
 use std::sync::Arc;
 
-/// The bundle call sites hold: a shared registry, an optional event
-/// recorder, an optional streaming [`TraceSink`], and pre-resolved
-/// per-phase handles. Cloning is cheap and all clones observe the same
-/// underlying state.
+/// The bundle call sites hold: a shared registry, where trace events
+/// go, and pre-resolved per-phase handles. Cloning is cheap and all
+/// clones observe the same underlying state.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    recorder: Recorder,
+    trace: Trace,
     registry: Arc<Registry>,
     phase_hist: Arc<[LatencyHistogram; Phase::COUNT]>,
     phase_count: Arc<[Counter; Phase::COUNT]>,
-    /// Streaming tee: every recorded event is also offered here. `None`
-    /// (the default) keeps the ring as the only consumer.
-    sink: Option<Arc<dyn TraceSink>>,
-    /// Lane this handle pins its offers to (see
-    /// [`Telemetry::with_sink_lane`]); `None` spreads by track.
-    sink_lane: Option<usize>,
     /// Total events the sink rejected (`telemetry.events_dropped`).
     sink_dropped: Counter,
     /// Per-phase sink drops (`telemetry.events_dropped.<phase>`).
     sink_dropped_phase: Arc<[Counter; Phase::COUNT]>,
 }
+
+/// The one route a handle's span/instant events take.
+#[derive(Debug, Clone)]
+enum Trace {
+    Off,
+    Ring(Recorder),
+    Stream(Arc<dyn TraceSink>),
+}
+
+/// What [`Telemetry::recorder`] lends a handle without a ring.
+static NO_RING: Recorder = Recorder::disabled();
 
 impl Default for Telemetry {
     fn default() -> Self {
@@ -102,19 +107,17 @@ fn phase_handles(
 }
 
 impl Telemetry {
-    fn with_recorder(recorder: Recorder) -> Self {
+    fn with_trace(trace: Trace) -> Self {
         let registry = Arc::new(Registry::new());
         let (hist, count) = phase_handles(&registry);
         let sink_dropped = registry.counter("telemetry.events_dropped");
         let sink_dropped_phase = Phase::ALL
             .map(|p| registry.counter(&format!("telemetry.events_dropped.{}", p.label())));
         Telemetry {
-            recorder,
+            trace,
             registry,
             phase_hist: Arc::new(hist),
             phase_count: Arc::new(count),
-            sink: None,
-            sink_lane: None,
             sink_dropped,
             sink_dropped_phase: Arc::new(sink_dropped_phase),
         }
@@ -122,62 +125,34 @@ impl Telemetry {
 
     /// Metrics on, tracing off (the default for tests and sweeps).
     pub fn disabled() -> Self {
-        Telemetry::with_recorder(Recorder::disabled())
+        Telemetry::with_trace(Trace::Off)
     }
 
-    /// Metrics on, tracing on with the default ring capacity.
+    /// Metrics on, events kept in an in-memory ring of the default
+    /// capacity (read back with [`Telemetry::events`]).
     pub fn recording() -> Self {
-        Telemetry::with_recorder(Recorder::enabled())
+        Telemetry::with_trace(Trace::Ring(Recorder::enabled()))
     }
 
-    /// Metrics on, tracing on with an explicit ring capacity. A capacity
-    /// of zero is metrics-only mode (no ring), not a degenerate one-slot
-    /// ring — attach a [`TraceSink`] if you still want the event stream.
-    pub fn recording_with_capacity(capacity: usize) -> Self {
-        Telemetry::with_recorder(Recorder::with_capacity(capacity))
-    }
-
-    /// Attach a streaming sink: every event recorded from now on is also
-    /// offered to `sink`. Builder-style — call before handing clones out
-    /// so all of them share the sink:
+    /// Metrics on, every event offered to `sink` as it happens and kept
+    /// nowhere else:
     ///
     /// ```no_run
     /// use oddci_telemetry::{sink::StreamingSink, Telemetry};
     /// let sink = StreamingSink::builder("run.trace.bin").start().unwrap();
-    /// let tele = Telemetry::recording().with_sink(sink);
+    /// let tele = Telemetry::streaming(sink);
     /// ```
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// A clone of this handle whose offers are pinned to sink lane
-    /// `lane`. Hand one to a long-lived emitter (the live headend's
-    /// control thread) so all its offers go to that one lane. No-op when
-    /// no sink is attached.
-    pub fn with_sink_lane(&self, lane: usize) -> Telemetry {
-        let mut clone = self.clone();
-        clone.sink_lane = Some(lane);
-        clone
-    }
-
-    /// The attached streaming sink, if any.
-    pub fn sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.sink.as_ref()
+    pub fn streaming(sink: Arc<dyn TraceSink>) -> Self {
+        Telemetry::with_trace(Trace::Stream(sink))
     }
 
     /// Block until every event offered so far is handed to the OS. No-op
     /// without a sink. Call after joining worker threads and *before*
     /// reading accounting derived from the stream.
     pub fn flush_sink(&self) {
-        if let Some(sink) = &self.sink {
+        if let Trace::Stream(sink) = &self.trace {
             sink.flush();
         }
-    }
-
-    /// Traffic counters of the attached sink, if any.
-    pub fn sink_stats(&self) -> Option<SinkStats> {
-        self.sink.as_ref().map(|s| s.stats())
     }
 
     /// Total events the sink rejected (the `telemetry.events_dropped`
@@ -186,18 +161,11 @@ impl Telemetry {
         self.sink_dropped.get()
     }
 
-    fn offer_to_sink(&self, ev: Event) {
-        if let Some(sink) = &self.sink {
-            if !sink.offer(ev, self.sink_lane) {
-                self.sink_dropped.inc();
-                self.sink_dropped_phase[ev.phase.index()].inc();
-            }
+    fn offer(&self, sink: &Arc<dyn TraceSink>, ev: Event) {
+        if !sink.offer(ev) {
+            self.sink_dropped.inc();
+            self.sink_dropped_phase[ev.phase.index()].inc();
         }
-    }
-
-    /// True when span/instant events are being kept.
-    pub fn is_recording(&self) -> bool {
-        self.recorder.is_enabled()
     }
 
     /// The shared metrics registry (for ad-hoc named metrics beyond the
@@ -206,51 +174,58 @@ impl Telemetry {
         &self.registry
     }
 
-    /// The underlying event recorder.
+    /// The event ring; a disabled one unless built by
+    /// [`Telemetry::recording`].
     pub fn recorder(&self) -> &Recorder {
-        &self.recorder
+        match &self.trace {
+            Trace::Ring(recorder) => recorder,
+            _ => &NO_RING,
+        }
     }
 
-    /// Record a completed span: feeds the phase's latency histogram and,
-    /// when recording, emits a Begin/End pair (tee'd to the streaming
-    /// sink when one is attached).
+    /// Record a completed span: feeds the phase's latency histogram and
+    /// emits a Begin/End pair down the handle's trace route.
     pub fn span(&self, begin_us: u64, end_us: u64, phase: Phase, track: u64, scope: u64) {
         let end_us = end_us.max(begin_us);
         self.phase_hist[phase.index()].record_us(end_us - begin_us);
         self.phase_count[phase.index()].inc();
-        self.recorder.span(begin_us, end_us, phase, track, scope);
-        if self.sink.is_some() {
-            self.offer_to_sink(Event {
-                ts_us: begin_us,
-                phase,
-                kind: EventKind::Begin,
-                track,
-                scope,
-            });
-            self.offer_to_sink(Event {
-                ts_us: end_us,
-                phase,
-                kind: EventKind::End,
-                track,
-                scope,
-            });
+        match &self.trace {
+            Trace::Off => {}
+            Trace::Ring(recorder) => recorder.span(begin_us, end_us, phase, track, scope),
+            Trace::Stream(sink) => {
+                for (ts_us, kind) in [(begin_us, EventKind::Begin), (end_us, EventKind::End)] {
+                    self.offer(
+                        sink,
+                        Event {
+                            ts_us,
+                            phase,
+                            kind,
+                            track,
+                            scope,
+                        },
+                    );
+                }
+            }
         }
     }
 
-    /// Record a point-in-time mark: bumps the phase counter and, when
-    /// recording, emits an instant event (tee'd to the streaming sink
-    /// when one is attached).
+    /// Record a point-in-time mark: bumps the phase counter and emits an
+    /// instant event down the handle's trace route.
     pub fn instant(&self, ts_us: u64, phase: Phase, track: u64, scope: u64) {
         self.phase_count[phase.index()].inc();
-        self.recorder.instant(ts_us, phase, track, scope);
-        if self.sink.is_some() {
-            self.offer_to_sink(Event {
-                ts_us,
-                phase,
-                kind: EventKind::Instant,
-                track,
-                scope,
-            });
+        match &self.trace {
+            Trace::Off => {}
+            Trace::Ring(recorder) => recorder.instant(ts_us, phase, track, scope),
+            Trace::Stream(sink) => self.offer(
+                sink,
+                Event {
+                    ts_us,
+                    phase,
+                    kind: EventKind::Instant,
+                    track,
+                    scope,
+                },
+            ),
         }
     }
 
@@ -272,10 +247,10 @@ impl Telemetry {
         self.phase_count[phase.index()].get()
     }
 
-    /// Snapshot of the recorded event ring (oldest first; empty when
-    /// tracing is off).
+    /// Snapshot of the recorded event ring (oldest first; empty unless
+    /// built by [`Telemetry::recording`]).
     pub fn events(&self) -> Vec<Event> {
-        self.recorder.events()
+        self.recorder().events()
     }
 
     /// Snapshot of every registered metric.
@@ -327,42 +302,51 @@ mod tests {
         assert!(off.events().is_empty());
     }
 
+    fn temp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "oddci-tele-{name}-{}.trace.bin",
+            std::process::id()
+        ))
+    }
+
     #[test]
     fn span_nesting_survives_export() {
-        let tele = Telemetry::recording();
+        let path = temp("nesting");
+        let chrome_path = path.with_extension("json");
+        let sink = StreamingSink::builder(&path).start().unwrap();
+        let tele = Telemetry::streaming(sink.clone());
         // Outer JobRun span containing a DveBoot + Compute sequence, plus
         // an unrelated overlapping span on another track.
         tele.span(100, 150, Phase::DveBoot, 0, 1);
         tele.span(150, 400, Phase::Compute, 0, 1);
         tele.span(0, 500, Phase::JobRun, CONTROL_TRACK, 1);
         tele.span(120, 480, Phase::Compute, 1, 2);
-        let text = export::chrome_trace(&tele.events());
+        sink.finish().unwrap();
+        let trace = binary::read_file(&path).unwrap();
+        binary::convert(&trace, None, Some(&chrome_path)).unwrap();
+        let text = std::fs::read_to_string(&chrome_path).unwrap();
+        for p in [&path, &chrome_path] {
+            std::fs::remove_file(p).unwrap();
+        }
         let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
         let rows = doc["traceEvents"].as_array().unwrap();
-        // Per (tid, name): Begin and End counts must match, and per tid
-        // the open-span stack never goes negative when sorted by ts.
+        // Per (tid, name), in file order: an E never precedes its B, and
+        // Begin and End counts match.
         use std::collections::BTreeMap;
         let mut balance: BTreeMap<(u64, String), i64> = BTreeMap::new();
         for row in rows {
-            match row["ph"].as_str().unwrap() {
-                "B" => {
-                    *balance
-                        .entry((
-                            row["tid"].as_u64().unwrap(),
-                            row["name"].as_str().unwrap().to_string(),
-                        ))
-                        .or_default() += 1
-                }
-                "E" => {
-                    *balance
-                        .entry((
-                            row["tid"].as_u64().unwrap(),
-                            row["name"].as_str().unwrap().to_string(),
-                        ))
-                        .or_default() -= 1
-                }
-                _ => {}
-            }
+            let delta = match row["ph"].as_str().unwrap() {
+                "B" => 1,
+                "E" => -1,
+                _ => continue,
+            };
+            let key = (
+                row["tid"].as_u64().unwrap(),
+                row["name"].as_str().unwrap().to_string(),
+            );
+            let open = balance.entry(key).or_default();
+            *open += delta;
+            assert!(*open >= 0, "E before its B: {row:?}");
         }
         assert!(
             balance.values().all(|v| *v == 0),
@@ -371,52 +355,23 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_recording_is_metrics_only() {
-        let tele = Telemetry::recording_with_capacity(0);
-        assert!(!tele.is_recording(), "capacity 0 must mean metrics-only");
-        tele.span(0, 1_000, Phase::DveBoot, 3, 1);
-        tele.instant(2, Phase::Heartbeat, 3, 1);
-        assert!(tele.events().is_empty());
-        // Metrics still flow exactly as with any other capacity.
-        assert_eq!(tele.phase_summary(Phase::DveBoot).count, 1);
-        assert_eq!(tele.phase_events(Phase::Heartbeat), 1);
-        assert_eq!(tele.events_dropped(), 0);
-    }
-
-    #[test]
-    fn sink_tee_sees_every_event_even_without_ring() {
-        let path =
-            std::env::temp_dir().join(format!("oddci-tele-tee-{}.trace.bin", std::process::id()));
+    fn streaming_sends_every_event_to_the_sink_and_none_to_the_ring() {
+        let path = temp("stream");
         let sink = StreamingSink::builder(&path).lanes(1).start().unwrap();
-        let tele = Telemetry::recording_with_capacity(0).with_sink(sink.clone());
+        let tele = Telemetry::streaming(sink.clone());
+        let clone = tele.clone();
         tele.span(10, 25, Phase::Compute, 4, 2);
-        tele.instant(30, Phase::Heartbeat, 4, 2);
+        clone.instant(30, Phase::Heartbeat, 5, 2);
         tele.flush_sink();
-        let stats = tele.sink_stats().unwrap();
-        assert_eq!(stats.emitted, 3, "B + E + instant");
+        let stats = sink.stats();
+        assert_eq!(stats.emitted, 3, "B + E + instant, from both clones");
         assert_eq!(stats.persisted, 3);
-        assert_eq!(tele.events_dropped(), 0);
+        assert_eq!(clone.events_dropped(), 0);
+        assert!(tele.events().is_empty(), "a streaming handle keeps no ring");
+        assert_eq!(tele.recorder().dropped(), 0);
         sink.finish().unwrap();
         let events = binary::read_file(&path).unwrap().events;
         assert_eq!(events.len(), 3);
-        assert!(tele.events().is_empty(), "ring stays off at capacity 0");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn lane_pinned_clones_share_sink_and_counters() {
-        let path =
-            std::env::temp_dir().join(format!("oddci-tele-lane-{}.trace.bin", std::process::id()));
-        let sink = StreamingSink::builder(&path).lanes(3).start().unwrap();
-        let tele = Telemetry::recording().with_sink(sink.clone());
-        let shard0 = tele.with_sink_lane(0);
-        let shard1 = tele.with_sink_lane(1);
-        shard0.instant(1, Phase::Heartbeat, 7, 0);
-        shard1.instant(2, Phase::Heartbeat, 8, 0);
-        tele.flush_sink();
-        assert_eq!(tele.sink_stats().unwrap().persisted, 2);
-        assert_eq!(shard0.events_dropped(), 0);
-        sink.finish().unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 

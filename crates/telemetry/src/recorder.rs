@@ -50,16 +50,13 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder that discards everything (the default).
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Recorder { shared: None }
     }
 
     /// A live recorder keeping at most `capacity` most-recent events.
     ///
-    /// A `capacity` of zero is an alias for [`Recorder::disabled`]
-    /// (metrics-only mode): a zero-event ring could never hold anything,
-    /// and the old behavior of silently rounding up to one event was a
-    /// degenerate recorder that dropped all but the newest event.
+    /// A `capacity` of zero is an alias for [`Recorder::disabled`].
     pub fn with_capacity(capacity: usize) -> Self {
         if capacity == 0 {
             return Recorder::disabled();

@@ -13,10 +13,9 @@
 //! 2. **Loss is exact.** After a flush (or [`StreamingSink::finish`]),
 //!    `emitted == persisted + dropped` holds as an identity, and drops
 //!    are broken down per [`Phase`].
-//! 3. **Writers don't contend.** Events are spread over independent
-//!    lanes (the headend's control thread pins a lane via
-//!    [`crate::Telemetry::with_sink_lane`] and node threads spread by
-//!    track), so emitters rarely share a queue mutex, and every lane
+//! 3. **Writers don't contend.** Each event goes to the lane its track
+//!    maps to, so emitters on different tracks rarely share a queue
+//!    mutex, and one track's events keep their offer order. Every lane
 //!    has its own writer thread, which encodes its blocks privately and
 //!    contends only on the brief file append.
 //!
@@ -77,11 +76,9 @@ impl SinkStats {
 /// non-blocking on [`offer`](TraceSink::offer) — the caller may be a
 /// simulation inner loop or a thread driving the live headend.
 pub trait TraceSink: Send + Sync + std::fmt::Debug {
-    /// Enqueue one event. `lane_hint` pins the event to a lane (the
-    /// headend's control thread uses this so writers don't contend);
-    /// `None` spreads by track. Returns `false` — and counts a drop —
-    /// instead of blocking when the lane is full.
-    fn offer(&self, ev: Event, lane_hint: Option<usize>) -> bool;
+    /// Enqueue one event on its track's lane. Returns `false` — and
+    /// counts a drop — instead of blocking when the lane is full.
+    fn offer(&self, ev: Event) -> bool;
 
     /// Block until everything offered *before this call* is durably
     /// handed to the OS (written + file-flushed). Safe to call from any
@@ -226,9 +223,7 @@ pub struct StreamBuilder {
 
 impl StreamBuilder {
     /// Number of independent lanes, each with its own writer thread
-    /// (default 4). A handle can pin a lane with
-    /// [`crate::Telemetry::with_sink_lane`]; unpinned emitters spread by
-    /// track id.
+    /// (default 4). An event's lane is its track id modulo this count.
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
@@ -313,7 +308,7 @@ impl StreamBuilder {
 /// The bounded-lane, writer-thread-per-lane [`TraceSink`].
 ///
 /// Construct with [`StreamingSink::builder`], attach to a
-/// [`crate::Telemetry`] via [`crate::Telemetry::with_sink`], and call
+/// [`crate::Telemetry`] via [`crate::Telemetry::streaming`], and call
 /// [`finish`](StreamingSink::finish) when the run is over to close the
 /// file and collect the [`SinkSummary`].
 #[derive(Debug)]
@@ -388,13 +383,10 @@ impl StreamingSink {
 }
 
 impl TraceSink for StreamingSink {
-    fn offer(&self, ev: Event, lane_hint: Option<usize>) -> bool {
+    fn offer(&self, ev: Event) -> bool {
         let shared = &self.shared;
         shared.emitted.fetch_add(1, Ordering::Relaxed);
-        let lane = match lane_hint {
-            Some(lane) => lane % shared.lanes.len(),
-            None => (ev.track as usize) % shared.lanes.len(),
-        };
+        let lane = (ev.track as usize) % shared.lanes.len();
         let mut state = shared.lanes[lane].state.lock();
         if state.closed || state.queue.len() >= shared.lane_capacity {
             drop(state);
@@ -602,7 +594,7 @@ mod tests {
         let mut offered = Vec::new();
         for i in 0..300u64 {
             let e = ev(i, Phase::Heartbeat, EventKind::Instant, i % 5);
-            assert!(sink.offer(e, Some((i % 3) as usize)));
+            assert!(sink.offer(e));
             offered.push(e);
         }
         let summary = sink.finish().unwrap();
@@ -633,7 +625,7 @@ mod tests {
         let path = temp("flush.trace.bin");
         let sink = StreamingSink::builder(&path).lanes(4).start().unwrap();
         for i in 0..500u64 {
-            sink.offer(ev(i, Phase::TaskFetch, EventKind::Instant, i), None);
+            sink.offer(ev(i, Phase::TaskFetch, EventKind::Instant, i));
         }
         sink.flush();
         let stats = sink.stats();
@@ -656,7 +648,7 @@ mod tests {
         // How many of the burst the writer keeps up with is up to the
         // scheduler; the identity must hold regardless.
         for i in 0..10_000u64 {
-            sink.offer(ev(i, Phase::Compute, EventKind::Instant, 0), Some(0));
+            sink.offer(ev(i, Phase::Compute, EventKind::Instant, 0));
         }
         let summary = sink.finish().unwrap();
         assert_eq!(summary.stats.emitted, 10_000);
@@ -671,7 +663,7 @@ mod tests {
             );
         }
         // An offer after finish is a counted drop and never reaches the file.
-        assert!(!sink.offer(ev(0, Phase::Compute, EventKind::Instant, 0), None));
+        assert!(!sink.offer(ev(0, Phase::Compute, EventKind::Instant, 0)));
         let stats = sink.stats();
         assert_eq!(stats.emitted, 10_001);
         assert_eq!(stats.persisted + stats.dropped, stats.emitted);
@@ -694,7 +686,7 @@ mod tests {
                 .start()
                 .unwrap();
             for i in 0..5_000u64 {
-                sink.offer(ev(i, Phase::Compute, EventKind::Instant, i), None);
+                sink.offer(ev(i, Phase::Compute, EventKind::Instant, i));
             }
             let first = sink.finish().unwrap_err();
             let second = sink.finish().unwrap_err();
@@ -709,6 +701,81 @@ mod tests {
         assert_eq!(first.kind(), io::ErrorKind::StorageFull, "{first}");
         assert_eq!(second.kind(), first.kind());
         assert_eq!(second.to_string(), first.to_string());
+    }
+
+    /// Offers from several threads on every lane while another thread
+    /// flushes in a loop and then finishes: every flush returns, the
+    /// accounting is exact, the file holds exactly the persisted events,
+    /// and each track's events keep their offer order (which
+    /// [`span_durations_us`] relies on).
+    #[test]
+    fn concurrent_offers_flushes_and_finish_keep_per_track_order() {
+        use std::sync::atomic::AtomicBool;
+        const THREADS: u64 = 4;
+        const LANES: u64 = 4;
+        const PER_THREAD: u64 = 20_000;
+        let path = temp("concurrent.trace.bin");
+        let sink = StreamingSink::builder(&path)
+            .lanes(LANES as usize)
+            .lane_capacity(256)
+            .start()
+            .unwrap();
+        let offering_done = Arc::new(AtomicBool::new(false));
+        let (done_tx, done_rx) = oddci_check::sync::unbounded();
+        let flusher = {
+            let sink = Arc::clone(&sink);
+            let offering_done = Arc::clone(&offering_done);
+            std::thread::spawn(move || {
+                let mut flushes = 0u64;
+                while !offering_done.load(Ordering::Acquire) {
+                    sink.flush();
+                    flushes += 1;
+                }
+                let summary = sink.finish();
+                done_tx.send(flushes).unwrap();
+                summary
+            })
+        };
+        // Thread `t` owns tracks `t * LANES + lane`, one per lane, and
+        // stamps each event with its own offer counter.
+        let offerers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let sink = Arc::clone(&sink);
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let track = t * LANES + i % LANES;
+                        sink.offer(ev(i, Phase::Compute, EventKind::Instant, track));
+                    }
+                })
+            })
+            .collect();
+        for offerer in offerers {
+            offerer.join().unwrap();
+        }
+        offering_done.store(true, Ordering::Release);
+        let flushes = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every flush and the finish return");
+        let summary = flusher.join().unwrap().unwrap();
+        assert!(flushes > 0);
+
+        let stats = summary.stats;
+        assert_eq!(stats.emitted, THREADS * PER_THREAD);
+        assert_eq!(stats.emitted, stats.persisted + stats.dropped);
+        let events = crate::binary::read_file(&path).unwrap().events;
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(events.len() as u64, stats.persisted);
+        let mut last: std::collections::HashMap<u64, u64> = Default::default();
+        for e in &events {
+            if let Some(prev) = last.insert(e.track, e.ts_us) {
+                assert!(
+                    prev < e.ts_us,
+                    "track {} reordered: {prev} then {}",
+                    e.track,
+                    e.ts_us
+                );
+            }
+        }
     }
 
     #[test]

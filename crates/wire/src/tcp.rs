@@ -333,6 +333,7 @@ struct TeleMirror {
     rx_bytes: oddci_telemetry::Counter,
     tx_frames: oddci_telemetry::Counter,
     rx_frames: oddci_telemetry::Counter,
+    /// Open server connections; only the serving loop writes it.
     connections: oddci_telemetry::Gauge,
 }
 
@@ -894,7 +895,8 @@ impl<S: WireService> ServeLoop<S> {
             }
         }
         let decode_now = conn.decoder.stats();
-        conn.unpublished.rx_frames += decode_now.frames - conn.prev_decode.frames;
+        let rx_frames = decode_now.frames - conn.prev_decode.frames;
+        conn.unpublished.rx_frames += rx_frames;
         conn.unpublished.checksum_rejects += decode_now.rejected - conn.prev_decode.rejected;
         conn.unpublished.resyncs += decode_now.resyncs - conn.prev_decode.resyncs;
         shared
@@ -903,10 +905,9 @@ impl<S: WireService> ServeLoop<S> {
         shared
             .stats
             .absorb_reassembly_delta(&mut conn.prev_reassembly, conn.reassembler.stats());
-        shared
-            .mirror
-            .rx_frames
-            .set(shared.stats.inner.rx_frames.load(Ordering::Relaxed));
+        // The registry may be shared with clients that count their own
+        // frames in, so this turn's frames are added, never set.
+        shared.mirror.rx_frames.add(rx_frames);
         for (msg, seq) in self.delivered.drain(..) {
             shared.mirror.instant(Phase::WireRx, id.raw(), seq);
             self.service.on_message(id, msg, &mut self.outbox);
@@ -1059,7 +1060,6 @@ impl WireClient {
         WireStats::add(&stats.inner.open, 1);
         let mirror = TeleMirror::new(config.telemetry.clone(), start);
         mirror.instant(Phase::WireConnect, config.node.raw(), 0);
-        mirror.connections.set(1.0);
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = sync::unbounded();
         let reader = {
@@ -1164,7 +1164,6 @@ impl WireClient {
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
-        self.mirror.connections.set(0.0);
     }
 }
 
@@ -1290,6 +1289,58 @@ mod tests {
             matches!(back, WireMsg::Hello { proto, .. } if proto == crate::message::PROTO_VERSION)
         );
         c.close();
+        assert!(server.stop(), "serving thread exited cleanly");
+    }
+
+    /// A headend and its nodes on one telemetry handle, as in-process
+    /// planes run them: `wire.rx.frames` sums the server's and the
+    /// clients' frames in, and `wire.connections` is the server's count.
+    #[test]
+    fn a_shared_registry_sums_both_sides_and_counts_server_connections() {
+        let tele = Telemetry::disabled();
+        let integrity = Integrity::hmac(b"test-key");
+        let mut config = ServerConfig::new(integrity.clone());
+        config.telemetry = tele.clone();
+        let mut server = WireServer::bind(loopback(), config, Echo).expect("bind");
+        let mut clients: Vec<WireClient> = (0..2)
+            .map(|_| {
+                let mut config = ClientConfig::new(integrity.clone());
+                config.telemetry = tele.clone();
+                WireClient::connect(server.local_addr(), config).expect("connect")
+            })
+            .collect();
+        let hello = WireMsg::Hello {
+            proto: crate::message::PROTO_VERSION,
+            epoch: 0,
+            resume: None,
+        };
+        for c in &clients {
+            for _ in 0..5 {
+                assert!(c.send(&hello));
+                c.receiver()
+                    .recv_timeout(Duration::from_secs(5))
+                    .expect("echo");
+            }
+        }
+        let server_rx = server.stats().snapshot().rx_frames;
+        let client_rx: u64 = clients.iter().map(|c| c.stats().snapshot().rx_frames).sum();
+        assert_eq!((server_rx, client_rx), (10, 10));
+        let reg = tele.registry();
+        assert_eq!(reg.counter("wire.rx.frames").get(), server_rx + client_rx);
+        assert_eq!(reg.gauge("wire.connections").get(), 2.0);
+
+        // A closing client leaves the gauge to the server's reap.
+        clients.pop().expect("two clients").close();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().snapshot().open > 1 || reg.gauge("wire.connections").get() != 1.0 {
+            assert!(
+                Instant::now() < deadline,
+                "gauge {} after one of two clients closed",
+                reg.gauge("wire.connections").get()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+        drop(clients);
         assert!(server.stop(), "serving thread exited cleanly");
     }
 

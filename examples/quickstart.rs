@@ -11,7 +11,8 @@
 
 use oddci::analytics::{efficiency, makespan, wakeup_envelope, InstanceParams};
 use oddci::core::{World, WorldConfig};
-use oddci::types::{DataSize, SimDuration, SimTime};
+use oddci::telemetry::{Event, EventKind, Phase, Telemetry, CONTROL_TRACK};
+use oddci::types::{DataSize, NodeId, SimDuration, SimTime};
 use oddci::workload::JobGenerator;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
 
     let mut cfg = WorldConfig::default();
     cfg.nodes = nodes;
-    cfg.trace_capacity = Some(64); // record milestone timeline
+    cfg.telemetry = Telemetry::recording(); // keep the event timeline
 
     let mut gen = JobGenerator::homogeneous(
         image,
@@ -79,13 +80,44 @@ fn main() {
     println!("(the simulator adds integer task rounds, controller latency and");
     println!(" probabilistic instance sizing that the closed form abstracts away)");
 
+    // The recorded events narrowed to the run's milestones: each carousel
+    // publish, each node's DVE boot completing, lost nodes, the job's end.
+    let mut milestones: Vec<Event> = sim
+        .world()
+        .telemetry()
+        .events()
+        .into_iter()
+        .filter(|e| {
+            e.kind != EventKind::Begin
+                && matches!(
+                    e.phase,
+                    Phase::CarouselPublish | Phase::DveBoot | Phase::NodeLost | Phase::JobRun
+                )
+        })
+        .collect();
+    milestones.sort_by_key(|e| e.ts_us);
     println!();
     println!("timeline (first milestones):");
-    for (at, msg) in sim.world().trace().entries().iter().take(8) {
-        println!("  [{:>9.3}s] {msg}", at.as_secs_f64());
+    for ev in milestones.iter().take(8) {
+        println!("{}", milestone(ev));
     }
-    if let Some((at, msg)) = sim.world().trace().entries().last() {
+    if let Some(ev) = milestones.last() {
         println!("  ...");
-        println!("  [{:>9.3}s] {msg}", at.as_secs_f64());
+        println!("{}", milestone(ev));
     }
+}
+
+/// One timeline row: when, which phase, on which track, about what.
+fn milestone(ev: &Event) -> String {
+    let who = if ev.track == CONTROL_TRACK {
+        "control".to_string()
+    } else {
+        NodeId::new(ev.track).to_string()
+    };
+    format!(
+        "  [{:>9.3}s] {:<16} {who} (scope {})",
+        ev.ts_us as f64 / 1e6,
+        ev.phase.label(),
+        ev.scope
+    )
 }

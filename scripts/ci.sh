@@ -69,10 +69,9 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS
 # protocols — including the autoscale trim race (scale-down-vs-heartbeat)
 # and the serving loop's wakeup race (wake-vs-wait), each with its
 # seeded-bug twin. Fixed seed, bounded schedules: deterministic and well
-# under 30 s.
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-check --bin oddci-check -- lint
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-check --bin oddci-check -- \
-    model --seed 11 --schedules 400
+# under 30 s. `oddci check` runs the lint, then every scenario.
+run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- \
+    check --seed 11 --schedules 400
 
 # Streamed-trace smoke: run one small scenario with the streaming sink
 # attached (it writes the one online format, a binary .trace.bin, and

@@ -102,7 +102,7 @@ fn shutdown_flushes_active_sink_before_reporting() {
         .start()
         .expect("open shutdown stream");
     let mut cfg = batch_config(3, 8);
-    cfg.telemetry = Telemetry::recording().with_sink(sink.clone());
+    cfg.telemetry = Telemetry::streaming(sink.clone());
     let live = LiveOddci::start(cfg);
     live.run_alignment_job(tiny_image(), 8, 2, Duration::from_secs(60))
         .expect("job completes");

@@ -5,6 +5,7 @@ use oddci::core::{World, WorldConfig};
 use oddci::crypto::{MessageAuthenticator, Sha256};
 use oddci::faults::{FaultClass, FaultPlan, FaultSpec};
 use oddci::sim::{SeedForge, Welford};
+use oddci::telemetry::Telemetry;
 use oddci::types::{Bandwidth, DataSize, Probability, SimDuration, SimTime};
 use oddci::workload::{JobGenerator, JobProfile};
 use proptest::prelude::*;
@@ -153,8 +154,9 @@ proptest! {
         prop_assert_eq!(report.unwrap().tasks_completed, tasks);
     }
 
-    /// Identical seed + identical `FaultPlan` ⇒ byte-identical simulation
-    /// trace (and identical makespan, event count and metric counters).
+    /// Identical seed + identical `FaultPlan` ⇒ identical recorded
+    /// telemetry events (and identical makespan, event count and metric
+    /// counters).
     /// Fault injection is a pure function of (seed, class, node, instant),
     /// so replaying a chaotic run must reproduce it exactly.
     #[test]
@@ -172,7 +174,7 @@ proptest! {
             cfg.nodes = 150;
             cfg.policy = fast_policy();
             cfg.controller_tick = SimDuration::from_secs(30);
-            cfg.trace_capacity = Some(4096);
+            cfg.telemetry = Telemetry::recording();
             cfg.faults = plan;
             let job = JobGenerator::homogeneous(
                 DataSize::from_megabytes(1),
@@ -184,8 +186,7 @@ proptest! {
             let mut sim = World::simulation(cfg, seed);
             let request = sim.submit_job(job, 40);
             let report = sim.run_request(request, SimTime::from_secs(14 * 24 * 3600));
-            let trace: Vec<(SimTime, String)> =
-                sim.world().trace().entries().to_vec();
+            let trace = sim.world().telemetry().events();
             (
                 report.map(|r| (r.tasks_completed, r.makespan)),
                 sim.events_processed(),

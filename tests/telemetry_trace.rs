@@ -1,12 +1,11 @@
-//! Telemetry integration: a small world run must emit a well-formed
-//! Chrome trace, and turning the recorder on must not change a single
-//! reported metric.
+//! Telemetry integration: a small world run streamed and converted must
+//! be a well-formed Chrome trace, turning tracing on must not change a
+//! single reported metric, and a streamed file holds exactly the events
+//! emitted.
 
 use oddci::core::{World, WorldConfig};
 use oddci::telemetry::export::read_jsonl_events;
-use oddci::telemetry::{
-    binary, export, Event, EventKind, Phase, StreamingSink, Telemetry, TraceSink,
-};
+use oddci::telemetry::{binary, Event, EventKind, Phase, StreamingSink, Telemetry, TraceSink};
 use oddci::types::{DataSize, SimDuration, SimTime};
 use oddci::workload::JobGenerator;
 use proptest::prelude::*;
@@ -43,17 +42,28 @@ fn run_small(tele: Telemetry) -> oddci::core::world::MetricsSnapshot {
 
 #[test]
 fn small_run_emits_well_formed_chrome_trace() {
-    let tele = Telemetry::recording();
-    run_small(tele.clone());
+    let bin_path = temp_trace_path();
+    let chrome_path = bin_path.with_extension("json");
+    let sink = StreamingSink::builder(&bin_path)
+        .start()
+        .expect("open stream");
+    run_small(Telemetry::streaming(sink.clone()));
+    let summary = sink.finish().expect("stream closes");
+    assert_eq!(summary.stats.dropped, 0);
+    let trace = binary::read_file(&bin_path).expect("stream decodes");
+    binary::convert(&trace, None, Some(&chrome_path)).expect("convert");
+    let text = std::fs::read_to_string(&chrome_path).expect("read converted chrome");
+    for p in [&bin_path, &chrome_path] {
+        let _ = std::fs::remove_file(p);
+    }
 
-    let trace = export::chrome_trace(&tele.events());
-    let doc: Value = serde_json::from_str(&trace).expect("trace is valid JSON");
+    let doc: Value = serde_json::from_str(&text).expect("trace is valid JSON");
     let rows = doc["traceEvents"].as_array().expect("traceEvents array");
     assert!(rows.len() > 100, "a real run produces many events");
 
-    // Timestamps are monotonic across the exported stream (metadata rows
-    // carry no ts and are skipped).
-    let mut last_ts = 0u64;
+    // Rows come in file order: lanes interleave, but one track's events
+    // keep their emission order, so per track an E never precedes its B
+    // (metadata rows carry no ts and are skipped).
     let mut opens: HashMap<(u64, String), u64> = HashMap::new();
     let mut phases_seen: Vec<String> = Vec::new();
     for row in rows {
@@ -61,9 +71,7 @@ fn small_run_emits_well_formed_chrome_trace() {
         if ph == "M" {
             continue;
         }
-        let ts = row["ts"].as_u64().expect("ts field");
-        assert!(ts >= last_ts, "timestamps sorted: {ts} after {last_ts}");
-        last_ts = ts;
+        assert!(row["ts"].as_u64().is_some(), "ts field");
 
         let tid = row["tid"].as_u64().expect("tid field");
         let name = row["name"].as_str().expect("name field").to_string();
@@ -131,8 +139,8 @@ fn run_bench_scale(tele: Telemetry) {
         .expect("bench-scale world completes");
 }
 
-/// Fixed event sequence covering every row shape the Chrome exporters
-/// produce: a control-track instant, node spans (nested scopes), plain
+/// Fixed event sequence covering every row shape the Chrome converter
+/// produces: a control-track instant, node spans (nested scopes), plain
 /// instants and multiple tracks, in timestamp order.
 fn golden_events() -> Vec<Event> {
     let ev = |ts_us, phase, kind, track, scope| Event {
@@ -219,18 +227,10 @@ fn assert_matches_golden(name: &str, actual: &Value) {
     assert_text_matches_golden(name, &format!("{rendered}\n"));
 }
 
-/// The batch Chrome exporter's output is locked to a golden file: any
-/// change to row fields, metadata rows or document framing must be
-/// deliberate (re-blessed), not accidental.
-#[test]
-fn chrome_batch_exporter_matches_golden() {
-    let trace = export::chrome_trace(&golden_events());
-    let doc: Value = serde_json::from_str(&trace).expect("batch trace parses");
-    assert_matches_golden("chrome_batch.json", &doc);
-}
-
-/// Same for the two text artifacts `oddci trace convert` derives, taken
-/// through the path that ships: sink → `.trace.bin` → `convert`. One
+/// The two text artifacts `oddci trace convert` derives are locked to
+/// golden files: any change to row fields, metadata rows or document
+/// framing must be deliberate (re-blessed), not accidental. They are
+/// taken through the path that ships: sink → `.trace.bin` → `convert`. One
 /// lane keeps the drain order deterministic, run-stamp meta is stripped
 /// from the Chrome doc before comparing, and the JSONL must read back as
 /// exactly the events that went in.
@@ -246,7 +246,7 @@ fn chrome_stream_writer_matches_golden() {
         .start()
         .expect("open golden stream");
     for ev in golden_events() {
-        assert!(sink.offer(ev, Some(0)), "golden events never dropped");
+        assert!(sink.offer(ev), "golden events never dropped");
     }
     sink.finish().expect("golden stream closes");
     let trace = binary::read_file(&bin_path).expect("golden trace decodes");
@@ -298,10 +298,6 @@ fn emit_ops(tele: &Telemetry, ops: &[Op]) -> u64 {
     emitted
 }
 
-fn event_key(ev: &Event) -> (u64, Phase, EventKind, u64, u64) {
-    (ev.ts_us, ev.phase, ev.kind, ev.track, ev.scope)
-}
-
 fn op_strategy() -> impl Strategy<Value = Op> {
     (
         0..Phase::COUNT,
@@ -316,27 +312,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tentpole invariants for arbitrary event sequences and ring
-    /// capacities: the streamed artifact is a superset of whatever the
-    /// ring still holds, every Begin has its End per (track, phase), and
-    /// `emitted == persisted + dropped` holds exactly (zero drops at the
-    /// default lane capacity).
+    /// For arbitrary event sequences a streaming handle persists exactly
+    /// the events it emitted: the file is that multiset, each track's
+    /// events keep their emission order, every Begin has its End per
+    /// (track, phase), and `emitted == persisted + dropped` holds with
+    /// zero drops at the default lane capacity.
     #[test]
-    fn streamed_trace_is_superset_with_exact_accounting(
+    fn streamed_trace_is_exactly_the_emitted_events(
         ops in proptest::collection::vec(op_strategy(), 1..200),
-        cap_pow in 1u32..10,
     ) {
-        // Ring capacity 2..=512, frequently smaller than the emitted
-        // count, so the ring routinely wraps while the stream must not.
-        let capacity = 1usize << cap_pow;
         let path = temp_trace_path();
         let sink = StreamingSink::builder(&path)
             .lanes(3)
             .start()
             .expect("open stream");
-        let tele = Telemetry::recording_with_capacity(capacity).with_sink(sink.clone());
+        let tele = Telemetry::streaming(sink.clone());
         let emitted = emit_ops(&tele, &ops);
-        let ring = tele.events();
         let summary = sink.finish().expect("stream closes");
         let trace = binary::read_file(&path).expect("read stream back");
         let _ = std::fs::remove_file(&path);
@@ -346,24 +337,38 @@ proptest! {
         prop_assert_eq!(stats.emitted, stats.persisted + stats.dropped);
         prop_assert_eq!(stats.dropped, 0, "default lane capacity never drops here");
         prop_assert_eq!(tele.events_dropped(), stats.dropped);
+        prop_assert!(tele.events().is_empty(), "a streaming handle keeps no ring");
 
         prop_assert!(trace.truncated.is_none());
         let streamed = trace.events;
         prop_assert_eq!(streamed.len() as u64, stats.persisted);
 
-        // Multiset superset: every event the ring retained is on disk at
-        // least as many times.
-        let mut stream_counts: HashMap<_, i64> = HashMap::new();
-        for ev in &streamed {
-            *stream_counts.entry(event_key(ev)).or_insert(0) += 1;
+        // The events the ops describe, in emission order.
+        let mut expected = Vec::new();
+        for &(p, track, scope, is_span, t0, dur) in &ops {
+            let phase = Phase::ALL[p];
+            let ev = |ts_us, kind| Event { ts_us, phase, kind, track, scope };
+            if is_span {
+                expected.push(ev(t0, EventKind::Begin));
+                expected.push(ev(t0 + dur, EventKind::End));
+            } else {
+                expected.push(ev(t0, EventKind::Instant));
+            }
         }
-        for ev in &ring {
-            let n = stream_counts.entry(event_key(ev)).or_insert(0);
-            prop_assert!(*n > 0, "ring event {ev:?} missing from streamed trace");
-            *n -= 1;
+        // Per track, the file holds exactly that track's events in order,
+        // and nothing else: the file is the emitted multiset.
+        prop_assert_eq!(streamed.len(), expected.len());
+        let mut tracks: Vec<u64> = expected.iter().map(|e| e.track).collect();
+        tracks.sort_unstable();
+        tracks.dedup();
+        for track in tracks {
+            let on_track = |evs: &[Event]| -> Vec<Event> {
+                evs.iter().filter(|e| e.track == track).copied().collect()
+            };
+            prop_assert_eq!(on_track(&streamed), on_track(&expected));
         }
 
-        // Begin/End balance per (track, phase) — spans tee both halves.
+        // Begin/End balance per (track, phase) — spans stream both halves.
         let mut opens: HashMap<(u64, Phase), i64> = HashMap::new();
         for ev in &streamed {
             match ev.kind {
@@ -392,7 +397,7 @@ proptest! {
             .lane_capacity(2)
             .start()
             .expect("open stream");
-        let tele = Telemetry::recording_with_capacity(16).with_sink(sink.clone());
+        let tele = Telemetry::streaming(sink.clone());
         let emitted = emit_ops(&tele, &ops);
         let summary = sink.finish().expect("stream closes");
         let streamed = binary::read_file(&path).expect("read stream back").events;
