@@ -9,7 +9,6 @@
 
 use oddci_types::{JobId, NodeId, OddciError, Result, SimDuration, SimTime, TaskId};
 use oddci_workload::{Job, Task};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Reply to a node's task request.
@@ -108,14 +107,14 @@ impl JobState {
     }
 }
 
-/// Serializable snapshot of one job's scheduling ledger.
+/// Exported snapshot of one job's scheduling ledger.
 ///
 /// The full [`Job`] (task definitions included) travels in the snapshot so
 /// a standby can keep cutting batches without re-submission. Assignment
 /// order inside `pending` is preserved — re-queued tasks sit at the front
 /// and must stay there across a failover. `node_task` is *not* exported:
 /// it is derivable from `assigned` and rebuilt on import.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobExport {
     /// The job definition, tasks included.
     pub job: Job,
@@ -134,7 +133,7 @@ pub struct JobExport {
 }
 
 /// Complete exported Backend state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendState {
     /// Every registered job's ledger.
     pub jobs: Vec<JobExport>,

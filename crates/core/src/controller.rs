@@ -124,8 +124,8 @@ struct NodeRecord {
     instance: Option<InstanceId>,
 }
 
-/// Serializable snapshot of one instance's controller-side bookkeeping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Exported snapshot of one instance's controller-side bookkeeping.
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceExport {
     /// Instance identity.
     pub id: InstanceId,
@@ -139,14 +139,14 @@ pub struct InstanceExport {
     pub wakeups_sent: u32,
 }
 
-/// Serializable snapshot of one heartbeat-registry entry.
+/// Exported snapshot of one heartbeat-registry entry.
 ///
 /// Heartbeat recency is stored as an **age** relative to the snapshot
 /// instant rather than an absolute [`SimTime`]: the primary and a standby
 /// headend run separate clocks (each starts at its own process launch), so
 /// absolute instants from one are meaningless on the other. Ages rebase
 /// cleanly via [`SimTime::saturating_sub`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeExport {
     /// The node.
     pub node: NodeId,
@@ -162,7 +162,7 @@ pub struct NodeExport {
 /// critically — the next message id. An adopting Controller must keep
 /// signing past it, because PNAs deduplicate carousel repetitions by
 /// [`MessageId`] and would drop a restarted id sequence as already-seen.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerState {
     /// All instances and their membership.
     pub instances: Vec<InstanceExport>,

@@ -54,8 +54,8 @@ struct RequestRecord {
     report: Option<JobReport>,
 }
 
-/// Serializable snapshot of one request record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Exported snapshot of one request record.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestExport {
     /// Request handle.
     pub request: ProviderRequest,
@@ -75,7 +75,7 @@ pub struct RequestExport {
 
 /// Complete exported Provider state. `by_job` is derivable and rebuilt on
 /// import.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderState {
     /// Every request record.
     pub requests: Vec<RequestExport>,

@@ -78,6 +78,24 @@ impl Writer {
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
+
+    /// Writes a `u64` as an LEB128 varint: 7 bits per byte, low group
+    /// first, the high bit set on every byte but the last.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Writes an `i64` zigzag-mapped onto a varint, so small magnitudes
+    /// of either sign stay short.
+    #[inline]
+    pub fn zigzag(&mut self, v: i64) {
+        self.varint(((v << 1) ^ (v >> 63)) as u64);
+    }
 }
 
 /// Cursor-based little-endian byte reader, mirror of [`Writer`].
@@ -107,6 +125,7 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Malformed("message ends mid-field"));
@@ -117,6 +136,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
@@ -166,6 +186,47 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         self.take(len)
     }
+
+    /// Reads `n` raw bytes (mirror of [`Writer::raw`]).
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n)
+    }
+
+    /// Reads an LEB128 varint. Refuses one longer than 10 bytes, one past
+    /// `u64::MAX` and one with a needless trailing zero group, so every
+    /// value has exactly one accepted encoding.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        let mut v = 0u64;
+        let mut shift = 0;
+        while let Some(&b) = self.buf.get(self.pos) {
+            self.pos += 1;
+            if shift == 63 && b > 1 {
+                return Err(WireError::Malformed(if b & 0x80 != 0 {
+                    "varint longer than 10 bytes"
+                } else {
+                    "varint overflows u64"
+                }));
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return if b == 0 && shift > 0 {
+                    Err(WireError::Malformed("varint not minimally encoded"))
+                } else {
+                    Ok(v)
+                };
+            }
+            shift += 7;
+        }
+        Err(WireError::Malformed("message ends mid-field"))
+    }
+
+    /// Reads a zigzag-mapped `i64` (mirror of [`Writer::zigzag`]).
+    #[inline]
+    pub fn zigzag(&mut self) -> Result<i64, WireError> {
+        let v = self.varint()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +263,52 @@ mod tests {
         assert!(r.u64().is_err());
         let mut r = Reader::new(&[255, 255, 255, 255]); // length prefix 4 GiB
         assert!(r.bytes().is_err());
+    }
+
+    #[test]
+    fn varints_and_zigzags_round_trip_at_every_width() {
+        let mut w = Writer::new();
+        let unsigned = [0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX];
+        let signed = [0, -1, 1, -64, 64, i64::MIN, i64::MAX];
+        for &v in &unsigned {
+            w.varint(v);
+        }
+        for &v in &signed {
+            w.zigzag(v);
+        }
+        let enc = w.into_bytes();
+        let mut r = Reader::new(&enc);
+        for &v in &unsigned {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        for &v in &signed {
+            assert_eq!(r.zigzag().unwrap(), v);
+        }
+        assert!(r.finish().is_ok());
+
+        let mut w = Writer::new();
+        w.varint(u64::MAX);
+        assert_eq!(w.into_bytes().len(), 10, "u64::MAX takes the widest form");
+        let mut w = Writer::new();
+        w.zigzag(-1);
+        w.zigzag(63);
+        assert_eq!(w.into_bytes(), [1, 126], "small magnitudes stay one byte");
+    }
+
+    #[test]
+    fn hostile_varints_are_malformed() {
+        let eleven = [
+            0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+        ];
+        let overflow = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+        let overlong = [0x81, 0x00];
+        let cut = [0x80, 0x80];
+        for bytes in [&eleven[..], &overflow[..], &overlong[..], &cut[..]] {
+            assert!(
+                Reader::new(bytes).varint().is_err(),
+                "{bytes:02x?} must not decode"
+            );
+        }
     }
 
     #[test]

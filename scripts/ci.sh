@@ -38,7 +38,8 @@ cleanup() {
         results/ci-failover-primary.json results/ci-failover-standby.json \
         results/ci-failover-pna-201.json results/ci-failover-pna-202.json \
         results/ci-failover-pna-203.json
-    rm -rf results/ci-failover-snap benchmark/out/ci-bench.json \
+    rm -rf results/ci-failover-snap results/ci-failover-torn \
+        results/ci-failover-torn.err benchmark/out/ci-bench.json \
         benchmark/out/ci-bench.txt
 }
 trap cleanup EXIT
@@ -159,7 +160,26 @@ for pid in ${PNA_PIDS}; do
 done
 PNA_PIDS=""
 "${SCHEMA_CHECK}" smoke failover
-rm -rf "${FAILOVER_SNAP}"
+# Hostile snapshot across processes: a standby handed the adopted file
+# cut to half its length must refuse it with a clean error (non-zero
+# exit, "cannot read snapshot" on stderr) within 5 s, not panic or adopt.
+TORN_SNAP=results/ci-failover-torn
+rm -rf "${TORN_SNAP}"
+mkdir -p "${TORN_SNAP}"
+cp "${FAILOVER_SNAP}/headend.snap" "${TORN_SNAP}/headend.snap"
+truncate -s $(($(wc -c < "${TORN_SNAP}/headend.snap") / 2)) "${TORN_SNAP}/headend.snap"
+echo "==> torn snapshot: standby must refuse a half-length copy"
+torn_status=0
+timeout 5 "${ODDCI_BIN}" headend --listen 127.0.0.1:0 \
+    --standby "${TORN_SNAP}" --pnas 3 --timeout 60 --json \
+    > /dev/null 2> results/ci-failover-torn.err || torn_status=$?
+if [ "${torn_status}" -eq 0 ] || [ "${torn_status}" -eq 124 ] \
+    || ! grep -q "cannot read snapshot" results/ci-failover-torn.err; then
+    echo "torn snapshot: exit ${torn_status}, stderr:" >&2
+    cat results/ci-failover-torn.err >&2
+    exit 1
+fi
+rm -rf "${FAILOVER_SNAP}" "${TORN_SNAP}" results/ci-failover-torn.err
 
 # Autoscale smoke: the elastic-sizing drill on a fixed seed. The drill
 # submits one backlog at the minimum instance size and fails by itself
