@@ -1,6 +1,6 @@
 //! Dependency-free workspace linter (line/token scan, no parser).
 //!
-//! Five rules over `crates/**/*.rs` (the `check` crate itself is exempt —
+//! Six rules over `crates/**/*.rs` (the `check` crate itself is exempt —
 //! it implements the shim and the scheduler, so it legitimately touches
 //! raw primitives):
 //!
@@ -30,6 +30,11 @@
 //!   comment. This rule also covers the root package's `src/`, `tests/`
 //!   and `examples/`; every other crate root carries
 //!   `#![forbid(unsafe_code)]` as well.
+//! * **ledger-home** — the Backend's and the Provider's job registration
+//!   and lookup (`register_job(`, `open_request(`, `request_for_job(`)
+//!   are called only in `backend.rs`, `provider.rs` and the
+//!   `oddci_core::ledger` module that joins them (non-test code). Code
+//!   that calls them elsewhere is writing the job glue a second time.
 //!
 //! Suppress a finding with a trailing or preceding comment:
 //! `// oddci-check: allow(<rule>)` (applies to that line and the next).
@@ -45,8 +50,8 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct LintViolation {
-    /// Rule id: `raw-lock`, `phase`, `message-enum`, `no-unwrap` or
-    /// `unsafe`.
+    /// Rule id: `raw-lock`, `phase`, `message-enum`, `no-unwrap`,
+    /// `unsafe` or `ledger-home`.
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub file: String,
@@ -98,6 +103,7 @@ pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
         check_phase(src, &phase_vocab, &mut out);
         check_no_unwrap(src, &mut out);
         check_unsafe(src, &mut out);
+        check_ledger_home(src, &mut out);
     }
     check_message_enums(&sources, &mut out);
     // The root package sits outside `crates/`; only the unsafe rule
@@ -529,17 +535,21 @@ fn hot_path(rel: &str) -> bool {
         || rel == "crates/telemetry/src/sink.rs"
 }
 
+/// The first line of `src`'s test code. Test modules sit at the bottom
+/// of each file by workspace convention, so everything from the first
+/// `#[cfg(test)]` down is test code.
+fn test_cutoff(src: &Source) -> usize {
+    src.raw
+        .find("#[cfg(test)]")
+        .map(|p| line_of(&src.raw, p))
+        .unwrap_or(usize::MAX)
+}
+
 fn check_no_unwrap(src: &Source, out: &mut Vec<LintViolation>) {
     if !hot_path(&src.rel) {
         return;
     }
-    // Test modules sit at the bottom of each file by workspace
-    // convention; everything from the first #[cfg(test)] down is exempt.
-    let cutoff = src
-        .raw
-        .find("#[cfg(test)]")
-        .map(|p| line_of(&src.raw, p))
-        .unwrap_or(usize::MAX);
+    let cutoff = test_cutoff(src);
     for needle in [".unwrap()", ".expect("] {
         let mut from = 0;
         while let Some(p) = src.scrubbed[from..].find(needle) {
@@ -602,6 +612,40 @@ fn check_unsafe(src: &Source, out: &mut Vec<LintViolation>) {
     }
 }
 
+// ---------------------------------------------------------- ledger-home
+
+/// The files allowed to register jobs and open or look up requests.
+const LEDGER_HOME: &[&str] = &[
+    "crates/core/src/backend.rs",
+    "crates/core/src/provider.rs",
+    "crates/core/src/ledger.rs",
+];
+const LEDGER_TOKENS: &[&str] = &["register_job(", "open_request(", "request_for_job("];
+
+fn check_ledger_home(src: &Source, out: &mut Vec<LintViolation>) {
+    // A crate's `tests/` directory is test code throughout.
+    if LEDGER_HOME.contains(&src.rel.as_str()) || src.rel.contains("/tests/") {
+        return;
+    }
+    let cutoff = test_cutoff(src);
+    for needle in LEDGER_TOKENS {
+        for pos in find_tokens(&src.scrubbed, needle) {
+            let line = line_of(&src.scrubbed, pos);
+            if line >= cutoff || src.is_allowed("ledger-home", line) {
+                continue;
+            }
+            out.push(LintViolation {
+                rule: "ledger-home",
+                file: src.rel.clone(),
+                line,
+                message: format!(
+                    "`{needle}..)` outside the Backend, the Provider and oddci_core::ledger — drive jobs through JobLedger"
+                ),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,6 +688,29 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("SAFETY"), "{}", out[0]);
+    }
+
+    #[test]
+    fn job_glue_is_confined_to_the_ledger() {
+        let mut out = Vec::new();
+        let glue = "fn f(p: &mut Provider) {\n    p.open_request(job, inst, 1, now);\n}\n";
+        for home in LEDGER_HOME {
+            check_ledger_home(&source(home, glue), &mut out);
+        }
+        // Prose, test modules and integration tests do not count.
+        let tested = "// b.register_job(job, now) in prose\n#[cfg(test)]\nmod tests {\n    fn t() { b.register_job(job, now); }\n}\n";
+        check_ledger_home(&source("crates/live/src/headend.rs", tested), &mut out);
+        check_ledger_home(&source("crates/core/tests/props.rs", glue), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+
+        let glue_sites = "let req = self.provider.request_for_job(job);\nb.register_job(job, now);\nfn register_jobs() {}\n";
+        check_ledger_home(
+            &source("crates/core/src/world/mod.rs", glue_sites),
+            &mut out,
+        );
+        let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [2, 1], "{out:?}");
+        assert!(out.iter().all(|v| v.rule == "ledger-home"));
     }
 
     #[test]

@@ -11,15 +11,6 @@ use oddci_types::{JobId, NodeId, OddciError, Result, SimDuration, SimTime, TaskI
 use oddci_workload::{Job, Task};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Reply to a node's task request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskOutcome {
-    /// Run this task.
-    Assigned(Task),
-    /// No work left (the job is draining or complete); idle until reset.
-    Drained,
-}
-
 /// The completed-task ledger of one job: a flag per task, indexed by
 /// [`TaskId::index`] (a job's task ids are `0..tasks.len()`), and how
 /// many flags are set. It grows with the job, so it is a vector and not
@@ -169,28 +160,15 @@ impl Backend {
         );
     }
 
-    /// A node asks for work on `job`.
+    /// A node asks for up to `max` tasks of `job` in one round trip (the
+    /// simulated nodes ask for one, live nodes for a batch). An empty vec
+    /// means the job is drained.
     ///
     /// A fresh request from a node the Backend still believes busy means
     /// the node lost its previous assignment without the Controller
     /// noticing yet (it power-cycled within the heartbeat deadline): the
-    /// stale task is re-queued first, exactly as if the loss had been
+    /// stale tasks are re-queued first, exactly as if the loss had been
     /// reported.
-    pub fn fetch_task(&mut self, job: JobId, node: NodeId) -> Result<TaskOutcome> {
-        let mut batch = self.fetch_batch(job, node, 1)?;
-        match batch.pop() {
-            Some(task) => Ok(TaskOutcome::Assigned(task)),
-            None => Ok(TaskOutcome::Drained),
-        }
-    }
-
-    /// A node asks for up to `max` tasks of `job` in one round trip.
-    ///
-    /// The batched form of [`fetch_task`](Self::fetch_task), used by the
-    /// live headend to amortize per-task round trips. The same
-    /// stale-assignment rule applies: any task the Backend still believes
-    /// this node holds is re-queued before the new batch is cut. An empty
-    /// vec means the job is drained.
     pub fn fetch_batch(&mut self, job: JobId, node: NodeId, max: usize) -> Result<Vec<Task>> {
         let state = self.jobs.get_mut(&job).ok_or(OddciError::UnknownJob(job))?;
         state.recycle_node(node);
@@ -398,6 +376,11 @@ mod tests {
     use super::*;
     use oddci_types::{DataSize, ImageId};
 
+    /// One task of `job` for `node`; `None` once the queue is dry.
+    fn fetch_one(b: &mut Backend, job: JobId, node: u64) -> Result<Option<Task>> {
+        Ok(b.fetch_batch(job, NodeId::new(node), 1)?.pop())
+    }
+
     fn job(n: u64) -> Job {
         let tasks = (0..n)
             .map(|i| {
@@ -422,18 +405,11 @@ mod tests {
         let mut b = Backend::new();
         b.register_job(job(2), SimTime::ZERO);
         let j = JobId::new(1);
-        let TaskOutcome::Assigned(t0) = b.fetch_task(j, NodeId::new(10)).unwrap() else {
-            panic!()
-        };
+        let t0 = fetch_one(&mut b, j, 10).unwrap().unwrap();
         assert_eq!(t0.id, TaskId::new(0));
-        let TaskOutcome::Assigned(t1) = b.fetch_task(j, NodeId::new(11)).unwrap() else {
-            panic!()
-        };
+        let t1 = fetch_one(&mut b, j, 11).unwrap().unwrap();
         assert_eq!(t1.id, TaskId::new(1));
-        assert_eq!(
-            b.fetch_task(j, NodeId::new(12)).unwrap(),
-            TaskOutcome::Drained
-        );
+        assert_eq!(fetch_one(&mut b, j, 12).unwrap(), None);
     }
 
     #[test]
@@ -441,8 +417,8 @@ mod tests {
         let mut b = Backend::new();
         b.register_job(job(2), SimTime::ZERO);
         let j = JobId::new(1);
-        b.fetch_task(j, NodeId::new(10)).unwrap();
-        b.fetch_task(j, NodeId::new(11)).unwrap();
+        fetch_one(&mut b, j, 10).unwrap();
+        fetch_one(&mut b, j, 11).unwrap();
         assert!(!b
             .complete_task(j, TaskId::new(0), NodeId::new(10), SimTime::from_secs(5))
             .unwrap());
@@ -459,7 +435,7 @@ mod tests {
     fn unknown_job_errors() {
         let mut b = Backend::new();
         assert!(matches!(
-            b.fetch_task(JobId::new(9), NodeId::new(1)),
+            fetch_one(&mut b, JobId::new(9), 1),
             Err(OddciError::UnknownJob(_))
         ));
     }
@@ -469,16 +445,14 @@ mod tests {
         let mut b = Backend::new();
         b.register_job(job(1), SimTime::ZERO);
         let j = JobId::new(1);
-        b.fetch_task(j, NodeId::new(10)).unwrap();
+        fetch_one(&mut b, j, 10).unwrap();
         assert_eq!(b.pending_count(j), 0);
         let affected = b.node_lost(NodeId::new(10));
         assert_eq!(affected, vec![j]);
         assert_eq!(b.pending_count(j), 1);
         assert_eq!(b.requeue_count(j), 1);
         // Another node picks the re-queued task up and finishes the job.
-        let TaskOutcome::Assigned(t) = b.fetch_task(j, NodeId::new(11)).unwrap() else {
-            panic!()
-        };
+        let t = fetch_one(&mut b, j, 11).unwrap().unwrap();
         assert_eq!(t.id, TaskId::new(0));
         assert!(b
             .complete_task(j, t.id, NodeId::new(11), SimTime::from_secs(60))
@@ -490,7 +464,7 @@ mod tests {
         let mut b = Backend::new();
         b.register_job(job(1), SimTime::ZERO);
         let j = JobId::new(1);
-        b.fetch_task(j, NodeId::new(10)).unwrap();
+        fetch_one(&mut b, j, 10).unwrap();
         b.node_lost(NodeId::new(10));
         // The "lost" node was only slow; its result arrives before the
         // task is re-assigned. It must count, and the queue must drain.
@@ -498,10 +472,7 @@ mod tests {
             .complete_task(j, TaskId::new(0), NodeId::new(10), SimTime::from_secs(99))
             .unwrap());
         assert_eq!(b.pending_count(j), 0);
-        assert_eq!(
-            b.fetch_task(j, NodeId::new(11)).unwrap(),
-            TaskOutcome::Drained
-        );
+        assert_eq!(fetch_one(&mut b, j, 11).unwrap(), None);
     }
 
     #[test]
@@ -509,9 +480,9 @@ mod tests {
         let mut b = Backend::new();
         b.register_job(job(1), SimTime::ZERO);
         let j = JobId::new(1);
-        b.fetch_task(j, NodeId::new(10)).unwrap();
+        fetch_one(&mut b, j, 10).unwrap();
         b.node_lost(NodeId::new(10));
-        b.fetch_task(j, NodeId::new(11)).unwrap();
+        fetch_one(&mut b, j, 11).unwrap();
         assert!(b
             .complete_task(j, TaskId::new(0), NodeId::new(11), SimTime::from_secs(50))
             .unwrap());
@@ -542,21 +513,15 @@ mod tests {
         let mut b = Backend::new();
         b.register_job(job(2), SimTime::ZERO);
         let j = JobId::new(1);
-        let TaskOutcome::Assigned(first) = b.fetch_task(j, NodeId::new(10)).unwrap() else {
-            panic!()
-        };
-        let TaskOutcome::Assigned(again) = b.fetch_task(j, NodeId::new(10)).unwrap() else {
-            panic!()
-        };
+        let first = fetch_one(&mut b, j, 10).unwrap().unwrap();
+        let again = fetch_one(&mut b, j, 10).unwrap().unwrap();
         assert_eq!(first.id, again.id, "stale task re-queued at the front");
         assert_eq!(b.requeue_count(j), 1);
         // The job still completes exactly once per task.
         assert!(!b
             .complete_task(j, again.id, NodeId::new(10), SimTime::from_secs(1))
             .unwrap());
-        let TaskOutcome::Assigned(second) = b.fetch_task(j, NodeId::new(10)).unwrap() else {
-            panic!()
-        };
+        let second = fetch_one(&mut b, j, 10).unwrap().unwrap();
         assert!(b
             .complete_task(j, second.id, NodeId::new(10), SimTime::from_secs(2))
             .unwrap());
@@ -647,7 +612,7 @@ mod tests {
         b.complete_task(j, batch[0].id, NodeId::new(10), SimTime::from_secs(2))
             .unwrap();
         b.node_lost(NodeId::new(10)); // re-queues batch[1] at the front
-        b.fetch_task(j, NodeId::new(11)).unwrap();
+        fetch_one(&mut b, j, 11).unwrap();
         let now = SimTime::from_secs(3);
         let state = b.export_state(now);
 
@@ -686,9 +651,7 @@ mod tests {
         let mut adopted = Backend::new();
         adopted.import_state(state, SimTime::from_secs(40));
         let j = JobId::new(1);
-        let TaskOutcome::Assigned(t) = adopted.fetch_task(j, NodeId::new(1)).unwrap() else {
-            panic!()
-        };
+        let t = fetch_one(&mut adopted, j, 1).unwrap().unwrap();
         adopted
             .complete_task(j, t.id, NodeId::new(1), SimTime::from_secs(70))
             .unwrap();

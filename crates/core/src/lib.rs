@@ -18,6 +18,10 @@
 //!   messages, hosts the DVE executing the user image, and emits
 //!   heartbeats.
 //!
+//! The [`ledger::JobLedger`] joins the Provider and the Backend to the
+//! Controller's instances once, for both the simulation and the live
+//! runtime.
+//!
 //! The [`world`] module assembles all of the above plus the substrates
 //! (broadcast carousel, receivers, direct links, churn) into one
 //! discrete-event simulation — the OddCI-DTV system of §4 at configurable
@@ -53,6 +57,7 @@ pub mod autoscale;
 pub mod backend;
 pub mod controller;
 pub mod federation;
+pub mod ledger;
 pub mod messages;
 pub mod pna;
 pub mod profiles;
@@ -60,9 +65,10 @@ pub mod provider;
 pub mod world;
 
 pub use autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler, ScaleDecision, ScaleInputs};
-pub use backend::{Backend, TaskOutcome};
+pub use backend::Backend;
 pub use controller::{Controller, ControllerPolicy, InstanceRequest, InstanceStatus};
 pub use federation::{FederatedReport, Federation};
+pub use ledger::{JobLedger, LedgerState};
 pub use messages::{
     ControlMessage, Heartbeat, NodeRequirements, PnaStateKind, ResetMessage, SignedMessage,
     WakeupMessage,

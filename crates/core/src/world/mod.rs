@@ -31,8 +31,9 @@ pub use events::WorldEvent;
 pub use metrics::{MetricsSnapshot, WorldMetrics};
 pub use node::NodeRuntime;
 
-use crate::backend::{Backend, TaskOutcome};
-use crate::controller::{Controller, ControllerOutput, ControllerPolicy, InstanceRequest};
+use crate::backend::Backend;
+use crate::controller::{Controller, ControllerOutput, ControllerPolicy};
+use crate::ledger::JobLedger;
 use crate::messages::{ControlMessage, SignedMessage};
 use crate::pna::{HostInfo, Pna, PnaAction, PnaState};
 use crate::provider::{JobReport, Provider, ProviderRequest};
@@ -137,12 +138,10 @@ pub struct World {
     config: WorldConfig,
     channel: BroadcastChannel,
     controller: Controller,
-    backend: Backend,
-    provider: Provider,
+    /// The Backend, the Provider and the job each instance runs.
+    ledger: JobLedger,
     nodes: Vec<NodeRuntime>,
     entries: BTreeMap<InstanceId, BroadcastEntry>,
-    instance_job: BTreeMap<InstanceId, JobId>,
-    job_instance: BTreeMap<JobId, InstanceId>,
     metrics: WorldMetrics,
     /// Compiled fault plan; pure per-query decisions (see `oddci-faults`).
     injector: FaultInjector,
@@ -228,7 +227,6 @@ impl World {
                 churn,
                 usage,
                 rng: forge.indexed_rng("node", i),
-                job: None,
                 current_task: None,
                 drained: false,
                 epoch: 0,
@@ -253,12 +251,9 @@ impl World {
             config,
             channel,
             controller,
-            backend: Backend::new(),
-            provider: Provider::new(),
+            ledger: JobLedger::new(tele.clone()),
             nodes,
             entries: BTreeMap::new(),
-            instance_job: BTreeMap::new(),
-            job_instance: BTreeMap::new(),
             metrics,
             injector,
             jitter_seed,
@@ -278,12 +273,12 @@ impl World {
 
     /// The Backend.
     pub fn backend(&self) -> &Backend {
-        &self.backend
+        self.ledger.backend()
     }
 
     /// The Provider.
     pub fn provider(&self) -> &Provider {
-        &self.provider
+        self.ledger.provider()
     }
 
     /// Collected metrics.
@@ -315,11 +310,6 @@ impl World {
                 PnaState::Idle => false,
             })
             .count() as u64
-    }
-
-    /// Final report of a request, if complete.
-    pub fn job_report(&self, req: ProviderRequest) -> Option<JobReport> {
-        self.provider.report(req)
     }
 
     /// The world configuration.
@@ -472,7 +462,7 @@ impl World {
         now: SimTime,
         sched: &mut dyn FnMut(SimTime, WorldEvent),
     ) {
-        let Some(&inst) = self.job_instance.get(&job) else {
+        let Some(inst) = self.ledger.instance_of(job) else {
             return;
         };
         let members: Vec<NodeId> = self
@@ -502,12 +492,20 @@ impl World {
     ) {
         if self.nodes[id.index()].current_task.is_some() {
             self.metrics.tasks_orphaned.inc();
-            let affected = self.backend.node_lost(id);
-            self.metrics.requeues.set(self.backend.total_requeues());
+            self.node_lost(id, now, sched);
             self.nodes[id.index()].current_task = None;
-            for job in affected {
-                self.kick_drained(job, now, sched);
-            }
+        }
+    }
+
+    /// Re-queues whatever `id` held and re-kicks the drained members of
+    /// every job whose queue that refilled.
+    fn node_lost(&mut self, id: NodeId, now: SimTime, sched: &mut dyn FnMut(SimTime, WorldEvent)) {
+        let affected = self.ledger.node_lost(id);
+        self.metrics
+            .requeues
+            .set(self.ledger.backend().total_requeues());
+        for job in affected {
+            self.kick_drained(job, now, sched);
         }
     }
 
@@ -545,6 +543,7 @@ impl World {
         let inst = signed.message.instance();
         match signed.message {
             ControlMessage::Wakeup(w) => {
+                self.ledger.aired(inst);
                 let first = self.entries.get(&inst).map_or(now, |e| e.first_publish);
                 self.entries.insert(
                     inst,
@@ -694,48 +693,8 @@ impl World {
                 ControllerOutput::NodeLost { node, instance } => {
                     self.tele
                         .instant(now.as_micros(), Phase::NodeLost, node.raw(), instance.raw());
-                    let affected = self.backend.node_lost(node);
-                    self.metrics.requeues.set(self.backend.total_requeues());
-                    for job in affected {
-                        self.kick_drained(job, now, sched);
-                    }
+                    self.node_lost(node, now, sched);
                 }
-            }
-        }
-    }
-
-    fn job_finished(
-        &mut self,
-        job: JobId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let Some(req) = self.provider.request_for_job(job) else {
-            return;
-        };
-        let Some(&inst) = self.job_instance.get(&job) else {
-            return;
-        };
-        let wakeups = self.controller.instance(inst).map_or(0, |r| r.wakeups_sent);
-        let completed = self.backend.completed_count(job);
-        let requeues = self.backend.requeue_count(job);
-        if self
-            .provider
-            .complete(req, now, completed, requeues, wakeups)
-            .is_some()
-        {
-            if let Some(report) = self.provider.report(req) {
-                let begin = now.as_micros().saturating_sub(report.makespan.as_micros());
-                self.tele.span(
-                    begin,
-                    now.as_micros(),
-                    Phase::JobRun,
-                    CONTROL_TRACK,
-                    job.raw(),
-                );
-            }
-            if let Ok(outputs) = self.controller.dismantle(inst) {
-                self.process_outputs(outputs, now, sched);
             }
         }
     }
@@ -823,7 +782,6 @@ impl World {
             Some(e) => e.first_publish,
             None => return,
         };
-        let job = self.instance_job.get(&inst).copied();
         {
             let node = &mut self.nodes[id.index()];
             if !node.is_on() || node.epoch != epoch {
@@ -859,7 +817,6 @@ impl World {
         let accept_at = {
             let node = &mut self.nodes[id.index()];
             node.pna.image_ready().expect("loading DVE starts");
-            node.job = job;
             node.accept_at.unwrap_or(first_publish)
         };
         self.metrics.joins.inc();
@@ -876,9 +833,7 @@ impl World {
             inst.raw(),
         );
         self.send_heartbeat(id, now, sched);
-        if job.is_some() {
-            self.request_task(id, now, sched);
-        }
+        self.request_task(id, now, sched);
     }
 
     fn on_task_request(
@@ -893,14 +848,10 @@ impl World {
         if !node.is_on() || node.epoch != epoch || node.current_task.is_some() {
             return;
         }
-        let running = matches!(
-            node.pna.state(),
-            PnaState::Busy(dve) if dve.state() == DveState::Running
-        );
-        let Some(job) = node.job else { return };
-        if !running {
-            return;
-        }
+        let instance = match node.pna.state() {
+            PnaState::Busy(dve) if dve.state() == DveState::Running => dve.instance,
+            _ => return,
+        };
         // Fault hook: a stalled Backend leaves the request unanswered; the
         // node's fetch timeout fires and it retries with backoff.
         if self.injector.backend_stalled(now).is_some() {
@@ -908,12 +859,14 @@ impl World {
             self.schedule_fetch_retry(id, attempt, now, sched);
             return;
         }
-        let outcome = self.backend.fetch_task(job, id);
-        // fetch_task recycles stale assignments (idempotent re-assignment),
+        let fetched = self.ledger.fetch(instance, id, 1);
+        // A fetch recycles stale assignments (idempotent re-assignment),
         // which shows up as requeues.
-        self.metrics.requeues.set(self.backend.total_requeues());
-        match outcome {
-            Ok(TaskOutcome::Assigned(task)) => {
+        self.metrics
+            .requeues
+            .set(self.ledger.backend().total_requeues());
+        match fetched.and_then(|(_, mut batch)| batch.pop()) {
+            Some(task) => {
                 let node = &mut self.nodes[id.index()];
                 let done = if task.input_size.is_zero() {
                     Some(now + node.link.config().latency)
@@ -940,10 +893,7 @@ impl World {
                     None => self.schedule_fetch_retry(id, attempt, now, sched),
                 }
             }
-            Ok(TaskOutcome::Drained) => {
-                self.nodes[id.index()].drained = true;
-            }
-            Err(_) => {}
+            None => self.nodes[id.index()].drained = true,
         }
     }
 
@@ -1092,7 +1042,10 @@ impl World {
         let Some(task) = node.current_task.take() else {
             return;
         };
-        let Some(job) = node.job else { return };
+        // The task's holder is still in the instance it was fetched for.
+        let Some(job) = node.pna.instance().and_then(|i| self.ledger.job_of(i)) else {
+            return;
+        };
         // Upload started → result accepted: the task.upload span closes.
         let upload_started = node.upload_started.take().unwrap_or(now);
         self.tele.span(
@@ -1102,16 +1055,16 @@ impl World {
             id.raw(),
             task.id.raw(),
         );
-        match self.backend.complete_task(job, task.id, id, now) {
-            Ok(true) => {
-                self.metrics.tasks_completed.inc();
-                self.job_finished(job, now, sched);
+        let Ok(dismantle) = self.ledger.complete(job, task.id, id, now) else {
+            return;
+        };
+        self.metrics.tasks_completed.inc();
+        if let Some(inst) = dismantle {
+            if let Ok(outputs) = self.controller.dismantle(inst) {
+                self.process_outputs(outputs, now, sched);
             }
-            Ok(false) => {
-                self.metrics.tasks_completed.inc();
-                self.request_task(id, now, sched);
-            }
-            Err(_) => {}
+        } else if !self.ledger.backend().is_complete(job) {
+            self.request_task(id, now, sched);
         }
     }
 
@@ -1296,16 +1249,17 @@ impl Model for World {
                 WorldEvent::ControllerTick => {
                     // Sample instance sizes for the timeline metric.
                     let samples: Vec<(u64, u64)> = self
-                        .instance_job
-                        .keys()
-                        .map(|&inst| (inst.raw(), self.controller.instance_size(inst)))
+                        .ledger
+                        .instances()
+                        .map(|(inst, _)| (inst.raw(), self.controller.instance_size(inst)))
                         .collect();
                     for (inst_raw, size) in samples {
                         self.metrics
                             .sample_instance_size(inst_raw, now.as_secs_f64(), size);
                     }
                     // Backend queue depth (pending tasks over open jobs).
-                    self.queue_depth.set(self.backend.pending_total() as f64);
+                    self.queue_depth
+                        .set(self.ledger.backend().pending_total() as f64);
                     let outputs = self.controller.tick(now);
                     self.process_outputs(outputs, now, &mut sched);
                     // Liveness safety net: members parked as drained (by a
@@ -1314,7 +1268,7 @@ impl Model for World {
                     // node with a stale Backend assignment reclaim it —
                     // only the assignee's own fetch recycles that record,
                     // so waiting for `pending > 0` could deadlock.
-                    for job in self.backend.open_jobs() {
+                    for job in self.ledger.backend().open_jobs() {
                         self.kick_drained(job, now, &mut sched);
                     }
                     sched(
@@ -1388,23 +1342,12 @@ impl OddciSim {
         requirements: crate::messages::NodeRequirements,
     ) -> ProviderRequest {
         let now = self.sim.now();
-        let job_id = job.id;
-        let req = InstanceRequest {
-            image: job.image,
-            image_size: job.image_size,
-            target,
-            requirements,
-        };
         let world = self.sim.model_mut();
-        assert!(
-            world.backend.job(job_id).is_none(),
-            "job ids must be unique within a world; {job_id} was already submitted"
-        );
-        world.backend.register_job(job, now);
-        let (inst, outputs) = world.controller.create_instance(req, now);
-        world.instance_job.insert(inst, job_id);
-        world.job_instance.insert(job_id, inst);
-        let request = world.provider.open_request(job_id, inst, target, now);
+        let (inst, req, request) = world
+            .ledger
+            .submit(job, target, requirements, now)
+            .unwrap_or_else(|e| panic!("job ids must be unique within a world: {e}"));
+        let outputs = world.controller.admit_instance(inst, req, now);
 
         let mut outbox: Vec<(SimTime, WorldEvent)> = Vec::new();
         {
@@ -1429,7 +1372,7 @@ impl OddciSim {
         let world = self.sim.model_mut();
         let inst =
             world
-                .provider
+                .provider()
                 .instance_of(req)
                 .ok_or(oddci_types::OddciError::UnknownInstance(InstanceId::new(
                     u64::MAX,
@@ -1454,9 +1397,9 @@ impl OddciSim {
         let slice = SimDuration::from_secs(60);
         let report = loop {
             if self.sim.now() >= horizon {
-                break self.sim.model().provider.report(req);
+                break self.sim.model().provider().report(req);
             }
-            if let Some(r) = self.sim.model().provider.report(req) {
+            if let Some(r) = self.sim.model().provider().report(req) {
                 break Some(r);
             }
             let next = (self.sim.now() + slice).min(horizon);
@@ -1483,7 +1426,7 @@ impl OddciSim {
 
     /// Final report of a request, if complete.
     pub fn report(&self, req: ProviderRequest) -> Option<JobReport> {
-        self.sim.model().provider.report(req)
+        self.sim.model().provider().report(req)
     }
 
     /// Events processed so far.
@@ -1549,7 +1492,7 @@ mod tests {
         let req = sim.submit_job(small_job(100_000, 600, 4), 200);
         sim.run_until(SimTime::from_secs(3600));
         let world = sim.world();
-        let inst = world.provider.instance_of(req).unwrap();
+        let inst = world.provider().instance_of(req).unwrap();
         let size = world.controller.instance_size(inst);
         // Probability sizing + recomposition should land near 200.
         assert!(

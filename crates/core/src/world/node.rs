@@ -5,7 +5,7 @@ use crate::pna::Pna;
 use oddci_net::DirectLink;
 use oddci_receiver::{SetTopBox, UsageMode};
 use oddci_sim::ChurnProcess;
-use oddci_types::{JobId, SimTime};
+use oddci_types::SimTime;
 use oddci_workload::Task;
 use rand::rngs::SmallRng;
 
@@ -24,8 +24,6 @@ pub struct NodeRuntime {
     pub usage: UsageMode,
     /// The node's private random stream.
     pub rng: SmallRng,
-    /// Job served by the instance this node joined.
-    pub job: Option<JobId>,
     /// Task currently being fetched/computed/uploaded.
     pub current_task: Option<Task>,
     /// True once the Backend told this node the job queue is empty.
@@ -52,7 +50,6 @@ impl NodeRuntime {
 
     /// Clears job-execution state (reset, power-off or job end).
     pub fn clear_work(&mut self) {
-        self.job = None;
         self.current_task = None;
         self.drained = false;
         self.accept_at = None;

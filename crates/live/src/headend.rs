@@ -23,8 +23,9 @@
 //! * **one control thread** runs the Controller's periodic `tick` (loss
 //!   detection, recomposition wakeups).
 //!
-//! Shared job state (Backend, Provider, per-job queries/scores) lives in
-//! a `Hub` behind one mutex. Lock order: the Controller may be held
+//! Shared job state — the [`JobLedger`] (Backend, Provider, instance
+//! routing, wakeup counts) and the per-job queries/scores — lives in a
+//! `Hub` behind one mutex. Lock order: the Controller may be held
 //! while taking the hub or publishing on the bus, never the reverse. The
 //! hub lock is a leaf, and **nothing is sent while it is held** — every
 //! handler computes under it, drops it, then publishes.
@@ -35,18 +36,17 @@ use crate::runtime::{every, wall_now, BusMsg, LiveConfig, TaskBatchReply, Worker
 use crate::snapshot::{ImageExport, SnapshotState};
 use oddci_check::sync::{Monitor, Mutex};
 use oddci_core::autoscale::{Reconciler, ScaleDecision, ScaleInputs};
-use oddci_core::backend::Backend;
-use oddci_core::controller::{
-    Controller, ControllerOutput, ControllerPolicy, ControllerState, InstanceRequest,
-};
+use oddci_core::controller::{Controller, ControllerOutput, ControllerPolicy, ControllerState};
+use oddci_core::ledger::{JobLedger, LedgerState};
 use oddci_core::messages::{ControlMessage, Heartbeat, HeartbeatReply, SignedMessage};
-use oddci_core::provider::{JobReport, Provider, ProviderRequest};
+use oddci_core::provider::{JobReport, ProviderRequest};
 use oddci_faults::FaultInjector;
 use oddci_telemetry::{Gauge, Phase, Telemetry, CONTROL_TRACK};
-use oddci_types::{HeartbeatConfig, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
-use oddci_workload::Job;
+use oddci_types::{
+    DataSize, HeartbeatConfig, ImageId, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId,
+};
+use oddci_workload::{Job, Task};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -64,17 +64,11 @@ fn scored(scores: &Scores) -> impl Iterator<Item = (TaskId, i32)> + '_ {
 }
 
 /// Job state shared by the dispatching threads, the Controller and the
-/// submitter.
+/// submitter: the ledger, and each job's queries and scores.
 struct Hub {
-    backend: Backend,
-    provider: Provider,
-    instance_job: BTreeMap<InstanceId, JobId>,
-    job_instance: BTreeMap<JobId, InstanceId>,
+    ledger: JobLedger,
     job_queries: BTreeMap<JobId, Vec<Arc<Vec<u8>>>>,
     job_scores: BTreeMap<JobId, Scores>,
-    /// Wakeup broadcasts published per instance, for the Provider's
-    /// report.
-    wakeups: BTreeMap<InstanceId, u32>,
 }
 
 /// The Controller, the image each instance's wakeups carry, the bus they
@@ -123,7 +117,6 @@ pub(crate) struct Headend {
     /// [`wait_report`](Headend::wait_report) sleeps until a completion
     /// instead of polling the hub.
     jobs_finished: Monitor<u64>,
-    next_instance: AtomicU64,
     injector: Arc<FaultInjector>,
     start: Instant,
     tele: Telemetry,
@@ -170,19 +163,14 @@ impl Headend {
             // this lock is reported as a violation.
             hub: Mutex::named_send_sensitive(
                 Hub {
-                    backend: Backend::new(),
-                    provider: Provider::new(),
-                    instance_job: BTreeMap::new(),
-                    job_instance: BTreeMap::new(),
+                    ledger: JobLedger::new(tele.clone()),
                     job_queries: BTreeMap::new(),
                     job_scores: BTreeMap::new(),
-                    wakeups: BTreeMap::new(),
                 },
                 "live.hub",
             ),
             control: Mutex::named(control, "live.controller"),
             jobs_finished: Monitor::named(0, "live.jobs_finished"),
-            next_instance: AtomicU64::new(0),
             injector,
             start,
             backend_depth: registry.gauge("backend.queue_depth"),
@@ -206,7 +194,7 @@ impl Headend {
             match out {
                 ControllerOutput::Broadcast(signed) => {
                     if let ControlMessage::Wakeup(w) = signed.message {
-                        *self.hub.lock().wakeups.entry(w.instance).or_insert(0) += 1;
+                        self.hub.lock().ledger.aired(w.instance);
                     }
                     control.publish(signed, now_us, tele);
                 }
@@ -216,7 +204,7 @@ impl Headend {
                 }
                 ControllerOutput::NodeLost { node, .. } => {
                     tele.instant(now_us, Phase::NodeLost, node.raw(), 0);
-                    let _ = self.hub.lock().backend.node_lost(node);
+                    let _ = self.hub.lock().ledger.node_lost(node);
                 }
             }
         }
@@ -254,7 +242,20 @@ impl Headend {
         {
             return None;
         }
-        Some(fetch_batch_reply(&mut self.hub.lock(), instance, node, max))
+        let mut guard = self.hub.lock();
+        let hub = &mut *guard;
+        let Some((job, batch)) = hub.ledger.fetch(instance, node, max) else {
+            return Some(TaskBatchReply::Drained);
+        };
+        let queries = &hub.job_queries[&job];
+        let tasks = batch
+            .into_iter()
+            .map(|task| {
+                let query = queries[task.id.index()].clone();
+                (task, query)
+            })
+            .collect();
+        Some(TaskBatchReply::Assigned { job, tasks })
     }
 
     /// Lands a batch of `node`'s results. The call that completes the job
@@ -266,19 +267,19 @@ impl Headend {
             let hub = &mut *guard;
             let now = wall_now(&self.start);
             let mut scores = hub.job_scores.get_mut(&job);
+            let mut dismantle = None;
             for (task, score) in results {
-                let landed = hub.backend.complete_task(job, task, node, now).is_ok();
-                let slot = scores.as_mut().and_then(|s| s.get_mut(task.index()));
-                if let (true, Some(slot)) = (landed, slot) {
+                let Ok(done) = hub.ledger.complete(job, task, node, now) else {
+                    continue;
+                };
+                dismantle = dismantle.or(done);
+                if let Some(slot) = scores.as_mut().and_then(|s| s.get_mut(task.index())) {
                     *slot = Some(score);
                 }
             }
-            self.backend_depth.set(hub.backend.pending_total() as f64);
-            if hub.backend.is_complete(job) {
-                finish_job(hub, job, now, &self.tele)
-            } else {
-                None
-            }
+            self.backend_depth
+                .set(hub.ledger.backend().pending_total() as f64);
+            dismantle
         };
         // The hub guard is dropped. The wake comes last, so a caller who
         // submits its next job at once admits it after this dismantle.
@@ -291,46 +292,50 @@ impl Headend {
         }
     }
 
-    /// Registers a job, admits its instance and opens the Provider
-    /// request. Runs on the caller's thread — the coordinator is whoever
-    /// submits.
+    /// Submits a job of one task per query under the ledger's next job
+    /// id, then admits its instance. Runs on the caller's thread — the
+    /// coordinator is whoever submits.
     pub(crate) fn submit(
         &self,
-        job: Job,
         queries: Vec<Arc<Vec<u8>>>,
         image: Arc<AlignmentImage>,
         target: u64,
-    ) -> ProviderRequest {
-        let now = wall_now(&self.start);
-        let job_id = job.id;
-        let instance = InstanceId::new(self.next_instance.fetch_add(1, Ordering::Relaxed));
-        let req = InstanceRequest {
-            image: job.image,
-            image_size: job.image_size,
-            target,
-            requirements: Default::default(),
+    ) -> Option<ProviderRequest> {
+        let task = |i| {
+            let (input, cost) = (DataSize::from_bytes(150), SimDuration::from_millis(10));
+            Task::new(TaskId::new(i), input, cost, DataSize::from_bytes(8))
         };
-        let request = {
+        let tasks = (0..queries.len() as u64).map(task).collect();
+        let (instance, req, request) = {
             let mut hub = self.hub.lock();
-            hub.job_scores.insert(job_id, vec![None; job.tasks.len()]);
-            hub.backend.register_job(job, now);
-            hub.job_queries.insert(job_id, queries);
-            hub.instance_job.insert(instance, job_id);
-            hub.job_instance.insert(job_id, instance);
-            hub.provider.open_request(job_id, instance, target, now)
+            let id = JobId::new(hub.ledger.next_job());
+            let job = Job::new(
+                id,
+                ImageId::new(id.raw()),
+                DataSize::from_megabytes(1),
+                tasks,
+            );
+            let now = wall_now(&self.start);
+            let submitted = hub
+                .ledger
+                .submit(job, target, Default::default(), now)
+                .ok()?;
+            hub.job_scores.insert(id, vec![None; queries.len()]);
+            hub.job_queries.insert(id, queries);
+            submitted
         };
         // Image first, then the admission: its wakeup finds it.
         self.drive(&self.tele, |control, now| {
             control.images.insert(instance, image);
             control.controller.admit_instance(instance, req, now)
         });
-        request
+        Some(request)
     }
 
     /// The Provider's report (with per-task scores), once complete.
     fn report(&self, req: ProviderRequest) -> Option<(JobReport, BTreeMap<TaskId, i32>)> {
         let hub = self.hub.lock();
-        hub.provider.report(req).map(|r| {
+        hub.ledger.provider().report(req).map(|r| {
             let scores = hub
                 .job_scores
                 .get(&r.job)
@@ -368,10 +373,9 @@ impl Headend {
     /// Tasks in no Backend ledger: always 0 unless bookkeeping broke.
     pub(crate) fn unaccounted(&self) -> u64 {
         let hub = self.hub.lock();
-        hub.job_instance
-            .keys()
-            .map(|&job| hub.backend.unaccounted_tasks(job))
-            .sum()
+        let backend = hub.ledger.backend();
+        let jobs = hub.ledger.instances().map(|(_, job)| job);
+        jobs.map(|job| backend.unaccounted_tasks(job)).sum()
     }
 
     /// Cuts one snapshot at the current instant, on the calling thread.
@@ -404,20 +408,21 @@ impl Headend {
             .iter()
             .map(|(&job, queries)| (job, queries.clone()))
             .collect();
+        let ledger = hub.ledger.export_state(now);
         let mut snap = SnapshotState {
             epoch,
             taken_at_us: now.as_micros(),
             shards: vec![controller],
-            backend: hub.backend.export_state(now),
-            provider: hub.provider.export_state(now),
-            instance_job: hub.instance_job.iter().map(|(&i, &j)| (i, j)).collect(),
+            backend: ledger.backend,
+            provider: ledger.provider,
+            instance_job: ledger.instance_job,
             job_queries: Vec::new(),
             job_scores: hub
                 .job_scores
                 .iter()
                 .map(|(&job, scores)| (job, scored(scores).collect()))
                 .collect(),
-            wakeups: hub.wakeups.iter().map(|(&i, &w)| (i, w)).collect(),
+            wakeups: ledger.wakeups,
             images,
             wire_next_node: wire.0,
             wire_nodes: wire.1,
@@ -453,45 +458,42 @@ impl Headend {
                 .import_state(state, wall_now(&self.start));
             control.images = images;
         }
-        let now = wall_now(&self.start);
-        {
-            let mut hub = self.hub.lock();
-            hub.backend.import_state(snap.backend.clone(), now);
-            hub.provider.import_state(snap.provider.clone(), now);
-            hub.instance_job = snap.instance_job.iter().copied().collect();
-            hub.job_instance = snap
-                .instance_job
-                .iter()
-                .map(|&(instance, job)| (job, instance))
-                .collect();
-            hub.job_queries = snap
-                .job_queries
-                .iter()
-                .map(|(job, queries)| (*job, queries.iter().map(|q| Arc::new(q.clone())).collect()))
-                .collect();
-            hub.job_scores = snap
-                .job_scores
-                .iter()
-                .map(|(job, pairs)| {
-                    let tasks = hub.backend.job(*job).map_or(0, |j| j.tasks.len());
-                    let mut scores: Scores = vec![None; tasks];
-                    for &(task, score) in pairs {
-                        if let Some(slot) = scores.get_mut(task.index()) {
-                            *slot = Some(score);
-                        }
-                    }
-                    (*job, scores)
-                })
-                .collect();
-            hub.wakeups = snap.wakeups.iter().copied().collect();
-        }
-        let next_instance = snap
-            .instance_job
+        let mut hub = self.hub.lock();
+        let ledger = LedgerState {
+            backend: snap.backend.clone(),
+            provider: snap.provider.clone(),
+            instance_job: snap.instance_job.clone(),
+            wakeups: snap.wakeups.clone(),
+        };
+        hub.ledger.import_state(ledger, wall_now(&self.start))?;
+        hub.job_queries = snap
+            .job_queries
             .iter()
-            .map(|&(instance, _)| instance.raw() + 1)
-            .max()
-            .unwrap_or(0);
-        self.next_instance.store(next_instance, Ordering::Relaxed);
+            .map(|(job, queries)| (*job, queries.iter().map(|q| Arc::new(q.clone())).collect()))
+            .collect();
+        for (instance, job) in hub.ledger.instances() {
+            let tasks = hub.ledger.backend().job(job).map_or(0, |j| j.tasks.len());
+            let have = hub.job_queries.get(&job).map_or(0, Vec::len);
+            if have < tasks {
+                return Err(format!(
+                    "snapshot job_queries: {job} on {instance} has {have} queries for {tasks} tasks"
+                ));
+            }
+        }
+        hub.job_scores = snap
+            .job_scores
+            .iter()
+            .map(|(job, pairs)| {
+                let tasks = hub.ledger.backend().job(*job).map_or(0, |j| j.tasks.len());
+                let mut scores: Scores = vec![None; tasks];
+                for &(task, score) in pairs {
+                    if let Some(slot) = scores.get_mut(task.index()) {
+                        *slot = Some(score);
+                    }
+                }
+                (*job, scores)
+            })
+            .collect();
         Ok(())
     }
 
@@ -504,7 +506,7 @@ impl Headend {
         let mut hub = self.hub.lock();
         let mut applied = 0u64;
         for &node in nodes {
-            applied += u64::from(!hub.backend.node_lost(node).is_empty());
+            applied += u64::from(!hub.ledger.node_lost(node).is_empty());
         }
         applied
     }
@@ -519,7 +521,7 @@ impl Headend {
     /// Provider requests still running. A standby uses this right after
     /// adoption to find the jobs it must keep waiting on.
     pub(crate) fn running_jobs(&self) -> Vec<ProviderRequest> {
-        self.hub.lock().provider.running().collect()
+        self.hub.lock().ledger.provider().running().collect()
     }
 }
 
@@ -569,19 +571,18 @@ pub(crate) fn spawn_reconciler(
     every(interval, move || {
         let begin = wall_now(&headend.start);
         let (instances, queue_depth, completed) = {
-            let hub = headend.hub.lock();
-            let done: u64 = hub
-                .job_scores
-                .keys()
-                .map(|&job| hub.backend.completed_count(job))
+            let ledger = &headend.hub.lock().ledger;
+            let backend = ledger.backend();
+            let done: u64 = ledger
+                .instances()
+                .map(|(_, job)| backend.completed_count(job))
                 .sum();
-            let instances: Vec<InstanceId> = hub
-                .backend
+            let instances: Vec<InstanceId> = backend
                 .open_jobs()
-                .iter()
-                .filter_map(|j| hub.job_instance.get(j).copied())
+                .into_iter()
+                .filter_map(|job| ledger.instance_of(job))
                 .collect();
-            (instances, hub.backend.pending_total(), done)
+            (instances, backend.pending_total(), done)
         };
 
         // Spot-like reclamation: the broadcaster reclaimed the channel, so
@@ -667,66 +668,11 @@ pub(crate) fn spawn_reconciler(
     })
 }
 
-// ---------------------------------------------------------------------
-// Dispatch
-// ---------------------------------------------------------------------
-
-/// Cuts a batch for `node` under the hub lock.
-fn fetch_batch_reply(
-    hub: &mut Hub,
-    instance: InstanceId,
-    node: NodeId,
-    max: usize,
-) -> TaskBatchReply {
-    let Some(&job) = hub.instance_job.get(&instance) else {
-        return TaskBatchReply::Drained;
-    };
-    let batch = match hub.backend.fetch_batch(job, node, max) {
-        Ok(batch) if !batch.is_empty() => batch,
-        _ => return TaskBatchReply::Drained,
-    };
-    let queries = &hub.job_queries[&job];
-    let tasks = batch
-        .into_iter()
-        .map(|task| {
-            let query = queries[task.id.index()].clone();
-            (task, query)
-        })
-        .collect();
-    TaskBatchReply::Assigned { job, tasks }
-}
-
-/// Completes the Provider request for a finished job and reports which
-/// instance to dismantle. Runs under the hub lock; the caller dismantles
-/// it after dropping that lock.
-fn finish_job(hub: &mut Hub, job: JobId, now: SimTime, tele: &Telemetry) -> Option<InstanceId> {
-    let req = hub.provider.request_for_job(job)?;
-    let instance = *hub.job_instance.get(&job)?;
-    let wakeups = hub.wakeups.get(&instance).copied().unwrap_or(0);
-    let completed = hub.backend.completed_count(job);
-    let requeues = hub.backend.requeue_count(job);
-    hub.provider
-        .complete(req, now, completed, requeues, wakeups)?;
-    if let Some(report) = hub.provider.report(req) {
-        let end = now.as_micros();
-        tele.span(
-            end.saturating_sub(report.makespan.as_micros()),
-            end,
-            Phase::JobRun,
-            CONTROL_TRACK,
-            job.raw(),
-        );
-    }
-    Some(instance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use oddci_check::sync::Receiver;
     use oddci_core::messages::PnaStateKind;
-    use oddci_types::{DataSize, ImageId};
-    use oddci_workload::Task;
 
     /// A headend with one submitted job of `tasks` tasks on instance 0,
     /// and a subscription to everything it airs.
@@ -739,24 +685,14 @@ mod tests {
             Instant::now(),
             Arc::new(FaultInjector::new(oddci_faults::FaultPlan::none(), 0)),
         );
-        let job = JobId::new(0);
-        let work = (0..tasks)
-            .map(|i| {
-                Task::new(
-                    TaskId::new(i),
-                    DataSize::from_bytes(16),
-                    SimDuration::from_millis(1),
-                    DataSize::from_bytes(8),
-                )
-            })
-            .collect();
-        headend.submit(
-            Job::new(job, ImageId::new(0), DataSize::from_bytes(1), work),
-            (0..tasks).map(|_| Arc::new(vec![b'A'; 16])).collect(),
-            Arc::new(AlignmentImage::small_demo()),
-            1,
-        );
-        (headend, job, aired)
+        headend
+            .submit(
+                (0..tasks).map(|_| Arc::new(vec![b'A'; 16])).collect(),
+                Arc::new(AlignmentImage::small_demo()),
+                1,
+            )
+            .expect("a fresh job id");
+        (headend, JobId::new(0), aired)
     }
 
     fn task_ids(reply: Option<TaskBatchReply>) -> Vec<TaskId> {
@@ -789,8 +725,8 @@ mod tests {
         assert_eq!(served, 10);
         {
             let hub = headend.hub.lock();
-            assert_eq!(hub.backend.requeue_count(job), 0);
-            assert!(hub.backend.is_complete(job));
+            assert_eq!(hub.ledger.backend().requeue_count(job), 0);
+            assert!(hub.ledger.backend().is_complete(job));
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         let req = ProviderRequest(0);
@@ -804,7 +740,7 @@ mod tests {
         let mut again = task_ids(headend.fetch(instance, node, 4));
         again.sort_unstable();
         assert_eq!(first, again, "the unreported batch came straight back");
-        assert_eq!(headend.hub.lock().backend.requeue_count(job), 4);
+        assert_eq!(headend.hub.lock().ledger.backend().requeue_count(job), 4);
         assert_eq!(headend.unaccounted(), 0);
     }
 

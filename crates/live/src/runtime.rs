@@ -33,13 +33,12 @@ use oddci_core::provider::{JobReport, ProviderRequest};
 use oddci_faults::{Backoff, FaultInjector, FaultPlan};
 use oddci_receiver::compute::UsageMode;
 use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
-use oddci_types::{DataSize, ImageId, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
+use oddci_types::{DataSize, InstanceId, JobId, NodeId, SimTime, TaskId};
 use oddci_workload::alignment::{mutate, random_sequence};
-use oddci_workload::{Job, Task};
+use oddci_workload::Task;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -414,7 +413,6 @@ pub struct LiveOddci {
     socket: Option<SocketFront>,
     bus: Arc<BroadcastBus<BusMsg>>,
     nodes: Vec<JoinHandle<()>>,
-    next_job: AtomicU64,
     config: LiveConfig,
     /// Fencing epoch this headend acks hellos with (0 for a primary;
     /// snapshot epoch + 1 for a standby).
@@ -573,23 +571,12 @@ impl LiveOddci {
                 )
             });
 
-        // Job ids must keep climbing past everything an adopted primary
-        // issued.
-        let next_job = adopt.map_or(0, |snap| {
-            snap.job_queries
-                .iter()
-                .map(|(job, _)| job.raw() + 1)
-                .chain(snap.job_scores.iter().map(|(job, _)| job.raw() + 1))
-                .max()
-                .unwrap_or(0)
-        });
         Ok(LiveOddci {
             headend,
             control,
             socket,
             bus,
             nodes,
-            next_job: AtomicU64::new(next_job),
             config,
             epoch,
             snapshot_writer,
@@ -691,25 +678,7 @@ impl LiveOddci {
     ) -> Option<ProviderRequest> {
         assert!(!queries.is_empty(), "a job needs at least one query");
         image.validate().ok()?;
-        let n_queries = queries.len() as u64;
-        let job_id = JobId::new(self.next_job.fetch_add(1, Ordering::Relaxed));
-        let tasks = (0..n_queries)
-            .map(|i| {
-                Task::new(
-                    TaskId::new(i),
-                    DataSize::from_bytes(150),
-                    SimDuration::from_millis(10),
-                    DataSize::from_bytes(8),
-                )
-            })
-            .collect();
-        let job = Job::new(
-            job_id,
-            ImageId::new(job_id.raw()),
-            DataSize::from_megabytes(1),
-            tasks,
-        );
-        Some(self.headend.submit(job, queries, Arc::new(image), target))
+        self.headend.submit(queries, Arc::new(image), target)
     }
 
     /// Blocks until a submitted request completes or `timeout` passes;
@@ -1264,6 +1233,7 @@ fn send_results(
 mod tests {
     use super::*;
     use crate::wire::{run_wire_pna, WirePnaConfig};
+    use oddci_types::SimDuration;
 
     #[test]
     fn snapshot_now_round_trips_through_encode_decode() {
@@ -1487,6 +1457,61 @@ mod tests {
                 .is_some_and(|e| e.contains("word length")),
             "{refused:?}"
         );
+    }
+
+    /// A snapshot whose CRC holds but whose tables disagree is refused by
+    /// the table it breaks, instead of panicking the first fetch that
+    /// indexes past them; the same snapshot, untouched, still adopts.
+    #[test]
+    fn standby_refuses_an_inconsistent_snapshot() {
+        let primary = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            ..Default::default()
+        });
+        primary
+            .run_alignment_job(AlignmentImage::small_demo(), 4, 2, Duration::from_secs(30))
+            .expect("job completes");
+        let snap = primary.snapshot_now();
+        primary.shutdown();
+        let job = snap.instance_job[0].1;
+
+        let mut unqueried = snap.clone();
+        unqueried.job_queries.retain(|&(j, _)| j != job);
+        let mut short = snap.clone();
+        for (_, queries) in &mut short.job_queries {
+            queries.pop();
+        }
+        let mut past_end = snap.clone();
+        past_end.backend.jobs[0].pending.push(TaskId::new(4));
+        let mut assigned_past_end = snap.clone();
+        assigned_past_end.backend.jobs[0]
+            .assigned
+            .push((TaskId::new(9), NodeId::new(0)));
+
+        let config = || LiveConfig {
+            nodes: 2,
+            mode: HeadendMode::Socket {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                shards: 1,
+                dispatch: 1,
+                batch: 1,
+            },
+            ..Default::default()
+        };
+        for (bad, table) in [
+            (unqueried, "job_queries"),
+            (short, "job_queries"),
+            (past_end, "backend"),
+            (assigned_past_end, "backend"),
+        ] {
+            let refused = LiveOddci::start_standby(config(), &bad).err();
+            assert!(
+                refused.as_deref().is_some_and(|e| e.contains(table)),
+                "{table}: {refused:?}"
+            );
+        }
+        let standby = LiveOddci::start_standby(config(), &snap).expect("the untouched one adopts");
+        assert_eq!(standby.shutdown().tasks_unaccounted, 0);
     }
 
     /// The full failover story, in-process: a socket headend snapshots

@@ -22,6 +22,8 @@ pub enum OddciError {
     UnknownNode(NodeId),
     /// The referenced job was never submitted or already completed.
     UnknownJob(JobId),
+    /// A job was submitted under an id already in use.
+    DuplicateJob(JobId),
     /// The referenced task does not belong to the job.
     UnknownTask {
         /// Job the lookup was scoped to.
@@ -64,6 +66,7 @@ impl fmt::Display for OddciError {
             OddciError::UnknownInstance(id) => write!(f, "unknown OddCI instance {id}"),
             OddciError::UnknownNode(id) => write!(f, "unknown processing node {id}"),
             OddciError::UnknownJob(id) => write!(f, "unknown job {id}"),
+            OddciError::DuplicateJob(id) => write!(f, "job {id} was already submitted"),
             OddciError::UnknownTask { job, task } => {
                 write!(f, "task {task} does not belong to job {job}")
             }
