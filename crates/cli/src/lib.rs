@@ -25,7 +25,10 @@
 //!
 //! The argument syntax is deliberately simple (`--key value` pairs after a
 //! subcommand); parsing is hand-rolled to keep the dependency set at the
-//! approved workspace list.
+//! approved workspace list. Each command family has its own module whose
+//! `spec` block declares the command and every flag it reads, once (see
+//! [`args::Flag`]): the unknown-flag check in [`run`], [`usage`] and the
+//! handlers' defaults all read that declaration.
 //!
 //! # Example
 //!
@@ -40,56 +43,47 @@
 //! ```
 
 pub mod args;
-pub mod commands;
+mod check;
+mod drill;
+mod live;
+mod model;
+mod sim;
+mod socket;
+mod top;
 
+use args::Command;
 pub use args::{ArgError, Parsed};
+
+/// Every subcommand, in help order. `run` rejects a `--name` its command
+/// does not declare, and [`usage`] renders the same declarations.
+#[rustfmt::skip]
+const COMMANDS: &[&Command] = &[
+    &sim::SIMULATE, &sim::CHAOS, &sim::TRACE, &sim::TRACE_CONVERT,
+    &model::WAKEUP, &model::EFFICIENCY,
+    &live::LIVE, &live::SOAK,
+    &socket::HEADEND, &socket::PNA,
+    &drill::FAILOVER, &drill::AUTOSCALE,
+    &top::TOP,
+    &check::CHECK,
+];
 
 /// Entry point shared by `main` and the tests: parses `argv[1..]`, runs the
 /// subcommand, returns the rendered output or a usage error.
 pub fn run(argv: &[String]) -> Result<String, String> {
-    // `trace` accepts positionals: `oddci trace convert <file>` is the
-    // offline binary-to-text converter, and `oddci trace small --out
-    // t.json` names a scenario; rewrite both into `--key value` form for
-    // the option parser.
-    let rewritten: Vec<String>;
-    let argv = if argv.first().map(String::as_str) == Some("trace")
-        && argv.get(1).map(String::as_str) == Some("convert")
-    {
-        let mut v = vec!["trace-convert".to_string()];
-        match argv.get(2) {
-            Some(file) if !file.starts_with("--") => {
-                v.extend(["--in".to_string(), file.clone()]);
-                v.extend(argv[3..].iter().cloned());
-            }
-            _ => v.extend(argv[2..].iter().cloned()),
-        }
-        rewritten = v;
-        &rewritten[..]
-    } else if argv.first().map(String::as_str) == Some("trace")
-        && argv.get(1).is_some_and(|a| !a.starts_with("--"))
-    {
-        let mut v = vec![argv[0].clone(), "--scenario".to_string(), argv[1].clone()];
-        v.extend(argv[2..].iter().cloned());
-        rewritten = v;
-        &rewritten[..]
-    } else {
-        argv
-    };
-    let parsed = args::Parsed::parse(argv).map_err(|e| format!("{e}\n\n{}", usage()))?;
+    let argv = spell_out(argv);
+    let parsed = Parsed::parse(&argv).map_err(|e| format!("{e}\n\n{}", usage()))?;
     let command = parsed.command.as_str();
     if matches!(command, "help" | "--help" | "-h") {
         return Ok(usage());
     }
-    let Some((_, handler, allowed)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+    let Some(command) = COMMANDS.iter().find(|c| c.name == command) else {
         return Err(format!("unknown subcommand `{command}`\n\n{}", usage()));
     };
     // Before the command does any work: a name it never reads must not
     // parse, be ignored, and look like it worked.
-    if let Some(name) = parsed
-        .names()
-        .find(|name| !allowed.split(' ').any(|a| a == *name))
-    {
-        let shown = command.replace('-', " ");
+    let declared = |name: &str| command.flags.iter().any(|f| f.name == name);
+    if let Some(name) = parsed.names().find(|name| !declared(name)) {
+        let shown = command.name.replace('-', " ");
         let hint = if name == "binary" {
             ": streams are always binary (`.trace.bin`); derive JSONL/Chrome \
              with `oddci trace convert <file>`"
@@ -98,248 +92,162 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         };
         return Err(ArgError(format!("`oddci {shown}` takes no `--{name}`{hint}")).to_string());
     }
-    handler(&parsed).map_err(|e| e.to_string())
+    (command.run)(&parsed).map_err(|e| e.to_string())
 }
 
-type Handler = fn(&Parsed) -> Result<String, ArgError>;
+/// A command's text report: a title line, then `  label: value` rows
+/// with every label padded to one width.
+pub(crate) struct Report {
+    /// The report so far.
+    pub text: String,
+    width: usize,
+}
 
-/// Every subcommand: its handler and the one list of `--name`s (options
-/// and bare flags, space-separated) it reads. `run` rejects any other
-/// name, and a test holds this table equal to what [`usage`] prints.
-const COMMANDS: &[(&str, Handler, &str)] = &[
-    (
-        "simulate",
-        commands::simulate,
-        "nodes target tasks cost-secs image-mb seed churn json",
-    ),
-    (
-        "chaos",
-        commands::chaos,
-        "nodes target tasks cost-secs seed faults intensity json",
-    ),
-    (
-        "trace",
-        commands::trace,
-        "scenario out seed stream lane-capacity",
-    ),
-    ("trace-convert", commands::trace_convert, "in jsonl chrome"),
-    ("wakeup", commands::wakeup, "image-mb beta-mbps"),
-    ("efficiency", commands::efficiency, "phi ratio nodes"),
-    ("live", commands::live, "nodes queries target"),
-    (
-        "soak",
-        commands::soak,
-        "batch nodes queries target seed trace-out lane-capacity json",
-    ),
-    (
-        "headend",
-        commands::headend,
-        "listen pnas queries target batch db-len seed timeout metrics-out \
-         metrics-interval-ms snapshot-dir snapshot-interval-ms standby min-instances \
-         max-instances slo-queue-depth cooldown-ms json",
-    ),
-    (
-        "pna",
-        commands::pna,
-        "connect seed heartbeat-ms connect-timeout reconnect-ms json",
-    ),
-    (
-        "failover",
-        commands::failover,
-        "listen pnas queries target seed db-len faults snapshot-dir snapshot-interval-ms \
-         timeout json",
-    ),
-    (
-        "autoscale",
-        commands::autoscale,
-        "listen pnas queries seed db-len min-instances max-instances slo-queue-depth \
-         cooldown-ms reconcile-ms faults timeout json",
-    ),
-    (
-        "top",
-        commands::top,
-        "connect interval-ms count connect-timeout json",
-    ),
-    (
-        "check",
-        commands::check,
-        "seed schedules scenario replay skip-lint list",
-    ),
-];
+impl Report {
+    /// A report whose rows pad their labels to `width`.
+    pub fn new(width: usize, title: impl std::fmt::Display) -> Report {
+        let text = format!("{title}\n");
+        Report { text, width }
+    }
 
-/// The help text.
+    /// Appends `  label: value`.
+    pub fn row(&mut self, label: &str, value: impl std::fmt::Display) {
+        let width = self.width;
+        self.text += &format!("  {label:<width$}: {value}\n");
+    }
+
+    /// Appends a line as it is.
+    pub fn line(&mut self, line: impl std::fmt::Display) {
+        self.text += &format!("{line}\n");
+    }
+
+    /// The report, or `doc` pretty-printed instead for `--json`.
+    pub fn or_json(self, json: bool, doc: &serde_json::Value) -> String {
+        if json {
+            serde_json::to_string_pretty(doc).expect("serialize json")
+        } else {
+            self.text
+        }
+    }
+}
+
+/// Rewrites the two shorthand forms into `--key value` form for the
+/// parser: `oddci trace convert …` names the `trace-convert` command, and
+/// a bare word after the command (`oddci trace small`) is the value of
+/// the command's positional flag.
+fn spell_out(argv: &[String]) -> Vec<String> {
+    let mut argv = argv.to_vec();
+    let find = |name: &str| COMMANDS.iter().find(|c| c.name == name);
+    if let [first, second, ..] = &argv[..] {
+        let joined = format!("{first}-{second}");
+        if find(&joined).is_some() {
+            argv.splice(..2, [joined]);
+        }
+    }
+    let positional = argv
+        .first()
+        .and_then(|name| find(name))
+        .and_then(|c| c.flags.iter().find(|f| f.positional));
+    if let (Some(flag), Some(value)) = (positional, argv.get(1)) {
+        if !value.starts_with("--") {
+            argv.insert(1, format!("--{}", flag.name));
+        }
+    }
+    argv
+}
+
+/// The help text, rendered from the command and flag declarations.
 pub fn usage() -> String {
-    "\
+    let mut out = "\
 oddci — On-Demand Distributed Computing Infrastructure (SC/MTAGS 2009 reproduction)
 
 USAGE:
     oddci <COMMAND> [--key value ...]
 
 COMMANDS:
-    simulate    run a full OddCI-DTV simulation for one job
-                  --nodes N        channel audience        [1000]
-                  --target N       instance size           [100]
-                  --tasks N        job task count          [500]
-                  --cost-secs S    task cost (ref. STB)    [60]
-                  --image-mb M     application image MB    [4]
-                  --seed S         simulation seed         [42]
-                  --churn ON:OFF   mean on/off minutes     [off]
-                  --json           machine-readable output
-    chaos       simulate one job under deterministic fault injection
-                  --nodes N        channel audience        [500]
-                  --target N       instance size           [100]
-                  --tasks N        job task count          [300]
-                  --cost-secs S    task cost (ref. STB)    [30]
-                  --seed S         simulation seed         [42]
-                  --faults SPEC    class=rate[:magnitude][@start..end],...
-                                   (window in seconds; default: standard mix)
-                  --intensity F    scale every rate by F   [1.0]
-                  --json           machine-readable output
-    trace       run one scenario streaming every event to a binary trace,
-                convert it to a Chrome trace (chrome://tracing / Perfetto),
-                and print a per-phase table and the wakeup check
-                  [scenario]       small | standard | chaos [small]
-                  --out PATH       Chrome trace file       [results/trace.json]
-                  --seed S         simulation seed         [42]
-                  --stream PATH    the binary .trace.bin the run streams to
-                                   [--out stem + .trace.bin]
-                  --lane-capacity N  events buffered per sink lane [65536]
-    trace convert  re-emit JSONL + Chrome text from a binary trace (the only
-                producer of either text form)
-                  [file]           input .trace.bin          [required]
-                  --jsonl PATH     JSONL output      [input with .jsonl]
-                  --chrome PATH    Chrome output  [jsonl with .stream.json]
-    wakeup      evaluate the wakeup envelope W = 1.5·I/β
-                  --image-mb M     image size MB           [8]
-                  --beta-mbps B    spare capacity Mbps     [1]
-    efficiency  evaluate equations (1) and (2)
-                  --phi F          suitability             [1000]
-                  --ratio R        n/N                     [100]
-                  --nodes N        instance size N         [1000]
-    live        run the live thread demo (real alignment work)
-                  --nodes N        receiver threads        [4]
-                  --queries N      alignment queries       [8]
-                  --target N       instance size           [3]
-    soak        stress the live headend and report task throughput
-                  --batch N        tasks per fetch, 1..=1024   [16]
-                  --nodes N        receiver threads            [8]
-                  --queries N      tasks in the soak job       [512]
-                  --target N       instance size               [nodes]
-                  --seed S         run seed                    [42]
-                  --trace-out PATH stream a binary .trace.bin of the run
-                                   (per-track sink lanes; drops are counted,
-                                   never blocking the headend)
-                  --lane-capacity N  events buffered per sink lane [65536]
-                  --json           machine-readable output
-    headend     serve the live plane over TCP for `oddci pna` processes
-                (runs one alignment job once the instance fills, then
-                broadcasts shutdown to every connected PNA)
-                  --listen ADDR    bind address (HOST:PORT)    [required]
-                  --pnas N         expected PNA processes      [3]
-                  --queries N      alignment queries           [8]
-                  --target N       instance size               [min(pnas,3)]
-                  --batch N        tasks per fetch             [8]
-                  --db-len N       database bytes in the image [20000]
-                  --seed S         run seed                    [42]
-                  --timeout S      job deadline, seconds       [120]
-                  --metrics-out PATH  rewrite a Prometheus text snapshot
-                                      of the metrics registry on an interval
-                  --metrics-interval-ms M  snapshot period     [1000]
-                  --snapshot-dir PATH  write durability snapshots
-                                       (headend.snap, atomic) here
-                  --snapshot-interval-ms M  snapshot cadence   [500]
-                  --standby PATH   adopt the snapshot in PATH instead of
-                                   starting fresh: rebind the dead
-                                   primary's address at a bumped fencing
-                                   epoch and finish its in-flight jobs
-                                   (same geometry, sizing, snapshot and
-                                   metrics flags as a primary)
-                  --min-instances N  enable elastic sizing: floor    [1]
-                  --max-instances N  elastic ceiling             [pnas]
-                  --slo-queue-depth N  queued tasks per member the
-                                       reconciler sizes toward      [4]
-                  --cooldown-ms M  min gap between scaling actions
-                                   (replacements bypass it)      [2000]
-                  --json           machine-readable output
-    pna         one Processing Node Agent: connect to a headend, boot from
-                the streamed wakeup image, work until shutdown
-                  --connect ADDR   headend address (HOST:PORT) [required]
-                  --seed S         node seed                   [7]
-                  --heartbeat-ms M heartbeat interval          [150]
-                  --connect-timeout S  dial deadline, seconds  [10]
-                  --reconnect-ms M survive a dead connection: keep
-                                   redialing for M ms per outage, resuming
-                                   this node identity at whatever headend
-                                   answers (epoch-fenced)      [0 = off]
-                  --json           machine-readable output
-    failover    durability drill: snapshotting headend + reconnecting
-                PNAs; kill the primary at the fault plan's first
-                headend-crash opportunity, adopt from the snapshot on a
-                standby, prove zero tasks lost
-                  --listen ADDR    bind address (HOST:PORT) [127.0.0.1:0]
-                  --pnas N         in-process PNA threads      [3]
-                  --queries N      alignment queries           [64]
-                  --target N       instance size               [min(pnas,3)]
-                  --seed S         run seed                    [42]
-                  --db-len N       database bytes in the image [200000]
-                  --faults SPEC    must include a headend-crash window
-                                   [headend-crash=1.0@0.5..30]
-                  --snapshot-dir PATH  snapshot directory      [temp dir]
-                  --snapshot-interval-ms M  snapshot cadence   [50]
-                  --timeout S      overall deadline, seconds   [60]
-                  --json           machine-readable output
-    autoscale   elastic-sizing drill: a live headend under the
-                desired-state reconciler, submitted at the minimum
-                instance size; the queue-depth SLO scales it up, the
-                draining backlog scales it down, and a spot-like
-                airtime revocation mid-job is absorbed as a
-                cooldown-bypassing replacement; fails unless >=1
-                scale-up and >=1 scale-down land with zero task loss
-                  --listen ADDR    bind address (HOST:PORT) [127.0.0.1:0]
-                  --pnas N         in-process PNA threads      [6]
-                  --queries N      alignment queries           [64]
-                  --seed S         run seed                    [42]
-                  --db-len N       database bytes in the image [800000]
-                  --min-instances N  reconciler floor          [2]
-                  --max-instances N  reconciler ceiling        [pnas]
-                  --slo-queue-depth N  queued tasks per member [8]
-                  --cooldown-ms M  gap between scaling actions [400]
-                  --reconcile-ms M reconciler tick period      [25]
-                  --faults SPEC    fault plan
-                                   [airtime-revoked=1.0@1.2..1.5]
-                  --timeout S      overall deadline, seconds   [60]
-                  --json           machine-readable output
-    top         poll a running socket headend's live metrics plane
-                (counters/gauges/histograms with deltas and rates, plus
-                per-connection wire counters; no node identity consumed)
-                  --connect ADDR   headend address (HOST:PORT) [required]
-                  --interval-ms M  poll period                 [1000]
-                  --count N        polls before exiting        [0 = forever]
-                  --connect-timeout S  dial deadline, seconds  [10]
-                  --json           machine-readable output (last poll)
-    check       concurrency gate: workspace lint + bounded model checking
-                of the headend protocol scenarios (exit nonzero on any
-                lint finding, clean-scenario failure, or missed seeded bug)
-                  --seed S         scheduler seed              [11]
-                  --schedules N    interleavings per scenario  [400]
-                  --scenario NAME  model just this scenario
-                  --replay SCHED   re-run one pinned interleaving
-                                   (requires --scenario; schedules print
-                                   as s<seed>:t0.t1.…)
-                  --skip-lint      model checking only
-                  --list           list the model scenarios
-    help        show this message
 "
-    .to_string()
+    .to_string();
+    for c in COMMANDS {
+        let name = c.name.replace('-', " ");
+        push_wrapped(&mut out, format!("    {name:<10}  "), c.about, "");
+        for f in c.flags {
+            let lead = format!("{:18}{:<15}  ", "", f.spec());
+            push_wrapped(&mut out, lead, f.help, f.default);
+        }
+    }
+    out.push_str("    help        show this message\n");
+    out
+}
+
+/// Appends `lead` plus `text` word-wrapped at 80 columns under `lead`'s
+/// width (never before a `--name`, which would read as the flag's own),
+/// then `[default]` in the column 24 past that indent.
+fn push_wrapped(out: &mut String, lead: String, text: &str, default: &str) {
+    let indent = lead.chars().count();
+    let mut line = lead;
+    for word in text.split_whitespace() {
+        let len = line.chars().count();
+        if len > indent && len + word.chars().count() >= 80 && !word.starts_with("--") {
+            *out += &format!("{line}\n");
+            line = " ".repeat(indent);
+        } else if len > indent {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    if !default.is_empty() {
+        let tag = format!("[{default}]");
+        let mut column = (indent + 23).max(line.chars().count());
+        if column + tag.len() >= 80 {
+            *out += &format!("{line}\n");
+            (line, column) = (String::new(), indent - 1);
+        }
+        line = format!("{line:column$} {tag}");
+    }
+    *out += &format!("{}\n", line.trim_end());
+}
+
+/// Helpers the command modules' tests share.
+#[cfg(test)]
+mod testing {
+    /// An argv from string slices.
+    pub fn argv(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// [`run`](crate::run) on one command line, split on whitespace.
+    pub fn oddci(line: &str) -> Result<String, String> {
+        crate::run(
+            &line
+                .split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// `oddci LINE`, which must succeed and print a JSON document.
+    pub fn oddci_json(line: &str) -> serde_json::Value {
+        let out = oddci(line).unwrap_or_else(|e| panic!("oddci {line}: {e}"));
+        serde_json::from_str(&out).unwrap_or_else(|e| panic!("invalid JSON {e:?}: {out}"))
+    }
+
+    /// A JSON object's keys, space-separated in document order: the
+    /// machine-readable surface scripts and operators parse.
+    pub fn keys(v: &serde_json::Value) -> String {
+        match v {
+            serde_json::Value::Object(entries) => {
+                let names: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+                names.join(" ")
+            }
+            other => panic!("expected a JSON object, got {other:?}"),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::testing::{argv, keys, oddci, oddci_json};
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn help_works() {
@@ -361,103 +269,44 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_evaluates() {
-        let out = run(&argv(&["wakeup", "--image-mb", "8", "--beta-mbps", "1"])).unwrap();
-        assert!(out.contains("mean"), "{out}");
-        assert!(out.contains("100.7"), "8MB@1Mbps mean is 100.66s: {out}");
-    }
-
-    #[test]
-    fn efficiency_evaluates() {
-        let out = run(&argv(&["efficiency", "--phi", "1000", "--ratio", "100"])).unwrap();
-        assert!(out.contains("efficiency"), "{out}");
-    }
-
-    #[test]
     fn simulate_small_world() {
-        let out = run(&argv(&[
-            "simulate",
-            "--nodes",
-            "100",
-            "--target",
-            "30",
-            "--tasks",
-            "60",
-            "--cost-secs",
-            "10",
-            "--image-mb",
-            "1",
-        ]))
-        .unwrap();
+        let out = oddci("simulate --nodes 100 --target 30 --tasks 60 --cost-secs 10 --image-mb 1");
+        let out = out.unwrap();
         assert!(out.contains("makespan"), "{out}");
         assert!(out.contains("60 tasks"), "{out}");
     }
 
     #[test]
     fn chaos_runs_and_reports_faults() {
-        let out = run(&argv(&[
-            "chaos",
-            "--nodes",
-            "100",
-            "--target",
-            "30",
-            "--tasks",
-            "60",
-            "--cost-secs",
-            "10",
-            "--faults",
-            "heartbeat-drop=0.2,direct-loss=0.1:20",
-        ]))
-        .unwrap();
+        let plan = "heartbeat-drop=0.2,direct-loss=0.1:20";
+        let line =
+            format!("chaos --nodes 100 --target 30 --tasks 60 --cost-secs 10 --faults {plan}");
+        let out = oddci(&line).unwrap();
         assert!(out.contains("completed         : 60 tasks"), "{out}");
         assert!(out.contains("injected faults"), "{out}");
     }
 
     #[test]
     fn chaos_json_counts_all_tasks() {
-        let out = run(&argv(&[
-            "chaos",
-            "--nodes",
-            "80",
-            "--target",
-            "20",
-            "--tasks",
-            "40",
-            "--cost-secs",
-            "5",
-            "--intensity",
-            "0.5",
-            "--json",
-        ]))
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        let v = oddci_json(
+            "chaos --nodes 80 --target 20 --tasks 40 --cost-secs 5 --intensity 0.5 --json",
+        );
         assert_eq!(v["tasks_completed"], 40);
     }
 
     #[test]
     fn chaos_rejects_bad_plan() {
-        let err = run(&argv(&["chaos", "--faults", "not-a-class=0.5"])).unwrap_err();
+        let err = oddci("chaos --faults not-a-class=0.5").unwrap_err();
         assert!(err.contains("not-a-class"), "{err}");
     }
 
     #[test]
     fn chaos_accepts_windowed_faults() {
-        let out = run(&argv(&[
-            "chaos",
-            "--nodes",
-            "80",
-            "--target",
-            "20",
-            "--tasks",
-            "40",
-            "--cost-secs",
-            "5",
-            "--faults",
-            "heartbeat-drop=0.3@0..600,direct-loss=0.1:20@120..900",
-        ]))
-        .unwrap();
+        let plan = "heartbeat-drop=0.3@0..600,direct-loss=0.1:20@120..900";
+        let line = format!("chaos --nodes 80 --target 20 --tasks 40 --cost-secs 5 --faults {plan}");
+        let out = oddci(&line).unwrap();
         assert!(out.contains("completed         : 40 tasks"), "{out}");
-        let err = run(&argv(&["chaos", "--faults", "heartbeat-drop=0.3@600"])).unwrap_err();
+        let err = oddci("chaos --faults heartbeat-drop=0.3@600").unwrap_err();
         assert!(err.contains("window"), "{err}");
     }
 
@@ -465,7 +314,7 @@ mod tests {
     fn trace_writes_chrome_trace_and_breakdown() {
         let dir = std::env::temp_dir().join("oddci-cli-trace-test");
         let path = dir.join("trace.json");
-        let out = run(&argv(&["trace", "small", "--out", path.to_str().unwrap()])).unwrap();
+        let out = oddci(&format!("trace small --out {}", path.display())).unwrap();
         assert!(out.contains("wakeup (streamed trace): measured"), "{out}");
         assert_eq!(out.matches("wakeup (").count(), 1, "{out}");
         assert!(out.contains("0 dropped (0.0%)"), "{out}");
@@ -491,18 +340,12 @@ mod tests {
     #[test]
     fn trace_stream_recomputes_wakeup_and_converts_losslessly() {
         let dir = std::env::temp_dir().join("oddci-cli-stream-test");
-        let out_path = dir.join("trace.json");
-        let bin_path = dir.join("run.trace.bin");
-        let out = run(&argv(&[
-            "trace",
-            "small",
-            "--out",
-            out_path.to_str().unwrap(),
-            "--stream",
-            bin_path.to_str().unwrap(),
-            "--lane-capacity",
-            "131072",
-        ]))
+        let (out_path, bin_path) = (dir.join("trace.json"), dir.join("run.trace.bin"));
+        let out = oddci(&format!(
+            "trace small --out {} --stream {} --lane-capacity 131072",
+            out_path.display(),
+            bin_path.display()
+        ))
         .unwrap();
         // The wakeup check recomputes from the binary artifact.
         assert!(out.contains("wakeup (streamed trace): measured"), "{out}");
@@ -512,7 +355,7 @@ mod tests {
         assert!(trace.truncated.is_none());
         // Offline conversion re-emits both text artifacts with default
         // derived paths, and the JSONL holds exactly the decoded events.
-        let converted = run(&argv(&["trace", "convert", bin_path.to_str().unwrap()])).unwrap();
+        let converted = oddci(&format!("trace convert {}", bin_path.display())).unwrap();
         assert!(converted.contains("converted"), "{converted}");
         let text = std::fs::read_to_string(dir.join("run.trace.jsonl")).unwrap();
         let (header, events) =
@@ -545,7 +388,8 @@ mod tests {
     /// bind a socket and wait for PNAs).
     #[test]
     fn every_command_rejects_names_it_does_not_read() {
-        for (name, ..) in COMMANDS {
+        for command in COMMANDS {
+            let name = &command.name;
             let shown = name.replace('-', " ");
             for unknown in [&["--bogus", "1"][..], &["--bogus"][..]] {
                 let mut args = vec![*name];
@@ -594,9 +438,9 @@ mod tests {
         listed.get_mut("trace-convert").unwrap().insert("in".into());
         let allowed: BTreeMap<String, BTreeSet<String>> = COMMANDS
             .iter()
-            .map(|(name, _, names)| {
-                let names = names.split(' ').map(str::to_string).collect();
-                (name.to_string(), names)
+            .map(|command| {
+                let names = command.flags.iter().map(|f| f.name.to_string()).collect();
+                (command.name.to_string(), names)
             })
             .collect();
         assert_eq!(listed, allowed);
@@ -623,23 +467,16 @@ mod tests {
     fn soak_trace_out_streams_run() {
         let dir = std::env::temp_dir().join("oddci-cli-soak-stream-test");
         let stream_path = dir.join("soak.trace.bin");
-        let out = run(&argv(&[
-            "soak",
-            "--nodes",
-            "2",
-            "--queries",
-            "8",
-            "--batch",
-            "4",
-            "--trace-out",
-            stream_path.to_str().unwrap(),
-            "--json",
-        ]))
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        let line = "soak --nodes 2 --queries 8 --batch 4 --json --trace-out";
+        let v = oddci_json(&format!("{line} {}", stream_path.display()));
         assert_eq!(v["tasks_unaccounted"], 0);
         let stream = &v["stream"];
-        assert!(stream["emitted"].as_u64().unwrap() > 0, "{out}");
+        assert!(keys(&v).ends_with("gauges stream"), "{v:?}");
+        assert_eq!(
+            keys(stream),
+            "emitted persisted dropped dropped_pct flushes"
+        );
+        assert!(stream["emitted"].as_u64().unwrap() > 0, "{v:?}");
         assert_eq!(
             stream["emitted"].as_u64().unwrap(),
             stream["persisted"].as_u64().unwrap() + stream["dropped"].as_u64().unwrap()
@@ -654,28 +491,22 @@ mod tests {
 
     #[test]
     fn soak_rejects_degenerate_pools() {
-        let err = run(&argv(&["soak", "--batch", "0"])).unwrap_err();
+        let err = oddci("soak --batch 0").unwrap_err();
         assert!(err.contains("1..=1024"), "{err}");
-        let err = run(&argv(&["soak", "--batch", "9999"])).unwrap_err();
+        let err = oddci("soak --batch 9999").unwrap_err();
         assert!(err.contains("1..=1024"), "{err}");
-        let err = run(&argv(&["soak", "--nodes", "2", "--target", "5"])).unwrap_err();
+        let err = oddci("soak --nodes 2 --target 5").unwrap_err();
         assert!(err.contains("--target"), "{err}");
     }
 
     #[test]
     fn soak_small_run_reports_throughput() {
-        let out = run(&argv(&[
-            "soak",
-            "--nodes",
-            "2",
-            "--queries",
-            "8",
-            "--batch",
-            "4",
-            "--json",
-        ]))
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
+        let v = oddci_json("soak --nodes 2 --queries 8 --batch 4 --json");
+        assert_eq!(
+            keys(&v),
+            "batch nodes queries target makespan_secs throughput_tasks_per_sec requeues \
+             tasks_unaccounted threads_failed gauges"
+        );
         assert_eq!(v["queries"], 8);
         assert_eq!(v["tasks_unaccounted"], 0);
         assert!(v["throughput_tasks_per_sec"].as_f64().unwrap() > 0.0);
@@ -683,30 +514,29 @@ mod tests {
 
     #[test]
     fn trace_rejects_unknown_scenario() {
-        let err = run(&argv(&["trace", "bogus"])).unwrap_err();
+        let err = oddci("trace bogus").unwrap_err();
         assert!(err.contains("unknown scenario"), "{err}");
     }
 
     #[test]
     fn failover_drill_loses_no_tasks() {
-        let out = run(&argv(&[
-            "failover",
-            "--pnas",
-            "3",
-            "--queries",
-            "48",
-            "--snapshot-interval-ms",
-            "40",
-            "--faults",
-            "headend-crash=1.0@0.3..30",
-            "--json",
-        ]))
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert_eq!(v["tasks_lost"], 0, "{out}");
-        assert_eq!(v["tasks_unaccounted"], 0, "{out}");
-        assert_eq!(v["standby_epoch"], 1, "{out}");
-        assert_eq!(v["pnas_reacked"], 3, "{out}");
+        let v = oddci_json(
+            "failover --pnas 3 --queries 48 --snapshot-interval-ms 40 \
+             --faults headend-crash=1.0@0.3..30 --json",
+        );
+        assert_eq!(
+            keys(&v),
+            "listen pnas queries target crash_at_secs snapshot_epoch standby_epoch adopt_ms \
+             adopted_running_job tasks_completed tasks_lost requeues tasks_unaccounted \
+             threads_failed pnas_reacked pna_epochs"
+        );
+        assert_eq!(v["tasks_lost"], 0, "{v:?}");
+        assert_eq!(v["tasks_unaccounted"], 0, "{v:?}");
+        assert_eq!(v["standby_epoch"], 1, "{v:?}");
+        assert_eq!(v["pnas_reacked"], 3, "{v:?}");
+        // The drill snapshotted into a directory of its own and removed it.
+        let dir = std::env::temp_dir().join(format!("oddci-failover-{}", std::process::id()));
+        assert!(!dir.exists(), "{} left behind", dir.display());
     }
 
     /// `oddci headend --standby` honours the sizing and `--metrics-out`
@@ -749,30 +579,20 @@ mod tests {
 
         // No PNA ever dials in, so the standby serves out its redial
         // grace — dozens of snapshot cycles — and shuts down cleanly.
-        let out = run(&argv(&[
-            "headend",
-            "--listen",
-            "127.0.0.1:0",
-            "--standby",
-            dir.to_str().unwrap(),
-            "--pnas",
-            "1",
-            "--min-instances",
-            "1",
-            "--max-instances",
-            "4",
-            "--snapshot-interval-ms",
-            "20",
-            "--metrics-out",
-            metrics_path.to_str().unwrap(),
-            "--metrics-interval-ms",
-            "50",
-            "--json",
-        ]))
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert_eq!(v["epoch"], 1, "{out}");
-        assert_eq!(v["threads_failed"], 0, "{out}");
+        let v = oddci_json(&format!(
+            "headend --listen 127.0.0.1:0 --standby {} --pnas 1 --min-instances 1 \
+             --max-instances 4 --snapshot-interval-ms 20 --metrics-out {} \
+             --metrics-interval-ms 50 --json",
+            dir.display(),
+            metrics_path.display()
+        ));
+        assert_eq!(
+            keys(&v),
+            "listen epoch snapshot_epoch adopted_jobs tasks_completed requeues \
+             tasks_unaccounted threads_failed wire connections"
+        );
+        assert_eq!(v["epoch"], 1, "{v:?}");
+        assert_eq!(v["threads_failed"], 0, "{v:?}");
 
         let after = oddci_live::snapshot::read_file(&snap_path).unwrap();
         assert_eq!(after.epoch, 1, "the standby re-published the snapshot");
@@ -790,28 +610,13 @@ mod tests {
 
     #[test]
     fn failover_requires_a_crash_window() {
-        let err = run(&argv(&["failover", "--faults", "heartbeat-drop=0.2"])).unwrap_err();
+        let err = oddci("failover --faults heartbeat-drop=0.2").unwrap_err();
         assert!(err.contains("never crashes"), "{err}");
     }
 
     #[test]
     fn simulate_json_output_parses() {
-        let out = run(&argv(&[
-            "simulate",
-            "--nodes",
-            "100",
-            "--target",
-            "20",
-            "--tasks",
-            "40",
-            "--cost-secs",
-            "5",
-            "--image-mb",
-            "1",
-            "--json",
-        ]))
-        .unwrap();
-        let v: serde_json::Value = serde_json::from_str(&out).expect("valid JSON");
-        assert_eq!(v["tasks_completed"], 40);
+        let line = "simulate --nodes 100 --target 20 --tasks 40 --cost-secs 5 --image-mb 1 --json";
+        assert_eq!(oddci_json(line)["tasks_completed"], 40);
     }
 }

@@ -70,6 +70,16 @@ impl SinkStats {
             .saturating_sub(self.persisted)
             .saturating_sub(self.dropped)
     }
+
+    /// Drops as a share of the emitted events, in percent (0 when
+    /// nothing was emitted).
+    pub fn dropped_pct(&self) -> f64 {
+        if self.emitted == 0 {
+            0.0
+        } else {
+            100.0 * self.dropped as f64 / self.emitted as f64
+        }
+    }
 }
 
 /// A destination for live trace events. Implementations must be cheap and
@@ -110,6 +120,26 @@ pub struct SinkSummary {
     pub stats: SinkStats,
     /// The binary trace file.
     pub output: OutputSummary,
+}
+
+/// One line: the counters, then the file. Drops carry their share of the
+/// emitted total — an absolute count reads as noise at million-event
+/// scale when the real story is "53 % lost".
+impl std::fmt::Display for SinkSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = &self.stats;
+        write!(
+            f,
+            "{} emitted, {} persisted, {} dropped ({:.1}%), {} flushes -> {} ({} B)",
+            s.emitted,
+            s.persisted,
+            s.dropped,
+            s.dropped_pct(),
+            s.flushes,
+            self.output.path.display(),
+            self.output.bytes
+        )
+    }
 }
 
 // ---------------------------------------------------------------- lanes

@@ -50,6 +50,11 @@ run() {
 }
 
 run cargo build --release ${CARGO_FLAGS}
+# The two binaries every gate below calls, built once: the `oddci` CLI and
+# `schema_check`, which also holds each smoke's assertions.
+run cargo build --release ${CARGO_FLAGS} -p oddci-cli -p oddci-bench
+ODDCI_BIN=target/release/oddci
+SCHEMA_CHECK=target/release/schema_check
 run cargo test -q --workspace ${CARGO_FLAGS}
 # The benchmark crate sits outside the workspace and links it the way an
 # outside caller would (benchmark/src/sut.rs pins every public item it
@@ -71,30 +76,24 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS
 # and the serving loop's wakeup race (wake-vs-wait), each with its
 # seeded-bug twin. Fixed seed, bounded schedules: deterministic and well
 # under 30 s. `oddci check` runs the lint, then every scenario.
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- \
-    check --seed 11 --schedules 400
+run "${ODDCI_BIN}" check --seed 11 --schedules 400
 
 # Streamed-trace smoke: run one small scenario with the streaming sink
 # attached (it writes the one online format, a binary .trace.bin, and
 # must drop nothing), derive the JSONL + Chrome text artifacts offline
 # with `trace convert`, then let schema_check validate the binary header
 # and the converted text artifacts alongside the metrics envelopes.
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- trace \
-    --scenario small --seed 7 \
+run "${ODDCI_BIN}" trace --scenario small --seed 7 \
     --out results/ci-smoke.json --stream results/ci-smoke.trace.bin
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-cli --bin oddci -- trace \
-    convert results/ci-smoke.trace.bin
-run cargo run -q --release ${CARGO_FLAGS} -p oddci-bench --bin schema_check
+run "${ODDCI_BIN}" trace convert results/ci-smoke.trace.bin
+run "${SCHEMA_CHECK}"
 # A flag no command reads is an argument error (exit 2), not a no-op:
 # `--binary` selected the stream format before binary became the only one.
-run bash -c 'target/release/oddci trace small --binary >/dev/null 2>&1; [ $? -eq 2 ]'
+run bash -c "${ODDCI_BIN} trace small --binary >/dev/null 2>&1; [ \$? -eq 2 ]"
 
 # Wire smoke: one real multi-process run of the socket-backed live plane —
 # a headend process plus three PNA processes complete an alignment job
 # over loopback TCP, and the headend's accounting must balance exactly.
-ODDCI_BIN=target/release/oddci
-# Built by the schema_check run above; also holds each smoke's assertions.
-SCHEMA_CHECK=target/release/schema_check
 WIRE_PORT=${WIRE_PORT:-7841}
 echo "==> wire smoke: headend + 3 pna processes on 127.0.0.1:${WIRE_PORT}"
 "${ODDCI_BIN}" headend --listen "127.0.0.1:${WIRE_PORT}" \
