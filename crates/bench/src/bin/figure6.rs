@@ -5,7 +5,8 @@
 //! cargo run --release -p oddci-bench --bin figure6 [--sim]
 //! ```
 //!
-//! Prints the analytical series (the figure itself); `--sim` adds
+//! Prints the analytical series (the figure itself) and the Φ each n/N
+//! needs for E = 0.9 and E = 0.99; `--sim` adds
 //! discrete-event simulation points at selected Φ values for
 //! cross-validation (slower).
 
@@ -62,10 +63,12 @@ fn main() {
     for (&r, _) in ratios.iter().zip(&curves) {
         let c = efficiency_curve(&fine, r, image, moved, &params);
         let phi90 = phi_reaching(&c, 0.9);
-        println!(
-            "n/N={r:<6}  E=0.9 reached at phi = {}",
-            phi90.map_or("never (within 1e7)".into(), |p| format!("{p:.0}"))
-        );
+        for (e, phi) in [("0.9", phi90), ("0.99", phi_reaching(&c, 0.99))] {
+            println!(
+                "n/N={r:<6}  E={e} reached at phi = {}",
+                phi.map_or("never (within 1e7)".into(), |p| format!("{p:.0}"))
+            );
+        }
         let sim_points = if with_sim {
             simulate_points(r, image, moved, &params)
         } else {

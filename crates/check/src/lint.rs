@@ -1,6 +1,6 @@
 //! Dependency-free workspace linter (line/token scan, no parser).
 //!
-//! Six rules over `crates/**/*.rs` (the `check` crate itself is exempt —
+//! Seven rules over `crates/**/*.rs` (the `check` crate itself is exempt —
 //! it implements the shim and the scheduler, so it legitimately touches
 //! raw primitives):
 //!
@@ -35,6 +35,11 @@
 //!   are called only in `backend.rs`, `provider.rs` and the
 //!   `oddci_core::ledger` module that joins them (non-test code). Code
 //!   that calls them elsewhere is writing the job glue a second time.
+//! * **node-home** — the PNA's state changes (`on_control_message(`,
+//!   `on_direct_reset(`, `image_ready(`, `task_done(`) are called only in
+//!   `pna.rs` and the `oddci_core::node` core that drives it (non-test
+//!   code). Code that calls them elsewhere writes the node rules a second
+//!   time.
 //!
 //! Suppress a finding with a trailing or preceding comment:
 //! `// oddci-check: allow(<rule>)` (applies to that line and the next).
@@ -51,7 +56,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct LintViolation {
     /// Rule id: `raw-lock`, `phase`, `message-enum`, `no-unwrap`,
-    /// `unsafe` or `ledger-home`.
+    /// `unsafe`, `ledger-home` or `node-home`.
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub file: String,
@@ -104,6 +109,7 @@ pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
         check_no_unwrap(src, &mut out);
         check_unsafe(src, &mut out);
         check_ledger_home(src, &mut out);
+        check_node_home(src, &mut out);
     }
     check_message_enums(&sources, &mut out);
     // The root package sits outside `crates/`; only the unsafe rule
@@ -646,6 +652,49 @@ fn check_ledger_home(src: &Source, out: &mut Vec<LintViolation>) {
     }
 }
 
+// ------------------------------------------------------------ node-home
+
+/// The files allowed to drive a `Pna` through its state changes.
+const NODE_HOME: &[&str] = &["crates/core/src/pna.rs", "crates/core/src/node.rs"];
+const NODE_TOKENS: &[&str] = &[
+    ".on_control_message(",
+    ".on_direct_reset(",
+    ".image_ready(",
+    ".task_done(",
+];
+
+fn check_node_home(src: &Source, out: &mut Vec<LintViolation>) {
+    // A crate's `tests/` directory is test code throughout.
+    if NODE_HOME.contains(&src.rel.as_str()) || src.rel.contains("/tests/") {
+        return;
+    }
+    let cutoff = test_cutoff(src);
+    for needle in NODE_TOKENS {
+        let mut from = 0;
+        while let Some(p) = src.scrubbed[from..].find(needle) {
+            let pos = from + p;
+            from = pos + needle.len();
+            let line = line_of(&src.scrubbed, pos);
+            // `self.` calls a method of the file's own type.
+            if line >= cutoff
+                || src.scrubbed[..pos].ends_with("self")
+                || src.is_allowed("node-home", line)
+            {
+                continue;
+            }
+            out.push(LintViolation {
+                rule: "node-home",
+                file: src.rel.clone(),
+                line,
+                message: format!(
+                    "`{}..)` outside the PNA and oddci_core::node — drive the agent through NodeCore",
+                    &needle[1..]
+                ),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,6 +760,32 @@ mod tests {
         let lines: Vec<usize> = out.iter().map(|v| v.line).collect();
         assert_eq!(lines, [2, 1], "{out:?}");
         assert!(out.iter().all(|v| v.rule == "ledger-home"));
+    }
+
+    #[test]
+    fn pna_transitions_are_confined_to_the_node_core() {
+        let mut out = Vec::new();
+        let driven = "fn f(pna: &mut Pna) {\n    pna.on_control_message(&msg, host, rng);\n    let _ = pna.task_done();\n}\n";
+        for home in NODE_HOME {
+            check_node_home(&source(home, driven), &mut out);
+        }
+        // Prose, definitions, calls on `self`, test modules and
+        // integration tests do not count.
+        let quiet = "// pna.image_ready() in prose\npub fn task_done(&mut self) {}\nfn g(&mut self) { self.on_direct_reset(node, inst, epoch, now, out) }\n#[cfg(test)]\nmod tests {\n    fn t() { pna.image_ready().unwrap(); }\n}\n";
+        check_node_home(&source("crates/core/src/world/mod.rs", quiet), &mut out);
+        check_node_home(&source("crates/core/tests/node_props.rs", driven), &mut out);
+        assert!(out.is_empty(), "{out:?}");
+
+        // The calls of a sim world and a live node thread that each write
+        // the node rules themselves: 4 and 8 sites.
+        let world = "let action = node.pna.on_control_message(&msg, host, &mut node.rng);\nnode.pna.image_ready().expect(\"loading DVE starts\");\nif node.current_task.is_none() || node.pna.task_done().is_err() {\nif node.pna.on_direct_reset(inst) {\n} => self.on_direct_reset(node, instance, epoch, now, &mut sched),\n";
+        let live = "pna.on_control_message(&b.signed, host, &mut rng)\npna.on_direct_reset(instance);\npna.on_direct_reset(inst);\nlet _ = pna.image_ready();\npna.on_control_message(&b.signed, host, rng)\npna.on_control_message(&b.signed, host, rng)\nlet _ = pna.task_done();\npna.on_control_message(&b.signed, host, rng)\n";
+        check_node_home(&source("crates/core/src/world/mod.rs", world), &mut out);
+        check_node_home(&source("crates/live/src/runtime.rs", live), &mut out);
+        let per_file = |file: &str| out.iter().filter(|v| v.file == file).count();
+        assert_eq!(per_file("crates/core/src/world/mod.rs"), 4, "{out:?}");
+        assert_eq!(per_file("crates/live/src/runtime.rs"), 8, "{out:?}");
+        assert!(out.iter().all(|v| v.rule == "node-home"));
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! Controller's instances once, for both the simulation and the live
 //! runtime.
 //!
+//! The [`node::NodeCore`] does the same on the node side: one PNA and
+//! the rules around it (fetch, compute and upload with retries, drain,
+//! crash), driven by the simulation's events and by a live node's loop.
+//!
 //! The [`world`] module assembles all of the above plus the substrates
 //! (broadcast carousel, receivers, direct links, churn) into one
 //! discrete-event simulation — the OddCI-DTV system of §4 at configurable
@@ -59,6 +63,7 @@ pub mod controller;
 pub mod federation;
 pub mod ledger;
 pub mod messages;
+pub mod node;
 pub mod pna;
 pub mod profiles;
 pub mod provider;
@@ -73,6 +78,7 @@ pub use messages::{
     ControlMessage, Heartbeat, NodeRequirements, PnaStateKind, ResetMessage, SignedMessage,
     WakeupMessage,
 };
+pub use node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
 pub use pna::{Pna, PnaAction, PnaState};
 pub use profiles::BroadcastTechnology;
 pub use provider::{JobReport, Provider, ProviderRequest};

@@ -1,10 +1,11 @@
 //! Event vocabulary of the OddCI-DTV world simulation.
 //!
-//! Node-continuation events carry the node's **power-cycle epoch** at
+//! Node continuations carry the node's **power-cycle epoch** at
 //! scheduling time: a receiver that was switched off (and possibly on
-//! again) must not be affected by continuations of its previous life
-//! (an image acquisition, a compute completion, a heartbeat timer). The
-//! handler drops any event whose epoch no longer matches.
+//! again), or whose agent crashed, must not be affected by continuations
+//! of its previous life (an image acquisition, a compute completion, a
+//! heartbeat timer). The handler drops any continuation whose epoch no
+//! longer matches.
 
 use crate::messages::Heartbeat;
 use oddci_types::{InstanceId, NodeId};
@@ -15,101 +16,53 @@ use oddci_types::{InstanceId, NodeId};
 pub enum WorldEvent {
     /// A node's churn process fires (power on ↔ off).
     NodeToggle(NodeId),
-    /// A node finishes acquiring the *configuration* of `instance` from the
-    /// carousel; its PNA now considers the control message.
-    ControlDelivery {
-        /// The receiving node.
-        node: NodeId,
-        /// Which broadcast entry it read.
-        instance: InstanceId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-    },
-    /// A node finishes acquiring the *image* of `instance`; its DVE starts.
-    ImageAcquired {
-        /// The node whose acquisition completed.
-        node: NodeId,
-        /// Instance joined.
-        instance: InstanceId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-    },
-    /// A node's periodic heartbeat timer fires (message leaves the node).
-    HeartbeatSend {
-        /// The sender.
+    /// A step of `node`'s power cycle `epoch`.
+    Node {
+        /// The node.
         node: NodeId,
         /// Power-cycle epoch at scheduling time.
         epoch: u64,
+        /// What happens.
+        step: NodeStep,
     },
     /// A heartbeat reaches the Controller (valid even if the sender died
     /// in flight — the bits are already on the wire).
     HeartbeatArrive(Heartbeat),
-    /// A direct-channel reset reaches its target node.
-    DirectResetArrive {
-        /// Target node.
-        node: NodeId,
-        /// Instance to leave.
-        instance: InstanceId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-    },
-    /// A node's task request reaches the Backend.
-    TaskRequest {
-        /// The requesting node.
-        node: NodeId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-        /// Retry attempt (0 = first try); drives the fetch backoff.
-        attempt: u32,
-    },
-    /// A node's fetch timer expires after a lost or stalled task request;
-    /// it retries with exponential backoff.
-    TaskRequestRetry {
-        /// The retrying node.
-        node: NodeId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-        /// Retry attempt about to be made.
-        attempt: u32,
-    },
-    /// A node's retransmission timer expires after a lost result upload.
-    ResultRetry {
-        /// The node holding the computed result.
-        node: NodeId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-        /// Retry attempt about to be made.
-        attempt: u32,
-    },
-    /// A task's input data finishes downloading to the node.
-    TaskInputArrived {
-        /// The node receiving the input.
-        node: NodeId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-    },
-    /// A node finishes computing its current task.
-    TaskComputed {
-        /// The computing node.
-        node: NodeId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-    },
-    /// A task's result finishes uploading to the Backend.
-    ResultArrived {
-        /// The uploading node.
-        node: NodeId,
-        /// Power-cycle epoch at scheduling time.
-        epoch: u64,
-    },
-    /// A crashed PNA finishes rebooting (fault injection); the node
-    /// re-reads the carousel and resumes heartbeating.
-    PnaRestart {
-        /// The restarting node.
-        node: NodeId,
-        /// Software epoch assigned at crash time.
-        epoch: u64,
-    },
     /// The Controller's periodic maintenance timer.
     ControllerTick,
+}
+
+/// What a node continuation does when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeStep {
+    /// The node finishes acquiring the *configuration* of this instance
+    /// from the carousel; its PNA now considers the control message.
+    ControlDelivery(InstanceId),
+    /// The node finishes acquiring the *image* of this instance; its DVE
+    /// starts.
+    ImageAcquired(InstanceId),
+    /// The node's periodic heartbeat timer fires (the message leaves the
+    /// node).
+    HeartbeatSend,
+    /// A crashed PNA finishes rebooting (fault injection): it re-reads the
+    /// carousel and resumes heartbeating. Its epoch is the one assigned at
+    /// crash time.
+    PnaRestart,
+    /// A direct-channel reset of this instance reaches the node.
+    DirectReset(InstanceId),
+    /// The node's task request (this retry attempt; 0 = first try)
+    /// reaches the Backend.
+    TaskRequest(u32),
+    /// The fetch timer expires after a lost or stalled task request; the
+    /// node makes this attempt.
+    FetchRetry(u32),
+    /// The retransmission timer expires after a lost result upload; the
+    /// node makes this attempt.
+    UploadRetry(u32),
+    /// The task's input data finishes downloading to the node.
+    InputArrived,
+    /// The node finishes computing its current task.
+    Computed,
+    /// The task's result finishes uploading to the Backend.
+    ResultArrived,
 }

@@ -27,15 +27,16 @@ mod events;
 mod metrics;
 mod node;
 
-pub use events::WorldEvent;
+pub use events::{NodeStep, WorldEvent};
 pub use metrics::{MetricsSnapshot, WorldMetrics};
 pub use node::NodeRuntime;
 
 use crate::backend::Backend;
 use crate::controller::{Controller, ControllerOutput, ControllerPolicy};
 use crate::ledger::JobLedger;
-use crate::messages::{ControlMessage, SignedMessage};
-use crate::pna::{HostInfo, Pna, PnaAction, PnaState};
+use crate::messages::{ControlMessage, Heartbeat, SignedMessage};
+use crate::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
+use crate::pna::{HostInfo, Pna, PnaState};
 use crate::provider::{JobReport, Provider, ProviderRequest};
 use oddci_broadcast::ait::{AitEntry, AppControlCode};
 use oddci_broadcast::carousel::CarouselFile;
@@ -51,7 +52,7 @@ use oddci_types::{
     ChannelId, DataSize, DirectChannelConfig, DtvSystemConfig, InstanceId, JobId, NodeId,
     SimDuration, SimTime,
 };
-use oddci_workload::Job;
+use oddci_workload::{Job, Task};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -153,6 +154,23 @@ pub struct World {
     /// Backend queue-depth gauge (pending tasks across open jobs),
     /// refreshed on every controller tick.
     queue_depth: oddci_telemetry::Gauge,
+    /// Reused across events; see [`Scratch`].
+    scratch: Scratch,
+}
+
+/// The follow-up events and node actions of the event being handled. One
+/// lives on the [`World`] and is reused, so handling an event allocates
+/// neither list.
+#[derive(Default)]
+struct Scratch {
+    events: Vec<(SimTime, WorldEvent)>,
+    actions: Vec<NodeAction>,
+}
+
+impl Scratch {
+    fn at(&mut self, at: SimTime, event: WorldEvent) {
+        self.events.push((at, event));
+    }
 }
 
 fn config_file(inst: InstanceId) -> String {
@@ -222,18 +240,12 @@ impl World {
             }
             nodes.push(NodeRuntime {
                 stb,
-                pna: Pna::new(NodeId::new(i), &config.key),
+                core: NodeCore::new(Pna::new(NodeId::new(i), &config.key)),
                 link: DirectLink::new(config.direct.clone()),
                 churn,
                 usage,
                 rng: forge.indexed_rng("node", i),
-                current_task: None,
-                drained: false,
                 epoch: 0,
-                accept_at: None,
-                fetch_started: None,
-                compute_started: None,
-                upload_started: None,
             });
         }
 
@@ -259,6 +271,7 @@ impl World {
             jitter_seed,
             tele,
             queue_depth,
+            scratch: Scratch::default(),
         }
     }
 
@@ -305,7 +318,7 @@ impl World {
     pub fn running_members(&self, inst: InstanceId) -> u64 {
         self.nodes
             .iter()
-            .filter(|n| match n.pna.state() {
+            .filter(|n| match n.core.pna().state() {
                 PnaState::Busy(dve) => dve.instance == inst && dve.state() == DveState::Running,
                 PnaState::Idle => false,
             })
@@ -328,20 +341,158 @@ impl World {
         }
     }
 
-    fn heartbeat_size(&self) -> DataSize {
-        DataSize::from_bytes(u64::from(self.config.policy.heartbeat.message_bytes))
+    /// Feeds `input` to node `id`'s core and carries out the actions it
+    /// causes, in order. An action that fails at once (a lost transfer)
+    /// feeds its outcome back before the next action runs.
+    fn feed(&mut self, id: NodeId, input: NodeInput<'_, Task>, now: SimTime, out: &mut Scratch) {
+        let start = out.actions.len();
+        let node = &mut self.nodes[id.index()];
+        let mut env = NodeEnv {
+            now,
+            rng: &mut node.rng,
+            backoff: &self.config.fetch_backoff,
+            jitter_seed: self.jitter_seed ^ id.raw(),
+        };
+        node.core.handle(input, &mut env, &mut out.actions);
+        let mut next = start;
+        while let Some(&action) = out.actions.get(next) {
+            next += 1;
+            self.act(id, action, now, out);
+        }
+        out.actions.truncate(start);
     }
 
-    fn send_heartbeat(
+    /// Carries out one action of node `id`: a transfer on its link that
+    /// schedules the event feeding the outcome back, or bookkeeping.
+    fn act(&mut self, id: NodeId, action: NodeAction, now: SimTime, out: &mut Scratch) {
+        if let NodeAction::Heartbeat(hb) = action {
+            return self.send_heartbeat(id, hb, now, out);
+        }
+        let node = &mut self.nodes[id.index()];
+        let us = now.as_micros();
+        let held = node.core.held().map(|(_, tasks)| &tasks[0]);
+        let (input, result) =
+            held.map_or((None, None), |t| (Some(t.input_size), Some(t.result_size)));
+        match action {
+            NodeAction::BeginImage(instance) => {
+                let Some(entry) = self.entries.get(&instance) else {
+                    return;
+                };
+                // Publish → config read: the paper's wakeup *waiting*
+                // component. The acceptance decision happens here too.
+                let (track, published) = (id.raw(), entry.first_publish.as_micros());
+                self.tele
+                    .span(published, us, Phase::WakeupWait, track, instance.raw());
+                self.tele
+                    .instant(us, Phase::PnaAccept, track, instance.raw());
+                let image = entry.image_size.map(|_| image_file(instance));
+                if let Some(done) = image.and_then(|f| self.channel.acquisition_complete(&f, now)) {
+                    out.at(done, self.step(id, NodeStep::ImageAcquired(instance)));
+                }
+            }
+            NodeAction::Left(instance, true) => {
+                self.metrics.direct_resets.inc();
+                self.tele
+                    .instant(us, Phase::DirectReset, id.raw(), instance.raw());
+            }
+            NodeAction::Orphan(requeue) => {
+                self.metrics.tasks_orphaned.inc();
+                // The headend requeues at once what its own reset orphaned;
+                // a crash or power-off it learns through heartbeat loss.
+                if requeue {
+                    self.node_lost(id, now, out);
+                }
+            }
+            NodeAction::Span(phase, begin, arg) => {
+                self.tele.span(begin.as_micros(), us, phase, id.raw(), arg);
+            }
+            NodeAction::Fetch(attempt) => {
+                let request = DataSize::from_bytes(REQUEST_BYTES);
+                match self.transfer(id, request, Direction::Up, now) {
+                    Some(done) => out.at(done, self.step(id, NodeStep::TaskRequest(attempt))),
+                    None => self.feed(id, NodeInput::FetchLost(attempt), now, out),
+                }
+            }
+            NodeAction::Download(attempt) => {
+                let done = match input {
+                    Some(size) if size.is_zero() => Some(now + node.link.config().latency),
+                    Some(size) => self.transfer(id, size, Direction::Down, now),
+                    None => return,
+                };
+                match done {
+                    Some(done) => out.at(done, self.step(id, NodeStep::InputArrived)),
+                    None => self.feed(id, NodeInput::FetchLost(attempt), now, out),
+                }
+            }
+            NodeAction::Compute(index) => {
+                let Some(cost) = node.core.held().map(|(_, tasks)| tasks[index].cost) else {
+                    return;
+                };
+                let compute = &self.config.compute;
+                let dur = compute.sample_instrumented(cost, node.usage, &mut node.rng, &self.tele);
+                out.at(now + dur, self.step(id, NodeStep::Computed));
+            }
+            NodeAction::Upload(attempt) => {
+                let Some(size) = result else {
+                    return;
+                };
+                match self.transfer(id, size, Direction::Up, now) {
+                    Some(done) => out.at(done, self.step(id, NodeStep::ResultArrived)),
+                    None => self.feed(id, NodeInput::UploadLost(attempt), now, out),
+                }
+            }
+            NodeAction::Delivered(job, task) => {
+                let Ok(dismantle) = self.ledger.complete(job, task, id, now) else {
+                    return;
+                };
+                self.metrics.tasks_completed.inc();
+                if let Some(inst) = dismantle {
+                    if let Ok(outputs) = self.controller.dismantle(inst) {
+                        self.process_outputs(outputs, now, out);
+                    }
+                } else if !self.ledger.backend().is_complete(job) {
+                    self.feed(id, NodeInput::Next, now, out);
+                }
+            }
+            NodeAction::Retry(kind, at, attempt) => {
+                self.metrics.task_fetch_retries.inc();
+                self.tele
+                    .instant(us, Phase::Retry, id.raw(), u64::from(attempt));
+                let step = match kind {
+                    RetryKind::Fetch => NodeStep::FetchRetry(attempt + 1),
+                    RetryKind::Upload => NodeStep::UploadRetry(attempt + 1),
+                };
+                out.at(at, self.step(id, step));
+            }
+            NodeAction::GaveUp => self.metrics.fetch_aborts.inc(),
+            NodeAction::Heartbeat(_) | NodeAction::Left(_, false) => {}
+        }
+    }
+
+    /// Moves `size` over node `id`'s direct link under the fault plan:
+    /// when it lands, or `None` when it is lost.
+    fn transfer(
         &mut self,
         id: NodeId,
+        size: DataSize,
+        dir: Direction,
         now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let size = self.heartbeat_size();
-        if !self.nodes[id.index()].is_on() {
-            return;
-        }
+    ) -> Option<SimTime> {
+        let node = &mut self.nodes[id.index()];
+        let (injector, faults) = (&self.injector, &mut self.metrics.faults);
+        node.link.transfer_faulted_telemetered(
+            now,
+            size,
+            dir,
+            &mut node.rng,
+            injector,
+            id,
+            faults,
+            &self.tele,
+        )
+    }
+
+    fn send_heartbeat(&mut self, id: NodeId, hb: Heartbeat, now: SimTime, out: &mut Scratch) {
         // Fault hooks: a partition swallows the beat wholesale; the
         // heartbeat-drop class loses individual messages. Either way the
         // Controller's miss-threshold machinery is what notices.
@@ -353,8 +504,8 @@ impl World {
             self.metrics.faults.record(FaultClass::HeartbeatDrop);
             return;
         }
+        let size = DataSize::from_bytes(u64::from(self.config.policy.heartbeat.message_bytes));
         let node = &mut self.nodes[id.index()];
-        let hb = node.pna.heartbeat(now);
         let done = node.link.transfer_telemetered(
             now,
             size,
@@ -365,103 +516,11 @@ impl World {
         );
         self.tele
             .instant(now.as_micros(), Phase::Heartbeat, id.raw(), 0);
-        sched(done, WorldEvent::HeartbeatArrive(hb));
-    }
-
-    fn request_task(
-        &mut self,
-        id: NodeId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        self.request_task_attempt(id, 0, now, sched);
-    }
-
-    /// Sends (or re-sends) a task request upstream. A request lost to a
-    /// fault episode is retried after a backoff delay, so a transient
-    /// outage costs time, never liveness.
-    fn request_task_attempt(
-        &mut self,
-        id: NodeId,
-        attempt: u32,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let node = &mut self.nodes[id.index()];
-        // Anchor the task.fetch span at the first attempt; retries extend
-        // the same span rather than restarting it.
-        if node.fetch_started.is_none() {
-            node.fetch_started = Some(now);
-        }
-        let done = node.link.transfer_faulted_telemetered(
-            now,
-            DataSize::from_bytes(REQUEST_BYTES),
-            Direction::Up,
-            &mut node.rng,
-            &self.injector,
-            id,
-            &mut self.metrics.faults,
-            &self.tele,
-        );
-        match done {
-            Some(done) => {
-                let epoch = self.nodes[id.index()].epoch;
-                sched(
-                    done,
-                    WorldEvent::TaskRequest {
-                        node: id,
-                        epoch,
-                        attempt,
-                    },
-                );
-            }
-            None => self.schedule_fetch_retry(id, attempt, now, sched),
-        }
-    }
-
-    /// Books the next fetch retry (exponential backoff, deterministic
-    /// jitter); after `max_attempts` the node parks as drained and waits
-    /// for the Controller-tick re-kick.
-    fn schedule_fetch_retry(
-        &mut self,
-        id: NodeId,
-        attempt: u32,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        match self
-            .config
-            .fetch_backoff
-            .delay(attempt, self.jitter_seed ^ id.raw())
-        {
-            Some(delay) => {
-                self.metrics.task_fetch_retries.inc();
-                self.tele
-                    .instant(now.as_micros(), Phase::Retry, id.raw(), u64::from(attempt));
-                let epoch = self.nodes[id.index()].epoch;
-                sched(
-                    now + delay,
-                    WorldEvent::TaskRequestRetry {
-                        node: id,
-                        epoch,
-                        attempt: attempt + 1,
-                    },
-                );
-            }
-            None => {
-                self.metrics.fetch_aborts.inc();
-                self.nodes[id.index()].drained = true;
-            }
-        }
+        out.at(done, WorldEvent::HeartbeatArrive(hb));
     }
 
     /// Re-kick drained members of `job`'s instance after tasks reappeared.
-    fn kick_drained(
-        &mut self,
-        job: JobId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
+    fn kick_drained(&mut self, job: JobId, now: SimTime, out: &mut Scratch) {
         let Some(inst) = self.ledger.instance_of(job) else {
             return;
         };
@@ -472,40 +531,22 @@ impl World {
             .unwrap_or_default();
         for m in members {
             let node = &self.nodes[m.index()];
-            let runnable = node.is_on()
-                && node.drained
-                && node.current_task.is_none()
-                && node.pna.instance() == Some(inst);
-            if runnable {
-                self.nodes[m.index()].drained = false;
-                self.request_task(m, now, sched);
+            let core = &node.core;
+            if node.is_on() && core.drained() && core.instance() == Some(inst) {
+                self.feed(m, NodeInput::Kick, now, out);
             }
-        }
-    }
-
-    /// A node left its instance while possibly holding a task.
-    fn orphan_task_of(
-        &mut self,
-        id: NodeId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        if self.nodes[id.index()].current_task.is_some() {
-            self.metrics.tasks_orphaned.inc();
-            self.node_lost(id, now, sched);
-            self.nodes[id.index()].current_task = None;
         }
     }
 
     /// Re-queues whatever `id` held and re-kicks the drained members of
     /// every job whose queue that refilled.
-    fn node_lost(&mut self, id: NodeId, now: SimTime, sched: &mut dyn FnMut(SimTime, WorldEvent)) {
+    fn node_lost(&mut self, id: NodeId, now: SimTime, out: &mut Scratch) {
         let affected = self.ledger.node_lost(id);
         self.metrics
             .requeues
             .set(self.ledger.backend().total_requeues());
         for job in affected {
-            self.kick_drained(job, now, sched);
+            self.kick_drained(job, now, out);
         }
     }
 
@@ -534,12 +575,7 @@ impl World {
 
     /// Publishes a signed control message through the carousel and
     /// schedules its delivery to every powered node.
-    fn publish(
-        &mut self,
-        signed: SignedMessage,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
+    fn publish(&mut self, signed: SignedMessage, now: SimTime, out: &mut Scratch) {
         let inst = signed.message.instance();
         match signed.message {
             ControlMessage::Wakeup(w) => {
@@ -573,15 +609,10 @@ impl World {
             inst.raw(),
         );
         self.rebuild_carousel(now);
-        self.schedule_deliveries_for(inst, now, sched);
+        self.schedule_deliveries_for(inst, now, out);
     }
 
-    fn schedule_deliveries_for(
-        &mut self,
-        inst: InstanceId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
+    fn schedule_deliveries_for(&mut self, inst: InstanceId, now: SimTime, out: &mut Scratch) {
         let attach = now + self.config.dtv.autostart_latency;
         let cfg = config_file(inst);
         let Some(done) = self.channel.acquisition_complete(&cfg, attach) else {
@@ -599,27 +630,14 @@ impl World {
             if !node.is_on() {
                 continue;
             }
-            let (id, epoch) = (node.pna.node(), node.epoch);
+            let id = NodeId::new(i as u64);
             let at = self.delayed_control(id, done);
-            sched(
-                at,
-                WorldEvent::ControlDelivery {
-                    node: id,
-                    instance: inst,
-                    epoch,
-                },
-            );
+            out.at(at, self.step(id, NodeStep::ControlDelivery(inst)));
         }
     }
 
-    fn schedule_deliveries_to(
-        &mut self,
-        id: NodeId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
+    fn schedule_deliveries_to(&mut self, id: NodeId, now: SimTime, out: &mut Scratch) {
         let attach = now + self.config.dtv.autostart_latency;
-        let epoch = self.nodes[id.index()].epoch;
         let insts: Vec<InstanceId> = self.entries.keys().copied().collect();
         for inst in insts {
             if let Some(done) = self
@@ -627,14 +645,7 @@ impl World {
                 .acquisition_complete(&config_file(inst), attach)
             {
                 let at = self.delayed_control(id, done);
-                sched(
-                    at,
-                    WorldEvent::ControlDelivery {
-                        node: id,
-                        instance: inst,
-                        epoch,
-                    },
-                );
+                out.at(at, self.step(id, NodeStep::ControlDelivery(inst)));
             }
         }
     }
@@ -652,149 +663,151 @@ impl World {
         }
     }
 
-    fn process_outputs(
-        &mut self,
-        outputs: Vec<ControllerOutput>,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        for out in outputs {
-            match out {
-                ControllerOutput::Broadcast(msg) => self.publish(msg, now, sched),
-                ControllerOutput::DirectReset { node, instance } => {
-                    let n = &mut self.nodes[node.index()];
-                    if n.is_on() {
-                        let done = n.link.transfer_faulted_telemetered(
-                            now,
-                            DataSize::from_bytes(REQUEST_BYTES),
-                            Direction::Down,
-                            &mut n.rng,
-                            &self.injector,
-                            node,
-                            &mut self.metrics.faults,
-                            &self.tele,
-                        );
-                        // A reset lost to a fault episode self-heals: the
-                        // Controller re-issues it on the node's next
-                        // out-of-instance heartbeat.
-                        if let Some(done) = done {
-                            let epoch = self.nodes[node.index()].epoch;
-                            sched(
-                                done,
-                                WorldEvent::DirectResetArrive {
-                                    node,
-                                    instance,
-                                    epoch,
-                                },
-                            );
-                        }
+    fn process_outputs(&mut self, outputs: Vec<ControllerOutput>, now: SimTime, out: &mut Scratch) {
+        for output in outputs {
+            match output {
+                ControllerOutput::Broadcast(msg) => self.publish(msg, now, out),
+                ControllerOutput::DirectReset { node, instance }
+                    if self.nodes[node.index()].is_on() =>
+                {
+                    let size = DataSize::from_bytes(REQUEST_BYTES);
+                    // A reset lost to a fault episode self-heals: the
+                    // Controller re-issues it on the node's next
+                    // out-of-instance heartbeat.
+                    if let Some(done) = self.transfer(node, size, Direction::Down, now) {
+                        out.at(done, self.step(node, NodeStep::DirectReset(instance)));
                     }
                 }
+                ControllerOutput::DirectReset { .. } => {}
                 ControllerOutput::NodeLost { node, instance } => {
                     self.tele
                         .instant(now.as_micros(), Phase::NodeLost, node.raw(), instance.raw());
-                    self.node_lost(node, now, sched);
+                    self.node_lost(node, now, out);
                 }
             }
         }
     }
 
     // ------------------------------------------------------------------
-    // Event handlers
+    // Event handlers: each node step maps to one input of the node core
     // ------------------------------------------------------------------
 
-    fn on_control_delivery(
-        &mut self,
-        id: NodeId,
-        inst: InstanceId,
-        epoch: u64,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let Some(entry) = self.entries.get(&inst) else {
-            return;
-        };
-        let msg = entry.msg;
-        let has_image = entry.image_size.is_some();
-        let first_publish = entry.first_publish;
-        if !self.nodes[id.index()].is_on() || self.nodes[id.index()].epoch != epoch {
-            return;
+    /// A step of node `id`'s current power cycle.
+    fn step(&self, id: NodeId, step: NodeStep) -> WorldEvent {
+        let epoch = self.nodes[id.index()].epoch;
+        WorldEvent::Node {
+            node: id,
+            epoch,
+            step,
         }
-        self.metrics.control_deliveries.inc();
-        // Middleware: the AIT AUTOSTART (re)launches the PNA Xlet.
-        let ait = self.channel.ait().clone();
-        let host = Self::host_info(&self.nodes[id.index()]);
-        let node = &mut self.nodes[id.index()];
-        node.stb.apps.apply_ait(&ait);
-        let action = node.pna.on_control_message(&msg, host, &mut node.rng);
-        match action {
-            PnaAction::BeginAcquisition { instance, .. } => {
-                // Publish → config read: the paper's wakeup *waiting*
-                // component. The acceptance decision happens here too.
-                self.tele.span(
-                    first_publish.as_micros(),
-                    now.as_micros(),
-                    Phase::WakeupWait,
-                    id.raw(),
-                    instance.raw(),
+    }
+
+    fn on_event(&mut self, event: WorldEvent, now: SimTime, out: &mut Scratch) {
+        match event {
+            WorldEvent::NodeToggle(id) => self.on_node_toggle(id, now, out),
+            WorldEvent::Node { node, epoch, step } => {
+                // A stale continuation: its node powered off or crashed since.
+                let n = &self.nodes[node.index()];
+                if n.is_on() && n.epoch == epoch {
+                    self.on_step(node, step, now, out);
+                }
+            }
+            WorldEvent::HeartbeatArrive(hb) => {
+                self.metrics.heartbeats_delivered.inc();
+                let outputs = self.controller.on_heartbeat(hb, now);
+                self.process_outputs(outputs, now, out);
+            }
+            WorldEvent::ControllerTick => {
+                // Sample instance sizes for the timeline metric.
+                let samples: Vec<(u64, u64)> = self
+                    .ledger
+                    .instances()
+                    .map(|(inst, _)| (inst.raw(), self.controller.instance_size(inst)))
+                    .collect();
+                for (inst_raw, size) in samples {
+                    self.metrics
+                        .sample_instance_size(inst_raw, now.as_secs_f64(), size);
+                }
+                // Backend queue depth (pending tasks over open jobs).
+                self.queue_depth
+                    .set(self.ledger.backend().pending_total() as f64);
+                let outputs = self.controller.tick(now);
+                self.process_outputs(outputs, now, out);
+                // Liveness safety net: members parked as drained (by a
+                // dry queue or an exhausted retry chain) get a fresh
+                // kick while their job is open. The kick also lets a
+                // node with a stale Backend assignment reclaim it —
+                // only the assignee's own fetch recycles that record,
+                // so waiting for `pending > 0` could deadlock.
+                for job in self.ledger.backend().open_jobs() {
+                    self.kick_drained(job, now, out);
+                }
+                out.at(
+                    now + self.config.controller_tick,
+                    WorldEvent::ControllerTick,
                 );
-                self.tele
-                    .instant(now.as_micros(), Phase::PnaAccept, id.raw(), instance.raw());
-                self.nodes[id.index()].accept_at = Some(now);
-                if has_image {
-                    if let Some(done) = self
-                        .channel
-                        .acquisition_complete(&image_file(instance), now)
-                    {
-                        let epoch = self.nodes[id.index()].epoch;
-                        sched(
-                            done,
-                            WorldEvent::ImageAcquired {
-                                node: id,
-                                instance,
-                                epoch,
-                            },
-                        );
-                    }
-                }
-                // State-change heartbeat: the Controller learns of the join
-                // without waiting a full heartbeat interval.
-                self.send_heartbeat(id, now, sched);
             }
-            PnaAction::DveDestroyed { .. } => {
-                self.orphan_task_of(id, now, sched);
-                self.nodes[id.index()].clear_work();
-                self.send_heartbeat(id, now, sched);
-            }
-            PnaAction::None => {}
         }
     }
 
-    fn on_image_acquired(
-        &mut self,
-        id: NodeId,
-        inst: InstanceId,
-        epoch: u64,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let first_publish = match self.entries.get(&inst) {
-            Some(e) => e.first_publish,
-            None => return,
+    /// One step of a powered node still in the cycle that scheduled it.
+    fn on_step(&mut self, id: NodeId, step: NodeStep, now: SimTime, out: &mut Scratch) {
+        let input = match step {
+            NodeStep::ControlDelivery(inst) => {
+                let Some(entry) = self.entries.get(&inst) else {
+                    return;
+                };
+                let msg = entry.msg;
+                self.metrics.control_deliveries.inc();
+                // Middleware: the AIT AUTOSTART (re)launches the PNA Xlet.
+                let node = &mut self.nodes[id.index()];
+                node.stb.apps.apply_ait(self.channel.ait());
+                let host = Self::host_info(node);
+                return self.feed(id, NodeInput::Control(&msg, host), now, out);
+            }
+            NodeStep::ImageAcquired(inst) => return self.on_image_acquired(id, inst, now, out),
+            NodeStep::HeartbeatSend => {
+                // Fault hook: the PNA software crashes (rolled at its own
+                // timer so crashes pace with heartbeats). The STB stays
+                // powered — only the agent reboots — but all in-flight work
+                // and timers of this epoch die.
+                if let Some(downtime) = self.injector.pna_crash(id, now) {
+                    self.metrics.faults.record(FaultClass::PnaCrash);
+                    let node = &mut self.nodes[id.index()];
+                    node.epoch += 1;
+                    node.link.reset(now);
+                    // The Backend learns of an orphaned task through
+                    // heartbeat loss.
+                    self.feed(id, NodeInput::Crash, now, out);
+                    return out.at(now + downtime, self.step(id, NodeStep::PnaRestart));
+                }
+                let interval = self.config.policy.heartbeat.interval;
+                self.feed(id, NodeInput::HeartbeatTimer, now, out);
+                return out.at(now + interval, self.step(id, NodeStep::HeartbeatSend));
+            }
+            NodeStep::PnaRestart => {
+                self.feed(id, NodeInput::Restart, now, out);
+                let interval = self.config.policy.heartbeat.interval;
+                return self.start_heartbeats(id, interval, now, out);
+            }
+            NodeStep::TaskRequest(attempt) => return self.on_task_request(id, attempt, now, out),
+            NodeStep::DirectReset(inst) => NodeInput::DirectReset(inst),
+            NodeStep::FetchRetry(attempt) => NodeInput::RetryDue(RetryKind::Fetch, attempt),
+            NodeStep::UploadRetry(attempt) => NodeInput::RetryDue(RetryKind::Upload, attempt),
+            NodeStep::InputArrived => NodeInput::InputsReady,
+            NodeStep::Computed => NodeInput::Computed,
+            NodeStep::ResultArrived => NodeInput::Uploaded,
         };
-        {
-            let node = &mut self.nodes[id.index()];
-            if !node.is_on() || node.epoch != epoch {
-                return;
-            }
-            // The PNA may have been reset (or re-targeted) while loading.
-            let loading = matches!(
-                node.pna.state(),
-                PnaState::Busy(dve) if dve.instance == inst && dve.state() == DveState::Loading
-            );
-            if !loading {
-                return;
-            }
+        self.feed(id, input, now, out);
+    }
+
+    fn on_image_acquired(&mut self, id: NodeId, inst: InstanceId, now: SimTime, out: &mut Scratch) {
+        let Some(first_publish) = self.entries.get(&inst).map(|e| e.first_publish) else {
+            return;
+        };
+        // The PNA may have been reset (or re-targeted) while loading.
+        if !self.nodes[id.index()].core.loading(inst) {
+            return;
         }
         // Fault hook: a corrupted or truncated module fails its checksum at
         // the end of the read. DSM-CC recovery is stateless — the receiver
@@ -803,60 +816,28 @@ impl World {
         if let Some(class) = self.injector.carousel_fault(id, now) {
             self.metrics.faults.record(class);
             if let Some(done) = self.channel.reacquisition_complete(&image_file(inst), now) {
-                sched(
-                    done,
-                    WorldEvent::ImageAcquired {
-                        node: id,
-                        instance: inst,
-                        epoch,
-                    },
-                );
+                out.at(done, self.step(id, NodeStep::ImageAcquired(inst)));
             }
             return;
         }
-        let accept_at = {
-            let node = &mut self.nodes[id.index()];
-            node.pna.image_ready().expect("loading DVE starts");
-            node.accept_at.unwrap_or(first_publish)
-        };
         self.metrics.joins.inc();
         self.metrics
             .wakeup_latency
             .add((now - first_publish).as_secs_f64());
-        // Acceptance → image running: the paper's image-transfer component
-        // of wakeup (`I/β` under carousel framing).
-        self.tele.span(
-            accept_at.as_micros(),
-            now.as_micros(),
-            Phase::DveBoot,
-            id.raw(),
-            inst.raw(),
-        );
-        self.send_heartbeat(id, now, sched);
-        self.request_task(id, now, sched);
+        self.feed(id, NodeInput::ImageReady(inst), now, out);
     }
 
-    fn on_task_request(
-        &mut self,
-        id: NodeId,
-        epoch: u64,
-        attempt: u32,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let node = &mut self.nodes[id.index()];
-        if !node.is_on() || node.epoch != epoch || node.current_task.is_some() {
+    /// The Backend's side of a task request that reached it.
+    fn on_task_request(&mut self, id: NodeId, attempt: u32, now: SimTime, out: &mut Scratch) {
+        let core = &self.nodes[id.index()].core;
+        let Some(instance) = core.running().filter(|_| core.held().is_none()) else {
             return;
-        }
-        let instance = match node.pna.state() {
-            PnaState::Busy(dve) if dve.state() == DveState::Running => dve.instance,
-            _ => return,
         };
         // Fault hook: a stalled Backend leaves the request unanswered; the
         // node's fetch timeout fires and it retries with backoff.
         if self.injector.backend_stalled(now).is_some() {
             self.metrics.faults.record(FaultClass::BackendStall);
-            self.schedule_fetch_retry(id, attempt, now, sched);
+            self.feed(id, NodeInput::FetchLost(attempt), now, out);
             return;
         }
         let fetched = self.ledger.fetch(instance, id, 1);
@@ -865,215 +846,14 @@ impl World {
         self.metrics
             .requeues
             .set(self.ledger.backend().total_requeues());
-        match fetched.and_then(|(_, mut batch)| batch.pop()) {
-            Some(task) => {
-                let node = &mut self.nodes[id.index()];
-                let done = if task.input_size.is_zero() {
-                    Some(now + node.link.config().latency)
-                } else {
-                    node.link.transfer_faulted_telemetered(
-                        now,
-                        task.input_size,
-                        Direction::Down,
-                        &mut node.rng,
-                        &self.injector,
-                        id,
-                        &mut self.metrics.faults,
-                        &self.tele,
-                    )
-                };
-                match done {
-                    Some(done) => {
-                        self.nodes[id.index()].current_task = Some(task);
-                        sched(done, WorldEvent::TaskInputArrived { node: id, epoch });
-                    }
-                    // Input lost in flight: leave `current_task` empty so
-                    // the Backend's stale-assignment recycling hands the
-                    // task back out; this node just asks again later.
-                    None => self.schedule_fetch_retry(id, attempt, now, sched),
-                }
-            }
-            None => self.nodes[id.index()].drained = true,
-        }
+        let reply = match fetched {
+            Some((job, tasks)) => NodeInput::Fetched(attempt, job, tasks),
+            None => NodeInput::Drained,
+        };
+        self.feed(id, reply, now, out);
     }
 
-    fn on_task_input(
-        &mut self,
-        id: NodeId,
-        epoch: u64,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let compute = self.config.compute.clone();
-        let node = &mut self.nodes[id.index()];
-        if !node.is_on() || node.epoch != epoch {
-            return;
-        }
-        let Some(task) = &node.current_task else {
-            return;
-        };
-        let task_id = task.id.raw();
-        let cost = task.cost;
-        let usage = node.usage;
-        // Request sent → input fully here: the task.fetch span closes.
-        let fetch_started = node.fetch_started.take().unwrap_or(now);
-        node.compute_started = Some(now);
-        self.tele.span(
-            fetch_started.as_micros(),
-            now.as_micros(),
-            Phase::TaskFetch,
-            id.raw(),
-            task_id,
-        );
-        let dur = compute.sample_instrumented(cost, usage, &mut node.rng, &self.tele);
-        sched(now + dur, WorldEvent::TaskComputed { node: id, epoch });
-    }
-
-    fn on_task_computed(
-        &mut self,
-        id: NodeId,
-        epoch: u64,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let node = &mut self.nodes[id.index()];
-        if !node.is_on() || node.epoch != epoch {
-            return;
-        }
-        if node.current_task.is_none() || node.pna.task_done().is_err() {
-            return;
-        }
-        // Input here → computation done: the task.compute span closes.
-        let compute_started = node.compute_started.take().unwrap_or(now);
-        let task_id = node.current_task.as_ref().map_or(0, |t| t.id.raw());
-        node.upload_started = Some(now);
-        self.tele.span(
-            compute_started.as_micros(),
-            now.as_micros(),
-            Phase::Compute,
-            id.raw(),
-            task_id,
-        );
-        self.upload_result_attempt(id, 0, now, sched);
-    }
-
-    /// Uploads (or re-uploads) the held result. Lost uploads retry with the
-    /// same backoff as fetches; an exhausted chain abandons the local copy
-    /// and re-requests work — the Backend re-issues the task elsewhere.
-    fn upload_result_attempt(
-        &mut self,
-        id: NodeId,
-        attempt: u32,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let node = &mut self.nodes[id.index()];
-        let Some(result) = node.current_task.as_ref().map(|t| t.result_size) else {
-            return;
-        };
-        if node.upload_started.is_none() {
-            node.upload_started = Some(now);
-        }
-        let done = node.link.transfer_faulted_telemetered(
-            now,
-            result,
-            Direction::Up,
-            &mut node.rng,
-            &self.injector,
-            id,
-            &mut self.metrics.faults,
-            &self.tele,
-        );
-        match done {
-            Some(done) => {
-                let epoch = self.nodes[id.index()].epoch;
-                sched(done, WorldEvent::ResultArrived { node: id, epoch });
-            }
-            None => {
-                match self
-                    .config
-                    .fetch_backoff
-                    .delay(attempt, self.jitter_seed ^ id.raw() ^ 1)
-                {
-                    Some(delay) => {
-                        self.metrics.task_fetch_retries.inc();
-                        self.tele.instant(
-                            now.as_micros(),
-                            Phase::Retry,
-                            id.raw(),
-                            u64::from(attempt),
-                        );
-                        let epoch = self.nodes[id.index()].epoch;
-                        sched(
-                            now + delay,
-                            WorldEvent::ResultRetry {
-                                node: id,
-                                epoch,
-                                attempt: attempt + 1,
-                            },
-                        );
-                    }
-                    None => {
-                        // Give up on this copy; the Backend will treat the
-                        // task as stale and re-issue it.
-                        self.metrics.fetch_aborts.inc();
-                        let n = &mut self.nodes[id.index()];
-                        n.current_task = None;
-                        n.upload_started = None;
-                        n.fetch_started = None;
-                        self.request_task(id, now, sched);
-                    }
-                }
-            }
-        }
-    }
-
-    fn on_result_arrived(
-        &mut self,
-        id: NodeId,
-        epoch: u64,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
-        let node = &mut self.nodes[id.index()];
-        if !node.is_on() || node.epoch != epoch {
-            return;
-        }
-        let Some(task) = node.current_task.take() else {
-            return;
-        };
-        // The task's holder is still in the instance it was fetched for.
-        let Some(job) = node.pna.instance().and_then(|i| self.ledger.job_of(i)) else {
-            return;
-        };
-        // Upload started → result accepted: the task.upload span closes.
-        let upload_started = node.upload_started.take().unwrap_or(now);
-        self.tele.span(
-            upload_started.as_micros(),
-            now.as_micros(),
-            Phase::ResultUpload,
-            id.raw(),
-            task.id.raw(),
-        );
-        let Ok(dismantle) = self.ledger.complete(job, task.id, id, now) else {
-            return;
-        };
-        self.metrics.tasks_completed.inc();
-        if let Some(inst) = dismantle {
-            if let Ok(outputs) = self.controller.dismantle(inst) {
-                self.process_outputs(outputs, now, sched);
-            }
-        } else if !self.ledger.backend().is_complete(job) {
-            self.request_task(id, now, sched);
-        }
-    }
-
-    fn on_node_toggle(
-        &mut self,
-        id: NodeId,
-        now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
-    ) {
+    fn on_node_toggle(&mut self, id: NodeId, now: SimTime, out: &mut Scratch) {
         let chan = self.channel.id();
         let hb_interval = self.config.policy.heartbeat.interval;
         let node = &mut self.nodes[id.index()];
@@ -1081,53 +861,38 @@ impl World {
         let new_state = node.churn.toggle();
         let next = node.churn.next_toggle();
         if next != SimTime::MAX {
-            sched(next, WorldEvent::NodeToggle(id));
+            out.at(next, WorldEvent::NodeToggle(id));
         }
         match new_state {
             oddci_sim::OnOffState::Off => {
-                let had_task = node.current_task.is_some();
                 node.stb.power_off();
-                node.pna.power_off();
                 node.link.reset(now);
-                node.clear_work();
-                if had_task {
-                    // The Backend only learns through heartbeat loss.
-                    self.metrics.tasks_orphaned.inc();
-                }
+                // The Backend learns of an orphaned task through heartbeat loss.
+                self.feed(id, NodeInput::Crash, now, out);
             }
             oddci_sim::OnOffState::On => {
                 node.stb.power_on(chan, node.usage);
-                let phase = node.rng.random_range(0..hb_interval.as_micros().max(1));
-                let epoch = node.epoch;
-                sched(
-                    now + SimDuration::from_micros(phase),
-                    WorldEvent::HeartbeatSend { node: id, epoch },
-                );
-                self.schedule_deliveries_to(id, now, sched);
+                self.feed(id, NodeInput::Restart, now, out);
+                self.start_heartbeats(id, hb_interval, now, out);
             }
         }
     }
 
-    fn on_direct_reset(
+    /// A node whose agent (re)starts: its heartbeat chain at a random
+    /// phase, and a read of every control message on air.
+    fn start_heartbeats(
         &mut self,
         id: NodeId,
-        inst: InstanceId,
-        epoch: u64,
+        interval: SimDuration,
         now: SimTime,
-        sched: &mut dyn FnMut(SimTime, WorldEvent),
+        out: &mut Scratch,
     ) {
-        let node = &mut self.nodes[id.index()];
-        if !node.is_on() || node.epoch != epoch {
-            return;
-        }
-        if node.pna.on_direct_reset(inst) {
-            self.metrics.direct_resets.inc();
-            self.tele
-                .instant(now.as_micros(), Phase::DirectReset, id.raw(), inst.raw());
-            self.orphan_task_of(id, now, sched);
-            self.nodes[id.index()].clear_work();
-            self.send_heartbeat(id, now, sched);
-        }
+        let phase = self.nodes[id.index()]
+            .rng
+            .random_range(0..interval.as_micros().max(1));
+        let beat = self.step(id, NodeStep::HeartbeatSend);
+        out.at(now + SimDuration::from_micros(phase), beat);
+        self.schedule_deliveries_to(id, now, out);
     }
 }
 
@@ -1136,151 +901,14 @@ impl Model for World {
 
     fn handle(&mut self, event: WorldEvent, ctx: &mut Context<'_, WorldEvent>) {
         let now = ctx.now();
-        // Collect follow-ups locally, then enqueue: keeps handler borrows simple.
-        let mut outbox: Vec<(SimTime, WorldEvent)> = Vec::new();
-        {
-            let mut sched = |at: SimTime, ev: WorldEvent| outbox.push((at, ev));
-            match event {
-                WorldEvent::NodeToggle(id) => self.on_node_toggle(id, now, &mut sched),
-                WorldEvent::ControlDelivery {
-                    node,
-                    instance,
-                    epoch,
-                } => self.on_control_delivery(node, instance, epoch, now, &mut sched),
-                WorldEvent::ImageAcquired {
-                    node,
-                    instance,
-                    epoch,
-                } => self.on_image_acquired(node, instance, epoch, now, &mut sched),
-                WorldEvent::HeartbeatSend { node, epoch } => {
-                    let interval = self.config.policy.heartbeat.interval;
-                    let alive = {
-                        let n = &self.nodes[node.index()];
-                        n.is_on() && n.epoch == epoch
-                    };
-                    if alive {
-                        // Fault hook: the PNA software crashes (rolled at its
-                        // own timer so crashes pace with heartbeats). The STB
-                        // stays powered — only the agent reboots — but all
-                        // in-flight work and timers of this epoch die.
-                        if let Some(downtime) = self.injector.pna_crash(node, now) {
-                            self.metrics.faults.record(FaultClass::PnaCrash);
-                            let n = &mut self.nodes[node.index()];
-                            n.epoch += 1;
-                            let had_task = n.current_task.is_some();
-                            n.pna.power_off();
-                            n.link.reset(now);
-                            n.clear_work();
-                            if had_task {
-                                // The Backend learns through heartbeat loss.
-                                self.metrics.tasks_orphaned.inc();
-                            }
-                            let new_epoch = n.epoch;
-                            sched(
-                                now + downtime,
-                                WorldEvent::PnaRestart {
-                                    node,
-                                    epoch: new_epoch,
-                                },
-                            );
-                        } else {
-                            self.send_heartbeat(node, now, &mut sched);
-                            sched(now + interval, WorldEvent::HeartbeatSend { node, epoch });
-                        }
-                    }
-                }
-                WorldEvent::PnaRestart { node, epoch } => {
-                    let hb_interval = self.config.policy.heartbeat.interval;
-                    let n = &mut self.nodes[node.index()];
-                    // A power-off during the reboot cancels the restart.
-                    if n.is_on() && n.epoch == epoch {
-                        let phase = n.rng.random_range(0..hb_interval.as_micros().max(1));
-                        sched(
-                            now + SimDuration::from_micros(phase),
-                            WorldEvent::HeartbeatSend { node, epoch },
-                        );
-                        self.schedule_deliveries_to(node, now, &mut sched);
-                    }
-                }
-                WorldEvent::HeartbeatArrive(hb) => {
-                    self.metrics.heartbeats_delivered.inc();
-                    let outputs = self.controller.on_heartbeat(hb, now);
-                    self.process_outputs(outputs, now, &mut sched);
-                }
-                WorldEvent::DirectResetArrive {
-                    node,
-                    instance,
-                    epoch,
-                } => self.on_direct_reset(node, instance, epoch, now, &mut sched),
-                WorldEvent::TaskRequest {
-                    node,
-                    epoch,
-                    attempt,
-                } => self.on_task_request(node, epoch, attempt, now, &mut sched),
-                WorldEvent::TaskRequestRetry {
-                    node,
-                    epoch,
-                    attempt,
-                } => {
-                    let n = &self.nodes[node.index()];
-                    if n.is_on() && n.epoch == epoch && n.current_task.is_none() {
-                        self.request_task_attempt(node, attempt, now, &mut sched);
-                    }
-                }
-                WorldEvent::ResultRetry {
-                    node,
-                    epoch,
-                    attempt,
-                } => {
-                    let n = &self.nodes[node.index()];
-                    if n.is_on() && n.epoch == epoch {
-                        self.upload_result_attempt(node, attempt, now, &mut sched);
-                    }
-                }
-                WorldEvent::TaskInputArrived { node, epoch } => {
-                    self.on_task_input(node, epoch, now, &mut sched)
-                }
-                WorldEvent::TaskComputed { node, epoch } => {
-                    self.on_task_computed(node, epoch, now, &mut sched)
-                }
-                WorldEvent::ResultArrived { node, epoch } => {
-                    self.on_result_arrived(node, epoch, now, &mut sched)
-                }
-                WorldEvent::ControllerTick => {
-                    // Sample instance sizes for the timeline metric.
-                    let samples: Vec<(u64, u64)> = self
-                        .ledger
-                        .instances()
-                        .map(|(inst, _)| (inst.raw(), self.controller.instance_size(inst)))
-                        .collect();
-                    for (inst_raw, size) in samples {
-                        self.metrics
-                            .sample_instance_size(inst_raw, now.as_secs_f64(), size);
-                    }
-                    // Backend queue depth (pending tasks over open jobs).
-                    self.queue_depth
-                        .set(self.ledger.backend().pending_total() as f64);
-                    let outputs = self.controller.tick(now);
-                    self.process_outputs(outputs, now, &mut sched);
-                    // Liveness safety net: members parked as drained (by a
-                    // dry queue or an exhausted retry chain) get a fresh
-                    // kick while their job is open. The kick also lets a
-                    // node with a stale Backend assignment reclaim it —
-                    // only the assignee's own fetch recycles that record,
-                    // so waiting for `pending > 0` could deadlock.
-                    for job in self.ledger.backend().open_jobs() {
-                        self.kick_drained(job, now, &mut sched);
-                    }
-                    sched(
-                        now + self.config.controller_tick,
-                        WorldEvent::ControllerTick,
-                    );
-                }
-            }
-        }
-        for (at, ev) in outbox {
+        // Follow-ups collect in the reused scratch buffer, then enqueue:
+        // keeps handler borrows simple.
+        let mut out = std::mem::take(&mut self.scratch);
+        self.on_event(event, now, &mut out);
+        for (at, ev) in out.events.drain(..) {
             ctx.schedule_at(at.max(now), ev);
         }
+        self.scratch = out;
     }
 }
 
@@ -1302,25 +930,17 @@ impl OddciSim {
         // toggles for everyone.
         let n = sim.model().nodes.len();
         for i in 0..n {
-            let (on, next_toggle, epoch) = {
-                let node = &sim.model().nodes[i];
-                (node.is_on(), node.churn.next_toggle(), node.epoch)
-            };
-            if on {
-                let phase = {
-                    let node = &mut sim.model_mut().nodes[i];
-                    node.rng.random_range(0..hb_interval.as_micros().max(1))
-                };
-                sim.schedule_at(
-                    SimTime::from_micros(phase),
-                    WorldEvent::HeartbeatSend {
-                        node: NodeId::new(i as u64),
-                        epoch,
-                    },
-                );
+            let id = NodeId::new(i as u64);
+            let world = sim.model_mut();
+            let node = &mut world.nodes[i];
+            let next_toggle = node.churn.next_toggle();
+            if node.is_on() {
+                let phase = node.rng.random_range(0..hb_interval.as_micros().max(1));
+                let beat = world.step(id, NodeStep::HeartbeatSend);
+                sim.schedule_at(SimTime::from_micros(phase), beat);
             }
             if next_toggle != SimTime::MAX {
-                sim.schedule_at(next_toggle, WorldEvent::NodeToggle(NodeId::new(i as u64)));
+                sim.schedule_at(next_toggle, WorldEvent::NodeToggle(id));
             }
         }
         sim.schedule_at(SimTime::ZERO + tick, WorldEvent::ControllerTick);
@@ -1349,14 +969,12 @@ impl OddciSim {
             .unwrap_or_else(|e| panic!("job ids must be unique within a world: {e}"));
         let outputs = world.controller.admit_instance(inst, req, now);
 
-        let mut outbox: Vec<(SimTime, WorldEvent)> = Vec::new();
-        {
-            let mut sched = |at: SimTime, ev: WorldEvent| outbox.push((at, ev));
-            world.process_outputs(outputs, now, &mut sched);
-        }
-        for (at, ev) in outbox {
+        let mut out = std::mem::take(&mut world.scratch);
+        world.process_outputs(outputs, now, &mut out);
+        for (at, ev) in out.events.drain(..) {
             self.sim.schedule_at(at.max(now), ev);
         }
+        self.sim.model_mut().scratch = out;
         request
     }
 

@@ -28,17 +28,18 @@ use crate::wire::WireMembership;
 use oddci_check::sync::{unbounded, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
-use oddci_core::pna::{HostInfo, Pna, PnaAction};
+use oddci_core::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
+use oddci_core::pna::{HostInfo, Pna};
 use oddci_core::provider::{JobReport, ProviderRequest};
 use oddci_faults::{Backoff, FaultInjector, FaultPlan};
 use oddci_receiver::compute::UsageMode;
 use oddci_telemetry::{Phase, Telemetry, CONTROL_TRACK};
-use oddci_types::{DataSize, InstanceId, JobId, NodeId, SimTime, TaskId};
-use oddci_workload::alignment::{mutate, random_sequence};
+use oddci_types::{DataSize, InstanceId, JobId, NodeId, SimDuration, SimTime, TaskId};
+use oddci_workload::alignment::{mutate, random_sequence, BlastSearch};
 use oddci_workload::Task;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -852,6 +853,57 @@ fn spawn_snapshot_writer(
 // Node
 // ---------------------------------------------------------------------
 
+/// How long a node waits for a heartbeat reply before giving the beat up.
+const HB_REPLY_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long a node waits for a task-fetch reply before backing off.
+const TASK_REPLY_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Wall-clock runtime instant as [`SimTime`].
+pub(crate) fn wall_now(start: &Instant) -> SimTime {
+    SimTime::from_micros(start.elapsed().as_micros() as u64)
+}
+
+/// A live node's task: the task and its query.
+type LiveTask = (Task, Arc<Vec<u8>>);
+
+/// What every live node offers a wakeup's requirements filter.
+const HOST: HostInfo = HostInfo {
+    free_memory: DataSize::from_megabytes(128),
+    usage: UsageMode::Standby,
+};
+
+/// One node thread: the [`NodeCore`] the sim's `World` runs too, and what the
+/// thread moves for it.
+struct LiveNode {
+    core: NodeCore<LiveTask>,
+    id: NodeId,
+    rng: SmallRng,
+    jitter_seed: u64,
+    start: Instant,
+    injector: Arc<FaultInjector>,
+    tele: Telemetry,
+    actions: Vec<NodeAction>,
+    /// Outcomes fed on the loop's next turn, after the link is polled and
+    /// the rest of their input's actions ran: a loaded image (after the
+    /// acceptance heartbeat, as the sim's acquisition event comes later),
+    /// a computed task whose link had news, and a delivered batch (so a
+    /// due heartbeat goes out between batches).
+    later: VecDeque<NodeInput<'static, LiveTask>>,
+    /// What the link held after a task was computed; read before the link.
+    inbox: Option<BusMsg>,
+    /// The armed retry timer: when it fires, its chain and the attempt.
+    retry: Option<(SimTime, RetryKind, u32)>,
+    /// When a crashed agent reboots.
+    restart_at: Option<SimTime>,
+    /// The booted image and its indexed database.
+    image: Option<(Arc<AlignmentImage>, BlastSearch)>,
+    /// Scores of the held batch's computed tasks.
+    scores: Vec<(TaskId, i32)>,
+}
+
+/// Runs one node until the plane shuts down: one loop waits on `link`
+/// until the node's next deadline (heartbeat, retry or reboot), feeds the
+/// core what arrived or fell due, and runs each action through `link`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn node_main(
     id: NodeId,
@@ -863,368 +915,258 @@ pub(crate) fn node_main(
     injector: Arc<FaultInjector>,
     tele: Telemetry,
 ) {
-    let mut pna = Pna::new(id, &key);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let host = HostInfo {
-        free_memory: DataSize::from_megabytes(128),
-        usage: UsageMode::Standby,
+    let mut node = LiveNode {
+        core: NodeCore::new(Pna::new(id, &key)),
+        id,
+        rng: SmallRng::seed_from_u64(seed),
+        jitter_seed: seed ^ 0xfe7c,
+        start,
+        injector,
+        tele,
+        actions: Vec::new(),
+        later: VecDeque::new(),
+        inbox: None,
+        retry: None,
+        restart_at: None,
+        image: None,
+        scores: Vec::new(),
     };
+    let beat = SimDuration::from_micros(hb_interval.as_micros() as u64);
+    let mut next_beat = wall_now(&start) + beat;
     loop {
-        // Idle: listen to the control stream, heartbeat on the side.
-        match link.recv(hb_interval) {
-            Ok(BusMsg::Shutdown) => return,
-            Ok(BusMsg::Control(b)) => {
-                if let PnaAction::BeginAcquisition { instance, .. } =
-                    pna.on_control_message(&b.signed, host, &mut rng)
-                {
-                    tele.instant(
-                        wall_now(&start).as_micros(),
-                        Phase::PnaAccept,
-                        id.raw(),
-                        instance.raw(),
-                    );
-                    if let Some(image) = b.image.and_then(WakeupImage::into_recipe) {
-                        if !run_instance(
-                            &mut pna,
-                            &mut rng,
-                            host,
-                            instance,
-                            &image,
-                            link,
-                            hb_interval,
-                            seed,
-                            &start,
-                            &injector,
-                            &tele,
-                        ) {
-                            return; // shutdown observed while busy
-                        }
-                    } else {
-                        // Wakeup without an image (race with reset), or
-                        // with one that does not decode to a valid recipe:
-                        // decline; the next carousel pass retries.
-                        pna.on_direct_reset(instance);
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Fault hook: the PNA software crashes at its own timer; a
-                // reboot later it comes back idle and resumes listening
-                // (restart = this same loop — the carousel repeats).
-                if !maybe_crash(&mut pna, &injector, &start) {
-                    heartbeat(&mut pna, link, seed, &start, &injector, &tele);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// How long a node waits for a heartbeat reply before backing off.
-const HB_REPLY_TIMEOUT: Duration = Duration::from_secs(2);
-/// How long a node waits for a task-fetch reply before backing off.
-const TASK_REPLY_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// Wall-clock runtime instant as [`SimTime`].
-pub(crate) fn wall_now(start: &Instant) -> SimTime {
-    SimTime::from_micros(start.elapsed().as_micros() as u64)
-}
-
-/// Rolls the PNA-crash fault. On a crash the agent loses all state and
-/// sleeps out the reboot; returns `true` if one happened.
-fn maybe_crash(pna: &mut Pna, injector: &FaultInjector, start: &Instant) -> bool {
-    let Some(downtime) = injector.pna_crash(pna.node(), wall_now(start)) else {
-        return false;
-    };
-    pna.power_off();
-    std::thread::sleep(Duration::from_micros(downtime.as_micros()));
-    true
-}
-
-/// Sends one heartbeat and applies the reply. A beat swallowed by an
-/// injected drop or partition is simply skipped (the miss-threshold
-/// machinery is the Controller's problem); a reply timeout is retried a
-/// few times and then given up on *without* killing the node, and a wait
-/// the link abandons (shutdown, lost connection) ends the beat at once so
-/// the caller gets back to its control stream, which says why.
-fn heartbeat(
-    pna: &mut Pna,
-    link: &mut NodeLink,
-    seed: u64,
-    start: &Instant,
-    injector: &FaultInjector,
-    tele: &Telemetry,
-) {
-    let id = pna.node();
-    let backoff = Backoff::live();
-    let mut attempt = 0;
-    loop {
-        let now = wall_now(start);
-        if injector.partitioned(id, now) || injector.heartbeat_dropped(id, now) {
-            return;
-        }
-        match link.heartbeat(pna.heartbeat(now)) {
-            Ok(Some(HeartbeatReply::Reset(inst))) => {
-                tele.instant(wall_now(start).as_micros(), Phase::Heartbeat, id.raw(), 1);
-                pna.on_direct_reset(inst);
-                return;
-            }
-            Ok(Some(HeartbeatReply::Ack)) => {
-                tele.instant(wall_now(start).as_micros(), Phase::Heartbeat, id.raw(), 0);
-                return;
-            }
-            Err(Abandoned) => return,
-            Ok(None) => match backoff.delay_std(attempt, seed ^ 0xbea7) {
-                Some(d) => {
-                    tele.instant(
-                        wall_now(start).as_micros(),
-                        Phase::Retry,
-                        id.raw(),
-                        u64::from(attempt),
-                    );
-                    attempt += 1;
-                    std::thread::sleep(d);
-                }
-                // Give up on this beat, not on the node.
-                None => return,
-            },
-        }
-    }
-}
-
-/// Runs the busy phase: materialize the image, then pull batches of
-/// tasks, compute them, and upload results until reset. Returns false
-/// only on shutdown.
-#[allow(clippy::too_many_arguments)]
-fn run_instance(
-    pna: &mut Pna,
-    rng: &mut SmallRng,
-    host: HostInfo,
-    instance: InstanceId,
-    image: &AlignmentImage,
-    link: &mut NodeLink,
-    hb_interval: Duration,
-    seed: u64,
-    start: &Instant,
-    injector: &FaultInjector,
-    tele: &Telemetry,
-) -> bool {
-    let _ = pna.image_ready();
-    // Real work: regenerate and index the database — the live plane's
-    // DVE boot. The span runs accept → database ready.
-    let boot_begin = wall_now(start).as_micros();
-    let db = image.materialize();
-    tele.span(
-        boot_begin,
-        wall_now(start).as_micros(),
-        Phase::DveBoot,
-        pna.node().raw(),
-        instance.raw(),
-    );
-    heartbeat(pna, link, seed, start, injector, tele);
-    let backoff = Backoff::live();
-    let mut fetch_attempt: u32 = 0;
-    let mut fetch_began: Option<u64> = None;
-    while !pna.is_idle() {
-        // Drain broadcast traffic (resets, other instances' wakeups).
-        while let Some(msg) = link.try_recv() {
-            match msg {
-                BusMsg::Shutdown => return false,
-                BusMsg::Control(b) => {
-                    if let PnaAction::DveDestroyed { .. } =
-                        pna.on_control_message(&b.signed, host, rng)
-                    {
-                        heartbeat(pna, link, seed, start, injector, tele);
-                        return true;
-                    }
-                }
-            }
-        }
-        if pna.is_idle() {
-            break;
-        }
-
-        // Fault hook: a direct-channel loss episode eats the request on
-        // the wire; the reply timeout below treats a stalled Backend the
-        // same way. Both paths retry with backoff.
-        let now = wall_now(start);
-        let lost =
-            injector.partitioned(pna.node(), now) || injector.direct_dropped(pna.node(), now);
-        fetch_began.get_or_insert(now.as_micros());
-        let reply = if lost {
-            None
+        let now = wall_now(&start);
+        // Heartbeats go out only while the node holds no batch: the live
+        // headend trims a member with a direct reset and requeues nothing,
+        // so a trim must never find work. A crashed agent's timer is dead.
+        let beat_at =
+            (node.restart_at.is_none() && node.core.held().is_none()).then_some(next_beat);
+        let retry_at = node.retry.map(|(at, ..)| at);
+        let due = |at: Option<SimTime>| at.is_some_and(|at| now >= at);
+        let (beat_due, retry_due, restart_due) =
+            (due(beat_at), due(retry_at), due(node.restart_at));
+        let msg = if let Some(msg) = node.inbox.take() {
+            Ok(msg)
+        } else if beat_due || retry_due || restart_due || !node.later.is_empty() {
+            link.try_recv().ok_or(RecvTimeoutError::Timeout)
         } else {
-            link.fetch_tasks(instance, pna.node())
+            let timers = [beat_at, retry_at, node.restart_at].into_iter().flatten();
+            let deadline = timers.min().unwrap_or(now + beat);
+            link.recv(Duration::from_micros(deadline.since(now).as_micros()))
         };
-        // Every pause is spent listening to the control stream, not
-        // asleep: when a reply is missing because the plane is shutting
-        // down (the link ends the wait at once), that is where the node
-        // hears it.
-        let pause = match reply {
-            Some(TaskBatchReply::Assigned { job, tasks }) => {
-                fetch_attempt = 0;
-                let track = pna.node().raw();
-                if let Some(begin) = fetch_began.take() {
-                    tele.span(
-                        begin,
-                        wall_now(start).as_micros(),
-                        Phase::TaskFetch,
-                        track,
-                        tasks[0].0.id.raw(),
-                    );
-                }
-                let mut results: Vec<(TaskId, i32)> = Vec::with_capacity(tasks.len());
-                let mut destroyed = false;
-                for (task, query) in tasks {
-                    // Between tasks, drain control traffic: a reset
-                    // mid-batch abandons the remainder (the Backend
-                    // re-queues it via the NodeLost membership
-                    // transition at this node's next idle heartbeat).
-                    while let Some(msg) = link.try_recv() {
-                        match msg {
-                            BusMsg::Shutdown => return false,
-                            BusMsg::Control(b) => {
-                                if let PnaAction::DveDestroyed { .. } =
-                                    pna.on_control_message(&b.signed, host, rng)
-                                {
-                                    destroyed = true;
-                                    // Idle now: what is still queued on
-                                    // the link is `node_main`'s to read.
-                                    break;
-                                }
-                            }
-                        }
+        let input = match msg {
+            Ok(BusMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+            Ok(BusMsg::Control(LiveBroadcast { signed, mut image })) => {
+                node.run(link, NodeInput::Control(&signed, HOST), now, &mut image);
+                continue;
+            }
+            Err(_) if restart_due => {
+                (node.restart_at, next_beat) = (None, now + beat);
+                NodeInput::Restart
+            }
+            Err(_) if beat_due => {
+                next_beat = now + beat;
+                // Fault hook: the PNA software crashes at its own timer;
+                // its timers die with it, and it reboots after `downtime`
+                // (or sooner, relaunched by the next carousel read).
+                if let Some(downtime) = node.injector.pna_crash(id, now) {
+                    (node.restart_at, node.retry, node.image) = (Some(now + downtime), None, None);
+                    NodeInput::Crash
+                } else {
+                    node.run(link, NodeInput::HeartbeatTimer, now, &mut None);
+                    // A drained node's kick is its heartbeat tick.
+                    if !node.core.drained() {
+                        continue;
                     }
-                    if destroyed {
-                        break;
+                    NodeInput::Kick
+                }
+            }
+            Err(_) => match node.later.pop_front() {
+                Some(input) => input,
+                None => match node.retry.take_if(|_| retry_due) {
+                    Some((_, kind, attempt)) => NodeInput::RetryDue(kind, attempt),
+                    None => continue,
+                },
+            },
+        };
+        node.run(link, input, now, &mut None);
+    }
+}
+
+impl LiveNode {
+    /// Feeds `input` to the core at `now` and runs the actions it causes.
+    /// `image` is what came with a control message.
+    fn run(
+        &mut self,
+        link: &mut NodeLink,
+        input: NodeInput<'_, LiveTask>,
+        now: SimTime,
+        image: &mut Option<WakeupImage>,
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        self.feed(link, input, now, image, &mut actions);
+        self.actions = actions;
+    }
+
+    /// Feeds one input and runs its actions in order; an action's reply
+    /// is fed before the next action runs, as the sim feeds a failed
+    /// transfer's. The last action's reply is fed by this loop, not one
+    /// level deeper, so a batch's tasks do not stack frames.
+    fn feed(
+        &mut self,
+        link: &mut NodeLink,
+        mut input: NodeInput<'_, LiveTask>,
+        mut now: SimTime,
+        image: &mut Option<WakeupImage>,
+        actions: &mut Vec<NodeAction>,
+    ) {
+        loop {
+            let start = actions.len();
+            let mut env = NodeEnv {
+                now,
+                rng: &mut self.rng,
+                backoff: &Backoff::live(),
+                jitter_seed: self.jitter_seed,
+            };
+            self.core.handle(input, &mut env, actions);
+            let (mut next, mut tail) = (start, None);
+            while let Some(&action) = actions.get(next) {
+                next += 1;
+                match self.act(link, action, now, image) {
+                    Some(reply) if next == actions.len() => tail = Some(reply),
+                    Some(reply) => {
+                        let now = wall_now(&self.start);
+                        self.feed(link, reply, now, image, actions);
                     }
-                    let compute_begin = wall_now(start).as_micros();
-                    let score = image.score(&db, &query);
-                    let computed = wall_now(start).as_micros();
-                    tele.span(
-                        compute_begin,
-                        computed,
-                        Phase::Compute,
-                        track,
-                        task.id.raw(),
-                    );
-                    tele.duration(
-                        (computed.saturating_sub(compute_begin)) as f64 / 1e6,
-                        Phase::Kernel,
-                    );
-                    let _ = pna.task_done();
-                    results.push((task.id, score));
+                    None => {}
                 }
-                if !results.is_empty() {
-                    send_results(pna, link, job, results, seed, start, injector, tele);
+            }
+            actions.truncate(start);
+            let Some(reply) = tail else {
+                return;
+            };
+            (input, now) = (reply, wall_now(&self.start));
+        }
+    }
+
+    /// Runs one action through the link; returns the reply to feed at
+    /// once, and queues in `later` what waits a turn.
+    fn act(
+        &mut self,
+        link: &mut NodeLink,
+        action: NodeAction,
+        now: SimTime,
+        image: &mut Option<WakeupImage>,
+    ) -> Option<NodeInput<'static, LiveTask>> {
+        let (id, us) = (self.id, now.as_micros());
+        // Fault hook: a partition or a direct-channel loss episode eats a
+        // request on the wire; a reply timeout looks the same.
+        let lost = || self.injector.partitioned(id, now) || self.injector.direct_dropped(id, now);
+        match action {
+            NodeAction::Heartbeat(hb) => {
+                if self.injector.partitioned(id, now) || self.injector.heartbeat_dropped(id, now) {
+                    return None;
                 }
-                if destroyed {
-                    heartbeat(pna, link, seed, start, injector, tele);
-                    return true;
-                }
+                // A beat nobody answered is lost, like one the network ate.
+                let Ok(Some(reply)) = link.heartbeat(hb) else {
+                    return None;
+                };
+                let reset = match reply {
+                    HeartbeatReply::Reset(instance) => Some(instance),
+                    HeartbeatReply::Ack => None,
+                };
+                let (us, scope) = (
+                    wall_now(&self.start).as_micros(),
+                    u64::from(reset.is_some()),
+                );
+                self.tele.instant(us, Phase::Heartbeat, id.raw(), scope);
+                reset.map(NodeInput::DirectReset)
+            }
+            NodeAction::BeginImage(instance) => {
+                self.tele
+                    .instant(us, Phase::PnaAccept, id.raw(), instance.raw());
+                // A wakeup without an image (a race with its reset), or
+                // with one that does not decode to a valid recipe, is
+                // declined; the next carousel pass retries.
+                let Some(recipe) = image.take().and_then(WakeupImage::into_recipe) else {
+                    return Some(NodeInput::DirectReset(instance));
+                };
+                // Real work: regenerate and index the database — the live
+                // plane's DVE boot.
+                let db = recipe.materialize();
+                self.image = Some((recipe, db));
+                self.later.push_back(NodeInput::ImageReady(instance));
                 None
             }
-            Some(TaskBatchReply::Drained) => {
-                fetch_attempt = 0;
-                fetch_began = None;
-                if maybe_crash(pna, injector, start) {
-                    return true;
-                }
-                heartbeat(pna, link, seed, start, injector, tele);
-                Some(hb_interval)
+            NodeAction::Left(..) => {
+                // Unlike the sim's retry events, the timer dies with the DVE.
+                (self.retry, self.image) = (None, None);
+                self.scores.clear();
+                None
             }
-            None => match backoff.delay_std(fetch_attempt, seed ^ 0xfe7c) {
-                Some(d) => {
-                    tele.instant(
-                        wall_now(start).as_micros(),
-                        Phase::Retry,
-                        pna.node().raw(),
-                        u64::from(fetch_attempt),
-                    );
-                    fetch_attempt += 1;
-                    Some(d)
-                }
-                None => {
-                    // Exhausted: give up on this chain but not on the node —
-                    // heartbeat (so the Controller still sees us) and start
-                    // a fresh chain. Pre-hardening this killed the worker.
-                    fetch_attempt = 0;
-                    fetch_began = None;
-                    heartbeat(pna, link, seed, start, injector, tele);
+            NodeAction::Orphan(_) | NodeAction::GaveUp => {
+                self.scores.clear();
+                None
+            }
+            NodeAction::Span(phase, begin, arg) => {
+                self.tele.span(begin.as_micros(), us, phase, id.raw(), arg);
+                None
+            }
+            NodeAction::Fetch(attempt) => {
+                // A reset applied by an earlier action's reply asks nobody.
+                let instance = self.core.instance()?;
+                let reply = if lost() {
                     None
+                } else {
+                    link.fetch_tasks(instance, id)
+                };
+                Some(match reply {
+                    Some(TaskBatchReply::Assigned { job, tasks }) => {
+                        self.scores.reserve(tasks.len());
+                        NodeInput::Fetched(attempt, job, tasks)
+                    }
+                    Some(TaskBatchReply::Drained) => NodeInput::Drained,
+                    None => NodeInput::FetchLost(attempt),
+                })
+            }
+            // The inputs came with the batch.
+            NodeAction::Download(_) => Some(NodeInput::InputsReady),
+            NodeAction::Compute(index) => {
+                let held = self.core.held().and_then(|(_, tasks)| tasks.get(index));
+                if let (Some((task, query)), Some((recipe, db))) = (held, &self.image) {
+                    let score = recipe.score(db, query);
+                    let took = wall_now(&self.start).since(now);
+                    self.tele.duration(took.as_secs_f64(), Phase::Kernel);
+                    self.scores.push((task.id, score));
                 }
-            },
-        };
-        // A heartbeat reply above may have reset this node directly. Idle,
-        // it must be back in `node_main` before it reads the link again: a
-        // wakeup read here would be accepted by the state machine and
-        // booted by nobody.
-        if pna.is_idle() {
-            break;
-        }
-        if let Some(pause) = pause {
-            match link.recv(pause) {
-                Ok(BusMsg::Shutdown) => return false,
-                Ok(BusMsg::Control(b)) => {
-                    if let PnaAction::DveDestroyed { .. } =
-                        pna.on_control_message(&b.signed, host, rng)
-                    {
-                        heartbeat(pna, link, seed, start, injector, tele);
-                        return true;
+                // Between tasks the link is heard: what it holds goes first.
+                match link.try_recv() {
+                    None => Some(NodeInput::Computed),
+                    Some(msg) => {
+                        self.inbox = Some(msg);
+                        self.later.push_back(NodeInput::Computed);
+                        None
                     }
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return true,
             }
-        }
-    }
-    true
-}
-
-/// Uploads a batch of results, retrying through loss episodes. An
-/// exhausted chain abandons the local copies: the Backend still holds
-/// the assignments and recycles them into the queue at this node's next
-/// fetch.
-#[allow(clippy::too_many_arguments)]
-fn send_results(
-    pna: &Pna,
-    link: &NodeLink,
-    job: JobId,
-    results: Vec<(TaskId, i32)>,
-    seed: u64,
-    start: &Instant,
-    injector: &FaultInjector,
-    tele: &Telemetry,
-) {
-    let backoff = Backoff::live();
-    let mut attempt = 0;
-    let began = wall_now(start).as_micros();
-    let count = results.len() as u64;
-    loop {
-        let now = wall_now(start);
-        if !(injector.partitioned(pna.node(), now) || injector.direct_dropped(pna.node(), now)) {
-            link.send_results(job, pna.node(), results);
-            tele.span(
-                began,
-                wall_now(start).as_micros(),
-                Phase::ResultUpload,
-                pna.node().raw(),
-                count,
-            );
-            return;
-        }
-        match backoff.delay_std(attempt, seed ^ 0x5e9d) {
-            Some(d) => {
-                tele.instant(
-                    wall_now(start).as_micros(),
-                    Phase::Retry,
-                    pna.node().raw(),
-                    u64::from(attempt),
-                );
-                attempt += 1;
-                std::thread::sleep(d);
+            NodeAction::Upload(attempt) => match self.core.held() {
+                Some((job, _)) if !lost() => {
+                    link.send_results(job, id, std::mem::take(&mut self.scores));
+                    Some(NodeInput::Uploaded)
+                }
+                _ => Some(NodeInput::UploadLost(attempt)),
+            },
+            // A live node cannot know whether the job has work left: its
+            // next fetch asks.
+            NodeAction::Delivered(..) => {
+                self.later.push_back(NodeInput::Next);
+                None
             }
-            None => return,
+            NodeAction::Retry(kind, at, attempt) => {
+                self.tele
+                    .instant(us, Phase::Retry, id.raw(), u64::from(attempt));
+                self.retry = Some((at, kind, attempt + 1));
+                None
+            }
         }
     }
 }

@@ -328,6 +328,11 @@ impl WireMsg {
                     1 => {
                         let job = JobId::new(r.u64()?);
                         let n = r.u32()? as usize;
+                        // The headend answers a dry queue with `Drained`; an empty
+                        // assignment would hand the PNA a batch with no first task.
+                        if n == 0 {
+                            return Err(WireError::Malformed("empty task batch"));
+                        }
                         let mut tasks = Vec::with_capacity(n.min(4096));
                         for _ in 0..n {
                             let task = decode_task(&mut r)?;
@@ -745,5 +750,21 @@ mod tests {
     #[test]
     fn unknown_kind_errors() {
         assert!(WireMsg::decode(200, &[]).is_err());
+    }
+
+    #[test]
+    fn empty_task_batch_is_refused() {
+        let enc = WireMsg::TaskBatch {
+            corr: 3,
+            batch: WireBatch::Assigned {
+                job: JobId::new(1),
+                tasks: vec![],
+            },
+        }
+        .encode();
+        assert!(matches!(
+            WireMsg::decode(6, &enc),
+            Err(WireError::Malformed("empty task batch"))
+        ));
     }
 }
