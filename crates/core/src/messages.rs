@@ -7,7 +7,9 @@
 //! direct channels.
 
 use oddci_crypto::{MessageAuthenticator, Tag};
-use oddci_types::{DataSize, ImageId, InstanceId, MessageId, NodeId, Probability, Result, SimTime};
+use oddci_types::{
+    DataSize, ImageId, InstanceId, MessageId, NodeId, OddciError, Probability, Result, SimTime,
+};
 use serde::{Deserialize, Serialize};
 
 /// Capability requirements a node must meet to join an instance (§3.2:
@@ -76,27 +78,59 @@ impl ControlMessage {
     }
 
     /// Canonical byte encoding for signing. Field order is fixed and all
-    /// integers are little-endian, so Controller and PNA always agree.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+    /// integers are little-endian, so Controller and PNA always agree. The
+    /// bytes are built on the stack: signing and verifying allocate nothing.
+    pub fn canonical_bytes(&self) -> CanonicalBytes {
+        let mut out = CanonicalBytes {
+            buf: [0; CanonicalBytes::MAX_LEN],
+            len: 0,
+        };
         match self {
             ControlMessage::Wakeup(w) => {
-                out.push(0x01);
-                out.extend_from_slice(&w.id.raw().to_le_bytes());
-                out.extend_from_slice(&w.instance.raw().to_le_bytes());
-                out.extend_from_slice(&w.image.raw().to_le_bytes());
-                out.extend_from_slice(&w.image_size.bits().to_le_bytes());
-                out.extend_from_slice(&w.probability.value().to_le_bytes());
-                out.extend_from_slice(&w.requirements.min_memory.bits().to_le_bytes());
-                out.push(w.requirements.standby_only as u8);
+                out.put(&[0x01]);
+                out.put(&w.id.raw().to_le_bytes());
+                out.put(&w.instance.raw().to_le_bytes());
+                out.put(&w.image.raw().to_le_bytes());
+                out.put(&w.image_size.bits().to_le_bytes());
+                out.put(&w.probability.value().to_le_bytes());
+                out.put(&w.requirements.min_memory.bits().to_le_bytes());
+                out.put(&[w.requirements.standby_only as u8]);
             }
             ControlMessage::Reset(r) => {
-                out.push(0x02);
-                out.extend_from_slice(&r.id.raw().to_le_bytes());
-                out.extend_from_slice(&r.instance.raw().to_le_bytes());
+                out.put(&[0x02]);
+                out.put(&r.id.raw().to_le_bytes());
+                out.put(&r.instance.raw().to_le_bytes());
             }
         }
         out
+    }
+}
+
+/// A control message's canonical bytes ([`ControlMessage::canonical_bytes`]),
+/// held inline; dereferences to the encoded slice. Bytes past the end
+/// stay zero, so the derived equality is the slices'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CanonicalBytes {
+    buf: [u8; CanonicalBytes::MAX_LEN],
+    len: usize,
+}
+
+impl CanonicalBytes {
+    /// The longest encoding, a wakeup's: a kind byte, six 8-byte fields
+    /// and a flag byte.
+    const MAX_LEN: usize = 50;
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+impl std::ops::Deref for CanonicalBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
     }
 }
 
@@ -119,11 +153,13 @@ impl SignedMessage {
 
     /// Verifies the tag with the PNA's authenticator.
     pub fn verify(&self, auth: &MessageAuthenticator) -> Result<()> {
-        auth.verify_or_err(
-            &self.message.canonical_bytes(),
-            &self.tag,
-            &format!("control message {}", self.message.id()),
-        )
+        if auth.verify(&self.message.canonical_bytes(), &self.tag) {
+            Ok(())
+        } else {
+            Err(OddciError::BadSignature {
+                context: format!("control message {}", self.message.id()),
+            })
+        }
     }
 }
 
@@ -225,5 +261,44 @@ mod tests {
         let m = wakeup();
         assert_eq!(m.id(), MessageId::new(1));
         assert_eq!(m.instance(), InstanceId::new(2));
+    }
+
+    #[test]
+    fn canonical_bytes_and_tags_are_pinned() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        // A change to the encoding or to the MAC shows here.
+        let auth = MessageAuthenticator::from_key(b"controller-key");
+        let wakeup_bytes = concat!(
+            "01",               // kind
+            "0100000000000000", // id
+            "0200000000000000", // instance
+            "0300000000000000", // image
+            "0000000500000000", // image size, bits
+            "000000000000d03f", // probability 0.25
+            "0000001000000000", // min memory, bits
+            "01",               // standby only
+        );
+        let reset = ControlMessage::Reset(ResetMessage {
+            id: MessageId::new(7),
+            instance: InstanceId::new(2),
+        });
+        let reset_bytes = concat!("02", "0700000000000000", "0200000000000000");
+        for (message, bytes, tag) in [
+            (
+                wakeup(),
+                wakeup_bytes,
+                "c56be1d99caa0609f3f2bf31e459cbf337ad4fabab88586ff3242691a684cb34",
+            ),
+            (
+                reset,
+                reset_bytes,
+                "cd25b9ba20a47b545824ebead871650787191fd951eeeb65901b56575d8e10a6",
+            ),
+        ] {
+            assert_eq!(hex(&message.canonical_bytes()), bytes);
+            assert_eq!(hex(&SignedMessage::sign(message, &auth).tag), tag);
+        }
     }
 }

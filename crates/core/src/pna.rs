@@ -100,11 +100,12 @@ pub struct Pna {
 
 impl Pna {
     /// Creates an idle PNA bound to `node`, trusting messages signed with
-    /// `key` (the association with its Controller).
-    pub fn new(node: NodeId, key: &[u8]) -> Self {
+    /// `auth`'s key (the association with its Controller). Pass the key
+    /// itself, or an authenticator that a whole population shares.
+    pub fn new(node: NodeId, auth: impl Into<MessageAuthenticator>) -> Self {
         Pna {
             node,
-            auth: MessageAuthenticator::from_key(key),
+            auth: auth.into(),
             state: PnaState::Idle,
             seen: std::collections::BTreeSet::new(),
             counters: PnaCounters::default(),
@@ -500,5 +501,17 @@ mod tests {
         let mut pna = Pna::new(NodeId::new(1), KEY);
         assert!(pna.image_ready().is_err());
         assert!(pna.task_done().is_err());
+    }
+
+    #[test]
+    fn debug_does_not_print_the_controller_key() {
+        let shared = auth();
+        let pna = Pna::new(NodeId::new(1), shared.clone());
+        let shown = format!("{pna:?}");
+        assert!(shown.contains(&format!("{shared:?}")), "{shown}");
+        assert!(!shown.contains("test-controller-key"), "{shown}");
+        assert!(!shown.contains(&format!("{KEY:?}")), "{shown}");
+        let by_key = format!("{:?}", Pna::new(NodeId::new(1), KEY));
+        assert_eq!(by_key, shown);
     }
 }

@@ -41,6 +41,7 @@ use crate::provider::{JobReport, Provider, ProviderRequest};
 use oddci_broadcast::ait::{AitEntry, AppControlCode};
 use oddci_broadcast::carousel::CarouselFile;
 use oddci_broadcast::BroadcastChannel;
+use oddci_crypto::MessageAuthenticator;
 use oddci_faults::{Backoff, FaultClass, FaultInjector, FaultPlan};
 use oddci_net::link::{DirectLink, Direction};
 use oddci_receiver::compute::{ComputeModel, UsageMode};
@@ -217,6 +218,9 @@ impl World {
             SimTime::ZERO,
         );
         let controller = Controller::new(&config.key, config.policy.clone());
+        // One keyed MAC state for the whole population: each PNA's copy is
+        // a refcount, not a key schedule.
+        let auth = MessageAuthenticator::from_key(&config.key);
 
         let mut nodes = Vec::with_capacity(config.nodes as usize);
         for i in 0..config.nodes {
@@ -240,7 +244,7 @@ impl World {
             }
             nodes.push(NodeRuntime {
                 stb,
-                core: NodeCore::new(Pna::new(NodeId::new(i), &config.key)),
+                core: NodeCore::new(Pna::new(NodeId::new(i), auth.clone())),
                 link: DirectLink::new(config.direct.clone()),
                 churn,
                 usage,

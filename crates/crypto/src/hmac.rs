@@ -8,11 +8,24 @@ use crate::sha256::Sha256;
 const BLOCK_LEN: usize = 64;
 
 /// Keyed MAC over SHA-256.
-#[derive(Debug, Clone)]
+///
+/// A fresh instance holds the two keyed states: SHA-256 with the key's
+/// inner pad absorbed, and with its outer pad absorbed. Cloning one is how
+/// the pads are computed once per key and reused (RFC 2104 §4): a message
+/// that fits one block then costs two compressions, not four.
+#[derive(Clone)]
 pub struct HmacSha256 {
+    /// Key XOR ipad, then the message so far.
     inner: Sha256,
-    /// Key XOR opad, kept to finish the outer hash at finalize time.
-    opad_key: [u8; BLOCK_LEN],
+    /// Key XOR opad; the inner digest is absorbed at finalize time.
+    outer: Sha256,
+}
+
+/// The keyed states are as secret as the key, so they are not printed.
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("HmacSha256 { .. }")
+    }
 }
 
 impl HmacSha256 {
@@ -35,7 +48,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
+        let mut outer = Sha256::new();
+        outer.update(&opad_key);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -46,8 +61,7 @@ impl HmacSha256 {
     /// Completes the MAC and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; 32] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -144,5 +158,62 @@ mod tests {
         // from each other and from the zero-padded 63-byte key.
         let b = HmacSha256::mac(&key[..63], b"m");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn debug_hides_the_key_and_the_keyed_states() {
+        let key = b"shared-controller-key";
+        let mac = HmacSha256::new(key);
+        let words: Vec<u32> = mac
+            .inner
+            .state
+            .iter()
+            .chain(&mac.outer.state)
+            .copied()
+            .collect();
+        let auth = crate::MessageAuthenticator::from_key(key);
+        for shown in [
+            format!("{mac:?}"),
+            format!("{auth:?}"),
+            format!("{auth:#?}"),
+        ] {
+            assert!(!shown.contains("shared-controller-key"), "{shown}");
+            assert!(!shown.contains(&format!("{:?}", key.as_slice())), "{shown}");
+            for w in &words {
+                for form in [format!("{w}"), format!("{w:x}"), format!("{w:X}")] {
+                    assert!(!shown.contains(&form), "{shown} shows state word {form}");
+                }
+            }
+        }
+    }
+}
+
+/// The precomputed-pad path against the one-shot MAC, over keys on both
+/// sides of the block size (a key over 64 bytes is hashed first).
+#[cfg(test)]
+mod props {
+    use super::*;
+    use crate::MessageAuthenticator;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn authenticator_sign_equals_one_shot_mac(
+            key in proptest::collection::vec(any::<u8>(), 0..201),
+            msg in proptest::collection::vec(any::<u8>(), 0..301),
+            split in 0usize..301,
+        ) {
+            let auth = MessageAuthenticator::from_key(&key);
+            let tag = HmacSha256::mac(&key, &msg);
+            prop_assert_eq!(auth.sign(&msg), tag);
+            prop_assert_eq!(auth.clone().sign(&msg), tag);
+            let split = split.min(msg.len());
+            let mut parts = auth.begin();
+            parts.update(&msg[..split]);
+            parts.update(&msg[split..]);
+            prop_assert_eq!(parts.finalize(), tag);
+        }
     }
 }

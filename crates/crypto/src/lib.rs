@@ -36,7 +36,7 @@ pub mod sha256;
 pub use hmac::HmacSha256;
 pub use sha256::Sha256;
 
-use oddci_types::OddciError;
+use std::sync::Arc;
 
 /// Length in bytes of an authentication tag ([`Sha256`] digest length).
 pub const TAG_LEN: usize = 32;
@@ -45,42 +45,46 @@ pub const TAG_LEN: usize = 32;
 pub type Tag = [u8; TAG_LEN];
 
 /// Signs and verifies control messages on behalf of a Controller / PNA pair.
+///
+/// It keeps the key only as its keyed SHA-256 states (an [`HmacSha256`]
+/// with both pads absorbed), shared behind one `Arc`: a clone is a
+/// refcount bump, so a population of agents can share one authenticator.
+/// Its `Debug` output hides the states.
 #[derive(Debug, Clone)]
 pub struct MessageAuthenticator {
-    key: Vec<u8>,
+    keyed: Arc<HmacSha256>,
 }
 
 impl MessageAuthenticator {
     /// Creates an authenticator from a shared key of any length.
     pub fn from_key(key: &[u8]) -> Self {
-        MessageAuthenticator { key: key.to_vec() }
+        MessageAuthenticator {
+            keyed: Arc::new(HmacSha256::new(key)),
+        }
+    }
+
+    /// A streaming MAC under this key, for a message that arrives in
+    /// parts; its tag equals [`sign`](Self::sign) over their concatenation.
+    pub fn begin(&self) -> HmacSha256 {
+        HmacSha256::clone(&self.keyed)
     }
 
     /// Computes the tag for `message`.
     pub fn sign(&self, message: &[u8]) -> Tag {
-        HmacSha256::mac(&self.key, message)
+        let mut mac = self.begin();
+        mac.update(message);
+        mac.finalize()
     }
 
     /// Checks `tag` against `message` in constant time.
     pub fn verify(&self, message: &[u8], tag: &Tag) -> bool {
         constant_time_eq(&self.sign(message), tag)
     }
+}
 
-    /// Like [`verify`](Self::verify) but returns a typed error, for call
-    /// sites that propagate failures.
-    pub fn verify_or_err(
-        &self,
-        message: &[u8],
-        tag: &Tag,
-        context: &str,
-    ) -> Result<(), OddciError> {
-        if self.verify(message, tag) {
-            Ok(())
-        } else {
-            Err(OddciError::BadSignature {
-                context: context.to_string(),
-            })
-        }
+impl From<&[u8]> for MessageAuthenticator {
+    fn from(key: &[u8]) -> Self {
+        MessageAuthenticator::from_key(key)
     }
 }
 
@@ -128,17 +132,6 @@ mod tests {
         let mut tag = auth.sign(b"msg");
         tag[0] ^= 0x01;
         assert!(!auth.verify(b"msg", &tag));
-    }
-
-    #[test]
-    fn verify_or_err_reports_context() {
-        let auth = MessageAuthenticator::from_key(b"k");
-        let tag = auth.sign(b"msg");
-        assert!(auth.verify_or_err(b"msg", &tag, "wakeup").is_ok());
-        let err = auth
-            .verify_or_err(b"other", &tag, "wakeup inst-1")
-            .unwrap_err();
-        assert!(err.to_string().contains("wakeup inst-1"));
     }
 
     #[test]

@@ -916,7 +916,7 @@ pub(crate) fn node_main(
     tele: Telemetry,
 ) {
     let mut node = LiveNode {
-        core: NodeCore::new(Pna::new(id, &key)),
+        core: NodeCore::new(Pna::new(id, key.as_slice())),
         id,
         rng: SmallRng::seed_from_u64(seed),
         jitter_seed: seed ^ 0xfe7c,

@@ -947,7 +947,7 @@ mod tests {
 
     #[test]
     fn a_request_takes_only_its_own_reply() {
-        let key = b"live-oddci-key";
+        let key: &[u8] = b"live-oddci-key";
         let scfg = oddci_wire::ServerConfig::new(Integrity::hmac(key));
         let mut server =
             oddci_wire::WireServer::bind("127.0.0.1:0".parse().expect("addr"), scfg, LateReplies)

@@ -11,11 +11,12 @@
 //!
 //! 1. **Determinism.** Two runs with the same seed produce byte-identical
 //!    traces. Event ordering is total: ties on the timestamp are broken by
-//!    insertion sequence number, and all randomness flows from a single
-//!    master seed through [`rng::SeedForge`].
+//!    insertion order, and all randomness flows from a single master seed
+//!    through [`rng::SeedForge`].
 //! 2. **Scale.** A million simulated PNAs must be cheap. Events are small
-//!    POD values in a binary heap; actors are dense `Vec`-indexed state, not
-//!    boxed objects.
+//!    POD values in a monotone radix heap ([`queue`]), which files them by
+//!    time instead of sifting them; actors are dense `Vec`-indexed state,
+//!    not boxed objects.
 //! 3. **Ergonomics.** A [`Model`] implements one `handle` method; the
 //!    [`Context`] passed in can schedule follow-up events, sample
 //!    randomness, and record statistics.

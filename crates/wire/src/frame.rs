@@ -72,10 +72,10 @@ impl Integrity {
         match self {
             Integrity::Crc32 => u64::from(crc32_parts(&[header_core, payload])),
             Integrity::Hmac(auth) => {
-                let mut buf = Vec::with_capacity(header_core.len() + payload.len());
-                buf.extend_from_slice(header_core);
-                buf.extend_from_slice(payload);
-                let tag = auth.sign(&buf);
+                let mut mac = auth.begin();
+                mac.update(header_core);
+                mac.update(payload);
+                let tag = mac.finalize();
                 u64::from_le_bytes([
                     tag[0], tag[1], tag[2], tag[3], tag[4], tag[5], tag[6], tag[7],
                 ])
@@ -424,5 +424,25 @@ mod tests {
         // Standard IEEE CRC-32 of "123456789".
         assert_eq!(crc32_parts(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32_parts(&[b"1234", b"56789"]), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn hmac_check_equals_the_tag_over_the_joined_bytes() {
+        let integrity = Integrity::hmac(b"controller-key");
+        let Integrity::Hmac(auth) = &integrity else {
+            unreachable!("Integrity::hmac builds the Hmac flavour");
+        };
+        for payload_len in [0usize, 1, 24, 39, 40, 100, 5_000] {
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i * 31 % 251) as u8).collect();
+            let frame = encode_frame(&integrity, 4, 9, 0, 1, &payload);
+            let core = &frame[4..28];
+            let joined = [core, &payload[..]].concat();
+            let tag = auth.sign(&joined);
+            assert_eq!(frame[28..36], tag[..8], "payload of {payload_len} bytes");
+            assert_eq!(
+                integrity.check(core, &payload),
+                u64::from_le_bytes(tag[..8].try_into().expect("8 bytes"))
+            );
+        }
     }
 }

@@ -27,7 +27,13 @@ done
 # wire smoke are reaped too, so a failed headend never leaks children.
 PNA_PIDS=""
 HEADEND_PIDS=""
+SIM_METRICS_SAVED=""
 cleanup() {
+    # A sim bin that failed mid-gate leaves its stamped envelope behind.
+    if [ -n "${SIM_METRICS_SAVED}" ]; then
+        cp "${SIM_METRICS_SAVED}"/*.metrics.json results/
+        rm -rf "${SIM_METRICS_SAVED}"
+    fi
     for pid in ${PNA_PIDS} ${HEADEND_PIDS}; do
         kill "${pid}" 2>/dev/null || true
     done
@@ -77,6 +83,25 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS
 # seeded-bug twin. Fixed seed, bounded schedules: deterministic and well
 # under 30 s. `oddci check` runs the lint, then every scenario.
 run "${ODDCI_BIN}" check --seed 11 --schedules 400
+
+# Sim output gate: the seeded sim bins that finish in about a second each
+# must reproduce their committed artifacts byte for byte, so a change
+# meant to move only wall time (the event queue, the MAC) cannot move a
+# result. Their `*.metrics.json` envelopes carry the git sha and are put
+# back as they were; the console logs are rewritten in place and diffed.
+SIM_BINS="chaos churn wakeup technologies federation"
+echo "==> sim outputs: ${SIM_BINS} against results/"
+SIM_METRICS_SAVED=$(mktemp -d)
+cp results/*.metrics.json "${SIM_METRICS_SAVED}/"
+for bin in ${SIM_BINS}; do
+    "target/release/${bin}" > "results/logs/${bin}.txt"
+done
+cp "${SIM_METRICS_SAVED}"/*.metrics.json results/
+rm -rf "${SIM_METRICS_SAVED}"
+SIM_METRICS_SAVED=""
+run git diff --exit-code -- $(for bin in ${SIM_BINS}; do
+    echo "results/${bin}.json results/logs/${bin}.txt"
+done)
 
 # Streamed-trace smoke: run one small scenario with the streaming sink
 # attached (it writes the one online format, a binary .trace.bin, and
