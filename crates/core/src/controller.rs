@@ -124,6 +124,64 @@ struct NodeRecord {
     instance: Option<InstanceId>,
 }
 
+/// The heartbeat registry: a slot per node id, indexed by the id.
+///
+/// Every id that reaches the Controller is a handle its own headend
+/// issued densely — `0..nodes` in the sim and in process, the wire
+/// membership sequence behind a socket — so the table is as long as the
+/// largest id seen, a heartbeat touches one slot, and a walk visits the
+/// nodes in id order. Ids from outside are checked where they enter: the
+/// wire service and snapshot import.
+#[derive(Default)]
+struct Registry {
+    slots: Vec<Option<NodeRecord>>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl Registry {
+    fn get_mut(&mut self, node: NodeId) -> Option<&mut NodeRecord> {
+        self.slots.get_mut(node.index())?.as_mut()
+    }
+
+    /// Stores `record` as `node`'s, returning the record it replaced.
+    fn insert(&mut self, node: NodeId, record: NodeRecord) -> Option<NodeRecord> {
+        let i = node.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        let prev = self.slots[i].replace(record);
+        self.len += usize::from(prev.is_none());
+        prev
+    }
+
+    /// Removes, in id order, every record `stale` picks, handing each to
+    /// `removed`.
+    fn remove_if(
+        &mut self,
+        stale: impl Fn(&NodeRecord) -> bool,
+        mut removed: impl FnMut(NodeId, NodeRecord),
+    ) {
+        for (i, slot) in (0u64..).zip(&mut self.slots) {
+            if let Some(record) = slot.take_if(|r| stale(r)) {
+                self.len -= 1;
+                removed(NodeId::new(i), record);
+            }
+        }
+    }
+
+    /// The records in id order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeRecord)> {
+        (0u64..)
+            .zip(&self.slots)
+            .filter_map(|(i, slot)| Some((NodeId::new(i), slot.as_ref()?)))
+    }
+
+    fn values(&self) -> impl Iterator<Item = &NodeRecord> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// Exported snapshot of one instance's controller-side bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceExport {
@@ -237,7 +295,7 @@ pub struct Controller {
     auth: MessageAuthenticator,
     policy: ControllerPolicy,
     instances: BTreeMap<InstanceId, InstanceRecord>,
-    registry: BTreeMap<NodeId, NodeRecord>,
+    registry: Registry,
     next_instance: u64,
     next_message: u64,
     /// Heartbeats processed (experiment X2 accounting).
@@ -251,7 +309,7 @@ impl Controller {
             auth: MessageAuthenticator::from_key(key),
             policy,
             instances: BTreeMap::new(),
-            registry: BTreeMap::new(),
+            registry: Registry::default(),
             next_instance: 0,
             next_message: 0,
             heartbeats_received: 0,
@@ -277,7 +335,7 @@ impl Controller {
             .values()
             .filter(|r| r.state == PnaStateKind::Idle && now.since(r.last_heartbeat) <= deadline)
             .count() as u64;
-        if self.registry.is_empty() {
+        if self.registry.len == 0 {
             self.policy.assumed_audience
         } else {
             live_idle
@@ -406,9 +464,9 @@ impl Controller {
         for node in members {
             out.push(ControllerOutput::NodeLost { node, instance: id });
             out.push(ControllerOutput::DirectReset { node, instance: id });
-            if let Entry::Occupied(mut e) = self.registry.entry(node) {
-                e.get_mut().state = PnaStateKind::Idle;
-                e.get_mut().instance = None;
+            if let Some(record) = self.registry.get_mut(node) {
+                record.state = PnaStateKind::Idle;
+                record.instance = None;
             }
         }
         Ok(out)
@@ -482,9 +540,9 @@ impl Controller {
                         node: hb.node,
                         instance: inst,
                     });
-                    if let Entry::Occupied(mut e) = self.registry.entry(hb.node) {
-                        e.get_mut().state = PnaStateKind::Idle;
-                        e.get_mut().instance = None;
+                    if let Some(record) = self.registry.get_mut(hb.node) {
+                        record.state = PnaStateKind::Idle;
+                        record.instance = None;
                     }
                 }
                 Some(rec) => {
@@ -501,9 +559,9 @@ impl Controller {
                             node: hb.node,
                             instance: inst,
                         });
-                        if let Entry::Occupied(mut e) = self.registry.entry(hb.node) {
-                            e.get_mut().state = PnaStateKind::Idle;
-                            e.get_mut().instance = None;
+                        if let Some(record) = self.registry.get_mut(hb.node) {
+                            record.state = PnaStateKind::Idle;
+                            record.instance = None;
                         }
                     } else {
                         rec.members.insert(hb.node);
@@ -534,16 +592,12 @@ impl Controller {
         let deadline = self.policy.heartbeat.loss_deadline();
 
         // Loss detection.
-        let mut lost = Vec::new();
-        for (&node, rec) in &self.registry {
-            if now.since(rec.last_heartbeat) > deadline {
-                lost.push((node, rec.instance));
-            }
-        }
-        for (node, instance) in lost {
-            self.registry.remove(&node);
-            if let Some(inst) = instance {
-                if let Some(rec) = self.instances.get_mut(&inst) {
+        let instances = &mut self.instances;
+        self.registry.remove_if(
+            |rec| now.since(rec.last_heartbeat) > deadline,
+            |node, rec| {
+                let Some(inst) = rec.instance else { return };
+                if let Some(rec) = instances.get_mut(&inst) {
                     if rec.members.remove(&node) {
                         out.push(ControllerOutput::NodeLost {
                             node,
@@ -551,8 +605,8 @@ impl Controller {
                         });
                     }
                 }
-            }
-        }
+            },
+        );
 
         // Recomposition. Optionally gated on the registry actually holding
         // a live idle node: a wakeup nobody can accept is pure carousel
@@ -592,7 +646,7 @@ impl Controller {
 
     /// Number of nodes the Controller currently tracks.
     pub fn known_nodes(&self) -> usize {
-        self.registry.len()
+        self.registry.len
     }
 
     /// Exports all mutable state for a snapshot taken at `now`.
@@ -616,7 +670,7 @@ impl Controller {
             registry: self
                 .registry
                 .iter()
-                .map(|(&node, rec)| NodeExport {
+                .map(|(node, rec)| NodeExport {
                     node,
                     heartbeat_age: now.since(rec.last_heartbeat),
                     state: rec.state,
@@ -632,7 +686,36 @@ impl Controller {
 
     /// Replaces all mutable state from an exported snapshot, rebasing
     /// heartbeat ages onto `now` (the adopting headend's clock).
-    pub fn import_state(&mut self, state: ControllerState, now: SimTime) {
+    ///
+    /// `issued` is one past the largest node id the snapshot's namespace
+    /// ever issued. A state whose registry or instance members name an id
+    /// at or past it is refused, by table, and changes nothing: the
+    /// registry holds a slot for every id below the largest it sees.
+    pub fn import_state(
+        &mut self,
+        state: ControllerState,
+        issued: u64,
+        now: SimTime,
+    ) -> std::result::Result<(), String> {
+        let never_issued = |node: &NodeId| node.raw() >= issued;
+        let mut slots = 0;
+        for e in &state.registry {
+            if never_issued(&e.node) {
+                return Err(format!(
+                    "snapshot registry: {} was never issued (ids end at {issued})",
+                    e.node
+                ));
+            }
+            slots = slots.max(e.node.index() + 1);
+        }
+        for inst in &state.instances {
+            if let Some(node) = inst.members.iter().find(|n| never_issued(n)) {
+                return Err(format!(
+                    "snapshot instances: {} of {} was never issued (ids end at {issued})",
+                    node, inst.id
+                ));
+            }
+        }
         self.instances = state
             .instances
             .into_iter()
@@ -648,23 +731,25 @@ impl Controller {
                 )
             })
             .collect();
-        self.registry = state
-            .registry
-            .into_iter()
-            .map(|e| {
-                (
-                    e.node,
-                    NodeRecord {
-                        last_heartbeat: now.saturating_sub(e.heartbeat_age),
-                        state: e.state,
-                        instance: e.instance,
-                    },
-                )
-            })
-            .collect();
+        let mut registry = Registry {
+            slots: vec![None; slots],
+            len: 0,
+        };
+        for e in state.registry {
+            registry.insert(
+                e.node,
+                NodeRecord {
+                    last_heartbeat: now.saturating_sub(e.heartbeat_age),
+                    state: e.state,
+                    instance: e.instance,
+                },
+            );
+        }
+        self.registry = registry;
         self.next_instance = state.next_instance;
         self.next_message = state.next_message;
         self.heartbeats_received = state.heartbeats_received;
+        Ok(())
     }
 }
 
@@ -698,6 +783,381 @@ mod tests {
             state: PnaStateKind::Idle,
             instance: None,
             sent_at: SimTime::from_secs(t),
+        }
+    }
+
+    /// The Controller as it was before its registry became a dense table:
+    /// the same code over a `BTreeMap<NodeId, NodeRecord>`. The oracle the
+    /// dense registry is checked against.
+    mod reference {
+        use super::*;
+
+        pub(super) struct RefController {
+            auth: MessageAuthenticator,
+            policy: ControllerPolicy,
+            instances: BTreeMap<InstanceId, InstanceRecord>,
+            registry: BTreeMap<NodeId, NodeRecord>,
+            next_instance: u64,
+            next_message: u64,
+            heartbeats_received: u64,
+        }
+
+        impl RefController {
+            pub(super) fn new(key: &[u8], policy: ControllerPolicy) -> Self {
+                RefController {
+                    auth: MessageAuthenticator::from_key(key),
+                    policy,
+                    instances: BTreeMap::new(),
+                    registry: BTreeMap::new(),
+                    next_instance: 0,
+                    next_message: 0,
+                    heartbeats_received: 0,
+                }
+            }
+
+            fn next_message_id(&mut self) -> MessageId {
+                let id = MessageId::new(self.next_message);
+                self.next_message += 1;
+                id
+            }
+
+            pub(super) fn idle_pool_estimate(&self, now: SimTime) -> u64 {
+                let deadline = self.policy.heartbeat.loss_deadline();
+                let live_idle = self
+                    .registry
+                    .values()
+                    .filter(|r| {
+                        r.state == PnaStateKind::Idle && now.since(r.last_heartbeat) <= deadline
+                    })
+                    .count() as u64;
+                if self.registry.is_empty() {
+                    self.policy.assumed_audience
+                } else {
+                    live_idle
+                }
+            }
+
+            pub(super) fn create_instance(
+                &mut self,
+                req: InstanceRequest,
+                now: SimTime,
+            ) -> (InstanceId, Vec<ControllerOutput>) {
+                let id = InstanceId::new(self.next_instance);
+                self.next_instance += 1;
+                let outputs = self.admit_instance(id, req, now);
+                (id, outputs)
+            }
+
+            pub(super) fn admit_instance(
+                &mut self,
+                id: InstanceId,
+                req: InstanceRequest,
+                now: SimTime,
+            ) -> Vec<ControllerOutput> {
+                let mut record = InstanceRecord {
+                    request: req,
+                    status: InstanceStatus::Forming,
+                    members: BTreeSet::new(),
+                    wakeups_sent: 0,
+                };
+                let wakeup = self.wakeup_message(id, &req, req.target, now);
+                record.wakeups_sent = 1;
+                self.instances.insert(id, record);
+                self.next_instance = self.next_instance.max(id.raw() + 1);
+                vec![ControllerOutput::Broadcast(wakeup)]
+            }
+
+            fn wakeup_message(
+                &mut self,
+                id: InstanceId,
+                req: &InstanceRequest,
+                deficit: u64,
+                now: SimTime,
+            ) -> SignedMessage {
+                let pool = self.idle_pool_estimate(now).max(1);
+                let p = Probability::new(self.policy.sizing_slack * deficit as f64 / pool as f64);
+                SignedMessage::sign(
+                    ControlMessage::Wakeup(WakeupMessage {
+                        id: self.next_message_id(),
+                        instance: id,
+                        image: req.image,
+                        image_size: req.image_size,
+                        probability: p,
+                        requirements: req.requirements,
+                    }),
+                    &self.auth,
+                )
+            }
+
+            pub(super) fn dismantle(&mut self, id: InstanceId) -> Result<Vec<ControllerOutput>> {
+                let record = self
+                    .instances
+                    .get_mut(&id)
+                    .ok_or(OddciError::UnknownInstance(id))?;
+                record.status = InstanceStatus::Dismantled;
+                record.members.clear();
+                let msg_id = self.next_message_id();
+                let msg = SignedMessage::sign(
+                    ControlMessage::Reset(ResetMessage {
+                        id: msg_id,
+                        instance: id,
+                    }),
+                    &self.auth,
+                );
+                Ok(vec![ControllerOutput::Broadcast(msg)])
+            }
+
+            pub(super) fn resize(&mut self, id: InstanceId, new_target: u64) -> Result<()> {
+                let record = self
+                    .instances
+                    .get_mut(&id)
+                    .ok_or(OddciError::UnknownInstance(id))?;
+                if record.status == InstanceStatus::Dismantled {
+                    return Err(OddciError::InvalidState {
+                        operation: "resize",
+                        state: "Dismantled".into(),
+                    });
+                }
+                record.request.target = new_target;
+                Ok(())
+            }
+
+            pub(super) fn revoke_members(
+                &mut self,
+                id: InstanceId,
+            ) -> Result<Vec<ControllerOutput>> {
+                let record = self
+                    .instances
+                    .get_mut(&id)
+                    .ok_or(OddciError::UnknownInstance(id))?;
+                if record.status == InstanceStatus::Dismantled {
+                    return Err(OddciError::InvalidState {
+                        operation: "revoke_members",
+                        state: "Dismantled".into(),
+                    });
+                }
+                let members: Vec<NodeId> =
+                    std::mem::take(&mut record.members).into_iter().collect();
+                if !members.is_empty() {
+                    record.status = InstanceStatus::Forming;
+                }
+                let mut out = Vec::with_capacity(members.len() * 2);
+                for node in members {
+                    out.push(ControllerOutput::NodeLost { node, instance: id });
+                    out.push(ControllerOutput::DirectReset { node, instance: id });
+                    if let Entry::Occupied(mut e) = self.registry.entry(node) {
+                        e.get_mut().state = PnaStateKind::Idle;
+                        e.get_mut().instance = None;
+                    }
+                }
+                Ok(out)
+            }
+
+            pub(super) fn instance_size(&self, id: InstanceId) -> u64 {
+                self.instances
+                    .get(&id)
+                    .map_or(0, |r| r.members.len() as u64)
+            }
+
+            pub(super) fn on_heartbeat(
+                &mut self,
+                hb: Heartbeat,
+                now: SimTime,
+            ) -> Vec<ControllerOutput> {
+                self.heartbeats_received += 1;
+                let mut out = Vec::new();
+
+                let prev = self.registry.insert(
+                    hb.node,
+                    NodeRecord {
+                        last_heartbeat: now,
+                        state: hb.state,
+                        instance: hb.instance,
+                    },
+                );
+                if let Some(prev) = prev {
+                    if let Some(prev_inst) = prev.instance {
+                        if prev.instance != hb.instance {
+                            if let Some(rec) = self.instances.get_mut(&prev_inst) {
+                                if rec.members.remove(&hb.node) {
+                                    out.push(ControllerOutput::NodeLost {
+                                        node: hb.node,
+                                        instance: prev_inst,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+
+                if let (PnaStateKind::Busy, Some(inst)) = (hb.state, hb.instance) {
+                    match self.instances.get_mut(&inst) {
+                        Some(rec) if rec.status == InstanceStatus::Dismantled => {
+                            out.push(ControllerOutput::DirectReset {
+                                node: hb.node,
+                                instance: inst,
+                            });
+                            if let Entry::Occupied(mut e) = self.registry.entry(hb.node) {
+                                e.get_mut().state = PnaStateKind::Idle;
+                                e.get_mut().instance = None;
+                            }
+                        }
+                        Some(rec) => {
+                            let is_member = rec.members.contains(&hb.node);
+                            let size = rec.members.len() as u64;
+                            let trim = (!is_member && size >= rec.request.target)
+                                || size > rec.request.target;
+                            if trim {
+                                rec.members.remove(&hb.node);
+                                out.push(ControllerOutput::DirectReset {
+                                    node: hb.node,
+                                    instance: inst,
+                                });
+                                if let Entry::Occupied(mut e) = self.registry.entry(hb.node) {
+                                    e.get_mut().state = PnaStateKind::Idle;
+                                    e.get_mut().instance = None;
+                                }
+                            } else {
+                                rec.members.insert(hb.node);
+                                if rec.members.len() as u64 >= rec.request.target {
+                                    rec.status = InstanceStatus::Active;
+                                }
+                            }
+                        }
+                        None => {
+                            out.push(ControllerOutput::DirectReset {
+                                node: hb.node,
+                                instance: inst,
+                            });
+                        }
+                    }
+                }
+                out
+            }
+
+            pub(super) fn tick(&mut self, now: SimTime) -> Vec<ControllerOutput> {
+                let mut out = Vec::new();
+                let deadline = self.policy.heartbeat.loss_deadline();
+
+                let mut lost = Vec::new();
+                for (&node, rec) in &self.registry {
+                    if now.since(rec.last_heartbeat) > deadline {
+                        lost.push((node, rec.instance));
+                    }
+                }
+                for (node, instance) in lost {
+                    self.registry.remove(&node);
+                    if let Some(inst) = instance {
+                        if let Some(rec) = self.instances.get_mut(&inst) {
+                            if rec.members.remove(&node) {
+                                out.push(ControllerOutput::NodeLost {
+                                    node,
+                                    instance: inst,
+                                });
+                            }
+                        }
+                    }
+                }
+
+                if self.policy.recompose_requires_idle {
+                    let deadline = self.policy.heartbeat.loss_deadline();
+                    let live_idle = self.registry.values().any(|r| {
+                        r.state == PnaStateKind::Idle && now.since(r.last_heartbeat) <= deadline
+                    });
+                    if !live_idle {
+                        return out;
+                    }
+                }
+                let mut rebroadcasts = Vec::new();
+                for (&id, rec) in &self.instances {
+                    if rec.status == InstanceStatus::Dismantled {
+                        continue;
+                    }
+                    let have = rec.members.len() as u64;
+                    let target = rec.request.target;
+                    if (have as f64) < target as f64 * self.policy.recompose_threshold {
+                        rebroadcasts.push((id, rec.request, target - have));
+                    }
+                }
+                for (id, req, deficit) in rebroadcasts {
+                    let msg = self.wakeup_message(id, &req, deficit, now);
+                    if let Some(rec) = self.instances.get_mut(&id) {
+                        rec.wakeups_sent += 1;
+                        rec.status = InstanceStatus::Forming;
+                    }
+                    out.push(ControllerOutput::Broadcast(msg));
+                }
+                out
+            }
+
+            pub(super) fn known_nodes(&self) -> usize {
+                self.registry.len()
+            }
+
+            pub(super) fn export_state(&self, now: SimTime) -> ControllerState {
+                ControllerState {
+                    instances: self
+                        .instances
+                        .iter()
+                        .map(|(&id, rec)| InstanceExport {
+                            id,
+                            request: rec.request,
+                            status: rec.status,
+                            members: rec.members.iter().copied().collect(),
+                            wakeups_sent: rec.wakeups_sent,
+                        })
+                        .collect(),
+                    registry: self
+                        .registry
+                        .iter()
+                        .map(|(&node, rec)| NodeExport {
+                            node,
+                            heartbeat_age: now.since(rec.last_heartbeat),
+                            state: rec.state,
+                            instance: rec.instance,
+                        })
+                        .collect(),
+                    next_instance: self.next_instance,
+                    next_message: self.next_message,
+                    message_stride: 1,
+                    heartbeats_received: self.heartbeats_received,
+                }
+            }
+
+            pub(super) fn import_state(&mut self, state: ControllerState, now: SimTime) {
+                self.instances = state
+                    .instances
+                    .into_iter()
+                    .map(|e| {
+                        (
+                            e.id,
+                            InstanceRecord {
+                                request: e.request,
+                                status: e.status,
+                                members: e.members.into_iter().collect(),
+                                wakeups_sent: e.wakeups_sent,
+                            },
+                        )
+                    })
+                    .collect();
+                self.registry = state
+                    .registry
+                    .into_iter()
+                    .map(|e| {
+                        (
+                            e.node,
+                            NodeRecord {
+                                last_heartbeat: now.saturating_sub(e.heartbeat_age),
+                                state: e.state,
+                                instance: e.instance,
+                            },
+                        )
+                    })
+                    .collect();
+                self.next_instance = state.next_instance;
+                self.next_message = state.next_message;
+                self.heartbeats_received = state.heartbeats_received;
+            }
         }
     }
 
@@ -1023,7 +1483,7 @@ mod tests {
         let state = c.export_state(now);
 
         let mut adopted = Controller::new(KEY, ControllerPolicy::default());
-        adopted.import_state(state.clone(), now);
+        adopted.import_state(state.clone(), 10, now).unwrap();
         // Same snapshot instant → byte-identical re-export.
         assert_eq!(adopted.export_state(now), state);
         assert_eq!(adopted.instance_size(id), 2);
@@ -1084,7 +1544,7 @@ mod tests {
         assert_eq!((folded.message_stride, folded.heartbeats_received), (1, 20));
 
         let mut c = Controller::new(KEY, ControllerPolicy::default());
-        c.import_state(folded, SimTime::from_secs(2));
+        c.import_state(folded, 4, SimTime::from_secs(2)).unwrap();
         assert_eq!(c.instance_size(id), 4);
         let (_, out) = c.create_instance(request(1), SimTime::from_secs(2));
         let ControllerOutput::Broadcast(signed) = &out[0] else {
@@ -1103,7 +1563,9 @@ mod tests {
 
         // Standby's clock reads only 60s when it adopts.
         let mut adopted = Controller::new(KEY, ControllerPolicy::default());
-        adopted.import_state(state, SimTime::from_secs(60));
+        adopted
+            .import_state(state, 2, SimTime::from_secs(60))
+            .unwrap();
         // Node is 50s stale on the standby clock — inside the default 180s
         // deadline, so it survives the first tick...
         assert!(adopted.tick(SimTime::from_secs(61)).is_empty());
@@ -1114,5 +1576,112 @@ mod tests {
             node: NodeId::new(1),
             instance: id
         }));
+    }
+
+    /// A snapshot naming a node id its namespace never issued is refused
+    /// by the table that names it, and the adopting Controller is left as
+    /// it was.
+    #[test]
+    fn import_refuses_ids_that_were_never_issued() {
+        let mut c = Controller::new(KEY, ControllerPolicy::default());
+        let (id, _) = c.create_instance(request(2), SimTime::ZERO);
+        c.on_heartbeat(busy_hb(1, id, 1), SimTime::from_secs(1));
+        c.on_heartbeat(idle_hb(3, 1), SimTime::from_secs(1));
+        let now = SimTime::from_secs(2);
+        let state = c.export_state(now);
+
+        let mut registry = state.clone();
+        registry.registry[1].node = NodeId::new(u64::MAX);
+        let mut members = state.clone();
+        members.instances[0].members.push(NodeId::new(4));
+        for (bad, issued, table) in [
+            (registry, 4, "registry"),
+            (state.clone(), 3, "registry"),
+            (members, 4, "instances"),
+        ] {
+            let mut adopted = Controller::new(KEY, ControllerPolicy::default());
+            let before = adopted.export_state(now);
+            let err = adopted.import_state(bad, issued, now).unwrap_err();
+            assert!(err.starts_with(&format!("snapshot {table}:")), "{err}");
+            assert_eq!(adopted.export_state(now), before, "left as it was");
+        }
+        let mut adopted = Controller::new(KEY, ControllerPolicy::default());
+        adopted.import_state(state.clone(), 4, now).unwrap();
+        assert_eq!(adopted.export_state(now), state);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random heartbeats (ids from a small dense range, Idle or Busy,
+        /// no instance or any of three, one never created), ticks,
+        /// resizes, revocations, dismantles and snapshot round trips,
+        /// applied to the dense registry and to the `BTreeMap` oracle:
+        /// every output and every export agrees at every step.
+        #[test]
+        fn dense_registry_matches_the_btree_oracle(
+            ops in proptest::collection::vec((0u8..10, 0u64..12, 0u8..4, 0u64..90), 1..150),
+        ) {
+            const NODES: u64 = 12;
+            let mut dense = Controller::new(KEY, ControllerPolicy::default());
+            let mut oracle = reference::RefController::new(KEY, ControllerPolicy::default());
+            for target in [3, 5] {
+                prop_assert_eq!(
+                    dense.create_instance(request(target), SimTime::ZERO),
+                    oracle.create_instance(request(target), SimTime::ZERO)
+                );
+            }
+            let mut now = SimTime::ZERO;
+            for (step, &(op, node, pick, dt)) in ops.iter().enumerate() {
+                now += SimDuration::from_secs(dt);
+                // Instance 2 was never created.
+                let inst = InstanceId::new(u64::from(pick % 3));
+                let (out, want) = match op {
+                    0..=4 => {
+                        let hb = Heartbeat {
+                            node: NodeId::new(node),
+                            state: if op % 2 == 0 { PnaStateKind::Busy } else { PnaStateKind::Idle },
+                            instance: (pick < 3).then_some(inst),
+                            sent_at: now,
+                        };
+                        (dense.on_heartbeat(hb, now), oracle.on_heartbeat(hb, now))
+                    }
+                    5 => (dense.tick(now), oracle.tick(now)),
+                    6 => {
+                        let target = node % 7;
+                        prop_assert_eq!(
+                            dense.resize(inst, target).is_ok(),
+                            oracle.resize(inst, target).is_ok()
+                        );
+                        (Vec::new(), Vec::new())
+                    }
+                    7 => (
+                        dense.revoke_members(inst).unwrap_or_default(),
+                        oracle.revoke_members(inst).unwrap_or_default(),
+                    ),
+                    8 => (
+                        dense.dismantle(inst).unwrap_or_default(),
+                        oracle.dismantle(inst).unwrap_or_default(),
+                    ),
+                    _ => {
+                        let cut = dense.export_state(now);
+                        prop_assert_eq!(&cut, &oracle.export_state(now));
+                        dense.import_state(cut.clone(), NODES, now).unwrap();
+                        oracle.import_state(cut, now);
+                        (Vec::new(), Vec::new())
+                    }
+                };
+                prop_assert_eq!(out, want, "outputs at step {}", step);
+                prop_assert_eq!(dense.known_nodes(), oracle.known_nodes());
+                prop_assert_eq!(dense.idle_pool_estimate(now), oracle.idle_pool_estimate(now));
+                for i in 0..3 {
+                    let i = InstanceId::new(i);
+                    prop_assert_eq!(dense.instance_size(i), oracle.instance_size(i));
+                }
+                prop_assert_eq!(dense.export_state(now), oracle.export_state(now));
+            }
+        }
     }
 }

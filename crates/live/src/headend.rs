@@ -198,8 +198,13 @@ impl Headend {
                     }
                     control.publish(signed, now_us, tele);
                 }
+                // The reset orphans whatever the node still holds, so it
+                // goes back into the queue now, as the sim's node core
+                // requeues a reset's orphan; left assigned, it would wait
+                // for this node to fetch the same job again.
                 ControllerOutput::DirectReset { node, instance } => {
                     tele.instant(now_us, Phase::DirectReset, node.raw(), instance.raw());
+                    let _ = self.hub.lock().ledger.node_lost(node);
                     reply = Some(HeartbeatReply::Reset(instance));
                 }
                 ControllerOutput::NodeLost { node, .. } => {
@@ -441,7 +446,11 @@ impl Headend {
     /// (every entry of `snap.shards` folded into one), the image table
     /// and the hub's job state. Must run before node traffic arrives
     /// (standby adoption happens before the wire server binds).
-    pub(crate) fn import_state(&self, snap: &SnapshotState) -> Result<(), String> {
+    ///
+    /// Node ids must be ones the snapshot's namespace issued: below
+    /// `wire_next_node` when a socket headend cut it, below `nodes` (the
+    /// fleet of node threads) when its wire namespace issued none.
+    pub(crate) fn import_state(&self, snap: &SnapshotState, nodes: u64) -> Result<(), String> {
         let mut images = BTreeMap::new();
         for (instance, recipe) in &snap.images {
             let image = recipe.to_image();
@@ -453,9 +462,13 @@ impl Headend {
         {
             let mut control = self.control.lock();
             let state = ControllerState::fold(snap.shards.iter().cloned());
+            let issued = match snap.wire_next_node {
+                0 => nodes,
+                wire => wire,
+            };
             control
                 .controller
-                .import_state(state, wall_now(&self.start));
+                .import_state(state, issued, wall_now(&self.start))?;
             control.images = images;
         }
         let mut hub = self.hub.lock();
@@ -740,6 +753,35 @@ mod tests {
         let mut again = task_ids(headend.fetch(instance, node, 4));
         again.sort_unstable();
         assert_eq!(first, again, "the unreported batch came straight back");
+        assert_eq!(headend.hub.lock().ledger.backend().requeue_count(job), 4);
+        assert_eq!(headend.unaccounted(), 0);
+    }
+
+    /// A member holding a batch that a shrink trims gets its reset in the
+    /// heartbeat reply, and the batch goes back into the queue at once
+    /// instead of waiting for the node to fetch the same job again.
+    #[test]
+    fn a_trimmed_member_holding_a_batch_is_requeued() {
+        let (headend, job, _) = headend_with_job(10);
+        let (instance, node) = (InstanceId::new(0), NodeId::new(3));
+        let busy = Heartbeat {
+            node,
+            state: PnaStateKind::Busy,
+            instance: Some(instance),
+            sent_at: SimTime::ZERO,
+        };
+        assert_eq!(headend.heartbeat(busy), HeartbeatReply::Ack, "joins");
+        assert_eq!(task_ids(headend.fetch(instance, node, 4)).len(), 4);
+        let pending = |h: &Headend| h.hub.lock().ledger.backend().pending_total();
+        assert_eq!(pending(&headend), 6);
+        headend.drive(&headend.tele, |c, _| {
+            c.controller
+                .resize(instance, 0)
+                .expect("a running instance");
+            Vec::new()
+        });
+        assert_eq!(headend.heartbeat(busy), HeartbeatReply::Reset(instance));
+        assert_eq!(pending(&headend), 10, "the trimmed batch is pending again");
         assert_eq!(headend.hub.lock().ledger.backend().requeue_count(job), 4);
         assert_eq!(headend.unaccounted(), 0);
     }

@@ -266,7 +266,8 @@ impl NodeLink {
     /// Asks for a batch of `instance`'s tasks. `None` is a request nobody
     /// answered (a stalled Backend, a reply that timed out, a wait ended
     /// by a `Shutdown` or a dead connection): the caller backs off,
-    /// listening, and retries.
+    /// listening, and retries. A remote link asks, and uploads, under the
+    /// id its latest `HelloAck` named rather than `node`.
     pub(crate) fn fetch_tasks(
         &mut self,
         instance: InstanceId,
@@ -274,14 +275,14 @@ impl NodeLink {
     ) -> Option<TaskBatchReply> {
         match self {
             NodeLink::Local { headend, batch, .. } => headend.fetch(instance, node, *batch),
-            NodeLink::Remote(link) => link.fetch_tasks(instance, node, TASK_REPLY_TIMEOUT),
+            NodeLink::Remote(link) => link.fetch_tasks(instance, TASK_REPLY_TIMEOUT),
         }
     }
 
     pub(crate) fn send_results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
         match self {
             NodeLink::Local { headend, .. } => headend.results(job, node, results),
-            NodeLink::Remote(link) => link.send_results(job, node, results),
+            NodeLink::Remote(link) => link.send_results(job, results),
         }
     }
 }
@@ -486,7 +487,7 @@ impl LiveOddci {
             Arc::clone(&injector),
         ));
         if let Some(snap) = adopt {
-            headend.import_state(snap)?;
+            headend.import_state(snap, config.nodes)?;
         }
         // Spawned before the serving thread, as the shard threads it
         // replaces were. Spawned after it, `socket_idle` fetches ran ~8 %
@@ -935,9 +936,10 @@ pub(crate) fn node_main(
     let mut next_beat = wall_now(&start) + beat;
     loop {
         let now = wall_now(&start);
-        // Heartbeats go out only while the node holds no batch: the live
-        // headend trims a member with a direct reset and requeues nothing,
-        // so a trim must never find work. A crashed agent's timer is dead.
+        // Heartbeats go out only while the node holds no batch: a trim's
+        // direct reset requeues what the node was assigned, so it must
+        // never find work the node is still scoring. A crashed agent's
+        // timer is dead.
         let beat_at =
             (node.restart_at.is_none() && node.core.held().is_none()).then_some(next_beat);
         let retry_at = node.retry.map(|(at, ..)| at);
@@ -1401,9 +1403,11 @@ mod tests {
         );
     }
 
-    /// A snapshot whose CRC holds but whose tables disagree is refused by
-    /// the table it breaks, instead of panicking the first fetch that
-    /// indexes past them; the same snapshot, untouched, still adopts.
+    /// A snapshot whose CRC holds but whose tables disagree, or name a
+    /// node id its namespace never issued, is refused by the table it
+    /// breaks, instead of panicking the first fetch that indexes past them
+    /// or sizing the registry for that id; the same snapshot, untouched,
+    /// still adopts.
     #[test]
     fn standby_refuses_an_inconsistent_snapshot() {
         let primary = LiveOddci::start(LiveConfig {
@@ -1429,6 +1433,22 @@ mod tests {
         assigned_past_end.backend.jobs[0]
             .assigned
             .push((TaskId::new(9), NodeId::new(0)));
+        // Ids no namespace issued: past the two node threads, or past a
+        // socket headend's wire sequence.
+        let beating = |node| {
+            let mut bad = snap.clone();
+            let mut beat = bad.shards[0].registry[0].clone();
+            beat.node = NodeId::new(node);
+            bad.shards[0].registry.push(beat);
+            bad
+        };
+        let unissued = beating(2);
+        let mut unissued_member = snap.clone();
+        unissued_member.shards[0].instances[0]
+            .members
+            .push(NodeId::new(u64::MAX));
+        let mut past_wire = beating(1);
+        (past_wire.wire_next_node, past_wire.wire_nodes) = (1, vec![0]);
 
         let config = || LiveConfig {
             nodes: 2,
@@ -1445,6 +1465,9 @@ mod tests {
             (short, "job_queries"),
             (past_end, "backend"),
             (assigned_past_end, "backend"),
+            (unissued, "registry"),
+            (unissued_member, "instances"),
+            (past_wire, "registry"),
         ] {
             let refused = LiveOddci::start_standby(config(), &bad).err();
             assert!(
@@ -1563,6 +1586,87 @@ mod tests {
             assert_eq!(rep.epoch, 1, "every PNA re-acked at the standby's epoch");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A PNA that joined after the snapshot a standby adopts redials with
+    /// an id that snapshot never saw issued, and the standby acks it under
+    /// a fresh one. The PNA then speaks, and is served, under the fresh
+    /// id; a PNA joining later gets another, and no two share one.
+    #[test]
+    fn a_pna_resumed_under_a_fresh_id_is_served_under_it() {
+        let config = |listen| LiveConfig {
+            nodes: 2,
+            heartbeat_interval: Duration::from_millis(40),
+            controller_tick: Duration::from_millis(40),
+            mode: HeadendMode::Socket {
+                listen,
+                shards: 1,
+                dispatch: 1,
+                batch: 4,
+            },
+            ..Default::default()
+        };
+        let primary = LiveOddci::start(config("127.0.0.1:0".parse().expect("addr")));
+        let addr = primary.wire_addr().expect("socket headends listen");
+        let pna = move |seed, reconnect| {
+            std::thread::spawn(move || {
+                let mut cfg = WirePnaConfig::new(addr);
+                cfg.seed = seed;
+                cfg.heartbeat_interval = Duration::from_millis(40);
+                cfg.reconnect = reconnect;
+                run_wire_pna(cfg)
+            })
+        };
+        let resumed = pna(800, Some(Duration::from_secs(30)));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut snap = loop {
+            let snap = primary.snapshot_now();
+            if !snap.shards[0].registry.is_empty() {
+                break snap;
+            }
+            assert!(Instant::now() < deadline, "the PNA never heartbeated");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(snap.wire_nodes, [0], "the PNA joined as 0");
+        // The namespace the standby adopts issued 1..5 but not 0: a cut
+        // that missed the join, taken after other PNAs came and went.
+        (snap.wire_next_node, snap.wire_nodes) = (5, (1..5).collect());
+        primary.crash();
+
+        let standby = LiveOddci::start_standby(config(addr), &snap).expect("standby adopts");
+        // Heartbeats the standby consolidated under `id`, within 10 s.
+        let served = |id: NodeId| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !standby.snapshot_now().shards[0]
+                .registry
+                .iter()
+                .any(|e| e.node == id)
+            {
+                assert!(Instant::now() < deadline, "{id} unserved");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        };
+        let ids = [5, 6].map(NodeId::new);
+        served(ids[0]);
+        let fresh = pna(801, None);
+        served(ids[1]);
+        let queries = (0..16).map(|i| Arc::new(random_sequence(16, i))).collect();
+        let image = AlignmentImage {
+            db_len: 2000,
+            ..AlignmentImage::small_demo()
+        };
+        let req = standby.submit_query_job(image, queries, 2).expect("submit");
+        standby
+            .wait_job(req, Duration::from_secs(60))
+            .expect("job completes on the standby");
+        assert_eq!(standby.shutdown().tasks_unaccounted, 0);
+        let resumed = resumed
+            .join()
+            .expect("joins")
+            .expect("survives the failover");
+        let fresh = fresh.join().expect("joins").expect("runs to shutdown");
+        assert_eq!((resumed.node, resumed.epoch), (ids[0], 1));
+        assert_eq!(fresh.node, ids[1], "the standby never reissues 5");
     }
 
     /// Failover mid-scale-up: the primary's reconciler grows the instance
@@ -1762,6 +1866,8 @@ mod tests {
             }
         };
         snap.shards = vec![entry(0, 6), entry(1, 9)];
+        // The wire namespace issued them, to PNAs that never come back.
+        (snap.wire_next_node, snap.wire_nodes) = (1004, (1000..1004).collect());
 
         let standby = LiveOddci::start_standby(config(loopback), &snap).expect("standby adopts");
         let adopted = standby.snapshot_now().shards;

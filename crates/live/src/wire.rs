@@ -165,6 +165,8 @@ pub(crate) struct LiveWireService {
     tele: Telemetry,
     conn_stats: Arc<ConnStatsHub>,
     start: Instant,
+    /// The node each connection's `HelloAck` named: the only node it may
+    /// heartbeat, fetch or upload for.
     conn_nodes: BTreeMap<ConnId, NodeId>,
     /// This headend's fencing epoch, echoed in every `HelloAck`. A PNA
     /// that has seen a higher epoch refuses the ack, so a revenant
@@ -294,6 +296,16 @@ impl WireService for LiveWireService {
                     },
                 );
             }
+            // A connection speaks only for the node its `HelloAck` named:
+            // traffic before the hello, or in another node's name, gets no
+            // reply and reaches no ledger.
+            WireMsg::Heartbeat {
+                hb: Heartbeat { node, .. },
+                ..
+            }
+            | WireMsg::TaskRequest { node, .. }
+            | WireMsg::Results { node, .. }
+                if self.conn_nodes.get(&conn) != Some(&node) => {}
             WireMsg::Heartbeat { corr, hb } => {
                 let reply = self.headend.heartbeat(hb);
                 out.send(conn, WireMsg::HeartbeatReply { corr, reply });
@@ -399,6 +411,10 @@ pub(crate) struct RemoteLink {
     /// (or during a handshake), oldest first.
     queued: VecDeque<BusMsg>,
     next_corr: u64,
+    /// The node this link speaks for: the id its latest `HelloAck` named.
+    /// A standby may ack a redial under a fresh id (one the snapshot it
+    /// adopted never saw issued); every heartbeat, task request and
+    /// upload then goes out under that id, and the next redial resumes it.
     node: NodeId,
     /// Highest epoch any `HelloAck` has carried. A redial refuses acks
     /// below it — the fencing rule that keeps a revenant primary from
@@ -441,8 +457,9 @@ impl RemoteLink {
                 Err(RecvTimeoutError::Timeout) => return Err(RecvTimeoutError::Timeout),
                 Err(RecvTimeoutError::Disconnected) => {
                     match redial(&self.config, self.node, self.epoch) {
-                        Some((client, epoch, stashed)) => {
+                        Some((client, node, epoch, stashed)) => {
                             self.client = client;
+                            self.node = node;
                             self.epoch = epoch;
                             self.queued.extend(stashed);
                         }
@@ -483,6 +500,10 @@ impl RemoteLink {
         hb: Heartbeat,
         timeout: Duration,
     ) -> Result<Option<HeartbeatReply>, Abandoned> {
+        let hb = Heartbeat {
+            node: self.node,
+            ..hb
+        };
         match self.request(|corr| WireMsg::Heartbeat { corr, hb }, timeout)? {
             Some(WireMsg::HeartbeatReply { reply, .. }) => Ok(Some(reply)),
             _ => Ok(None),
@@ -494,9 +515,9 @@ impl RemoteLink {
     pub(crate) fn fetch_tasks(
         &mut self,
         instance: InstanceId,
-        node: NodeId,
         timeout: Duration,
     ) -> Option<TaskBatchReply> {
+        let node = self.node;
         let ask = |corr| WireMsg::TaskRequest {
             corr,
             instance,
@@ -510,7 +531,8 @@ impl RemoteLink {
 
     /// Uploads results, fire and forget: a lost upload leaves the tasks
     /// assigned, and the Backend recycles them at this node's next fetch.
-    pub(crate) fn send_results(&self, job: JobId, node: NodeId, results: Vec<(TaskId, i32)>) {
+    pub(crate) fn send_results(&self, job: JobId, results: Vec<(TaskId, i32)>) {
+        let node = self.node;
         let _ = self.client.send(&WireMsg::Results { job, node, results });
     }
 }
@@ -601,7 +623,8 @@ impl WirePnaConfig {
 /// What a finished PNA reports back to its process wrapper.
 #[derive(Debug, Clone)]
 pub struct WirePnaReport {
-    /// The node identity the headend assigned.
+    /// The node identity the last headend acked: the one it first
+    /// joined under, or the fresh one a standby issued on a redial.
     pub node: NodeId,
     /// Final wire-transport counters for the connection.
     pub stats: WireStatsSnapshot,
@@ -674,13 +697,15 @@ fn client_config(config: &WirePnaConfig) -> ClientConfig {
 
 /// Redials the headend until the [`WirePnaConfig::reconnect`] window
 /// expires (at once without one), re-running the handshake with the
-/// node's identity and epoch floor. Returns the new connection, the
-/// (possibly higher) epoch it acked with and the handshake's stash.
+/// node's identity and epoch floor. Returns the new connection, the node
+/// id it acked (the resumed one, or a fresh one from a headend that never
+/// issued it), the (possibly higher) epoch it acked with and the
+/// handshake's stash.
 fn redial(
     config: &WirePnaConfig,
     node: NodeId,
     min_epoch: u64,
-) -> Option<(WireClient, u64, VecDeque<BusMsg>)> {
+) -> Option<(WireClient, NodeId, u64, VecDeque<BusMsg>)> {
     let deadline = Instant::now() + config.reconnect?;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -691,7 +716,7 @@ fn redial(
         cfg.connect_timeout = left.min(Duration::from_millis(500));
         match WireClient::connect(config.addr, cfg) {
             Ok(client) => match hello_handshake(&client, min_epoch, Some(node)) {
-                Ok((_, epoch, stashed)) => return Some((client, epoch, stashed)),
+                Ok((node, epoch, stashed)) => return Some((client, node, epoch, stashed)),
                 // Stale epoch or a connection that died mid-handshake:
                 // drop it and keep dialing inside the window.
                 Err(_) => std::thread::sleep(Duration::from_millis(50)),
@@ -724,7 +749,7 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
     // Joins the reader, so the counters include its exit.
     link.client.close();
     Ok(WirePnaReport {
-        node,
+        node: link.node,
         stats: link.client.stats().snapshot(),
         epoch: link.epoch,
     })
@@ -974,6 +999,126 @@ mod tests {
         }
         drop(link);
         assert!(server.stop());
+    }
+
+    /// A connection speaks only for the node its `HelloAck` named. A
+    /// heartbeat, task request or upload sent before the hello, or in
+    /// another node's name, gets no reply and reaches no ledger; the
+    /// same connection speaking as itself is served.
+    #[test]
+    fn a_connection_speaks_only_for_its_acked_node() {
+        use crate::{HeadendMode, LiveConfig, LiveOddci};
+        let live = LiveOddci::start(LiveConfig {
+            nodes: 2,
+            mode: HeadendMode::Socket {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                shards: 1,
+                dispatch: 1,
+                batch: 4,
+            },
+            ..Default::default()
+        });
+        let queries = (0..8).map(|i| Arc::new(random_sequence(16, i))).collect();
+        live.submit_query_job(AlignmentImage::small_demo(), queries, 1)
+            .expect("submit");
+        let (instance, job) = (InstanceId::new(0), JobId::new(0));
+        let addr = live.wire_addr().expect("socket headends listen");
+        let dial = || {
+            let key = LiveConfig::default().key;
+            WireClient::connect(addr, ClientConfig::new(Integrity::hmac(&key))).expect("dials")
+        };
+        let hello = |client: &WireClient| {
+            let hello = WireMsg::Hello {
+                proto: PROTO_VERSION,
+                epoch: 0,
+                resume: None,
+            };
+            assert!(client.send(&hello));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let is_ack = |msg: &WireMsg| matches!(msg, WireMsg::HelloAck { .. });
+            match await_reply(client, &mut VecDeque::new(), deadline, is_ack) {
+                Ok(WireMsg::HelloAck { node, .. }) => node,
+                other => panic!("no ack: {other:?}"),
+            }
+        };
+        let beat = |corr, node| WireMsg::Heartbeat {
+            corr,
+            hb: Heartbeat {
+                node,
+                state: oddci_core::messages::PnaStateKind::Idle,
+                instance: None,
+                sent_at: oddci_types::SimTime::ZERO,
+            },
+        };
+        let ask = |corr, node| WireMsg::TaskRequest {
+            corr,
+            instance,
+            node,
+        };
+        // Replies `client` gets up to and including the one to `corr`.
+        let replies_until = |client: &WireClient, corr: u64| {
+            let mut seen = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match client.receiver().recv_timeout(left) {
+                    Ok(
+                        WireMsg::HeartbeatReply { corr: c, .. }
+                        | WireMsg::TaskBatch { corr: c, .. },
+                    ) => {
+                        seen.push(c);
+                        if c == corr {
+                            return seen;
+                        }
+                    }
+                    Ok(_) => {}
+                    Err(e) => panic!("no reply to {corr}: {e:?}"),
+                }
+            }
+        };
+
+        let a = dial();
+        let stranger = NodeId::new(u64::MAX);
+        assert!(a.send(&beat(1, stranger)) && a.send(&ask(2, stranger)));
+        let me = hello(&a);
+        let b = dial();
+        let other = hello(&b);
+        assert_ne!(me, other);
+        assert!(b.send(&ask(1, other)));
+        assert_eq!(replies_until(&b, 1), [1], "b fetches as itself");
+        let held: Vec<(TaskId, NodeId)> = live.snapshot_now().backend.jobs[0].assigned.clone();
+        assert!(!held.is_empty() && held.iter().all(|&(_, n)| n == other));
+        let results = held.iter().map(|&(task, _)| (task, 1)).collect();
+        for msg in [
+            beat(3, other),
+            ask(4, other),
+            WireMsg::Results {
+                job,
+                node: other,
+                results,
+            },
+            beat(5, NodeId::new(me.raw() + 100)),
+            beat(6, me),
+        ] {
+            assert!(a.send(&msg));
+        }
+        assert_eq!(
+            replies_until(&a, 6),
+            [6],
+            "only the beat a sent as itself is answered"
+        );
+        let snap = live.snapshot_now();
+        let known: Vec<NodeId> = snap.shards[0].registry.iter().map(|e| e.node).collect();
+        assert_eq!(
+            known,
+            [me],
+            "no beat in another's name reached the registry"
+        );
+        let backend = &snap.backend.jobs[0];
+        assert_eq!(backend.assigned, held, "b's batch is still b's");
+        assert!(backend.completed.is_empty(), "a's upload as b was dropped");
+        drop((a, b));
+        assert_eq!(live.shutdown().tasks_unaccounted, 0);
     }
 
     #[test]

@@ -84,17 +84,23 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS
 # under 30 s. `oddci check` runs the lint, then every scenario.
 run "${ODDCI_BIN}" check --seed 11 --schedules 400
 
-# Sim output gate: the seeded sim bins that finish in about a second each
-# must reproduce their committed artifacts byte for byte, so a change
-# meant to move only wall time (the event queue, the MAC) cannot move a
-# result. Their `*.metrics.json` envelopes carry the git sha and are put
-# back as they were; the console logs are rewritten in place and diffed.
-SIM_BINS="chaos churn wakeup technologies federation"
+# Sim output gate: the seeded sim bins must reproduce their committed
+# artifacts byte for byte, so a change meant to move only wall time (the
+# event queue, the MAC, the Controller registry) cannot move a result.
+# The first five and `table2` finish in about a second each; `sizing`
+# (its 50k-node worlds) takes ~14 s and `figure6 --sim` ~7 s. Their
+# `*.metrics.json` envelopes carry the git sha and are put back as they
+# were; the console logs are rewritten in place and diffed.
+SIM_BINS="chaos churn wakeup technologies federation sizing table2 figure6"
 echo "==> sim outputs: ${SIM_BINS} against results/"
 SIM_METRICS_SAVED=$(mktemp -d)
 cp results/*.metrics.json "${SIM_METRICS_SAVED}/"
 for bin in ${SIM_BINS}; do
-    "target/release/${bin}" > "results/logs/${bin}.txt"
+    case "${bin}" in
+        figure6) args="--sim" ;;
+        *) args="" ;;
+    esac
+    "target/release/${bin}" ${args} > "results/logs/${bin}.txt"
 done
 cp "${SIM_METRICS_SAVED}"/*.metrics.json results/
 rm -rf "${SIM_METRICS_SAVED}"
