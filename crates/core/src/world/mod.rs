@@ -157,6 +157,11 @@ pub struct World {
     queue_depth: oddci_telemetry::Gauge,
     /// Reused across events; see [`Scratch`].
     scratch: Scratch,
+    /// The request [`OddciSim::run_request`] waits for, while it runs.
+    awaited: Option<ProviderRequest>,
+    /// The event being handled completed the awaited request: the run
+    /// stops after it.
+    halt: bool,
 }
 
 /// The follow-up events and node actions of the event being handled. One
@@ -276,6 +281,8 @@ impl World {
             tele,
             queue_depth,
             scratch: Scratch::default(),
+            awaited: None,
+            halt: false,
         }
     }
 
@@ -451,6 +458,8 @@ impl World {
                 };
                 self.metrics.tasks_completed.inc();
                 if let Some(inst) = dismantle {
+                    let awaited = self.awaited.and_then(|r| self.provider().instance_of(r));
+                    self.halt |= awaited == Some(inst);
                     if let Ok(outputs) = self.controller.dismantle(inst) {
                         self.process_outputs(outputs, now, out);
                     }
@@ -913,6 +922,9 @@ impl Model for World {
             ctx.schedule_at(at.max(now), ev);
         }
         self.scratch = out;
+        if std::mem::take(&mut self.halt) {
+            ctx.stop();
+        }
     }
 }
 
@@ -1009,26 +1021,22 @@ impl OddciSim {
     }
 
     /// Runs until `req` completes or `horizon` passes. Returns the report
-    /// if the job finished. When the world's telemetry streams to a
-    /// [`TraceSink`], its buffers are flushed before returning,
-    /// so the on-disk trace covers the whole request either way.
+    /// if the job finished. The run stops on the event that completes
+    /// `req`: the clock stays at that instant and any other events due
+    /// then stay queued, so a later [`run_until`](Self::run_until) goes on
+    /// exactly as one uninterrupted run would. When the world's telemetry
+    /// streams to a [`TraceSink`], its buffers are flushed before
+    /// returning, so the on-disk trace covers the whole request either way.
     ///
     /// [`TraceSink`]: oddci_telemetry::TraceSink
     pub fn run_request(&mut self, req: ProviderRequest, horizon: SimTime) -> Option<JobReport> {
-        // Chunked advance: check completion between slices.
-        let slice = SimDuration::from_secs(60);
-        let report = loop {
-            if self.sim.now() >= horizon {
-                break self.sim.model().provider().report(req);
-            }
-            if let Some(r) = self.sim.model().provider().report(req) {
-                break Some(r);
-            }
-            let next = (self.sim.now() + slice).min(horizon);
-            self.sim.run_until(next);
-        };
+        if self.report(req).is_none() {
+            self.sim.model_mut().awaited = Some(req);
+            self.sim.run_until(horizon);
+            self.sim.model_mut().awaited = None;
+        }
         self.sim.model().telemetry().flush_sink();
-        report
+        self.report(req)
     }
 
     /// Current simulation time.

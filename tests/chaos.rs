@@ -7,7 +7,7 @@
 use oddci::core::{World, WorldConfig};
 use oddci::faults::{FaultClass, FaultPlan, FaultSpec};
 use oddci::types::{DataSize, SimDuration, SimTime};
-use oddci::workload::JobGenerator;
+use oddci::workload::{Job, JobGenerator};
 
 mod common;
 use common::fast_policy;
@@ -24,19 +24,23 @@ fn chaos_config(plan: FaultPlan) -> WorldConfig {
     cfg
 }
 
-/// Runs one job under `plan` and returns the world's metrics snapshot
-/// after asserting completion with all tasks accounted for.
-fn run_job(plan: FaultPlan, seed: u64) -> oddci::core::world::MetricsSnapshot {
-    let job = JobGenerator::homogeneous(
+/// The job every scenario runs: `TASKS` 20 s tasks.
+fn job(seed: u64) -> Job {
+    JobGenerator::homogeneous(
         DataSize::from_megabytes(1),
         DataSize::from_bytes(500),
         DataSize::from_bytes(500),
         SimDuration::from_secs(20),
-        seed ^ 0x1234,
+        seed,
     )
-    .generate(TASKS);
+    .generate(TASKS)
+}
+
+/// Runs one job under `plan` and returns the world's metrics snapshot
+/// after asserting completion with all tasks accounted for.
+fn run_job(plan: FaultPlan, seed: u64) -> oddci::core::world::MetricsSnapshot {
     let mut sim = World::simulation(chaos_config(plan), seed);
-    let request = sim.submit_job(job, 50);
+    let request = sim.submit_job(job(seed ^ 0x1234), 50);
     let report = sim
         .run_request(request, SimTime::from_secs(14 * 24 * 3600))
         .expect("job completes under injected faults");
@@ -159,16 +163,8 @@ fn combined_moderate_faults_complete_with_visible_recovery() {
 #[test]
 fn same_seed_same_plan_is_deterministic() {
     let run = |plan: FaultPlan, seed| {
-        let job = JobGenerator::homogeneous(
-            DataSize::from_megabytes(1),
-            DataSize::from_bytes(500),
-            DataSize::from_bytes(500),
-            SimDuration::from_secs(20),
-            7,
-        )
-        .generate(TASKS);
         let mut sim = World::simulation(chaos_config(plan), seed);
-        let request = sim.submit_job(job, 50);
+        let request = sim.submit_job(job(7), 50);
         let report = sim
             .run_request(request, SimTime::from_secs(14 * 24 * 3600))
             .expect("completes");
@@ -186,4 +182,36 @@ fn same_seed_same_plan_is_deterministic() {
 
     let calm = run(FaultPlan::none(), 42);
     assert_ne!(a.2.faults, calm.2.faults, "plans actually change the run");
+}
+
+/// `run_request` stops on the event that completes its request. The halt
+/// must be invisible: the clock stays at the completion instant, and
+/// running on to `end` afterwards is exactly one uninterrupted run to
+/// `end`, with and without faults.
+#[test]
+fn halting_at_completion_changes_nothing_that_follows() {
+    let end = SimTime::from_secs(3600);
+    for plan in [FaultPlan::none(), FaultPlan::standard_mix()] {
+        for seed in [11, 12, 13] {
+            let start = || {
+                let mut sim = World::simulation(chaos_config(plan.clone()), seed);
+                let request = sim.submit_job(job(seed), 50);
+                (sim, request)
+            };
+            let (mut halted, request) = start();
+            let report = halted.run_request(request, end).expect("completes");
+            assert_eq!(halted.now(), SimTime::ZERO + report.makespan, "seed {seed}");
+            halted.run_until(end);
+
+            let (mut whole, request) = start();
+            whole.run_until(end);
+            assert_eq!(whole.report(request), Some(report), "seed {seed}");
+            assert_eq!(halted.events_processed(), whole.events_processed());
+            assert_eq!(
+                halted.world().metrics().snapshot(),
+                whole.world().metrics().snapshot(),
+                "seed {seed}"
+            );
+        }
+    }
 }
