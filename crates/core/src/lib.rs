@@ -78,7 +78,7 @@ pub use messages::{
     ControlMessage, Heartbeat, NodeRequirements, PnaStateKind, ResetMessage, SignedMessage,
     WakeupMessage,
 };
-pub use node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
+pub use node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind, RetryTimer};
 pub use pna::{Pna, PnaAction, PnaState};
 pub use profiles::BroadcastTechnology;
 pub use provider::{JobReport, Provider, ProviderRequest};

@@ -22,7 +22,7 @@
 //! | `InputsReady` | the batch's inputs are here | `Span(TaskFetch)`, `Compute` |
 //! | `Computed` | a task computed | `Span(Compute)`, then `Compute` or `Upload` |
 //! | `Uploaded` / `UploadLost` | the upload's fate | `Span(ResultUpload)`, `Delivered` / `Retry`, or `GaveUp` and `Fetch` |
-//! | `RetryDue` | a retry timer fired | `Fetch` or `Upload` |
+//! | `RetryDue` | a retry timer fired | `Fetch` or `Upload`; none once stale |
 //! | `Kick` / `Next` | the caller asks for work | `Fetch` |
 //! | `Crash` / `Restart` | the agent died / came back | `Orphan`? / none |
 //!
@@ -34,8 +34,7 @@
 //! * a drained node — its queue was dry, or its fetch retries ran out —
 //!   asks for nothing until a `Kick`;
 //! * a retry carries its attempt number with its timer, and a timer
-//!   armed before a reset still fires after it, as it always has in the
-//!   simulation;
+//!   armed before a reset or a crash is stale: it fires into nothing;
 //! * a reset or a crash drops the held batch once (`Orphan`);
 //! * a crashed agent ignores every input until a `Restart`, except a
 //!   carousel read: the AIT's AUTOSTART relaunches the Xlet.
@@ -77,6 +76,19 @@ pub enum RetryKind {
     Upload,
 }
 
+/// A retry timer as [`NodeAction::Retry`] arms it and
+/// [`NodeInput::RetryDue`] hands it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryTimer {
+    /// The chain it belongs to.
+    pub kind: RetryKind,
+    /// The attempt that failed; the timer makes the next one.
+    pub failed: u32,
+    /// The core's work generation when it was armed. A reset or a crash
+    /// since has moved it on, and the timer is stale.
+    pub chain: u32,
+}
+
 /// What a caller feeds the core. Attempt numbers are a retry chain's:
 /// 0 starts it.
 #[derive(Debug)]
@@ -106,9 +118,8 @@ pub enum NodeInput<'a, W> {
     Uploaded,
     /// `UploadLost(attempt)`: the upload was lost.
     UploadLost(u32),
-    /// `RetryDue(kind, attempt)`: a timer asked for with
-    /// [`NodeAction::Retry`] fired.
-    RetryDue(RetryKind, u32),
+    /// A timer asked for with [`NodeAction::Retry`] fired.
+    RetryDue(RetryTimer),
     /// The caller re-kicks a drained node: it asks for work again.
     Kick,
     /// The delivered batch's job has work left: fetch the next batch.
@@ -151,9 +162,9 @@ pub enum NodeAction {
     /// `Delivered(job, task)`: the batch whose first task is `task` landed
     /// at `job`'s Backend.
     Delivered(JobId, TaskId),
-    /// `Retry(kind, at, attempt)`: attempt `attempt` failed; at `at`, feed
-    /// [`NodeInput::RetryDue`] for attempt `attempt + 1`.
-    Retry(RetryKind, SimTime, u32),
+    /// `Retry(at, timer)`: an attempt failed; at `at`, feed
+    /// [`NodeInput::RetryDue`] with `timer`.
+    Retry(SimTime, RetryTimer),
     /// A retry chain ran out of attempts.
     GaveUp,
 }
@@ -182,6 +193,9 @@ pub struct NodeCore<W> {
     ready: bool,
     drained: bool,
     crashed: bool,
+    /// Bumped each time a reset or a crash drops the node's work, so the
+    /// retry timers armed before it are stale.
+    chain: u32,
     accept_at: Option<SimTime>,
     fetch_started: Option<SimTime>,
     compute_started: Option<SimTime>,
@@ -198,6 +212,7 @@ impl<W: HeldTask> NodeCore<W> {
             ready: false,
             drained: false,
             crashed: false,
+            chain: 0,
             accept_at: None,
             fetch_started: None,
             compute_started: None,
@@ -296,7 +311,7 @@ impl<W: HeldTask> NodeCore<W> {
                 if !self.ready {
                     self.held = None;
                 }
-                self.drained |= !retry(RetryKind::Fetch, attempt, env, out);
+                self.drained |= !self.retry(RetryKind::Fetch, attempt, env, out);
             }
             NodeInput::InputsReady if held => {
                 self.ready = true;
@@ -334,17 +349,25 @@ impl<W: HeldTask> NodeCore<W> {
             }
             // Out of retries: give up on this copy; the Backend re-issues it.
             NodeInput::UploadLost(attempt)
-                if held && !retry(RetryKind::Upload, attempt, env, out) =>
+                if held && !self.retry(RetryKind::Upload, attempt, env, out) =>
             {
                 (self.held, self.upload_started, self.fetch_started) = (None, None, None);
                 self.fetch(0, now, out);
             }
-            NodeInput::RetryDue(RetryKind::Fetch, attempt) if !held => {
-                self.fetch(attempt, now, out)
-            }
-            NodeInput::RetryDue(RetryKind::Upload, attempt) if held => {
+            // Armed before a reset or a crash dropped the work it retries.
+            NodeInput::RetryDue(timer) if timer.chain != self.chain => {}
+            NodeInput::RetryDue(RetryTimer {
+                kind: RetryKind::Fetch,
+                failed,
+                ..
+            }) if !held => self.fetch(failed + 1, now, out),
+            NodeInput::RetryDue(RetryTimer {
+                kind: RetryKind::Upload,
+                failed,
+                ..
+            }) if held => {
                 self.upload_started.get_or_insert(now);
-                out.push(NodeAction::Upload(attempt));
+                out.push(NodeAction::Upload(failed + 1));
             }
             NodeInput::Kick if !held && self.instance().is_some() => {
                 self.drained = false;
@@ -378,6 +401,28 @@ impl<W: HeldTask> NodeCore<W> {
         out.push(NodeAction::Fetch(attempt));
     }
 
+    /// Arms the retry after `attempt` of a `kind` chain; `false` (and
+    /// [`NodeAction::GaveUp`]) once the chain has run out.
+    fn retry<R: ?Sized>(
+        &self,
+        kind: RetryKind,
+        attempt: u32,
+        env: &NodeEnv<'_, R>,
+        out: &mut Vec<NodeAction>,
+    ) -> bool {
+        let seed = env.jitter_seed ^ u64::from(kind == RetryKind::Upload);
+        let delay = env.backoff.delay(attempt, seed);
+        let timer = RetryTimer {
+            kind,
+            failed: attempt,
+            chain: self.chain,
+        };
+        out.push(delay.map_or(NodeAction::GaveUp, |d| {
+            NodeAction::Retry(env.now + d, timer)
+        }));
+        delay.is_some()
+    }
+
     /// The DVE of `instance` was destroyed.
     fn left(
         &mut self,
@@ -391,12 +436,14 @@ impl<W: HeldTask> NodeCore<W> {
         self.heartbeat(now, out);
     }
 
-    /// Drops the held batch, the drained flag and the span anchors.
+    /// Drops the held batch, the drained flag, the span anchors and every
+    /// armed retry timer.
     fn drop_work(&mut self, requeue: bool, out: &mut Vec<NodeAction>) {
         if self.held.take().is_some() {
             out.push(NodeAction::Orphan(requeue));
         }
         self.drained = false;
+        self.chain = self.chain.wrapping_add(1);
         self.accept_at = None;
         (
             self.fetch_started,
@@ -404,20 +451,4 @@ impl<W: HeldTask> NodeCore<W> {
             self.upload_started,
         ) = (None, None, None);
     }
-}
-
-/// Arms the retry after `attempt` of a `kind` chain; `false` (and
-/// [`NodeAction::GaveUp`]) once the chain has run out.
-fn retry<R: ?Sized>(
-    kind: RetryKind,
-    attempt: u32,
-    env: &NodeEnv<'_, R>,
-    out: &mut Vec<NodeAction>,
-) -> bool {
-    let seed = env.jitter_seed ^ u64::from(kind == RetryKind::Upload);
-    let delay = env.backoff.delay(attempt, seed);
-    out.push(delay.map_or(NodeAction::GaveUp, |d| {
-        NodeAction::Retry(kind, env.now + d, attempt)
-    }));
-    delay.is_some()
 }

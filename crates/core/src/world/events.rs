@@ -8,6 +8,7 @@
 //! longer matches.
 
 use crate::messages::Heartbeat;
+use crate::node::RetryTimer;
 use oddci_types::{InstanceId, NodeId};
 
 /// Every event the world reacts to. Task payloads live in per-node state,
@@ -53,12 +54,10 @@ pub enum NodeStep {
     /// The node's task request (this retry attempt; 0 = first try)
     /// reaches the Backend.
     TaskRequest(u32),
-    /// The fetch timer expires after a lost or stalled task request; the
-    /// node makes this attempt.
-    FetchRetry(u32),
-    /// The retransmission timer expires after a lost result upload; the
-    /// node makes this attempt.
-    UploadRetry(u32),
+    /// A retry timer expires after a lost or stalled task request or a
+    /// lost result upload; the node makes the next attempt unless a reset
+    /// or a crash has made the timer stale.
+    Retry(RetryTimer),
     /// The task's input data finishes downloading to the node.
     InputArrived,
     /// The node finishes computing its current task.

@@ -35,7 +35,7 @@ use crate::backend::Backend;
 use crate::controller::{Controller, ControllerOutput, ControllerPolicy};
 use crate::ledger::JobLedger;
 use crate::messages::{ControlMessage, Heartbeat, SignedMessage};
-use crate::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
+use crate::node::{NodeAction, NodeCore, NodeEnv, NodeInput};
 use crate::pna::{HostInfo, Pna, PnaState};
 use crate::provider::{JobReport, Provider, ProviderRequest};
 use oddci_broadcast::ait::{AitEntry, AppControlCode};
@@ -467,15 +467,11 @@ impl World {
                     self.feed(id, NodeInput::Next, now, out);
                 }
             }
-            NodeAction::Retry(kind, at, attempt) => {
+            NodeAction::Retry(at, timer) => {
                 self.metrics.task_fetch_retries.inc();
                 self.tele
-                    .instant(us, Phase::Retry, id.raw(), u64::from(attempt));
-                let step = match kind {
-                    RetryKind::Fetch => NodeStep::FetchRetry(attempt + 1),
-                    RetryKind::Upload => NodeStep::UploadRetry(attempt + 1),
-                };
-                out.at(at, self.step(id, step));
+                    .instant(us, Phase::Retry, id.raw(), u64::from(timer.failed));
+                out.at(at, self.step(id, NodeStep::Retry(timer)));
             }
             NodeAction::GaveUp => self.metrics.fetch_aborts.inc(),
             NodeAction::Heartbeat(_) | NodeAction::Left(_, false) => {}
@@ -805,8 +801,7 @@ impl World {
             }
             NodeStep::TaskRequest(attempt) => return self.on_task_request(id, attempt, now, out),
             NodeStep::DirectReset(inst) => NodeInput::DirectReset(inst),
-            NodeStep::FetchRetry(attempt) => NodeInput::RetryDue(RetryKind::Fetch, attempt),
-            NodeStep::UploadRetry(attempt) => NodeInput::RetryDue(RetryKind::Upload, attempt),
+            NodeStep::Retry(timer) => NodeInput::RetryDue(timer),
             NodeStep::InputArrived => NodeInput::InputsReady,
             NodeStep::Computed => NodeInput::Computed,
             NodeStep::ResultArrived => NodeInput::Uploaded,

@@ -4,10 +4,11 @@
 //! The property harness drives a [`NodeCore`] the way the live node
 //! thread does: an action's reply is fed at once, depth first; a loaded
 //! image, a computed task and a delivered batch are fed later,
-//! interleaved with random outside events; retry timers die with the DVE.
+//! interleaved with random outside events. Retry timers outlive a reset
+//! or a crash, as the sim's events do: the core must drop them itself.
 
 use oddci_core::messages::{ControlMessage, ResetMessage, SignedMessage, WakeupMessage};
-use oddci_core::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
+use oddci_core::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind, RetryTimer};
 use oddci_core::pna::{HostInfo, Pna};
 use oddci_crypto::MessageAuthenticator;
 use oddci_faults::Backoff;
@@ -121,7 +122,7 @@ struct Harness {
     node: Node,
     choices: SmallRng,
     later: VecDeque<NodeInput<'static, Task>>,
-    timers: Vec<(RetryKind, u32)>,
+    timers: Vec<RetryTimer>,
     /// Every task any fetch reply handed the node.
     fetched: BTreeSet<TaskId>,
     next_task: u64,
@@ -205,7 +206,6 @@ impl Harness {
                 0 => self.feed(NodeInput::DirectReset(instance))?,
                 _ => self.later.push_back(NodeInput::ImageReady(instance)),
             },
-            NodeAction::Left(..) => self.timers.clear(),
             // A reset applied by an earlier action's reply asks nobody.
             NodeAction::Fetch(_) if self.node.core.instance().is_none() => {}
             NodeAction::Fetch(attempt) => match coin(self, 4) {
@@ -230,8 +230,11 @@ impl Harness {
                 _ => self.feed(NodeInput::Uploaded)?,
             },
             NodeAction::Delivered(..) => self.later.push_back(NodeInput::Next),
-            NodeAction::Retry(kind, _, attempt) => self.timers.push((kind, attempt + 1)),
-            NodeAction::Orphan(_) | NodeAction::Span(..) | NodeAction::GaveUp => {}
+            NodeAction::Retry(_, timer) => self.timers.push(timer),
+            NodeAction::Left(..)
+            | NodeAction::Orphan(_)
+            | NodeAction::Span(..)
+            | NodeAction::GaveUp => {}
         }
         Ok(())
     }
@@ -253,13 +256,10 @@ impl Harness {
             // Both loops kick only a drained node.
             5 if self.node.core.drained() => self.feed(NodeInput::Kick),
             5 => Ok(()),
-            6 => {
-                self.timers.clear();
-                self.feed(NodeInput::Crash)
-            }
+            6 => self.feed(NodeInput::Crash),
             7 => self.feed(NodeInput::Restart),
             8 => match self.timers.pop() {
-                Some((kind, attempt)) => self.feed(NodeInput::RetryDue(kind, attempt)),
+                Some(timer) => self.feed(NodeInput::RetryDue(timer)),
                 None => Ok(()),
             },
             _ => match self.later.pop_front() {
@@ -313,9 +313,9 @@ fn an_exhausted_fetch_chain_parks_the_node_as_drained() {
     loop {
         let got = node.feed(NodeInput::FetchLost(attempt));
         match got.as_slice() {
-            [NodeAction::Retry(RetryKind::Fetch, _, a)] => {
-                assert_eq!(*a, attempt);
-                let due = NodeInput::RetryDue(RetryKind::Fetch, attempt + 1);
+            [NodeAction::Retry(_, timer)] => {
+                assert_eq!((timer.kind, timer.failed), (RetryKind::Fetch, attempt));
+                let due = NodeInput::RetryDue(*timer);
                 assert_eq!(fetches(&node.feed(due)), [attempt + 1]);
                 attempt += 1;
             }
@@ -377,18 +377,46 @@ fn a_carousel_read_relaunches_a_crashed_agent() {
     assert_eq!(got[0], NodeAction::BeginImage(instance));
 }
 
-#[test]
-fn a_retry_armed_before_a_reset_fires_after_it() {
-    // The sim's retry timers are events that a reset does not cancel; its
-    // chaos artifacts depend on it. The live node loop drops its timer on
-    // `Left` instead.
-    let mut node = Node::new();
+/// Arms a fetch retry on a node running instance 1 and returns its timer.
+fn armed_fetch_retry(node: &mut Node) -> RetryTimer {
     node.boot(1);
-    let armed = node.feed(NodeInput::FetchLost(0));
-    assert!(matches!(armed[..], [NodeAction::Retry(..)]));
+    match node.feed(NodeInput::FetchLost(0))[..] {
+        [NodeAction::Retry(_, timer)] => timer,
+        ref other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn a_retry_armed_before_a_reset_is_dropped() {
+    // The sim's retry timers are events that a reset does not cancel.
+    for reset in [
+        NodeInput::DirectReset(InstanceId::new(1)),
+        NodeInput::Control(&reset(9, 1), host()),
+    ] {
+        let mut node = Node::new();
+        let timer = armed_fetch_retry(&mut node);
+        node.feed(reset);
+        assert!(node.feed(NodeInput::RetryDue(timer)).is_empty());
+        assert!(!node.core.drained());
+    }
+}
+
+#[test]
+fn a_stale_retry_does_not_fire_into_the_next_instance() {
+    let mut node = Node::new();
+    let timer = armed_fetch_retry(&mut node);
     node.feed(NodeInput::DirectReset(InstanceId::new(1)));
-    let due = NodeInput::RetryDue(RetryKind::Fetch, 1);
-    assert_eq!(fetches(&node.feed(due)), [1]);
+    assert_eq!(fetches(&node.boot(2)), [0]);
+    assert!(node.feed(NodeInput::RetryDue(timer)).is_empty());
+}
+
+#[test]
+fn a_retry_armed_before_a_crash_is_dropped() {
+    let mut node = Node::new();
+    let timer = armed_fetch_retry(&mut node);
+    node.feed(NodeInput::Crash);
+    node.feed(NodeInput::Restart);
+    assert!(node.feed(NodeInput::RetryDue(timer)).is_empty());
 }
 
 #[test]
@@ -403,7 +431,13 @@ fn an_exhausted_upload_abandons_the_batch_and_fetches_afresh() {
         let got = node.feed(NodeInput::UploadLost(attempt));
         assert!(matches!(
             got[..],
-            [NodeAction::Retry(RetryKind::Upload, ..)]
+            [NodeAction::Retry(
+                _,
+                RetryTimer {
+                    kind: RetryKind::Upload,
+                    ..
+                }
+            )]
         ));
     }
     let got = node.feed(NodeInput::UploadLost(max));

@@ -28,7 +28,7 @@ use crate::wire::WireMembership;
 use oddci_check::sync::{unbounded, Mutex, Receiver, RecvTimeoutError, Sender};
 use oddci_core::autoscale::{AutoscaleExport, AutoscalePolicy, Reconciler};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
-use oddci_core::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryKind};
+use oddci_core::node::{NodeAction, NodeCore, NodeEnv, NodeInput, RetryTimer};
 use oddci_core::pna::{HostInfo, Pna};
 use oddci_core::provider::{JobReport, ProviderRequest};
 use oddci_faults::{Backoff, FaultInjector, FaultPlan};
@@ -892,8 +892,8 @@ struct LiveNode {
     later: VecDeque<NodeInput<'static, LiveTask>>,
     /// What the link held after a task was computed; read before the link.
     inbox: Option<BusMsg>,
-    /// The armed retry timer: when it fires, its chain and the attempt.
-    retry: Option<(SimTime, RetryKind, u32)>,
+    /// The armed retry timer and when it fires.
+    retry: Option<(SimTime, RetryTimer)>,
     /// When a crashed agent reboots.
     restart_at: Option<SimTime>,
     /// The booted image and its indexed database.
@@ -985,7 +985,7 @@ pub(crate) fn node_main(
             Err(_) => match node.later.pop_front() {
                 Some(input) => input,
                 None => match node.retry.take_if(|_| retry_due) {
-                    Some((_, kind, attempt)) => NodeInput::RetryDue(kind, attempt),
+                    Some((_, timer)) => NodeInput::RetryDue(timer),
                     None => continue,
                 },
             },
@@ -1100,7 +1100,7 @@ impl LiveNode {
                 None
             }
             NodeAction::Left(..) => {
-                // Unlike the sim's retry events, the timer dies with the DVE.
+                // The timer dies with the DVE (the core drops it as stale).
                 (self.retry, self.image) = (None, None);
                 self.scores.clear();
                 None
@@ -1163,10 +1163,10 @@ impl LiveNode {
                 self.later.push_back(NodeInput::Next);
                 None
             }
-            NodeAction::Retry(kind, at, attempt) => {
+            NodeAction::Retry(at, timer) => {
                 self.tele
-                    .instant(us, Phase::Retry, id.raw(), u64::from(attempt));
-                self.retry = Some((at, kind, attempt + 1));
+                    .instant(us, Phase::Retry, id.raw(), u64::from(timer.failed));
+                self.retry = Some((at, timer));
                 None
             }
         }
