@@ -87,11 +87,13 @@ run "${ODDCI_BIN}" check --seed 11 --schedules 400
 # Sim output gate: the seeded sim bins must reproduce their committed
 # artifacts byte for byte, so a change meant to move only wall time (the
 # event queue, the MAC, the Controller registry) cannot move a result.
-# The first five and `table2` finish in about a second each; `sizing`
-# (its 50k-node worlds) takes ~14 s and `figure6 --sim` ~7 s. Their
+# The first five, `table2` and the four model bins (`table1`, `table3`,
+# `figure7`, `heartbeat`) finish in about a second each; `sizing` (its
+# 50k-node worlds) takes ~14 s and `figure6 --sim` ~7 s. Their
 # `*.metrics.json` envelopes carry the git sha and are put back as they
 # were; the console logs are rewritten in place and diffed.
-SIM_BINS="chaos churn wakeup technologies federation sizing table2 figure6"
+SIM_BINS="chaos churn wakeup technologies federation sizing table2 figure6
+    table1 table3 figure7 heartbeat"
 echo "==> sim outputs: ${SIM_BINS} against results/"
 SIM_METRICS_SAVED=$(mktemp -d)
 cp results/*.metrics.json "${SIM_METRICS_SAVED}/"
