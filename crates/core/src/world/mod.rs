@@ -157,8 +157,9 @@ pub struct World {
     queue_depth: oddci_telemetry::Gauge,
     /// Reused across events; see [`Scratch`].
     scratch: Scratch,
-    /// The request [`OddciSim::run_request`] waits for, while it runs.
-    awaited: Option<ProviderRequest>,
+    /// The instance of the request [`OddciSim::run_request`] waits for,
+    /// while it runs.
+    awaited: Option<InstanceId>,
     /// The event being handled completed the awaited request: the run
     /// stops after it.
     halt: bool,
@@ -458,8 +459,7 @@ impl World {
                 };
                 self.metrics.tasks_completed.inc();
                 if let Some(inst) = dismantle {
-                    let awaited = self.awaited.and_then(|r| self.provider().instance_of(r));
-                    self.halt |= awaited == Some(inst);
+                    self.halt |= self.awaited == Some(inst);
                     if let Ok(outputs) = self.controller.dismantle(inst) {
                         self.process_outputs(outputs, now, out);
                     }
@@ -1026,7 +1026,8 @@ impl OddciSim {
     /// [`TraceSink`]: oddci_telemetry::TraceSink
     pub fn run_request(&mut self, req: ProviderRequest, horizon: SimTime) -> Option<JobReport> {
         if self.report(req).is_none() {
-            self.sim.model_mut().awaited = Some(req);
+            let world = self.sim.model_mut();
+            world.awaited = world.provider().instance_of(req);
             self.sim.run_until(horizon);
             self.sim.model_mut().awaited = None;
         }
