@@ -406,9 +406,14 @@ pub fn read_file(path: &Path) -> io::Result<BinaryTrace> {
 }
 
 /// Losslessly re-emit a decoded binary trace as the text stream formats
-/// (`oddci trace convert`): every event, in file order, stamped
-/// `converted_from: binary`. This is the only producer of JSONL and
-/// Chrome stream artifacts.
+/// (`oddci trace convert`): every event, stamped `converted_from:
+/// binary`. This is the only producer of JSONL and Chrome stream
+/// artifacts.
+///
+/// Events come out in time order, ties broken by track and then by file
+/// order. The sink's lanes interleave their blocks by timing but never
+/// reorder one track, so the text depends on the events alone: the same
+/// run converts to the same bytes.
 pub fn convert(
     trace: &BinaryTrace,
     jsonl: Option<&Path>,
@@ -416,11 +421,13 @@ pub fn convert(
 ) -> io::Result<Vec<OutputSummary>> {
     let mut meta = trace.header.meta.clone();
     meta.push(("converted_from".to_string(), "binary".to_string()));
+    let mut events: Vec<&Event> = trace.events.iter().collect();
+    events.sort_by_key(|ev| (ev.ts_us, ev.track));
     let mut summaries = Vec::new();
     for (path, format) in [(jsonl, TextFormat::Jsonl), (chrome, TextFormat::Chrome)] {
         let Some(path) = path else { continue };
         let mut out = Output::create(path, format, &meta)?;
-        for ev in &trace.events {
+        for ev in &events {
             out.write_event(ev)?;
         }
         summaries.push(out.seal()?);
@@ -524,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn converts_to_both_text_formats_in_file_order() {
+    fn converts_to_both_text_formats_in_time_order() {
         use crate::export::{read_jsonl_events, STREAM_VERSION};
         let dir = std::env::temp_dir();
         let stem = format!("oddci-binary-convert-{}", std::process::id());
@@ -546,7 +553,11 @@ mod tests {
                 ("converted_from".to_string(), "binary".to_string()),
             ]
         );
-        assert_eq!(read_back, events);
+        // The out-of-order heartbeat moves up to its timestamp.
+        let mut timed = events.clone();
+        timed.sort_by_key(|ev| (ev.ts_us, ev.track));
+        assert_ne!(timed, events);
+        assert_eq!(read_back, timed);
 
         let chrome_text = std::fs::read_to_string(&chrome_path).unwrap();
         let doc: serde_json::Value = serde_json::from_str(&chrome_text).unwrap();
@@ -559,6 +570,38 @@ mod tests {
         for p in [&jsonl_path, &chrome_path] {
             std::fs::remove_file(p).unwrap();
         }
+    }
+
+    #[test]
+    fn lane_interleaving_does_not_change_the_converted_bytes() {
+        // Two lanes, each one track's events with a timestamp that runs
+        // backwards inside the track and one the other track shares.
+        let a = [
+            ev(10, Phase::Compute, EventKind::Begin, 2, 1),
+            ev(50, Phase::Compute, EventKind::End, 2, 1),
+            ev(10, Phase::Heartbeat, EventKind::Instant, 2, 0),
+        ];
+        let b = [
+            ev(10, Phase::TaskFetch, EventKind::Begin, 5, 1),
+            ev(10, Phase::TaskFetch, EventKind::End, 5, 1),
+        ];
+        let dir = std::env::temp_dir();
+        let mut texts = Vec::new();
+        for (first, second) in [((0, &a[..]), (1, &b[..])), ((1, &b[..]), (0, &a[..]))] {
+            let mut bytes = encode_header(&[], 2);
+            bytes.extend_from_slice(&encode_block(first.0, first.1));
+            bytes.extend_from_slice(&encode_block(second.0, second.1));
+            let stem = format!("oddci-binary-lanes-{}-{}", std::process::id(), first.0);
+            let jsonl = dir.join(format!("{stem}.trace.jsonl"));
+            let chrome = dir.join(format!("{stem}.trace.stream.json"));
+            convert(&decode(&bytes).unwrap(), Some(&jsonl), Some(&chrome)).unwrap();
+            texts.push([&jsonl, &chrome].map(|p| {
+                let text = std::fs::read_to_string(p).unwrap();
+                std::fs::remove_file(p).unwrap();
+                text
+            }));
+        }
+        assert_eq!(texts[0], texts[1]);
     }
 
     #[test]

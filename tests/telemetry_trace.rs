@@ -61,9 +61,9 @@ fn small_run_emits_well_formed_chrome_trace() {
     let rows = doc["traceEvents"].as_array().expect("traceEvents array");
     assert!(rows.len() > 100, "a real run produces many events");
 
-    // Rows come in file order: lanes interleave, but one track's events
-    // keep their emission order, so per track an E never precedes its B
-    // (metadata rows carry no ts and are skipped).
+    // Rows come in time order, ties in one track's emission order, so
+    // per track an E never precedes its B (metadata rows carry no ts and
+    // are skipped).
     let mut opens: HashMap<(u64, String), u64> = HashMap::new();
     let mut phases_seen: Vec<String> = Vec::new();
     for row in rows {
