@@ -1479,11 +1479,13 @@ mod tests {
         assert_eq!(standby.shutdown().tasks_unaccounted, 0);
     }
 
-    /// The full failover story, in-process: a socket headend snapshots
-    /// while three reconnecting PNAs chew on a job, dies the way SIGKILL
-    /// would, and a standby adopts its snapshot on the same port. The
-    /// job must complete on the standby with every task accounted for
-    /// and every PNA fenced up to the new epoch.
+    /// The full failover story, in-process: a socket headend cuts a
+    /// snapshot of a submitted job, three reconnecting PNAs start on it,
+    /// and once a result has landed the headend dies the way SIGKILL
+    /// would. A standby adopts the snapshot, which is older than the
+    /// progress, on the same port. The job must complete on the standby
+    /// with every task accounted for and every PNA fenced up to the new
+    /// epoch.
     #[test]
     fn standby_adopts_a_killed_socket_headend_mid_job() {
         let dir = std::env::temp_dir().join(format!(
@@ -1492,6 +1494,7 @@ mod tests {
             std::ptr::from_ref(&()) as usize
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("snapshot dir");
         let mk_config = |listen: std::net::SocketAddr| LiveConfig {
             nodes: 3,
             heartbeat_interval: Duration::from_millis(60),
@@ -1505,25 +1508,14 @@ mod tests {
             snapshot_interval: Duration::from_millis(50),
             ..Default::default()
         };
-        let primary = LiveOddci::start(mk_config("127.0.0.1:0".parse().expect("addr")));
+        // The primary's cut is taken by hand below, at a known point of
+        // the job, so no periodic writer races it for the file.
+        let primary = LiveOddci::start(LiveConfig {
+            snapshot_dir: None,
+            ..mk_config("127.0.0.1:0".parse().expect("addr"))
+        });
         let addr = primary.wire_addr().expect("socket headends listen");
 
-        let pnas: Vec<_> = (0..3u64)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut cfg = WirePnaConfig::new(addr);
-                    cfg.seed = 100 + i;
-                    cfg.heartbeat_interval = Duration::from_millis(60);
-                    cfg.reconnect = Some(Duration::from_secs(30));
-                    run_wire_pna(cfg)
-                })
-            })
-            .collect();
-
-        // Enough work that the kill lands mid-job: planted homologs
-        // against a larger library are genuinely expensive to score, so
-        // the job cannot outrun the snapshot cadence even on a loaded
-        // test machine.
         let image = AlignmentImage {
             db_len: 200_000,
             ..AlignmentImage::small_demo()
@@ -1539,28 +1531,47 @@ mod tests {
             .submit_query_job(image, queries, 3)
             .expect("submit succeeds");
 
-        // Wait for a snapshot whose Provider still shows the request in
-        // flight, then pull the plug — adopting a finished job would
-        // make the running_jobs assertion below vacuous.
+        // Cut the snapshot before any PNA dials in, through the file the
+        // periodic writer would use, so the job is in flight in it
+        // whatever the build's speed — adopting a finished job would make
+        // the running_jobs assertion below vacuous.
         let snap_path = dir.join(crate::snapshot::SNAPSHOT_FILE);
+        crate::snapshot::write_file(&snap_path, &primary.snapshot_now()).expect("write snapshot");
+        let snap = crate::snapshot::read_file(&snap_path).expect("read snapshot");
+        let mid_job = !snap.job_queries.is_empty()
+            && snap.provider.requests.iter().any(|r| {
+                r.request == req && matches!(r.state, oddci_core::provider::RequestState::Running)
+            });
+        assert!(mid_job, "the snapshot caught the job in flight");
+
+        let pnas: Vec<_> = (0..3u64)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let mut cfg = WirePnaConfig::new(addr);
+                    cfg.seed = 100 + i;
+                    cfg.heartbeat_interval = Duration::from_millis(60);
+                    cfg.reconnect = Some(Duration::from_secs(30));
+                    run_wire_pna(cfg)
+                })
+            })
+            .collect();
+
+        // Pull the plug once the primary holds a result, so the standby
+        // adopts a cut older than the progress. A job that finished first
+        // counts too: the standby re-runs it from the same cut.
         let deadline = Instant::now() + Duration::from_secs(10);
-        let snap = loop {
-            if let Ok(s) = crate::snapshot::read_file(&snap_path) {
-                let mid_job = !s.job_queries.is_empty()
-                    && s.provider.requests.iter().any(|r| {
-                        r.request == req
-                            && matches!(r.state, oddci_core::provider::RequestState::Running)
-                    });
-                if mid_job {
-                    break s;
-                }
+        loop {
+            let scored = primary
+                .snapshot_now()
+                .job_scores
+                .iter()
+                .any(|(_, scores)| !scores.is_empty());
+            if scored || !primary.running_jobs().contains(&req) {
+                break;
             }
-            assert!(
-                Instant::now() < deadline,
-                "no snapshot caught the job in flight"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        };
+            assert!(Instant::now() < deadline, "no result landed on the primary");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         primary.crash();
 
         let standby =
@@ -1575,16 +1586,32 @@ mod tests {
             .expect("job completes on the standby");
         assert_eq!(outcome.scores.len(), 64);
 
+        // Two PNAs can finish the job before the third has redialed:
+        // shut down once the standby has acked all three. None was in
+        // the cut, so each holds an id the standby issued.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while standby.snapshot_now().wire_nodes.len() < snap.wire_nodes.len() + 3 {
+            assert!(
+                Instant::now() < deadline,
+                "a PNA never redialed the standby"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let report = standby.shutdown();
         assert_eq!(report.tasks_unaccounted, 0, "no task lost across failover");
         assert_eq!(report.threads_failed, 0);
+        let mut nodes = Vec::new();
         for h in pnas {
             let rep = h
                 .join()
                 .expect("pna thread joins")
                 .expect("pna survives the failover");
             assert_eq!(rep.epoch, 1, "every PNA re-acked at the standby's epoch");
+            nodes.push(rep.node);
         }
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes.len(), 3, "no two PNAs share an id on the standby");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -118,35 +118,62 @@ pub(crate) fn decode_image(mut bytes: Vec<u8>) -> Result<AlignmentImage, WireErr
 /// capture them so a standby never reassigns a live node's identity).
 ///
 /// A standby seeds this from the snapshot: `next_node` continues the
-/// primary's sequence and `assigned` validates `resume` requests — a
+/// primary's sequence and the adopted ids validate `resume` requests — a
 /// reconnecting PNA keeps the id it already heartbeats under.
+///
+/// A PNA that joined the dead primary after the cut claims an id the
+/// snapshot never saw, which this headend may since have issued afresh
+/// to another PNA. Its hello carries the highest epoch it has seen,
+/// which is below this headend's, so a resume of an id issued here is
+/// honored only from a PNA that has seen this headend's epoch.
 pub(crate) struct WireMembership {
     /// Next fresh node id.
-    pub(crate) next_node: u64,
-    /// Every node id handed out so far (primary's plus this headend's).
-    pub(crate) assigned: BTreeSet<u64>,
+    next_node: u64,
+    /// Ids the adopted snapshot records as issued.
+    adopted: BTreeSet<u64>,
+    /// Ids this headend issued.
+    issued: BTreeSet<u64>,
 }
 
 impl WireMembership {
     /// An empty namespace (a fresh primary).
     pub(crate) fn new() -> WireMembership {
-        WireMembership {
-            next_node: 0,
-            assigned: BTreeSet::new(),
-        }
+        WireMembership::adopted(0, &[])
     }
 
     /// A namespace adopted from a snapshot.
     pub(crate) fn adopted(next_node: u64, nodes: &[u64]) -> WireMembership {
         WireMembership {
             next_node,
-            assigned: nodes.iter().copied().collect(),
+            adopted: nodes.iter().copied().collect(),
+            issued: BTreeSet::new(),
         }
     }
 
-    /// Snapshot form: `(next_node, assigned ids)`.
+    /// The id a hello is acked with at `epoch`: the one it resumes if
+    /// that id is the PNA's own here — adopted, or issued by this
+    /// headend to a PNA that has seen `epoch` — else a fresh one.
+    pub(crate) fn admit(&mut self, resume: Option<NodeId>, seen: u64, epoch: u64) -> NodeId {
+        match resume {
+            Some(node)
+                if self.adopted.contains(&node.raw())
+                    || (seen >= epoch && self.issued.contains(&node.raw())) =>
+            {
+                node
+            }
+            _ => {
+                let id = self.next_node;
+                self.next_node += 1;
+                self.issued.insert(id);
+                NodeId::new(id)
+            }
+        }
+    }
+
+    /// Snapshot form: `(next_node, every id issued)`.
     pub(crate) fn export(&self) -> (u64, Vec<u64>) {
-        (self.next_node, self.assigned.iter().copied().collect())
+        let ids: BTreeSet<u64> = self.adopted.union(&self.issued).copied().collect();
+        (self.next_node, ids.into_iter().collect())
     }
 }
 
@@ -250,34 +277,24 @@ impl WireService for LiveWireService {
 
     fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
         match msg {
-            WireMsg::Hello { proto, resume, .. } => {
+            WireMsg::Hello {
+                proto,
+                epoch: seen,
+                resume,
+            } => {
                 // A version we don't speak gets no ack — the client's
                 // handshake timeout turns that into a clean error. The
-                // client's claimed epoch is ignored here: fencing is
-                // enforced on the PNA side, which refuses any ack whose
-                // epoch is below the highest it has seen.
+                // client's claimed epoch only tells whose id it resumes
+                // (`WireMembership::admit`): fencing is enforced on the
+                // PNA side, which refuses any ack whose epoch is below
+                // the highest it has seen.
                 if proto != PROTO_VERSION {
                     return;
                 }
                 let node = match self.conn_nodes.get(&conn) {
                     Some(node) => *node,
                     None => {
-                        let node = {
-                            let mut m = self.membership.lock();
-                            match resume {
-                                // A reconnecting node keeps its identity if
-                                // this headend (or the snapshot it adopted)
-                                // ever issued it; an unknown claim gets a
-                                // fresh id like any newcomer.
-                                Some(node) if m.assigned.contains(&node.raw()) => node,
-                                _ => {
-                                    let id = m.next_node;
-                                    m.next_node += 1;
-                                    m.assigned.insert(id);
-                                    NodeId::new(id)
-                                }
-                            }
-                        };
+                        let node = self.membership.lock().admit(resume, seen, self.epoch);
                         self.conn_nodes.insert(conn, node);
                         self.tele.instant(
                             self.now_us(),
@@ -758,6 +775,29 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_resume_keeps_only_an_id_that_is_the_pnas_own() {
+        let id = NodeId::new;
+        // A standby at epoch 1 adopted ids 0 and 1, next fresh id 2.
+        let mut m = WireMembership::adopted(2, &[0, 1]);
+        // Adopted ids resume whatever epoch the PNA has seen.
+        assert_eq!(m.admit(Some(id(1)), 0, 1), id(1));
+        // Ids 2 and 3 joined the dead primary after the cut: both are
+        // new here, and the first of them gets 2 afresh.
+        assert_eq!(m.admit(Some(id(3)), 0, 1), id(2));
+        // The PNA that held 2 at the primary must not share it.
+        assert_eq!(m.admit(Some(id(2)), 0, 1), id(3));
+        // A PNA acked here at epoch 1 keeps its id on a redial.
+        assert_eq!(m.admit(Some(id(2)), 1, 1), id(2));
+        assert_eq!(m.admit(None, 0, 1), id(4));
+        assert_eq!(m.export(), (5, vec![0, 1, 2, 3, 4]));
+        // On a primary every id is its own issue, resumed at epoch 0.
+        let mut m = WireMembership::new();
+        assert_eq!(m.admit(None, 0, 0), id(0));
+        assert_eq!(m.admit(Some(id(0)), 0, 0), id(0));
+        assert_eq!(m.admit(Some(id(7)), 0, 0), id(1));
+    }
 
     #[test]
     fn image_round_trips_with_database_attached() {
