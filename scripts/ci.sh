@@ -37,7 +37,7 @@ cleanup() {
     for pid in ${PNA_PIDS} ${HEADEND_PIDS}; do
         kill "${pid}" 2>/dev/null || true
     done
-    rm -f results/ci-smoke.json results/ci-smoke.trace.bin \
+    rm -f results/ci-smoke.json results/ci-smoke.trace.bin results/trace.trace.bin \
         results/ci-smoke.trace.jsonl results/ci-smoke.trace.stream.json \
         results/ci-wire-smoke.json results/ci-top.json \
         results/ci-help.txt results/ci-autoscale.json \
@@ -62,6 +62,11 @@ run cargo build --release ${CARGO_FLAGS} -p oddci-cli -p oddci-bench
 ODDCI_BIN=target/release/oddci
 SCHEMA_CHECK=target/release/schema_check
 run cargo test -q --workspace ${CARGO_FLAGS}
+# The in-process failover test again in a release build, where its job
+# runs several times faster than under the debug tests above: it must
+# not depend on how fast the build is (ROADMAP item 2).
+run cargo test -q --release ${CARGO_FLAGS} -p oddci-live --lib \
+    standby_adopts_a_killed_socket_headend_mid_job
 # The benchmark crate sits outside the workspace and links it the way an
 # outside caller would (benchmark/src/sut.rs pins every public item it
 # uses), so a wire or live API change that breaks it has to fail here
@@ -91,10 +96,13 @@ run "${ODDCI_BIN}" check --seed 11 --schedules 400
 # `figure7`, `heartbeat`) finish in about a second each; `sizing` (its
 # 50k-node worlds) takes ~14 s and `figure6 --sim` ~7 s. Their
 # `*.metrics.json` envelopes carry the git sha and are put back as they
-# were; the console logs are rewritten in place and diffed.
+# were; the console logs are rewritten in place and diffed. `oddci
+# trace small` rewrites `results/trace.json`, which carries no sha or
+# wall time: `trace convert` writes events in time order, so the lanes'
+# interleaving cannot move a byte.
 SIM_BINS="chaos churn wakeup technologies federation sizing table2 figure6
     table1 table3 figure7 heartbeat"
-echo "==> sim outputs: ${SIM_BINS} against results/"
+echo "==> sim outputs: ${SIM_BINS} and trace small against results/"
 SIM_METRICS_SAVED=$(mktemp -d)
 cp results/*.metrics.json "${SIM_METRICS_SAVED}/"
 for bin in ${SIM_BINS}; do
@@ -107,7 +115,8 @@ done
 cp "${SIM_METRICS_SAVED}"/*.metrics.json results/
 rm -rf "${SIM_METRICS_SAVED}"
 SIM_METRICS_SAVED=""
-run git diff --exit-code -- $(for bin in ${SIM_BINS}; do
+"${ODDCI_BIN}" trace small --out results/trace.json > /dev/null
+run git diff --exit-code -- results/trace.json $(for bin in ${SIM_BINS}; do
     echo "results/${bin}.json results/logs/${bin}.txt"
 done)
 
