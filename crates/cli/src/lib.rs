@@ -354,7 +354,8 @@ mod tests {
         let trace = oddci_telemetry::binary::read_file(&bin_path).expect("valid binary trace");
         assert!(trace.truncated.is_none());
         // Offline conversion re-emits both text artifacts with default
-        // derived paths, and the JSONL holds exactly the decoded events.
+        // derived paths, and the JSONL holds exactly the decoded events,
+        // in time order with ties in file order.
         let converted = oddci(&format!("trace convert {}", bin_path.display())).unwrap();
         assert!(converted.contains("converted"), "{converted}");
         let text = std::fs::read_to_string(dir.join("run.trace.jsonl")).unwrap();
@@ -362,7 +363,9 @@ mod tests {
             oddci_telemetry::export::read_jsonl_events(&text).expect("valid converted stream");
         assert_eq!(header.clock, "us");
         assert!(!events.is_empty());
-        assert_eq!(events, trace.events);
+        let mut timed = trace.events.clone();
+        timed.sort_by_key(|ev| (ev.ts_us, ev.track));
+        assert_eq!(events, timed);
         assert!(
             header
                 .meta
