@@ -573,38 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_interleaving_does_not_change_the_converted_bytes() {
-        // Two lanes, each one track's events with a timestamp that runs
-        // backwards inside the track and one the other track shares.
-        let a = [
-            ev(10, Phase::Compute, EventKind::Begin, 2, 1),
-            ev(50, Phase::Compute, EventKind::End, 2, 1),
-            ev(10, Phase::Heartbeat, EventKind::Instant, 2, 0),
-        ];
-        let b = [
-            ev(10, Phase::TaskFetch, EventKind::Begin, 5, 1),
-            ev(10, Phase::TaskFetch, EventKind::End, 5, 1),
-        ];
-        let dir = std::env::temp_dir();
-        let mut texts = Vec::new();
-        for (first, second) in [((0, &a[..]), (1, &b[..])), ((1, &b[..]), (0, &a[..]))] {
-            let mut bytes = encode_header(&[], 2);
-            bytes.extend_from_slice(&encode_block(first.0, first.1));
-            bytes.extend_from_slice(&encode_block(second.0, second.1));
-            let stem = format!("oddci-binary-lanes-{}-{}", std::process::id(), first.0);
-            let jsonl = dir.join(format!("{stem}.trace.jsonl"));
-            let chrome = dir.join(format!("{stem}.trace.stream.json"));
-            convert(&decode(&bytes).unwrap(), Some(&jsonl), Some(&chrome)).unwrap();
-            texts.push([&jsonl, &chrome].map(|p| {
-                let text = std::fs::read_to_string(p).unwrap();
-                std::fs::remove_file(p).unwrap();
-                text
-            }));
-        }
-        assert_eq!(texts[0], texts[1]);
-    }
-
-    #[test]
     fn varints_cover_the_edges() {
         for v in [0u64, 1, 127, 128, 300, u64::MAX] {
             let mut buf = Vec::new();
