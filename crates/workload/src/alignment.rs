@@ -124,9 +124,9 @@ impl std::error::Error for IndexError {}
 /// code, `offsets[h]..offsets[h + 1]` delimits bucket `h` inside
 /// `positions`, and within a bucket entries keep database order — so the
 /// positions of one k-mer come out ascending. The keys are not stored: a
-/// lookup re-packs each candidate's window from the database it already
-/// holds. No per-key allocation, 4 bytes per indexed position plus 4 per
-/// bucket.
+/// lookup checks each candidate's bases, in the database the index
+/// already holds, against the key. No per-key allocation, 4 bytes per
+/// indexed position plus 4 per bucket.
 #[derive(Debug, Clone)]
 pub struct BlastSearch {
     db: Arc<Vec<u8>>,
