@@ -658,6 +658,7 @@ fn check_ledger_home(src: &Source, out: &mut Vec<LintViolation>) {
 const NODE_HOME: &[&str] = &["crates/core/src/pna.rs", "crates/core/src/node.rs"];
 const NODE_TOKENS: &[&str] = &[
     ".on_control_message(",
+    ".on_control_message_with(",
     ".on_direct_reset(",
     ".image_ready(",
     ".task_done(",

@@ -11,6 +11,7 @@ use oddci_types::{
     DataSize, ImageId, InstanceId, MessageId, NodeId, OddciError, Probability, Result, SimTime,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Capability requirements a node must meet to join an instance (§3.2:
 /// *"the PNA assesses its own compliance with the requirements present in
@@ -108,8 +109,8 @@ impl ControlMessage {
 
 /// A control message's canonical bytes ([`ControlMessage::canonical_bytes`]),
 /// held inline; dereferences to the encoded slice. Bytes past the end
-/// stay zero, so the derived equality is the slices'.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// stay zero, so the derived equality and hash are the slices'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CanonicalBytes {
     buf: [u8; CanonicalBytes::MAX_LEN],
     len: usize,
@@ -160,6 +161,54 @@ impl SignedMessage {
                 context: format!("control message {}", self.message.id()),
             })
         }
+    }
+}
+
+/// The messages that passed [`SignedMessage::verify`] under one key, for
+/// a population of agents that all read the same aired messages.
+///
+/// Verifying is a pure function of the key, the canonical bytes and the
+/// tag. So each distinct valid (bytes, tag) is verified once, by a real
+/// `verify` call, and every later read of the same bytes and tag under the
+/// same key passes at once. Anything else goes to the real `verify`: a
+/// message with any other byte or tag bit, a read under another key, and
+/// every read of a message that failed. Only valid messages are kept, so
+/// hostile bytes cannot grow the memo.
+#[derive(Debug)]
+pub struct VerifyMemo {
+    auth: MessageAuthenticator,
+    valid: HashSet<(CanonicalBytes, Tag)>,
+    verifies: u64,
+}
+
+impl VerifyMemo {
+    /// An empty memo for messages checked under `auth`'s key.
+    pub fn new(auth: MessageAuthenticator) -> Self {
+        VerifyMemo {
+            auth,
+            valid: HashSet::new(),
+            verifies: 0,
+        }
+    }
+
+    /// [`SignedMessage::verify`] of `signed` under `auth`.
+    pub fn verify(&mut self, signed: &SignedMessage, auth: &MessageAuthenticator) -> Result<()> {
+        let key = (signed.message.canonical_bytes(), signed.tag);
+        let ours = auth.same_key(&self.auth);
+        if ours && self.valid.contains(&key) {
+            return Ok(());
+        }
+        self.verifies += 1;
+        signed.verify(auth)?;
+        if ours {
+            self.valid.insert(key);
+        }
+        Ok(())
+    }
+
+    /// The real `verify` calls made so far.
+    pub fn verifies(&self) -> u64 {
+        self.verifies
     }
 }
 

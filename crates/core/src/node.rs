@@ -39,7 +39,7 @@
 //! * a crashed agent ignores every input until a `Restart`, except a
 //!   carousel read: the AIT's AUTOSTART relaunches the Xlet.
 
-use crate::messages::{Heartbeat, SignedMessage};
+use crate::messages::{Heartbeat, SignedMessage, VerifyMemo};
 use crate::pna::{HostInfo, Pna, PnaAction, PnaState};
 use oddci_faults::Backoff;
 use oddci_receiver::dve::DveState;
@@ -179,23 +179,30 @@ pub struct NodeEnv<'a, R: ?Sized> {
     pub backoff: &'a Backoff,
     /// Jitter seed of the fetch chain; uploads use it `^ 1`.
     pub jitter_seed: u64,
+    /// Control messages this caller's agents already verified, or `None`
+    /// to verify every read.
+    pub memo: Option<&'a mut VerifyMemo>,
 }
 
 /// One node's agent and the rules around it. See the module docs.
+///
+/// Laid out in field order: what a heartbeat reads (the flags, the held
+/// batch and the head of the agent) comes first.
 #[derive(Debug)]
+#[repr(C)]
 pub struct NodeCore<W> {
-    pna: Pna,
-    /// The batch held and its job.
-    held: Option<(JobId, Vec<W>)>,
-    /// The held batch's task being computed, or its last once all are.
-    next: u32,
+    crashed: bool,
+    drained: bool,
     /// The held batch's inputs are here.
     ready: bool,
-    drained: bool,
-    crashed: bool,
+    /// The held batch's task being computed, or its last once all are.
+    next: u32,
     /// Bumped each time a reset or a crash drops the node's work, so the
     /// retry timers armed before it are stale.
     chain: u32,
+    /// The batch held and its job.
+    held: Option<(JobId, Vec<W>)>,
+    pna: Pna,
     accept_at: Option<SimTime>,
     fetch_started: Option<SimTime>,
     compute_started: Option<SimTime>,
@@ -278,7 +285,8 @@ impl<W: HeldTask> NodeCore<W> {
         let held = self.held.is_some();
         match input {
             NodeInput::Control(msg, host) => {
-                match self.pna.on_control_message(msg, host, env.rng) {
+                let memo = env.memo.as_deref_mut();
+                match self.pna.on_control_message_with(msg, host, env.rng, memo) {
                     PnaAction::BeginAcquisition { instance, .. } => {
                         self.accept_at = Some(now);
                         out.push(NodeAction::BeginImage(instance));
@@ -450,5 +458,21 @@ impl<W: HeldTask> NodeCore<W> {
             self.compute_started,
             self.upload_started,
         ) = (None, None, None);
+    }
+}
+
+#[cfg(test)]
+impl NodeCore<Task> {
+    /// Where the fields a heartbeat reads lie in a core: (offset, size).
+    pub(crate) fn heartbeat_fields() -> Vec<(usize, usize)> {
+        use std::mem::{offset_of, size_of};
+        let pna = offset_of!(Self, pna);
+        let held = size_of::<Option<(JobId, Vec<Task>)>>();
+        let mut fields = vec![
+            (offset_of!(Self, crashed), 1),
+            (offset_of!(Self, held), held),
+        ];
+        fields.extend(Pna::heartbeat_fields().map(|(at, len)| (pna + at, len)));
+        fields
     }
 }

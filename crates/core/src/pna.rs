@@ -16,7 +16,8 @@
 //! the thread-per-node live runtime.
 
 use crate::messages::{
-    ControlMessage, Heartbeat, NodeRequirements, PnaStateKind, SignedMessage, WakeupMessage,
+    ControlMessage, Heartbeat, NodeRequirements, PnaStateKind, SignedMessage, VerifyMemo,
+    WakeupMessage,
 };
 use oddci_crypto::MessageAuthenticator;
 use oddci_receiver::compute::UsageMode;
@@ -85,12 +86,14 @@ pub struct PnaCounters {
     pub resets: u64,
 }
 
-/// The agent itself.
+/// The agent itself. Laid out in field order: the id and state a
+/// heartbeat reads come first.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct Pna {
     node: NodeId,
-    auth: MessageAuthenticator,
     state: PnaState,
+    auth: MessageAuthenticator,
     /// Control-message ids already handled or consciously dropped this
     /// power cycle, for carousel-repeat deduplication.
     seen: std::collections::BTreeSet<MessageId>,
@@ -142,7 +145,23 @@ impl Pna {
         host: HostInfo,
         rng: &mut R,
     ) -> PnaAction {
-        if signed.verify(&self.auth).is_err() {
+        self.on_control_message_with(signed, host, rng, None)
+    }
+
+    /// [`on_control_message`](Self::on_control_message), checking the tag
+    /// through `memo` when one is given.
+    pub fn on_control_message_with<R: Rng + ?Sized>(
+        &mut self,
+        signed: &SignedMessage,
+        host: HostInfo,
+        rng: &mut R,
+        memo: Option<&mut VerifyMemo>,
+    ) -> PnaAction {
+        let verdict = match memo {
+            Some(memo) => memo.verify(signed, &self.auth),
+            None => signed.verify(&self.auth),
+        };
+        if verdict.is_err() {
             self.counters.bad_signatures += 1;
             return PnaAction::None;
         }
@@ -254,6 +273,18 @@ impl Pna {
     }
 }
 
+#[cfg(test)]
+impl Pna {
+    /// Where the fields a heartbeat reads lie in an agent: (offset, size).
+    pub(crate) fn heartbeat_fields() -> [(usize, usize); 2] {
+        use std::mem::{offset_of, size_of};
+        [
+            (offset_of!(Pna, node), size_of::<NodeId>()),
+            (offset_of!(Pna, state), size_of::<PnaState>()),
+        ]
+    }
+}
+
 fn meets(req: &NodeRequirements, host: HostInfo) -> bool {
     if host.free_memory < req.min_memory {
         return false;
@@ -337,6 +368,37 @@ mod tests {
             PnaAction::None
         );
         assert_eq!(pna.counters.bad_signatures, 1);
+    }
+
+    #[test]
+    fn the_memo_passes_only_what_the_real_verify_passes() {
+        let mut memo = VerifyMemo::new(auth());
+        let mut rng = SmallRng::seed_from_u64(1);
+        let valid = wakeup(1, 1.0);
+        for node in 0..3 {
+            let mut pna = Pna::new(NodeId::new(node), KEY);
+            let action = pna.on_control_message_with(&valid, host(), &mut rng, Some(&mut memo));
+            assert!(matches!(action, PnaAction::BeginAcquisition { .. }));
+        }
+        assert_eq!(memo.verifies(), 1, "one verify for the valid bytes");
+        // Forgeries of the same message after it passed: a memo keyed by
+        // message id alone would pass them too.
+        let mut flipped = valid;
+        flipped.tag[31] ^= 0x01;
+        let foreign = SignedMessage::sign(valid.message, &MessageAuthenticator::from_key(b"rogue"));
+        for (i, forged) in [flipped, foreign, flipped].iter().enumerate() {
+            let mut pna = Pna::new(NodeId::new(10 + i as u64), KEY);
+            let action = pna.on_control_message_with(forged, host(), &mut rng, Some(&mut memo));
+            assert_eq!(action, PnaAction::None);
+            assert_eq!(pna.counters.bad_signatures, 1);
+            assert_eq!(memo.verifies(), i as u64 + 2, "each forgery reaches verify");
+        }
+        // An agent under another key gets no verdict from this key's memo.
+        let mut rogue = Pna::new(NodeId::new(20), b"rogue".as_slice());
+        let action = rogue.on_control_message_with(&valid, host(), &mut rng, Some(&mut memo));
+        assert_eq!(action, PnaAction::None);
+        assert_eq!(rogue.counters.bad_signatures, 1);
+        assert_eq!(memo.verifies(), 5);
     }
 
     #[test]

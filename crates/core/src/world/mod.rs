@@ -34,7 +34,7 @@ pub use node::NodeRuntime;
 use crate::backend::Backend;
 use crate::controller::{Controller, ControllerOutput, ControllerPolicy};
 use crate::ledger::JobLedger;
-use crate::messages::{ControlMessage, Heartbeat, SignedMessage};
+use crate::messages::{ControlMessage, Heartbeat, SignedMessage, VerifyMemo};
 use crate::node::{NodeAction, NodeCore, NodeEnv, NodeInput};
 use crate::pna::{HostInfo, Pna, PnaState};
 use crate::provider::{JobReport, Provider, ProviderRequest};
@@ -149,6 +149,9 @@ pub struct World {
     injector: FaultInjector,
     /// Seed for deterministic backoff jitter (per-node mixing).
     jitter_seed: u64,
+    /// The aired messages the population has verified: every node reads
+    /// the same signed bytes, so each is verified once per world.
+    memo: VerifyMemo,
     /// Shared telemetry handle (clone of `config.telemetry`), cached for
     /// hot-path span/instant recording.
     tele: Telemetry,
@@ -279,6 +282,7 @@ impl World {
             metrics,
             injector,
             jitter_seed,
+            memo: VerifyMemo::new(auth),
             tele,
             queue_depth,
             scratch: Scratch::default(),
@@ -364,6 +368,7 @@ impl World {
             rng: &mut node.rng,
             backoff: &self.config.fetch_backoff,
             jitter_seed: self.jitter_seed ^ id.raw(),
+            memo: Some(&mut self.memo),
         };
         node.core.handle(input, &mut env, &mut out.actions);
         let mut next = start;
@@ -1273,6 +1278,22 @@ mod tests {
         assert_eq!(report.tasks_completed, 100);
         // Controller had to recompose (it never reaches 500).
         assert!(report.wakeup_broadcasts >= 1);
+    }
+
+    #[test]
+    fn each_aired_message_is_verified_once_per_world() {
+        let mut sim = World::simulation(quick_config(1_000), 23);
+        let req = sim.submit_job(small_job(200, 30, 24), 100);
+        let report = sim.run_request(req, SimTime::from_secs(24 * 3600)).unwrap();
+        // Let the dismantle's reset air and reach every node.
+        let end = sim.now() + SimDuration::from_mins(30);
+        sim.run_until(end);
+        let world = sim.world();
+        assert_eq!(world.running_members(report.instance), 0);
+        let aired = u64::from(report.wakeup_broadcasts) + 1;
+        let reads = world.metrics().control_deliveries.get();
+        assert!(reads >= 1_000 * aired, "{reads} reads of {aired} messages");
+        assert_eq!(world.memo.verifies(), aired, "{reads} reads");
     }
 
     #[test]

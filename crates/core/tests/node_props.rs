@@ -82,6 +82,7 @@ impl Node {
             rng: &mut self.rng,
             backoff: &self.backoff,
             jitter_seed: 7,
+            memo: None,
         };
         let mut out = Vec::new();
         self.core.handle(input, &mut env, &mut out);

@@ -13,7 +13,7 @@ const BLOCK_LEN: usize = 64;
 /// inner pad absorbed, and with its outer pad absorbed. Cloning one is how
 /// the pads are computed once per key and reused (RFC 2104 §4): a message
 /// that fits one block then costs two compressions, not four.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct HmacSha256 {
     /// Key XOR ipad, then the message so far.
     inner: Sha256,

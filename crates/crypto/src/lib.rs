@@ -80,6 +80,11 @@ impl MessageAuthenticator {
     pub fn verify(&self, message: &[u8], tag: &Tag) -> bool {
         constant_time_eq(&self.sign(message), tag)
     }
+
+    /// True when `other` holds the same key: its keyed states are equal.
+    pub fn same_key(&self, other: &MessageAuthenticator) -> bool {
+        self.keyed == other.keyed
+    }
 }
 
 impl From<&[u8]> for MessageAuthenticator {
@@ -109,6 +114,14 @@ mod tests {
         let auth = MessageAuthenticator::from_key(b"k");
         let tag = auth.sign(b"hello");
         assert!(auth.verify(b"hello", &tag));
+    }
+
+    #[test]
+    fn same_key_compares_keys_not_handles() {
+        let a = MessageAuthenticator::from_key(b"key-a");
+        assert!(a.same_key(&a.clone()));
+        assert!(a.same_key(&MessageAuthenticator::from_key(b"key-a")));
+        assert!(!a.same_key(&MessageAuthenticator::from_key(b"key-b")));
     }
 
     #[test]

@@ -24,7 +24,7 @@ const H0: [u32; 8] = [
 ];
 
 /// Incremental SHA-256 hasher.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sha256 {
     pub(crate) state: [u32; 8],
     /// Total message length in bytes processed so far (including buffered).

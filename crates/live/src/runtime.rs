@@ -1028,6 +1028,7 @@ impl LiveNode {
                 rng: &mut self.rng,
                 backoff: &Backoff::live(),
                 jitter_seed: self.jitter_seed,
+                memo: None,
             };
             self.core.handle(input, &mut env, actions);
             let (mut next, mut tail) = (start, None);

@@ -38,19 +38,22 @@ pub enum TunerState {
     Tuned(ChannelId),
 }
 
-/// One DTV receiver.
+/// One DTV receiver. Laid out in field order with the tuner last, so a
+/// record that puts its hot fields next (the simulator's node record
+/// does) reads the power state on the same cache line.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[repr(C)]
 pub struct SetTopBox {
     /// Stable device identity (doubles as the PNA's node id).
     pub id: NodeId,
     /// Hardware inventory.
     pub hardware: StbHardware,
-    /// Tuner state.
-    pub tuner: TunerState,
     /// In-use vs standby (affects compute speed by the 1.65 factor).
     pub usage: UsageMode,
     /// The middleware application manager.
     pub apps: ApplicationManager,
+    /// Tuner state.
+    pub tuner: TunerState,
 }
 
 impl SetTopBox {

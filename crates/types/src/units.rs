@@ -59,12 +59,6 @@ impl DataSize {
         self.0.div_ceil(8)
     }
 
-    /// Size as fractional megabytes (MiB).
-    #[inline]
-    pub fn as_megabytes_f64(self) -> f64 {
-        self.0 as f64 / (8.0 * 1024.0 * 1024.0)
-    }
-
     /// Time to transfer this much data over `bw`, rounded to the microsecond.
     ///
     /// This is the fundamental `size / rate` operation used everywhere in
