@@ -34,12 +34,10 @@
 
 pub mod efficiency;
 pub mod makespan;
-pub mod planning;
 pub mod requirements;
 pub mod wakeup;
 
 pub use efficiency::{efficiency, efficiency_curve, EfficiencyPoint};
 pub use makespan::{makespan, makespan_integer_rounds, InstanceParams};
-pub use planning::{image_budget, makespan_floor, nodes_for_deadline, nodes_for_ratio};
 pub use requirements::{Requirement, Technology, TABLE1};
 pub use wakeup::{wakeup_envelope, wakeup_mean};

@@ -21,12 +21,6 @@ pub fn wakeup_envelope(
     (cycle, cycle.mul_f64(1.5), cycle * 2)
 }
 
-/// The image size transmissible within `deadline` at mean overhead — the
-/// inverse model ("how big an image still wakes up in a minute?").
-pub fn max_image_for_deadline(deadline: SimDuration, beta: Bandwidth) -> DataSize {
-    DataSize::from_bits((beta.bps() * deadline.as_secs_f64() / 1.5).floor() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,15 +52,5 @@ mod tests {
         let w1 = wakeup_mean(img, Bandwidth::from_mbps(1.0));
         let w4 = wakeup_mean(img, Bandwidth::from_mbps(4.0));
         assert!((w1.as_secs_f64() / w4.as_secs_f64() - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn inverse_model_round_trips() {
-        let beta = Bandwidth::from_mbps(1.0);
-        let img = max_image_for_deadline(SimDuration::from_secs(60), beta);
-        let w = wakeup_mean(img, beta);
-        assert!(w <= SimDuration::from_secs(60));
-        // Nearly tight: within one bit-time of the deadline.
-        assert!(w.as_secs_f64() > 59.999);
     }
 }

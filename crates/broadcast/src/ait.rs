@@ -59,24 +59,6 @@ impl Ait {
     pub fn entry(&self, app_id: u32) -> Option<&AitEntry> {
         self.entries.iter().find(|e| e.app_id == app_id)
     }
-
-    /// All applications flagged AUTOSTART — what a freshly tuned receiver
-    /// must launch.
-    pub fn autostart_entries(&self) -> impl Iterator<Item = &AitEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.control_code == AppControlCode::Autostart)
-    }
-
-    /// True if the table signals `Kill` or `Destroy` for `app_id`.
-    pub fn is_terminated(&self, app_id: u32) -> bool {
-        self.entry(app_id).is_some_and(|e| {
-            matches!(
-                e.control_code,
-                AppControlCode::Kill | AppControlCode::Destroy
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -104,37 +86,10 @@ mod tests {
     }
 
     #[test]
-    fn autostart_filtering() {
-        let mut ait = Ait::new();
-        ait.publish(vec![
-            pna_entry(AppControlCode::Autostart),
-            AitEntry {
-                app_id: 0x2002,
-                name: "epg".into(),
-                base_file: "epg.xlet".into(),
-                control_code: AppControlCode::Present,
-            },
-        ]);
-        let auto: Vec<_> = ait.autostart_entries().collect();
-        assert_eq!(auto.len(), 1);
-        assert_eq!(auto[0].app_id, 0x1001);
-    }
-
-    #[test]
     fn entry_lookup() {
         let mut ait = Ait::new();
         ait.publish(vec![pna_entry(AppControlCode::Autostart)]);
         assert!(ait.entry(0x1001).is_some());
         assert!(ait.entry(0xdead).is_none());
-    }
-
-    #[test]
-    fn termination_signalling() {
-        let mut ait = Ait::new();
-        ait.publish(vec![pna_entry(AppControlCode::Kill)]);
-        assert!(ait.is_terminated(0x1001));
-        ait.publish(vec![pna_entry(AppControlCode::Autostart)]);
-        assert!(!ait.is_terminated(0x1001));
-        assert!(!ait.is_terminated(0x9999)); // absent app is not terminated
     }
 }

@@ -108,15 +108,6 @@ impl RaceDetector {
         self.tick(child);
     }
 
-    /// `parent` observes everything `child` did (thread join).
-    pub fn join_thread(&mut self, parent: usize, child: usize) {
-        self.tick(child);
-        let cc = self.clock(child);
-        let pc = self.threads.entry(parent).or_default();
-        join(pc, &cc);
-        self.tick(parent);
-    }
-
     /// Thread `t` acquires sync object `sync` — joins the clock the last
     /// releaser published.
     pub fn acquire(&mut self, t: usize, sync: &str) {

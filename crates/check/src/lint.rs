@@ -1,8 +1,8 @@
 //! Dependency-free workspace linter (line/token scan, no parser).
 //!
-//! Seven rules over `crates/**/*.rs` (the `check` crate itself is exempt —
-//! it implements the shim and the scheduler, so it legitimately touches
-//! raw primitives):
+//! Eight rules over `crates/**/*.rs` (the `check` crate itself is exempt
+//! from the first seven — it implements the shim and the scheduler, so it
+//! legitimately touches raw primitives):
 //!
 //! * **raw-lock** — no `std::sync::Mutex` / `RwLock` / `Condvar` /
 //!   `mpsc` outside `oddci_check::sync`, which wraps exactly those std
@@ -40,6 +40,12 @@
 //!   `pna.rs` and the `oddci_core::node` core that drives it (non-test
 //!   code). Code that calls them elsewhere writes the node rules a second
 //!   time.
+//! * **unreached** — every `pub fn` of a library crate (any crate but
+//!   `cli` and `bench`, whose items are entry points) is named somewhere
+//!   besides its definition: in another file of `crates/`, `src/`,
+//!   `tests/`, `examples/` or `benchmark/src/`, or in a non-test line of
+//!   its own file. A function only its own unit tests call is surface
+//!   nobody uses.
 //!
 //! Suppress a finding with a trailing or preceding comment:
 //! `// oddci-check: allow(<rule>)` (applies to that line and the next).
@@ -56,7 +62,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct LintViolation {
     /// Rule id: `raw-lock`, `phase`, `message-enum`, `no-unwrap`,
-    /// `unsafe`, `ledger-home` or `node-home`.
+    /// `unsafe`, `ledger-home`, `node-home` or `unreached`.
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub file: String,
@@ -91,16 +97,18 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 
 /// Run every rule over the workspace rooted at `root`.
 pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
-    let files = rs_files(&root.join("crates"))?;
     let phase_vocab = parse_phase_vocabulary(root)?;
-    let mut sources = Vec::new();
-    for path in &files {
-        let src = Source::load(root, path)?;
-        // The check crate implements the shim/scheduler/linter itself.
-        if !src.rel.starts_with("crates/check/") {
-            sources.push(src);
+    let mut workspace = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        for path in rs_files(&root.join(dir))? {
+            workspace.push(Source::load(root, &path)?);
         }
     }
+    // The check crate implements the shim/scheduler/linter itself.
+    let sources: Vec<&Source> = workspace
+        .iter()
+        .filter(|s| s.rel.starts_with("crates/") && !s.rel.starts_with("crates/check/"))
+        .collect();
 
     let mut out = Vec::new();
     for src in &sources {
@@ -114,11 +122,15 @@ pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
     check_message_enums(&sources, &mut out);
     // The root package sits outside `crates/`; only the unsafe rule
     // follows it there.
-    for dir in ["src", "tests", "examples"] {
-        for path in rs_files(&root.join(dir))? {
-            check_unsafe(&Source::load(root, &path)?, &mut out);
+    for src in &workspace {
+        if ["src/", "tests/", "examples/"]
+            .iter()
+            .any(|dir| src.rel.starts_with(dir))
+        {
+            check_unsafe(src, &mut out);
         }
     }
+    check_unreached(&workspace, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(out)
 }
@@ -470,7 +482,7 @@ fn check_phase(src: &Source, vocab: &PhaseVocab, out: &mut Vec<LintViolation>) {
 
 // --------------------------------------------------------- message-enum
 
-fn check_message_enums(sources: &[Source], out: &mut Vec<LintViolation>) {
+fn check_message_enums(sources: &[&Source], out: &mut Vec<LintViolation>) {
     // Collect `enum *Msg` variants declared in crates/live.
     let mut enums: Vec<(String, String, usize, Vec<String>)> = Vec::new(); // (file, name, line, variants)
     for src in sources {
@@ -696,6 +708,66 @@ fn check_node_home(src: &Source, out: &mut Vec<LintViolation>) {
     }
 }
 
+// ------------------------------------------------------------ unreached
+
+/// A library file: crate source outside `cli` and `bench`, whose public
+/// functions are entry points rather than surface for other code.
+fn library_file(rel: &str) -> bool {
+    rel.starts_with("crates/")
+        && rel.contains("/src/")
+        && !rel.starts_with("crates/cli/")
+        && !rel.starts_with("crates/bench/")
+}
+
+/// How often each identifier occurs in `text`.
+fn word_counts(text: &str) -> BTreeMap<&str, usize> {
+    let mut out = BTreeMap::new();
+    for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+        if !word.is_empty() {
+            *out.entry(word).or_insert(0) += 1;
+        }
+    }
+    out
+}
+
+fn check_unreached(workspace: &[Source], out: &mut Vec<LintViolation>) {
+    let words: Vec<BTreeMap<&str, usize>> =
+        workspace.iter().map(|s| word_counts(&s.scrubbed)).collect();
+    for (i, src) in workspace.iter().enumerate() {
+        if !library_file(&src.rel) {
+            continue;
+        }
+        let non_test = &src.scrubbed[..src.raw.find("#[cfg(test)]").unwrap_or(src.raw.len())];
+        let here = word_counts(non_test);
+        for needle in ["pub fn ", "pub const fn "] {
+            for pos in find_tokens(non_test, needle) {
+                let name: String = non_test[pos + needle.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                let line = line_of(non_test, pos);
+                // The definition itself is one of this file's mentions.
+                let reached = here.get(name.as_str()).is_some_and(|&n| n > 1)
+                    || words
+                        .iter()
+                        .enumerate()
+                        .any(|(j, w)| j != i && w.contains_key(name.as_str()));
+                if name.is_empty() || reached || src.is_allowed("unreached", line) {
+                    continue;
+                }
+                out.push(LintViolation {
+                    rule: "unreached",
+                    file: src.rel.clone(),
+                    line,
+                    message: format!(
+                        "`pub fn {name}` is named by no other workspace or benchmark file and by no non-test line of its own — delete it"
+                    ),
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,6 +859,28 @@ mod tests {
         assert_eq!(per_file("crates/core/src/world/mod.rs"), 4, "{out:?}");
         assert_eq!(per_file("crates/live/src/runtime.rs"), 8, "{out:?}");
         assert!(out.iter().all(|v| v.rule == "node-home"));
+    }
+
+    #[test]
+    fn uncalled_library_functions_are_unreached() {
+        let lib = source(
+            "crates/demo/src/lib.rs",
+            "pub fn by_a_bin() {}\npub fn by_itself() {}\npub fn by_a_test() {}\n\
+             pub fn by_the_bench() {}\npub fn in_prose() {}\n\
+             // oddci-check: allow(unreached)\npub const fn allowed() {}\n\
+             fn f() { by_itself() }\n#[cfg(test)]\nmod tests {\n    fn t() { super::in_prose(); }\n}\n",
+        );
+        let bin = source(
+            "crates/cli/src/main.rs",
+            "pub fn entry() {}\nfn main() { demo::by_a_bin(); } // in_prose()\n",
+        );
+        let test = source("tests/demo.rs", "#[test]\nfn t() { demo::by_a_test(); }\n");
+        let bench = source("benchmark/src/sut.rs", "pub use demo::by_the_bench;\n");
+        let mut out = Vec::new();
+        check_unreached(&[lib, bin, test, bench], &mut out);
+        let found: Vec<(&str, usize)> = out.iter().map(|v| (v.file.as_str(), v.line)).collect();
+        assert_eq!(found, [("crates/demo/src/lib.rs", 5)], "{out:?}");
+        assert!(out[0].message.contains("in_prose"));
     }
 
     #[test]

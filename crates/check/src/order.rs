@@ -225,19 +225,6 @@ pub fn check_channel_send() {
     });
 }
 
-/// True when the current thread holds the named lock (diagnostic hook for
-/// call sites that want to assert the documented discipline directly).
-pub fn current_thread_holds(name: &str) -> bool {
-    if !crate::enabled() {
-        return false;
-    }
-    let held: Vec<u64> = HELD.with(|h| h.borrow().clone());
-    with_graph(|g| {
-        held.iter()
-            .any(|id| g.names.get(id).map(String::as_str) == Some(name))
-    })
-}
-
 /// Drain every violation recorded so far (tests assert on this; the CLI
 /// prints them).
 pub fn take_violations() -> Vec<Violation> {
@@ -295,10 +282,8 @@ mod tests {
         let (tx, _rx) = crate::sync::unbounded::<u8>();
         {
             let _g = hub.lock();
-            assert!(current_thread_holds("test.hub"));
             let _ = tx.send(1);
         }
-        assert!(!current_thread_holds("test.hub"));
         let _ = tx.send(2);
         let v = take_violations();
         assert_eq!(v.len(), 1, "{v:?}");

@@ -4,6 +4,7 @@
 use crate::args::{ArgError, Parsed};
 use crate::socket::{conn_json, CONNECT, CONNECT_TIMEOUT};
 use crate::Report;
+use oddci_live::runtime::DEFAULT_KEY;
 use oddci_telemetry::RegistrySnapshot;
 use oddci_wire::{ClientConfig, ConnTraffic, Integrity, WireClient, WireMsg};
 use std::fmt::Write;
@@ -106,7 +107,7 @@ fn top(p: &Parsed) -> Result<String, ArgError> {
     let addr = p.addr(&CONNECT)?;
     let count: u64 = p.num(&COUNT)?; // 0 = poll until the headend goes away
     let interval = Duration::from_millis(p.positive(&INTERVAL_MS)?);
-    let mut ccfg = ClientConfig::new(Integrity::hmac(b"live-oddci-key"));
+    let mut ccfg = ClientConfig::new(Integrity::hmac(DEFAULT_KEY));
     ccfg.connect_timeout = Duration::from_secs(p.num(&CONNECT_TIMEOUT)?);
     let client =
         WireClient::connect(addr, ccfg).map_err(|e| ArgError(format!("top on {addr}: {e}")))?;

@@ -255,16 +255,6 @@ impl Backend {
         self.jobs.get(&job).map_or(0, |s| s.completed.len() as u64)
     }
 
-    /// Pending (unassigned) task count.
-    pub fn pending_count(&self, job: JobId) -> u64 {
-        self.jobs.get(&job).map_or(0, |s| s.pending.len() as u64)
-    }
-
-    /// In-flight (assigned, not yet completed) task count.
-    pub fn assigned_count(&self, job: JobId) -> u64 {
-        self.jobs.get(&job).map_or(0, |s| s.assigned.len() as u64)
-    }
-
     /// Pending (unassigned) tasks summed over every open job: the
     /// Backend queue depth, without collecting [`open_jobs`](Self::open_jobs).
     pub fn pending_total(&self) -> u64 {
@@ -381,6 +371,17 @@ mod tests {
         Ok(b.fetch_batch(job, NodeId::new(node), 1)?.pop())
     }
 
+    /// `job`'s pending and in-flight task counts, read off its export.
+    fn queued(b: &Backend, job: JobId) -> (usize, usize) {
+        let state = b.export_state(SimTime::ZERO);
+        let j = state
+            .jobs
+            .iter()
+            .find(|e| e.job.id == job)
+            .expect("registered");
+        (j.pending.len(), j.assigned.len())
+    }
+
     fn job(n: u64) -> Job {
         let tasks = (0..n)
             .map(|i| {
@@ -446,10 +447,10 @@ mod tests {
         b.register_job(job(1), SimTime::ZERO);
         let j = JobId::new(1);
         fetch_one(&mut b, j, 10).unwrap();
-        assert_eq!(b.pending_count(j), 0);
+        assert_eq!(queued(&b, j).0, 0);
         let affected = b.node_lost(NodeId::new(10));
         assert_eq!(affected, vec![j]);
-        assert_eq!(b.pending_count(j), 1);
+        assert_eq!(queued(&b, j).0, 1);
         assert_eq!(b.requeue_count(j), 1);
         // Another node picks the re-queued task up and finishes the job.
         let t = fetch_one(&mut b, j, 11).unwrap().unwrap();
@@ -471,7 +472,7 @@ mod tests {
         assert!(b
             .complete_task(j, TaskId::new(0), NodeId::new(10), SimTime::from_secs(99))
             .unwrap());
-        assert_eq!(b.pending_count(j), 0);
+        assert_eq!(queued(&b, j).0, 0);
         assert_eq!(fetch_one(&mut b, j, 11).unwrap(), None);
     }
 
@@ -538,7 +539,7 @@ mod tests {
             batch.iter().map(|t| t.id).collect::<Vec<_>>(),
             vec![TaskId::new(0), TaskId::new(1), TaskId::new(2)]
         );
-        assert_eq!(b.assigned_count(j), 3);
+        assert_eq!(queued(&b, j).1, 3);
         // The remainder is a short batch; a further fetch drains.
         assert_eq!(b.fetch_batch(j, NodeId::new(11), 3).unwrap().len(), 2);
         assert!(b.fetch_batch(j, NodeId::new(12), 3).unwrap().is_empty());
@@ -558,7 +559,7 @@ mod tests {
         assert_eq!(b.node_lost(NodeId::new(10)), vec![j]);
         // The two unfinished tasks of the batch went back, the completed
         // one did not; nothing is orphaned.
-        assert_eq!(b.pending_count(j), 3);
+        assert_eq!(queued(&b, j).0, 3);
         assert_eq!(b.requeue_count(j), 2);
         assert_eq!(b.unaccounted_tasks(j), 0);
         // Another node finishes the job.
@@ -620,8 +621,8 @@ mod tests {
         adopted.import_state(state.clone(), now);
         assert_eq!(adopted.export_state(now), state);
         assert_eq!(adopted.completed_count(j), 1);
-        assert_eq!(adopted.assigned_count(j), 1);
-        assert_eq!(adopted.pending_count(j), 2);
+        assert_eq!(queued(&adopted, j).1, 1);
+        assert_eq!(queued(&adopted, j).0, 2);
         assert_eq!(adopted.requeue_count(j), 1);
         assert_eq!(adopted.unaccounted_tasks(j), 0);
 

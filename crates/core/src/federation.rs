@@ -62,11 +62,6 @@ impl Federation {
         Federation { channels }
     }
 
-    /// Number of federated channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Total audience across channels.
     pub fn total_audience(&self) -> u64 {
         self.channels
@@ -186,13 +181,13 @@ mod tests {
     #[test]
     fn federation_splits_and_completes() {
         let mut fed = Federation::new(vec![cfg(200), cfg(400)], 7);
-        assert_eq!(fed.channel_count(), 2);
         assert_eq!(fed.total_audience(), 600);
         fed.submit_job(job(300), 120);
         let report = fed
             .run(SimTime::from_secs(14 * 24 * 3600))
             .expect("completes");
         assert_eq!(report.tasks_completed, 300);
+        assert_eq!(report.per_channel.len(), 2);
         // Proportional split: 100 / 200.
         assert_eq!(report.per_channel[0].0, 100);
         assert_eq!(report.per_channel[1].0, 200);

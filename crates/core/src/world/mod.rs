@@ -325,11 +325,6 @@ impl World {
         &self.nodes[id.index()]
     }
 
-    /// Number of nodes currently powered on.
-    pub fn powered_on(&self) -> u64 {
-        self.nodes.iter().filter(|n| n.is_on()).count() as u64
-    }
-
     /// Number of nodes whose DVE is currently running `inst`'s image.
     pub fn running_members(&self, inst: InstanceId) -> u64 {
         self.nodes
@@ -1048,11 +1043,6 @@ impl OddciSim {
     /// The world.
     pub fn world(&self) -> &World {
         self.sim.model()
-    }
-
-    /// Mutable world access (tests and harnesses).
-    pub fn world_mut(&mut self) -> &mut World {
-        self.sim.model_mut()
     }
 
     /// Final report of a request, if complete.

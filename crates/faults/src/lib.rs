@@ -592,8 +592,8 @@ impl FaultInjector {
 // ---------------------------------------------------------------------
 
 /// Bounded exponential backoff with deterministic jitter, shared by the
-/// simulated world ([`SimDuration`] delays) and the live runtime
-/// ([`std::time::Duration`] via [`Backoff::delay_std`]).
+/// simulated world and the live runtime (both retry through the node
+/// core's [`SimDuration`] timers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Backoff {
     /// First retry delay, microseconds.
@@ -657,12 +657,6 @@ impl Backoff {
     pub fn delay(&self, attempt: u32, jitter_seed: u64) -> Option<SimDuration> {
         self.delay_micros(attempt, jitter_seed)
             .map(SimDuration::from_micros)
-    }
-
-    /// [`delay_micros`](Self::delay_micros) as a wall-clock duration.
-    pub fn delay_std(&self, attempt: u32, jitter_seed: u64) -> Option<std::time::Duration> {
-        self.delay_micros(attempt, jitter_seed)
-            .map(std::time::Duration::from_micros)
     }
 }
 

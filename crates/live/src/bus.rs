@@ -61,11 +61,6 @@ impl<T: Clone> BroadcastBus<T> {
         });
         subs.len()
     }
-
-    /// Current subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,6 @@ mod tests {
         let b = bus.subscribe();
         drop(b);
         assert_eq!(bus.publish(&7), 1);
-        assert_eq!(bus.subscriber_count(), 1);
         assert_eq!(a.try_recv(), Ok(7));
     }
 

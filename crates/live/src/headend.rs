@@ -510,20 +510,6 @@ impl Headend {
         Ok(())
     }
 
-    /// Re-applies `NodeLost` events recorded after a snapshot was cut:
-    /// the crashed primary may have detected losses (re-queuing their
-    /// assignments) that the snapshot predates. Replaying them means the
-    /// standby re-queues immediately instead of waiting out its own
-    /// miss-threshold window. Returns how many losses were applied.
-    pub(crate) fn replay_node_losses(&self, nodes: &[NodeId]) -> u64 {
-        let mut hub = self.hub.lock();
-        let mut applied = 0u64;
-        for &node in nodes {
-            applied += u64::from(!hub.ledger.node_lost(node).is_empty());
-        }
-        applied
-    }
-
     /// Wall-clock runtime instant, in microseconds on this headend's
     /// clock (a standby's clock starts at adoption, not at the primary's
     /// boot — snapshot import rebases ages accordingly).

@@ -183,12 +183,20 @@ pub struct LiveConfig {
     pub autoscale_interval: Duration,
 }
 
+/// The key of a headend or a PNA built from defaults: it keys every
+/// frame's HMAC and every control message's signature, so the two sides
+/// must share it exactly.
+pub const DEFAULT_KEY: &[u8] = b"live-oddci-key";
+
+/// The heartbeat cadence of a headend or a PNA built from defaults.
+pub const DEFAULT_HEARTBEAT: Duration = Duration::from_millis(150);
+
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
             nodes: 4,
-            key: b"live-oddci-key".to_vec(),
-            heartbeat_interval: Duration::from_millis(150),
+            key: DEFAULT_KEY.to_vec(),
+            heartbeat_interval: DEFAULT_HEARTBEAT,
             controller_tick: Duration::from_millis(200),
             seed: 42,
             faults: FaultPlan::none(),
@@ -719,37 +727,6 @@ impl LiveOddci {
         let shared = self.autoscale.as_ref()?;
         let now = SimTime::from_micros(self.headend.now_us());
         Some(shared.lock().export(now))
-    }
-
-    /// Re-applies `NodeLost` instants recorded after `since_us` (a
-    /// snapshot's `taken_at_us`) from a recovered trace-event suffix: the
-    /// dead primary may have re-queued a lost node's assignments *after*
-    /// the snapshot was cut, and replaying those losses lets the standby
-    /// re-queue immediately instead of waiting out its own miss-threshold
-    /// window. Returns how many losses changed the ledger.
-    pub fn replay_trace(&self, events: &[oddci_telemetry::Event], since_us: u64) -> u64 {
-        let sh = &self.headend;
-        let begin = sh.now_us();
-        let mut nodes: Vec<NodeId> = events
-            .iter()
-            .filter(|e| {
-                e.phase == Phase::NodeLost
-                    && e.kind == oddci_telemetry::EventKind::Instant
-                    && e.ts_us > since_us
-            })
-            .map(|e| NodeId::new(e.track))
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let applied = sh.replay_node_losses(&nodes);
-        self.config.telemetry.span(
-            begin,
-            sh.now_us(),
-            Phase::HeadendReplay,
-            CONTROL_TRACK,
-            applied,
-        );
-        applied
     }
 
     /// Kills a socket headend the way SIGKILL would: the listener and its

@@ -26,7 +26,9 @@
 use crate::bus::BroadcastBus;
 use crate::headend::Headend;
 use crate::image::{AlignmentImage, LiveBroadcast, WakeupImage};
-use crate::runtime::{node_main, Abandoned, BusMsg, NodeLink, TaskBatchReply};
+use crate::runtime::{
+    node_main, Abandoned, BusMsg, NodeLink, TaskBatchReply, DEFAULT_HEARTBEAT, DEFAULT_KEY,
+};
 use oddci_check::sync::{Mutex, Receiver, RecvTimeoutError};
 use oddci_core::messages::{Heartbeat, HeartbeatReply};
 use oddci_faults::{FaultInjector, FaultPlan};
@@ -626,8 +628,8 @@ impl WirePnaConfig {
     pub fn new(addr: SocketAddr) -> WirePnaConfig {
         WirePnaConfig {
             addr,
-            key: b"live-oddci-key".to_vec(),
-            heartbeat_interval: Duration::from_millis(150),
+            key: DEFAULT_KEY.to_vec(),
+            heartbeat_interval: DEFAULT_HEARTBEAT,
             seed: 42,
             faults: FaultPlan::none(),
             telemetry: Telemetry::disabled(),
@@ -904,7 +906,7 @@ mod tests {
         use oddci_core::messages::{ControlMessage, SignedMessage, WakeupMessage};
         use oddci_types::{DataSize, ImageId, MessageId, Probability};
 
-        let key = b"live-oddci-key";
+        let key = DEFAULT_KEY;
         let auth = oddci_crypto::MessageAuthenticator::from_key(key);
         let wakeup = |n: u64, image: Vec<u8>| WireMsg::Broadcast {
             signed: SignedMessage::sign(
@@ -1012,7 +1014,7 @@ mod tests {
 
     #[test]
     fn a_request_takes_only_its_own_reply() {
-        let key: &[u8] = b"live-oddci-key";
+        let key = DEFAULT_KEY;
         let scfg = oddci_wire::ServerConfig::new(Integrity::hmac(key));
         let mut server =
             oddci_wire::WireServer::bind("127.0.0.1:0".parse().expect("addr"), scfg, LateReplies)

@@ -9,7 +9,7 @@
 
 use oddci_faults::{FaultClass, FaultCounters, FaultInjector};
 use oddci_telemetry::{Phase, Telemetry};
-use oddci_types::{Bandwidth, DataSize, DirectChannelConfig, NodeId, SimDuration, SimTime};
+use oddci_types::{Bandwidth, DataSize, DirectChannelConfig, NodeId, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -179,20 +179,6 @@ impl DirectLink {
         Some(done)
     }
 
-    /// Completion time of a loss-free transfer starting exactly at `now` on
-    /// an idle link — the closed-form the analytical model uses.
-    pub fn ideal_transfer_time(&self, size: DataSize) -> SimDuration {
-        self.config.latency + size.transfer_time(self.config.delta)
-    }
-
-    /// When the given direction becomes free.
-    pub fn busy_until(&self, dir: Direction) -> SimTime {
-        match dir {
-            Direction::Up => self.busy_until_up,
-            Direction::Down => self.busy_until_down,
-        }
-    }
-
     /// Clears queued work (node power-off: in-flight transfers are lost).
     pub fn reset(&mut self, now: SimTime) {
         self.busy_until_up = now;
@@ -203,6 +189,7 @@ impl DirectLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oddci_types::SimDuration;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -290,7 +277,9 @@ mod tests {
             total_lossy += (done - t0).as_secs_f64();
         }
         let mean_lossy = total_lossy / n as f64;
-        let ideal = lossless().ideal_transfer_time(size).as_secs_f64();
+        let ideal = lossless()
+            .transfer(SimTime::ZERO, size, Direction::Up, &mut rng)
+            .as_secs_f64();
         // E[attempts] = 1/(1-0.5) = 2; plus timeout overhead -> clearly >1.5x.
         assert!(mean_lossy > ideal * 1.5, "mean={mean_lossy} ideal={ideal}");
         assert!(lossy.retransmissions > 0);
@@ -325,9 +314,14 @@ mod tests {
             Direction::Up,
             &mut rng,
         );
-        assert!(link.busy_until(Direction::Up) > SimTime::from_secs(10));
-        link.reset(SimTime::from_secs(1));
-        assert_eq!(link.busy_until(Direction::Up), SimTime::from_secs(1));
+        // A reset link serves the next transfer as an idle one would.
+        let t = SimTime::from_secs(1);
+        link.reset(t);
+        let size = DataSize::from_bytes(100);
+        assert_eq!(
+            link.transfer(t, size, Direction::Up, &mut rng),
+            lossless().transfer(t, size, Direction::Up, &mut rng)
+        );
     }
 
     #[test]
@@ -356,8 +350,8 @@ mod tests {
         assert_eq!(out, None);
         assert_eq!(counters.direct_losses, 1);
         assert_eq!(
-            link.busy_until(Direction::Up),
-            SimTime::ZERO,
+            link.transfer(SimTime::ZERO, size, Direction::Up, &mut rng),
+            lossless().transfer(SimTime::ZERO, size, Direction::Up, &mut rng),
             "dropped in the network"
         );
 
@@ -367,7 +361,7 @@ mod tests {
             1,
         );
         let mut link = lossless();
-        let nominal = link.ideal_transfer_time(size);
+        let nominal = lossless().transfer(SimTime::ZERO, size, Direction::Up, &mut rng);
         let done = link
             .transfer_faulted(
                 SimTime::ZERO,

@@ -114,27 +114,10 @@ impl ComputeModel {
         time.mul_f64(f)
     }
 
-    /// Like [`from_pc_time`](Self::from_pc_time) but with multiplicative
-    /// jitter drawn from `rng` (uniform in `1 ± jitter_cv·√3`, which has the
-    /// requested coefficient of variation).
-    pub fn sample_from_pc_time<R: Rng + ?Sized>(
-        &self,
-        pc_time: SimDuration,
-        class: DeviceClass,
-        mode: UsageMode,
-        rng: &mut R,
-    ) -> SimDuration {
-        let base = self.from_pc_time(pc_time, class, mode);
-        if self.jitter_cv == 0.0 {
-            return base;
-        }
-        let half_width = self.jitter_cv * 3f64.sqrt();
-        let m = 1.0 + rng.random_range(-half_width..half_width);
-        base.mul_f64(m.max(0.05))
-    }
-
-    /// Like [`from_reference_stb`](Self::from_reference_stb) but with the
-    /// model's multiplicative jitter drawn from `rng`.
+    /// Like [`from_reference_stb`](Self::from_reference_stb) but with
+    /// multiplicative jitter drawn from `rng` (uniform in
+    /// `1 ± jitter_cv·√3`, which has the requested coefficient of
+    /// variation).
     pub fn sample_from_reference_stb<R: Rng + ?Sized>(
         &self,
         stb_time: SimDuration,
@@ -250,33 +233,24 @@ mod tests {
     fn jitter_is_centered_and_bounded() {
         let m = ComputeModel::paper_with_jitter(0.1);
         let mut rng = SmallRng::seed_from_u64(1);
-        let pc = SimDuration::from_secs(1);
+        let stb = SimDuration::from_secs(20);
         let n = 20_000;
         let sum: f64 = (0..n)
             .map(|_| {
-                m.sample_from_pc_time(pc, DeviceClass::SetTopBox, UsageMode::InUse, &mut rng)
+                m.sample_from_reference_stb(stb, UsageMode::Standby, &mut rng)
                     .as_secs_f64()
             })
             .sum();
         let mean = sum / n as f64;
-        assert!((mean - 20.6).abs() < 0.2, "mean={mean}");
+        assert!((mean - 20.0).abs() < 0.2, "mean={mean}");
     }
 
     #[test]
     fn zero_jitter_is_deterministic() {
         let m = ComputeModel::paper();
         let mut rng = SmallRng::seed_from_u64(1);
-        let a = m.sample_from_pc_time(
-            SimDuration::from_secs(2),
-            DeviceClass::SetTopBox,
-            UsageMode::Standby,
-            &mut rng,
-        );
-        let b = m.from_pc_time(
-            SimDuration::from_secs(2),
-            DeviceClass::SetTopBox,
-            UsageMode::Standby,
-        );
+        let a = m.sample_from_reference_stb(SimDuration::from_secs(2), UsageMode::InUse, &mut rng);
+        let b = m.from_reference_stb(SimDuration::from_secs(2), UsageMode::InUse);
         assert_eq!(a, b);
     }
 

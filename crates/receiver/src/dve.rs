@@ -87,11 +87,6 @@ impl Dve {
     pub fn destroy(&mut self) {
         self.state = DveState::Destroyed;
     }
-
-    /// True while the DVE can accept work.
-    pub fn is_running(&self) -> bool {
-        self.state == DveState::Running
-    }
 }
 
 #[cfg(test)]
@@ -110,9 +105,9 @@ mod tests {
     fn lifecycle() {
         let mut d = dve();
         assert_eq!(d.state(), DveState::Loading);
-        assert!(!d.is_running());
+        assert_ne!(d.state(), DveState::Running);
         d.image_loaded().unwrap();
-        assert!(d.is_running());
+        assert_eq!(d.state(), DveState::Running);
         d.task_done().unwrap();
         d.task_done().unwrap();
         assert_eq!(d.tasks_completed, 2);

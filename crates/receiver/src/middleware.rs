@@ -98,11 +98,6 @@ impl Xlet {
             }
         }
     }
-
-    /// True when the Xlet is actively executing.
-    pub fn is_running(&self) -> bool {
-        self.state == XletState::Started
-    }
 }
 
 fn invalid(operation: &'static str, state: XletState) -> OddciError {
@@ -171,16 +166,6 @@ impl ApplicationManager {
         self.xlets.get(&app_id)
     }
 
-    /// Mutable access (the PNA drives its own Xlet through this).
-    pub fn xlet_mut(&mut self, app_id: u32) -> Option<&mut Xlet> {
-        self.xlets.get_mut(&app_id)
-    }
-
-    /// Number of Xlets currently in the *Started* state.
-    pub fn running_count(&self) -> usize {
-        self.xlets.values().filter(|x| x.is_running()).count()
-    }
-
     /// Destroys every Xlet — what happens when the receiver powers off.
     pub fn power_off(&mut self) {
         for x in self.xlets.values_mut() {
@@ -243,10 +228,10 @@ mod tests {
         let mut am = ApplicationManager::new();
         let ait = autostart_ait(1);
         assert_eq!(am.apply_ait(&ait), vec![7]);
-        assert_eq!(am.running_count(), 1);
+        assert_eq!(am.xlet(7).unwrap().state(), XletState::Started);
         // Same version seen again on the next carousel pass: no-op.
         assert!(am.apply_ait(&ait).is_empty());
-        assert_eq!(am.running_count(), 1);
+        assert_eq!(am.xlet(7).unwrap().state(), XletState::Started);
     }
 
     #[test]
@@ -255,11 +240,11 @@ mod tests {
         am.apply_ait(&autostart_ait(1));
         // Version 2 with the same AUTOSTART entry: already running, no restart.
         assert!(am.apply_ait(&autostart_ait(2)).is_empty());
-        assert_eq!(am.running_count(), 1);
+        assert_eq!(am.xlet(7).unwrap().state(), XletState::Started);
     }
 
     #[test]
-    fn kill_signal_destroys() {
+    fn kill_signal_destroys_until_a_later_autostart() {
         let mut am = ApplicationManager::new();
         am.apply_ait(&autostart_ait(1));
         let mut ait = autostart_ait(1);
@@ -270,18 +255,10 @@ mod tests {
             control_code: AppControlCode::Kill,
         }]);
         am.apply_ait(&ait);
-        assert_eq!(am.running_count(), 0);
         assert_eq!(am.xlet(7).unwrap().state(), XletState::Destroyed);
-    }
-
-    #[test]
-    fn destroyed_xlet_is_relaunched_by_later_autostart() {
-        let mut am = ApplicationManager::new();
-        am.apply_ait(&autostart_ait(1));
-        am.xlet_mut(7).unwrap().destroy().unwrap();
         // A NEW AIT version re-triggers the trigger application.
-        assert_eq!(am.apply_ait(&autostart_ait(2)), vec![7]);
-        assert_eq!(am.running_count(), 1);
+        assert_eq!(am.apply_ait(&autostart_ait(3)), vec![7]);
+        assert_eq!(am.xlet(7).unwrap().state(), XletState::Started);
     }
 
     #[test]
@@ -289,7 +266,6 @@ mod tests {
         let mut am = ApplicationManager::new();
         am.apply_ait(&autostart_ait(1));
         am.power_off();
-        assert_eq!(am.running_count(), 0);
         assert!(am.xlet(7).is_none());
         // After power-on the same AIT version autostart fires again.
         assert_eq!(am.apply_ait(&autostart_ait(1)), vec![7]);

@@ -5,9 +5,9 @@
 //! middleware application manager into one receiver. The OddCI PNA runs
 //! *on* this device; this module knows nothing about OddCI semantics.
 
-use crate::compute::{ComputeModel, DeviceClass, UsageMode};
+use crate::compute::UsageMode;
 use crate::middleware::ApplicationManager;
-use oddci_types::{ChannelId, DataSize, NodeId, SimDuration};
+use oddci_types::{ChannelId, DataSize, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Fixed hardware characteristics of a receiver.
@@ -80,27 +80,9 @@ impl SetTopBox {
         self.apps.power_off();
     }
 
-    /// True when powered and tuned to `channel`.
-    pub fn is_tuned_to(&self, channel: ChannelId) -> bool {
-        self.tuner == TunerState::Tuned(channel)
-    }
-
     /// True when powered on at all.
     pub fn is_on(&self) -> bool {
         !matches!(self.tuner, TunerState::Off)
-    }
-
-    /// Whether an image of `size` fits in memory next to the middleware
-    /// (we reserve half the RAM for middleware + OS, matching the tight
-    /// memory budget the paper's port had to live within).
-    pub fn fits_in_memory(&self, size: DataSize) -> bool {
-        size.bits() <= self.hardware.ram.bits() / 2
-    }
-
-    /// Execution time of a task with reference-PC cost `pc_time` on this
-    /// box in its current usage mode.
-    pub fn execution_time(&self, model: &ComputeModel, pc_time: SimDuration) -> SimDuration {
-        model.from_pc_time(pc_time, DeviceClass::SetTopBox, self.usage)
     }
 }
 
@@ -114,14 +96,14 @@ mod tests {
         assert!(!stb.is_on());
         stb.power_on(ChannelId::new(3), UsageMode::InUse);
         assert!(stb.is_on());
-        assert!(stb.is_tuned_to(ChannelId::new(3)));
-        assert!(!stb.is_tuned_to(ChannelId::new(4)));
+        assert_eq!(stb.tuner, TunerState::Tuned(ChannelId::new(3)));
         stb.power_off();
         assert!(!stb.is_on());
     }
 
     #[test]
     fn power_off_kills_apps() {
+        use crate::middleware::XletState;
         use oddci_broadcast::ait::{Ait, AitEntry, AppControlCode};
         let mut stb = SetTopBox::new(NodeId::new(1));
         stb.power_on(ChannelId::new(1), UsageMode::Standby);
@@ -133,28 +115,9 @@ mod tests {
             control_code: AppControlCode::Autostart,
         }]);
         stb.apps.apply_ait(&ait);
-        assert_eq!(stb.apps.running_count(), 1);
+        assert_eq!(stb.apps.xlet(1).unwrap().state(), XletState::Started);
         stb.power_off();
-        assert_eq!(stb.apps.running_count(), 0);
-    }
-
-    #[test]
-    fn memory_budget() {
-        let stb = SetTopBox::new(NodeId::new(1));
-        assert!(stb.fits_in_memory(DataSize::from_megabytes(100)));
-        assert!(stb.fits_in_memory(DataSize::from_megabytes(128)));
-        assert!(!stb.fits_in_memory(DataSize::from_megabytes(129)));
-    }
-
-    #[test]
-    fn execution_time_tracks_usage_mode() {
-        let model = ComputeModel::paper();
-        let mut stb = SetTopBox::new(NodeId::new(1));
-        stb.power_on(ChannelId::new(1), UsageMode::Standby);
-        let standby = stb.execution_time(&model, SimDuration::from_secs(1));
-        stb.usage = UsageMode::InUse;
-        let in_use = stb.execution_time(&model, SimDuration::from_secs(1));
-        assert!((in_use.as_secs_f64() / standby.as_secs_f64() - 1.65).abs() < 1e-6);
+        assert!(stb.apps.xlet(1).is_none());
     }
 
     #[test]

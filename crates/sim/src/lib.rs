@@ -53,13 +53,11 @@
 
 pub mod churn;
 pub mod queue;
-pub mod replication;
 pub mod rng;
 pub mod stats;
 
 pub use churn::{ChurnProcess, OnOffState};
 pub use queue::EventQueue;
-pub use replication::{replication_seeds, ReplicatedEstimate};
 pub use rng::SeedForge;
 pub use stats::{Histogram, Summary, Welford};
 
@@ -245,11 +243,6 @@ impl<M: Model> Simulator<M> {
     pub fn model_mut(&mut self) -> &mut M {
         &mut self.model
     }
-
-    /// Consumes the simulator and returns the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
 }
 
 #[cfg(test)]
@@ -379,7 +372,7 @@ mod tests {
                 sim.schedule_at(SimTime::from_secs(i), ());
             }
             sim.run();
-            sim.into_model().draws
+            sim.model().draws.clone()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

@@ -191,24 +191,6 @@ impl Histogram {
     pub fn stats(&self) -> &Welford {
         &self.stats
     }
-
-    /// Non-empty `(lower_edge, upper_edge, count)` triples.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let hi = self.unit * 2f64.powi(i as i32);
-                let lo = if i == 0 {
-                    0.0
-                } else {
-                    self.unit * 2f64.powi(i as i32 - 1)
-                };
-                (lo, hi, c)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -287,19 +269,6 @@ mod tests {
         // Everything is below the p100 edge.
         assert!(h.quantile(1.0).unwrap() >= 100.0);
         assert_eq!(h.quantile(0.0), Some(1.0)); // first sample's bucket edge
-    }
-
-    #[test]
-    fn histogram_nonzero_buckets() {
-        let mut h = Histogram::new(1.0);
-        h.add(0.1);
-        h.add(5.0);
-        let nz = h.nonzero_buckets();
-        assert_eq!(nz.len(), 2);
-        assert_eq!(nz[0].2, 1);
-        assert_eq!(nz[0].0, 0.0);
-        // 5.0 falls in [4, 8).
-        assert_eq!(nz[1], (4.0, 8.0, 1));
     }
 
     #[test]

@@ -38,6 +38,7 @@
 use crate::event::{Event, EventKind, Phase};
 use crate::export::{Output, TextFormat};
 use crate::sink::OutputSummary;
+use oddci_types::varint::{put_varint, put_zigzag, read_varint, read_zigzag, VarintError};
 use std::io;
 use std::path::Path;
 
@@ -49,31 +50,13 @@ pub const BINARY_VERSION: u16 = 1;
 
 // ------------------------------------------------------------- varints
 
-/// Append `v` as an LEB128 varint (7 bits per byte, high bit = more).
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-/// Append `v` zigzag-mapped (small magnitudes of either sign stay short).
-fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
-    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Byte cursor over a decoded file. Every accessor returns `None` at end
-/// of input so callers can distinguish truncation from corruption.
+/// Byte cursor over a decoded file. Every accessor fails at end of input
+/// instead of panicking; a varint also tells truncation from corruption.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -97,26 +80,16 @@ impl<'a> Cursor<'a> {
         Some(s)
     }
 
-    fn varint(&mut self) -> Option<u64> {
-        let mut v: u64 = 0;
-        for shift in (0..64).step_by(7) {
-            let byte = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-        }
-        None
+    fn varint(&mut self) -> Result<u64, VarintError> {
+        read_varint(self.bytes, &mut self.pos)
     }
 
-    fn zigzag(&mut self) -> Option<i64> {
-        let v = self.varint()?;
-        Some(((v >> 1) as i64) ^ -((v & 1) as i64))
+    fn zigzag(&mut self) -> Result<i64, VarintError> {
+        read_zigzag(self.bytes, &mut self.pos)
     }
 
     fn string(&mut self) -> Option<String> {
-        let len = self.varint()? as usize;
+        let len = self.varint().ok()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).ok()
     }
@@ -266,7 +239,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(BinaryHeader, usize), BinaryError>
     }
     let n_labels = c
         .varint()
-        .ok_or_else(|| BinaryError::Header("phase table count cut off".into()))?;
+        .map_err(|_| BinaryError::Header("phase table count cut off".into()))?;
     if n_labels > 64 {
         return Err(BinaryError::Header(format!(
             "phase table has {n_labels} entries, tag byte indexes at most 64"
@@ -281,7 +254,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(BinaryHeader, usize), BinaryError>
     }
     let n_meta = c
         .varint()
-        .ok_or_else(|| BinaryError::Header("meta count cut off".into()))?;
+        .map_err(|_| BinaryError::Header("meta count cut off".into()))?;
     let mut meta = Vec::with_capacity(n_meta.min(1024) as usize);
     for i in 0..n_meta {
         let k = c
@@ -294,7 +267,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<(BinaryHeader, usize), BinaryError>
     }
     let lanes = c
         .varint()
-        .ok_or_else(|| BinaryError::Header("lane count cut off".into()))?;
+        .map_err(|_| BinaryError::Header("lane count cut off".into()))?;
     Ok((
         BinaryHeader {
             version,
@@ -330,13 +303,22 @@ pub fn decode(bytes: &[u8]) -> Result<BinaryTrace, BinaryError> {
 
     while c.remaining() > 0 {
         let block_start = c.pos;
-        let (Some(lane), Some(count), Some(payload_len)) = (c.varint(), c.varint(), c.varint())
-        else {
-            truncated = Some(format!(
-                "file ends inside a block header ({} trailing byte(s) at offset {block_start})",
-                bytes.len() - block_start
-            ));
-            break;
+        let (lane, count, payload_len) = match (c.varint(), c.varint(), c.varint()) {
+            (Ok(lane), Ok(count), Ok(len)) => (lane, count, len),
+            (Err(VarintError::Malformed(why)), ..)
+            | (_, Err(VarintError::Malformed(why)), _)
+            | (.., Err(VarintError::Malformed(why))) => {
+                return Err(BinaryError::Corrupt(format!(
+                    "block header at offset {block_start}: {why}"
+                )));
+            }
+            _ => {
+                truncated = Some(format!(
+                    "file ends inside a block header ({} trailing byte(s) at offset {block_start})",
+                    bytes.len() - block_start
+                ));
+                break;
+            }
         };
         let Some(payload) = c.take(payload_len as usize) else {
             truncated = Some(format!(
@@ -349,7 +331,7 @@ pub fn decode(bytes: &[u8]) -> Result<BinaryTrace, BinaryError> {
         let mut pc = Cursor::new(payload);
         let mut prev_ts: u64 = 0;
         for i in 0..count {
-            let (Some(tag), Some(delta), Some(track), Some(scope)) = (
+            let (Some(tag), Ok(delta), Ok(track), Ok(scope)) = (
                 pc.take(1).map(|b| b[0]),
                 pc.zigzag(),
                 pc.varint(),
@@ -357,7 +339,7 @@ pub fn decode(bytes: &[u8]) -> Result<BinaryTrace, BinaryError> {
             ) else {
                 return Err(BinaryError::Corrupt(format!(
                     "lane {lane} block at offset {block_start}: record {i} of {count} cut off \
-                     inside a complete payload"
+                     or malformed inside a complete payload"
                 )));
             };
             let kind = kind_from_code(tag >> 6).ok_or_else(|| {
@@ -569,20 +551,6 @@ mod tests {
         assert_eq!(doc["otherData"]["converted_from"].as_str(), Some("binary"));
         for p in [&jsonl_path, &chrome_path] {
             std::fs::remove_file(p).unwrap();
-        }
-    }
-
-    #[test]
-    fn varints_cover_the_edges() {
-        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            assert_eq!(Cursor::new(&buf).varint(), Some(v));
-        }
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX] {
-            let mut buf = Vec::new();
-            put_zigzag(&mut buf, v);
-            assert_eq!(Cursor::new(&buf).zigzag(), Some(v));
         }
     }
 }

@@ -63,7 +63,9 @@ pub enum Phase {
     HeadendSnapshot,
     /// A standby headend adopted a snapshot: state import + re-bind.
     HeadendAdopt,
-    /// Post-snapshot trace-suffix replay during adoption.
+    /// Emitted by nothing. Every binary trace header writes the full
+    /// label table, so dropping the label would make older traces fail
+    /// to decode.
     HeadendReplay,
     /// One autoscale reconciliation pass: sample gauges, compute the
     /// desired size, apply the decision.

@@ -83,11 +83,6 @@ impl Recorder {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// True when events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Record a point-in-time mark.
     pub fn instant(&self, ts_us: u64, phase: Phase, track: u64, scope: u64) {
         if let Some(shared) = &self.shared {
@@ -155,7 +150,6 @@ mod tests {
         r.span(1, 2, Phase::Compute, 0, 0);
         assert!(r.events().is_empty());
         assert_eq!(r.dropped(), 0);
-        assert!(!r.is_enabled());
     }
 
     #[test]
@@ -188,7 +182,6 @@ mod tests {
     #[test]
     fn zero_capacity_is_metrics_only() {
         let r = Recorder::with_capacity(0);
-        assert!(!r.is_enabled(), "zero capacity must disable tracing");
         r.instant(1, Phase::Heartbeat, 0, 0);
         r.span(1, 2, Phase::Compute, 0, 0);
         assert!(r.events().is_empty());

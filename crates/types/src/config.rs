@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected() {
         let dtv = DtvSystemConfig {
-            beta: Bandwidth::from_bps(0.0),
+            beta: Bandwidth::from_mbps(0.0),
             ..Default::default()
         };
         assert!(dtv.validate().is_err());

@@ -28,6 +28,7 @@ pub mod ids;
 pub mod prob;
 pub mod time;
 pub mod units;
+pub mod varint;
 
 pub use config::{DirectChannelConfig, DtvSystemConfig, HeartbeatConfig};
 pub use error::{OddciError, Result};

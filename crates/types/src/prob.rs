@@ -29,11 +29,6 @@ impl Probability {
         Probability(p.clamp(0.0, 1.0))
     }
 
-    /// Builds a probability, returning `None` for NaN or out-of-range values.
-    pub fn try_new(p: f64) -> Option<Self> {
-        (p.is_finite() && (0.0..=1.0).contains(&p)).then_some(Probability(p))
-    }
-
     /// The probability that selects an expected `target` nodes out of `pool`.
     ///
     /// This is what the Controller computes when sizing an instance: to
@@ -65,12 +60,6 @@ impl Probability {
             rng.random::<f64>() < self.0
         }
     }
-
-    /// Complement (`1 - p`).
-    #[inline]
-    pub fn complement(self) -> Probability {
-        Probability(1.0 - self.0)
-    }
 }
 
 impl fmt::Display for Probability {
@@ -99,14 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn try_new_validates() {
-        assert!(Probability::try_new(0.5).is_some());
-        assert!(Probability::try_new(1.1).is_none());
-        assert!(Probability::try_new(f64::NAN).is_none());
-        assert!(Probability::try_new(f64::INFINITY).is_none());
-    }
-
-    #[test]
     fn for_target_sizing() {
         assert_eq!(Probability::for_target(100, 1000).value(), 0.1);
         assert_eq!(Probability::for_target(200, 100).value(), 1.0); // clamped
@@ -130,10 +111,5 @@ mod tests {
         let hits = (0..100_000).filter(|_| p.sample(&mut rng)).count();
         let freq = hits as f64 / 100_000.0;
         assert!((freq - 0.3).abs() < 0.01, "freq={freq}");
-    }
-
-    #[test]
-    fn complement() {
-        assert!((Probability::new(0.3).complement().value() - 0.7).abs() < 1e-12);
     }
 }

@@ -132,12 +132,6 @@ impl fmt::Display for DataSize {
 pub struct Bandwidth(pub f64);
 
 impl Bandwidth {
-    /// Builds a bandwidth from bits per second.
-    #[inline]
-    pub const fn from_bps(bps: f64) -> Self {
-        Bandwidth(bps)
-    }
-
     /// Builds a bandwidth from kilobits per second (decimal, as in "150 Kbps").
     #[inline]
     pub const fn from_kbps(kbps: f64) -> Self {
@@ -154,19 +148,6 @@ impl Bandwidth {
     #[inline]
     pub const fn bps(self) -> f64 {
         self.0
-    }
-
-    /// How much data flows in `d` at this rate (rounded down to whole bits).
-    #[inline]
-    pub fn data_in(self, d: SimDuration) -> DataSize {
-        DataSize((self.0 * d.as_secs_f64()).floor() as u64)
-    }
-
-    /// Splits this capacity evenly over `n` concurrent flows.
-    #[inline]
-    pub fn shared_by(self, n: u64) -> Bandwidth {
-        assert!(n > 0, "cannot share a link among zero flows");
-        Bandwidth(self.0 / n as f64)
     }
 }
 
@@ -210,26 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn data_in_inverts_transfer_time() {
-        let bw = Bandwidth::from_kbps(150.0);
-        let size = DataSize::from_kilobytes(1);
-        let t = size.transfer_time(bw);
-        let back = bw.data_in(t);
-        // Rounding to whole µs loses at most a fraction of a bit.
-        assert!(back.bits().abs_diff(size.bits()) <= 1);
-    }
-
-    #[test]
     fn bytes_ceil_rounds_up() {
         assert_eq!(DataSize::from_bits(9).bytes_ceil(), 2);
         assert_eq!(DataSize::from_bits(8).bytes_ceil(), 1);
         assert_eq!(DataSize::ZERO.bytes_ceil(), 0);
-    }
-
-    #[test]
-    fn shared_bandwidth() {
-        let bw = Bandwidth::from_mbps(10.0).shared_by(4);
-        assert_eq!(bw.bps(), 2_500_000.0);
     }
 
     #[test]
@@ -250,6 +215,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero-capacity")]
     fn zero_bandwidth_transfer_panics() {
-        let _ = DataSize::from_bytes(1).transfer_time(Bandwidth::from_bps(0.0));
+        let _ = DataSize::from_bytes(1).transfer_time(Bandwidth::from_mbps(0.0));
     }
 }

@@ -8,6 +8,7 @@
 //! panicking — decoded bytes come straight off a socket.
 
 use crate::WireError;
+use oddci_types::varint::{self, VarintError};
 
 /// Append-only little-endian byte writer.
 #[derive(Debug, Default)]
@@ -79,22 +80,17 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    /// Writes a `u64` as an LEB128 varint: 7 bits per byte, low group
-    /// first, the high bit set on every byte but the last.
+    /// Writes a `u64` as an LEB128 varint ([`oddci_types::varint`]).
     #[inline]
-    pub fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
+    pub fn varint(&mut self, v: u64) {
+        varint::put_varint(&mut self.buf, v);
     }
 
     /// Writes an `i64` zigzag-mapped onto a varint, so small magnitudes
     /// of either sign stay short.
     #[inline]
     pub fn zigzag(&mut self, v: i64) {
-        self.varint(((v << 1) ^ (v >> 63)) as u64);
+        varint::put_zigzag(&mut self.buf, v);
     }
 }
 
@@ -197,36 +193,23 @@ impl<'a> Reader<'a> {
     /// value has exactly one accepted encoding.
     #[inline]
     pub fn varint(&mut self) -> Result<u64, WireError> {
-        let mut v = 0u64;
-        let mut shift = 0;
-        while let Some(&b) = self.buf.get(self.pos) {
-            self.pos += 1;
-            if shift == 63 && b > 1 {
-                return Err(WireError::Malformed(if b & 0x80 != 0 {
-                    "varint longer than 10 bytes"
-                } else {
-                    "varint overflows u64"
-                }));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return if b == 0 && shift > 0 {
-                    Err(WireError::Malformed("varint not minimally encoded"))
-                } else {
-                    Ok(v)
-                };
-            }
-            shift += 7;
-        }
-        Err(WireError::Malformed("message ends mid-field"))
+        varint::read_varint(self.buf, &mut self.pos).map_err(malformed)
     }
 
     /// Reads a zigzag-mapped `i64` (mirror of [`Writer::zigzag`]).
     #[inline]
     pub fn zigzag(&mut self) -> Result<i64, WireError> {
-        let v = self.varint()?;
-        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+        varint::read_zigzag(self.buf, &mut self.pos).map_err(malformed)
     }
+}
+
+/// A varint that does not decode is a malformed message, cut short or not.
+#[inline]
+fn malformed(e: VarintError) -> WireError {
+    WireError::Malformed(match e {
+        VarintError::Truncated => "message ends mid-field",
+        VarintError::Malformed(why) => why,
+    })
 }
 
 #[cfg(test)]

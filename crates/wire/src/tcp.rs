@@ -431,8 +431,6 @@ pub trait WireService: Send {
 pub struct ServerConfig {
     /// Frame checksum flavour (HMAC in the live plane).
     pub integrity: Integrity,
-    /// Chunk payload size for outbound messages.
-    pub max_chunk: usize,
     /// How long a stopping server keeps flushing unsent output.
     pub drain_grace: Duration,
     /// Wire fault injector (disabled by default); outbound frames to
@@ -446,12 +444,11 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: 16 KiB chunks, 2 s drain grace, no faults, telemetry
+    /// Defaults: 2 s drain grace, no faults, telemetry
     /// off, no per-connection ledger.
     pub fn new(integrity: Integrity) -> ServerConfig {
         ServerConfig {
             integrity,
-            max_chunk: DEFAULT_CHUNK,
             drain_grace: Duration::from_secs(2),
             injector: FaultInjector::disabled(),
             telemetry: Telemetry::disabled(),
@@ -495,14 +492,13 @@ impl ServerConn {
     }
 }
 
-/// Appends the frames of one message to `out`, through the fault
-/// injector, and records the send. Returns how many frames were queued
+/// Appends the frames of one message (at most [`DEFAULT_CHUNK`] payload
+/// bytes each) to `out`, through the fault injector, and records the send. Returns how many frames were queued
 /// (a reorder fault can duplicate one).
 #[allow(clippy::too_many_arguments)]
 fn encode_message(
     out: &mut Vec<u8>,
     integrity: &Integrity,
-    max_chunk: usize,
     injector: &FaultInjector,
     node: NodeId,
     now: SimTime,
@@ -514,11 +510,11 @@ fn encode_message(
     if injector.is_disabled() {
         // `mangle_frames` is the identity without an armed injector, so
         // the frames are built in place instead of one `Vec` each.
-        let frames = encode_chunks_into(out, integrity, kind, seq, payload, max_chunk);
+        let frames = encode_chunks_into(out, integrity, kind, seq, payload, DEFAULT_CHUNK);
         stats.record_send(frames);
         return frames;
     }
-    let mut frames = encode_chunks(integrity, kind, seq, payload, max_chunk);
+    let mut frames = encode_chunks(integrity, kind, seq, payload, DEFAULT_CHUNK);
     stats.record_send(frames.len());
     stats.record_mangle(mangle_frames(injector, node, now, &mut frames));
     for frame in &frames {
@@ -630,7 +626,6 @@ impl LoopShared {
         let frames = encode_message(
             &mut conn.outbuf,
             &self.config.integrity,
-            self.config.max_chunk,
             &self.config.injector,
             NodeId::new(id.raw()),
             SimTime::from_micros(self.mirror.now_us()),
@@ -989,8 +984,6 @@ impl<S: WireService> ServeLoop<S> {
 pub struct ClientConfig {
     /// Frame checksum flavour — must match the server's.
     pub integrity: Integrity,
-    /// Chunk payload size for outbound messages.
-    pub max_chunk: usize,
     /// How long [`WireClient::connect`] keeps retrying the dial.
     pub connect_timeout: Duration,
     /// Wire fault injector for outbound frames (disabled by default).
@@ -1002,12 +995,11 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// Defaults: 16 KiB chunks, 5 s connect timeout, no faults,
+    /// Defaults: 5 s connect timeout, no faults,
     /// telemetry off, node 0.
     pub fn new(integrity: Integrity) -> ClientConfig {
         ClientConfig {
             integrity,
-            max_chunk: DEFAULT_CHUNK,
             connect_timeout: Duration::from_secs(5),
             injector: FaultInjector::disabled(),
             node: NodeId::new(0),
@@ -1109,7 +1101,6 @@ impl WireClient {
         let frames = encode_message(
             &mut w.buf,
             &self.config.integrity,
-            self.config.max_chunk,
             &self.config.injector,
             self.config.node,
             SimTime::from_micros(self.start.elapsed().as_micros() as u64),
@@ -1375,8 +1366,7 @@ mod tests {
                 }
             }
         }
-        let mut config = ServerConfig::new(Integrity::Crc32);
-        config.max_chunk = 4096;
+        let config = ServerConfig::new(Integrity::Crc32);
         let mut server = WireServer::bind(loopback(), config, Blast { sent: false }).expect("bind");
         let mut c = client(server.local_addr(), Integrity::Crc32);
         let msg = c
@@ -1493,7 +1483,6 @@ mod tests {
             FaultPlan::none().with(FaultSpec::new(FaultClass::FrameReorder, 1.0)),
             11,
         );
-        config.max_chunk = 64;
         struct Echo2;
         impl WireService for Echo2 {
             fn on_message(&mut self, conn: ConnId, msg: WireMsg, out: &mut Outbox) {
@@ -1506,7 +1495,7 @@ mod tests {
         // by the injector on every send; reassembly must still deliver.
         let big = WireMsg::Broadcast {
             signed: signed_reset(),
-            image: Some(vec![0x5A; 400]),
+            image: Some(vec![0x5A; 40_000]),
         };
         assert!(c.send(&big));
         let echoed = c
@@ -1514,7 +1503,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("reordered frames still reassemble");
         match echoed {
-            WireMsg::Broadcast { image, .. } => assert_eq!(image, Some(vec![0x5A; 400])),
+            WireMsg::Broadcast { image, .. } => assert_eq!(image, Some(vec![0x5A; 40_000])),
             other => panic!("unexpected {other:?}"),
         }
         assert!(server.stats().snapshot().mangled_reorder >= 1);

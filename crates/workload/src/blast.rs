@@ -54,11 +54,6 @@ impl BlastExperiment {
         self.stb_in_use_secs / self.stb_standby_secs
     }
 
-    /// STB-in-use / PC slowdown for this row.
-    pub fn stb_vs_pc(&self) -> f64 {
-        self.stb_in_use_secs / self.pc_secs
-    }
-
     /// The in-use runtime as a typed duration.
     pub fn in_use(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.stb_in_use_secs)
@@ -140,15 +135,6 @@ pub const TABLE3_EXPERIMENTS: [BlastExperiment; 3] = [
     row(15, BlastMode::Remote, 319.4, 308.8, 295.0, true),
 ];
 
-/// All fifteen experiments in paper order.
-pub fn all_experiments() -> Vec<BlastExperiment> {
-    TABLE2_EXPERIMENTS
-        .iter()
-        .chain(TABLE3_EXPERIMENTS.iter())
-        .copied()
-        .collect()
-}
-
 /// Mean in-use/standby penalty over Table II — the paper reports 1.65
 /// (±17% at 90% confidence).
 pub fn mean_in_use_penalty() -> f64 {
@@ -170,7 +156,7 @@ mod tests {
 
     #[test]
     fn standby_is_always_faster_than_in_use() {
-        for e in all_experiments() {
+        for e in TABLE2_EXPERIMENTS.iter().chain(&TABLE3_EXPERIMENTS) {
             assert!(
                 e.stb_standby_secs < e.stb_in_use_secs,
                 "test #{}: standby {} !< in-use {}",
@@ -197,20 +183,16 @@ mod tests {
 
     #[test]
     fn reconstructed_rows_are_flagged() {
-        assert!(all_experiments().iter().all(|e| e.reconstructed));
+        assert!(TABLE2_EXPERIMENTS
+            .iter()
+            .chain(&TABLE3_EXPERIMENTS)
+            .all(|e| e.reconstructed));
     }
 
     #[test]
     fn remote_rows_have_small_mode_sensitivity() {
         for e in &TABLE3_EXPERIMENTS {
             assert!(e.in_use_penalty() < 1.2, "remote work is service-dominated");
-        }
-    }
-
-    #[test]
-    fn stb_vs_pc_by_construction() {
-        for e in &TABLE2_EXPERIMENTS {
-            assert!((e.stb_vs_pc() - 20.6).abs() < 1e-9);
         }
     }
 }

@@ -45,11 +45,6 @@ impl Task {
     pub fn parametric(id: TaskId, cost: SimDuration, result_size: DataSize) -> Self {
         Task::new(id, DataSize::ZERO, cost, result_size)
     }
-
-    /// Data moved over the direct channel for this task (`s + r`).
-    pub fn bytes_moved(&self) -> DataSize {
-        self.input_size + self.result_size
-    }
 }
 
 /// An MTC job: image plus a bag of independent tasks.
@@ -99,13 +94,6 @@ impl Job {
             mean_result: DataSize::from_bits(r.round() as u64),
             mean_cost: SimDuration::from_secs_f64(p),
         }
-    }
-
-    /// Total reference compute time across all tasks.
-    pub fn total_cost(&self) -> SimDuration {
-        self.tasks
-            .iter()
-            .fold(SimDuration::ZERO, |acc, t| acc + t.cost)
     }
 }
 
@@ -250,7 +238,7 @@ mod tests {
             DataSize::from_bytes(64),
         );
         assert!(t.input_size.is_zero());
-        assert_eq!(t.bytes_moved(), DataSize::from_bytes(64));
+        assert_eq!(t.result_size, DataSize::from_bytes(64));
     }
 
     #[test]
@@ -263,11 +251,6 @@ mod tests {
             mean_cost: SimDuration::from_secs(1),
         };
         assert!(p.suitability(Bandwidth::from_kbps(150.0)).is_infinite());
-    }
-
-    #[test]
-    fn total_cost_sums() {
-        assert_eq!(job().total_cost(), SimDuration::from_secs(40));
     }
 
     #[test]

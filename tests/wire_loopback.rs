@@ -4,6 +4,7 @@
 //! heartbeats and shutdown — over real sockets.
 
 use oddci::faults::{FaultClass, FaultPlan, FaultSpec};
+use oddci::live::runtime::DEFAULT_KEY;
 use oddci::live::wire::{run_wire_pna, WirePnaConfig};
 use oddci::live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
 use oddci::types::NodeId;
@@ -254,7 +255,7 @@ fn shutdown_while_a_pna_awaits_a_heartbeat_reply_costs_no_timeout() {
         let (heard, heard_at) = mpsc::channel();
         let mut server = WireServer::bind(
             loopback(),
-            ServerConfig::new(Integrity::hmac(b"live-oddci-key")),
+            ServerConfig::new(Integrity::hmac(DEFAULT_KEY)),
             VanishOnHeartbeat { goodbye, heard },
         )
         .expect("bind");
