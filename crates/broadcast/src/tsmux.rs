@@ -59,9 +59,12 @@ mod tests {
         let payload = DataSize::from_megabytes(1);
         let wire = mux.wire_size(payload);
         assert!(wire > payload);
-        // TS headers (4 of 188 bytes) and section headers (12 per 4066)
-        // cost under 3 % together.
-        let max = payload.bits() as f64 * 1.03;
+        // Overhead bounded by the inverse of the framing efficiency (TS
+        // headers times section headers) plus one packet.
+        let eff = (TS_PACKET_BYTES - TS_HEADER_BYTES) as f64 / TS_PACKET_BYTES as f64
+            * SECTION_PAYLOAD_BYTES as f64
+            / (SECTION_PAYLOAD_BYTES + SECTION_HEADER_BYTES) as f64;
+        let max = payload.bits() as f64 / eff + (TS_PACKET_BYTES * 8) as f64;
         assert!((wire.bits() as f64) <= max, "wire={wire} max={max}");
     }
 

@@ -553,12 +553,16 @@ fn hot_path(rel: &str) -> bool {
         || rel == "crates/telemetry/src/sink.rs"
 }
 
-/// The first line of `src`'s test code. Test modules sit at the bottom
-/// of each file by workspace convention, so everything from the first
-/// `#[cfg(test)]` down is test code.
+/// The byte offset where `src`'s test code starts, if it has any. Test
+/// modules sit at the bottom of each file by workspace convention, so
+/// everything from the first `#[cfg(test)]` down is test code.
+fn test_start(src: &Source) -> Option<usize> {
+    src.raw.find("#[cfg(test)]")
+}
+
+/// The first line of `src`'s test code ([`test_start`] as a line number).
 fn test_cutoff(src: &Source) -> usize {
-    src.raw
-        .find("#[cfg(test)]")
+    test_start(src)
         .map(|p| line_of(&src.raw, p))
         .unwrap_or(usize::MAX)
 }
@@ -737,7 +741,7 @@ fn check_unreached(workspace: &[Source], out: &mut Vec<LintViolation>) {
         if !library_file(&src.rel) {
             continue;
         }
-        let non_test = &src.scrubbed[..src.raw.find("#[cfg(test)]").unwrap_or(src.raw.len())];
+        let non_test = &src.scrubbed[..test_start(src).unwrap_or(src.raw.len())];
         let here = word_counts(non_test);
         for needle in ["pub fn ", "pub const fn "] {
             for pos in find_tokens(non_test, needle) {

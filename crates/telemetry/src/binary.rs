@@ -505,11 +505,20 @@ mod tests {
         // Invalid kind bits (0b11) in the first record's tag byte.
         let header_len = decode_header(&bytes).unwrap().1;
         // Skip the 3 block-header varints (lane/count/len, all < 128 here).
-        bytes[header_len + 3] = 0xc0 | (bytes[header_len + 3] & 0x3f);
+        let mut tagged = bytes.clone();
+        tagged[header_len + 3] = 0xc0 | (tagged[header_len + 3] & 0x3f);
         assert!(matches!(
-            decode(&bytes).unwrap_err(),
+            decode(&tagged).unwrap_err(),
             BinaryError::Corrupt(_)
         ));
+        // A non-minimal lane varint (0x80 0x00) in the first block header is
+        // malformed, not a truncated tail.
+        bytes[header_len] = 0x80;
+        bytes[header_len + 1] = 0x00;
+        match decode(&bytes) {
+            Err(BinaryError::Corrupt(why)) => assert!(why.contains("block header"), "{why}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]
