@@ -2,7 +2,7 @@
 //!
 //! A scenario registers a handful of *virtual threads* (each backed by a
 //! real OS thread) that interact only through the model primitives below
-//! ([`ModelMutex`], [`ModelCell`], [`ModelAtomic`], [`ModelChannel`]).
+//! ([`ModelMutex`], [`ModelAtomic`], [`ModelChannel`]).
 //! Every primitive operation is a **yield point**: the thread parks and
 //! the explorer picks who runs next. Because only one virtual thread runs
 //! at a time, the set of behaviours is exactly the set of yield-point
@@ -17,18 +17,16 @@
 //! is how an explorer-discovered failure becomes a deterministic
 //! regression test (see `tests/check_schedules.rs`).
 //!
-//! Failures come from three sources: a scenario assertion panicking, a
-//! deadlock (no virtual thread runnable but not all done), or a data race
-//! reported by the embedded [`RaceDetector`]. After a failure the run
-//! switches to *free-run* mode so the remaining OS threads can drain and
-//! be joined; a blocked thread that can never make progress in free-run
-//! bails out with a sentinel panic that is swallowed.
+//! Failures come from two sources: a scenario assertion panicking, or a
+//! deadlock (no virtual thread runnable but not all done). After a
+//! failure the run switches to *free-run* mode so the remaining OS
+//! threads can drain and be joined; a blocked thread that can never make
+//! progress in free-run bails out with a sentinel panic that is swallowed.
 //!
 //! The scheduler below uses `std::sync` directly: it IS the instrument,
 //! and routing its own turnstile through [`crate::sync`] would feed the
 //! lock-order graph with scheduler-internal edges.
 
-use crate::hb::RaceDetector;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,10 +36,6 @@ use std::time::Duration;
 
 /// Panic payload used by free-run bail-out; never reported as a failure.
 const FREE_RUN_BAIL: &str = "oddci-check free-run bail-out";
-
-/// Virtual thread id of the spawning (root) context for happens-before
-/// fork edges.
-const ROOT: usize = usize::MAX;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -86,7 +80,6 @@ struct Sched {
     free_run: bool,
     failure: Option<String>,
     steps: Vec<Step>,
-    detector: RaceDetector,
 }
 
 /// Turnstile shared by the explorer thread and every virtual thread.
@@ -261,8 +254,7 @@ impl Controller {
     }
 }
 
-/// Handle a virtual-thread body uses to interact with the scheduler; also
-/// the conduit to the embedded happens-before detector.
+/// Handle a virtual-thread body uses to interact with the scheduler.
 #[derive(Clone)]
 pub struct Ctx {
     ctrl: Arc<Controller>,
@@ -301,10 +293,6 @@ impl Ctx {
         self.ctrl.unblock(resource);
     }
 
-    fn with_detector<R>(&self, f: impl FnOnce(&mut RaceDetector) -> R) -> R {
-        f(&mut self.ctrl.lock().detector)
-    }
-
     /// Record a scenario-level failure without panicking.
     pub fn fail(&self, msg: impl Into<String>) {
         self.ctrl.fail(msg.into());
@@ -327,7 +315,6 @@ impl Spawner {
             let id = s.states.len();
             s.states.push(VState::Ready);
             s.names.push(name.to_string());
-            s.detector.fork(ROOT, id);
             id
         };
         self.bodies.push((name.to_string(), Box::new(body)));
@@ -338,7 +325,7 @@ impl Spawner {
 /// A failing interleaving: what went wrong and the schedule to replay it.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Panic message, deadlock description, or race report.
+    /// Panic message or deadlock description.
     pub message: String,
     /// Replayable schedule string (`s<seed>:0.1.0.…`).
     pub schedule: String,
@@ -480,12 +467,6 @@ impl Explorer {
             let _ = h.join();
         }
         let mut s = ctrl.lock();
-        if s.failure.is_none() {
-            let races = s.detector.take_races();
-            if let Some(r) = races.first() {
-                s.failure = Some(r.to_string());
-            }
-        }
         RunRecord {
             steps: std::mem::take(&mut s.steps),
             failure: s.failure.take(),
@@ -625,11 +606,9 @@ fn fresh_resource() -> u64 {
     NEXT_RESOURCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A modeled mutex: mutual exclusion at the schedule level, acquire /
-/// release edges in the happens-before detector.
+/// A modeled mutex: mutual exclusion at the schedule level.
 #[derive(Debug)]
 pub struct ModelMutex<T> {
-    name: String,
     resource: u64,
     state: Mutex<MmState<T>>,
 }
@@ -649,10 +628,9 @@ pub struct ModelMutexGuard<'a, T> {
 }
 
 impl<T> ModelMutex<T> {
-    /// A named model mutex holding `value`.
-    pub fn new(name: &str, value: T) -> Self {
+    /// A model mutex holding `value`.
+    pub fn new(value: T) -> Self {
         ModelMutex {
-            name: name.to_string(),
             resource: fresh_resource(),
             state: Mutex::new(MmState {
                 locked: false,
@@ -678,7 +656,6 @@ impl<T> ModelMutex<T> {
                 if !st.locked {
                     st.locked = true;
                     drop(st);
-                    ctx.with_detector(|d| d.acquire(ctx.id, &self.name));
                     return ModelMutexGuard {
                         m: self,
                         ctx: ctx.clone(),
@@ -704,74 +681,20 @@ impl<T> ModelMutexGuard<'_, T> {
 impl<T> Drop for ModelMutexGuard<'_, T> {
     fn drop(&mut self) {
         self.m.state().locked = false;
-        self.ctx
-            .with_detector(|d| d.release(self.ctx.id, &self.m.name));
         self.ctx.unblock(self.m.resource);
     }
 }
 
-/// A modeled *unsynchronized* shared location: every read/write is a
-/// yield point and feeds the race detector as a plain access.
-#[derive(Debug)]
-pub struct ModelCell<T> {
-    name: String,
-    state: Mutex<T>,
-}
-
-impl<T: Clone> ModelCell<T> {
-    /// A named shared location.
-    pub fn new(name: &str, value: T) -> Self {
-        ModelCell {
-            name: name.to_string(),
-            state: Mutex::new(value),
-        }
-    }
-
-    fn state(&self) -> MutexGuard<'_, T> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Plain read (checked for write-read races).
-    pub fn read(&self, ctx: &Ctx) -> T {
-        ctx.yield_point();
-        ctx.with_detector(|d| d.read(ctx.id, &self.name));
-        self.state().clone()
-    }
-
-    /// Plain write (checked for races against reads and writes).
-    pub fn write(&self, ctx: &Ctx, value: T) {
-        ctx.yield_point();
-        ctx.with_detector(|d| d.write(ctx.id, &self.name));
-        *self.state() = value;
-    }
-
-    /// Plain read-modify-write (a racing access of both kinds).
-    pub fn update(&self, ctx: &Ctx, f: impl FnOnce(&mut T)) {
-        ctx.yield_point();
-        ctx.with_detector(|d| {
-            d.read(ctx.id, &self.name);
-            d.write(ctx.id, &self.name);
-        });
-        f(&mut self.state());
-    }
-}
-
-/// A modeled atomic counter: loads are acquires, stores/RMWs are
-/// release+acquire on the atomic's own sync id, so atomics never race —
-/// exactly the exemption real Acquire/Release atomics get.
+/// A modeled atomic counter: each operation is one indivisible step.
 #[derive(Debug)]
 pub struct ModelAtomic {
-    name: String,
     state: Mutex<u64>,
 }
 
 impl ModelAtomic {
-    /// A named atomic starting at `value`.
-    pub fn new(name: &str, value: u64) -> Self {
+    /// An atomic starting at `value`.
+    pub fn new(value: u64) -> Self {
         ModelAtomic {
-            name: name.to_string(),
             state: Mutex::new(value),
         }
     }
@@ -785,37 +708,24 @@ impl ModelAtomic {
     /// Atomic load (a yield point).
     pub fn load(&self, ctx: &Ctx) -> u64 {
         ctx.yield_point();
-        ctx.with_detector(|d| d.acquire(ctx.id, &self.name));
         *self.state()
     }
 
     /// Atomic store (a yield point).
     pub fn store(&self, ctx: &Ctx, value: u64) {
         ctx.yield_point();
-        ctx.with_detector(|d| {
-            d.acquire(ctx.id, &self.name);
-            d.release(ctx.id, &self.name);
-        });
         *self.state() = value;
     }
 
     /// Atomic swap, returning the previous value (a yield point).
     pub fn swap(&self, ctx: &Ctx, value: u64) -> u64 {
         ctx.yield_point();
-        ctx.with_detector(|d| {
-            d.acquire(ctx.id, &self.name);
-            d.release(ctx.id, &self.name);
-        });
         std::mem::replace(&mut *self.state(), value)
     }
 
     /// Atomic fetch-add, returning the previous value (a yield point).
     pub fn fetch_add(&self, ctx: &Ctx, delta: u64) -> u64 {
         ctx.yield_point();
-        ctx.with_detector(|d| {
-            d.acquire(ctx.id, &self.name);
-            d.release(ctx.id, &self.name);
-        });
         let mut v = self.state();
         let prev = *v;
         *v = v.wrapping_add(delta);
@@ -827,12 +737,11 @@ impl ModelAtomic {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
 
-/// A modeled MPMC channel: sends carry happens-before edges to receives;
-/// a bounded channel blocks full senders, every channel blocks empty
+/// A modeled MPMC channel: a bounded channel blocks full senders, every
+/// channel blocks empty
 /// receivers until [`close`](ModelChannel::close).
 #[derive(Debug)]
 pub struct ModelChannel<T> {
-    name: String,
     cap: usize,
     space: u64,
     items: u64,
@@ -846,10 +755,9 @@ struct ChState<T> {
 }
 
 impl<T> ModelChannel<T> {
-    /// A named channel; `cap == 0` means unbounded.
-    pub fn new(name: &str, cap: usize) -> Self {
+    /// A channel; `cap == 0` means unbounded.
+    pub fn new(cap: usize) -> Self {
         ModelChannel {
-            name: name.to_string(),
             cap,
             space: fresh_resource(),
             items: fresh_resource(),
@@ -881,7 +789,6 @@ impl<T> ModelChannel<T> {
                     st.queue
                         .push_back(slot.take().expect("send payload present"));
                     drop(st);
-                    ctx.with_detector(|d| d.send(ctx.id, &self.name));
                     ctx.unblock(self.items);
                     return Ok(());
                 }
@@ -903,7 +810,6 @@ impl<T> ModelChannel<T> {
                 let mut st = self.state();
                 if let Some(v) = st.queue.pop_front() {
                     drop(st);
-                    ctx.with_detector(|d| d.recv(ctx.id, &self.name));
                     ctx.unblock(self.space);
                     return Ok(v);
                 }
@@ -925,7 +831,6 @@ impl<T> ModelChannel<T> {
         let mut st = self.state();
         if let Some(v) = st.queue.pop_front() {
             drop(st);
-            ctx.with_detector(|d| d.recv(ctx.id, &self.name));
             ctx.unblock(self.space);
             return Ok(Some(v));
         }
@@ -939,7 +844,6 @@ impl<T> ModelChannel<T> {
     pub fn close(&self, ctx: &Ctx) {
         ctx.yield_point();
         self.state().closed = true;
-        ctx.with_detector(|d| d.send(ctx.id, &self.name));
         ctx.unblock(self.items);
         ctx.unblock(self.space);
     }
@@ -968,33 +872,10 @@ mod tests {
     }
 
     #[test]
-    fn finds_unprotected_counter_race_and_replays_it() {
-        let setup = |sp: &mut Spawner| {
-            let cell = Arc::new(ModelCell::new("counter", 0u32));
-            for t in 0..2 {
-                let cell = Arc::clone(&cell);
-                sp.spawn(&format!("incr-{t}"), move |ctx| {
-                    let v = cell.read(&ctx);
-                    cell.write(&ctx, v + 1);
-                });
-            }
-        };
-        let result = Explorer::new(42).max_schedules(64).explore(setup);
-        let failure = result.failure.expect("two unsynchronized RMWs must race");
-        assert!(failure.message.contains("data race"), "{}", failure.message);
-        // The schedule string replays to the same failure.
-        let replayed = Explorer::new(42).replay(&failure.schedule, setup);
-        assert!(
-            replayed.failure.is_some(),
-            "replay must reproduce: {replayed:?}"
-        );
-    }
-
-    #[test]
     fn lock_protected_counter_is_clean_and_exhausts() {
         let result = Explorer::new(7).max_schedules(512).explore(|sp| {
-            let m = Arc::new(ModelMutex::new("m", 0u32));
-            let total = Arc::new(ModelMutex::new("total", 0u32));
+            let m = Arc::new(ModelMutex::new(0u32));
+            let total = Arc::new(ModelMutex::new(0u32));
             for t in 0..2 {
                 let m = Arc::clone(&m);
                 let total = Arc::clone(&total);
@@ -1015,8 +896,8 @@ mod tests {
     #[test]
     fn detects_two_lock_deadlock() {
         let result = Explorer::new(3).max_schedules(256).explore(|sp| {
-            let a = Arc::new(ModelMutex::new("a", ()));
-            let b = Arc::new(ModelMutex::new("b", ()));
+            let a = Arc::new(ModelMutex::new(()));
+            let b = Arc::new(ModelMutex::new(()));
             let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
             sp.spawn("ab", move |ctx| {
                 let _ga = a.lock(&ctx);
@@ -1031,23 +912,5 @@ mod tests {
             .failure
             .expect("AB/BA must deadlock in some schedule");
         assert!(failure.message.contains("deadlock"), "{}", failure.message);
-    }
-
-    #[test]
-    fn channel_handoff_is_ordered() {
-        let result = Explorer::new(1).max_schedules(256).explore(|sp| {
-            let ch = Arc::new(ModelChannel::new("ch", 1));
-            let payload = Arc::new(ModelCell::new("payload", 0u32));
-            let (ch2, payload2) = (Arc::clone(&ch), Arc::clone(&payload));
-            sp.spawn("producer", move |ctx| {
-                payload.write(&ctx, 9);
-                ch.send(&ctx, 1u8).expect("receiver waits");
-            });
-            sp.spawn("consumer", move |ctx| {
-                let _ = ch2.recv(&ctx).expect("producer sends");
-                assert_eq!(payload2.read(&ctx), 9);
-            });
-        });
-        assert!(result.failure.is_none(), "{:?}", result.failure);
     }
 }

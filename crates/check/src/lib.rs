@@ -7,7 +7,7 @@
 //! control thread that ticks the Controller, and streaming-sink writer
 //! threads all share state through channels, atomics and locks. This
 //! crate is the machine-checked discipline behind that concurrency, in
-//! three layers:
+//! two layers:
 //!
 //! 1. **An instrumented sync shim** ([`sync`]): drop-in `Mutex` /
 //!    `Monitor` / channel wrappers over `std::sync` and
@@ -21,18 +21,14 @@
 //!    offending edges — and every channel send is checked against the
 //!    workspace locking rule *never send on a channel while holding a
 //!    send-sensitive lock* (e.g. the live headend's hub).
-//! 2. **Dynamic detectors**: the lock-order graph ([`order`]) and a
-//!    vector-clock happens-before race detector ([`hb`]) usable both
-//!    standalone (model the protocol, feed it accesses) and wired into
-//!    the schedule explorer's model primitives.
-//! 3. **A deterministic schedule explorer** ([`explore`]): scaled-down
+//! 2. **A deterministic schedule explorer** ([`explore`]): scaled-down
 //!    models of the live-headend protocols ([`scenarios`]) run under a
 //!    seeded cooperative scheduler that permutes yield points — bounded
 //!    DFS over interleavings with a replayable schedule string printed on
 //!    failure, so any discovered race becomes a deterministic regression
 //!    test (see `tests/check_schedules.rs` at the workspace root).
 //!
-//! A fourth piece, [`lint`], is a dependency-free line/token workspace
+//! A third piece, [`lint`], is a dependency-free line/token workspace
 //! linter enforcing the static side of the same invariants: no raw lock
 //! types outside this crate, the telemetry phase vocabulary stays closed
 //! (span phases via `span`/`duration`, instant phases via `instant`),
@@ -41,7 +37,6 @@
 //! via the `oddci check` CLI subcommand.
 
 pub mod explore;
-pub mod hb;
 pub mod lint;
 pub mod order;
 pub mod scenarios;

@@ -42,13 +42,13 @@ struct SinkModel {
 impl SinkModel {
     fn new() -> Self {
         SinkModel {
-            ctl: Arc::new(ModelAtomic::new("sink.close_requested", 0)),
-            lane: Arc::new(ModelChannel::new("sink.lane", 2)),
-            emitted: Arc::new(ModelAtomic::new("sink.emitted", 0)),
-            persisted: Arc::new(ModelAtomic::new("sink.persisted", 0)),
-            dropped: Arc::new(ModelAtomic::new("sink.dropped", 0)),
-            prod_done: Arc::new(ModelChannel::new("sink.prod_done", 0)),
-            writer_done: Arc::new(ModelChannel::new("sink.writer_done", 0)),
+            ctl: Arc::new(ModelAtomic::new(0)),
+            lane: Arc::new(ModelChannel::new(2)),
+            emitted: Arc::new(ModelAtomic::new(0)),
+            persisted: Arc::new(ModelAtomic::new(0)),
+            dropped: Arc::new(ModelAtomic::new(0)),
+            prod_done: Arc::new(ModelChannel::new(0)),
+            writer_done: Arc::new(ModelChannel::new(0)),
         }
     }
 }
@@ -140,15 +140,12 @@ struct RecomposeModel {
 impl RecomposeModel {
     fn new() -> Self {
         RecomposeModel {
-            hub: Arc::new(ModelMutex::new(
-                "live.hub",
-                HubModel {
-                    active: vec![1, 2],
-                    ledger: Vec::new(),
-                },
-            )),
-            hb_done: Arc::new(ModelChannel::new("hb_done", 0)),
-            rc_done: Arc::new(ModelChannel::new("rc_done", 0)),
+            hub: Arc::new(ModelMutex::new(HubModel {
+                active: vec![1, 2],
+                ledger: Vec::new(),
+            })),
+            hb_done: Arc::new(ModelChannel::new(0)),
+            rc_done: Arc::new(ModelChannel::new(0)),
         }
     }
 }
@@ -223,10 +220,10 @@ pub fn heartbeat_vs_recompose_toctou(sp: &mut Spawner) {
 // ---------------------------------------------------- sink stats snapshot
 
 fn sink_stats_model(sp: &mut Spawner, saturate: bool) {
-    let emitted = Arc::new(ModelAtomic::new("stats.emitted", 0));
-    let persisted = Arc::new(ModelAtomic::new("stats.persisted", 0));
-    let dropped = Arc::new(ModelAtomic::new("stats.dropped", 0));
-    let lane = Arc::new(ModelChannel::new("stats.lane", 0));
+    let emitted = Arc::new(ModelAtomic::new(0));
+    let persisted = Arc::new(ModelAtomic::new(0));
+    let dropped = Arc::new(ModelAtomic::new(0));
+    let lane = Arc::new(ModelChannel::new(0));
 
     let (e, l) = (Arc::clone(&emitted), Arc::clone(&lane));
     sp.spawn("producer", move |ctx| {
@@ -301,9 +298,9 @@ struct EpochModel {
 impl EpochModel {
     fn new() -> Self {
         EpochModel {
-            acks: Arc::new(ModelChannel::new("epoch.acks", 2)),
-            adopted: Arc::new(ModelAtomic::new("epoch.adopted", 0)),
-            pna_done: Arc::new(ModelChannel::new("epoch.pna_done", 0)),
+            acks: Arc::new(ModelChannel::new(2)),
+            adopted: Arc::new(ModelAtomic::new(0)),
+            pna_done: Arc::new(ModelChannel::new(0)),
         }
     }
 }
@@ -394,16 +391,13 @@ struct TrimModel {
 impl TrimModel {
     fn new() -> Self {
         TrimModel {
-            hub: Arc::new(ModelMutex::new(
-                "trim.hub",
-                TrimHub {
-                    active: vec![1, 2],
-                    assigned: Vec::new(),
-                    queue: (0..EVENTS).collect(),
-                },
-            )),
-            hb_done: Arc::new(ModelChannel::new("trim.hb_done", 0)),
-            trim_done: Arc::new(ModelChannel::new("trim.trim_done", 0)),
+            hub: Arc::new(ModelMutex::new(TrimHub {
+                active: vec![1, 2],
+                assigned: Vec::new(),
+                queue: (0..EVENTS).collect(),
+            })),
+            hb_done: Arc::new(ModelChannel::new(0)),
+            trim_done: Arc::new(ModelChannel::new(0)),
         }
     }
 }
@@ -530,11 +524,11 @@ struct WakeModel {
 impl WakeModel {
     fn new() -> Self {
         WakeModel {
-            replies: Arc::new(ModelChannel::new("wake.replies", 0)),
-            pending: Arc::new(ModelAtomic::new("wake.pending", 0)),
-            wake_fd: Arc::new(ModelChannel::new("wake.fd", 0)),
-            delivered: Arc::new(ModelAtomic::new("wake.delivered", 0)),
-            worker_done: Arc::new(ModelChannel::new("wake.worker_done", 0)),
+            replies: Arc::new(ModelChannel::new(0)),
+            pending: Arc::new(ModelAtomic::new(0)),
+            wake_fd: Arc::new(ModelChannel::new(0)),
+            delivered: Arc::new(ModelAtomic::new(0)),
+            worker_done: Arc::new(ModelChannel::new(0)),
         }
     }
 }

@@ -17,6 +17,42 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
+/// Why `oddci` printed no report, rendered for stderr.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// The command line was wrong (`argument error: …`); exit code 2.
+    Usage(String),
+    /// The command ran and failed its own check (`check failed: …`); exit
+    /// code 1.
+    Failed(String),
+}
+
+impl CliError {
+    /// The process exit code for this error.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Usage(_) => 2,
+            CliError::Failed(_) => 1,
+        }
+    }
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> CliError {
+        CliError::Usage(e.to_string())
+    }
+}
+
 /// One `--name` a command reads. Its name, help line and default are
 /// written here and nowhere else: `run` rejects a name its command does
 /// not declare, `oddci help` renders the declaration, and the
@@ -91,8 +127,8 @@ pub struct Command {
     pub about: &'static str,
     /// Every `--name` the handler reads.
     pub flags: &'static [Flag],
-    /// Runs the command; its output, or an argument error.
-    pub run: fn(&Parsed) -> Result<String, ArgError>,
+    /// Runs the command; its output, or why there is none.
+    pub run: fn(&Parsed) -> Result<String, CliError>,
 }
 
 /// A parsed command line: one subcommand plus `--key value` options and

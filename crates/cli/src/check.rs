@@ -1,6 +1,6 @@
 //! `oddci check`: the concurrency gate.
 
-use crate::args::{ArgError, Parsed};
+use crate::args::{ArgError, CliError, Parsed};
 use oddci_check::explore::Explorer;
 use oddci_check::{lint, scenarios};
 use std::fmt::Write;
@@ -35,8 +35,9 @@ pub use spec::*;
 ///
 /// Any lint violation, any failure in an `expect-clean` scenario, and
 /// any `expect-fail` scenario the detector stops catching (a sensitivity
-/// regression) all surface as errors, so `oddci check` exits nonzero.
-fn check(p: &Parsed) -> Result<String, ArgError> {
+/// regression) fail the gate: `check failed: …`, exit code 1. A bad
+/// command line stays an argument error (exit code 2).
+fn check(p: &Parsed) -> Result<String, CliError> {
     let seed: u64 = p.num(&SEED)?;
     let schedules: usize = p.positive(&SCHEDULES)?;
 
@@ -67,7 +68,7 @@ fn check(p: &Parsed) -> Result<String, ArgError> {
 
     if let Some(schedule) = p.get(&REPLAY) {
         let [s] = selected[..] else {
-            return Err(ArgError("--replay requires --scenario NAME".into()));
+            return Err(ArgError("--replay requires --scenario NAME".into()).into());
         };
         let outcome = Explorer::new(seed).replay(schedule, s.setup);
         let verdict = match outcome.failure {
@@ -95,7 +96,7 @@ fn check(p: &Parsed) -> Result<String, ArgError> {
             for v in &violations {
                 let _ = writeln!(msg, "  {v}");
             }
-            return Err(ArgError(msg));
+            return Err(failed(msg));
         }
         let _ = writeln!(out, "lint : clean");
     }
@@ -141,13 +142,18 @@ fn check(p: &Parsed) -> Result<String, ArgError> {
     if failures.is_empty() {
         Ok(out)
     } else {
-        Err(ArgError(failures.join("\n")))
+        Err(failed(failures.join("\n")))
     }
+}
+
+/// A gate the command ran and did not pass.
+fn failed(msg: String) -> CliError {
+    CliError::Failed(format!("check failed: {msg}"))
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::testing::oddci;
+    use crate::testing::{argv, oddci};
 
     #[test]
     fn check_lists_scenarios() {
@@ -163,6 +169,33 @@ mod tests {
         assert!(err.contains("unknown scenario"));
         let err = oddci("check --replay s11:0.1").unwrap_err();
         assert!(err.contains("requires --scenario"));
+    }
+
+    /// A gate that ran and failed has its own label and exit code 1; a
+    /// bad command line stays an argument error with exit code 2.
+    #[test]
+    fn a_failed_gate_is_not_an_argument_error() {
+        let missed = [
+            "check",
+            "--skip-lint",
+            "--scenario",
+            "wake-vs-wait-late-rearm",
+        ];
+        let err =
+            crate::execute(&argv(&[&missed[..], &["--schedules", "1"]].concat())).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        let text = err.to_string();
+        assert!(
+            text.starts_with("check failed: wake-vs-wait-late-rearm: detector missed"),
+            "{text}"
+        );
+        let err = crate::execute(&argv(&["check", "--scenario", "no-such-thing"])).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert!(
+            err.to_string()
+                .starts_with("argument error: unknown scenario"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! an in-process PNA fleet, inject a fault, and fail unless the plane
 //! recovers without losing a task.
 
-use crate::args::{ArgError, Parsed, JSON};
+use crate::args::{ArgError, CliError, Parsed, JSON};
 use crate::live::alignment_job;
 use crate::socket::{await_redials, sizing_policy, socket_mode};
 use crate::Report;
@@ -146,7 +146,7 @@ impl Drop for RemoveOnDrop {
 /// the listener just dies), then boots a standby from the latest snapshot
 /// on the same address and proves the job finishes with every task
 /// accounted for and every PNA re-acked at the bumped epoch.
-fn failover(p: &Parsed) -> Result<String, ArgError> {
+fn failover(p: &Parsed) -> Result<String, CliError> {
     let listen = p.addr(&LISTEN)?;
     let pnas: u64 = p.positive(&FAILOVER_PNAS)?;
     let queries: u64 = p.positive(&QUERIES)?;
@@ -212,7 +212,8 @@ fn failover(p: &Parsed) -> Result<String, ArgError> {
             join(fleet);
             return Err(ArgError(format!(
                 "no snapshot containing the job appeared within {timeout_secs}s"
-            )));
+            ))
+            .into());
         }
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -223,7 +224,7 @@ fn failover(p: &Parsed) -> Result<String, ArgError> {
         Ok(s) => s,
         Err(e) => {
             join(fleet);
-            return Err(ArgError(format!("standby failed to adopt: {e}")));
+            return Err(ArgError(format!("standby failed to adopt: {e}")).into());
         }
     };
     let adopt_ms = adopt_started.elapsed().as_secs_f64() * 1e3;
@@ -239,7 +240,8 @@ fn failover(p: &Parsed) -> Result<String, ArgError> {
     let Some(outcome) = outcome else {
         return Err(ArgError(format!(
             "job did not complete on the standby within {timeout_secs}s"
-        )));
+        ))
+        .into());
     };
     let (completed, requeues) = (outcome.report.tasks_completed, outcome.report.requeues);
     let (unaccounted, threads_failed) = (shutdown.tasks_unaccounted, shutdown.threads_failed);
@@ -288,7 +290,8 @@ fn failover(p: &Parsed) -> Result<String, ArgError> {
         return Err(ArgError(format!(
             "failover lost work: {tasks_lost} task(s) missing, {unaccounted} unaccounted\n{}",
             r.text
-        )));
+        ))
+        .into());
     }
     Ok(r.or_json(p.flag(&JSON), &doc))
 }
@@ -303,7 +306,7 @@ fn failover(p: &Parsed) -> Result<String, ArgError> {
 /// requeue, a Replace re-requests the capacity, and the job finishes
 /// with zero loss. Fails unless at least one scale-up AND one
 /// scale-down happened.
-fn autoscale(p: &Parsed) -> Result<String, ArgError> {
+fn autoscale(p: &Parsed) -> Result<String, CliError> {
     let listen = p.addr(&LISTEN)?;
     let pnas: u64 = p.positive(&AUTOSCALE_PNAS)?;
     let queries: u64 = p.positive(&QUERIES)?;
@@ -316,7 +319,8 @@ fn autoscale(p: &Parsed) -> Result<String, ArgError> {
         return Err(ArgError(format!(
             "--max-instances {} exceeds --pnas {pnas}",
             policy.max_size
-        )));
+        ))
+        .into());
     }
     let config = LiveConfig {
         faults: FaultPlan::parse(p.text(&REVOKE_FAULTS)).map_err(ArgError)?,
@@ -419,7 +423,7 @@ fn autoscale(p: &Parsed) -> Result<String, ArgError> {
     } else {
         return Ok(out);
     };
-    Err(ArgError(format!("{failure}\n{out}")))
+    Err(ArgError(format!("{failure}\n{out}")).into())
 }
 
 #[cfg(test)]

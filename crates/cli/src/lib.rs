@@ -52,7 +52,7 @@ mod socket;
 mod top;
 
 use args::Command;
-pub use args::{ArgError, Parsed};
+pub use args::{ArgError, CliError, Parsed};
 
 /// Every subcommand, in help order. `run` rejects a `--name` its command
 /// does not declare, and [`usage`] renders the same declarations.
@@ -67,17 +67,28 @@ const COMMANDS: &[&Command] = &[
     &check::CHECK,
 ];
 
-/// Entry point shared by `main` and the tests: parses `argv[1..]`, runs the
-/// subcommand, returns the rendered output or a usage error.
+/// [`execute`] with the error rendered as `main` prints it: the entry
+/// point of the tests.
 pub fn run(argv: &[String]) -> Result<String, String> {
+    execute(argv).map_err(|e| e.to_string())
+}
+
+/// Parses `argv[1..]`, runs the subcommand, and returns the rendered
+/// output or why there is none; `main` exits with the error's
+/// [`exit_code`](CliError::exit_code).
+pub fn execute(argv: &[String]) -> Result<String, CliError> {
     let argv = spell_out(argv);
-    let parsed = Parsed::parse(&argv).map_err(|e| format!("{e}\n\n{}", usage()))?;
+    let parsed =
+        Parsed::parse(&argv).map_err(|e| CliError::Usage(format!("{e}\n\n{}", usage())))?;
     let command = parsed.command.as_str();
     if matches!(command, "help" | "--help" | "-h") {
         return Ok(usage());
     }
     let Some(command) = COMMANDS.iter().find(|c| c.name == command) else {
-        return Err(format!("unknown subcommand `{command}`\n\n{}", usage()));
+        return Err(CliError::Usage(format!(
+            "unknown subcommand `{command}`\n\n{}",
+            usage()
+        )));
     };
     // Before the command does any work: a name it never reads must not
     // parse, be ignored, and look like it worked.
@@ -90,9 +101,9 @@ pub fn run(argv: &[String]) -> Result<String, String> {
         } else {
             ""
         };
-        return Err(ArgError(format!("`oddci {shown}` takes no `--{name}`{hint}")).to_string());
+        return Err(ArgError(format!("`oddci {shown}` takes no `--{name}`{hint}")).into());
     }
-    (command.run)(&parsed).map_err(|e| e.to_string())
+    (command.run)(&parsed)
 }
 
 /// A command's text report: a title line, then `  label: value` rows

@@ -1,6 +1,6 @@
 //! The in-process live plane's commands: `live` and `soak`.
 
-use crate::args::{ArgError, Parsed, JSON};
+use crate::args::{ArgError, CliError, Parsed, JSON};
 use crate::sim::{finish_stream, open_stream_sink};
 use crate::Report;
 use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
@@ -57,7 +57,7 @@ pub fn alignment_job(
 }
 
 /// `oddci live`: the thread-based demo.
-fn live(p: &Parsed) -> Result<String, ArgError> {
+fn live(p: &Parsed) -> Result<String, CliError> {
     let nodes: u64 = p.positive(&NODES)?;
     let queries: u64 = p.positive(&QUERIES)?;
     let target: u64 = p.positive(&TARGET)?;
@@ -91,7 +91,7 @@ fn live(p: &Parsed) -> Result<String, ArgError> {
 /// Runs one alignment job with a deliberately small database so each task
 /// is cheap: throughput is then dominated by headend round trips, which is
 /// exactly what the batch size changes.
-fn soak(p: &Parsed) -> Result<String, ArgError> {
+fn soak(p: &Parsed) -> Result<String, CliError> {
     let batch: usize = p.num(&BATCH)?;
     let mode = HeadendMode::Sharded {
         shards: 1,

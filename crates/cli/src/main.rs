@@ -3,11 +3,11 @@
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match oddci_cli::run(&argv) {
+    match oddci_cli::execute(&argv) {
         Ok(output) => print!("{output}"),
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(e.exit_code());
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The closed-form model's commands: `wakeup` (§5.1) and `efficiency`
 //! (equations 1 and 2).
 
-use crate::args::{ArgError, Parsed};
+use crate::args::{CliError, Parsed};
 use oddci_analytics::{efficiency as eq2, makespan, wakeup_envelope, InstanceParams};
 use oddci_types::{Bandwidth, DataSize};
 use oddci_workload::JobProfile;
@@ -33,7 +33,7 @@ mod spec {
 pub use spec::*;
 
 /// `oddci wakeup`: the §5.1 envelope.
-fn wakeup(p: &Parsed) -> Result<String, ArgError> {
+fn wakeup(p: &Parsed) -> Result<String, CliError> {
     let image_mb: u64 = p.num(&IMAGE_MB)?;
     let beta_mbps: f64 = p.positive(&BETA_MBPS)?;
     let image = DataSize::from_megabytes(image_mb);
@@ -52,7 +52,7 @@ fn wakeup(p: &Parsed) -> Result<String, ArgError> {
 }
 
 /// `oddci efficiency`: equations (1) and (2) at a point.
-fn efficiency(p: &Parsed) -> Result<String, ArgError> {
+fn efficiency(p: &Parsed) -> Result<String, CliError> {
     let phi: f64 = p.positive(&PHI)?;
     let ratio: f64 = p.positive(&RATIO)?;
     let nodes: u64 = p.positive(&NODES)?;

@@ -2,7 +2,7 @@
 //! `trace convert`, plus the streaming-sink plumbing `trace` shares with
 //! `soak`.
 
-use crate::args::{ArgError, Parsed, JSON};
+use crate::args::{ArgError, CliError, Parsed, JSON};
 use crate::Report;
 use oddci_analytics::{makespan, wakeup_envelope, InstanceParams};
 use oddci_core::world::MetricsSnapshot;
@@ -98,7 +98,7 @@ fn run_job(
 }
 
 /// `oddci simulate`: run a full world for one job.
-fn simulate(p: &Parsed) -> Result<String, ArgError> {
+fn simulate(p: &Parsed) -> Result<String, CliError> {
     let nodes: u64 = p.num(&NODES)?;
     let target: u64 = p.num(&TARGET)?;
     let tasks: u64 = p.num(&TASKS)?;
@@ -152,7 +152,7 @@ fn simulate(p: &Parsed) -> Result<String, ArgError> {
 
 /// `oddci chaos`: run one simulation under an injected-fault plan and
 /// report how the control plane coped.
-fn chaos(p: &Parsed) -> Result<String, ArgError> {
+fn chaos(p: &Parsed) -> Result<String, CliError> {
     let nodes: u64 = p.num(&CHAOS_NODES)?;
     let target: u64 = p.num(&TARGET)?;
     let tasks: u64 = p.num(&CHAOS_TASKS)?;
@@ -160,7 +160,7 @@ fn chaos(p: &Parsed) -> Result<String, ArgError> {
     let seed: u64 = p.num(&SEED)?;
     let intensity: f64 = p.num(&INTENSITY)?;
     if !(0.0..=10.0).contains(&intensity) {
-        return Err(ArgError("--intensity must be in [0, 10]".into()));
+        return Err(ArgError("--intensity must be in [0, 10]".into()).into());
     }
     let plan = match p.get(&FAULTS) {
         Some(spec) => FaultPlan::parse(spec).map_err(ArgError)?,
@@ -262,7 +262,7 @@ pub fn finish_stream(sink: &StreamingSink) -> Result<SinkSummary, ArgError> {
 /// into the Chrome `trace_event` document `--out`, and print the
 /// per-phase latency breakdown plus the `W = 1.5·I/β` agreement check,
 /// computed from the streamed events.
-fn trace(p: &Parsed) -> Result<String, ArgError> {
+fn trace(p: &Parsed) -> Result<String, CliError> {
     use oddci_telemetry::Telemetry;
 
     let scenario = p.text(&SCENARIO);
@@ -280,7 +280,8 @@ fn trace(p: &Parsed) -> Result<String, ArgError> {
         other => {
             return Err(ArgError(format!(
                 "unknown scenario `{other}` (expected small | standard | chaos)"
-            )))
+            ))
+            .into())
         }
     };
 
@@ -356,7 +357,7 @@ fn trace(p: &Parsed) -> Result<String, ArgError> {
 /// `oddci trace convert`: losslessly re-emit the JSONL and Chrome text
 /// artifacts from a binary trace recorded with `trace --stream PATH` or
 /// `soak --trace-out PATH` — the only way either text form is produced.
-fn trace_convert(p: &Parsed) -> Result<String, ArgError> {
+fn trace_convert(p: &Parsed) -> Result<String, CliError> {
     let input = p.get(&INPUT).ok_or_else(|| {
         ArgError(
             "usage: oddci trace convert <file.trace.bin> [--jsonl PATH] [--chrome PATH]".into(),

@@ -1,7 +1,7 @@
 //! The socket plane's server and client: `headend` (and its `--standby`
 //! arm) and `pna`, plus the socket plumbing `top` and the drills share.
 
-use crate::args::{ArgError, Flag, Parsed, JSON};
+use crate::args::{ArgError, CliError, Flag, Parsed, JSON};
 use crate::Report;
 use oddci_live::wire::WirePnaConfig;
 use oddci_live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
@@ -262,7 +262,7 @@ fn finish_headend(p: &Parsed, live: LiveOddci, fields: serde_json::Value, mut r:
 /// one alignment job over the wire (wakeup image streamed in checksummed
 /// chunks, heartbeats on the direct channels) and reports the outcome
 /// plus transport counters.
-fn headend(p: &Parsed) -> Result<String, ArgError> {
+fn headend(p: &Parsed) -> Result<String, CliError> {
     let config = headend_config(p)?;
     if let Some(dir) = p.get(&STANDBY) {
         return headend_standby(p, config, dir);
@@ -286,7 +286,8 @@ fn headend(p: &Parsed) -> Result<String, ArgError> {
         return Err(ArgError(format!(
             "job did not complete within {timeout_secs}s — are {target}+ \
              `oddci pna --connect {addr}` processes running?"
-        )));
+        ))
+        .into());
     };
     let (completed, requeues) = (outcome.report.tasks_completed, outcome.report.requeues);
     let makespan = outcome.report.makespan.as_secs_f64();
@@ -316,7 +317,7 @@ fn headend(p: &Parsed) -> Result<String, ArgError> {
 /// verdict at a bumped fencing epoch, let the surviving PNAs redial in,
 /// and wait for every adopted in-flight job to finish before the usual
 /// shutdown broadcast.
-fn headend_standby(p: &Parsed, config: LiveConfig, dir: &str) -> Result<String, ArgError> {
+fn headend_standby(p: &Parsed, config: LiveConfig, dir: &str) -> Result<String, CliError> {
     let pnas = config.nodes;
     let timeout_secs: u64 = p.positive(&TIMEOUT)?;
     let snap_path = std::path::Path::new(dir).join(oddci_live::SNAPSHOT_FILE);
@@ -341,7 +342,8 @@ fn headend_standby(p: &Parsed, config: LiveConfig, dir: &str) -> Result<String, 
             return Err(ArgError(format!(
                 "adopted job {req:?} did not complete within {timeout_secs}s \
                  — are the surviving PNAs redialing {addr}?"
-            )));
+            ))
+            .into());
         };
         completed += outcome.report.tasks_completed;
         requeues += outcome.report.requeues;
@@ -371,7 +373,7 @@ fn headend_standby(p: &Parsed, config: LiveConfig, dir: &str) -> Result<String, 
 /// `oddci headend --listen` address, handshakes, and runs the full §3.2
 /// receiver loop — wakeup, boot from the streamed image, task fetch,
 /// result upload, heartbeats — until the headend broadcasts shutdown.
-fn pna(p: &Parsed) -> Result<String, ArgError> {
+fn pna(p: &Parsed) -> Result<String, CliError> {
     let connect = p.addr(&CONNECT)?;
     let mut cfg = WirePnaConfig::new(connect);
     cfg.seed = p.num(&PNA_SEED)?;

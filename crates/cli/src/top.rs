@@ -1,7 +1,7 @@
 //! `oddci top`: a running socket headend's live metrics plane, polled
 //! over the wire.
 
-use crate::args::{ArgError, Parsed};
+use crate::args::{ArgError, CliError, Parsed};
 use crate::socket::{conn_json, CONNECT, CONNECT_TIMEOUT};
 use crate::Report;
 use oddci_live::runtime::DEFAULT_KEY;
@@ -103,7 +103,7 @@ fn render_top(
 /// and renders the registry (with deltas/rates between polls) plus the
 /// per-connection wire counters. A monitoring connection never performs
 /// the hello handshake, so it does not consume a node identity.
-fn top(p: &Parsed) -> Result<String, ArgError> {
+fn top(p: &Parsed) -> Result<String, CliError> {
     let addr = p.addr(&CONNECT)?;
     let count: u64 = p.num(&COUNT)?; // 0 = poll until the headend goes away
     let interval = Duration::from_millis(p.positive(&INTERVAL_MS)?);
@@ -129,7 +129,7 @@ fn top(p: &Parsed) -> Result<String, ArgError> {
         let reply = loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Err(ArgError(format!("top on {addr}: no StatsReply within 5s")));
+                return Err(ArgError(format!("top on {addr}: no StatsReply within 5s")).into());
             }
             match client.receiver().recv_timeout(left) {
                 Ok(WireMsg::StatsReply {
@@ -166,9 +166,8 @@ fn top(p: &Parsed) -> Result<String, ArgError> {
         println!("{final_out}");
         std::thread::sleep(interval);
     };
-    client.request_close();
     if polls == 0 {
-        return Err(ArgError(format!("top on {addr}: {ended}")));
+        return Err(ArgError(format!("top on {addr}: {ended}")).into());
     }
     Ok(final_out)
 }

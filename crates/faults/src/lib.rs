@@ -47,6 +47,7 @@
 //! assert_eq!(first, injector.heartbeat_dropped(NodeId::new(3), now));
 //! ```
 
+use oddci_sim::rng::splitmix64;
 use oddci_types::{NodeId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -379,16 +380,11 @@ impl FaultPlan {
 // Injector
 // ---------------------------------------------------------------------
 
-/// FNV-1a over the label, mixed with splitmix64 — the same construction
-/// [`oddci_sim::SeedForge`] uses, applied to pure per-query inputs.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// FNV-1a over `label`, with `seed` XORed into the offset basis; an
+/// injector's class seed is this, finished by [`splitmix64`]. It is not
+/// [`SeedForge::seed`](oddci_sim::SeedForge::seed)'s construction, which
+/// XORs the master into the finished hash: the two derive different
+/// seeds, and fault decisions and the chaos goldens are pinned to this one.
 #[inline]
 fn fnv1a(seed: u64, label: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
@@ -420,7 +416,7 @@ impl FaultInjector {
         plan.validate().expect("valid fault plan");
         let mut class_seeds = [0u64; 14];
         for (i, class) in FaultClass::ALL.iter().enumerate() {
-            class_seeds[i] = mix(fnv1a(seed, class.label()));
+            class_seeds[i] = splitmix64(fnv1a(seed, class.label()));
         }
         FaultInjector { plan, class_seeds }
     }
@@ -450,7 +446,8 @@ impl FaultInjector {
 
     /// Uniform `[0, 1)` from the pure inputs.
     fn unit(&self, class: FaultClass, node: u64, nonce: u64) -> f64 {
-        let h = mix(self.class_seed(class) ^ node.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ nonce);
+        let h =
+            splitmix64(self.class_seed(class) ^ node.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ nonce);
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -647,7 +644,7 @@ impl Backoff {
         }
         d = d.min(self.max_micros);
         // Jitter in [-25%, +25%), deterministic in (seed, attempt).
-        let h = mix(jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let h = splitmix64(jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let jittered = d as f64 * (0.75 + 0.5 * unit);
         Some((jittered as u64).max(1))

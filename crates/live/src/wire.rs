@@ -16,10 +16,10 @@
 //!
 //! Request/reply pairs (heartbeats, task fetches) ride a correlation id.
 //! On the PNA side the node thread sends the request and reads the
-//! client's inbound channel itself until the reply with its id comes
-//! back: broadcasts read meanwhile are queued for the node's next read,
-//! a reply to an older request is dropped, and a `Shutdown` or a lost
-//! connection ends the wait at once. On the headend side nothing waits
+//! socket itself until the reply with its id comes back: broadcasts read
+//! meanwhile are queued for the node's next read, a reply to an older
+//! request is dropped, and a `Shutdown` or a lost connection ends the
+//! wait at once. On the headend side nothing waits
 //! either: a heartbeat or a task fetch is answered on the serving thread
 //! before it reads its next message.
 
@@ -421,9 +421,8 @@ fn from_wire_batch(batch: WireBatch) -> TaskBatchReply {
 // ---------------------------------------------------------------------
 
 /// A `NodeLink` backed by one TCP connection, owned and read by the node
-/// thread alone: a request waits for its reply on the channel the
-/// `WireClient` reader feeds, and what the node must hear meanwhile waits
-/// in `queued` for its next read.
+/// thread alone: a request reads the socket until its reply, and what
+/// the node must hear meanwhile waits in `queued` for its next read.
 pub(crate) struct RemoteLink {
     client: WireClient,
     /// Broadcasts and the end of the plane read while a request waited
@@ -747,8 +746,8 @@ fn redial(
 
 /// Runs one PNA against a socket headend until the plane shuts down:
 /// dial, handshake, then the standard `node_main` loop over a
-/// `RemoteLink`, on the calling thread; the `WireClient` reader is the
-/// only other thread. Blocks until the headend broadcasts `Shutdown` or
+/// `RemoteLink`, all on the calling thread: the link starts no thread
+/// of its own. Blocks until the headend broadcasts `Shutdown` or
 /// the connection dies — unless [`WirePnaConfig::reconnect`] is set, in
 /// which case a dead connection triggers redial-and-resume (failover).
 pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
@@ -765,7 +764,7 @@ pub fn run_wire_pna(config: WirePnaConfig) -> Result<WirePnaReport, WireError> {
     let NodeLink::Remote(mut link) = link else {
         unreachable!("the link was built remote")
     };
-    // Joins the reader, so the counters include its exit.
+    // Counts the connection out of `open` before the counters are read.
     link.client.close();
     Ok(WirePnaReport {
         node: link.node,

@@ -67,6 +67,9 @@ run cargo test -q --workspace ${CARGO_FLAGS}
 # not depend on how fast the build is (ROADMAP item 2).
 run cargo test -q --release ${CARGO_FLAGS} -p oddci-live --lib \
     standby_adopts_a_killed_socket_headend_mid_job
+# The wire transport's unit tests in a release build too: their timeouts
+# and time bounds are wall-clock, so a fast build must pass them as well.
+run cargo test -q --release ${CARGO_FLAGS} -p oddci-wire --lib
 # The benchmark crate sits outside the workspace and links it the way an
 # outside caller would (benchmark/src/sut.rs pins every public item it
 # uses), so a wire or live API change that breaks it has to fail here
