@@ -26,10 +26,10 @@
 //!   accounting then has to explain.
 //! * **unsafe** — the `unsafe` keyword appears in exactly one file,
 //!   `crates/wire/src/poller.rs` (the serving loop's four epoll/eventfd
-//!   foreign calls and the client's `ppoll`), and there every use sits
-//!   under a `// SAFETY:` comment. This rule also covers the root
-//!   package's `src/`, `tests/` and `examples/`; every other crate root
-//!   carries `#![forbid(unsafe_code)]` as well.
+//!   foreign calls), and there every use sits under a `// SAFETY:`
+//!   comment. This rule also covers the root package's `src/`, `tests/`
+//!   and `examples/`; every other crate root carries
+//!   `#![forbid(unsafe_code)]` as well.
 //! * **ledger-home** — the Backend's and the Provider's job registration
 //!   and lookup (`register_job(`, `open_request(`, `request_for_job(`)
 //!   are called only in `backend.rs`, `provider.rs` and the

@@ -1,9 +1,9 @@
-//! Readiness polling: for the serving loop, level-triggered `epoll` plus
-//! an `eventfd` that lets other threads interrupt the wait; for a client,
-//! `ppoll` on its one socket ([`wait_readable`]).
+//! Readiness polling for the serving loop and for each `WireClient`'s
+//! one socket: level-triggered `epoll` plus an `eventfd` that lets other
+//! threads interrupt the wait.
 //!
 //! This is the only file in the workspace that contains `unsafe` (the
-//! `oddci-check` lint enforces that): five foreign calls into the C
+//! `oddci-check` lint enforces that): four foreign calls into the C
 //! library the standard library already links, declared here instead of
 //! pulling in a dependency. Everything past file-descriptor creation is
 //! safe code — the descriptors live in [`OwnedFd`]s, so they close on
@@ -34,27 +34,11 @@ compile_error!(
     "the epoll_event layout and the flag values below are those of x86-64 and aarch64 Linux"
 );
 
-/// `struct pollfd`.
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-/// `struct timespec` of a 64-bit target.
-#[repr(C)]
-struct Timespec {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
-    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
 }
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
@@ -67,7 +51,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
-const POLLIN: i16 = 0x001;
 
 /// Token [`Poller::wait`] reports when a [`Waker`] fired.
 pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
@@ -81,34 +64,6 @@ fn cvt(rc: i32) -> io::Result<i32> {
         Err(io::Error::last_os_error())
     } else {
         Ok(rc)
-    }
-}
-
-/// Blocks until `fd` is readable — data, end of stream or an error a
-/// read will report — or `timeout` passes (`None`: no limit), to the
-/// nanosecond, and says whether it is. A zero timeout only looks, in one
-/// syscall. An interrupted wait reports not readable.
-pub(crate) fn wait_readable(fd: RawFd, timeout: Option<Duration>) -> io::Result<bool> {
-    let mut pollfd = PollFd {
-        fd,
-        events: POLLIN,
-        revents: 0,
-    };
-    let timeout = timeout.map(|t| Timespec {
-        tv_sec: t.as_secs().min(i64::MAX as u64) as i64,
-        tv_nsec: i64::from(t.subsec_nanos()),
-    });
-    let timeout = timeout
-        .as_ref()
-        .map_or(std::ptr::null(), |t| t as *const Timespec);
-    // SAFETY: `pollfd` is one live `struct pollfd` and 1 is the count
-    // passed; `timeout` is null or points at a live `timespec`, which the
-    // kernel only reads; a null signal mask leaves the thread's alone.
-    let rc = unsafe { ppoll(&mut pollfd, 1, timeout, std::ptr::null()) };
-    match cvt(rc) {
-        Ok(n) => Ok(n > 0),
-        Err(e) if e.kind() == ErrorKind::Interrupted => Ok(false),
-        Err(e) => Err(e),
     }
 }
 

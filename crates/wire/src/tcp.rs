@@ -72,15 +72,16 @@
 //! alone: a blocking connect (with retry until a deadline, since the
 //! headend may still be binding), one blocking `write` per message, and
 //! reads made by the caller — [`ClientReceiver::recv_timeout`] waits in
-//! `ppoll` until the socket is readable, reads it and decodes whole
-//! [`WireMsg`]s. So a request and its reply cost the serving loop's wake
-//! and the caller's, and a PNA process runs one thread.
+//! `epoll_wait` on the client's own poller until the socket is readable,
+//! reads it and decodes whole [`WireMsg`]s. So a request and its reply
+//! cost the serving loop's wake and the caller's, and a PNA process runs
+//! one thread.
 
 use crate::envelope::{encode_chunks, encode_chunks_into, Reassembler, ReassemblyStats};
 use crate::fault::mangle_frames;
 use crate::frame::{DecodeStats, FrameDecoder, Integrity, DEFAULT_CHUNK};
 use crate::message::WireMsg;
-use crate::poller::{self, Poller, Ready, Waker, WAKE_TOKEN};
+use crate::poller::{Poller, Ready, Waker, WAKE_TOKEN};
 use crate::WireError;
 use oddci_check::sync::{Mutex, RecvTimeoutError};
 use oddci_faults::FaultInjector;
@@ -1047,6 +1048,8 @@ impl WireClient {
             }
         };
         let _ = stream.set_nodelay(true);
+        let poller = Poller::new()?;
+        poller.add(stream.as_raw_fd(), 0, false)?;
         let stats = WireStats::new();
         WireStats::add(&stats.inner.accepted, 1);
         WireStats::add(&stats.inner.open, 1);
@@ -1056,6 +1059,8 @@ impl WireClient {
             rx: ClientReceiver {
                 stream,
                 inbound: RefCell::new(Inbound {
+                    poller,
+                    polled: Vec::new(),
                     decoder: FrameDecoder::new(config.integrity.clone()),
                     reassembler: Reassembler::new(),
                     prev_decode: DecodeStats::default(),
@@ -1064,7 +1069,6 @@ impl WireClient {
                     buf: vec![0u8; 64 * 1024],
                 }),
                 closed: Cell::new(false),
-                quiet_until: Cell::new(start),
                 stats,
                 mirror,
                 node: config.node,
@@ -1141,14 +1145,6 @@ impl Drop for WireClient {
     }
 }
 
-/// How long a wait that found the socket empty answers for it: a
-/// zero-timeout [`ClientReceiver::recv_timeout`] within this long after it
-/// returns `Timeout` without a syscall. The node loop looks at its link
-/// after every task; a `ppoll` per light task cost `socket_light` about
-/// 8 % of its rate on a 2-vCPU box. A message is heard between tasks at
-/// most this late.
-const QUIET: Duration = Duration::from_micros(50);
-
 /// The read half of a [`WireClient`]: the socket and the decoder state
 /// that turns its bytes into messages, run by whichever thread asks for
 /// the next one.
@@ -1156,9 +1152,6 @@ pub struct ClientReceiver {
     stream: TcpStream,
     inbound: RefCell<Inbound>,
     closed: Cell<bool>,
-    /// Until when the last wait that found the socket empty answers a
-    /// zero-timeout call; a read moves it back to the read's instant.
-    quiet_until: Cell<Instant>,
     stats: WireStats,
     mirror: TeleMirror,
     node: NodeId,
@@ -1166,6 +1159,10 @@ pub struct ClientReceiver {
 
 /// Socket bytes → frames → messages, for one [`ClientReceiver`].
 struct Inbound {
+    /// An epoll instance with the socket alone registered.
+    poller: Poller,
+    /// What the last wait reported.
+    polled: Vec<Ready>,
     decoder: FrameDecoder,
     reassembler: Reassembler,
     prev_decode: DecodeStats,
@@ -1178,15 +1175,15 @@ struct Inbound {
 
 impl ClientReceiver {
     /// The next inbound message: one decoded by an earlier read, else
-    /// whatever the socket yields within `timeout`. It waits in `ppoll`
-    /// and reads only a readable socket, so a zero timeout never blocks;
-    /// on an idle link it costs one syscall, and none within `QUIET`
-    /// (50 µs) of a wait that found the socket empty. EOF or a socket
-    /// error closes the client and reads as `Disconnected`, after every
-    /// message that arrived before it.
+    /// whatever the socket yields within `timeout` (rounded up to a
+    /// millisecond). It waits in `epoll_wait` and reads only a readable
+    /// socket, so a zero timeout never blocks and on an idle link costs
+    /// one syscall. EOF or a socket error closes the client and reads as
+    /// `Disconnected`, after every message that arrived before it.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<WireMsg, RecvTimeoutError> {
         let deadline = Instant::now().checked_add(timeout);
-        let mut inbound = self.inbound.borrow_mut();
+        let mut guard = self.inbound.borrow_mut();
+        let inbound = &mut *guard;
         let mut looked = false;
         loop {
             if let Some((msg, _)) = inbound.ready.pop_front() {
@@ -1195,22 +1192,19 @@ impl ClientReceiver {
             if self.closed.get() {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = Instant::now();
-            let left = deadline.map(|d| d.saturating_duration_since(now));
-            // Past the deadline the socket gets one look, and none within
-            // `QUIET` of a wait that found it empty: bytes that never make
-            // a message cannot hold the caller past its deadline.
-            if left.is_some_and(|l| l.is_zero()) && (looked || now < self.quiet_until.get()) {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            // Past the deadline the socket gets one look: bytes that never
+            // make a message cannot hold the caller past its deadline.
+            if left.is_zero() && looked {
                 return Err(RecvTimeoutError::Timeout);
             }
             looked = true;
-            match poller::wait_readable(self.stream.as_raw_fd(), left) {
-                Ok(true) => {
-                    self.quiet_until.set(now);
-                    self.read(&mut inbound);
-                }
+            match inbound.poller.wait(left, &mut inbound.polled) {
+                Ok(()) if inbound.polled.iter().any(|r| r.readable) => self.read(inbound),
                 // Timed out, or interrupted and waiting on next turn.
-                Ok(false) => self.quiet_until.set(Instant::now() + QUIET),
+                Ok(()) => {}
                 Err(_) => self.mark_closed(),
             }
         }
