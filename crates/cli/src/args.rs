@@ -22,8 +22,8 @@ impl std::error::Error for ArgError {}
 pub enum CliError {
     /// The command line was wrong (`argument error: …`); exit code 2.
     Usage(String),
-    /// The command ran and failed its own check (`check failed: …`); exit
-    /// code 1.
+    /// The command ran and failed its own check (`check failed: …`,
+    /// `drill failed: …`); exit code 1.
     Failed(String),
 }
 

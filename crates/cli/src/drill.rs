@@ -210,10 +210,9 @@ fn failover(p: &Parsed) -> Result<String, CliError> {
         if Instant::now() >= deadline {
             primary.shutdown();
             join(fleet);
-            return Err(ArgError(format!(
+            return Err(failed(format!(
                 "no snapshot containing the job appeared within {timeout_secs}s"
-            ))
-            .into());
+            )));
         }
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -224,7 +223,7 @@ fn failover(p: &Parsed) -> Result<String, CliError> {
         Ok(s) => s,
         Err(e) => {
             join(fleet);
-            return Err(ArgError(format!("standby failed to adopt: {e}")).into());
+            return Err(failed(format!("standby failed to adopt: {e}")));
         }
     };
     let adopt_ms = adopt_started.elapsed().as_secs_f64() * 1e3;
@@ -238,10 +237,9 @@ fn failover(p: &Parsed) -> Result<String, CliError> {
     let shutdown = standby.shutdown();
     let pna_epochs = join(fleet);
     let Some(outcome) = outcome else {
-        return Err(ArgError(format!(
+        return Err(failed(format!(
             "job did not complete on the standby within {timeout_secs}s"
-        ))
-        .into());
+        )));
     };
     let (completed, requeues) = (outcome.report.tasks_completed, outcome.report.requeues);
     let (unaccounted, threads_failed) = (shutdown.tasks_unaccounted, shutdown.threads_failed);
@@ -287,11 +285,10 @@ fn failover(p: &Parsed) -> Result<String, CliError> {
     );
     // The JSON document carries the loss for the caller to judge.
     if !p.flag(&JSON) && (tasks_lost > 0 || unaccounted > 0) {
-        return Err(ArgError(format!(
+        return Err(failed(format!(
             "failover lost work: {tasks_lost} task(s) missing, {unaccounted} unaccounted\n{}",
             r.text
-        ))
-        .into());
+        )));
     }
     Ok(r.or_json(p.flag(&JSON), &doc))
 }
@@ -357,7 +354,7 @@ fn autoscale(p: &Parsed) -> Result<String, CliError> {
     let shutdown = live.shutdown();
     join(fleet);
     let outcome = outcome.ok_or_else(|| {
-        ArgError(format!(
+        failed(format!(
             "job did not complete within {timeout_secs}s (desired {}, {} scale-up(s), \
              {} replacement(s))",
             export.desired, export.scale_ups, export.replacements
@@ -423,12 +420,18 @@ fn autoscale(p: &Parsed) -> Result<String, CliError> {
     } else {
         return Ok(out);
     };
-    Err(ArgError(format!("{failure}\n{out}")).into())
+    Err(failed(format!("{failure}\n{out}")))
+}
+
+/// A drill that ran and whose verdict is a failure: `drill failed: …`,
+/// exit code 1, apart from the argument errors of a bad command line.
+fn failed(msg: String) -> CliError {
+    CliError::Failed(format!("drill failed: {msg}"))
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::testing::{keys, oddci, oddci_json};
+    use crate::testing::{argv, keys, oddci, oddci_json};
 
     #[test]
     fn autoscale_drill_scales_both_ways_without_loss() {
@@ -448,6 +451,22 @@ mod tests {
         assert_eq!(v["tasks_lost"], 0, "{v:?}");
         assert_eq!(v["tasks_unaccounted"], 0, "{v:?}");
         assert_eq!(v["tasks_completed"], 32, "{v:?}");
+    }
+
+    /// A drill whose verdict fails exits 1 with its own label, not as an
+    /// argument error: an instance pinned at one size cannot scale.
+    #[test]
+    fn a_failed_verdict_is_not_an_argument_error() {
+        let pinned = "autoscale --pnas 2 --min-instances 2 --max-instances 2 --queries 4 \
+                      --db-len 20000 --cooldown-ms 50";
+        let err =
+            crate::execute(&argv(&pinned.split_whitespace().collect::<Vec<_>>())).unwrap_err();
+        assert_eq!(err.exit_code(), 1, "{err}");
+        assert!(
+            err.to_string()
+                .starts_with("drill failed: instance was not elastic: 0 scale-up(s)"),
+            "{err}"
+        );
     }
 
     #[test]

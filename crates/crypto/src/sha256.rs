@@ -3,6 +3,12 @@
 //! Streaming API (`update`/`finalize`) plus a one-shot [`Sha256::digest`].
 //! Validated against the NIST example vectors and the classic
 //! one-million-`a` stress vector.
+//!
+//! On an x86-64 CPU with the SHA extensions (and SSSE3 and SSE4.1) the
+//! blocks go through a hardware kernel, `x86::compress_blocks`, chosen by
+//! the CPU alone: there is no option to pick a path. The scalar
+//! `compress` is the portable fallback and the oracle the kernel is
+//! tested against. Both give the same bytes.
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the
 /// cube roots of the first 64 primes).
@@ -71,19 +77,14 @@ impl Sha256 {
                 // not run, or it would clobber `buf_len`.
                 return;
             }
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
-        // Whole blocks straight from the input.
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            compress(
-                &mut self.state,
-                block.try_into().expect("chunk is 64 bytes"),
-            );
-        }
+        // Whole blocks straight from the input, in one run.
+        let whole = data.len() - data.len() % 64;
+        let (blocks, rest) = data.split_at(whole);
+        compress_blocks(&mut self.state, blocks);
         // Stash the tail.
-        let rest = chunks.remainder();
         self.buf[..rest.len()].copy_from_slice(rest);
         self.buf_len = rest.len();
     }
@@ -95,20 +96,35 @@ impl Sha256 {
         // which spills into a second block when fewer than 9 bytes are
         // left in this one (`buf_len` is always below 64 here).
         let used = self.buf_len;
-        self.buf[used] = 0x80;
-        self.buf[used + 1..].fill(0);
-        if used >= 56 {
-            compress(&mut self.state, &self.buf);
-            self.buf = [0; 64];
-        }
-        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buf);
+        let mut pad = [0u8; 128];
+        pad[..used].copy_from_slice(&self.buf[..used]);
+        pad[used] = 0x80;
+        let end = if used < 56 { 64 } else { 128 };
+        pad[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &pad[..end]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
+    }
+}
+
+/// Compresses each 64-byte block of `blocks` (a whole number of them)
+/// into `state`, on the hardware kernel when the CPU has one.
+#[allow(unsafe_code)]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if x86::detected() {
+        // SAFETY: `detected` found every feature the kernel's
+        // `target_feature` list enables on the CPU this process runs on.
+        unsafe { x86::compress_blocks(state, blocks) };
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("chunk is 64 bytes"));
     }
 }
 
@@ -159,9 +175,92 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+/// The SHA-NI kernel: the SHA extensions run two rounds per instruction
+/// on the state held as two vectors, `abef` and `cdgh`. It reads bytes
+/// and state only through value intrinsics, so it has no pointer to get
+/// wrong; the one precondition of calling it is the CPU features.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8,
+    };
+
+    /// True when this CPU runs [`compress_blocks`]. The standard library
+    /// detects the features once per process and caches the answer.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Bytes `at..at + 16` of `block` as four big-endian message words,
+    /// the first in the lowest lane.
+    #[target_feature(enable = "sse2,ssse3")]
+    fn words(block: &[u8], at: usize) -> __m128i {
+        let half = |i: usize| i64::from_le_bytes(block[i..i + 8].try_into().expect("8-byte slice"));
+        // Reverses the bytes of each 32-bit lane.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(_mm_set_epi64x(half(at + 8), half(at)), bswap)
+    }
+
+    /// The next four schedule words from the sixteen before them.
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let sum = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(sum, w3)
+    }
+
+    /// Compresses each 64-byte block of `blocks` into `state`, keeping the
+    /// state in registers from the first block to the last.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        let s = state.map(|x| x as i32);
+        // Lanes low to high: f e b a, and h g d c.
+        let mut abef = _mm_set_epi32(s[0], s[1], s[4], s[5]);
+        let mut cdgh = _mm_set_epi32(s[2], s[3], s[6], s[7]);
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w = [
+                words(block, 0),
+                words(block, 16),
+                words(block, 32),
+                words(block, 48),
+            ];
+            for i in 0..16 {
+                let k = |j: usize| K[4 * i + j] as i32;
+                let wk = _mm_add_epi32(w[0], _mm_set_epi32(k(3), k(2), k(1), k(0)));
+                // Rounds 4i and 4i+1 from the low half of `wk`, then 4i+2
+                // and 4i+3 from its high half; each pair's new a, b, e, f
+                // are the next pair's c, d, g, h.
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                // The last three are never read: the optimiser drops them.
+                w = [w[1], w[2], w[3], schedule(w[0], w[1], w[2], w[3])];
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let lanes = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ];
+        *state = lanes.map(|x| x as u32);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -235,5 +334,63 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Sha256::digest(b"a"), Sha256::digest(b"b"));
+    }
+
+    /// The digest of `data` from the padding rule and the scalar
+    /// [`compress`] alone.
+    fn scalar_digest(data: &[u8]) -> [u8; 32] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in msg.chunks_exact(64) {
+            compress(&mut state, block.try_into().unwrap());
+        }
+        let bytes: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+        bytes.try_into().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// [`compress_blocks`] (the hardware kernel, when this CPU has it)
+        /// leaves the state the scalar oracle does, from any start state
+        /// and over runs of blocks cut anywhere; and a digest streamed in
+        /// 2–4 parts equals the scalar-only digest.
+        #[test]
+        fn kernel_and_stream_match_the_scalar_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..4097),
+            cuts in proptest::collection::vec(any::<usize>(), 1..4),
+            seed in any::<u64>(),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+
+            let start: [u32; 8] =
+                std::array::from_fn(|i| H0[i] ^ seed.rotate_left(8 * i as u32) as u32);
+            let (mut kernel, mut scalar) = (start, start);
+            let whole = data.len() - data.len() % 64;
+            let mut at = 0;
+            for end in cuts.iter().map(|c| c - c % 64).chain([whole]) {
+                compress_blocks(&mut kernel, &data[at..end]);
+                for block in data[at..end].chunks_exact(64) {
+                    compress(&mut scalar, block.try_into().unwrap());
+                }
+                prop_assert_eq!(kernel, scalar);
+                at = end;
+            }
+
+            let mut h = Sha256::new();
+            let mut at = 0;
+            for &cut in &cuts {
+                h.update(&data[at..cut]);
+                at = cut;
+            }
+            h.update(&data[at..]);
+            prop_assert_eq!(h.finalize(), scalar_digest(&data));
+        }
     }
 }

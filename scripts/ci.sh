@@ -70,6 +70,10 @@ run cargo test -q --release ${CARGO_FLAGS} -p oddci-live --lib \
 # The wire transport's unit tests in a release build too: their timeouts
 # and time bounds are wall-clock, so a fast build must pass them as well.
 run cargo test -q --release ${CARGO_FLAGS} -p oddci-wire --lib
+# The crypto tests in a release build: the SHA-256 hardware kernel is
+# inlined and scheduled differently under optimisation, and these tests
+# hold it to the FIPS and RFC 4231 vectors and to the scalar oracle.
+run cargo test -q --release ${CARGO_FLAGS} -p oddci-crypto
 # The benchmark crate sits outside the workspace and links it the way an
 # outside caller would (benchmark/src/sut.rs pins every public item it
 # uses), so a wire or live API change that breaks it has to fail here
@@ -84,7 +88,7 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS
 
 # Concurrency gates: the workspace lint (raw-lock ban, telemetry phase
 # vocabulary, no unwrap in live hot paths, `unsafe` only in the wire
-# poller) must be clean, and a bounded model-check over the scaled-down
+# poller and the SHA-256 kernel's dispatch) must be clean, and a bounded model-check over the scaled-down
 # headend scenarios must find every seeded bug and none in the fixed
 # protocols — including the autoscale trim race (scale-down-vs-heartbeat)
 # and the serving loop's wakeup race (wake-vs-wait), each with its
