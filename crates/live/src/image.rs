@@ -72,7 +72,7 @@ impl AlignmentImage {
     /// Materializes the executable form: generates the database (or
     /// shares the prefetched copy that streamed in with the wakeup) and
     /// builds the k-mer index (the live equivalent of "loading the image
-    /// into the DVE" — two linear passes over the database).
+    /// into the DVE" — one back-to-front pass over the database).
     ///
     /// # Panics
     /// On a recipe [`validate`](AlignmentImage::validate) rejects. The

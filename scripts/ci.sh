@@ -74,6 +74,10 @@ run cargo test -q --release ${CARGO_FLAGS} -p oddci-wire --lib
 # inlined and scheduled differently under optimisation, and these tests
 # hold it to the FIPS and RFC 4231 vectors and to the scalar oracle.
 run cargo test -q --release ${CARGO_FLAGS} -p oddci-crypto
+# The workload tests in a release build: the k-mer index links positions
+# with `u32` arithmetic, which runs without overflow checks there, and
+# these tests hold its lookups to the `HashMap` oracle.
+run cargo test -q --release ${CARGO_FLAGS} -p oddci-workload
 # The benchmark crate sits outside the workspace and links it the way an
 # outside caller would (benchmark/src/sut.rs pins every public item it
 # uses), so a wire or live API change that breaks it has to fail here
