@@ -35,7 +35,7 @@ impl InstanceParams {
     }
 
     /// Per-task wall time on one node: fetch + process + upload.
-    pub fn task_round_time(&self, profile: &JobProfile) -> SimDuration {
+    pub(crate) fn task_round_time(&self, profile: &JobProfile) -> SimDuration {
         let moved: DataSize = profile.mean_input + profile.mean_result;
         moved.transfer_time(self.delta) + profile.mean_cost
     }

@@ -34,7 +34,7 @@ impl TransportMux {
     }
 
     /// Bytes on the wire needed to carry `payload` bytes of carousel data.
-    pub fn wire_size(&self, payload: DataSize) -> DataSize {
+    pub(crate) fn wire_size(&self, payload: DataSize) -> DataSize {
         let payload_bytes = payload.bytes_ceil();
         let sections = payload_bytes.div_ceil(SECTION_PAYLOAD_BYTES).max(1);
         let sectioned = payload_bytes + sections * SECTION_HEADER_BYTES;

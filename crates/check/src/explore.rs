@@ -179,7 +179,7 @@ impl Controller {
     /// The scheduler loop: pick runnable threads one step at a time until
     /// every thread is done, a failure is recorded, or a deadlock /
     /// step-budget exhaustion is detected.
-    fn drive(&self, seed: u64, replay: &[usize], max_steps: usize) {
+    fn drive(&self, seed: u64, replay: &[usize]) {
         loop {
             let mut s = self.lock();
             while s.running.is_some() && s.failure.is_none() && !s.free_run {
@@ -220,9 +220,9 @@ impl Controller {
                 return;
             }
             let step = s.steps.len();
-            if step >= max_steps {
+            if step >= MAX_STEPS {
                 s.failure = Some(format!(
-                    "step budget exceeded ({max_steps} steps) — livelock?"
+                    "step budget exceeded ({MAX_STEPS} steps) — livelock?"
                 ));
                 s.free_run = true;
                 self.cv.notify_all();
@@ -272,7 +272,7 @@ impl Ctx {
     }
 
     /// An explicit interleaving point: park and let the scheduler choose.
-    pub fn yield_point(&self) {
+    pub(crate) fn yield_point(&self) {
         self.ctrl.yield_now(self.id);
     }
 
@@ -374,7 +374,7 @@ fn schedule_string(seed: u64, steps: &[Step]) -> String {
 }
 
 /// Parse a `s<seed>:a.b.c` schedule string back into seed + thread ids.
-pub fn parse_schedule(s: &str) -> Option<(u64, Vec<usize>)> {
+pub(crate) fn parse_schedule(s: &str) -> Option<(u64, Vec<usize>)> {
     let rest = s.strip_prefix('s')?;
     let (seed, tids) = rest.split_once(':')?;
     let seed = seed.parse().ok()?;
@@ -389,6 +389,9 @@ pub fn parse_schedule(s: &str) -> Option<(u64, Vec<usize>)> {
     Some((seed, tids))
 }
 
+/// Bound on scheduling steps per interleaving (livelock guard).
+const MAX_STEPS: usize = 10_000;
+
 /// Bounded depth-first schedule explorer. Scenario setup must be
 /// deterministic (same spawns, same yield structure) for replay and DFS
 /// backtracking to be meaningful.
@@ -396,7 +399,6 @@ pub fn parse_schedule(s: &str) -> Option<(u64, Vec<usize>)> {
 pub struct Explorer {
     seed: u64,
     max_schedules: usize,
-    max_steps: usize,
 }
 
 impl Explorer {
@@ -405,19 +407,12 @@ impl Explorer {
         Explorer {
             seed,
             max_schedules: 256,
-            max_steps: 10_000,
         }
     }
 
     /// Bound on complete interleavings to execute.
     pub fn max_schedules(mut self, n: usize) -> Self {
         self.max_schedules = n.max(1);
-        self
-    }
-
-    /// Bound on scheduling steps per interleaving (livelock guard).
-    pub fn max_steps(mut self, n: usize) -> Self {
-        self.max_steps = n.max(1);
         self
     }
 
@@ -462,7 +457,7 @@ impl Explorer {
                     .expect("spawn virtual thread"),
             );
         }
-        ctrl.drive(drive_seed, replay, self.max_steps);
+        ctrl.drive(drive_seed, replay);
         for h in handles {
             let _ = h.join();
         }
@@ -587,7 +582,6 @@ impl Explorer {
         let ex = Explorer {
             seed,
             max_schedules: 1,
-            max_steps: self.max_steps,
         };
         let run = ex.run_once(&setup, &tids, seed);
         ReplayOutcome {

@@ -1,56 +1,48 @@
-//! Dependency-free workspace linter (line/token scan, no parser).
+//! Dependency-free workspace linter (line/token scan, no parser) for the
+//! invariants the compiler cannot express.
 //!
-//! Eight rules over `crates/**/*.rs` (the `check` crate itself is exempt
-//! from the first seven — it implements the shim and the scheduler, so it
-//! legitimately touches raw primitives):
+//! Four rules: the first three over `crates/**/*.rs`, the last over
+//! every Rust file of the workspace and `benchmark/src/`.
 //!
-//! * **raw-lock** — no `std::sync::Mutex` / `RwLock` / `Condvar` /
-//!   `mpsc` outside `oddci_check::sync`, which wraps exactly those std
-//!   types (nor `parking_lot` / `crossbeam`, should either re-enter the
-//!   build). The shim is the only lock supplier, which is what makes the
-//!   lock-order graph complete.
 //! * **phase** — the telemetry phase vocabulary stays closed: every
 //!   `Phase::X` names a variant declared in
 //!   `crates/telemetry/src/event.rs`, span phases are only emitted
 //!   through the RAII-complete `span(..)` / `duration(..)` entry points
 //!   (which guarantee an end on every return path), and instant phases
 //!   only through `instant(..)`.
-//! * **message-enum** — every variant of a `*Msg` enum in `crates/live`
-//!   is referenced somewhere by qualified name (`Enum::Variant`), i.e.
-//!   has a construction/handler site; a variant nobody matches is a
-//!   protocol hole.
-//! * **no-unwrap** — `.unwrap()` / `.expect(` are banned in the live hot
-//!   paths: `crates/live/src/**`, `crates/wire/src/**` and
-//!   `crates/telemetry/src/sink.rs` (non-test code). Panicking across the headend poisons nothing (the
-//!   shim is non-poisoning) but silently kills a thread the shutdown
-//!   accounting then has to explain.
-//! * **unsafe** — the `unsafe` keyword appears in exactly two files,
-//!   `crates/wire/src/poller.rs` (the serving loop's four epoll/eventfd
-//!   foreign calls) and `crates/crypto/src/sha256.rs` (the call of the
-//!   SHA-256 hardware kernel once the CPU is known to have it), and there
-//!   every use sits under a `// SAFETY:` comment. This rule also covers
-//!   the root package's `src/`, `tests/` and `examples/`; every other
-//!   crate root carries `#![forbid(unsafe_code)]` as well, and
-//!   `oddci-crypto`'s carries `#![deny(unsafe_code)]`.
 //! * **ledger-home** — the Backend's and the Provider's job registration
 //!   and lookup (`register_job(`, `open_request(`, `request_for_job(`)
 //!   are called only in `backend.rs`, `provider.rs` and the
 //!   `oddci_core::ledger` module that joins them (non-test code). Code
 //!   that calls them elsewhere is writing the job glue a second time.
+//!   The benchmark calls them too, so visibility cannot confine them.
 //! * **node-home** — the PNA's state changes (`on_control_message(`,
 //!   `on_direct_reset(`, `image_ready(`, `task_done(`) are called only in
 //!   `pna.rs` and the `oddci_core::node` core that drives it (non-test
 //!   code). Code that calls them elsewhere writes the node rules a second
 //!   time.
 //! * **unreached** — every `pub fn` of a library crate (any crate but
-//!   `cli` and `bench`, whose items are entry points) is named somewhere
-//!   besides its definition: in another file of `crates/`, `src/`,
-//!   `tests/`, `examples/` or `benchmark/src/`, or in a non-test line of
-//!   its own file. A function only its own unit tests call is surface
-//!   nobody uses.
+//!   `cli` and `bench`, whose items are entry points) is named in some
+//!   file outside that crate's `src/`: another crate, an integration test
+//!   (the crate's own `tests/` included), an example or `benchmark/src/`.
+//!   A function only its own crate names is `pub(crate)`, and rustc's
+//!   `dead_code` then reports it if nothing calls it.
 //!
-//! Suppress a finding with a trailing or preceding comment:
-//! `// oddci-check: allow(<rule>)` (applies to that line and the next).
+//! The other workspace invariants are compiler lints, which resolve
+//! paths and types where this scan only matches words:
+//!
+//! * raw locks and channels outside the `oddci_check::sync` shim —
+//!   clippy's `disallowed_types` / `disallowed_methods` (`clippy.toml`);
+//! * `unwrap` / `expect` in the live hot paths — `clippy::unwrap_used` /
+//!   `clippy::expect_used` at the `oddci-live` and `oddci-wire` roots and
+//!   in `crates/telemetry/src/sink.rs`;
+//! * `unsafe` — `unsafe_code = "deny"` for the whole workspace, allowed
+//!   only on the wire poller and the SHA-256 kernel's dispatch, each
+//!   block under a `// SAFETY:` comment
+//!   (`clippy::undocumented_unsafe_blocks`);
+//! * every live bus message handled — the crate-private `BusMsg`'s
+//!   exhaustive matches and `dead_code`.
+//!
 //! Comments are stripped before token scanning, so prose never trips a
 //! rule.
 
@@ -63,8 +55,7 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct LintViolation {
-    /// Rule id: `raw-lock`, `phase`, `message-enum`, `no-unwrap`,
-    /// `unsafe`, `ledger-home`, `node-home` or `unreached`.
+    /// Rule id: `phase`, `ledger-home`, `node-home` or `unreached`.
     pub rule: &'static str,
     /// Path relative to the workspace root.
     pub file: String,
@@ -106,31 +97,12 @@ pub fn run(root: &Path) -> io::Result<Vec<LintViolation>> {
             workspace.push(Source::load(root, &path)?);
         }
     }
-    // The check crate implements the shim/scheduler/linter itself.
-    let sources: Vec<&Source> = workspace
-        .iter()
-        .filter(|s| s.rel.starts_with("crates/") && !s.rel.starts_with("crates/check/"))
-        .collect();
 
     let mut out = Vec::new();
-    for src in &sources {
-        check_raw_lock(src, &mut out);
+    for src in workspace.iter().filter(|s| s.rel.starts_with("crates/")) {
         check_phase(src, &phase_vocab, &mut out);
-        check_no_unwrap(src, &mut out);
-        check_unsafe(src, &mut out);
         check_ledger_home(src, &mut out);
         check_node_home(src, &mut out);
-    }
-    check_message_enums(&sources, &mut out);
-    // The root package sits outside `crates/`; only the unsafe rule
-    // follows it there.
-    for src in &workspace {
-        if ["src/", "tests/", "examples/"]
-            .iter()
-            .any(|dir| src.rel.starts_with(dir))
-        {
-            check_unsafe(src, &mut out);
-        }
     }
     check_unreached(&workspace, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -141,8 +113,6 @@ struct Source {
     rel: String,
     raw: String,
     scrubbed: String,
-    /// line number → rules suppressed on that line.
-    allowed: BTreeMap<usize, BTreeSet<String>>,
 }
 
 impl Source {
@@ -154,16 +124,9 @@ impl Source {
                 .unwrap_or(path)
                 .to_string_lossy()
                 .replace('\\', "/"),
-            allowed: suppressions(&raw),
             scrubbed: scrub(&raw),
             raw,
         })
-    }
-
-    fn is_allowed(&self, rule: &str, line: usize) -> bool {
-        self.allowed
-            .get(&line)
-            .is_some_and(|rules| rules.contains(rule))
     }
 }
 
@@ -246,107 +209,41 @@ fn scrub(text: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Parse `// oddci-check: allow(rule)` comments; each covers its own line
-/// and the following one.
-fn suppressions(raw: &str) -> BTreeMap<usize, BTreeSet<String>> {
-    let marker = "oddci-check: allow(";
-    let mut out: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
-    for (idx, line) in raw.lines().enumerate() {
-        let Some(pos) = line.find(marker) else {
-            continue;
-        };
-        let rest = &line[pos + marker.len()..];
-        let Some(end) = rest.find(')') else { continue };
-        let rule = rest[..end].trim().to_string();
-        let ln = idx + 1;
-        out.entry(ln).or_default().insert(rule.clone());
-        out.entry(ln + 1).or_default().insert(rule);
-    }
-    out
-}
-
 fn line_of(text: &str, offset: usize) -> usize {
     text[..offset].bytes().filter(|&b| b == b'\n').count() + 1
 }
 
-/// True when `needle` occurs at `pos` *not* preceded by an identifier
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The identifier `text` starts with (empty if none).
+fn ident_at(text: &str) -> &str {
+    let end = text.bytes().position(|b| !is_ident_byte(b));
+    &text[..end.unwrap_or(text.len())]
+}
+
+/// Offsets of `needle` in `text` *not* preceded by an identifier
 /// character (so `span(` doesn't match inside `span_durations_us(`).
-fn token_at(text: &str, pos: usize, _needle: &str) -> bool {
-    if pos == 0 {
-        return true;
-    }
-    let prev = text.as_bytes()[pos - 1];
-    !(prev.is_ascii_alphanumeric() || prev == b'_')
-}
-
 fn find_tokens(text: &str, needle: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(p) = text[from..].find(needle) {
-        let pos = from + p;
-        if token_at(text, pos, needle) {
-            out.push(pos);
-        }
-        from = pos + needle.len();
-    }
-    out
+    text.match_indices(needle)
+        .map(|(pos, _)| pos)
+        .filter(|&pos| pos == 0 || !is_ident_byte(text.as_bytes()[pos - 1]))
+        .collect()
 }
 
-// ------------------------------------------------------------- raw-lock
+/// The byte offset where `src`'s test code starts, if it has any. Test
+/// modules sit at the bottom of each file by workspace convention, so
+/// everything from the first `#[cfg(test)]` down is test code.
+fn test_start(src: &Source) -> Option<usize> {
+    src.raw.find("#[cfg(test)]")
+}
 
-const RAW_LOCK_TOKENS: &[&str] = &[
-    "parking_lot",
-    "crossbeam",
-    "std::sync::Mutex",
-    "std::sync::RwLock",
-    "std::sync::Condvar",
-    "std::sync::mpsc",
-];
-
-fn check_raw_lock(src: &Source, out: &mut Vec<LintViolation>) {
-    for needle in RAW_LOCK_TOKENS {
-        for pos in find_tokens(&src.scrubbed, needle) {
-            let line = line_of(&src.scrubbed, pos);
-            if src.is_allowed("raw-lock", line) {
-                continue;
-            }
-            out.push(LintViolation {
-                rule: "raw-lock",
-                file: src.rel.clone(),
-                line,
-                message: format!(
-                    "raw `{needle}` outside the oddci_check::sync shim — use the shim so the lock-order graph stays complete"
-                ),
-            });
-        }
-    }
-    // `use std::sync::{..}` group imports pulling in a banned item.
-    for pos in find_tokens(&src.scrubbed, "std::sync::{") {
-        let rest = &src.scrubbed[pos..];
-        let Some(close) = rest.find('}') else {
-            continue;
-        };
-        let group = &rest[..close];
-        for item in ["Mutex", "RwLock", "Condvar", "mpsc"] {
-            if group
-                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .any(|tok| tok == item)
-            {
-                let line = line_of(&src.scrubbed, pos);
-                if src.is_allowed("raw-lock", line) {
-                    continue;
-                }
-                out.push(LintViolation {
-                    rule: "raw-lock",
-                    file: src.rel.clone(),
-                    line,
-                    message: format!(
-                        "raw `std::sync::{item}` imported outside the oddci_check::sync shim"
-                    ),
-                });
-            }
-        }
-    }
+/// The first line of `src`'s test code ([`test_start`] as a line number).
+fn test_cutoff(src: &Source) -> usize {
+    test_start(src)
+        .map(|p| line_of(&src.raw, p))
+        .unwrap_or(usize::MAX)
 }
 
 // ---------------------------------------------------------------- phase
@@ -356,19 +253,13 @@ struct PhaseVocab {
     span: BTreeSet<String>,
 }
 
-fn phase_idents(region: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for pos in find_tokens(region, "Phase::") {
-        let rest = &region[pos + "Phase::".len()..];
-        let ident: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !ident.is_empty() {
-            out.push(ident);
-        }
-    }
-    out
+fn phase_idents(region: &str) -> BTreeSet<String> {
+    find_tokens(region, "Phase::")
+        .into_iter()
+        .map(|pos| ident_at(&region[pos + "Phase::".len()..]))
+        .filter(|ident| !ident.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
 fn parse_phase_vocabulary(root: &Path) -> io::Result<PhaseVocab> {
@@ -387,7 +278,7 @@ fn parse_phase_vocabulary(root: &Path) -> io::Result<PhaseVocab> {
     let all_end = all_region
         .find(']')
         .ok_or_else(|| io::Error::other("event.rs: unterminated ALL list"))?;
-    let variants: BTreeSet<String> = phase_idents(&all_region[..all_end]).into_iter().collect();
+    let variants = phase_idents(&all_region[..all_end]);
 
     let span_start = text.find("fn is_span").ok_or_else(|| {
         io::Error::other("event.rs: `fn is_span` not found — phase lint can't run")
@@ -403,7 +294,7 @@ fn parse_phase_vocabulary(root: &Path) -> io::Result<PhaseVocab> {
                 .unwrap_or(span_region.len())
         })
         .unwrap_or(span_region.len());
-    let span: BTreeSet<String> = phase_idents(&span_region[..span_end]).into_iter().collect();
+    let span = phase_idents(&span_region[..span_end]);
     if variants.is_empty() || span.is_empty() {
         return Err(io::Error::other(
             "event.rs: parsed an empty phase vocabulary",
@@ -421,18 +312,11 @@ fn check_phase(src: &Source, vocab: &PhaseVocab, out: &mut Vec<LintViolation>) {
     }
     for pos in find_tokens(&src.scrubbed, "Phase::") {
         let line = line_of(&src.scrubbed, pos);
-        if src.is_allowed("phase", line) {
-            continue;
-        }
-        let rest = &src.scrubbed[pos + "Phase::".len()..];
-        let ident: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
+        let ident = ident_at(&src.scrubbed[pos + "Phase::".len()..]);
         if ident.is_empty() || ident == "ALL" || ident == "COUNT" {
             continue;
         }
-        if !vocab.variants.contains(&ident) {
+        if !vocab.variants.contains(ident) {
             out.push(LintViolation {
                 rule: "phase",
                 file: src.rel.clone(),
@@ -455,7 +339,7 @@ fn check_phase(src: &Source, vocab: &PhaseVocab, out: &mut Vec<LintViolation>) {
         };
         let span_call = nearest(EMIT_SPAN);
         let instant_call = nearest(EMIT_INSTANT);
-        let is_span = vocab.span.contains(&ident);
+        let is_span = vocab.span.contains(ident);
         match (span_call, instant_call) {
             (Some(s), i) if i.is_none_or(|i| s > i) && !is_span => {
                 out.push(LintViolation {
@@ -482,163 +366,6 @@ fn check_phase(src: &Source, vocab: &PhaseVocab, out: &mut Vec<LintViolation>) {
     }
 }
 
-// --------------------------------------------------------- message-enum
-
-fn check_message_enums(sources: &[&Source], out: &mut Vec<LintViolation>) {
-    // Collect `enum *Msg` variants declared in crates/live.
-    let mut enums: Vec<(String, String, usize, Vec<String>)> = Vec::new(); // (file, name, line, variants)
-    for src in sources {
-        if !src.rel.starts_with("crates/live/") {
-            continue;
-        }
-        for pos in find_tokens(&src.scrubbed, "enum ") {
-            let rest = &src.scrubbed[pos + "enum ".len()..];
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !name.ends_with("Msg") {
-                continue;
-            }
-            let Some(open) = rest.find('{') else { continue };
-            let Some(close) = rest[open..].find("\n}") else {
-                continue;
-            };
-            let body = &rest[open + 1..open + close];
-            let mut variants = Vec::new();
-            for line in body.lines() {
-                let t = line.trim();
-                if t.is_empty() || t.starts_with('#') {
-                    continue;
-                }
-                let ident: String = t
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                if ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-                    variants.push(ident);
-                }
-            }
-            enums.push((src.rel.clone(), name, line_of(&src.scrubbed, pos), variants));
-        }
-    }
-    for (file, name, line, variants) in enums {
-        for variant in variants {
-            let qualified = format!("{name}::{variant}");
-            let used = sources
-                .iter()
-                .filter(|s| s.rel.starts_with("crates/live/"))
-                .any(|s| !find_tokens(&s.scrubbed, &qualified).is_empty());
-            if !used {
-                let src = sources.iter().find(|s| s.rel == file);
-                if src.is_some_and(|s| s.is_allowed("message-enum", line)) {
-                    continue;
-                }
-                out.push(LintViolation {
-                    rule: "message-enum",
-                    file: file.clone(),
-                    line,
-                    message: format!(
-                        "message variant `{qualified}` has no qualified use (no handler or construction site) in crates/live"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------------ no-unwrap
-
-fn hot_path(rel: &str) -> bool {
-    rel.starts_with("crates/live/src/")
-        || rel.starts_with("crates/wire/src/")
-        || rel == "crates/telemetry/src/sink.rs"
-}
-
-/// The byte offset where `src`'s test code starts, if it has any. Test
-/// modules sit at the bottom of each file by workspace convention, so
-/// everything from the first `#[cfg(test)]` down is test code.
-fn test_start(src: &Source) -> Option<usize> {
-    src.raw.find("#[cfg(test)]")
-}
-
-/// The first line of `src`'s test code ([`test_start`] as a line number).
-fn test_cutoff(src: &Source) -> usize {
-    test_start(src)
-        .map(|p| line_of(&src.raw, p))
-        .unwrap_or(usize::MAX)
-}
-
-fn check_no_unwrap(src: &Source, out: &mut Vec<LintViolation>) {
-    if !hot_path(&src.rel) {
-        return;
-    }
-    let cutoff = test_cutoff(src);
-    for needle in [".unwrap()", ".expect("] {
-        let mut from = 0;
-        while let Some(p) = src.scrubbed[from..].find(needle) {
-            let pos = from + p;
-            from = pos + needle.len();
-            let line = line_of(&src.scrubbed, pos);
-            if line >= cutoff || src.is_allowed("no-unwrap", line) {
-                continue;
-            }
-            out.push(LintViolation {
-                rule: "no-unwrap",
-                file: src.rel.clone(),
-                line,
-                message: format!(
-                    "`{needle}` in a live hot path — propagate the error (shutdown accounting must see every failure)"
-                ),
-            });
-        }
-    }
-}
-
-// --------------------------------------------------------------- unsafe
-
-/// The files allowed to say `unsafe`.
-const UNSAFE_HOME: &[&str] = &["crates/wire/src/poller.rs", "crates/crypto/src/sha256.rs"];
-/// How many lines above an `unsafe` its `// SAFETY:` comment may start.
-const SAFETY_WINDOW: usize = 4;
-
-fn check_unsafe(src: &Source, out: &mut Vec<LintViolation>) {
-    let needle = "unsafe";
-    for pos in find_tokens(&src.scrubbed, needle) {
-        // `unsafe_code` (as in `forbid(unsafe_code)`) is another word.
-        let next = src.scrubbed.as_bytes().get(pos + needle.len());
-        if next.is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_') {
-            continue;
-        }
-        let line = line_of(&src.scrubbed, pos);
-        if src.is_allowed("unsafe", line) {
-            continue;
-        }
-        let message = if !UNSAFE_HOME.contains(&src.rel.as_str()) {
-            format!(
-                "`unsafe` outside {} — the workspace keeps its unsafe code in those files",
-                UNSAFE_HOME.join(" and ")
-            )
-        } else if !src
-            .raw
-            .lines()
-            .skip(line.saturating_sub(SAFETY_WINDOW + 1))
-            .take(SAFETY_WINDOW)
-            .any(|l| l.trim_start().starts_with("// SAFETY:"))
-        {
-            format!("`unsafe` without a `// SAFETY:` comment in the {SAFETY_WINDOW} lines above it")
-        } else {
-            continue;
-        };
-        out.push(LintViolation {
-            rule: "unsafe",
-            file: src.rel.clone(),
-            line,
-            message,
-        });
-    }
-}
-
 // ---------------------------------------------------------- ledger-home
 
 /// The files allowed to register jobs and open or look up requests.
@@ -658,7 +385,7 @@ fn check_ledger_home(src: &Source, out: &mut Vec<LintViolation>) {
     for needle in LEDGER_TOKENS {
         for pos in find_tokens(&src.scrubbed, needle) {
             let line = line_of(&src.scrubbed, pos);
-            if line >= cutoff || src.is_allowed("ledger-home", line) {
+            if line >= cutoff {
                 continue;
             }
             out.push(LintViolation {
@@ -692,16 +419,10 @@ fn check_node_home(src: &Source, out: &mut Vec<LintViolation>) {
     }
     let cutoff = test_cutoff(src);
     for needle in NODE_TOKENS {
-        let mut from = 0;
-        while let Some(p) = src.scrubbed[from..].find(needle) {
-            let pos = from + p;
-            from = pos + needle.len();
+        for (pos, _) in src.scrubbed.match_indices(needle) {
             let line = line_of(&src.scrubbed, pos);
             // `self.` calls a method of the file's own type.
-            if line >= cutoff
-                || src.scrubbed[..pos].ends_with("self")
-                || src.is_allowed("node-home", line)
-            {
+            if line >= cutoff || src.scrubbed[..pos].ends_with("self") {
                 continue;
             }
             out.push(LintViolation {
@@ -719,57 +440,44 @@ fn check_node_home(src: &Source, out: &mut Vec<LintViolation>) {
 
 // ------------------------------------------------------------ unreached
 
-/// A library file: crate source outside `cli` and `bench`, whose public
-/// functions are entry points rather than surface for other code.
-fn library_file(rel: &str) -> bool {
-    rel.starts_with("crates/")
-        && rel.contains("/src/")
-        && !rel.starts_with("crates/cli/")
-        && !rel.starts_with("crates/bench/")
-}
-
-/// How often each identifier occurs in `text`.
-fn word_counts(text: &str) -> BTreeMap<&str, usize> {
-    let mut out = BTreeMap::new();
-    for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-        if !word.is_empty() {
-            *out.entry(word).or_insert(0) += 1;
-        }
-    }
-    out
+/// The crate whose library source `rel` is (`crates/<name>/src/..`), or
+/// `None` for a file outside every crate's `src/`: an integration test,
+/// an example, the root package or the benchmark.
+fn library_crate(rel: &str) -> Option<&str> {
+    let (name, path) = rel.strip_prefix("crates/")?.split_once('/')?;
+    path.starts_with("src/").then_some(name)
 }
 
 fn check_unreached(workspace: &[Source], out: &mut Vec<LintViolation>) {
-    let words: Vec<BTreeMap<&str, usize>> =
-        workspace.iter().map(|s| word_counts(&s.scrubbed)).collect();
-    for (i, src) in workspace.iter().enumerate() {
-        if !library_file(&src.rel) {
-            continue;
+    // Each identifier → the crates whose `src/` names it (`None` for the
+    // files outside every crate's `src/`).
+    let mut namers: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for src in workspace {
+        let home = library_crate(&src.rel);
+        for word in src
+            .scrubbed
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        {
+            namers.entry(word).or_default().insert(home);
         }
+    }
+    for src in workspace {
+        let Some(home) = library_crate(&src.rel).filter(|c| !["cli", "bench"].contains(c)) else {
+            continue;
+        };
         let non_test = &src.scrubbed[..test_start(src).unwrap_or(src.raw.len())];
-        let here = word_counts(non_test);
         for needle in ["pub fn ", "pub const fn "] {
             for pos in find_tokens(non_test, needle) {
-                let name: String = non_test[pos + needle.len()..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                    .collect();
-                let line = line_of(non_test, pos);
-                // The definition itself is one of this file's mentions.
-                let reached = here.get(name.as_str()).is_some_and(|&n| n > 1)
-                    || words
-                        .iter()
-                        .enumerate()
-                        .any(|(j, w)| j != i && w.contains_key(name.as_str()));
-                if name.is_empty() || reached || src.is_allowed("unreached", line) {
+                let name = ident_at(&non_test[pos + needle.len()..]);
+                if name.is_empty() || namers[name].iter().any(|&c| c != Some(home)) {
                     continue;
                 }
                 out.push(LintViolation {
                     rule: "unreached",
                     file: src.rel.clone(),
-                    line,
+                    line: line_of(non_test, pos),
                     message: format!(
-                        "`pub fn {name}` is named by no other workspace or benchmark file and by no non-test line of its own — delete it"
+                        "`pub fn {name}` is named nowhere outside crates/{home}/src — make it `pub(crate)`"
                     ),
                 });
             }
@@ -786,43 +494,6 @@ mod tests {
             rel: rel.to_string(),
             raw: raw.to_string(),
             scrubbed: scrub(raw),
-            allowed: suppressions(raw),
-        }
-    }
-
-    #[test]
-    fn unsafe_is_confined_to_its_homes_and_explained_there() {
-        let mut out = Vec::new();
-        // Attributes and prose do not count; the keyword does.
-        check_unsafe(
-            &source(
-                "crates/live/src/lib.rs",
-                "#![forbid(unsafe_code)]\n// unsafe in prose\nfn f() {}\n",
-            ),
-            &mut out,
-        );
-        assert!(out.is_empty(), "{out:?}");
-        check_unsafe(
-            &source("crates/live/src/x.rs", "fn f() { unsafe { g() } }\n"),
-            &mut out,
-        );
-        // The crypto crate's other files are not homes.
-        let explained = "fn f() {\n    // SAFETY: g has no preconditions.\n    unsafe { g() }\n}\n";
-        check_unsafe(&source("crates/crypto/src/hmac.rs", explained), &mut out);
-        assert_eq!(out.len(), 2);
-        for v in &out {
-            assert!(v.message.contains("outside"), "{v}");
-        }
-
-        out.clear();
-        let bare = "fn f() {\n    unsafe { g() }\n}\n";
-        for home in UNSAFE_HOME {
-            check_unsafe(&source(home, explained), &mut out);
-            assert!(out.is_empty(), "{out:?}");
-            check_unsafe(&source(home, bare), &mut out);
-            assert_eq!(out.len(), 1, "{home}");
-            assert!(out[0].message.contains("SAFETY"), "{}", out[0]);
-            out.clear();
         }
     }
 
@@ -880,9 +551,19 @@ mod tests {
         let lib = source(
             "crates/demo/src/lib.rs",
             "pub fn by_a_bin() {}\npub fn by_itself() {}\npub fn by_a_test() {}\n\
-             pub fn by_the_bench() {}\npub fn in_prose() {}\n\
-             // oddci-check: allow(unreached)\npub const fn allowed() {}\n\
+             pub fn by_the_bench() {}\npub fn in_prose() {}\npub fn by_own_tests() {}\n\
+             pub const fn by_a_sibling() {}\n\
              fn f() { by_itself() }\n#[cfg(test)]\nmod tests {\n    fn t() { super::in_prose(); }\n}\n",
+        );
+        // Another file of the same crate is inside it; the crate's own
+        // integration tests are outside.
+        let sibling = source(
+            "crates/demo/src/util.rs",
+            "fn g() { crate::by_a_sibling() }\n",
+        );
+        let own_tests = source(
+            "crates/demo/tests/t.rs",
+            "fn t() { demo::by_own_tests(); }\n",
         );
         let bin = source(
             "crates/cli/src/main.rs",
@@ -891,10 +572,13 @@ mod tests {
         let test = source("tests/demo.rs", "#[test]\nfn t() { demo::by_a_test(); }\n");
         let bench = source("benchmark/src/sut.rs", "pub use demo::by_the_bench;\n");
         let mut out = Vec::new();
-        check_unreached(&[lib, bin, test, bench], &mut out);
+        check_unreached(&[lib, sibling, own_tests, bin, test, bench], &mut out);
         let found: Vec<(&str, usize)> = out.iter().map(|v| (v.file.as_str(), v.line)).collect();
-        assert_eq!(found, [("crates/demo/src/lib.rs", 5)], "{out:?}");
-        assert!(out[0].message.contains("in_prose"));
+        let lib_rs = "crates/demo/src/lib.rs";
+        assert_eq!(found, [(lib_rs, 2), (lib_rs, 5), (lib_rs, 7)], "{out:?}");
+        for (v, name) in out.iter().zip(["by_itself", "in_prose", "by_a_sibling"]) {
+            assert!(v.message.contains(&format!("`pub fn {name}`")), "{v}");
+        }
     }
 
     #[test]
@@ -914,14 +598,6 @@ mod tests {
         assert_eq!(find_tokens("span_durations_us(x, y)", "span(").len(), 0);
         assert_eq!(find_tokens("tele.span(a, b)", "span(").len(), 1);
         assert_eq!(find_tokens("r.instant(t)", "instant(").len(), 1);
-    }
-
-    #[test]
-    fn suppression_covers_own_and_next_line() {
-        let sup = suppressions("x\n// oddci-check: allow(no-unwrap)\ny.unwrap()\n");
-        assert!(sup.get(&2).is_some_and(|r| r.contains("no-unwrap")));
-        assert!(sup.get(&3).is_some_and(|r| r.contains("no-unwrap")));
-        assert!(!sup.contains_key(&4));
     }
 
     #[test]

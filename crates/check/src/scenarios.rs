@@ -112,14 +112,14 @@ fn sink_shutdown_model(sp: &mut Spawner, count_closed_send_as_drop: bool) {
 /// Correct protocol: closing the lane mid-emit turns the failed send into
 /// an accounted drop. `emitted == persisted + dropped` in every
 /// interleaving.
-pub fn shutdown_under_active_sink(sp: &mut Spawner) {
+pub(crate) fn shutdown_under_active_sink(sp: &mut Spawner) {
     sink_shutdown_model(sp, true);
 }
 
 /// Buggy variant: a send that fails because shutdown closed the lane is
 /// silently swallowed, so the conservation invariant breaks in schedules
 /// where close lands between the producer's ctl check and its send.
-pub fn shutdown_under_active_sink_lossy(sp: &mut Spawner) {
+pub(crate) fn shutdown_under_active_sink_lossy(sp: &mut Spawner) {
     sink_shutdown_model(sp, false);
 }
 
@@ -206,14 +206,14 @@ fn heartbeat_recompose_model(sp: &mut Spawner, check_and_insert_atomically: bool
 /// Correct protocol: heartbeat checks membership and inserts under one
 /// hub-lock critical section; recompose prunes the ledger. The ledger is
 /// a subset of the active set in every interleaving.
-pub fn heartbeat_vs_recompose(sp: &mut Spawner) {
+pub(crate) fn heartbeat_vs_recompose(sp: &mut Spawner) {
     heartbeat_recompose_model(sp, true);
 }
 
 /// Buggy TOCTOU variant: membership check and insert in *separate*
 /// critical sections, so a recompose landing between them resurrects a
 /// removed node in the ledger.
-pub fn heartbeat_vs_recompose_toctou(sp: &mut Spawner) {
+pub(crate) fn heartbeat_vs_recompose_toctou(sp: &mut Spawner) {
     heartbeat_recompose_model(sp, false);
 }
 
@@ -272,7 +272,7 @@ fn sink_stats_model(sp: &mut Spawner, saturate: bool) {
 
 /// The fixed `SinkStats::in_flight` computation (saturating): clean under
 /// every interleaving even though the three loads still tear.
-pub fn sink_stats_snapshot(sp: &mut Spawner) {
+pub(crate) fn sink_stats_snapshot(sp: &mut Spawner) {
     sink_stats_model(sp, true);
 }
 
@@ -280,7 +280,7 @@ pub fn sink_stats_snapshot(sp: &mut Spawner) {
 /// schedule where the writer persists events between the reader's loads
 /// and the subtraction underflows — the bug fixed in
 /// `crates/telemetry/src/sink.rs` this PR.
-pub fn sink_stats_snapshot_torn(sp: &mut Spawner) {
+pub(crate) fn sink_stats_snapshot_torn(sp: &mut Spawner) {
     sink_stats_model(sp, false);
 }
 
@@ -359,14 +359,14 @@ fn epoch_adoption_model(sp: &mut Spawner, fence_acks: bool) {
 /// Correct protocol: the PNA fences hello acks by epoch, so whatever
 /// order the standby's and the revenant primary's acks land in, it ends
 /// on the standby's epoch.
-pub fn epoch_adoption(sp: &mut Spawner) {
+pub(crate) fn epoch_adoption(sp: &mut Spawner) {
     epoch_adoption_model(sp, true);
 }
 
 /// Buggy variant: the PNA adopts any acking headend, so schedules where
 /// the revenant primary's ack lands after the standby's flip the node
 /// back to a fenced-off epoch.
-pub fn epoch_adoption_flipback(sp: &mut Spawner) {
+pub(crate) fn epoch_adoption_flipback(sp: &mut Spawner) {
     epoch_adoption_model(sp, false);
 }
 
@@ -494,13 +494,13 @@ fn scale_down_heartbeat_model(sp: &mut Spawner, trim_atomically: bool) {
 /// Correct protocol: trimming a member and requeueing its in-flight
 /// tasks happen in one hub critical section, so no concurrent heartbeat
 /// fetch can strand a task on the trimmed node.
-pub fn scale_down_vs_heartbeat(sp: &mut Spawner) {
+pub(crate) fn scale_down_vs_heartbeat(sp: &mut Spawner) {
     scale_down_heartbeat_model(sp, true);
 }
 
 /// Buggy variant: requeue and membership drop in separate critical
 /// sections — a fetch between them assigns a task the trim abandons.
-pub fn scale_down_vs_heartbeat_stranded(sp: &mut Spawner) {
+pub(crate) fn scale_down_vs_heartbeat_stranded(sp: &mut Spawner) {
     scale_down_heartbeat_model(sp, false);
 }
 
@@ -601,13 +601,13 @@ fn wake_wait_model(sp: &mut Spawner, arm_before_drain: bool) {
 
 /// Correct protocol: the loop clears the coalescing flag *before* it
 /// drains, so every reply is delivered on a wake in every interleaving.
-pub fn wake_vs_wait(sp: &mut Spawner) {
+pub(crate) fn wake_vs_wait(sp: &mut Spawner) {
     wake_wait_model(sp, true);
 }
 
 /// Buggy variant: the flag is cleared *after* the drain, so a reply that
 /// lands between the two skips its wake and is stranded.
-pub fn wake_vs_wait_late_rearm(sp: &mut Spawner) {
+pub(crate) fn wake_vs_wait_late_rearm(sp: &mut Spawner) {
     wake_wait_model(sp, false);
 }
 

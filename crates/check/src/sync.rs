@@ -21,8 +21,9 @@
 //! these types unconditionally. With checking enabled
 //! ([`crate::enable`] / `ODDCI_CHECK=1`) each acquisition feeds the
 //! acquisition-order graph and each send is checked against held
-//! send-sensitive locks. The workspace lint (`oddci check`) enforces
-//! that no code outside this crate reaches for the raw types.
+//! send-sensitive locks. Clippy's `disallowed_types` and
+//! `disallowed_methods` (`clippy.toml`) keep code outside this crate off
+//! the raw types.
 
 use crate::order;
 use std::ops::{Deref, DerefMut};

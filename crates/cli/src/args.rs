@@ -23,11 +23,17 @@ pub enum CliError {
     /// The command line was wrong (`argument error: …`); exit code 2.
     Usage(String),
     /// The command ran and failed its own check (`check failed: …`,
-    /// `drill failed: …`); exit code 1.
+    /// `drill failed: …`) or at run time (`run failed: …`); exit code 1.
     Failed(String),
 }
 
 impl CliError {
+    /// A run that started and then failed — a job past its deadline, a
+    /// connection that broke: `run failed: …`, exit code 1.
+    pub fn run_failed(msg: impl fmt::Display) -> CliError {
+        CliError::Failed(format!("run failed: {msg}"))
+    }
+
     /// The process exit code for this error.
     pub fn exit_code(&self) -> i32 {
         match self {

@@ -453,20 +453,44 @@ mod tests {
         assert_eq!(v["tasks_completed"], 32, "{v:?}");
     }
 
-    /// A drill whose verdict fails exits 1 with its own label, not as an
-    /// argument error: an instance pinned at one size cannot scale.
+    /// A command that ran and failed exits 1 with its own label, not as
+    /// an argument error: a drill whose verdict fails (an instance pinned
+    /// at one size cannot scale), a job past its deadline on a headend no
+    /// PNA dials or in a world too slow for it, and a PNA whose headend is
+    /// not there.
     #[test]
     fn a_failed_verdict_is_not_an_argument_error() {
-        let pinned = "autoscale --pnas 2 --min-instances 2 --max-instances 2 --queries 4 \
-                      --db-len 20000 --cooldown-ms 50";
-        let err =
-            crate::execute(&argv(&pinned.split_whitespace().collect::<Vec<_>>())).unwrap_err();
-        assert_eq!(err.exit_code(), 1, "{err}");
-        assert!(
-            err.to_string()
-                .starts_with("drill failed: instance was not elastic: 0 scale-up(s)"),
-            "{err}"
-        );
+        // A port nothing listens on once its listener is dropped.
+        let closed = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind");
+        let cases = [
+            (
+                "autoscale --pnas 2 --min-instances 2 --max-instances 2 --queries 4 \
+                 --db-len 20000 --cooldown-ms 50"
+                    .to_string(),
+                "drill failed: instance was not elastic: 0 scale-up(s)",
+            ),
+            (
+                "headend --listen 127.0.0.1:0 --pnas 1 --target 1 --queries 1 --timeout 1"
+                    .to_string(),
+                "run failed: job did not complete within 1s",
+            ),
+            (
+                "simulate --nodes 1 --target 1 --tasks 1 --cost-secs 40000000".to_string(),
+                "run failed: job did not complete within a simulated year",
+            ),
+            (
+                format!("pna --connect {closed} --connect-timeout 1"),
+                "run failed: pna on 127.0.0.1:",
+            ),
+        ];
+        for (line, label) in cases {
+            let err =
+                crate::execute(&argv(&line.split_whitespace().collect::<Vec<_>>())).unwrap_err();
+            assert_eq!(err.exit_code(), 1, "{line}: {err}");
+            assert!(err.to_string().starts_with(label), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn live(p: &Parsed) -> Result<String, CliError> {
     let image = AlignmentImage::small_demo();
     let outcome = live
         .run_alignment_job(image, queries, target, Duration::from_secs(120))
-        .ok_or_else(|| ArgError("live job did not complete within 120s".into()))?;
+        .ok_or_else(|| CliError::run_failed("live job did not complete within 120s"))?;
     live.shutdown();
 
     let title = format_args!("live OddCI run: {nodes} receiver threads, instance {target}");
@@ -128,7 +128,7 @@ fn soak(p: &Parsed) -> Result<String, CliError> {
     });
     let outcome = live
         .run_query_job(image, work, target, Duration::from_secs(300))
-        .ok_or_else(|| ArgError("soak job did not complete within 300s".into()))?;
+        .ok_or_else(|| CliError::run_failed("soak job did not complete within 300s"))?;
     // shutdown() joins every thread and flushes the sink before reporting.
     let shutdown = live.shutdown();
     let stream_summary = sink.as_deref().map(finish_stream).transpose()?;

@@ -73,12 +73,10 @@ fn run_job(
     tasks: u64,
     cost_secs: f64,
     target: u64,
-) -> Result<(JobReport, MetricsSnapshot, JobProfile), ArgError> {
+) -> Result<(JobReport, MetricsSnapshot, JobProfile), CliError> {
     if target > cfg.nodes {
         let nodes = cfg.nodes;
-        return Err(ArgError(format!(
-            "--target {target} exceeds --nodes {nodes}"
-        )));
+        return Err(ArgError(format!("--target {target} exceeds --nodes {nodes}")).into());
     }
     let job = JobGenerator::homogeneous(
         DataSize::from_megabytes(image_mb),
@@ -93,7 +91,7 @@ fn run_job(
     let request = sim.submit_job(job, target);
     let report = sim
         .run_request(request, SimTime::from_secs(365 * 24 * 3600))
-        .ok_or_else(|| ArgError("job did not complete within a simulated year".into()))?;
+        .ok_or_else(|| CliError::run_failed("job did not complete within a simulated year"))?;
     Ok((report, sim.world().metrics().snapshot(), profile))
 }
 

@@ -283,11 +283,10 @@ fn headend(p: &Parsed) -> Result<String, CliError> {
     let timeout = Duration::from_secs(timeout_secs);
     let Some(outcome) = live.run_alignment_job(image, queries, target, timeout) else {
         live.shutdown();
-        return Err(ArgError(format!(
+        return Err(CliError::run_failed(format!(
             "job did not complete within {timeout_secs}s — are {target}+ \
              `oddci pna --connect {addr}` processes running?"
-        ))
-        .into());
+        )));
     };
     let (completed, requeues) = (outcome.report.tasks_completed, outcome.report.requeues);
     let makespan = outcome.report.makespan.as_secs_f64();
@@ -339,11 +338,10 @@ fn headend_standby(p: &Parsed, config: LiveConfig, dir: &str) -> Result<String, 
         let left = deadline.saturating_duration_since(Instant::now());
         let Some(outcome) = standby.wait_job(*req, left) else {
             standby.shutdown();
-            return Err(ArgError(format!(
+            return Err(CliError::run_failed(format!(
                 "adopted job {req:?} did not complete within {timeout_secs}s \
                  — are the surviving PNAs redialing {addr}?"
-            ))
-            .into());
+            )));
         };
         completed += outcome.report.tasks_completed;
         requeues += outcome.report.requeues;
@@ -384,8 +382,8 @@ fn pna(p: &Parsed) -> Result<String, CliError> {
     // adopt this node after a primary crash.
     let reconnect_ms: u64 = p.num(&RECONNECT_MS)?;
     cfg.reconnect = (reconnect_ms > 0).then(|| Duration::from_millis(reconnect_ms));
-    let report =
-        oddci_live::run_wire_pna(cfg).map_err(|e| ArgError(format!("pna on {connect}: {e}")))?;
+    let report = oddci_live::run_wire_pna(cfg)
+        .map_err(|e| CliError::run_failed(format!("pna on {connect}: {e}")))?;
     let (node, epoch, s) = (report.node.raw(), report.epoch, &report.stats);
 
     let doc = serde_json::json!({

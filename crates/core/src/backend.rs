@@ -289,7 +289,7 @@ impl Backend {
     }
 
     /// Total re-queues across every registered job.
-    pub fn total_requeues(&self) -> u64 {
+    pub(crate) fn total_requeues(&self) -> u64 {
         self.jobs.values().map(|s| s.requeues).sum()
     }
 

@@ -67,7 +67,7 @@ impl JobLedger {
     }
 
     /// The job `instance` runs.
-    pub fn job_of(&self, instance: InstanceId) -> Option<JobId> {
+    pub(crate) fn job_of(&self, instance: InstanceId) -> Option<JobId> {
         self.instance_job.get(&instance).copied()
     }
 

@@ -81,7 +81,7 @@ impl ControlMessage {
     /// Canonical byte encoding for signing. Field order is fixed and all
     /// integers are little-endian, so Controller and PNA always agree. The
     /// bytes are built on the stack: signing and verifying allocate nothing.
-    pub fn canonical_bytes(&self) -> CanonicalBytes {
+    pub(crate) fn canonical_bytes(&self) -> CanonicalBytes {
         let mut out = CanonicalBytes {
             buf: [0; CanonicalBytes::MAX_LEN],
             len: 0,
@@ -107,7 +107,7 @@ impl ControlMessage {
     }
 }
 
-/// A control message's canonical bytes ([`ControlMessage::canonical_bytes`]),
+/// A control message's canonical bytes (`ControlMessage::canonical_bytes`),
 /// held inline; dereferences to the encoded slice. Bytes past the end
 /// stay zero, so the derived equality and hash are the slices'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,7 +141,7 @@ impl std::ops::Deref for CanonicalBytes {
 pub struct SignedMessage {
     /// The message.
     pub message: ControlMessage,
-    /// HMAC tag over [`ControlMessage::canonical_bytes`].
+    /// HMAC tag over `ControlMessage::canonical_bytes`.
     pub tag: Tag,
 }
 
@@ -206,8 +206,9 @@ impl VerifyMemo {
         Ok(())
     }
 
-    /// The real `verify` calls made so far.
-    pub fn verifies(&self) -> u64 {
+    /// The real `verify` calls made so far (the memo's tests count them).
+    #[cfg(test)]
+    pub(crate) fn verifies(&self) -> u64 {
         self.verifies
     }
 }

@@ -126,7 +126,7 @@ impl Pna {
     }
 
     /// True when listening.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         matches!(self.state, PnaState::Idle)
     }
 

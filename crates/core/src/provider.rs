@@ -132,18 +132,13 @@ impl Provider {
         self.requests.get(&req).map(|r| r.instance)
     }
 
-    /// The job of a request.
-    pub fn job_of(&self, req: ProviderRequest) -> Option<JobId> {
-        self.requests.get(&req).map(|r| r.job)
-    }
-
     /// Current state of a request.
     pub fn state(&self, req: ProviderRequest) -> Option<RequestState> {
         self.requests.get(&req).map(|r| r.state)
     }
 
     /// Submission time of a request.
-    pub fn submitted_at(&self, req: ProviderRequest) -> Option<SimTime> {
+    pub(crate) fn submitted_at(&self, req: ProviderRequest) -> Option<SimTime> {
         self.requests.get(&req).map(|r| r.submitted_at)
     }
 
@@ -250,7 +245,6 @@ mod tests {
         );
         assert_eq!(p.state(req), Some(RequestState::Running));
         assert_eq!(p.instance_of(req), Some(InstanceId::new(5)));
-        assert_eq!(p.job_of(req), Some(JobId::new(1)));
         assert_eq!(p.request_for_job(JobId::new(1)), Some(req));
         assert_eq!(p.report(req), None);
 

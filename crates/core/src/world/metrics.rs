@@ -75,7 +75,7 @@ impl WorldMetrics {
     }
 
     /// Appends one instance-size sample (no-op past the per-instance cap).
-    pub fn sample_instance_size(&mut self, instance_raw: u64, at_secs: f64, size: u64) {
+    pub(crate) fn sample_instance_size(&mut self, instance_raw: u64, at_secs: f64, size: u64) {
         let series = self.size_timeline.entry(instance_raw).or_default();
         if series.len() < TIMELINE_CAP {
             series.push((at_secs, size));

@@ -1,6 +1,7 @@
 // One `unsafe` block, allowed on the function that holds it: the call of
 // the SHA-256 hardware kernel after the CPU has been checked for it.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Message authentication for OddCI control messages.
 //!

@@ -142,13 +142,13 @@ impl FaultClass {
     }
 
     /// Parses a [`label`](Self::label).
-    pub fn from_label(s: &str) -> Option<FaultClass> {
+    pub(crate) fn from_label(s: &str) -> Option<FaultClass> {
         FaultClass::ALL.iter().copied().find(|c| c.label() == s)
     }
 
     /// Default magnitude when a spec does not override it: seconds for
     /// durations, a multiplier for [`LatencySpike`](FaultClass::LatencySpike).
-    pub fn default_magnitude(self) -> f64 {
+    pub(crate) fn default_magnitude(self) -> f64 {
         match self {
             FaultClass::CarouselCorruption | FaultClass::CarouselTruncation => 0.0,
             FaultClass::DirectLoss => 20.0,
@@ -629,7 +629,7 @@ impl Backoff {
     /// Raw delay before retry number `attempt` (0-based), with ±25%
     /// deterministic jitter derived from `jitter_seed`. `None` once
     /// `max_attempts` is exhausted.
-    pub fn delay_micros(&self, attempt: u32, jitter_seed: u64) -> Option<u64> {
+    pub(crate) fn delay_micros(&self, attempt: u32, jitter_seed: u64) -> Option<u64> {
         if attempt >= self.max_attempts {
             return None;
         }
@@ -650,7 +650,7 @@ impl Backoff {
         Some((jittered as u64).max(1))
     }
 
-    /// [`delay_micros`](Self::delay_micros) as a [`SimDuration`].
+    /// `delay_micros` as a [`SimDuration`].
     pub fn delay(&self, attempt: u32, jitter_seed: u64) -> Option<SimDuration> {
         self.delay_micros(attempt, jitter_seed)
             .map(SimDuration::from_micros)

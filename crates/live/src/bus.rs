@@ -30,7 +30,7 @@ impl<T: Clone> BroadcastBus<T> {
     /// *after* this call (a receiver tuning in mid-broadcast misses what
     /// came before — just like a real carousel-less transmission; the
     /// runtime re-publishes periodically to model carousel repetition).
-    pub fn subscribe(&self) -> Receiver<T> {
+    pub(crate) fn subscribe(&self) -> Receiver<T> {
         self.push_subscriber(None)
     }
 
@@ -38,7 +38,7 @@ impl<T: Clone> BroadcastBus<T> {
     /// does not block on its receiver: `notify` runs on the publisher's
     /// thread right after each message is queued (the socket front wakes
     /// its serving loop this way).
-    pub fn subscribe_with(&self, notify: impl Fn() + Send + 'static) -> Receiver<T> {
+    pub(crate) fn subscribe_with(&self, notify: impl Fn() + Send + 'static) -> Receiver<T> {
         self.push_subscriber(Some(Box::new(notify)))
     }
 

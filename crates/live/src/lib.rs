@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// A panic on a live thread kills it silently, and the shutdown
+// accounting then has to explain the loss: propagate errors instead.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! The live OddCI runtime: real threads, real channels, real computation.
 //!

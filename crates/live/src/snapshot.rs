@@ -106,7 +106,7 @@ impl ImageExport {
     }
 
     /// Rebuilds the runnable recipe.
-    pub fn to_image(&self) -> AlignmentImage {
+    pub(crate) fn to_image(&self) -> AlignmentImage {
         AlignmentImage {
             db_seed: self.db_seed,
             db_len: self.db_len as usize,
@@ -258,7 +258,7 @@ pub fn decode(bytes: &[u8]) -> Result<SnapshotState, SnapshotError> {
 
 /// Reads just the epoch from a container header, without decoding the
 /// payload (the standby CLI prints it before adopting).
-pub fn peek_epoch(bytes: &[u8]) -> Result<u64, SnapshotError> {
+pub(crate) fn peek_epoch(bytes: &[u8]) -> Result<u64, SnapshotError> {
     if bytes.len() < CONTAINER_OVERHEAD {
         return Err(SnapshotError::TooShort);
     }

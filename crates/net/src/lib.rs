@@ -27,7 +27,7 @@
 //! // 60 000 nodes heartbeating every 15 s arrive at 4 000 msgs/s:
 //! let rate = ServerCapacity::arrival_rate(60_000, SimDuration::from_secs(15));
 //! assert!(server.utilization(rate) < 1.0);
-//! assert!(server.mean_queue_delay(rate).is_some());
+//! assert!(server.mean_response_time(rate).is_some());
 //! ```
 
 pub mod link;

@@ -100,7 +100,7 @@ impl DirectLink {
     /// the network, so it extends delivery without monopolizing the
     /// link's own serializer). Every injection is recorded in `counters`.
     #[allow(clippy::too_many_arguments)]
-    pub fn transfer_faulted<R: Rng + ?Sized>(
+    pub(crate) fn transfer_faulted<R: Rng + ?Sized>(
         &mut self,
         now: SimTime,
         size: DataSize,
@@ -152,8 +152,8 @@ impl DirectLink {
         done
     }
 
-    /// [`transfer_faulted`](Self::transfer_faulted) that records delivered
-    /// messages as `net.transfer` spans. Messages that vanish (partition or
+    /// `transfer_faulted` that records delivered messages as
+    /// `net.transfer` spans. Messages that vanish (partition or
     /// loss burst) are not recorded here — the caller's retry path emits
     /// the `retry` instants that account for them.
     #[allow(clippy::too_many_arguments)]

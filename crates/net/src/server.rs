@@ -49,7 +49,7 @@ impl ServerCapacity {
     /// Mean waiting time in queue for an M/D/1 system at the given arrival
     /// rate: `Wq = ρ / (2·μ·(1-ρ))`. Returns `None` when the system is
     /// unstable (ρ ≥ 1).
-    pub fn mean_queue_delay(&self, arrival_rate: f64) -> Option<SimDuration> {
+    pub(crate) fn mean_queue_delay(&self, arrival_rate: f64) -> Option<SimDuration> {
         let rho = self.utilization(arrival_rate);
         if rho >= 1.0 {
             return None;

@@ -118,7 +118,7 @@ impl ComputeModel {
     /// multiplicative jitter drawn from `rng` (uniform in
     /// `1 ± jitter_cv·√3`, which has the requested coefficient of
     /// variation).
-    pub fn sample_from_reference_stb<R: Rng + ?Sized>(
+    pub(crate) fn sample_from_reference_stb<R: Rng + ?Sized>(
         &self,
         stb_time: SimDuration,
         mode: UsageMode,
@@ -133,11 +133,10 @@ impl ComputeModel {
         base.mul_f64(m.max(0.05))
     }
 
-    /// [`sample_from_reference_stb`](Self::sample_from_reference_stb) that
-    /// also records the sampled kernel time into `tele`'s
-    /// `receiver.kernel` histogram. The model itself carries no telemetry
-    /// handle (it must stay `PartialEq + Serialize`), so observability is
-    /// a call-site parameter.
+    /// `sample_from_reference_stb` that also records the sampled kernel
+    /// time into `tele`'s `receiver.kernel` histogram. The model itself
+    /// carries no telemetry handle (it must stay `PartialEq + Serialize`),
+    /// so observability is a call-site parameter.
     pub fn sample_instrumented<R: Rng + ?Sized>(
         &self,
         stb_time: SimDuration,

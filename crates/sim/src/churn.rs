@@ -24,7 +24,7 @@ pub enum OnOffState {
 
 impl OnOffState {
     /// The opposite state.
-    pub fn toggled(self) -> OnOffState {
+    pub(crate) fn toggled(self) -> OnOffState {
         match self {
             OnOffState::On => OnOffState::Off,
             OnOffState::Off => OnOffState::On,

@@ -39,7 +39,7 @@
 //!     fn handle(&mut self, _ev: Tick, ctx: &mut Context<'_, Tick>) {
 //!         self.fired += 1;
 //!         if self.fired < 5 {
-//!             ctx.schedule_after(SimDuration::from_secs(1), Tick);
+//!             ctx.schedule_at(ctx.now() + SimDuration::from_secs(1), Tick);
 //!         }
 //!     }
 //! }
@@ -61,7 +61,7 @@ pub use queue::EventQueue;
 pub use rng::SeedForge;
 pub use stats::{Histogram, Summary, Welford};
 
-use oddci_types::{SimDuration, SimTime};
+use oddci_types::SimTime;
 use rand::rngs::SmallRng;
 
 /// A simulation model: one type of event, one handler.
@@ -99,12 +99,6 @@ impl<'a, E> Context<'a, E> {
         self.queue.push(at, event);
     }
 
-    /// Schedules `event` after a relative delay.
-    #[inline]
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.queue.push(self.now + delay, event);
-    }
-
     /// The model's deterministic random source.
     #[inline]
     pub fn rng(&mut self) -> &mut SmallRng {
@@ -116,12 +110,6 @@ impl<'a, E> Context<'a, E> {
     #[inline]
     pub fn stop(&mut self) {
         *self.stop = true;
-    }
-
-    /// Number of events currently pending.
-    #[inline]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -150,11 +138,6 @@ impl<M: Model> Simulator<M> {
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event);
-    }
-
-    /// Schedules an initial event after a delay from the current clock.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: M::Event) {
-        self.queue.push(self.now + delay, event);
     }
 
     /// Runs until the event queue drains or a handler calls [`Context::stop`].
@@ -225,12 +208,6 @@ impl<M: Model> Simulator<M> {
         self.processed
     }
 
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Immutable access to the model.
     #[inline]
     pub fn model(&self) -> &M {
@@ -292,10 +269,9 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(3), 3);
         let n = sim.run_until(SimTime::from_secs(2));
         assert_eq!(n, 2);
-        assert_eq!(sim.pending_events(), 1);
         assert_eq!(sim.now(), SimTime::from_secs(2));
         // Continue seamlessly.
-        sim.run();
+        assert_eq!(sim.run(), 1);
         assert_eq!(sim.model().log.len(), 3);
     }
 
@@ -327,7 +303,8 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.model().handled, 2);
-        assert_eq!(sim.pending_events(), 3);
+        // The rest stayed queued.
+        assert_eq!(sim.run(), 3);
     }
 
     struct Chainer {
@@ -338,7 +315,7 @@ mod tests {
         fn handle(&mut self, _: (), ctx: &mut Context<'_, ()>) {
             self.hops += 1;
             if self.hops < 100 {
-                ctx.schedule_after(SimDuration::from_millis(10), ());
+                ctx.schedule_at(ctx.now() + SimDuration::from_millis(10), ());
             }
         }
     }

@@ -87,7 +87,7 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event. Takes `&mut self` because
     /// finding it may re-file a bucket.
     #[inline]
-    pub fn peek_time(&mut self) -> Option<&SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<&SimTime> {
         if self.due.is_empty() && !self.advance() {
             return None;
         }

@@ -53,16 +53,6 @@ impl SeedForge {
     pub fn indexed_rng(&self, label: &str, index: u64) -> SmallRng {
         SmallRng::seed_from_u64(self.indexed_seed(label, index))
     }
-
-    /// A sub-forge whose master is derived from this one — lets a subsystem
-    /// hand out its own labeled streams without coordinating label names
-    /// globally.
-    // oddci-check: allow(unreached)
-    pub fn fork(&self, label: &str) -> SeedForge {
-        SeedForge {
-            master: self.seed(label),
-        }
-    }
 }
 
 /// The splitmix64 finalizer (public-domain; Steele, Lea & Flood 2014).
@@ -77,7 +67,7 @@ pub fn splitmix64(mut z: u64) -> u64 {
 /// Samples an exponential inter-arrival time with the given mean, in
 /// seconds, from a uniform draw. Exposed as a free function so every model
 /// uses the same inverse-CDF convention.
-pub fn exp_sample(rng: &mut impl rand::Rng, mean_secs: f64) -> f64 {
+pub(crate) fn exp_sample(rng: &mut impl rand::Rng, mean_secs: f64) -> f64 {
     assert!(mean_secs > 0.0, "exponential mean must be positive");
     // Inverse CDF; `1 - u` keeps the argument strictly positive since
     // `random::<f64>()` is in [0, 1).
@@ -121,15 +111,6 @@ mod tests {
             seeds.len(),
             "collision among 1000 indexed seeds"
         );
-    }
-
-    #[test]
-    fn fork_is_independent_of_parent_labels() {
-        let forge = SeedForge::new(3);
-        let sub = forge.fork("broadcast");
-        assert_ne!(sub.seed("a"), forge.seed("a"));
-        // Fork is deterministic.
-        assert_eq!(forge.fork("broadcast").seed("a"), sub.seed("a"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub const STREAM_VERSION: u64 = 1;
 
 /// Chrome trace viewer thread id for a track: the control plane maps to
 /// tid 0, node `n` to `n + 1`.
-pub fn track_tid(track: u64) -> u64 {
+pub(crate) fn track_tid(track: u64) -> u64 {
     if track == CONTROL_TRACK {
         0
     } else {
@@ -214,7 +214,7 @@ pub struct StreamHeader {
 }
 
 /// Parse the header line of a JSONL stream artifact.
-pub fn parse_jsonl_header(line: &str) -> Result<StreamHeader, String> {
+pub(crate) fn parse_jsonl_header(line: &str) -> Result<StreamHeader, String> {
     let v: Value = serde_json::from_str(line).map_err(|e| format!("header is not JSON: {e}"))?;
     let version = v
         .get("oddci_stream")

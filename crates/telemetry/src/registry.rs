@@ -163,7 +163,7 @@ impl LatencyHistogram {
     }
 
     /// Record a duration already expressed in microseconds.
-    pub fn record_us(&self, us: u64) {
+    pub(crate) fn record_us(&self, us: u64) {
         self.0.lock().record_us(us);
     }
 

@@ -1,3 +1,6 @@
+// The sink runs on the live hot paths: it propagates errors, never panics.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 //! The streaming trace sink: events flow to disk *while the run executes*.
 //!
 //! The ring [`crate::Recorder`] keeps only the newest window of events,

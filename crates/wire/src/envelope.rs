@@ -62,7 +62,7 @@ pub fn encode_chunks(
 ///
 /// # Panics
 /// If `max_chunk` is zero or the payload exceeds [`MAX_MESSAGE`].
-pub fn encode_chunks_into(
+pub(crate) fn encode_chunks_into(
     out: &mut Vec<u8>,
     integrity: &Integrity,
     kind: u8,

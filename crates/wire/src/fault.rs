@@ -1,6 +1,6 @@
 //! Wire-level fault injection: mangles encoded frames on their way out.
 //!
-//! The transports call [`mangle_frames`] right before bytes hit the
+//! The transports call `mangle_frames` right before bytes hit the
 //! socket, so the *receiving* side's frame decoder and reassembler do
 //! the recovering — exactly the paths the fault classes exist to
 //! exercise:
@@ -22,7 +22,7 @@
 use oddci_faults::FaultInjector;
 use oddci_types::{NodeId, SimTime};
 
-/// What [`mangle_frames`] did to one send.
+/// What `mangle_frames` did to one send.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MangleReport {
     /// Frames with a bit flipped.
@@ -49,7 +49,7 @@ fn scramble(mut z: u64) -> u64 {
 
 /// Applies the wire fault classes of `injector` to the encoded frames of
 /// one send by `node` at `now`. Returns what was done.
-pub fn mangle_frames(
+pub(crate) fn mangle_frames(
     injector: &FaultInjector,
     node: NodeId,
     now: SimTime,

@@ -156,7 +156,7 @@ pub fn encode_frame(
 
 /// Appends one frame's wire bytes to `out` — what a transport calls to
 /// build a burst of frames in one output buffer.
-pub fn encode_frame_into(
+pub(crate) fn encode_frame_into(
     out: &mut Vec<u8>,
     integrity: &Integrity,
     kind: u8,

@@ -1,3 +1,13 @@
+// `unsafe` lives only in the poller's foreign calls, each under a
+// `// SAFETY:` comment; panicking `unwrap`/`expect` stay out of the
+// transport, whose failures must reach the shutdown accounting.
+#![deny(unsafe_code)]
+#![warn(
+    clippy::undocumented_unsafe_blocks,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 //! `oddci-wire`: the framed, checksummed wire protocol that carries the
 //! OddCI live plane over real sockets.
 //!
@@ -51,16 +61,14 @@ pub mod envelope;
 pub mod fault;
 pub mod frame;
 pub mod message;
+#[allow(unsafe_code)]
 mod poller;
 pub mod tcp;
 
-pub use envelope::{
-    encode_chunks, encode_chunks_into, Assembled, Reassembler, ReassemblyStats, MAX_MESSAGE,
-};
-pub use fault::{mangle_frames, MangleReport};
+pub use envelope::{encode_chunks, Assembled, Reassembler, ReassemblyStats, MAX_MESSAGE};
+pub use fault::MangleReport;
 pub use frame::{
-    encode_frame, encode_frame_into, Frame, FrameDecoder, Integrity, DEFAULT_CHUNK, HEADER_LEN,
-    MAX_FRAME_PAYLOAD,
+    encode_frame, Frame, FrameDecoder, Integrity, DEFAULT_CHUNK, HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 pub use message::{WireBatch, WireMsg, PROTO_VERSION};
 pub use poller::Waker;

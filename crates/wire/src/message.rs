@@ -507,7 +507,12 @@ fn decode_signed(r: &mut Reader<'_>) -> Result<SignedMessage, WireError> {
             instance: InstanceId::new(r.u64()?),
             image: ImageId::new(r.u64()?),
             image_size: DataSize::from_bits(r.u64()?),
-            probability: Probability::new(r.f64()?),
+            // `Probability::new` asserts on NaN; a peer's bytes must not
+            // panic the thread that decodes them.
+            probability: match r.f64()? {
+                p if p.is_nan() => return Err(WireError::Malformed("NaN wakeup probability")),
+                p => Probability::new(p),
+            },
             requirements: NodeRequirements {
                 min_memory: DataSize::from_bits(r.u64()?),
                 standby_only: r.bool()?,
@@ -527,7 +532,7 @@ fn decode_signed(r: &mut Reader<'_>) -> Result<SignedMessage, WireError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oddci_crypto::MessageAuthenticator;
 
@@ -708,6 +713,30 @@ mod tests {
             signed.verify(&auth).is_ok(),
             "wire codec must preserve the canonical signing bytes exactly"
         );
+    }
+
+    /// A `Broadcast` payload (kind 8) whose signed wakeup carries a NaN
+    /// probability, as a buggy or hostile peer could send it.
+    pub(crate) fn nan_wakeup_payload() -> Vec<u8> {
+        let mut enc = WireMsg::Broadcast {
+            signed: signed_wakeup(),
+            image: None,
+        }
+        .encode();
+        let at = enc
+            .windows(8)
+            .position(|w| w == 0.37f64.to_bits().to_le_bytes())
+            .expect("the probability is on the wire");
+        enc[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        enc
+    }
+
+    #[test]
+    fn nan_wakeup_probability_is_malformed() {
+        assert!(matches!(
+            WireMsg::decode(8, &nan_wakeup_payload()),
+            Err(WireError::Malformed("NaN wakeup probability"))
+        ));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! one socket: level-triggered `epoll` plus an `eventfd` that lets other
 //! threads interrupt the wait.
 //!
-//! This is the only file in the workspace that contains `unsafe` (the
-//! `oddci-check` lint enforces that): four foreign calls into the C
-//! library the standard library already links, declared here instead of
-//! pulling in a dependency. Everything past file-descriptor creation is
+//! This is the only module of the crate allowed `unsafe` (the crate root
+//! denies it everywhere else, and clippy wants a `// SAFETY:` comment on
+//! each block): four foreign calls into the C library the standard
+//! library already links, declared here instead of pulling in a
+//! dependency. Everything past file-descriptor creation is
 //! safe code — the descriptors live in [`OwnedFd`]s, so they close on
 //! drop, and the wake fd is read and written through [`File`].
 

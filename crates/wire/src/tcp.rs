@@ -2137,6 +2137,43 @@ mod tests {
         assert_eq!(c.stats().snapshot().open, 0);
     }
 
+    /// A sealed frame whose wakeup probability is NaN is dropped as
+    /// malformed. It used to panic the serving thread, and so cut off
+    /// every connection of the headend.
+    #[test]
+    fn a_nan_wakeup_probability_leaves_the_server_serving() {
+        let integrity = Integrity::hmac(b"test-key");
+        let mut server =
+            WireServer::bind(loopback(), ServerConfig::new(integrity.clone()), Echo).expect("bind");
+        let mut hostile = TcpStream::connect(server.local_addr()).expect("connect");
+        let payload = crate::message::tests::nan_wakeup_payload();
+        let mut bytes = crate::frame::encode_frame(&integrity, 8, 0, 0, 1, &payload);
+        let hello = hello();
+        bytes.extend(crate::frame::encode_frame(
+            &integrity,
+            hello.kind(),
+            1,
+            0,
+            1,
+            &hello.encode(),
+        ));
+        hostile.write_all(&bytes).expect("write");
+        // Frames of one connection are served in order: the echo of the
+        // hello behind the NaN frame shows the serving thread lived on.
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut echo = [0u8; 64];
+        assert!(hostile.read(&mut echo).expect("echo") > 0);
+
+        let c = client(server.local_addr(), integrity);
+        assert!(c.send(&hello));
+        let back = c.receiver().recv_timeout(Duration::from_secs(5));
+        assert_eq!(back, Ok(hello));
+        drop(c);
+        assert!(server.stop(), "serving thread exited cleanly");
+    }
+
     #[test]
     fn closing_an_idle_client_does_not_wait_for_a_read_timeout() {
         let mut server =

@@ -42,7 +42,7 @@ impl Default for Scoring {
 
 /// Smith–Waterman local alignment score between `a` and `b` using linear
 /// memory (two DP rows).
-pub fn smith_waterman(a: &[u8], b: &[u8], s: Scoring) -> i32 {
+pub(crate) fn smith_waterman(a: &[u8], b: &[u8], s: Scoring) -> i32 {
     if a.is_empty() || b.is_empty() {
         return 0;
     }

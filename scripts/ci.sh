@@ -61,6 +61,13 @@ run cargo build --release ${CARGO_FLAGS}
 run cargo build --release ${CARGO_FLAGS} -p oddci-cli -p oddci-bench
 ODDCI_BIN=target/release/oddci
 SCHEMA_CHECK=target/release/schema_check
+# Clippy before the tests: it fails in seconds and gates five workspace
+# invariants besides its own lints — no raw locks or channels outside the
+# oddci_check::sync shim (clippy.toml), no `unwrap`/`expect` in the live
+# hot paths, `unsafe` only in its two homes and each block under a
+# `// SAFETY:` comment, every `BusMsg` variant handled (exhaustive
+# matches, `dead_code`), and no uncalled crate-private function.
+run cargo clippy --workspace --all-targets ${CARGO_FLAGS} -- -D warnings
 run cargo test -q --workspace ${CARGO_FLAGS}
 # The in-process failover test again in a release build, where its job
 # runs several times faster than under the debug tests above: it must
@@ -84,19 +91,19 @@ run cargo test -q --release ${CARGO_FLAGS} -p oddci-workload
 # and not at the next benchmark run. Builds into benchmark/target/.
 run cargo test -q ${CARGO_FLAGS} --manifest-path benchmark/Cargo.toml
 run cargo fmt --check
-run cargo clippy --workspace --all-targets ${CARGO_FLAGS} -- -D warnings
 
 # Documentation gate: every intra-doc link must resolve and every public
 # item stay documented; warnings are promoted to errors.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS}
 
-# Concurrency gates: the workspace lint (raw-lock ban, telemetry phase
-# vocabulary, no unwrap in live hot paths, `unsafe` only in the wire
-# poller and the SHA-256 kernel's dispatch) must be clean, and a bounded model-check over the scaled-down
-# headend scenarios must find every seeded bug and none in the fixed
-# protocols — including the autoscale trim race (scale-down-vs-heartbeat)
-# and the serving loop's wakeup race (wake-vs-wait), each with its
-# seeded-bug twin. Fixed seed, bounded schedules: deterministic and well
+# Concurrency gates: the workspace lint, for the rules clippy cannot
+# express (closed telemetry phase vocabulary, job glue and PNA state
+# changes in their home modules, no library `pub fn` named only inside
+# its own crate), must be clean, and a bounded model-check over the
+# scaled-down headend scenarios must find every seeded bug and none in
+# the fixed protocols — including the autoscale trim race
+# (scale-down-vs-heartbeat) and the serving loop's wakeup race
+# (wake-vs-wait), each with its seeded-bug twin. Fixed seed, bounded schedules: deterministic and well
 # under 30 s. `oddci check` runs the lint, then every scenario.
 run "${ODDCI_BIN}" check --seed 11 --schedules 400
 

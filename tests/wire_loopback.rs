@@ -3,6 +3,7 @@
 //! wakeup (image streamed in chunks), boot, task fetch, result upload,
 //! heartbeats and shutdown — over real sockets.
 
+use oddci::check::sync::{unbounded, Sender};
 use oddci::faults::{FaultClass, FaultPlan, FaultSpec};
 use oddci::live::runtime::DEFAULT_KEY;
 use oddci::live::wire::{run_wire_pna, WirePnaConfig};
@@ -10,7 +11,6 @@ use oddci::live::{AlignmentImage, HeadendMode, LiveConfig, LiveOddci};
 use oddci::types::NodeId;
 use oddci::wire::{ConnId, Integrity, Outbox, ServerConfig, WireMsg, WireServer, WireService};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn loopback() -> SocketAddr {
@@ -220,7 +220,7 @@ fn idle_socket_headend_turns_only_for_heartbeats() {
 /// like a crash, without — telling the test when that was.
 struct VanishOnHeartbeat {
     goodbye: bool,
-    heard: mpsc::Sender<Instant>,
+    heard: Sender<Instant>,
 }
 
 impl WireService for VanishOnHeartbeat {
@@ -252,7 +252,7 @@ fn shutdown_while_a_pna_awaits_a_heartbeat_reply_costs_no_timeout() {
     // its wait for the reply. It must hear the end of the plane on its
     // bus at once instead of sitting out the 2 s reply timeout.
     for goodbye in [true, false] {
-        let (heard, heard_at) = mpsc::channel();
+        let (heard, heard_at) = unbounded();
         let mut server = WireServer::bind(
             loopback(),
             ServerConfig::new(Integrity::hmac(DEFAULT_KEY)),
